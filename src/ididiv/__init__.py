@@ -43,8 +43,6 @@ from .features import (
 from .flattening import FlatIdid, flatten, solve_idid
 from .generation import (
     DynamicBeliefNet,
-    GenerationConfig,
-    batch_sample,
     convert_to_dbn,
     generate_known_models,
     sample_tree,
@@ -61,7 +59,6 @@ from .runs import (
 from .selection import (
     CandidateModelSet,
     SelectionConfig,
-    diversity_trace,
     load_candidate_set,
     make_candidate_set,
     save_candidate_set,

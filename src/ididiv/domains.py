@@ -96,11 +96,6 @@ class SingleAgentModel:
             return self.transition[a]
         return self.transition[:, a, :]
 
-    def transition_row(self, s: int, a: int) -> np.ndarray:
-        if self.is_sparse:
-            return np.asarray(self.transition[a][[s], :].todense()).ravel()
-        return self.transition[s, a, :]
-
     def replace(self, **kw) -> "SingleAgentModel":
         return dataclasses.replace(self, **kw)
 

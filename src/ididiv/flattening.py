@@ -9,8 +9,8 @@ subject's observation at a successor position conditions on the action of
 that position's unique parent.  Root positions never occur as successors,
 so their observation rows are uniform filler.
 
-Small augmented spaces get dense tables, large ones per-action sparse
-matrices; the solver accepts both.
+Augmented spaces up to SPARSE_THRESHOLD states get a dense transition
+table, larger ones per-action sparse matrices; the solver accepts both.
 """
 
 from __future__ import annotations
@@ -26,6 +26,10 @@ from .solver import SolvedPolicy, solve_exact
 from .trees import PolicyTree, validate_tree
 
 __all__ = ["FlatIdid", "flatten", "solve_idid"]
+
+# Largest augmented state count that still gets a dense transition table.
+# Dense wins on small models (tiger), CSR on large ones (uav, ~79k states).
+SPARSE_THRESHOLD = 2048
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,7 +78,6 @@ def flatten(
     domain: PosgDomain,
     candidates: CandidateModelSet,
     b0_phys: np.ndarray | None = None,
-    sparse_threshold: int = 2048,
 ) -> FlatIdid:
     """Build the augmented single-agent model for the subject agent.
 
@@ -122,7 +125,6 @@ def flatten(
             nz_cache[key] = (r, c, blk[r, c])
         return nz_cache[key]
 
-    dense = s_aug <= sparse_threshold
     per_action = []
     for ai in range(n_ai):
         rows_parts: list[np.ndarray] = []
@@ -151,7 +153,7 @@ def flatten(
         mat = sparse.coo_array((vals, (rows, cols)), shape=(s_aug, s_aug)).tocsr()
         per_action.append(mat)
 
-    if dense:
+    if s_aug <= SPARSE_THRESHOLD:
         T_aug = np.zeros((s_aug, n_ai, s_aug))
         for ai, mat in enumerate(per_action):
             T_aug[:, ai, :] = mat.toarray()

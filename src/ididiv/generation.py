@@ -19,14 +19,12 @@ import numpy as np
 
 from .domains import SingleAgentModel
 from .solver import solve_exact
-from .trees import BehaviorSequence, PolicyTree, canonical_encode
+from .trees import BehaviorSequence, PolicyTree, canonical_encode, count_trees
 
 __all__ = [
     "DynamicBeliefNet",
-    "GenerationConfig",
     "convert_to_dbn",
     "sample_tree",
-    "batch_sample",
     "generate_known_models",
 ]
 
@@ -47,20 +45,6 @@ class DynamicBeliefNet:
         w = np.asarray(self.action_weights, dtype=float)
         w.setflags(write=False)
         object.__setattr__(self, "action_weights", w)
-
-
-@dataclass(frozen=True)
-class GenerationConfig:
-    """Batch sampling knobs.
-
-    anchor_policy "round-robin" cycles anchors in order; "uniform" draws an
-    anchor per sample.  max_samples bounds draws, duplicates are discarded.
-    """
-
-    seed: int = 0
-    max_samples: int = 50
-    anchor_policy: str = "round-robin"
-    epsilon: float = 1e-6
 
 
 def convert_to_dbn(model: SingleAgentModel, epsilon: float = 1e-6) -> DynamicBeliefNet:
@@ -156,30 +140,6 @@ def sample_tree(
     return build(b0, 0, True)
 
 
-def batch_sample(
-    dbn: DynamicBeliefNet,
-    anchors: Sequence[BehaviorSequence],
-    config: GenerationConfig,
-) -> list[PolicyTree]:
-    """Repeated anchored draws, de-duplicated, first-appearance order."""
-    if config.anchor_policy not in ("round-robin", "uniform"):
-        raise ValueError("unknown anchor policy %r" % config.anchor_policy)
-    rng = np.random.default_rng(config.seed)
-    out: list[PolicyTree] = []
-    seen: set[str] = set()
-    for k in range(config.max_samples):
-        if config.anchor_policy == "round-robin":
-            pick = [anchors[k % len(anchors)]]
-        else:
-            pick = [anchors[int(rng.integers(len(anchors)))]]
-        tree = sample_tree(dbn, pick, rng)
-        enc = canonical_encode(tree)
-        if enc not in seen:
-            seen.add(enc)
-            out.append(tree)
-    return out
-
-
 def generate_known_models(
     model: SingleAgentModel,
     count: int,
@@ -189,12 +149,18 @@ def generate_known_models(
     """``count`` distinct optimal trees from random initial beliefs.
 
     Each attempt draws a Dirichlet(1) belief, solves the model exactly, and
-    keeps the tree if unseen.  Raises RuntimeError when the attempt budget
-    runs out before enough distinct optima appear (a model with one action
-    has exactly one tree, for example).
+    keeps the tree if unseen.  Raises RuntimeError, before solving anything,
+    when ``count`` exceeds the number of complete trees, and otherwise when
+    the attempt budget runs out before enough distinct optima appear.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
+    n_trees = count_trees(len(model.actions), len(model.observations), model.horizon)
+    if count > n_trees:
+        raise RuntimeError(
+            "cannot find %d distinct optimal trees: only %d complete trees exist"
+            % (count, n_trees)
+        )
     rng = np.random.default_rng(seed)
     cap = max_attempts if max_attempts is not None else 40 * count + 20
     out: list[PolicyTree] = []

@@ -27,7 +27,6 @@ __all__ = [
     "CandidateModelSet",
     "make_candidate_set",
     "select_topk",
-    "diversity_trace",
     "save_candidate_set",
     "load_candidate_set",
 ]
@@ -41,8 +40,6 @@ class SelectionConfig:
     k_max: int = 10
     patience: int = 20
     seed: int = 0
-    epsilon: float = 1e-6
-    anchor_policy: str = "round-robin"
 
     def __post_init__(self) -> None:
         if self.measure not in MEASURES:
@@ -54,8 +51,6 @@ class SelectionConfig:
             raise ValueError("k_max must be >= 1")
         if self.patience < 1:
             raise ValueError("patience must be >= 1")
-        if self.anchor_policy not in ("round-robin", "uniform"):
-            raise ValueError("unknown anchor policy %r" % self.anchor_policy)
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,11 +132,10 @@ def select_topk(
     """Expand the known trees with diversity-increasing sampled trees.
 
     The known trees are always retained (duplicates among them collapse).
-    Anchors are the feature sequences of the known set, cycled or drawn per
-    ``config.anchor_policy``.  A sampled tree is accepted only when the
-    configured measure strictly increases; the loop ends at ``k_max`` trees
-    or after ``patience`` consecutive rejections.  Deterministic for a
-    fixed config.
+    Anchors are the feature sequences of the known set, cycled in order.  A
+    sampled tree is accepted only when the configured measure strictly
+    increases; the loop ends at ``k_max`` trees or after ``patience``
+    consecutive rejections.  Deterministic for a fixed config.
     """
     measure_fn = MEASURES[config.measure]
     n_obs = len(model.observations)
@@ -152,7 +146,7 @@ def select_topk(
         validate_tree(t, model.observations, depth=model.horizon, actions=model.actions)
 
     anchors = extract_features(base)
-    dbn = convert_to_dbn(model, config.epsilon)
+    dbn = convert_to_dbn(model)
     rng = np.random.default_rng(config.seed)
 
     trees = list(base)
@@ -162,12 +156,8 @@ def select_topk(
     misses = 0
     draw = 0
     while len(trees) < config.k_max and misses < config.patience:
-        if config.anchor_policy == "round-robin":
-            pick = [anchors[draw % len(anchors)]]
-        else:
-            pick = [anchors[int(rng.integers(len(anchors)))]]
+        cand = sample_tree(dbn, [anchors[draw % len(anchors)]], rng)
         draw += 1
-        cand = sample_tree(dbn, pick, rng)
         enc = canonical_encode(cand)
         if enc in seen:
             misses += 1
@@ -190,11 +180,6 @@ def select_topk(
         measure=config.measure,
         trace=trace,
     )
-
-
-def diversity_trace(result: CandidateModelSet) -> list[tuple[int, float]]:
-    """(set size, diversity value) points recorded during selection."""
-    return list(result.trace)
 
 
 def save_candidate_set(cs: CandidateModelSet, path) -> Path:

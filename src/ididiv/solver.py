@@ -7,8 +7,9 @@ to run past an explicit cap.  Both break ties toward the earlier action in
 the declared order, and both skip observation branches whose probability is
 exactly zero, so they agree on the returned tree, not just its value.
 
-evaluate_policy mirrors solve_exact's accumulation order operation for
-operation; the value reported for a solved tree is bit-identical either way.
+solve_exact, brute_force_solve and evaluate_policy run one recursion, which
+either picks the best action at each belief or follows a given tree, so the
+value reported for a solved tree is bit-identical to evaluating that tree.
 """
 
 from __future__ import annotations
@@ -90,15 +91,27 @@ def belief_update(
     return (pred * like) / p
 
 
-def _solve_node(
-    model: SingleAgentModel, b: np.ndarray, remaining: int
+def _backup(
+    model: SingleAgentModel,
+    b: np.ndarray,
+    remaining: int,
+    node: PolicyTree | None = None,
 ) -> tuple[float, PolicyTree]:
-    # Mirror _eval_node's arithmetic exactly: same expressions, same order.
-    n_act = len(model.actions)
+    """Value and tree of the remaining decisions from belief b.
+
+    With no ``node`` every action is tried and the strict first maximum
+    wins; observation branches that cannot occur get a filler subtree
+    repeating the first action.  With a ``node`` only its action is tried,
+    each branch follows the node's child, and the node itself is returned.
+    """
     n_obs = len(model.observations)
+    if node is None:
+        choices = range(len(model.actions))
+    else:
+        choices = (model.actions.index(node.action),)
     best_v = -np.inf
-    best_tree: PolicyTree | None = None
-    for a in range(n_act):
+    best: tuple[int, list[PolicyTree | None]] | None = None
+    for a in choices:
         q = float(b @ model.reward[:, a])
         kids: list[PolicyTree | None] = []
         if remaining > 1:
@@ -108,26 +121,26 @@ def _solve_node(
                 p = float(pred @ like)
                 if p > 0.0:
                     post = (pred * like) / p
-                    v, sub = _solve_node(model, post, remaining - 1)
+                    follow = None if node is None else node.children[o][1]
+                    v, sub = _backup(model, post, remaining - 1, follow)
                     q += p * v
                     kids.append(sub)
                 else:
                     kids.append(None)
-        if best_tree is None or q > best_v:
-            best_v = q
-            if remaining > 1:
-                filler = constant_tree(
-                    model.actions[0], model.observations, remaining - 1
-                )
-                children = tuple(
-                    (model.observations[o], kids[o] if kids[o] is not None else filler)
-                    for o in range(n_obs)
-                )
-                best_tree = PolicyTree(model.actions[a], children)
-            else:
-                best_tree = PolicyTree(model.actions[a])
-    assert best_tree is not None
-    return best_v, best_tree
+        if best is None or q > best_v:
+            best_v, best = q, (a, kids)
+    assert best is not None
+    if node is not None:
+        return best_v, node
+    a, kids = best
+    if remaining == 1:
+        return best_v, PolicyTree(model.actions[a])
+    filler = constant_tree(model.actions[0], model.observations, remaining - 1)
+    children = tuple(
+        (model.observations[o], filler if kids[o] is None else kids[o])
+        for o in range(n_obs)
+    )
+    return best_v, PolicyTree(model.actions[a], children)
 
 
 def solve_exact(model: SingleAgentModel) -> SolvedPolicy:
@@ -137,27 +150,8 @@ def solve_exact(model: SingleAgentModel) -> SolvedPolicy:
     Ties prefer the earlier declared action; observation branches that
     cannot occur are filled with subtrees repeating the first action.
     """
-    v, tree = _solve_node(model, model.initial_belief, model.horizon)
+    v, tree = _backup(model, model.initial_belief, model.horizon)
     return SolvedPolicy(tree=tree, value=v, model_name=model.name, horizon=model.horizon)
-
-
-def _eval_node(
-    model: SingleAgentModel, node: PolicyTree, b: np.ndarray, remaining: int
-) -> float:
-    # Keep in lockstep with _solve_node: the optimal tree must evaluate to
-    # the exact float the solver reported.
-    a = model.actions.index(node.action)
-    q = float(b @ model.reward[:, a])
-    if remaining > 1:
-        pred = _predict(model, b, a)
-        for o in range(len(model.observations)):
-            like = model.obs_fn[:, a, o]
-            p = float(pred @ like)
-            if p > 0.0:
-                post = (pred * like) / p
-                v = _eval_node(model, node.children[o][1], post, remaining - 1)
-                q += p * v
-    return q
 
 
 def evaluate_policy(
@@ -172,7 +166,7 @@ def evaluate_policy(
     """
     validate_tree(tree, model.observations, depth=model.horizon, actions=model.actions)
     b = model.initial_belief if belief is None else np.asarray(belief, dtype=float)
-    return _eval_node(model, tree, b, model.horizon)
+    return _backup(model, b, model.horizon, tree)[0]
 
 
 def brute_force_solve(
@@ -192,7 +186,7 @@ def brute_force_solve(
     best_v = -np.inf
     best_tree: PolicyTree | None = None
     for tree in all_trees(model.actions, model.observations, model.horizon):
-        v = _eval_node(model, tree, model.initial_belief, model.horizon)
+        v = _backup(model, model.initial_belief, model.horizon, tree)[0]
         if best_tree is None or v > best_v:
             best_v = v
             best_tree = tree

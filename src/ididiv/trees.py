@@ -233,17 +233,7 @@ def compact_parse(
             "encoding has %d nodes, expected %d for depth %d over %d observations"
             % (len(parts), expected, depth, len(obs))
         )
-    it = iter(parts)
-
-    def build(remaining: int) -> PolicyTree:
-        action = next(it)
-        if remaining == 1:
-            return PolicyTree(action)
-        return PolicyTree(
-            action, tuple((o, build(remaining - 1)) for o in obs)
-        )
-
-    return build(depth)
+    return _from_preorder(parts, obs, depth)
 
 
 def canonical_encode(tree: PolicyTree) -> str:
@@ -291,7 +281,7 @@ def count_trees(n_actions: int, n_obs: int, depth: int) -> int:
 
 
 def _from_preorder(
-    assignment: tuple[str, ...], obs: tuple[str, ...], depth: int
+    assignment: Iterable[str], obs: tuple[str, ...], depth: int
 ) -> PolicyTree:
     it = iter(assignment)
 

@@ -5,7 +5,15 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from ididiv import PolicyTree, SingleAgentModel, builtin_tiger, builtin_uav, project_level0
+from ididiv import (
+    PolicyTree,
+    SingleAgentModel,
+    builtin_tiger,
+    builtin_uav,
+    constant_tree,
+    make_candidate_set,
+    project_level0,
+)
 
 
 def node(action, c1=None, c2=None, obs=("o1", "o2")):
@@ -51,6 +59,34 @@ def tiger_j(tiger):
 @pytest.fixture(scope="session")
 def uav():
     return builtin_uav(3)
+
+
+def _peer_trees_t2():
+    """Three hand-built depth-2 peer trees over the growl alphabet."""
+    listen = PolicyTree(
+        "Listen",
+        (("GrowlLeft", PolicyTree("OpenRight")), ("GrowlRight", PolicyTree("OpenLeft"))),
+    )
+    passive = constant_tree("Listen", ("GrowlLeft", "GrowlRight"), 2)
+    reckless = PolicyTree(
+        "OpenLeft",
+        (("GrowlLeft", PolicyTree("Listen")), ("GrowlRight", PolicyTree("Listen"))),
+    )
+    return [listen, passive, reckless]
+
+
+@pytest.fixture(scope="session")
+def tiger2():
+    return builtin_tiger(2)
+
+
+@pytest.fixture(scope="session")
+def cand2(tiger2):
+    return make_candidate_set(
+        _peer_trees_t2(),
+        len(tiger2.observations_j),
+        prior=np.array([0.5, 0.3, 0.2]),
+    )
 
 
 @pytest.fixture(scope="session")

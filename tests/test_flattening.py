@@ -3,30 +3,17 @@ import pytest
 
 from ididiv import (
     EnumerationCapError,
-    PolicyTree,
     brute_force_solve,
     builtin_tiger,
     constant_tree,
     evaluate_policy,
     flatten,
+    flattening,
     make_candidate_set,
     solve_idid,
 )
 from ididiv.trees import all_trees
-
-
-def _peer_trees_t2():
-    """Three hand-built depth-2 peer trees over the growl alphabet."""
-    listen = PolicyTree(
-        "Listen",
-        (("GrowlLeft", PolicyTree("OpenRight")), ("GrowlRight", PolicyTree("OpenLeft"))),
-    )
-    passive = constant_tree("Listen", ("GrowlLeft", "GrowlRight"), 2)
-    reckless = PolicyTree(
-        "OpenLeft",
-        (("GrowlLeft", PolicyTree("Listen")), ("GrowlRight", PolicyTree("Listen"))),
-    )
-    return [listen, passive, reckless]
+from conftest import _peer_trees_t2
 
 
 def _oracle_value(domain, trees, prior, subject_tree, b0=None):
@@ -62,20 +49,6 @@ def _oracle_value(domain, trees, prior, subject_tree, b0=None):
 
     start = [(t, p * b0) for t, p in zip(trees, prior)]
     return rec(subject_tree, start)
-
-
-@pytest.fixture(scope="module")
-def tiger2():
-    return builtin_tiger(2)
-
-
-@pytest.fixture(scope="module")
-def cand2(tiger2):
-    return make_candidate_set(
-        _peer_trees_t2(),
-        len(tiger2.observations_j),
-        prior=np.array([0.5, 0.3, 0.2]),
-    )
 
 
 @pytest.fixture(scope="module")
@@ -212,9 +185,10 @@ class TestPriorAlgebra:
 
 
 class TestSparsePath:
-    def test_sparse_matches_dense(self, tiger2, cand2):
-        dense = flatten(tiger2, cand2, sparse_threshold=10_000)
-        sp = flatten(tiger2, cand2, sparse_threshold=0)
+    def test_sparse_matches_dense(self, tiger2, cand2, monkeypatch):
+        dense = flatten(tiger2, cand2)
+        monkeypatch.setattr(flattening, "SPARSE_THRESHOLD", 0)
+        sp = flatten(tiger2, cand2)
         assert not dense.model.is_sparse
         assert sp.model.is_sparse
         for a in range(len(dense.model.actions)):

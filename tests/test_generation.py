@@ -3,12 +3,10 @@ import pytest
 
 from ididiv import (
     BehaviorSequence,
-    GenerationConfig,
-    batch_sample,
     canonical_encode,
     convert_to_dbn,
-    extract_features,
     generate_known_models,
+    generation,
     sample_tree,
     sequence_list,
     solve_exact,
@@ -132,36 +130,6 @@ class TestSampleTree:
         validate_tree(t, m.observations, depth=2, actions=m.actions)
 
 
-class TestBatchSample:
-    def test_distinct_and_valid(self, tiger_j):
-        dbn = convert_to_dbn(tiger_j)
-        anchors = extract_features([solve_exact(tiger_j).tree])
-        out = batch_sample(dbn, anchors, GenerationConfig(seed=5, max_samples=30))
-        assert out, "expected at least one sampled tree"
-        encs = [canonical_encode(t) for t in out]
-        assert len(set(encs)) == len(encs)
-        for t in out:
-            validate_tree(t, tiger_j.observations, depth=3, actions=tiger_j.actions)
-
-    def test_reproducible(self, tiger_j):
-        dbn = convert_to_dbn(tiger_j)
-        anchors = extract_features([solve_exact(tiger_j).tree])
-        cfg = GenerationConfig(seed=7, max_samples=20)
-        assert batch_sample(dbn, anchors, cfg) == batch_sample(dbn, anchors, cfg)
-
-    def test_uniform_policy_runs(self, tiger_j):
-        dbn = convert_to_dbn(tiger_j)
-        anchors = extract_features([solve_exact(tiger_j).tree])
-        cfg = GenerationConfig(seed=7, max_samples=20, anchor_policy="uniform")
-        assert batch_sample(dbn, anchors, cfg)
-
-    def test_bad_policy(self, tiger_j):
-        dbn = convert_to_dbn(tiger_j)
-        anchors = extract_features([solve_exact(tiger_j).tree])
-        with pytest.raises(ValueError):
-            batch_sample(dbn, anchors, GenerationConfig(anchor_policy="zigzag"))
-
-
 class TestGenerateKnownModels:
     def test_tiger_distinct_optima(self, tiger_j):
         trees = generate_known_models(tiger_j, 3, seed=0)
@@ -203,6 +171,20 @@ class TestGenerateKnownModels:
         )
         with pytest.raises(RuntimeError, match="distinct optimal trees"):
             generate_known_models(one, 2, seed=0, max_attempts=8)
+
+    def test_infeasible_count_fails_before_solving(self, tiger_j, monkeypatch):
+        # Tiger at T=2 has 3 ** 3 = 27 complete trees, so 28 cannot exist.
+        calls = []
+        real = generation.solve_exact
+
+        def counted(model):
+            calls.append(1)
+            return real(model)
+
+        monkeypatch.setattr(generation, "solve_exact", counted)
+        with pytest.raises(RuntimeError, match="distinct optimal trees"):
+            generate_known_models(tiger_j.replace(horizon=2), 28, seed=0)
+        assert len(calls) == 0
 
     def test_bad_count(self, tiger_j):
         with pytest.raises(ValueError):

@@ -7,7 +7,6 @@ from ididiv import (
     builtin_tiger,
     canonical_encode,
     constant_tree,
-    diversity_trace,
     generate_known_models,
     load_candidate_set,
     make_candidate_set,
@@ -42,8 +41,6 @@ class TestConfig:
             SelectionConfig(k_max=0)
         with pytest.raises(ValueError):
             SelectionConfig(patience=0)
-        with pytest.raises(ValueError):
-            SelectionConfig(anchor_policy="spiral")
 
 
 class TestCandidateSet:
@@ -142,12 +139,6 @@ class TestSelectTopk:
         assert cs.measure == "MDP"
         assert cs.trace[0] == (3, mdp(known3, 2))
 
-    def test_uniform_anchor_policy(self, tiger_j, known3):
-        cs = select_topk(
-            known3, tiger_j, SelectionConfig(seed=0, anchor_policy="uniform")
-        )
-        assert len(cs.trees) >= 3
-
     def test_patience_stops_on_saturation(self):
         # One action: every sample duplicates the lone known tree, so the
         # loop must stop after exactly `patience` rejections.
@@ -175,10 +166,6 @@ class TestSelectTopk:
         bad = [constant_tree("Listen", tiger_j.observations, 2)]
         with pytest.raises(Exception):
             select_topk(bad, tiger_j, SelectionConfig())
-
-    def test_diversity_trace_helper(self, tiger_j, known3):
-        cs = select_topk(known3, tiger_j, SelectionConfig(seed=0))
-        assert diversity_trace(cs) == list(cs.trace)
 
 
 class TestSaveLoad:
