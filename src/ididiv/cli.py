@@ -105,14 +105,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cli_domain(args, horizon: int | None):
+    """The --domain domain, and its (name, path) input entry; none for a builtin."""
     name = args.domain
     if name in BUILTIN_DOMAINS:
-        domain = builtin_domain(name, horizon)
-        return domain, None
+        return builtin_domain(name, horizon), []
     domain = load_domain(name)
     if horizon is not None:
         domain = with_horizon(domain, horizon)
-    return domain, file_sha256(name)
+    return domain, [("domain", name)]
 
 
 def _out_dir(args) -> Path:
@@ -125,10 +125,27 @@ def _write_json(path: Path, obj) -> None:
     path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
+def _record(args, config: dict, outputs: dict, inputs=(), timings=None) -> None:
+    """Write the subcommand's manifest.json into its output directory.
+
+    `inputs` pairs each input's name with the file it was read from and is
+    recorded by SHA-256; `outputs` maps names to the paths written.
+    """
+    manifest = RunManifest(
+        command=args.command,
+        config=config,
+        seed=args.seed,
+        input_hashes={name: file_sha256(path) for name, path in inputs},
+        outputs={name: Path(path).name for name, path in outputs.items()},
+        timings=timings or {},
+    )
+    write_manifest(manifest, args.out_dir)
+
+
 def cmd_solve(args) -> int:
     out = _out_dir(args)
     t0 = time.perf_counter()
-    domain, dom_hash = _cli_domain(args, args.horizon)
+    domain, inputs = _cli_domain(args, args.horizon)
     model = project_level0(domain, args.agent)
     pol = solve_exact(model)
     elapsed = time.perf_counter() - t0
@@ -144,15 +161,8 @@ def cmd_solve(args) -> int:
             "tree": canonical_encode(pol.tree),
         },
     )
-    manifest = RunManifest(
-        command="solve",
-        config={"domain": args.domain, "agent": args.agent, "horizon": model.horizon},
-        seed=args.seed,
-        input_hashes={} if dom_hash is None else {"domain": dom_hash},
-        outputs={"policy": path.name},
-        timings={"solve_seconds": elapsed},
-    )
-    write_manifest(manifest, out)
+    config = {"domain": args.domain, "agent": args.agent, "horizon": model.horizon}
+    _record(args, config, {"policy": path}, inputs, {"solve_seconds": elapsed})
     print("solved %s (T=%d): value %.6f -> %s" % (model.name, model.horizon, pol.value, path))
     return 0
 
@@ -176,14 +186,8 @@ def cmd_features(args) -> int:
             "pivot_sequences": [s.compact() for s in piv.pivot_sequences],
         },
     )
-    manifest = RunManifest(
-        command="features",
-        config={"trees": str(args.trees)},
-        seed=args.seed,
-        input_hashes={"trees": file_sha256(args.trees)},
-        outputs={"matrix": matrix_path.name, "features": feat_path.name},
-    )
-    write_manifest(manifest, out)
+    outputs = {"matrix": matrix_path, "features": feat_path}
+    _record(args, {"trees": str(args.trees)}, outputs, [("trees", args.trees)])
     print(
         "%d trees, %d sequences, rank %d -> %s"
         % (len(cs.trees), len(matrix.columns), piv.rank, feat_path)
@@ -193,7 +197,7 @@ def cmd_features(args) -> int:
 
 def cmd_topk(args) -> int:
     out = _out_dir(args)
-    domain, dom_hash = _cli_domain(args, args.horizon)
+    domain, inputs = _cli_domain(args, args.horizon)
     level0 = project_level0(domain, "j")
     known_ss, select_ss = np.random.SeedSequence(args.seed).spawn(2)
 
@@ -218,27 +222,22 @@ def cmd_topk(args) -> int:
     save_candidate_set(result, cand_path)
     div_path = out / "diversity.csv"
     div_path.write_text(report_to_csv(result.report))
-    manifest = RunManifest(
-        command="topk",
-        config={
-            "domain": args.domain,
-            "measure": args.measure,
-            "known": args.known,
-            "k_max": args.k_max,
-            "patience": args.patience,
-            "horizon": level0.horizon,
-        },
-        seed=args.seed,
-        input_hashes={} if dom_hash is None else {"domain": dom_hash},
-        outputs={"candidates": cand_path.name, "diversity": div_path.name},
-        timings={
-            "m": args.known,
-            "measure": args.measure,
-            "generate_seconds": t_known,
-            "select_seconds": t_select,
-        },
-    )
-    write_manifest(manifest, out)
+    config = {
+        "domain": args.domain,
+        "measure": args.measure,
+        "known": args.known,
+        "k_max": args.k_max,
+        "patience": args.patience,
+        "horizon": level0.horizon,
+    }
+    timings = {
+        "m": args.known,
+        "measure": args.measure,
+        "generate_seconds": t_known,
+        "select_seconds": t_select,
+    }
+    outputs = {"candidates": cand_path, "diversity": div_path}
+    _record(args, config, outputs, inputs, timings)
     added = len(result.trees) - args.known
     print(
         "%s: %d known + %d added (%.2fs) -> %s"
@@ -249,7 +248,7 @@ def cmd_topk(args) -> int:
 
 def cmd_solve_idid(args) -> int:
     out = _out_dir(args)
-    domain, dom_hash = _cli_domain(args, args.horizon)
+    domain, inputs = _cli_domain(args, args.horizon)
     cs = load_candidate_set(args.candidates)
 
     t0 = time.perf_counter()
@@ -269,22 +268,13 @@ def cmd_solve_idid(args) -> int:
             "tree": canonical_encode(pol.tree),
         },
     )
-    hashes = {"candidates": file_sha256(args.candidates)}
-    if dom_hash is not None:
-        hashes["domain"] = dom_hash
-    manifest = RunManifest(
-        command="solve-idid",
-        config={
-            "domain": args.domain,
-            "candidates": str(args.candidates),
-            "horizon": domain.horizon,
-        },
-        seed=args.seed,
-        input_hashes=hashes,
-        outputs={"policy": path.name},
-        timings={"solve_seconds": elapsed},
-    )
-    write_manifest(manifest, out)
+    config = {
+        "domain": args.domain,
+        "candidates": str(args.candidates),
+        "horizon": domain.horizon,
+    }
+    inputs.append(("candidates", args.candidates))
+    _record(args, config, {"policy": path}, inputs, {"solve_seconds": elapsed})
     print(
         "flattened %d states, value %.6f -> %s"
         % (len(flat.model.states), pol.value, path)
@@ -294,7 +284,7 @@ def cmd_solve_idid(args) -> int:
 
 def cmd_simulate(args) -> int:
     out = _out_dir(args)
-    domain, dom_hash = _cli_domain(args, args.horizon)
+    domain, inputs = _cli_domain(args, args.horizon)
     cs = load_candidate_set(args.candidates)
 
     t0 = time.perf_counter()
@@ -322,24 +312,16 @@ def cmd_simulate(args) -> int:
             "policy_value": stats.policy_value,
         },
     )
-    hashes = {"candidates": file_sha256(args.candidates)}
-    if dom_hash is not None:
-        hashes["domain"] = dom_hash
-    manifest = RunManifest(
-        command="simulate",
-        config={
-            "domain": args.domain,
-            "candidates": str(args.candidates),
-            "rounds": args.rounds,
-            "true_mode": args.true_mode,
-            "horizon": domain.horizon,
-        },
-        seed=args.seed,
-        input_hashes=hashes,
-        outputs={"episodes": ep_path.name, "stats": stats_path.name},
-        timings={"simulate_seconds": elapsed},
-    )
-    write_manifest(manifest, out)
+    config = {
+        "domain": args.domain,
+        "candidates": str(args.candidates),
+        "rounds": args.rounds,
+        "true_mode": args.true_mode,
+        "horizon": domain.horizon,
+    }
+    inputs.append(("candidates", args.candidates))
+    outputs = {"episodes": ep_path, "stats": stats_path}
+    _record(args, config, outputs, inputs, {"simulate_seconds": elapsed})
     print(
         "%d rounds: mean reward %.3f (planned %.3f) -> %s"
         % (stats.rounds, stats.mean_reward_i, stats.policy_value, stats_path)
@@ -352,12 +334,12 @@ def cmd_experiment(args) -> int:
     if args.from_manifest:
         manifest = run_from_manifest(args.from_manifest, out, workers=args.workers)
     else:
+        # --domain and --seed fill only the keys a config file leaves out.
+        config = {"domain": args.domain, "seeds": [args.seed]}
         hashes = {}
         if args.config:
-            config = json.loads(Path(args.config).read_text())
+            config.update(json.loads(Path(args.config).read_text()))
             hashes["config"] = file_sha256(args.config)
-        else:
-            config = {"domain": args.domain, "seeds": [args.seed]}
         manifest = run_experiment_grid(
             config, out, workers=args.workers, input_hashes=hashes
         )

@@ -14,6 +14,7 @@ timings and per-cell failures live only in the manifest.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import time
@@ -58,13 +59,19 @@ _GRID_DEFAULTS = {
     "patience": 20,
 }
 
-RESULTS_HEADER = (
-    "domain,algorithm,horizon,m,k,true_mode,seed,rounds,"
-    "candidates,mean_reward,reward_variance,policy_value"
+# Smallest value each numeric grid axis accepts.
+_AXIS_MIN = {"horizons": 1, "model_counts": 1, "expansions": 0, "seeds": 0}
+
+RESULTS_COLUMNS = (
+    "domain", "algorithm", "horizon", "m", "k", "true_mode", "seed", "rounds",
+    "candidates", "mean_reward", "reward_variance", "policy_value",
 )
-DIVERSITY_HEADER = (
-    "domain,algorithm,horizon,m,k,true_mode,seed,candidates,mdp,mdf,mean_reward"
+DIVERSITY_COLUMNS = (
+    "domain", "algorithm", "horizon", "m", "k", "true_mode", "seed",
+    "candidates", "mdp", "mdf", "mean_reward",
 )
+RESULTS_HEADER = ",".join(RESULTS_COLUMNS)
+DIVERSITY_HEADER = ",".join(DIVERSITY_COLUMNS)
 
 
 @dataclass
@@ -81,37 +88,15 @@ class RunManifest:
     errors: list = field(default_factory=list)
 
 
-def manifest_to_obj(m: RunManifest) -> dict:
-    return {
-        "command": m.command,
-        "config": m.config,
-        "seed": m.seed,
-        "tool_version": m.tool_version,
-        "input_hashes": m.input_hashes,
-        "outputs": m.outputs,
-        "timings": m.timings,
-        "errors": m.errors,
-    }
-
-
 def write_manifest(m: RunManifest, out_dir, name: str = "manifest.json") -> Path:
     path = Path(out_dir) / name
-    path.write_text(json.dumps(manifest_to_obj(m), sort_keys=True, indent=2) + "\n")
+    path.write_text(json.dumps(dataclasses.asdict(m), sort_keys=True, indent=2) + "\n")
     return path
 
 
 def load_manifest(path) -> RunManifest:
     obj = json.loads(Path(path).read_text())
-    return RunManifest(
-        command=obj["command"],
-        config=obj["config"],
-        seed=obj.get("seed"),
-        tool_version=obj.get("tool_version", "unknown"),
-        input_hashes=obj.get("input_hashes", {}),
-        outputs=obj.get("outputs", {}),
-        timings=obj.get("timings", {}),
-        errors=obj.get("errors", []),
-    )
+    return RunManifest(**{"seed": None, "tool_version": "unknown", **obj})
 
 
 def file_sha256(path) -> str:
@@ -127,20 +112,28 @@ def normalize_grid_config(obj: dict) -> dict:
         raise ValueError("unknown grid config keys: %s" % ", ".join(sorted(unknown)))
     cfg = dict(_GRID_DEFAULTS)
     cfg.update(obj)
-    for key in ("horizons", "model_counts", "expansions", "seeds"):
+    name = cfg["domain"]
+    if not isinstance(name, str) or not (name in BUILTIN_DOMAINS or Path(name).is_file()):
+        raise ValueError(
+            "domain %r is neither a builtin (%s) nor a file"
+            % (name, ", ".join(sorted(BUILTIN_DOMAINS)))
+        )
+    for key, lo in _AXIS_MIN.items():
         cfg[key] = [int(x) for x in cfg[key]]
         if not cfg[key]:
             raise ValueError("%s must be non-empty" % key)
-    for alg in cfg["algorithms"]:
-        if alg not in ALGORITHMS:
-            raise ValueError("unknown algorithm %r" % alg)
-    for mode in cfg["true_modes"]:
-        if mode not in TRUE_MODES:
-            raise ValueError("unknown true mode %r" % mode)
-    cfg["rounds"] = int(cfg["rounds"])
-    cfg["patience"] = int(cfg["patience"])
-    if cfg["rounds"] < 1:
-        raise ValueError("rounds must be >= 1")
+        if min(cfg[key]) < lo:
+            raise ValueError("%s must all be >= %d" % (key, lo))
+    for key, allowed in (("algorithms", ALGORITHMS), ("true_modes", TRUE_MODES)):
+        if not cfg[key]:
+            raise ValueError("%s must be non-empty" % key)
+        for value in cfg[key]:
+            if value not in allowed:
+                raise ValueError("%s: unknown value %r" % (key, value))
+    for key in ("rounds", "patience"):
+        cfg[key] = int(cfg[key])
+        if cfg[key] < 1:
+            raise ValueError("%s must be >= 1" % key)
     return cfg
 
 
@@ -196,8 +189,6 @@ def _stage_seed(cell: dict, stage: str) -> np.random.SeedSequence:
 
 def _domain_for(cell: dict):
     name = cell["domain"]
-    if isinstance(name, dict):
-        name = name["path"]
     if name in BUILTIN_DOMAINS:
         return builtin_domain(name, cell["horizon"])
     return with_horizon(load_domain(name), cell["horizon"])
@@ -271,20 +262,13 @@ def _safe_run_cell(cell: dict) -> tuple[dict | None, str | None]:
         return None, "%s: %s" % (type(exc).__name__, exc)
 
 
-def _results_line(row: dict) -> str:
-    return "%s,%s,%d,%d,%d,%s,%d,%d,%d,%r,%r,%r" % (
-        row["domain"], row["algorithm"], row["horizon"], row["m"], row["k"],
-        row["true_mode"], row["seed"], row["rounds"], row["candidates"],
-        row["mean_reward"], row["reward_variance"], row["policy_value"],
-    )
-
-
-def _diversity_line(row: dict) -> str:
-    return "%s,%s,%d,%d,%d,%s,%d,%d,%r,%r,%r" % (
-        row["domain"], row["algorithm"], row["horizon"], row["m"], row["k"],
-        row["true_mode"], row["seed"], row["candidates"],
-        row["mdp"], row["mdf"], row["mean_reward"],
-    )
+def _csv_text(columns: tuple, rows: list[dict]) -> str:
+    """Header plus one line per row; repr keeps every digit of a float."""
+    lines = [",".join(columns)] + [
+        ",".join(repr(r[c]) if isinstance(r[c], float) else str(r[c]) for c in columns)
+        for r in rows
+    ]
+    return "\n".join(lines) + "\n"
 
 
 def run_experiment_grid(
@@ -295,6 +279,9 @@ def run_experiment_grid(
 ) -> RunManifest:
     """Run every grid cell and write results.csv, diversity.csv, manifest.json."""
     config = normalize_grid_config(config)
+    input_hashes = dict(input_hashes or {})
+    if config["domain"] not in BUILTIN_DOMAINS:
+        input_hashes["domain"] = file_sha256(config["domain"])
     cells = grid_cells(config)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -318,20 +305,14 @@ def run_experiment_grid(
         timings["cells"][cid] = row.pop("_elapsed")
         rows.append(row)
 
-    results_path = out / "results.csv"
-    results_path.write_text(
-        "\n".join([RESULTS_HEADER] + [_results_line(r) for r in rows]) + "\n"
-    )
-    diversity_path = out / "diversity.csv"
-    diversity_path.write_text(
-        "\n".join([DIVERSITY_HEADER] + [_diversity_line(r) for r in rows]) + "\n"
-    )
+    (out / "results.csv").write_text(_csv_text(RESULTS_COLUMNS, rows))
+    (out / "diversity.csv").write_text(_csv_text(DIVERSITY_COLUMNS, rows))
 
     manifest = RunManifest(
         command="experiment",
         config=config,
         seed=None,
-        input_hashes=input_hashes or {},
+        input_hashes=input_hashes,
         outputs={"results": "results.csv", "diversity": "diversity.csv"},
         timings=timings,
         errors=errors,
@@ -341,8 +322,21 @@ def run_experiment_grid(
 
 
 def run_from_manifest(manifest_path, out_dir, workers: int = 1) -> RunManifest:
-    """Rerun a recorded experiment grid; CSV outputs reproduce byte for byte."""
+    """Rerun a recorded experiment grid; CSV outputs reproduce byte for byte.
+
+    Refuses, before writing anything, a manifest written by another tool
+    version or one whose domain file has changed since it was recorded.
+    """
     m = load_manifest(manifest_path)
     if m.command != "experiment":
         raise ValueError("manifest records command %r, not an experiment" % m.command)
-    return run_experiment_grid(m.config, out_dir, workers=workers)
+    if m.tool_version != TOOL_VERSION:
+        raise ValueError(
+            "manifest was written by tool version %s, this is %s"
+            % (m.tool_version, TOOL_VERSION)
+        )
+    config = normalize_grid_config(m.config)
+    domain = config["domain"]
+    if domain not in BUILTIN_DOMAINS and file_sha256(domain) != m.input_hashes.get("domain"):
+        raise ValueError("domain file %s changed since the manifest was written" % domain)
+    return run_experiment_grid(config, out_dir, workers=workers)

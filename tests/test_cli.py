@@ -176,6 +176,27 @@ class TestExperiment:
             tmp_path / "b" / "results.csv"
         ).read_text()
 
+    def test_flags_fill_missing_config_keys(self, tmp_path):
+        cfg = tmp_path / "grid.json"
+        cfg.write_text(json.dumps({k: v for k, v in GRID.items() if k != "seeds"}))
+        rc = _run(
+            ["--out-dir", tmp_path / "a", "--domain", "uav", "--seed", 7,
+             "experiment", "--config", cfg]
+        )
+        assert rc == 0
+        m = load_manifest(tmp_path / "a" / "manifest.json")
+        assert (m.config["domain"], m.config["seeds"]) == ("uav", [7])
+
+        # Keys the config sets win over the flags.
+        cfg.write_text(json.dumps(dict(GRID, domain="tiger", seeds=[1])))
+        rc = _run(
+            ["--out-dir", tmp_path / "b", "--domain", "uav", "--seed", 7,
+             "experiment", "--config", cfg]
+        )
+        assert rc == 0
+        m = load_manifest(tmp_path / "b" / "manifest.json")
+        assert (m.config["domain"], m.config["seeds"]) == ("tiger", [1])
+
     def test_failures_exit_nonzero(self, tmp_path, capsys):
         cfg = tmp_path / "grid.json"
         bad = dict(GRID)

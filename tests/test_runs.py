@@ -6,9 +6,11 @@ import pytest
 from ididiv import (
     ALGORITHMS,
     RunManifest,
+    builtin_tiger,
     load_manifest,
     run_experiment_grid,
     run_from_manifest,
+    serialize_domain,
     write_manifest,
 )
 from ididiv.runs import (
@@ -60,6 +62,26 @@ class TestConfig:
     def test_bad_rounds(self):
         with pytest.raises(ValueError):
             normalize_grid_config({"rounds": 0})
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"domain": "tigr"},
+            {"algorithms": []},
+            {"true_modes": []},
+            {"horizons": [0]},
+            {"model_counts": [0]},
+            {"expansions": [-1]},
+            {"seeds": [-1]},
+            {"patience": 0},
+        ],
+        ids=lambda bad: next(iter(bad)),
+    )
+    def test_unrunnable_config_fails_fast(self, bad):
+        # Each of these would otherwise fail cells one by one, or run no cell.
+        (key,) = bad
+        with pytest.raises(ValueError, match=key):
+            normalize_grid_config(bad)
 
 
 class TestCells:
@@ -224,6 +246,34 @@ class TestGrid:
         p = write_manifest(m, tmp_path)
         with pytest.raises(ValueError, match="not an experiment"):
             run_from_manifest(p, tmp_path / "out")
+
+    def test_replay_refuses_changed_domain_file(self, tmp_path):
+        dom = tmp_path / "dom.json"
+        dom.write_text(serialize_domain(builtin_tiger(2)))
+        grid = dict(SMALL_GRID, domain=str(dom), seeds=[0])
+        m = run_experiment_grid(grid, tmp_path / "a")
+        assert m.errors == []
+        assert m.input_hashes["domain"] == file_sha256(dom)
+        run_from_manifest(tmp_path / "a" / "manifest.json", tmp_path / "b")
+        for name in ("results.csv", "diversity.csv"):
+            assert (tmp_path / "a" / name).read_text() == (tmp_path / "b" / name).read_text()
+
+        obj = json.loads(dom.read_text())
+        obj["reward_i"][0][0][0] += 1.0
+        dom.write_text(json.dumps(obj))
+        with pytest.raises(ValueError, match="domain file"):
+            run_from_manifest(tmp_path / "a" / "manifest.json", tmp_path / "c")
+        assert not (tmp_path / "c").exists()
+
+    def test_replay_refuses_other_tool_version(self, tmp_path):
+        run_experiment_grid(dict(SMALL_GRID, algorithms=["IDID"], seeds=[0]), tmp_path / "a")
+        path = tmp_path / "a" / "manifest.json"
+        obj = json.loads(path.read_text())
+        obj["tool_version"] = "0.0.1"
+        path.write_text(json.dumps(obj))
+        with pytest.raises(ValueError, match="tool version"):
+            run_from_manifest(path, tmp_path / "b")
+        assert not (tmp_path / "b").exists()
 
     def test_cell_failure_isolated(self, tmp_path):
         # A model count the generator cannot satisfy fails that cell alone.
