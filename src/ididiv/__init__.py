@@ -22,6 +22,7 @@ from .domains import (
     DomainValidationError,
     PosgDomain,
     SingleAgentModel,
+    SparseRows,
     builtin_domain,
     builtin_tiger,
     builtin_uav,

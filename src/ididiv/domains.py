@@ -23,6 +23,7 @@ from .trees import _check_symbols
 
 __all__ = [
     "DomainValidationError",
+    "SparseRows",
     "SingleAgentModel",
     "PosgDomain",
     "validate_model",
@@ -53,12 +54,60 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
+class SparseRows:
+    """An [S, S'] matrix in compressed sparse row form, for ``b @ M``.
+
+    Row r holds ``data[indptr[r]:indptr[r + 1]]`` at the columns
+    ``indices[indptr[r]:indptr[r + 1]]``.  Explicit zeros are entries like
+    any other and count towards ``nnz``.  Construction does not check the
+    structure; ``validate_model`` does.
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    shape: tuple[int, int]
+
+    # ndarray defers ``b @ M`` to __rmatmul__ instead of broadcasting.
+    __array_ufunc__ = None
+
+    def __post_init__(self) -> None:
+        for name in ("indptr", "indices"):
+            arr = np.asarray(getattr(self, name))
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "data", _freeze(self.data))
+        object.__setattr__(self, "shape", tuple(int(n) for n in self.shape))
+
+    @property
+    def nnz(self) -> int:
+        return len(self.indices)
+
+    def __rmatmul__(self, b) -> np.ndarray:
+        """Row vector times matrix over the rows where b is nonzero.
+
+        Each output entry gets at most one term per source row, added in
+        ascending row order from 0.0, so the sum is the one a CSR
+        row-vector product computes; the skipped rows add only +0.0.
+        """
+        b = np.asarray(b, dtype=float)
+        rows = np.flatnonzero(b)
+        starts = self.indptr[rows]
+        lens = self.indptr[rows + 1] - starts
+        ends = np.cumsum(lens)
+        # Positions of the gathered rows' entries, row after row.
+        k = np.arange(ends[-1] if len(ends) else 0) + np.repeat(starts - ends + lens, lens)
+        weights = self.data[k] * np.repeat(b[rows], lens)
+        return np.bincount(self.indices[k], weights=weights, minlength=self.shape[1])
+
+
+@dataclass(frozen=True, eq=False)
 class SingleAgentModel:
     """Finite-horizon tabular POMDP.
 
     Parameters
     ----------
-    transition : ndarray [S, A, S'] or tuple of scipy csr_array, one [S, S'] per action
+    transition : ndarray [S, A, S'] or tuple of SparseRows, one [S, S'] per action
         Row-stochastic per (s, a).  The sparse form is used for large
         flattened models; ``transition_matrix`` hides the difference.
     obs_fn : ndarray [S', A, O]
@@ -174,6 +223,44 @@ def _check_shape(path: str, arr: np.ndarray, shape: tuple[int, ...]) -> None:
         )
 
 
+def _check_sparse_rows(path: str, blk: SparseRows, S: int) -> None:
+    """Shape, CSR structure, and stochastic rows of one sparse block."""
+    if not isinstance(blk, SparseRows):
+        raise DomainValidationError(
+            "%s: %s, expected SparseRows" % (path, type(blk).__name__)
+        )
+    if blk.shape != (S, S):
+        raise DomainValidationError(
+            "%s: shape %r, expected %r" % (path, blk.shape, (S, S))
+        )
+    ptr, idx, dat = blk.indptr, blk.indices, blk.data
+    if ptr.dtype.kind not in "iu" or idx.dtype.kind not in "iu":
+        raise DomainValidationError("%s: indptr and indices must be integers" % path)
+    if ptr.shape != (S + 1,) or ptr[0] != 0 or ptr[-1] != len(idx):
+        raise DomainValidationError(
+            "%s: indptr must have length %d, start at 0 and end at nnz %d"
+            % (path, S + 1, len(idx))
+        )
+    if np.any(np.diff(ptr) < 0):
+        raise DomainValidationError("%s: indptr decreases" % path)
+    if idx.size and (idx.min() < 0 or idx.max() >= S):
+        raise DomainValidationError("%s: column index outside [0, %d)" % (path, S))
+    if dat.shape != idx.shape:
+        raise DomainValidationError(
+            "%s: %d data entries for %d indices" % (path, len(dat), len(idx))
+        )
+    if dat.size and dat.min() < -_TOL:
+        raise DomainValidationError("%s: negative probability" % path)
+    row_of = np.repeat(np.arange(S), np.diff(ptr))
+    sums = np.bincount(row_of, weights=dat, minlength=S)
+    bad = np.abs(sums - 1.0) > _TOL
+    if np.any(bad):
+        s = int(np.flatnonzero(bad)[0])
+        raise DomainValidationError(
+            "%s: row %d sums to %.17g" % (path, s, float(sums[s]))
+        )
+
+
 def validate_model(m: SingleAgentModel) -> None:
     """Raise DomainValidationError naming the offending table and row."""
     S = len(_check_labels("states", m.states))
@@ -187,20 +274,7 @@ def validate_model(m: SingleAgentModel) -> None:
                 "transition: %d sparse blocks, expected %d" % (len(m.transition), A)
             )
         for a, blk in enumerate(m.transition):
-            if blk.shape != (S, S):
-                raise DomainValidationError(
-                    "transition[%d]: shape %r, expected %r" % (a, blk.shape, (S, S))
-                )
-            dat = np.asarray(blk.data)
-            if dat.size and dat.min() < -_TOL:
-                raise DomainValidationError("transition[%d]: negative probability" % a)
-            sums = np.asarray(blk.sum(axis=1)).ravel()
-            bad = np.abs(sums - 1.0) > _TOL
-            if np.any(bad):
-                s = int(np.argwhere(bad)[0])
-                raise DomainValidationError(
-                    "transition[%d]: row %d sums to %.17g" % (a, s, float(sums[s]))
-                )
+            _check_sparse_rows("transition[%d]" % a, blk, S)
     else:
         _check_shape("transition", m.transition, (S, A, S))
         _check_rows("transition", m.transition)

@@ -9,8 +9,12 @@ subject's observation at a successor position conditions on the action of
 that position's unique parent.  Root positions never occur as successors,
 so their observation rows are uniform filler.
 
-Augmented spaces up to SPARSE_THRESHOLD states get a dense transition
-table, larger ones per-action sparse matrices; the solver accepts both.
+Augmented spaces up to SPARSE_THRESHOLD states get a dense [S, A, S']
+transition table.  Larger ones get one SparseRows block (CSR with int32
+column indices) per subject action, built and compressed one action at a
+time.  Both forms hold the same entries, explicit zeros included, and
+the solver accepts both; they are not merged because dense BLAS sums
+differ in the last bits from the row-ordered sparse product.
 """
 
 from __future__ import annotations
@@ -18,9 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
-from .domains import PosgDomain, SingleAgentModel, validate_model
+from .domains import PosgDomain, SingleAgentModel, SparseRows, validate_model
 from .selection import CandidateModelSet
 from .solver import SolvedPolicy, solve_exact
 from .trees import PolicyTree, validate_tree
@@ -30,6 +33,9 @@ __all__ = ["FlatIdid", "flatten", "solve_idid"]
 # Largest augmented state count that still gets a dense transition table.
 # Dense wins on small models (tiger), CSR on large ones (uav, ~79k states).
 SPARSE_THRESHOLD = 2048
+
+# Largest augmented state count whose indices fit int32 CSR columns.
+MAX_STATES = int(np.iinfo(np.int32).max)
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,6 +120,12 @@ def flatten(
         if b0.shape != (S,) or abs(float(b0.sum()) - 1.0) > 1e-12 or b0.min() < 0.0:
             raise ValueError("b0_phys must be a distribution over physical states")
 
+    if s_aug > MAX_STATES:
+        raise ValueError(
+            "%d augmented states overflow the int32 column indices (at most %d)"
+            % (s_aug, MAX_STATES)
+        )
+
     # Physical transition nonzeros per action pair, shared across positions.
     nz_cache: dict[tuple[int, int], tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
@@ -122,11 +134,15 @@ def flatten(
         if key not in nz_cache:
             blk = domain.transition[:, ai, aj, :]
             r, c = np.nonzero(blk)
-            nz_cache[key] = (r, c, blk[r, c])
+            nz_cache[key] = (r.astype(np.int32), c.astype(np.int32), blk[r, c])
         return nz_cache[key]
 
-    per_action = []
-    for ai in range(n_ai):
+    def action_entries(ai: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(rows, cols, vals) of action ai's augmented transition, zeros kept.
+
+        No (row, col) pair repeats: a row's successors differ in position
+        (one child per peer observation) or in physical state.
+        """
         rows_parts: list[np.ndarray] = []
         cols_parts: list[np.ndarray] = []
         vals_parts: list[np.ndarray] = []
@@ -134,7 +150,7 @@ def flatten(
             for pos in range(node_counts[m]):
                 aj = int(acts[pos])
                 r, c, v = phys_nz(ai, aj)
-                base = offsets[m] + pos * S
+                base = int(offsets[m]) + pos * S
                 if children[pos, 0] < 0:
                     # Leaf: the position self-loops, observation mass sums out.
                     rows_parts.append(base + r)
@@ -145,21 +161,31 @@ def flatten(
                     pos2 = int(children[pos, o])
                     w = domain.obs_fn_j[:, aj, o]
                     rows_parts.append(base + r)
-                    cols_parts.append(offsets[m] + pos2 * S + c)
+                    cols_parts.append(int(offsets[m]) + pos2 * S + c)
                     vals_parts.append(v * w[c])
-        rows = np.concatenate(rows_parts)
-        cols = np.concatenate(cols_parts)
-        vals = np.concatenate(vals_parts)
-        mat = sparse.coo_array((vals, (rows, cols)), shape=(s_aug, s_aug)).tocsr()
-        per_action.append(mat)
+        return (
+            np.concatenate(rows_parts),
+            np.concatenate(cols_parts),
+            np.concatenate(vals_parts),
+        )
 
-    if s_aug <= SPARSE_THRESHOLD:
+    # One action at a time, so only one action's entries are alive at once.
+    dense = s_aug <= SPARSE_THRESHOLD
+    if dense:
         T_aug = np.zeros((s_aug, n_ai, s_aug))
-        for ai, mat in enumerate(per_action):
-            T_aug[:, ai, :] = mat.toarray()
-        transition = T_aug
-    else:
-        transition = tuple(per_action)
+    blocks = []
+    for ai in range(n_ai):
+        rows, cols, vals = action_entries(ai)
+        if dense:
+            T_aug[rows, ai, cols] = vals
+        else:
+            order = np.argsort(rows, kind="stable")
+            indptr = np.zeros(s_aug + 1, dtype=np.int64)
+            np.cumsum(np.bincount(rows, minlength=s_aug), out=indptr[1:])
+            blocks.append(SparseRows(indptr, cols[order], vals[order], (s_aug, s_aug)))
+            del order
+        del rows, cols, vals
+    transition = T_aug if dense else tuple(blocks)
 
     O_aug = np.empty((s_aug, n_ai, n_oi))
     R_aug = np.empty((s_aug, n_ai))

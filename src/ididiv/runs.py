@@ -8,8 +8,9 @@ that algorithms sharing a seed also share the known models and the true-peer
 stream, which is what makes per-seed comparisons across algorithms paired.
 
 Result CSVs contain no timestamps or timings; rerunning a recorded manifest
-with the same tool version reproduces them byte for byte.  Wall-clock
-timings and per-cell failures live only in the manifest.
+with the same tool version and the same BLAS threading reproduces them byte
+for byte.  Wall-clock timings, the thread settings and per-cell failures
+live only in the manifest.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -70,6 +72,11 @@ DIVERSITY_COLUMNS = (
     "domain", "algorithm", "horizon", "m", "k", "true_mode", "seed",
     "candidates", "mdp", "mdf", "mean_reward",
 )
+# Environment variables that set the BLAS thread count.  Dense dot products
+# in the solver sum in a thread-dependent order, so policy_value can differ
+# in its last digits between thread counts.
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
 RESULTS_HEADER = ",".join(RESULTS_COLUMNS)
 DIVERSITY_HEADER = ",".join(DIVERSITY_COLUMNS)
 
@@ -86,6 +93,7 @@ class RunManifest:
     outputs: dict = field(default_factory=dict)
     timings: dict = field(default_factory=dict)
     errors: list = field(default_factory=list)
+    threads: dict = field(default_factory=dict)
 
 
 def write_manifest(m: RunManifest, out_dir, name: str = "manifest.json") -> Path:
@@ -316,6 +324,10 @@ def run_experiment_grid(
         outputs={"results": "results.csv", "diversity": "diversity.csv"},
         timings=timings,
         errors=errors,
+        threads={
+            **{k: os.environ.get(k) for k in THREAD_VARS},
+            "cpu_count": os.cpu_count(),
+        },
     )
     write_manifest(manifest, out)
     return manifest

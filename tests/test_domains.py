@@ -7,6 +7,7 @@ from ididiv import (
     DomainValidationError,
     PosgDomain,
     SingleAgentModel,
+    SparseRows,
     builtin_domain,
     builtin_tiger,
     builtin_uav,
@@ -270,6 +271,78 @@ class TestValidation:
         r[0, 0] = np.nan
         with pytest.raises(DomainValidationError):
             validate_model(tiger_j.replace(reward=r))
+
+
+def _rows_of(dense: np.ndarray) -> SparseRows:
+    """Every entry of a dense [S, S] block, zeros included, in CSR form."""
+    S = dense.shape[0]
+    return SparseRows(
+        indptr=np.arange(0, S * S + 1, S),
+        indices=np.tile(np.arange(S, dtype=np.int32), S),
+        data=dense.ravel(),
+        shape=(S, S),
+    )
+
+
+class TestSparseRows:
+    """Hand-built sparse transitions: tiger_j's blocks, one of them broken."""
+
+    def _with_block1(self, tiger_j, **change):
+        blocks = [_rows_of(tiger_j.transition[:, a, :]) for a in range(3)]
+        blocks[1] = dataclasses.replace(blocks[1], **change)
+        return tiger_j.replace(transition=tuple(blocks))
+
+    def test_hand_built_model_validates_and_predicts(self, tiger_j):
+        m = self._with_block1(tiger_j)
+        validate_model(m)
+        assert m.is_sparse and m.transition[0].nnz == 4
+        b = np.array([0.25, 0.75])
+        for a in range(3):
+            np.testing.assert_allclose(
+                b @ m.transition_matrix(a), b @ tiger_j.transition_matrix(a), atol=1e-15
+            )
+        assert np.array_equal(np.array([0.0, 0.0]) @ m.transition[0], np.zeros(2))
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"indptr": np.array([0, 2])},
+            {"indptr": np.array([1, 2, 4])},
+            {"indptr": np.array([0, 2, 3])},
+            {"indptr": np.array([0, 3, 2])},
+            {"indptr": np.array([0.0, 2.0, 4.0])},
+            {"indices": np.array([0, 1, 0, 2], dtype=np.int32)},
+            {"indices": np.array([0, -1, 0, 1], dtype=np.int32)},
+            {"data": np.array([1.0, 0.0, 0.0, 1.0, 0.0])},
+        ],
+        ids=[
+            "indptr-length",
+            "indptr-start",
+            "indptr-end",
+            "indptr-decreasing",
+            "indptr-float",
+            "index-too-large",
+            "index-negative",
+            "data-length",
+        ],
+    )
+    def test_malformed_structure(self, tiger_j, change):
+        with pytest.raises(DomainValidationError, match=r"transition\[1\]"):
+            validate_model(self._with_block1(tiger_j, **change))
+
+    def test_row_sum_and_sign(self, tiger_j):
+        with pytest.raises(DomainValidationError, match=r"transition\[1\]: row 0"):
+            validate_model(self._with_block1(tiger_j, data=np.array([0.5, 0.4, 0.0, 1.0])))
+        with pytest.raises(DomainValidationError, match=r"transition\[1\]: negative"):
+            validate_model(self._with_block1(tiger_j, data=np.array([1.5, -0.5, 0.0, 1.0])))
+
+    def test_shape_and_type(self, tiger_j):
+        with pytest.raises(DomainValidationError, match=r"transition\[1\]: shape"):
+            validate_model(self._with_block1(tiger_j, shape=(2, 3)))
+        blocks = [_rows_of(tiger_j.transition[:, a, :]) for a in range(3)]
+        blocks[1] = tiger_j.transition[:, 1, :]
+        with pytest.raises(DomainValidationError, match=r"transition\[1\]: ndarray"):
+            validate_model(tiger_j.replace(transition=tuple(blocks)))
 
 
 class TestSerialization:

@@ -1,19 +1,54 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from scipy import sparse
 
 from ididiv import (
     EnumerationCapError,
+    belief_update,
     brute_force_solve,
     builtin_tiger,
     constant_tree,
     evaluate_policy,
     flatten,
     flattening,
+    generate_known_models,
     make_candidate_set,
+    project_level0,
     solve_idid,
 )
-from ididiv.trees import all_trees
+from ididiv.trees import all_trees, tree_nodes
 from conftest import _peer_trees_t2
+
+
+def _scipy_csr(blk):
+    """The reference scipy matrix holding the same CSR arrays."""
+    return sparse.csr_array((blk.data, blk.indices, blk.indptr), shape=blk.shape)
+
+
+def _assert_products_match_scipy(model, rng, n_random=20):
+    """b @ M equals scipy's CSR product bit for bit, block by block.
+
+    Beliefs: the initial one, a posterior after each action and the first
+    observation, and random beliefs on supports of random size, up to the
+    whole state space, with exact zeros elsewhere.
+    """
+    S = len(model.states)
+    beliefs = [model.initial_belief]
+    for a, act in enumerate(model.actions):
+        beliefs.append(
+            belief_update(model, model.initial_belief, act, model.observations[0])
+        )
+    for _ in range(n_random):
+        b = np.zeros(S)
+        support = rng.choice(S, size=int(rng.integers(1, S + 1)), replace=False)
+        b[support] = rng.dirichlet(np.ones(len(support)))
+        beliefs.append(b)
+    for blk in model.transition:
+        ref = _scipy_csr(blk)
+        for b in beliefs:
+            assert np.array_equal(b @ blk, b @ ref)
 
 
 def _oracle_value(domain, trees, prior, subject_tree, b0=None):
@@ -193,7 +228,7 @@ class TestSparsePath:
         assert sp.model.is_sparse
         for a in range(len(dense.model.actions)):
             np.testing.assert_allclose(
-                sp.model.transition_matrix(a).toarray(),
+                _scipy_csr(sp.model.transition_matrix(a)).toarray(),
                 dense.model.transition_matrix(a),
                 atol=1e-15,
             )
@@ -201,6 +236,45 @@ class TestSparsePath:
         ps = solve_idid(sp)
         assert ps.value == pytest.approx(pd.value, abs=1e-12)
         assert ps.tree == pd.tree
+
+    def test_products_match_scipy_exactly(self, tiger2, cand2, monkeypatch):
+        monkeypatch.setattr(flattening, "SPARSE_THRESHOLD", 0)
+        model = flatten(tiger2, cand2).model
+        assert model.is_sparse
+        assert all(blk.indices.dtype == np.int32 for blk in model.transition)
+        _assert_products_match_scipy(model, np.random.default_rng(5))
+
+    def test_uav_products_match_scipy_exactly(self, uav):
+        known = generate_known_models(project_level0(uav, "j"), 3, seed=0)
+        model = flatten(uav, make_candidate_set(known, len(uav.observations_j))).model
+        assert model.is_sparse
+        _assert_products_match_scipy(model, np.random.default_rng(6), n_random=5)
+
+    def test_explicit_zeros_are_kept(self, tiger2, cand2, monkeypatch):
+        # Noiseless peer sensing makes half the observation-weighted
+        # entries exactly zero; they stay stored and counted in nnz.
+        obs_j = np.zeros_like(tiger2.obs_fn_j)
+        obs_j[0, :, 0] = 1.0  # first state: always the first growl
+        obs_j[1, :, 1] = 1.0
+        sharp = dataclasses.replace(tiger2, obs_fn_j=obs_j)
+        monkeypatch.setattr(flattening, "SPARSE_THRESHOLD", 0)
+        model = flatten(sharp, cand2).model
+        aj_index = {a: k for k, a in enumerate(sharp.actions_j)}
+        n_oj = len(sharp.observations_j)
+        for ai, blk in enumerate(model.transition):
+            expect = 0
+            for tree in cand2.trees:
+                for node in tree_nodes(tree):
+                    nz = np.count_nonzero(sharp.transition[:, ai, aj_index[node.action], :])
+                    expect += nz * (n_oj if node.children else 1)
+            assert blk.nnz == expect
+            assert np.count_nonzero(blk.data == 0.0) > 0
+
+    def test_too_many_states_for_int32_indices(self, tiger2, cand2, monkeypatch):
+        # cand2 flattens to 18 augmented states; pretend int32 ends at 17.
+        monkeypatch.setattr(flattening, "MAX_STATES", 17)
+        with pytest.raises(ValueError, match="int32"):
+            flatten(tiger2, cand2)
 
     def test_custom_initial_physical_belief(self, tiger2, cand2):
         flat = flatten(tiger2, cand2, b0_phys=np.array([1.0, 0.0]))

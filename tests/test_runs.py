@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -240,6 +241,29 @@ class TestGrid:
         assert m.config == normalize_grid_config(SMALL_GRID)
         assert m.outputs == {"results": "results.csv", "diversity": "diversity.csv"}
         assert "total_seconds" in m.timings
+
+    def test_manifest_records_blas_threads(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("OMP_NUM_THREADS", "1")
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        run_experiment_grid(dict(SMALL_GRID, algorithms=["IDID"], seeds=[0]), tmp_path)
+        m = load_manifest(tmp_path / "manifest.json")
+        assert set(m.threads) == {
+            "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "cpu_count"
+        }
+        assert m.threads["OMP_NUM_THREADS"] == "1"
+        assert m.threads["MKL_NUM_THREADS"] is None
+        assert m.threads["cpu_count"] == os.cpu_count()
+
+    def test_manifest_without_threads_still_replays(self, tmp_path):
+        run_experiment_grid(dict(SMALL_GRID, algorithms=["IDID"], seeds=[0]), tmp_path / "a")
+        path = tmp_path / "a" / "manifest.json"
+        obj = json.loads(path.read_text())
+        del obj["threads"]
+        path.write_text(json.dumps(obj))
+        assert load_manifest(path).threads == {}
+        run_from_manifest(path, tmp_path / "b")
+        for name in ("results.csv", "diversity.csv"):
+            assert (tmp_path / "a" / name).read_text() == (tmp_path / "b" / name).read_text()
 
     def test_rerun_rejects_other_commands(self, tmp_path):
         m = RunManifest(command="solve", config={}, seed=0)
