@@ -7,14 +7,24 @@ is what lets j be modeled by an ordinary single-agent POMDP at level 0.
 
 Builtins: a two-door tiger game with door creaks, and a 5x5 grid chase
 between a chaser (i) and a fugitive (j) heading for a safe-house corner.
+
+Built-in domains are shared read-only objects.  While any reference to one
+is alive, ``builtin_domain`` (and ``builtin_tiger``/``builtin_uav``) returns
+that same object for the same name and horizon, so a caller that holds the
+domain lets grids and subcommands run in the same process reuse it instead
+of rebuilding the uav chase's 79 MB joint transition.  Nothing may mutate a
+domain: its arrays are read-only and ``level0`` is a read-only mapping.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
+import weakref
 from dataclasses import dataclass, field
 from pathlib import Path
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -159,6 +169,7 @@ class PosgDomain:
     ``start`` is the initial physical state distribution (uniform if None).
     ``level0`` optionally carries prebuilt single-agent views keyed by
     agent name ("i" or "j"); project_level0 returns these when present.
+    Arrays and ``level0`` are read-only, so a domain can be shared.
     """
 
     name: str
@@ -181,6 +192,13 @@ class PosgDomain:
             object.__setattr__(self, name, _freeze(getattr(self, name)))
         if self.start is not None:
             object.__setattr__(self, "start", _freeze(self.start))
+        object.__setattr__(self, "level0", MappingProxyType(dict(self.level0)))
+
+    def __reduce__(self):
+        # A mappingproxy does not pickle, so rebuild through __init__ from
+        # the fields with level0 as a dict.
+        kw = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
+        return functools.partial(PosgDomain, **{**kw, "level0": dict(self.level0)}), ()
 
     def start_distribution(self) -> np.ndarray:
         if self.start is not None:
@@ -317,7 +335,7 @@ def validate_domain(d: PosgDomain) -> None:
 
 # ---------------------------------------------------------------- tiger ----
 
-def builtin_tiger(horizon: int = 3) -> PosgDomain:
+def _build_tiger(horizon: int) -> PosgDomain:
     """Two-agent tiger with growls (0.85) and door creaks (0.9).
 
     Both agents face the same two doors.  Opening any door relocates the
@@ -486,7 +504,7 @@ def _uav_level0_fugitive(horizon: int) -> SingleAgentModel:
     )
 
 
-def builtin_uav(horizon: int = 3) -> PosgDomain:
+def _build_uav(horizon: int) -> PosgDomain:
     """5x5 grid chase: chaser i starts at the center, fugitive j at the
     corner opposite the safe house.
 
@@ -564,18 +582,46 @@ def builtin_uav(horizon: int = 3) -> PosgDomain:
     )
 
 
-BUILTIN_DOMAINS = {"tiger": builtin_tiger, "uav": builtin_uav}
+_BUILDERS = {"tiger": _build_tiger, "uav": _build_uav}
+_DEFAULT_HORIZON = 3
+
+# The built-in domains somebody still holds, keyed by (name, horizon).  A
+# weak memo adds no eviction policy and keeps nothing alive by itself.
+_SHARED: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
 def builtin_domain(name: str, horizon: int | None = None) -> PosgDomain:
+    """The built-in domain ``name`` at ``horizon`` (default 3), shared.
+
+    While any reference to the result is alive, the same name and horizon
+    return the same object; after the last one is dropped, the next call
+    builds it afresh.
+    """
     try:
-        builder = BUILTIN_DOMAINS[name]
+        builder = _BUILDERS[name]
     except KeyError:
         raise KeyError(
             "unknown builtin domain %r (have: %s)"
-            % (name, ", ".join(sorted(BUILTIN_DOMAINS)))
+            % (name, ", ".join(sorted(_BUILDERS)))
         ) from None
-    return builder() if horizon is None else builder(horizon)
+    key = (name, _DEFAULT_HORIZON if horizon is None else horizon)
+    domain = _SHARED.get(key)
+    if domain is None:
+        domain = _SHARED[key] = builder(key[1])
+    return domain
+
+
+def builtin_tiger(horizon: int = _DEFAULT_HORIZON) -> PosgDomain:
+    """The shared two-agent tiger game; see ``_build_tiger``."""
+    return builtin_domain("tiger", horizon)
+
+
+def builtin_uav(horizon: int = _DEFAULT_HORIZON) -> PosgDomain:
+    """The shared 5x5 grid chase; see ``_build_uav``."""
+    return builtin_domain("uav", horizon)
+
+
+BUILTIN_DOMAINS = {"tiger": builtin_tiger, "uav": builtin_uav}
 
 
 # ------------------------------------------------------------ projection ----

@@ -26,7 +26,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .domains import BUILTIN_DOMAINS, builtin_domain, load_domain, project_level0, with_horizon
+from .domains import (
+    BUILTIN_DOMAINS,
+    PosgDomain,
+    builtin_domain,
+    load_domain,
+    project_level0,
+    with_horizon,
+)
 from .generation import generate_known_models
 from .selection import SelectionConfig, make_candidate_set, select_topk
 from .simulate import TRUE_MODES, run_experiment
@@ -104,7 +111,10 @@ def write_manifest(m: RunManifest, out_dir, name: str = "manifest.json") -> Path
 
 def load_manifest(path) -> RunManifest:
     obj = json.loads(Path(path).read_text())
-    return RunManifest(**{"seed": None, "tool_version": "unknown", **obj})
+    try:
+        return RunManifest(**{"seed": None, "tool_version": "unknown", **obj})
+    except TypeError as exc:  # names the unknown or missing key
+        raise ValueError("manifest %s: %s" % (path, exc)) from None
 
 
 def file_sha256(path) -> str:
@@ -195,11 +205,12 @@ def _stage_seed(cell: dict, stage: str) -> np.random.SeedSequence:
     )
 
 
-def _domain_for(cell: dict):
-    name = cell["domain"]
+def _grid_domains(name: str, horizons) -> dict:
+    """The domain ``name`` at each horizon, a file read once for all of them."""
     if name in BUILTIN_DOMAINS:
-        return builtin_domain(name, cell["horizon"])
-    return with_horizon(load_domain(name), cell["horizon"])
+        return {h: builtin_domain(name, h) for h in horizons}
+    domain = load_domain(name)
+    return {h: with_horizon(domain, h) for h in horizons}
 
 
 def _candidates_for(cell: dict, alg: str, known, level0):
@@ -218,10 +229,14 @@ def _candidates_for(cell: dict, alg: str, known, level0):
     )
 
 
-def run_cell(cell: dict) -> dict:
-    """One grid cell, returning a flat result row plus its elapsed time."""
+def run_cell(cell: dict, domain: PosgDomain | None = None) -> dict:
+    """One grid cell, returning a flat result row plus its elapsed time.
+
+    ``domain`` is the cell's domain at its horizon, when the caller holds it.
+    """
     t0 = time.perf_counter()
-    domain = _domain_for(cell)
+    if domain is None:
+        domain = _grid_domains(cell["domain"], [cell["horizon"]])[cell["horizon"]]
     level0 = project_level0(domain, "j")
     known = generate_known_models(level0, cell["m"], seed=_stage_seed(cell, "known"))
     alg = cell["algorithm"]
@@ -263,11 +278,23 @@ def run_cell(cell: dict) -> dict:
     }
 
 
-def _safe_run_cell(cell: dict) -> tuple[dict | None, str | None]:
+def _safe_run_cell(cell: dict, domain: PosgDomain | None = None) -> tuple[dict | None, str | None]:
     try:
-        return run_cell(cell), None
+        return run_cell(cell, domain), None
     except Exception as exc:  # per-cell isolation: one bad cell cannot sink the grid
         return None, "%s: %s" % (type(exc).__name__, exc)
+
+
+# A pool worker's domains by horizon, handed over when the worker starts.
+_worker_domains: dict = {}
+
+
+def _hold_domains(domains: dict) -> None:
+    _worker_domains.update(domains)
+
+
+def _worker_run_cell(cell: dict) -> tuple[dict | None, str | None]:
+    return _safe_run_cell(cell, _worker_domains[cell["horizon"]])
 
 
 def _csv_text(columns: tuple, rows: list[dict]) -> str:
@@ -291,15 +318,19 @@ def run_experiment_grid(
     if config["domain"] not in BUILTIN_DOMAINS:
         input_hashes["domain"] = file_sha256(config["domain"])
     cells = grid_cells(config)
+    # Each horizon's domain is resolved once and held while every cell runs,
+    # so cells neither rebuild a built-in nor reread a domain file.
+    t0 = time.perf_counter()
+    held = _grid_domains(config["domain"], config["horizons"])
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-
-    t0 = time.perf_counter()
     if workers <= 1:
-        outcomes = [_safe_run_cell(c) for c in cells]
+        outcomes = [_safe_run_cell(c, held[c["horizon"]]) for c in cells]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as ex:
-            outcomes = list(ex.map(_safe_run_cell, cells))
+        with ProcessPoolExecutor(
+            max_workers=workers, initializer=_hold_domains, initargs=(held,)
+        ) as ex:
+            outcomes = list(ex.map(_worker_run_cell, cells))
     total = time.perf_counter() - t0
 
     rows: list[dict] = []

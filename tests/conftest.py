@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import weakref
+
 import numpy as np
 import pytest
 
+from ididiv import domains
 from ididiv import (
     PolicyTree,
     SingleAgentModel,
@@ -44,6 +47,22 @@ def _det_model_2a(reward=None):
         initial_belief=np.array([0.5, 0.5]),
         horizon=2,
     )
+
+
+@pytest.fixture
+def tiger_builds(monkeypatch):
+    """Horizons of the tiger domains built from here on, under a fresh memo
+    so that no other test's domain is shared."""
+    builds = []
+    build = domains._BUILDERS["tiger"]
+
+    def counting(horizon):
+        builds.append(horizon)
+        return build(horizon)
+
+    monkeypatch.setattr(domains, "_SHARED", weakref.WeakValueDictionary())
+    monkeypatch.setitem(domains._BUILDERS, "tiger", counting)
+    return builds
 
 
 @pytest.fixture(scope="session")

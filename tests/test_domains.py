@@ -1,8 +1,11 @@
 import dataclasses
+import gc
+import pickle
 
 import numpy as np
 import pytest
 
+from ididiv import domains
 from ididiv import (
     DomainValidationError,
     PosgDomain,
@@ -372,3 +375,73 @@ class TestSerialization:
         assert builtin_domain("tiger", 2).horizon == 2
         with pytest.raises(KeyError):
             builtin_domain("chess")
+
+
+def _fields_equal(a, b) -> bool:
+    """Dataclass field values equal, arrays by value; recurses into level0."""
+    for f in dataclasses.fields(a):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if f.name == "level0":
+            if x.keys() != y.keys() or not all(_fields_equal(x[k], y[k]) for k in x):
+                return False
+        elif isinstance(x, np.ndarray) or isinstance(y, np.ndarray):
+            if not np.array_equal(x, y):
+                return False
+        elif x != y:
+            return False
+    return True
+
+
+class TestSharedBuiltins:
+    def test_one_object_while_held(self):
+        d = builtin_uav(3)
+        assert d is builtin_domain("uav", 3) is builtin_domain("uav")
+        assert builtin_tiger() is builtin_domain("tiger", 3)
+
+    def test_horizons_are_distinct(self):
+        d2, d3 = builtin_tiger(2), builtin_tiger(3)
+        assert d2 is not d3
+        assert (d2.horizon, d3.horizon) == (2, 3)
+
+    def test_rebuilt_after_release(self, tiger_builds):
+        d = builtin_tiger(2)
+        assert builtin_tiger(2) is d and tiger_builds == [2]
+        del d
+        gc.collect()
+        fresh = builtin_tiger(2)
+        assert tiger_builds == [2, 2]
+        assert _fields_equal(fresh, domains._build_tiger(2))
+
+
+class TestReadOnly:
+    def test_level0_rejects_writes(self, uav):
+        with pytest.raises(TypeError):
+            uav.level0["j"] = project_level0(uav, "j")
+        with pytest.raises(TypeError):
+            del uav.level0["j"]
+        with pytest.raises(ValueError):
+            uav.transition[0, 0, 0, 0] = 0.5
+
+    def test_pickle_roundtrip(self, uav):
+        back = pickle.loads(pickle.dumps(uav))
+        assert back is not uav
+        assert _fields_equal(back, uav)
+        with pytest.raises(TypeError):
+            back.level0["i"] = back.level0["j"]
+
+    def test_with_horizon_unchanged(self, uav, tiger):
+        d4 = with_horizon(uav, 4)
+        assert _fields_equal(d4, domains._build_uav(4))
+        assert d4.transition is uav.transition
+        assert d4.level0["j"].transition is uav.level0["j"].transition
+        assert _fields_equal(with_horizon(tiger, 2), domains._build_tiger(2))
+
+    def test_project_level0_unchanged(self, uav, tiger):
+        assert _fields_equal(project_level0(uav, "j"), domains._uav_level0_fugitive(3))
+        d4 = with_horizon(uav, 4)
+        assert _fields_equal(project_level0(d4, "j"), domains._uav_level0_fugitive(4))
+        # No prebuilt view for tiger: j's view marginalizes i's action.
+        j = project_level0(tiger, "j")
+        w = np.full(3, 1.0 / 3.0)
+        assert np.array_equal(j.transition, np.einsum("a,sawt->swt", w, tiger.transition))
+        assert np.array_equal(j.reward, np.einsum("swa,a->sw", tiger.reward_j, w))

@@ -4,10 +4,14 @@ import os
 import numpy as np
 import pytest
 
+from ididiv import runs
 from ididiv import (
     ALGORITHMS,
+    DomainValidationError,
     RunManifest,
+    builtin_domain,
     builtin_tiger,
+    load_domain,
     load_manifest,
     run_experiment_grid,
     run_from_manifest,
@@ -299,6 +303,44 @@ class TestGrid:
             run_from_manifest(path, tmp_path / "b")
         assert not (tmp_path / "b").exists()
 
+    def test_cells_share_one_domain(self, tmp_path, tiger_builds):
+        grid = dict(SMALL_GRID, algorithms=list(ALGORITHMS), seeds=[0])
+        run_experiment_grid(grid, tmp_path / "fresh")
+        assert tiger_builds == [2]  # one build for all three cells
+        held = builtin_domain("tiger", 2)
+        del tiger_builds[:]
+        run_experiment_grid(grid, tmp_path / "held")
+        assert tiger_builds == []  # the caller's domain is reused
+        assert held.horizon == 2
+        for name in ("results.csv", "diversity.csv"):
+            fresh = (tmp_path / "fresh" / name).read_bytes()
+            assert (tmp_path / "held" / name).read_bytes() == fresh
+
+    def test_domain_file_read_once(self, tmp_path, monkeypatch):
+        path = tmp_path / "tiger.json"
+        path.write_text(serialize_domain(builtin_tiger(3)))
+        reads = []
+
+        def counting(source):
+            reads.append(source)
+            return load_domain(source)
+
+        monkeypatch.setattr(runs, "load_domain", counting)
+        grid = dict(SMALL_GRID, domain=str(path), algorithms=list(ALGORITHMS), seeds=[0])
+        for workers in (1, 2):
+            m = run_experiment_grid(grid, tmp_path / str(workers), workers=workers)
+            assert m.errors == [] and len(m.timings["cells"]) == 3
+        assert reads == [str(path)] * 2
+        for name in ("results.csv", "diversity.csv"):
+            assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+
+    def test_bad_domain_file_fails_before_writing(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"name": "x"}))
+        with pytest.raises(DomainValidationError, match="missing"):
+            run_experiment_grid(dict(SMALL_GRID, domain=str(path)), tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
     def test_cell_failure_isolated(self, tmp_path):
         # A model count the generator cannot satisfy fails that cell alone.
         bad = dict(SMALL_GRID)
@@ -332,6 +374,24 @@ class TestManifestIo:
         assert p1.read_text() == p2.read_text()
         obj = json.loads(p1.read_text())
         assert obj["tool_version"] == "0.1.0"
+
+    @pytest.mark.parametrize(
+        "edit, named",
+        [
+            (lambda obj: obj.update(bogus=1), "unexpected keyword argument 'bogus'"),
+            (lambda obj: obj.pop("command"), "missing 1 required positional argument: 'command'"),
+        ],
+        ids=["unknown", "missing"],
+    )
+    def test_malformed_manifest_named(self, tmp_path, edit, named):
+        p = write_manifest(RunManifest(command="experiment", config={}, seed=None), tmp_path)
+        obj = json.loads(p.read_text())
+        edit(obj)
+        p.write_text(json.dumps(obj))
+        with pytest.raises(ValueError, match=named):
+            load_manifest(p)
+        with pytest.raises(ValueError, match=named):
+            run_from_manifest(p, tmp_path / "replay")
 
     def test_file_sha256(self, tmp_path):
         p = tmp_path / "x.bin"
