@@ -10,6 +10,12 @@ Two set functions, both normalized per depth by the branching factor:
 
 Both are monotone under adding trees; the frame-augmented value is never
 below the prefix-only value (it adds a nonnegative term per depth).
+
+Every function reads ``_counts``, which works on the set's prefix ids
+(``trees.prefix_ids``): the distinct length-t prefixes are the distinct ids
+on level t-1, and the distinct depth-t frames are the distinct rows of
+those ids.  The trees must share one depth and one observation alphabet of
+the given size.
 """
 
 from __future__ import annotations
@@ -18,7 +24,8 @@ import io
 from dataclasses import dataclass
 from typing import Sequence
 
-from .trees import PolicyTree, canonical_encode, frame, prefixes
+# canonical_encode is unused here; perfbench/tracer.py binds diversity.canonical_encode.
+from .trees import PolicyTree, canonical_encode, prefix_ids  # noqa: F401
 
 __all__ = [
     "diff_sequences",
@@ -31,59 +38,54 @@ __all__ = [
 ]
 
 
-def _common_depth(trees: Sequence[PolicyTree]) -> int:
-    depths = {t.depth for t in trees}
-    if len(depths) > 1:
-        raise ValueError("trees have mixed depths %r" % sorted(depths))
-    return depths.pop()
-
-
 def _obs_count(n_observations) -> int:
-    if isinstance(n_observations, int):
-        n = n_observations
-    else:
-        n = len(tuple(n_observations))
+    n = n_observations if isinstance(n_observations, int) else len(tuple(n_observations))
     if n < 1:
         raise ValueError("need at least one observation symbol")
     return n
 
 
-def diff_sequences(trees: Sequence[PolicyTree], t: int) -> int:
-    """Distinct length-t behavior prefixes realized across the set."""
+def _counts(
+    trees: Sequence[PolicyTree], n_observations: int | None = None
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Distinct prefixes and distinct frames across the set, per depth 1..T."""
+    table, ids = prefix_ids(trees)
+    n_obs = table.children.shape[1]
+    if n_observations is not None and n_obs and n_obs != n_observations:
+        raise ValueError("trees branch on %d observations, not %d" % (n_obs, n_observations))
+    levels = [ids[:, table.level == t] for t in range(trees[0].depth)]
+    seq = tuple(len(set(lv.ravel().tolist())) for lv in levels)
+    frm = tuple(len({row.tobytes() for row in lv}) for lv in levels)
+    return seq, frm
+
+
+def _at_depth(trees: Sequence[PolicyTree], t: int, which: int) -> int:
     if not trees:
         return 0
-    out = set()
-    for tree in trees:
-        out |= prefixes(tree, t)
-    return len(out)
+    counts = _counts(trees)[which]
+    if t < 1 or t > len(counts):
+        raise ValueError("depth %d outside [1, %d]" % (t, len(counts)))
+    return counts[t - 1]
+
+
+def diff_sequences(trees: Sequence[PolicyTree], t: int) -> int:
+    """Distinct length-t behavior prefixes realized across the set."""
+    return _at_depth(trees, t, 0)
 
 
 def diff_frames(trees: Sequence[PolicyTree], t: int) -> int:
     """Distinct depth-t truncations across the set."""
-    if not trees:
-        return 0
-    return len({canonical_encode(frame(tree, t)) for tree in trees})
+    return _at_depth(trees, t, 1)
 
 
 def mdp(trees: Sequence[PolicyTree], n_observations) -> float:
     """Prefix diversity summed over depths, depth t scaled by n**-(t-1)."""
-    if not trees:
-        return 0.0
-    n = _obs_count(n_observations)
-    depth = _common_depth(trees)
-    return sum(diff_sequences(trees, t) / n ** (t - 1) for t in range(1, depth + 1))
+    return diversity_report(trees, n_observations).mdp_value
 
 
 def mdf(trees: Sequence[PolicyTree], n_observations) -> float:
     """Prefix plus frame diversity, same per-depth scaling as mdp."""
-    if not trees:
-        return 0.0
-    n = _obs_count(n_observations)
-    depth = _common_depth(trees)
-    return sum(
-        (diff_sequences(trees, t) + diff_frames(trees, t)) / n ** (t - 1)
-        for t in range(1, depth + 1)
-    )
+    return diversity_report(trees, n_observations).mdf_value
 
 
 @dataclass(frozen=True)
@@ -102,9 +104,7 @@ def diversity_report(trees: Sequence[PolicyTree], n_observations) -> DiversityRe
     n = _obs_count(n_observations)
     if not trees:
         return DiversityReport(0, n, (), (), 0.0, 0.0)
-    depth = _common_depth(trees)
-    seq = tuple(diff_sequences(trees, t) for t in range(1, depth + 1))
-    frm = tuple(diff_frames(trees, t) for t in range(1, depth + 1))
+    seq, frm = _counts(trees, n)
     return DiversityReport(
         n_trees=len(trees),
         n_observations=n,
@@ -112,8 +112,7 @@ def diversity_report(trees: Sequence[PolicyTree], n_observations) -> DiversityRe
         frame_counts=frm,
         mdp_value=sum(s / n ** (t - 1) for t, s in enumerate(seq, start=1)),
         mdf_value=sum(
-            (s + f) / n ** (t - 1)
-            for t, (s, f) in enumerate(zip(seq, frm), start=1)
+            (s + f) / n ** (t - 1) for t, (s, f) in enumerate(zip(seq, frm), start=1)
         ),
     )
 

@@ -2,7 +2,9 @@
 
 A set of complete policy trees induces a 0/1 matrix P: one row per tree, one
 column per distinct full-length behavior sequence, in first-appearance order
-(trees scanned in the given order, each tree's sequences depth-first).
+(trees scanned in the given order, each tree's leaves in preorder).  Columns
+are found from the set's prefix ids at the leaves (``trees.prefix_ids``), so
+each distinct sequence is built once.
 Exact Gauss-Jordan elimination over the rationals yields P = F x U where U
 holds the top ``rank`` rows of the reduced row echelon form and F is P
 restricted to the pivot columns.  The pivot columns' sequences are the
@@ -18,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .trees import BehaviorSequence, PolicyTree, sequence_list
+from .trees import BehaviorSequence, PolicyTree, prefix_ids, sequence_at
 
 __all__ = [
     "BehaviorMatrix",
@@ -45,6 +47,8 @@ class BehaviorMatrix:
                 "entries shape %r does not match %d rows x %d columns"
                 % (ent.shape, len(self.row_ids), len(self.columns))
             )
+        if ent.size and ent.max() > 1:
+            raise ValueError("entries must be 0/1")
         if len(set(self.row_ids)) != len(self.row_ids):
             raise ValueError("duplicate row identifiers")
         if len(set(self.columns)) != len(self.columns):
@@ -74,17 +78,13 @@ def build_matrix(
     """Incidence matrix of the trees over their distinct full sequences.
 
     Column order is first appearance: trees in the given order, sequences
-    within a tree in depth-first order over the declared observations.
+    within a tree in preorder of their leaves.  The trees must share one
+    depth and one observation alphabet.
     """
     trees = list(trees)
     if not trees:
         raise ValueError("need at least one tree")
-    depth = trees[0].depth
-    for k, t in enumerate(trees):
-        if t.depth != depth:
-            raise ValueError(
-                "tree %d has depth %d, expected %d" % (k, t.depth, depth)
-            )
+    table, pids = prefix_ids(trees)
     if row_ids is None:
         ids = tuple("tree%d" % (k + 1) for k in range(len(trees)))
     else:
@@ -92,22 +92,20 @@ def build_matrix(
         if len(ids) != len(trees):
             raise ValueError("%d row ids for %d trees" % (len(ids), len(trees)))
 
-    index: dict[BehaviorSequence, int] = {}
-    per_tree: list[tuple[BehaviorSequence, ...]] = []
-    for t in trees:
-        seqs = sequence_list(t)
-        per_tree.append(seqs)
-        for s in seqs:
-            if s not in index:
-                index[s] = len(index)
+    leaves = np.flatnonzero(table.level == trees[0].depth - 1)
+    leaf_ids = pids[:, leaves].tolist()
+    index: dict[int, int] = {}
+    columns: list[BehaviorSequence] = []
+    for tree, row in zip(trees, leaf_ids):
+        for leaf, pid in zip(leaves, row):
+            if pid not in index:
+                index[pid] = len(columns)
+                columns.append(sequence_at(tree, leaf))
 
-    entries = np.zeros((len(trees), len(index)), dtype=np.uint8)
-    for r, seqs in enumerate(per_tree):
-        for s in seqs:
-            entries[r, index[s]] = 1
-
-    columns = tuple(sorted(index, key=index.__getitem__))
-    return BehaviorMatrix(row_ids=ids, columns=columns, entries=entries)
+    entries = np.zeros((len(trees), len(columns)), dtype=np.uint8)
+    for r, row in enumerate(leaf_ids):
+        entries[r, [index[pid] for pid in row]] = 1
+    return BehaviorMatrix(row_ids=ids, columns=tuple(columns), entries=entries)
 
 
 def pivot_decompose(matrix: BehaviorMatrix) -> PivotResult:
@@ -148,15 +146,13 @@ def pivot_decompose(matrix: BehaviorMatrix) -> PivotResult:
     f_matrix = ent[:, pivots].astype(np.int64)
 
     # P = F x U must hold exactly; the pivot submatrix of U is the identity.
+    # F is P on the pivot columns, so 0/1: row i of F x U sums the U rows
+    # that F[i] selects.
     for i in range(nrows):
+        picked = [u_matrix[k] for k in range(rank) if f_matrix[i, k]]
         for c in range(ncols):
-            total = sum(
-                Fraction(int(f_matrix[i, k])) * u_matrix[k][c] for k in range(rank)
-            )
-            if total != Fraction(int(ent[i, c])):
-                raise RuntimeError(
-                    "decomposition mismatch at entry (%d, %d)" % (i, c)
-                )
+            if sum(u[c] for u in picked) != int(ent[i, c]):
+                raise RuntimeError("decomposition mismatch at entry (%d, %d)" % (i, c))
 
     return PivotResult(
         rank=rank,

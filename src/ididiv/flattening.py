@@ -2,12 +2,14 @@
 
 The subject agent's planning problem becomes a single-agent POMDP over
 augmented states (candidate m, tree position pos, physical state s), indexed
-m-major, pos-minor (preorder), s-innermost.  The peer's action is read off
-the tree position; its observation channel advances the position.  Leaf
-positions keep themselves (the physical state still moves), and the
-subject's observation at a successor position conditions on the action of
-that position's unique parent.  Root positions never occur as successors,
-so their observation rows are uniform filler.
+m-major, pos-minor, s-innermost.  Positions are the preorder node numbers of
+``trees.node_table``, which gives each position's parent and children.  The
+peer's action is read off the tree position (``PolicyTree.preorder``); its
+observation channel advances the position.  Leaf positions keep themselves
+(the physical state still moves), and the subject's observation at a
+successor position conditions on the action of that position's unique
+parent.  Root positions never occur as successors, so their observation
+rows are uniform filler.
 
 Augmented spaces up to SPARSE_THRESHOLD states get a dense [S, A, S']
 transition table.  Larger ones get one SparseRows block (CSR with int32
@@ -26,7 +28,7 @@ import numpy as np
 from .domains import PosgDomain, SingleAgentModel, SparseRows, validate_model
 from .selection import CandidateModelSet
 from .solver import SolvedPolicy, solve_exact
-from .trees import PolicyTree, validate_tree
+from .trees import node_table, validate_tree
 
 __all__ = ["FlatIdid", "flatten", "solve_idid"]
 
@@ -50,34 +52,6 @@ class FlatIdid:
 
     def augmented_index(self, m: int, pos: int, s: int) -> int:
         return self.offsets[m] + pos * len(self.domain.states) + s
-
-
-def _tree_tables(
-    tree: PolicyTree, act_index: dict[str, int], n_obs: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Preorder node tables: action index, parent index, child index per obs.
-
-    Children entries are -1 at leaves; parents are -1 at the root.
-    """
-    actions: list[int] = []
-    parents: list[int] = []
-    children: list[list[int]] = []
-
-    def walk(node: PolicyTree, parent: int) -> int:
-        idx = len(actions)
-        actions.append(act_index[node.action])
-        parents.append(parent)
-        children.append([-1] * n_obs)
-        for k, (_, sub) in enumerate(node.children):
-            children[idx][k] = walk(sub, idx)
-        return idx
-
-    walk(tree, -1)
-    return (
-        np.asarray(actions, dtype=np.int64),
-        np.asarray(parents, dtype=np.int64),
-        np.asarray(children, dtype=np.int64),
-    )
 
 
 def flatten(
@@ -106,9 +80,11 @@ def flatten(
             )
         validate_tree(tree, domain.observations_j, actions=domain.actions_j)
 
-    tables = [
-        _tree_tables(t, aj_index, n_oj) for t in candidates.trees
-    ]
+    # Per candidate: peer action index, parent and children per position.
+    tables = []
+    for tree in candidates.trees:
+        layout = node_table(n_oj, tree.depth)
+        tables.append(([aj_index[a] for a in tree.preorder], layout.parent, layout.children))
     node_counts = tuple(len(tab[0]) for tab in tables)
     offsets = tuple(np.concatenate(([0], np.cumsum([n * S for n in node_counts])))[:-1])
     s_aug = offsets[-1] + node_counts[-1] * S
@@ -148,7 +124,7 @@ def flatten(
         vals_parts: list[np.ndarray] = []
         for m, (acts, parents, children) in enumerate(tables):
             for pos in range(node_counts[m]):
-                aj = int(acts[pos])
+                aj = acts[pos]
                 r, c, v = phys_nz(ai, aj)
                 base = int(offsets[m]) + pos * S
                 if children[pos, 0] < 0:
@@ -196,8 +172,8 @@ def flatten(
             if par < 0:
                 O_aug[base : base + S] = 1.0 / n_oi
             else:
-                O_aug[base : base + S] = domain.obs_fn_i[:, :, int(acts[par]), :]
-            R_aug[base : base + S] = domain.reward_i[:, :, int(acts[pos])]
+                O_aug[base : base + S] = domain.obs_fn_i[:, :, acts[par], :]
+            R_aug[base : base + S] = domain.reward_i[:, :, acts[pos]]
 
     b0_aug = np.zeros(s_aug)
     for m in range(len(tables)):

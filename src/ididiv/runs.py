@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import itertools
 import json
 import os
 import time
@@ -157,37 +158,18 @@ def normalize_grid_config(obj: dict) -> dict:
 
 def grid_cells(config: dict) -> list[dict]:
     """Product of the grid axes, in deterministic report order."""
-    cells = []
-    for horizon in config["horizons"]:
-        for m in config["model_counts"]:
-            for k in config["expansions"]:
-                for mode in config["true_modes"]:
-                    for alg in config["algorithms"]:
-                        for seed in config["seeds"]:
-                            cells.append(
-                                {
-                                    "domain": config["domain"],
-                                    "horizon": horizon,
-                                    "m": m,
-                                    "k": k,
-                                    "true_mode": mode,
-                                    "algorithm": alg,
-                                    "seed": seed,
-                                    "rounds": config["rounds"],
-                                    "patience": config["patience"],
-                                }
-                            )
-    return cells
+    axes = ("horizons", "model_counts", "expansions", "true_modes", "algorithms", "seeds")
+    keys = ("horizon", "m", "k", "true_mode", "algorithm", "seed")
+    return [
+        {"domain": config["domain"], **dict(zip(keys, values)),
+         "rounds": config["rounds"], "patience": config["patience"]}
+        for values in itertools.product(*(config[a] for a in axes))
+    ]
 
 
 def cell_id(cell: dict) -> str:
-    return "alg=%s,T=%d,M=%d,K=%d,mode=%s,seed=%d" % (
-        cell["algorithm"],
-        cell["horizon"],
-        cell["m"],
-        cell["k"],
-        cell["true_mode"],
-        cell["seed"],
+    return "alg=%s,T=%d,M=%d,K=%d,mode=%s,seed=%d" % tuple(
+        cell[k] for k in ("algorithm", "horizon", "m", "k", "true_mode", "seed")
     )
 
 

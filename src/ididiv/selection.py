@@ -115,13 +115,8 @@ def make_candidate_set(
 
 
 def _dedup(trees: Sequence[PolicyTree]) -> list[PolicyTree]:
-    out, seen = [], set()
-    for t in trees:
-        enc = canonical_encode(t)
-        if enc not in seen:
-            seen.add(enc)
-            out.append(t)
-    return out
+    # In first-appearance order; trees with equal encodings are equal.
+    return list({canonical_encode(t): t for t in trees}.values())
 
 
 def select_topk(

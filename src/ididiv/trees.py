@@ -5,19 +5,31 @@ observation, a subtree of depth T-1.  Walking root to leaf yields a behavior
 sequence: T actions interleaved with T-1 observations.  Trees are complete:
 every non-leaf node has exactly one child per observation symbol, in the
 declared observation order.
+
+All complete trees of one (n_obs, depth) share their nodes, numbered in
+preorder: ``node_table`` gives each node's level, parent, children and root
+path, and ``PolicyTree.preorder`` a tree's actions.  Prefixes, frames, the
+encodings, diversity counts, matrix columns and flattening read this layout.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from functools import cached_property, lru_cache
+from typing import Iterable, Iterator, NamedTuple, Sequence
+
+import numpy as np
 
 __all__ = [
     "BehaviorSequence",
     "PolicyTree",
     "TreeShapeError",
+    "NodeTable",
+    "node_table",
+    "prefix_ids",
     "validate_tree",
+    "sequence_at",
     "prefixes",
     "frame",
     "sequences_of",
@@ -63,11 +75,8 @@ class BehaviorSequence:
 
     def compact(self) -> str:
         """Slash-joined interleaving: a1/o1/a2/o2/.../at."""
-        parts = [self.actions[0]]
-        for o, a in zip(self.observations, self.actions[1:]):
-            parts.append(o)
-            parts.append(a)
-        return "/".join(parts)
+        pairs = zip(self.observations, self.actions[1:])
+        return "/".join(itertools.chain(self.actions[:1], *pairs))
 
     @staticmethod
     def from_compact(text: str) -> "BehaviorSequence":
@@ -104,6 +113,82 @@ class PolicyTree:
                 return sub
         raise KeyError("no child for observation %r" % obs)
 
+    @cached_property
+    def preorder(self) -> tuple[str, ...]:
+        """Every node's action in preorder, computed once per tree."""
+        return tuple(node.action for node in tree_nodes(self))
+
+
+class NodeTable(NamedTuple):
+    """Preorder layout shared by every complete tree of one (n_obs, depth).
+
+    Node 0 is the root, at ``level`` 0.  ``parent`` and ``branch`` (the
+    observation index leading to a node) are -1 at the root, ``children``
+    [v, o] is -1 at leaves, and ``path[v]`` runs from the root down to v.
+    """
+
+    level: np.ndarray
+    parent: np.ndarray
+    children: np.ndarray
+    branch: np.ndarray
+    path: tuple[tuple[int, ...], ...]
+
+
+@lru_cache(maxsize=None)
+def node_table(n_obs: int, depth: int) -> NodeTable:
+    """The preorder layout of complete trees with this shape, built once."""
+    n = count_tree_nodes(n_obs, depth)
+    level = np.zeros(n, dtype=np.int64)
+    parent = np.full(n, -1, dtype=np.int64)
+    children = np.full((n, n_obs), -1, dtype=np.int64)
+    branch = np.full(n, -1, dtype=np.int64)
+    path: list[tuple[int, ...]] = []
+    stack = [(-1, -1)]
+    while stack:
+        par, o = stack.pop()
+        v = len(path)
+        path.append((path[par] if par >= 0 else ()) + (v,))
+        if par >= 0:
+            level[v] = level[par] + 1
+            parent[v], branch[v], children[par, o] = par, o, v
+        if level[v] + 1 < depth:
+            stack.extend((v, k) for k in reversed(range(n_obs)))
+    for arr in (level, parent, children, branch):
+        arr.setflags(write=False)
+    return NodeTable(level, parent, children, branch, tuple(path))
+
+
+def _table_of(tree: PolicyTree) -> NodeTable:
+    return node_table(len(tree.observation_labels), tree.depth)
+
+
+def prefix_ids(trees: Sequence[PolicyTree]) -> tuple[NodeTable, np.ndarray]:
+    """The shared layout of same-shape trees and their prefix ids.
+
+    ``ids[k, v]`` numbers the behavior prefix from the root to preorder node
+    v of tree k by first appearance (trees in order, nodes in preorder), so
+    equal ids mean equal prefixes.  A tree's ids on level t-1 fix its depth-t
+    frame: every node above that level is an ancestor of one on it.
+    """
+    shapes = {(t.depth, t.observation_labels) for t in trees}
+    if len(shapes) != 1:
+        raise ValueError("trees need one depth and one observation alphabet: %r" % shapes)
+    ((depth, obs),) = shapes
+    table = node_table(len(obs), depth)
+    n = len(table.level)
+    if any(len(t.preorder) != n for t in trees):
+        raise TreeShapeError("incomplete tree: not %d nodes at depth %d" % (n, depth))
+    # A prefix is its parent's prefix (earlier in preorder), position and action.
+    parent = table.parent.tolist()
+    seen: dict[tuple[int, int, str], int] = {}
+    ids = []
+    for tree in trees:
+        row: list[int] = []
+        for v, a in enumerate(tree.preorder):
+            row.append(seen.setdefault((row[parent[v]] if v else -1, v, a), len(seen)))
+        ids.append(row)
+    return table, np.array(ids, dtype=np.int64)
+
 
 def validate_tree(
     tree: PolicyTree,
@@ -114,61 +199,50 @@ def validate_tree(
     """Check completeness and labeling; raise TreeShapeError on violation.
 
     Every non-leaf node must carry one child per symbol of ``observations``,
-    in that exact order, and all leaves must sit at the same depth.  When
-    ``depth`` or ``actions`` are given they are enforced too.
+    in that exact order, and all leaves must sit at the same depth: the tree
+    must equal the complete tree its preorder spells.  When ``depth`` or
+    ``actions`` are given they are enforced too.
     """
     obs = tuple(observations)
-    acts = None if actions is None else frozenset(actions)
+    d = tree.depth
+    if depth is not None and d != depth:
+        raise TreeShapeError("tree depth %d, expected %d" % (d, depth))
+    pre = tree.preorder
+    if len(pre) != count_tree_nodes(len(obs), d) or tree != _from_preorder(pre, obs, d):
+        raise TreeShapeError("tree is not complete over %r at depth %d" % (obs, d))
+    unknown = set() if actions is None else set(pre) - set(actions)
+    if unknown:
+        raise TreeShapeError("unknown actions %r" % sorted(unknown))
 
-    def walk(node: PolicyTree, remaining: int) -> None:
-        if acts is not None and node.action not in acts:
-            raise TreeShapeError("unknown action %r" % node.action)
-        if remaining == 1:
-            if node.children:
-                raise TreeShapeError("leaf expected at depth bound, found children")
-            return
-        if node.observation_labels != obs:
-            raise TreeShapeError(
-                "children labeled %r, expected %r"
-                % (node.observation_labels, obs)
-            )
-        for _, sub in node.children:
-            walk(sub, remaining - 1)
 
-    d = tree.depth if depth is None else depth
-    if depth is not None and tree.depth != depth:
-        raise TreeShapeError("tree depth %d, expected %d" % (tree.depth, depth))
-    walk(tree, d)
+def sequence_at(tree: PolicyTree, node: int) -> BehaviorSequence:
+    """The behavior sequence from the root to preorder node ``node``."""
+    obs = tree.observation_labels
+    table = _table_of(tree)
+    path = table.path[node]
+    return BehaviorSequence(
+        tuple(tree.preorder[v] for v in path),
+        tuple(obs[table.branch[v]] for v in path[1:]),
+    )
 
 
 def prefixes(tree: PolicyTree, t: int) -> frozenset[BehaviorSequence]:
     """All length-t behavior sequences realized by root-to-depth-t walks."""
     if t < 1 or t > tree.depth:
         raise ValueError("prefix length %d outside [1, %d]" % (t, tree.depth))
-    out: set[BehaviorSequence] = set()
-
-    def walk(node: PolicyTree, acts: tuple[str, ...], obss: tuple[str, ...]) -> None:
-        acts = acts + (node.action,)
-        if len(acts) == t:
-            out.add(BehaviorSequence(acts, obss))
-            return
-        for o, sub in node.children:
-            walk(sub, acts, obss + (o,))
-
-    walk(tree, (), ())
-    return frozenset(out)
+    nodes = np.flatnonzero(_table_of(tree).level == t - 1)
+    return frozenset(sequence_at(tree, v) for v in nodes)
 
 
 def frame(tree: PolicyTree, t: int) -> PolicyTree:
-    """The depth-t truncation of ``tree`` (top t levels, leaves stripped)."""
+    """The depth-t truncation of ``tree`` (top t levels, leaves stripped).
+
+    Its preorder is the tree's preorder restricted to levels below t.
+    """
     if t < 1 or t > tree.depth:
         raise ValueError("frame depth %d outside [1, %d]" % (t, tree.depth))
-    if t == 1:
-        return PolicyTree(tree.action)
-    return PolicyTree(
-        tree.action,
-        tuple((o, frame(sub, t - 1)) for o, sub in tree.children),
-    )
+    kept = (a for a, lvl in zip(tree.preorder, _table_of(tree).level) if lvl < t)
+    return _from_preorder(kept, tree.observation_labels, t)
 
 
 def sequences_of(tree: PolicyTree) -> frozenset[BehaviorSequence]:
@@ -177,24 +251,12 @@ def sequences_of(tree: PolicyTree) -> frozenset[BehaviorSequence]:
 
 
 def sequence_list(tree: PolicyTree) -> tuple[BehaviorSequence, ...]:
-    """Full-length sequences in first-appearance (depth-first) order.
+    """Full-length sequences, one per leaf, leaves in preorder.
 
-    Duplicates (identical action/observation interleavings reached through
-    different leaves cannot occur; every leaf path differs in observations)
-    are impossible, so the tuple has one entry per leaf.
+    Every leaf path differs in observations, so no sequence repeats.
     """
-    out: list[BehaviorSequence] = []
-
-    def walk(node: PolicyTree, acts: tuple[str, ...], obss: tuple[str, ...]) -> None:
-        acts = acts + (node.action,)
-        if not node.children:
-            out.append(BehaviorSequence(acts, obss))
-            return
-        for o, sub in node.children:
-            walk(sub, acts, obss + (o,))
-
-    walk(tree, (), ())
-    return tuple(out)
+    nodes = np.flatnonzero(_table_of(tree).level == tree.depth - 1)
+    return tuple(sequence_at(tree, v) for v in nodes)
 
 
 def _check_symbols(symbols: Iterable[str]) -> tuple[str, ...]:
@@ -210,15 +272,7 @@ def _check_symbols(symbols: Iterable[str]) -> tuple[str, ...]:
 
 def compact_encode(tree: PolicyTree) -> str:
     """Pipe-joined preorder action list; shape implied by depth and arity."""
-    parts: list[str] = []
-
-    def walk(node: PolicyTree) -> None:
-        parts.append(node.action)
-        for _, sub in node.children:
-            walk(sub)
-
-    walk(tree)
-    return "|".join(parts)
+    return "|".join(tree.preorder)
 
 
 def compact_parse(
@@ -233,7 +287,7 @@ def compact_parse(
             "encoding has %d nodes, expected %d for depth %d over %d observations"
             % (len(parts), expected, depth, len(obs))
         )
-    return _from_preorder(parts, obs, depth)
+    return _from_preorder(_check_symbols(parts), obs, depth)
 
 
 def canonical_encode(tree: PolicyTree) -> str:
@@ -251,8 +305,6 @@ def canonical_parse(text: str) -> PolicyTree:
     obs = tuple(obs_s.split(",")) if obs_s else ()
     if depth > 1 and not obs:
         raise TreeShapeError("non-leaf encoding lacks observation alphabet")
-    if depth == 1:
-        return PolicyTree(body)
     return compact_parse(body, obs, depth)
 
 
@@ -313,11 +365,10 @@ def all_trees(
 def tree_nodes(tree: PolicyTree) -> tuple[PolicyTree, ...]:
     """All nodes in preorder."""
     out: list[PolicyTree] = []
-
-    def walk(node: PolicyTree) -> None:
+    stack = [tree]
+    while stack:
+        node = stack.pop()
         out.append(node)
-        for _, sub in node.children:
-            walk(sub)
-
-    walk(tree)
+        for _, sub in reversed(node.children):
+            stack.append(sub)
     return tuple(out)

@@ -80,9 +80,32 @@ class TestMeasures:
             assert mdp(trees, obs) >= mdp(trees[:-1], obs)
             assert mdf(trees, obs) >= mdf(trees[:-1], obs)
 
-    def test_deeper_scaling(self, fig_trees):
-        # 2/1 + 5/4 + 12/16 under a four-letter alphabet.
-        assert mdp(fig_trees, 4) == 4.0
+    def test_deeper_scaling(self):
+        # Two constant depth-3 trees over a four-letter alphabet realize 2, 8
+        # and 32 distinct prefixes: 2/1 + 8/4 + 32/16.
+        trees = [constant_tree(a, ("o1", "o2", "o3", "o4"), 3) for a in "AB"]
+        assert mdp(trees, 4) == 6.0
+
+    def test_observation_count_must_match_trees(self, fig_trees):
+        # The trees branch on two observations; scaling by another count
+        # would misstate the measure.
+        for measure in (mdp, mdf, diversity_report):
+            with pytest.raises(ValueError, match="observations"):
+                measure(fig_trees, 4)
+        with pytest.raises(ValueError, match="observations"):
+            mdp([constant_tree("A", ("o1", "o2"), 2)], 5)
+
+    def test_differing_observation_labels_rejected(self):
+        a = constant_tree("A", ("o1", "o2"), 2)
+        b = constant_tree("A", ("p1", "p2"), 2)
+        for call in (
+            lambda: mdp([a, b], 2),
+            lambda: mdf([a, b], 2),
+            lambda: diff_sequences([a, b], 2),
+            lambda: diff_frames([a, b], 1),
+        ):
+            with pytest.raises(ValueError, match="observation alphabet"):
+                call()
 
     def test_empty_set_is_zero(self):
         assert mdp([], 2) == 0.0

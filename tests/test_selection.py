@@ -185,3 +185,25 @@ class TestSaveLoad:
         p1 = save_candidate_set(cs, tmp_path / "a.json")
         p2 = save_candidate_set(cs, tmp_path / "b.json")
         assert p1.read_text() == p2.read_text()
+
+    def test_observation_count_checked_on_load(self, fig_trees, tmp_path):
+        # The file's n_observations scales the reported measures, so it must
+        # match the trees' alphabet.
+        import json
+
+        p = save_candidate_set(make_candidate_set(fig_trees, 2), tmp_path / "set.json")
+        obj = json.loads(p.read_text())
+        obj["n_observations"] = 3
+        p.write_text(json.dumps(obj))
+        with pytest.raises(ValueError, match="observations"):
+            load_candidate_set(p)
+
+    def test_malformed_tree_encoding_refused_on_load(self, fig_trees, tmp_path):
+        import json
+
+        p = save_candidate_set(make_candidate_set(fig_trees, 2), tmp_path / "set.json")
+        obj = json.loads(p.read_text())
+        obj["trees"][0] = obj["trees"][0].replace("|B|", "||", 1)
+        p.write_text(json.dumps(obj))
+        with pytest.raises(ValueError, match="reserved"):
+            load_candidate_set(p)

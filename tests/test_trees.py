@@ -151,6 +151,19 @@ class TestEncoding:
         with pytest.raises(ValueError):
             compact_parse("A", ("o|1",), 1)
 
+    @pytest.mark.parametrize(
+        "text",
+        ["1;;A|B", "1;;", "1;;A/B", "2;o1,o2;A||B", "2;o1,o2;|A|B", "2;o1,o2;A|B;C|D"],
+    )
+    def test_malformed_actions_rejected(self, text):
+        # Empty actions and actions holding a separator cannot be re-encoded.
+        with pytest.raises(ValueError):
+            canonical_parse(text)
+
+    def test_compact_empty_action_rejected(self):
+        with pytest.raises(ValueError, match="reserved"):
+            compact_parse("A||B", ("o1", "o2"), 2)
+
 
 class TestEnumeration:
     def test_node_count(self):
