@@ -20,6 +20,7 @@ from .diversity import (
 from .domains import (
     BUILTIN_DOMAINS,
     DomainValidationError,
+    JointTransition,
     PosgDomain,
     SingleAgentModel,
     SparseRows,

@@ -8,12 +8,16 @@ is what lets j be modeled by an ordinary single-agent POMDP at level 0.
 Builtins: a two-door tiger game with door creaks, and a 5x5 grid chase
 between a chaser (i) and a fugitive (j) heading for a safe-house corner.
 
+A domain's joint transition is held in one compact form,
+``JointTransition``: the [S, Ai, Aj, S'] table as CSR rows, which for the
+uav chase is 0.62 MB instead of a 79 MB dense array.
+
 Built-in domains are shared read-only objects.  While any reference to one
 is alive, ``builtin_domain`` (and ``builtin_tiger``/``builtin_uav``) returns
 that same object for the same name and horizon, so a caller that holds the
 domain lets grids and subcommands run in the same process reuse it instead
-of rebuilding the uav chase's 79 MB joint transition.  Nothing may mutate a
-domain: its arrays are read-only and ``level0`` is a read-only mapping.
+of rebuilding it.  Nothing may mutate a domain: its arrays are read-only and
+``level0`` is a read-only mapping.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
+import operator
 import weakref
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -34,6 +39,7 @@ from .trees import _check_symbols
 __all__ = [
     "DomainValidationError",
     "SparseRows",
+    "JointTransition",
     "SingleAgentModel",
     "PosgDomain",
     "validate_model",
@@ -61,6 +67,15 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     out = np.asarray(a, dtype=float)
     out.setflags(write=False)
     return out
+
+
+def _row_entries(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Positions of the CSR entries of ``rows``, row after row, and each row's count."""
+    starts = indptr[rows]
+    lens = indptr[rows + 1] - starts
+    ends = np.cumsum(lens)
+    k = np.arange(ends[-1] if len(ends) else 0) + np.repeat(starts - ends + lens, lens)
+    return k, lens
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,6 +108,10 @@ class SparseRows:
     def nnz(self) -> int:
         return len(self.indices)
 
+    def __reduce__(self):
+        # Rebuild through __init__, so the arrays come back read-only.
+        return SparseRows, (self.indptr, self.indices, self.data, self.shape)
+
     def __rmatmul__(self, b) -> np.ndarray:
         """Row vector times matrix over the rows where b is nonzero.
 
@@ -102,13 +121,150 @@ class SparseRows:
         """
         b = np.asarray(b, dtype=float)
         rows = np.flatnonzero(b)
-        starts = self.indptr[rows]
-        lens = self.indptr[rows + 1] - starts
-        ends = np.cumsum(lens)
-        # Positions of the gathered rows' entries, row after row.
-        k = np.arange(ends[-1] if len(ends) else 0) + np.repeat(starts - ends + lens, lens)
+        k, lens = _row_entries(self.indptr, rows)
         weights = self.data[k] * np.repeat(b[rows], lens)
         return np.bincount(self.indices[k], weights=weights, minlength=self.shape[1])
+
+
+def _csr(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, shape) -> SparseRows:
+    """SparseRows of entries sorted by row, then by column, with int32 columns."""
+    indptr = np.zeros(shape[0] + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=shape[0]), out=indptr[1:])
+    return SparseRows(indptr, cols.astype(np.int32), vals, shape)
+
+
+@dataclass(frozen=True, eq=False)
+class JointTransition:
+    """A two-agent transition table [S, Ai, Aj, S'] held as CSR rows.
+
+    ``rows`` is one SparseRows of shape [Ai * Aj * S, S'] whose row
+    ``(ai * Aj + aj) * S + s`` is P(. | s, ai, aj), so the rows of one action
+    pair form the contiguous [S, S'] ``block(ai, aj)``.  Only nonzero
+    probabilities are stored, columns ascending within a row.  Two tables
+    are equal when their shapes and stored entries are.
+
+    Basic numpy indexing on the [S, Ai, Aj, S'] layout (integers, slices,
+    ``...``) returns a read-only dense ndarray of the addressed entries
+    only: ``[:, ai, aj, :]`` builds one [S, S'] block and ``[s, ai, aj]``
+    one row.  ``np.asarray`` densifies the whole table.  Assignment raises
+    ValueError.
+    """
+
+    rows: SparseRows
+    shape: tuple[int, int, int, int]
+
+    # No ufunc or arithmetic densifies the table behind the caller's back.
+    __array_ufunc__ = None
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "shape", tuple(int(n) for n in self.shape))
+
+    @classmethod
+    def from_dense(cls, table) -> "JointTransition":
+        """Compress a dense [S, Ai, Aj, S'] table, keeping its nonzeros."""
+        t = np.asarray(table, dtype=float)
+        if t.ndim != 4:
+            raise DomainValidationError(
+                "transition: shape %r, expected [S, Ai, Aj, S']" % (t.shape,)
+            )
+        flat = t.transpose(1, 2, 0, 3).reshape(-1, t.shape[3])
+        r, c = np.nonzero(flat)
+        return cls(_csr(r, c, flat[r, c], flat.shape), t.shape)
+
+    @property
+    def nbytes(self) -> int:
+        m = self.rows
+        return m.indptr.nbytes + m.indices.nbytes + m.data.nbytes
+
+    def block(self, ai: int, aj: int) -> SparseRows:
+        """The [S, S'] rows of action pair (ai, aj), sharing this table's arrays."""
+        S, Ai, Aj, S2 = self.shape
+        if not (0 <= ai < Ai and 0 <= aj < Aj):
+            raise IndexError("action pair (%d, %d) outside [%d, %d)" % (ai, aj, Ai, Aj))
+        r0 = (ai * Aj + aj) * S
+        ptr = self.rows.indptr[r0 : r0 + S + 1]
+        lo, hi = ptr[0], ptr[-1]
+        return SparseRows(ptr - lo, self.rows.indices[lo:hi], self.rows.data[lo:hi], (S, S2))
+
+    def _gather(self, s, ai, aj, dest) -> np.ndarray:
+        """Dense [len(s), len(ai), len(aj), len(dest)] array of the picked entries."""
+        S, _, Aj, S2 = self.shape
+        rows = ((ai[:, None] * Aj + aj)[None] * S + s[:, None, None]).ravel()
+        k, lens = _row_entries(self.rows.indptr, rows)
+        col = np.full(S2, -1)
+        col[dest] = np.arange(len(dest))
+        pos = col[self.rows.indices[k]]
+        hit = pos >= 0
+        out = np.zeros((len(rows), len(dest)))
+        out[np.repeat(np.arange(len(rows)), lens)[hit], pos[hit]] = self.rows.data[k[hit]]
+        return out.reshape(len(s), len(ai), len(aj), len(dest))
+
+    def _picks(self, key) -> tuple[list[np.ndarray], tuple]:
+        """Per-axis positions a basic index picks, and how to drop integer axes."""
+        key = key if isinstance(key, tuple) else (key,)
+        ellipses = [n for n, k in enumerate(key) if k is Ellipsis]
+        if len(ellipses) > 1:
+            raise IndexError("an index can only have a single ellipsis ('...')")
+        if ellipses:
+            n = ellipses[0]
+            key = key[:n] + (slice(None),) * (5 - len(key)) + key[n + 1 :]
+        if len(key) > 4:
+            raise IndexError("too many indices for a [S, Ai, Aj, S'] table")
+        key = key + (slice(None),) * (4 - len(key))
+        picks, keep = [], []
+        for k, n in zip(key, self.shape):
+            if isinstance(k, slice):
+                picks.append(np.arange(n)[k])
+                keep.append(slice(None))
+                continue
+            if isinstance(k, (bool, np.bool_)):
+                raise IndexError("boolean indices are not supported")
+            try:
+                i = operator.index(k)
+            except TypeError:
+                raise IndexError(
+                    "only integers, slices and ... index a JointTransition"
+                ) from None
+            if not -n <= i < n:
+                raise IndexError("index %d is out of bounds for axis with size %d" % (i, n))
+            picks.append(np.array([i % n]))
+            keep.append(0)
+        return picks, tuple(keep)
+
+    def __getitem__(self, key):
+        S, _, Aj, S2 = self.shape
+        if (
+            type(key) is tuple
+            and len(key) == 3
+            and all(type(k) is int and 0 <= k < n for k, n in zip(key, self.shape))
+        ):
+            # One row, the simulator's step, without the general gather.
+            r = (key[1] * Aj + key[2]) * S + key[0]
+            lo, hi = self.rows.indptr[r], self.rows.indptr[r + 1]
+            out = np.zeros(S2)
+            out[self.rows.indices[lo:hi]] = self.rows.data[lo:hi]
+        else:
+            picks, keep = self._picks(key)
+            out = self._gather(*picks)[keep]
+        if isinstance(out, np.ndarray):
+            out.setflags(write=False)
+        return out
+
+    def __setitem__(self, key, value) -> None:
+        raise ValueError("assignment destination is read-only")
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        out = self._gather(*(np.arange(n) for n in self.shape))
+        return out if dtype is None else out.astype(dtype, copy=False)
+
+    def __eq__(self, other):
+        if not isinstance(other, JointTransition):
+            return NotImplemented
+        a, b = self.rows, other.rows
+        return self.shape == other.shape and all(
+            np.array_equal(x, y)
+            for x, y in ((a.indptr, b.indptr), (a.indices, b.indices), (a.data, b.data))
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,6 +322,8 @@ class PosgDomain:
     Array layouts:
       transition [S, Ai, Aj, S'], obs_fn_i [S', Ai, Aj, Oi],
       obs_fn_j [S', Aj, Oj], reward_i [S, Ai, Aj], reward_j [S, Aj, Ai].
+    ``transition`` is always a JointTransition; a dense array passed in is
+    compressed on construction, and indexing it still reads dense entries.
     ``start`` is the initial physical state distribution (uniform if None).
     ``level0`` optionally carries prebuilt single-agent views keyed by
     agent name ("i" or "j"); project_level0 returns these when present.
@@ -178,7 +336,7 @@ class PosgDomain:
     actions_j: tuple[str, ...]
     observations_i: tuple[str, ...]
     observations_j: tuple[str, ...]
-    transition: np.ndarray
+    transition: JointTransition
     obs_fn_i: np.ndarray
     obs_fn_j: np.ndarray
     reward_i: np.ndarray
@@ -188,7 +346,9 @@ class PosgDomain:
     level0: Mapping[str, SingleAgentModel] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        for name in ("transition", "obs_fn_i", "obs_fn_j", "reward_i", "reward_j"):
+        if not isinstance(self.transition, JointTransition):
+            object.__setattr__(self, "transition", JointTransition.from_dense(self.transition))
+        for name in ("obs_fn_i", "obs_fn_j", "reward_i", "reward_j"):
             object.__setattr__(self, name, _freeze(getattr(self, name)))
         if self.start is not None:
             object.__setattr__(self, "start", _freeze(self.start))
@@ -222,6 +382,8 @@ def _check_labels(path: str, labels: Sequence[str]) -> tuple[str, ...]:
 
 def _check_rows(path: str, arr: np.ndarray) -> None:
     """Last axis must be a probability distribution on every row."""
+    if not np.all(np.isfinite(arr)):
+        raise DomainValidationError("%s: non-finite probability" % path)
     if np.any(arr < -_TOL):
         raise DomainValidationError("%s: negative probability" % path)
     sums = arr.sum(axis=-1)
@@ -241,23 +403,24 @@ def _check_shape(path: str, arr: np.ndarray, shape: tuple[int, ...]) -> None:
         )
 
 
-def _check_sparse_rows(path: str, blk: SparseRows, S: int) -> None:
-    """Shape, CSR structure, and stochastic rows of one sparse block."""
+def _check_sparse_rows(path: str, blk: SparseRows, shape: tuple[int, int]) -> None:
+    """Shape, CSR structure, and stochastic rows of one sparse [R, S] block."""
     if not isinstance(blk, SparseRows):
         raise DomainValidationError(
             "%s: %s, expected SparseRows" % (path, type(blk).__name__)
         )
-    if blk.shape != (S, S):
+    if blk.shape != shape:
         raise DomainValidationError(
-            "%s: shape %r, expected %r" % (path, blk.shape, (S, S))
+            "%s: shape %r, expected %r" % (path, blk.shape, shape)
         )
+    R, S = shape
     ptr, idx, dat = blk.indptr, blk.indices, blk.data
     if ptr.dtype.kind not in "iu" or idx.dtype.kind not in "iu":
         raise DomainValidationError("%s: indptr and indices must be integers" % path)
-    if ptr.shape != (S + 1,) or ptr[0] != 0 or ptr[-1] != len(idx):
+    if ptr.shape != (R + 1,) or ptr[0] != 0 or ptr[-1] != len(idx):
         raise DomainValidationError(
             "%s: indptr must have length %d, start at 0 and end at nnz %d"
-            % (path, S + 1, len(idx))
+            % (path, R + 1, len(idx))
         )
     if np.any(np.diff(ptr) < 0):
         raise DomainValidationError("%s: indptr decreases" % path)
@@ -267,10 +430,12 @@ def _check_sparse_rows(path: str, blk: SparseRows, S: int) -> None:
         raise DomainValidationError(
             "%s: %d data entries for %d indices" % (path, len(dat), len(idx))
         )
+    if not np.all(np.isfinite(dat)):
+        raise DomainValidationError("%s: non-finite probability" % path)
     if dat.size and dat.min() < -_TOL:
         raise DomainValidationError("%s: negative probability" % path)
-    row_of = np.repeat(np.arange(S), np.diff(ptr))
-    sums = np.bincount(row_of, weights=dat, minlength=S)
+    row_of = np.repeat(np.arange(R), np.diff(ptr))
+    sums = np.bincount(row_of, weights=dat, minlength=R)
     bad = np.abs(sums - 1.0) > _TOL
     if np.any(bad):
         s = int(np.flatnonzero(bad)[0])
@@ -292,7 +457,7 @@ def validate_model(m: SingleAgentModel) -> None:
                 "transition: %d sparse blocks, expected %d" % (len(m.transition), A)
             )
         for a, blk in enumerate(m.transition):
-            _check_sparse_rows("transition[%d]" % a, blk, S)
+            _check_sparse_rows("transition[%d]" % a, blk, (S, S))
     else:
         _check_shape("transition", m.transition, (S, A, S))
         _check_rows("transition", m.transition)
@@ -313,8 +478,17 @@ def validate_domain(d: PosgDomain) -> None:
     Oj = len(_check_labels("observations_j", d.observations_j))
     if d.horizon < 1:
         raise DomainValidationError("horizon: must be >= 1, got %d" % d.horizon)
-    _check_shape("transition", d.transition, (S, Ai, Aj, S))
-    _check_rows("transition", d.transition)
+    T = d.transition
+    _check_shape("transition", T, (S, Ai, Aj, S))
+    n_rows = Ai * Aj * S
+    if T.rows.shape != (n_rows, S) or T.rows.indptr.shape != (n_rows + 1,):
+        raise DomainValidationError(
+            "transition: rows of shape %r with %d pointers, expected %r with %d"
+            % (T.rows.shape, len(T.rows.indptr), (n_rows, S), n_rows + 1)
+        )
+    for ai in range(Ai):
+        for aj in range(Aj):
+            _check_sparse_rows("transition[:, %d, %d]" % (ai, aj), T.block(ai, aj), (S, S))
     _check_shape("obs_fn_i", d.obs_fn_i, (S, Ai, Aj, Oi))
     _check_rows("obs_fn_i", d.obs_fn_i)
     _check_shape("obs_fn_j", d.obs_fn_j, (S, Aj, Oj))
@@ -524,12 +698,12 @@ def _build_uav(horizon: int) -> PosgDomain:
 
     tgt = np.array([[_move_target(c, a) for a in range(A)] for c in range(n)])
 
-    T = np.zeros((S, A, A, S))
-    for s in (CAP, ESC, DONE):
-        T[s, :, :, DONE] = 1.0
-
+    # Entries keyed ((ai * A + aj) * S + s) * S + s'.  bincount adds each
+    # key's weights in list order from 0.0, so moves that land on the same
+    # state sum as four successive += would.
     pair = np.arange(n_joint)
     ci, cj = pair // n, pair % n
+    keys, weights = [], []
     for ai in range(A):
         for aj in range(A):
             for nci, wi in ((tgt[ci, ai], 0.9), (ci, 0.1)):
@@ -538,7 +712,14 @@ def _build_uav(horizon: int) -> PosgDomain:
                     dest = np.where(
                         nci == ncj, CAP, np.where(ncj == _SAFE, ESC, nci * n + ncj)
                     )
-                    np.add.at(T, (pair, ai, aj, dest), wi * wj)
+                    keys.append(((ai * A + aj) * S + pair) * S + dest)
+                    weights.append(np.full(n_joint, wi * wj))
+    flags = (np.arange(A * A)[:, None] * S + np.array([CAP, ESC, DONE])).ravel()
+    keys.append(flags * S + DONE)
+    weights.append(np.ones(len(flags)))
+    key, inverse = np.unique(np.concatenate(keys), return_inverse=True)
+    prob = np.bincount(inverse, weights=np.concatenate(weights))
+    T = JointTransition(_csr(key // S, key % S, prob, (A * A * S, S)), (S, A, A, S))
 
     # Observation rows depend on the landed state only.
     qi = np.full((S, 4), 0.25)
@@ -657,13 +838,14 @@ def project_level0(
             raise ValueError("peer rule is not a distribution")
 
     b0 = domain.start_distribution()
+    joint = np.asarray(domain.transition)
     if agent == "j":
-        T = np.einsum("a,sawt->swt", w, domain.transition)
+        T = np.einsum("a,sawt->swt", w, joint)
         Ob = domain.obs_fn_j.copy()
         R = np.einsum("swa,a->sw", domain.reward_j, w)
         acts, obs = domain.actions_j, domain.observations_j
     else:
-        T = np.einsum("w,sawt->sat", w, domain.transition)
+        T = np.einsum("w,sawt->sat", w, joint)
         Ob = np.einsum("w,sawo->sao", w, domain.obs_fn_i)
         R = np.einsum("saw,w->sa", domain.reward_i, w)
         acts, obs = domain.actions_i, domain.observations_i
@@ -699,7 +881,7 @@ def domain_to_obj(domain: PosgDomain) -> dict:
         "observations_i": list(domain.observations_i),
         "observations_j": list(domain.observations_j),
         "horizon": domain.horizon,
-        "transition": domain.transition.tolist(),
+        "transition": np.asarray(domain.transition).tolist(),
         "obs_i": domain.obs_fn_i.tolist(),
         "obs_j": domain.obs_fn_j.tolist(),
         "reward_i": domain.reward_i.tolist(),

@@ -11,6 +11,9 @@ successor position conditions on the action of that position's unique
 parent.  Root positions never occur as successors, so their observation
 rows are uniform filler.
 
+Physical moves come from the domain's compact joint transition one
+(ai, aj) block at a time, nonzeros only, in row-major order.
+
 Augmented spaces up to SPARSE_THRESHOLD states get a dense [S, A, S']
 transition table.  Larger ones get one SparseRows block (CSR with int32
 column indices) per subject action, built and compressed one action at a
@@ -108,9 +111,9 @@ def flatten(
     def phys_nz(ai: int, aj: int):
         key = (ai, aj)
         if key not in nz_cache:
-            blk = domain.transition[:, ai, aj, :]
-            r, c = np.nonzero(blk)
-            nz_cache[key] = (r.astype(np.int32), c.astype(np.int32), blk[r, c])
+            blk = domain.transition.block(ai, aj)
+            r = np.repeat(np.arange(S, dtype=np.int32), np.diff(blk.indptr))
+            nz_cache[key] = (r, blk.indices, blk.data)
         return nz_cache[key]
 
     def action_entries(ai: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -79,6 +79,30 @@ def _advance(model: SingleAgentModel, b: np.ndarray, a: int, o: int) -> np.ndarr
     return pred  # impossible branch: keep the predicted belief
 
 
+def _grow(
+    model: SingleAgentModel,
+    anchor: BehaviorSequence,
+    b: np.ndarray,
+    depth: int,
+    on_anchor: bool,
+) -> PolicyTree:
+    """The subtree at ``depth`` under belief b; see ``sample_tree``."""
+    if on_anchor:
+        a_sym = anchor.actions[depth]
+        a = model.actions.index(a_sym)
+    else:
+        a = _myopic_action(model, b)
+        a_sym = model.actions[a]
+    if depth + 1 == model.horizon:
+        return PolicyTree(a_sym)
+    kids = []
+    for o, o_sym in enumerate(model.observations):
+        nb = _advance(model, b, a, o)
+        keep = on_anchor and anchor.observations[depth] == o_sym
+        kids.append((o_sym, _grow(model, anchor, nb, depth + 1, keep)))
+    return PolicyTree(a_sym, tuple(kids))
+
+
 def sample_tree(
     dbn: DynamicBeliefNet,
     anchors: Sequence[BehaviorSequence],
@@ -117,27 +141,7 @@ def sample_tree(
         b0 = rng.dirichlet(np.ones(len(model.states)))
     else:
         b0 = np.asarray(initial_belief, dtype=float)
-
-    n_obs = len(model.observations)
-
-    def build(b: np.ndarray, depth: int, on_anchor: bool) -> PolicyTree:
-        if on_anchor:
-            a_sym = anchor.actions[depth]
-            a = model.actions.index(a_sym)
-        else:
-            a = _myopic_action(model, b)
-            a_sym = model.actions[a]
-        if depth + 1 == T:
-            return PolicyTree(a_sym)
-        kids = []
-        for o in range(n_obs):
-            o_sym = model.observations[o]
-            nb = _advance(model, b, a, o)
-            keep = on_anchor and anchor.observations[depth] == o_sym
-            kids.append((o_sym, build(nb, depth + 1, keep)))
-        return PolicyTree(a_sym, tuple(kids))
-
-    return build(b0, 0, True)
+    return _grow(model, anchor, b0, 0, True)
 
 
 def generate_known_models(

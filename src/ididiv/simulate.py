@@ -90,6 +90,12 @@ def run_episode(
             "trees of depth (%d, %d) cannot cover horizon %d"
             % (tree_i.depth, tree_j.depth, T)
         )
+    return _play(domain, tree_i, tree_j, rng, start)
+
+
+def _play(domain, tree_i, tree_j, rng, start=None) -> EpisodeTrace:
+    """``run_episode`` for trees already checked against the domain."""
+    T = domain.horizon
     dist = domain.start_distribution() if start is None else np.asarray(start, float)
     s = int(rng.choice(len(domain.states), p=dist))
 
@@ -186,8 +192,13 @@ def run_experiment(
     if excluded_encodings is not None and true_mode != "random-generated":
         raise ValueError("excluded_encodings only applies to random-generated mode")
 
+    # flatten checks every candidate tree, and a tree sample_tree grows is
+    # complete by construction, so rounds play without re-checking trees.
     flat = flatten(domain, candidates)
     policy = solve_exact(flat.model)
+    validate_tree(
+        policy.tree, domain.observations_i, depth=domain.horizon, actions=domain.actions_i
+    )
 
     if true_mode == "random-generated":
         known = [
@@ -218,7 +229,7 @@ def run_experiment(
                     dbn, anchors, excluded, rng, rejection_cap
                 )
             tt = true_tree
-        ep = run_episode(domain, policy.tree, tt, rng)
+        ep = _play(domain, policy.tree, tt, rng)
         rewards_i.append(ep.total_reward_i)
         rewards_j.append(ep.total_reward_j)
         if keep_traces:

@@ -8,6 +8,7 @@ import pytest
 from ididiv import domains
 from ididiv import (
     DomainValidationError,
+    JointTransition,
     PosgDomain,
     SingleAgentModel,
     SparseRows,
@@ -246,6 +247,12 @@ class TestValidation:
         with pytest.raises(DomainValidationError, match="transition"):
             validate_domain(dataclasses.replace(tiger, transition=broken))
 
+    def test_bad_row_names_its_block(self, tiger):
+        broken = np.array(tiger.transition)
+        broken[1, 2, 0, :] = [0.7, 0.4]
+        with pytest.raises(DomainValidationError, match=r"transition\[:, 2, 0\]: row 1 sums"):
+            validate_domain(dataclasses.replace(tiger, transition=broken))
+
     def test_negative_probability(self, tiger_j):
         obs = np.array(tiger_j.obs_fn)
         obs[0, 0, 0] = -0.1
@@ -274,6 +281,46 @@ class TestValidation:
         r[0, 0] = np.nan
         with pytest.raises(DomainValidationError):
             validate_model(tiger_j.replace(reward=r))
+
+
+def _nan_at(arr, index) -> np.ndarray:
+    out = np.array(arr, dtype=float)
+    out[index] = np.nan
+    return out
+
+
+class TestNonFinite:
+    """A NaN row passes a sign test and a sum test alike, so it is named."""
+
+    @pytest.mark.parametrize("form", ["dense", "compact"])
+    def test_domain_transition(self, tiger, form):
+        if form == "dense":
+            table = _nan_at(tiger.transition, (0, 1, 2))
+        else:
+            rows = tiger.transition.rows
+            rows = dataclasses.replace(rows, data=_nan_at(rows.data, slice(0, 2)))
+            table = JointTransition(rows, tiger.transition.shape)
+        with pytest.raises(DomainValidationError, match=r"transition\[:, \d, \d\]: non-finite"):
+            validate_domain(dataclasses.replace(tiger, transition=table))
+
+    def test_obs_fn_i(self, tiger):
+        broken = dataclasses.replace(tiger, obs_fn_i=_nan_at(tiger.obs_fn_i, (1, 0, 2)))
+        with pytest.raises(DomainValidationError, match="obs_fn_i: non-finite"):
+            validate_domain(broken)
+
+    @pytest.mark.parametrize("form", ["dense", "sparse"])
+    def test_level0_transition(self, tiger_j, form):
+        table = _nan_at(tiger_j.transition, (0, 1))
+        if form == "sparse":
+            table = tuple(_rows_of(table[:, a, :]) for a in range(3))
+        match = r"transition: non-finite" if form == "dense" else r"transition\[1\]: non-finite"
+        with pytest.raises(DomainValidationError, match=match):
+            validate_model(tiger_j.replace(transition=table))
+
+    def test_initial_belief(self, tiger_j):
+        broken = tiger_j.replace(initial_belief=np.array([np.nan, np.nan]))
+        with pytest.raises(DomainValidationError, match="initial_belief: non-finite"):
+            validate_model(broken)
 
 
 def _rows_of(dense: np.ndarray) -> SparseRows:
@@ -346,6 +393,90 @@ class TestSparseRows:
         blocks[1] = tiger_j.transition[:, 1, :]
         with pytest.raises(DomainValidationError, match=r"transition\[1\]: ndarray"):
             validate_model(tiger_j.replace(transition=tuple(blocks)))
+
+
+def _dense_uav_transition() -> np.ndarray:
+    """The uav joint transition built densely, one += per move outcome."""
+    n, A = domains._GRID ** 2, len(domains._UAV_MOVES)
+    CAP, ESC, DONE = n * n, n * n + 1, n * n + 2
+    S = n * n + 3
+    tgt = np.array([[domains._move_target(c, a) for a in range(A)] for c in range(n)])
+    T = np.zeros((S, A, A, S))
+    T[[CAP, ESC, DONE], :, :, DONE] = 1.0
+    pair = np.arange(n * n)
+    ci, cj = pair // n, pair % n
+    for ai in range(A):
+        for aj in range(A):
+            for nci, wi in ((tgt[ci, ai], 0.9), (ci, 0.1)):
+                for ncj, wj in ((tgt[cj, aj], 0.9), (cj, 0.1)):
+                    dest = np.where(
+                        nci == ncj, CAP, np.where(ncj == domains._SAFE, ESC, nci * n + ncj)
+                    )
+                    np.add.at(T, (pair, ai, aj, dest), wi * wj)
+    return T
+
+
+class TestJointTransition:
+    def test_uav_matches_dense_build(self, uav):
+        dense = _dense_uav_transition()
+        assert np.array_equal(np.asarray(uav.transition), dense)
+        assert uav.transition == JointTransition.from_dense(dense)
+        assert uav.transition.shape == dense.shape
+        assert uav.transition.nbytes < dense.nbytes / 100
+
+    def test_blocks_hold_the_nonzeros_in_row_order(self, uav):
+        dense = np.asarray(uav.transition)
+        for ai, aj in ((0, 0), (2, 4), (4, 1)):
+            blk = uav.transition.block(ai, aj)
+            r, c = np.nonzero(dense[:, ai, aj, :])
+            assert np.array_equal(np.repeat(np.arange(blk.shape[0]), np.diff(blk.indptr)), r)
+            assert np.array_equal(blk.indices, c)
+            assert np.array_equal(blk.data, dense[r, ai, aj, c])
+        with pytest.raises(IndexError):
+            uav.transition.block(5, 0)
+
+    @pytest.mark.parametrize(
+        "key",
+        [
+            (slice(None), 1, 2, slice(None)),
+            (17, 3, 0),
+            (17, 3, 0, 42),
+            (-1, -2, 4, -1),
+            (Ellipsis, 5),
+            (slice(600, None, 7), slice(None, None, -2), 1),
+            (Ellipsis, 1, slice(1, 4), slice(620, 628)),
+            (3,),
+            Ellipsis,
+        ],
+    )
+    def test_basic_indexing_matches_dense(self, uav, key):
+        got, want = uav.transition[key], np.asarray(uav.transition)[key]
+        assert np.shape(got) == np.shape(want) and np.array_equal(got, want)
+        if isinstance(got, np.ndarray):
+            assert not got.flags.writeable
+
+    @pytest.mark.parametrize(
+        "key", [(628,), (0, 5), (True,), (np.array([0, 1]),), (0, 0, 0, 0, 0), (..., ...)]
+    )
+    def test_bad_index(self, uav, key):
+        with pytest.raises(IndexError):
+            uav.transition[key]
+
+    def test_equality_by_value(self, tiger, uav):
+        again = JointTransition.from_dense(np.asarray(tiger.transition))
+        assert again == tiger.transition and again is not tiger.transition
+        assert tiger.transition != uav.transition
+        assert tiger.transition != np.asarray(tiger.transition)
+
+    def test_pickle_keeps_it_read_only(self, uav):
+        back = pickle.loads(pickle.dumps(uav.transition))
+        assert back == uav.transition
+        for arr in (back.rows.indptr, back.rows.indices, back.rows.data):
+            assert not arr.flags.writeable
+
+    def test_flat_shape_rejected(self, tiger):
+        with pytest.raises(DomainValidationError, match="transition: shape"):
+            dataclasses.replace(tiger, transition=np.ones((2, 2)))
 
 
 class TestSerialization:

@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 
@@ -116,6 +118,20 @@ class TestSampleTree:
     def test_empty_anchors(self, tiger_j):
         with pytest.raises(ValueError):
             sample_tree(convert_to_dbn(tiger_j), [], np.random.default_rng(0))
+
+    def test_leaves_no_cyclic_garbage(self, tiger_j):
+        # Growing a tree builds no reference cycle, so everything a call
+        # drops is freed when it returns, not when the collector runs.
+        dbn = convert_to_dbn(tiger_j)
+        anchor = _anchor(("Listen", "Listen", "Listen"), ("GrowlLeft", "GrowlRight"))
+        rng = np.random.default_rng(0)
+        gc.disable()
+        try:
+            gc.collect()
+            sample_tree(dbn, [anchor], rng)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_zero_probability_branch_fallback(self):
         # Observation z1 has zero likelihood under every action, yet the

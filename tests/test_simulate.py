@@ -16,6 +16,7 @@ from ididiv import (
     select_topk,
     solve_idid,
     flatten,
+    simulate,
 )
 
 
@@ -112,6 +113,16 @@ class TestRunExperiment:
             np.var(stats.rewards_i, ddof=1)
         )
         assert stats.traces is None
+
+    def test_trees_checked_once(self, tiger2, cand2, monkeypatch):
+        # flatten checks the candidates; the rounds re-check no tree.
+        checked = []
+        monkeypatch.setattr(
+            simulate, "validate_tree", lambda tree, *a, **kw: checked.append(tree)
+        )
+        stats = run_experiment(tiger2, cand2, "from-set", rounds=20, seed=0, keep_traces=True)
+        assert checked == [solve_idid(flatten(tiger2, cand2)).tree]
+        assert stats.traces[0].steps[0].action_i == checked[0].action
 
     def test_policy_value_reported(self, tiger2, cand2):
         stats = run_experiment(tiger2, cand2, "from-set", rounds=2, seed=0)
