@@ -274,8 +274,9 @@ class SingleAgentModel:
     Parameters
     ----------
     transition : ndarray [S, A, S'] or tuple of SparseRows, one [S, S'] per action
-        Row-stochastic per (s, a).  The sparse form is used for large
-        flattened models; ``transition_matrix`` hides the difference.
+        Row-stochastic per (s, a).  Level-0 models (``project_level0``) are
+        dense; flattened models (``flattening.flatten``) are SparseRows.
+        ``transition_matrix`` hides the difference.
     obs_fn : ndarray [S', A, O]
         Probability of each observation after landing in s' under action a.
     reward : ndarray [S, A]
@@ -816,7 +817,10 @@ def project_level0(
 
     A prebuilt view on the domain wins when present.  Otherwise the peer's
     action is marginalized under ``peer_rule``: "uniform" or an explicit
-    distribution over the peer's declared actions.
+    distribution over the peer's declared actions.  The transition is
+    summed from each action pair's stored entries in peer-action order,
+    starting from zeros: the floats of a dense einsum over the joint table,
+    without building that table.
     """
     if agent not in ("i", "j"):
         raise ValueError("agent must be 'i' or 'j', got %r" % agent)
@@ -837,15 +841,20 @@ def project_level0(
         if abs(w.sum() - 1.0) > _TOL or w.min() < -_TOL:
             raise ValueError("peer rule is not a distribution")
 
-    b0 = domain.start_distribution()
-    joint = np.asarray(domain.transition)
+    S = len(domain.states)
+    n_ai, n_aj = len(domain.actions_i), len(domain.actions_j)
+    T = np.zeros((S, n_aj if agent == "j" else n_ai, S))
+    for ai in range(n_ai):
+        for aj in range(n_aj):
+            own, peer = (aj, ai) if agent == "j" else (ai, aj)
+            blk = domain.transition.block(ai, aj)
+            rows = np.repeat(np.arange(S), np.diff(blk.indptr))
+            T[rows, own, blk.indices] += w[peer] * blk.data
     if agent == "j":
-        T = np.einsum("a,sawt->swt", w, joint)
         Ob = domain.obs_fn_j.copy()
         R = np.einsum("swa,a->sw", domain.reward_j, w)
         acts, obs = domain.actions_j, domain.observations_j
     else:
-        T = np.einsum("w,sawt->sat", w, joint)
         Ob = np.einsum("w,sawo->sao", w, domain.obs_fn_i)
         R = np.einsum("saw,w->sa", domain.reward_i, w)
         acts, obs = domain.actions_i, domain.observations_i
@@ -858,7 +867,7 @@ def project_level0(
         transition=T,
         obs_fn=Ob,
         reward=R,
-        initial_belief=b0,
+        initial_belief=domain.start_distribution(),
         horizon=domain.horizon,
     )
 

@@ -14,12 +14,14 @@ rows are uniform filler.
 Physical moves come from the domain's compact joint transition one
 (ai, aj) block at a time, nonzeros only, in row-major order.
 
-Augmented spaces up to SPARSE_THRESHOLD states get a dense [S, A, S']
-transition table.  Larger ones get one SparseRows block (CSR with int32
-column indices) per subject action, built and compressed one action at a
-time.  Both forms hold the same entries, explicit zeros included, and
-the solver accepts both; they are not merged because dense BLAS sums
-differ in the last bits from the row-ordered sparse product.
+A flattened model holds one SparseRows block (CSR with int32 column
+indices) per subject action, built and compressed one action at a time,
+explicit zeros included.  Each augmented row reaches only the children of
+one position, and a T=3 uav model already has about 79k augmented states,
+which a dense table could not hold.  Level-0 models, which come from
+``domains.project_level0``, stay dense [S, A, S'] arrays: on their few
+physical states a dense product is an order of magnitude faster than a
+CSR one.  Both forms support ``b @ model.transition_matrix(a)``.
 """
 
 from __future__ import annotations
@@ -34,10 +36,6 @@ from .solver import SolvedPolicy, solve_exact
 from .trees import node_table, validate_tree
 
 __all__ = ["FlatIdid", "flatten", "solve_idid"]
-
-# Largest augmented state count that still gets a dense transition table.
-# Dense wins on small models (tiger), CSR on large ones (uav, ~79k states).
-SPARSE_THRESHOLD = 2048
 
 # Largest augmented state count whose indices fit int32 CSR columns.
 MAX_STATES = int(np.iinfo(np.int32).max)
@@ -57,17 +55,14 @@ class FlatIdid:
         return self.offsets[m] + pos * len(self.domain.states) + s
 
 
-def flatten(
-    domain: PosgDomain,
-    candidates: CandidateModelSet,
-    b0_phys: np.ndarray | None = None,
-) -> FlatIdid:
+def flatten(domain: PosgDomain, candidates: CandidateModelSet) -> FlatIdid:
     """Build the augmented single-agent model for the subject agent.
 
     Candidate trees must be complete over the domain's peer observation
     alphabet with depth at least the domain horizon.  The initial belief is
-    the product of the physical start distribution, the candidate prior,
-    and point mass on each tree's root position.
+    the product of ``domain.start_distribution()``, the candidate prior,
+    and point mass on each tree's root position; for another physical
+    start, flatten ``dataclasses.replace(domain, start=...)``.
     """
     S = len(domain.states)
     act_i = domain.actions_i
@@ -91,13 +86,6 @@ def flatten(
     node_counts = tuple(len(tab[0]) for tab in tables)
     offsets = tuple(np.concatenate(([0], np.cumsum([n * S for n in node_counts])))[:-1])
     s_aug = offsets[-1] + node_counts[-1] * S
-
-    if b0_phys is None:
-        b0 = domain.start_distribution()
-    else:
-        b0 = np.asarray(b0_phys, dtype=float)
-        if b0.shape != (S,) or abs(float(b0.sum()) - 1.0) > 1e-12 or b0.min() < 0.0:
-            raise ValueError("b0_phys must be a distribution over physical states")
 
     if s_aug > MAX_STATES:
         raise ValueError(
@@ -149,22 +137,14 @@ def flatten(
         )
 
     # One action at a time, so only one action's entries are alive at once.
-    dense = s_aug <= SPARSE_THRESHOLD
-    if dense:
-        T_aug = np.zeros((s_aug, n_ai, s_aug))
     blocks = []
     for ai in range(n_ai):
         rows, cols, vals = action_entries(ai)
-        if dense:
-            T_aug[rows, ai, cols] = vals
-        else:
-            order = np.argsort(rows, kind="stable")
-            indptr = np.zeros(s_aug + 1, dtype=np.int64)
-            np.cumsum(np.bincount(rows, minlength=s_aug), out=indptr[1:])
-            blocks.append(SparseRows(indptr, cols[order], vals[order], (s_aug, s_aug)))
-            del order
-        del rows, cols, vals
-    transition = T_aug if dense else tuple(blocks)
+        order = np.argsort(rows, kind="stable")
+        indptr = np.zeros(s_aug + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=s_aug), out=indptr[1:])
+        blocks.append(SparseRows(indptr, cols[order], vals[order], (s_aug, s_aug)))
+        del rows, cols, vals, order
 
     O_aug = np.empty((s_aug, n_ai, n_oi))
     R_aug = np.empty((s_aug, n_ai))
@@ -178,6 +158,7 @@ def flatten(
                 O_aug[base : base + S] = domain.obs_fn_i[:, :, acts[par], :]
             R_aug[base : base + S] = domain.reward_i[:, :, acts[pos]]
 
+    b0 = domain.start_distribution()
     b0_aug = np.zeros(s_aug)
     for m in range(len(tables)):
         b0_aug[offsets[m] : offsets[m] + S] = candidates.prior[m] * b0
@@ -193,7 +174,7 @@ def flatten(
         states=names,
         actions=act_i,
         observations=obs_i,
-        transition=transition,
+        transition=tuple(blocks),
         obs_fn=O_aug,
         reward=R_aug,
         initial_belief=b0_aug,

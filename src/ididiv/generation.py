@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .domains import SingleAgentModel
-from .solver import solve_exact
+from .solver import _condition, solve_exact
 from .trees import BehaviorSequence, PolicyTree, canonical_encode, count_trees
 
 __all__ = [
@@ -70,15 +70,6 @@ def _myopic_action(model: SingleAgentModel, b: np.ndarray) -> int:
     return best_a
 
 
-def _advance(model: SingleAgentModel, b: np.ndarray, a: int, o: int) -> np.ndarray:
-    pred = np.asarray(b @ model.transition_matrix(a)).ravel()
-    like = model.obs_fn[:, a, o]
-    p = float(pred @ like)
-    if p > 0.0:
-        return (pred * like) / p
-    return pred  # impossible branch: keep the predicted belief
-
-
 def _grow(
     model: SingleAgentModel,
     anchor: BehaviorSequence,
@@ -95,9 +86,11 @@ def _grow(
         a_sym = model.actions[a]
     if depth + 1 == model.horizon:
         return PolicyTree(a_sym)
+    pred = b @ model.transition_matrix(a)
     kids = []
     for o, o_sym in enumerate(model.observations):
-        nb = _advance(model, b, a, o)
+        post = _condition(model, pred, a, o)[1]
+        nb = pred if post is None else post  # impossible branch: keep the prediction
         keep = on_anchor and anchor.observations[depth] == o_sym
         kids.append((o_sym, _grow(model, anchor, nb, depth + 1, keep)))
     return PolicyTree(a_sym, tuple(kids))

@@ -79,9 +79,12 @@ def run_episode(
     tree_i: PolicyTree,
     tree_j: PolicyTree,
     rng: np.random.Generator,
-    start: np.ndarray | None = None,
 ) -> EpisodeTrace:
-    """Play one horizon-length episode with both agents following trees."""
+    """Play one horizon-length episode with both agents following trees.
+
+    The first state is drawn from ``domain.start_distribution()``; for
+    another start, pass ``dataclasses.replace(domain, start=...)``.
+    """
     T = domain.horizon
     validate_tree(tree_i, domain.observations_i, actions=domain.actions_i)
     validate_tree(tree_j, domain.observations_j, actions=domain.actions_j)
@@ -90,14 +93,13 @@ def run_episode(
             "trees of depth (%d, %d) cannot cover horizon %d"
             % (tree_i.depth, tree_j.depth, T)
         )
-    return _play(domain, tree_i, tree_j, rng, start)
+    return _play(domain, tree_i, tree_j, rng)
 
 
-def _play(domain, tree_i, tree_j, rng, start=None) -> EpisodeTrace:
+def _play(domain, tree_i, tree_j, rng) -> EpisodeTrace:
     """``run_episode`` for trees already checked against the domain."""
     T = domain.horizon
-    dist = domain.start_distribution() if start is None else np.asarray(start, float)
-    s = int(rng.choice(len(domain.states), p=dist))
+    s = int(rng.choice(len(domain.states), p=domain.start_distribution()))
 
     node_i, node_j = tree_i, tree_j
     steps: list[StepRecord] = []

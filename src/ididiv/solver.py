@@ -55,9 +55,16 @@ class SolvedPolicy:
     horizon: int
 
 
-def _predict(model: SingleAgentModel, b: np.ndarray, a: int) -> np.ndarray:
-    pred = b @ model.transition_matrix(a)
-    return np.asarray(pred).ravel()
+def _condition(
+    model: SingleAgentModel, pred: np.ndarray, a: int, o: int
+) -> tuple[float, np.ndarray | None]:
+    """Pr(o) under the predicted belief ``b @ T_a``, and the posterior.
+
+    The posterior is None when the observation has probability zero.
+    """
+    like = model.obs_fn[:, a, o]
+    p = float(pred @ like)
+    return p, ((pred * like) / p if p > 0.0 else None)
 
 
 def observation_probability(
@@ -66,8 +73,8 @@ def observation_probability(
     """Pr(observation | belief, action) one step ahead."""
     a = model.actions.index(action)
     o = model.observations.index(observation)
-    pred = _predict(model, np.asarray(belief, dtype=float), a)
-    return float(pred @ model.obs_fn[:, a, o])
+    pred = np.asarray(belief, dtype=float) @ model.transition_matrix(a)
+    return _condition(model, pred, a, o)[0]
 
 
 def belief_update(
@@ -80,15 +87,13 @@ def belief_update(
     """
     a = model.actions.index(action)
     o = model.observations.index(observation)
-    b = np.asarray(belief, dtype=float)
-    pred = _predict(model, b, a)
-    like = model.obs_fn[:, a, o]
-    p = float(pred @ like)
-    if p <= 0.0:
+    pred = np.asarray(belief, dtype=float) @ model.transition_matrix(a)
+    post = _condition(model, pred, a, o)[1]
+    if post is None:
         raise ImpossibleObservationError(
             "observation %r has probability 0 after action %r" % (observation, action)
         )
-    return (pred * like) / p
+    return post
 
 
 def _backup(
@@ -115,12 +120,10 @@ def _backup(
         q = float(b @ model.reward[:, a])
         kids: list[PolicyTree | None] = []
         if remaining > 1:
-            pred = _predict(model, b, a)
+            pred = b @ model.transition_matrix(a)
             for o in range(n_obs):
-                like = model.obs_fn[:, a, o]
-                p = float(pred @ like)
-                if p > 0.0:
-                    post = (pred * like) / p
+                p, post = _condition(model, pred, a, o)
+                if post is not None:
                     follow = None if node is None else node.children[o][1]
                     v, sub = _backup(model, post, remaining - 1, follow)
                     q += p * v

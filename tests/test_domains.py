@@ -240,6 +240,24 @@ class TestUavLevel0:
         assert project_level0(d4, "j").horizon == 4
 
 
+class TestProjectionByBlocks:
+    """project_level0 sums blocks; the dense einsum over the joint table is the oracle."""
+
+    @pytest.mark.parametrize("agent", ["i", "j"])
+    @pytest.mark.parametrize("name", ["tiger", "uav"])
+    def test_equals_dense_einsum(self, name, agent):
+        domain = dataclasses.replace(builtin_domain(name, 3), level0={})
+        joint = np.asarray(domain.transition)
+        n_peer = len(domain.actions_j if agent == "i" else domain.actions_i)
+        rng = np.random.default_rng(11)
+        rules = ["uniform"] + [rng.dirichlet(np.ones(n_peer)) for _ in range(5)]
+        spec = "w,sawt->sat" if agent == "i" else "a,sawt->swt"
+        for rule in rules:
+            w = np.full(n_peer, 1.0 / n_peer) if isinstance(rule, str) else rule
+            expect = np.einsum(spec, w, joint)
+            assert np.array_equal(project_level0(domain, agent, rule).transition, expect)
+
+
 class TestValidation:
     def test_bad_row_sum(self, tiger):
         broken = np.array(tiger.transition)

@@ -6,6 +6,7 @@ from scipy import sparse
 
 from ididiv import (
     EnumerationCapError,
+    SparseRows,
     belief_update,
     brute_force_solve,
     builtin_tiger,
@@ -16,7 +17,9 @@ from ididiv import (
     generate_known_models,
     make_candidate_set,
     project_level0,
+    solve_exact,
     solve_idid,
+    validate_model,
 )
 from ididiv.trees import all_trees, tree_nodes
 from conftest import _peer_trees_t2
@@ -219,26 +222,32 @@ class TestPriorAlgebra:
         assert solve_idid(via_pair).tree == solve_idid(alone).tree
 
 
+def _dense_reference(model):
+    """The same model with a dense [S, A, S'] table made from its CSR blocks."""
+    T = np.stack([_scipy_csr(blk).toarray() for blk in model.transition], axis=1)
+    return model.replace(transition=T)
+
+
 class TestSparsePath:
-    def test_sparse_matches_dense(self, tiger2, cand2, monkeypatch):
-        dense = flatten(tiger2, cand2)
-        monkeypatch.setattr(flattening, "SPARSE_THRESHOLD", 0)
+    def test_tiger_model_is_csr(self, tiger2, cand2):
+        model = flatten(tiger2, cand2).model
+        assert isinstance(model.transition, tuple)
+        assert len(model.transition) == len(model.actions)
+        for blk in model.transition:
+            assert isinstance(blk, SparseRows)
+            assert blk.indices.dtype == np.int32
+
+    def test_sparse_matches_dense(self, tiger2, cand2):
         sp = flatten(tiger2, cand2)
-        assert not dense.model.is_sparse
-        assert sp.model.is_sparse
-        for a in range(len(dense.model.actions)):
-            np.testing.assert_allclose(
-                _scipy_csr(sp.model.transition_matrix(a)).toarray(),
-                dense.model.transition_matrix(a),
-                atol=1e-15,
-            )
-        pd = solve_idid(dense)
+        dense = _dense_reference(sp.model)
+        validate_model(dense)
+        assert not dense.is_sparse
+        pd = solve_exact(dense)
         ps = solve_idid(sp)
         assert ps.value == pytest.approx(pd.value, abs=1e-12)
         assert ps.tree == pd.tree
 
-    def test_products_match_scipy_exactly(self, tiger2, cand2, monkeypatch):
-        monkeypatch.setattr(flattening, "SPARSE_THRESHOLD", 0)
+    def test_products_match_scipy_exactly(self, tiger2, cand2):
         model = flatten(tiger2, cand2).model
         assert model.is_sparse
         assert all(blk.indices.dtype == np.int32 for blk in model.transition)
@@ -250,14 +259,13 @@ class TestSparsePath:
         assert model.is_sparse
         _assert_products_match_scipy(model, np.random.default_rng(6), n_random=5)
 
-    def test_explicit_zeros_are_kept(self, tiger2, cand2, monkeypatch):
+    def test_explicit_zeros_are_kept(self, tiger2, cand2):
         # Noiseless peer sensing makes half the observation-weighted
         # entries exactly zero; they stay stored and counted in nnz.
         obs_j = np.zeros_like(tiger2.obs_fn_j)
         obs_j[0, :, 0] = 1.0  # first state: always the first growl
         obs_j[1, :, 1] = 1.0
         sharp = dataclasses.replace(tiger2, obs_fn_j=obs_j)
-        monkeypatch.setattr(flattening, "SPARSE_THRESHOLD", 0)
         model = flatten(sharp, cand2).model
         aj_index = {a: k for k, a in enumerate(sharp.actions_j)}
         n_oj = len(sharp.observations_j)
@@ -277,9 +285,9 @@ class TestSparsePath:
             flatten(tiger2, cand2)
 
     def test_custom_initial_physical_belief(self, tiger2, cand2):
-        flat = flatten(tiger2, cand2, b0_phys=np.array([1.0, 0.0]))
-        b = flat.model.initial_belief
+        left = dataclasses.replace(tiger2, start=np.array([1.0, 0.0]))
+        b = flatten(left, cand2).model.initial_belief
         assert b[0] == pytest.approx(0.5)  # prior 0.5 on candidate 0
         assert b[1] == 0.0
-        with pytest.raises(ValueError):
-            flatten(tiger2, cand2, b0_phys=np.array([0.9, 0.2]))
+        with pytest.raises(ValueError, match="initial_belief"):
+            flatten(dataclasses.replace(tiger2, start=np.array([0.9, 0.2])), cand2)

@@ -1,4 +1,4 @@
-"""The uav domain is built once per holder and stays small once built."""
+"""The uav domain is built once per holder and stays small once built and projected."""
 
 import os
 import subprocess
@@ -27,14 +27,24 @@ print(calls)
 # child started by subprocess keeps its parent's peak across exec, so under
 # a large test process it reads no growth at all.
 _PEAK = """
-from ididiv import builtin_domain
+from ididiv import builtin_domain, project_level0
 
 def peak_bytes():
     with open("/proc/self/status") as f:
         return 1024 * next(int(l.split()[1]) for l in f if l.startswith("VmHWM:"))
+"""
 
+_BUILD_PEAK = _PEAK + """
 before = peak_bytes()
 domain = builtin_domain("uav", 3)
+print(peak_bytes() - before)
+"""
+
+# The uav chase has no prebuilt view for agent i, so this projects.
+_LEVEL0_PEAK = _PEAK + """
+domain = builtin_domain("uav", 3)
+before = peak_bytes()
+model = project_level0(domain, "i")
 print(peak_bytes() - before)
 """
 
@@ -59,4 +69,11 @@ def test_topk_does_not_rebuild_a_held_uav_domain(tmp_path):
 @pytest.mark.skipif(not Path("/proc/self/status").is_file(), reason="needs Linux /proc")
 def test_building_uav_raises_the_peak_by_little():
     # A dense [628, 5, 5, 628] joint transition alone would be 79 MB.
-    assert int(_run(_PEAK)) < 8 * 2**20
+    assert int(_run(_BUILD_PEAK)) < 8 * 2**20
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").is_file(), reason="needs Linux /proc")
+def test_projecting_uav_for_i_raises_the_peak_by_little():
+    # The [628, 5, 628] result is 15.8 MB; densifying the joint table first
+    # would add 79 MB.
+    assert int(_run(_LEVEL0_PEAK)) < 40 * 2**20

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -87,9 +89,8 @@ class TestRunEpisode:
     def test_fixed_start(self, tiger2, cand2):
         ti = _subject_tree(tiger2, cand2)
         tj = cand2.trees[0]
-        ep = run_episode(
-            tiger2, ti, tj, np.random.default_rng(1), start=np.array([1.0, 0.0])
-        )
+        left = dataclasses.replace(tiger2, start=np.array([1.0, 0.0]))
+        ep = run_episode(left, ti, tj, np.random.default_rng(1))
         assert ep.steps[0].state == "TigerLeft"
 
     def test_depth_too_small(self, tiger2):

@@ -13,7 +13,6 @@ from ididiv import (
     count_trees,
     evaluate_policy,
     flatten,
-    flattening,
     observation_probability,
     solve_exact,
 )
@@ -83,12 +82,11 @@ class TestSolveTiger:
         assert pol.horizon == 3
         assert pol.model_name == tiger_j.name
 
-    def test_value_reproduces_through_evaluate(self, tiger_j, tiger2, cand2, monkeypatch):
+    def test_value_reproduces_through_evaluate(self, tiger_j, tiger2, cand2):
         # Solving and evaluating run one recursion, so the floats agree
         # exactly: on tiger, on random models, and on a CSR-flattened model.
         rng = np.random.default_rng(31)
         models = [tiger_j] + [random_model(rng) for _ in range(30)]
-        monkeypatch.setattr(flattening, "SPARSE_THRESHOLD", 0)
         flat = flatten(tiger2, cand2).model
         assert flat.is_sparse
         models.append(flat)
