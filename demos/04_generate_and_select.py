@@ -37,7 +37,7 @@ dbn = convert_to_dbn(level0)
 from ididiv import extract_features
 
 anchor = extract_features(known)[0]
-tree = sample_tree(dbn, [anchor], np.random.default_rng(1))
+tree = sample_tree(dbn, anchor, np.random.default_rng(1))
 print("anchor %s -> sampled tree %s" % (anchor.compact(), canonical_encode(tree)))
 print()
 

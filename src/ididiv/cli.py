@@ -24,6 +24,7 @@ from .flattening import flatten, solve_idid
 from .generation import generate_known_models
 from .runs import (
     RunManifest,
+    _check_domain_name,
     file_sha256,
     run_experiment_grid,
     run_from_manifest,
@@ -105,8 +106,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cli_domain(args, horizon: int | None):
-    """The --domain domain, and its (name, path) input entry; none for a builtin."""
+    """The --domain domain, and its (name, path) input entry; none for a builtin.
+
+    A value that is neither a builtin name nor an existing file is refused.
+    """
     name = args.domain
+    _check_domain_name(name)
     if name in BUILTIN_DOMAINS:
         return builtin_domain(name, horizon), []
     domain = load_domain(name)
@@ -143,9 +148,9 @@ def _record(args, config: dict, outputs: dict, inputs=(), timings=None) -> None:
 
 
 def cmd_solve(args) -> int:
-    out = _out_dir(args)
     t0 = time.perf_counter()
     domain, inputs = _cli_domain(args, args.horizon)
+    out = _out_dir(args)
     model = project_level0(domain, args.agent)
     pol = solve_exact(model)
     elapsed = time.perf_counter() - t0
@@ -196,8 +201,8 @@ def cmd_features(args) -> int:
 
 
 def cmd_topk(args) -> int:
-    out = _out_dir(args)
     domain, inputs = _cli_domain(args, args.horizon)
+    out = _out_dir(args)
     level0 = project_level0(domain, "j")
     known_ss, select_ss = np.random.SeedSequence(args.seed).spawn(2)
 
@@ -247,8 +252,8 @@ def cmd_topk(args) -> int:
 
 
 def cmd_solve_idid(args) -> int:
-    out = _out_dir(args)
     domain, inputs = _cli_domain(args, args.horizon)
+    out = _out_dir(args)
     cs = load_candidate_set(args.candidates)
 
     t0 = time.perf_counter()
@@ -283,8 +288,8 @@ def cmd_solve_idid(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    out = _out_dir(args)
     domain, inputs = _cli_domain(args, args.horizon)
+    out = _out_dir(args)
     cs = load_candidate_set(args.candidates)
 
     t0 = time.perf_counter()

@@ -808,19 +808,14 @@ BUILTIN_DOMAINS = {"tiger": builtin_tiger, "uav": builtin_uav}
 
 # ------------------------------------------------------------ projection ----
 
-def project_level0(
-    domain: PosgDomain,
-    agent: str,
-    peer_rule: str | np.ndarray = "uniform",
-) -> SingleAgentModel:
+def project_level0(domain: PosgDomain, agent: str) -> SingleAgentModel:
     """Single-agent POMDP for one agent with the peer folded out.
 
     A prebuilt view on the domain wins when present.  Otherwise the peer's
-    action is marginalized under ``peer_rule``: "uniform" or an explicit
-    distribution over the peer's declared actions.  The transition is
-    summed from each action pair's stored entries in peer-action order,
-    starting from zeros: the floats of a dense einsum over the joint table,
-    without building that table.
+    action is marginalized under a uniform distribution over the peer's
+    declared actions.  The transition is summed from each action pair's
+    stored entries in peer-action order, starting from zeros: the floats of
+    a dense einsum over the joint table, without building that table.
     """
     if agent not in ("i", "j"):
         raise ValueError("agent must be 'i' or 'j', got %r" % agent)
@@ -828,18 +823,7 @@ def project_level0(
         return domain.level0[agent].replace(horizon=domain.horizon)
 
     peer_acts = domain.actions_j if agent == "i" else domain.actions_i
-    if isinstance(peer_rule, str):
-        if peer_rule != "uniform":
-            raise ValueError("unknown peer rule %r" % peer_rule)
-        w = np.full(len(peer_acts), 1.0 / len(peer_acts))
-    else:
-        w = np.asarray(peer_rule, dtype=float)
-        if w.shape != (len(peer_acts),):
-            raise ValueError(
-                "peer rule needs %d weights, got shape %r" % (len(peer_acts), w.shape)
-            )
-        if abs(w.sum() - 1.0) > _TOL or w.min() < -_TOL:
-            raise ValueError("peer rule is not a distribution")
+    w = np.full(len(peer_acts), 1.0 / len(peer_acts))
 
     S = len(domain.states)
     n_ai, n_aj = len(domain.actions_i), len(domain.actions_j)
@@ -934,14 +918,6 @@ def serialize_domain(domain: PosgDomain) -> str:
     return json.dumps(domain_to_obj(domain), sort_keys=True, indent=2) + "\n"
 
 
-def load_domain(source) -> PosgDomain:
-    """Load from a mapping, a JSON string, or a path to a JSON file."""
-    if isinstance(source, Mapping):
-        return domain_from_obj(source)
-    if isinstance(source, Path) or (
-        isinstance(source, str) and not source.lstrip().startswith("{")
-    ):
-        text = Path(source).read_text()
-    else:
-        text = source
-    return domain_from_obj(json.loads(text))
+def load_domain(path) -> PosgDomain:
+    """Load a domain JSON file; ``domain_from_obj`` takes a parsed mapping."""
+    return domain_from_obj(json.loads(Path(path).read_text()))

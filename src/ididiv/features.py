@@ -72,25 +72,19 @@ class PivotResult:
     u_matrix: tuple[tuple[Fraction, ...], ...]
 
 
-def build_matrix(
-    trees: Sequence[PolicyTree], row_ids: Sequence[str] | None = None
-) -> BehaviorMatrix:
+def build_matrix(trees: Sequence[PolicyTree]) -> BehaviorMatrix:
     """Incidence matrix of the trees over their distinct full sequences.
 
-    Column order is first appearance: trees in the given order, sequences
-    within a tree in preorder of their leaves.  The trees must share one
-    depth and one observation alphabet.
+    Rows are named tree1..treeN in the given order.  Column order is first
+    appearance: trees in the given order, sequences within a tree in preorder
+    of their leaves.  The trees must share one depth and one observation
+    alphabet.
     """
     trees = list(trees)
     if not trees:
         raise ValueError("need at least one tree")
     table, pids = prefix_ids(trees)
-    if row_ids is None:
-        ids = tuple("tree%d" % (k + 1) for k in range(len(trees)))
-    else:
-        ids = tuple(row_ids)
-        if len(ids) != len(trees):
-            raise ValueError("%d row ids for %d trees" % (len(ids), len(trees)))
+    ids = tuple("tree%d" % (k + 1) for k in range(len(trees)))
 
     leaves = np.flatnonzero(table.level == trees[0].depth - 1)
     leaf_ids = pids[:, leaves].tolist()

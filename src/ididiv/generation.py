@@ -1,19 +1,16 @@
 """Generating candidate policy trees from a behavioral model.
 
-The model's decision nodes are converted to chance-node form: per state, the
-action utilities are shifted positive and normalized into a distribution
-(``action_weights``).  Trees are then grown anchored on feature behavior
-sequences: along the anchor's observation path the anchored actions are
-copied verbatim, everywhere else the action maximizes the immediate expected
-reward under the current belief.  Beliefs advance by Bayes updates; an
-observation branch with zero probability falls back to the unconditioned
-predicted belief so the grown tree stays complete.
+Trees are grown anchored on feature behavior sequences: along the anchor's
+observation path the anchored actions are copied verbatim, everywhere else
+the action maximizes the immediate expected reward under the current belief.
+The root belief is a symmetric Dirichlet draw.  Beliefs advance by Bayes
+updates; an observation branch with zero probability falls back to the
+unconditioned predicted belief so the grown tree stays complete.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -31,33 +28,20 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class DynamicBeliefNet:
-    """A model with reward-derived action distributions per state.
+    """The level-0 model that ``sample_tree`` grows trees from.
 
-    ``action_weights[s, a]`` is proportional to reward[s, a] - min(reward)
-    + epsilon and each state's row sums to one.
+    It adds nothing to ``base``.  It stays, with ``convert_to_dbn``, because
+    the benchmark's tracer (``perfbench/tracer.py``) binds ``convert_to_dbn``
+    by name in ``selection`` and ``simulate``; both can go, and the sampler
+    take the model itself, once the tracer no longer pins that name.
     """
 
     base: SingleAgentModel
-    action_weights: np.ndarray
-    epsilon: float
-
-    def __post_init__(self) -> None:
-        w = np.asarray(self.action_weights, dtype=float)
-        w.setflags(write=False)
-        object.__setattr__(self, "action_weights", w)
 
 
-def convert_to_dbn(model: SingleAgentModel, epsilon: float = 1e-6) -> DynamicBeliefNet:
-    """Turn the reward table into per-state action distributions.
-
-    A constant reward table yields uniform weights.  epsilon must be
-    positive so every action keeps nonzero mass.
-    """
-    if epsilon <= 0.0:
-        raise ValueError("epsilon must be positive, got %g" % epsilon)
-    shifted = model.reward - model.reward.min() + epsilon
-    weights = shifted / shifted.sum(axis=1, keepdims=True)
-    return DynamicBeliefNet(base=model, action_weights=weights, epsilon=epsilon)
+def convert_to_dbn(model: SingleAgentModel) -> DynamicBeliefNet:
+    """Wrap the model for ``sample_tree``."""
+    return DynamicBeliefNet(base=model)
 
 
 def _myopic_action(model: SingleAgentModel, b: np.ndarray) -> int:
@@ -98,42 +82,28 @@ def _grow(
 
 def sample_tree(
     dbn: DynamicBeliefNet,
-    anchors: Sequence[BehaviorSequence],
+    anchor: BehaviorSequence,
     rng: np.random.Generator,
-    initial_belief: np.ndarray | None = None,
 ) -> PolicyTree:
     """Grow one complete tree anchored on a feature behavior sequence.
 
-    One anchor is drawn when several are given.  Nodes on the anchor's
-    observation path copy the anchor's actions; all other nodes act
-    myopically under the propagated belief.  The root belief defaults to a
-    symmetric Dirichlet draw.
+    Nodes on the anchor's observation path copy the anchor's actions; all
+    other nodes act myopically under the propagated belief.  The root belief
+    is a symmetric Dirichlet draw from ``rng``.
     """
     model = dbn.base
     T = model.horizon
-    if not anchors:
-        raise ValueError("need at least one anchor sequence")
-    for s in anchors:
-        if s.length != T:
-            raise ValueError(
-                "anchor length %d does not match horizon %d" % (s.length, T)
-            )
-        for a in s.actions:
-            if a not in model.actions:
-                raise ValueError("anchor action %r not in model actions" % a)
-        for o in s.observations:
-            if o not in model.observations:
-                raise ValueError("anchor observation %r not in model observations" % o)
-
-    if len(anchors) == 1:
-        anchor = anchors[0]
-    else:
-        anchor = anchors[int(rng.integers(len(anchors)))]
-
-    if initial_belief is None:
-        b0 = rng.dirichlet(np.ones(len(model.states)))
-    else:
-        b0 = np.asarray(initial_belief, dtype=float)
+    if anchor.length != T:
+        raise ValueError(
+            "anchor length %d does not match horizon %d" % (anchor.length, T)
+        )
+    for a in anchor.actions:
+        if a not in model.actions:
+            raise ValueError("anchor action %r not in model actions" % a)
+    for o in anchor.observations:
+        if o not in model.observations:
+            raise ValueError("anchor observation %r not in model observations" % o)
+    b0 = rng.dirichlet(np.ones(len(model.states)))
     return _grow(model, anchor, b0, 0, True)
 
 
@@ -141,14 +111,13 @@ def generate_known_models(
     model: SingleAgentModel,
     count: int,
     seed=0,
-    max_attempts: int | None = None,
 ) -> list[PolicyTree]:
     """``count`` distinct optimal trees from random initial beliefs.
 
     Each attempt draws a Dirichlet(1) belief, solves the model exactly, and
     keeps the tree if unseen.  Raises RuntimeError, before solving anything,
     when ``count`` exceeds the number of complete trees, and otherwise when
-    the attempt budget runs out before enough distinct optima appear.
+    ``40 * count + 20`` attempts pass before enough distinct optima appear.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -159,7 +128,7 @@ def generate_known_models(
             % (count, n_trees)
         )
     rng = np.random.default_rng(seed)
-    cap = max_attempts if max_attempts is not None else 40 * count + 20
+    cap = 40 * count + 20
     out: list[PolicyTree] = []
     seen: set[str] = set()
     for _ in range(cap):

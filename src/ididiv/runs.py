@@ -19,6 +19,7 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import numbers
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -104,8 +105,8 @@ class RunManifest:
     threads: dict = field(default_factory=dict)
 
 
-def write_manifest(m: RunManifest, out_dir, name: str = "manifest.json") -> Path:
-    path = Path(out_dir) / name
+def write_manifest(m: RunManifest, out_dir) -> Path:
+    path = Path(out_dir) / "manifest.json"
     path.write_text(json.dumps(dataclasses.asdict(m), sort_keys=True, indent=2) + "\n")
     return path
 
@@ -124,21 +125,39 @@ def file_sha256(path) -> str:
     return h.hexdigest()
 
 
+def _check_domain_name(name) -> None:
+    """Refuse a domain that is neither a builtin name nor an existing file."""
+    # os.path.isfile, unlike Path.is_file, is False for a name too long to stat.
+    if not isinstance(name, str) or not (name in BUILTIN_DOMAINS or os.path.isfile(name)):
+        raise ValueError(
+            "domain %r is neither a builtin (%s) nor a file"
+            % (name, ", ".join(sorted(BUILTIN_DOMAINS)))
+        )
+
+
+def _integer(key: str, x) -> int:
+    if isinstance(x, bool) or not isinstance(x, numbers.Integral):
+        raise ValueError("%s: %r is not an integer" % (key, x))
+    return int(x)
+
+
 def normalize_grid_config(obj: dict) -> dict:
-    """Fill defaults and validate; unknown keys are rejected."""
+    """Fill defaults and validate; unknown keys are rejected.
+
+    Axes must be lists, and the numeric axes, ``rounds`` and ``patience``
+    must hold integers; nothing is coerced.
+    """
     unknown = set(obj) - set(_GRID_DEFAULTS)
     if unknown:
         raise ValueError("unknown grid config keys: %s" % ", ".join(sorted(unknown)))
     cfg = dict(_GRID_DEFAULTS)
     cfg.update(obj)
-    name = cfg["domain"]
-    if not isinstance(name, str) or not (name in BUILTIN_DOMAINS or Path(name).is_file()):
-        raise ValueError(
-            "domain %r is neither a builtin (%s) nor a file"
-            % (name, ", ".join(sorted(BUILTIN_DOMAINS)))
-        )
+    _check_domain_name(cfg["domain"])
+    for key in (*_AXIS_MIN, "algorithms", "true_modes"):
+        if not isinstance(cfg[key], (list, tuple)):
+            raise ValueError("%s must be a list, got %r" % (key, cfg[key]))
     for key, lo in _AXIS_MIN.items():
-        cfg[key] = [int(x) for x in cfg[key]]
+        cfg[key] = [_integer(key, x) for x in cfg[key]]
         if not cfg[key]:
             raise ValueError("%s must be non-empty" % key)
         if min(cfg[key]) < lo:
@@ -150,7 +169,7 @@ def normalize_grid_config(obj: dict) -> dict:
             if value not in allowed:
                 raise ValueError("%s: unknown value %r" % (key, value))
     for key in ("rounds", "patience"):
-        cfg[key] = int(cfg[key])
+        cfg[key] = _integer(key, cfg[key])
         if cfg[key] < 1:
             raise ValueError("%s must be >= 1" % key)
     return cfg

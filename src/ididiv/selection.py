@@ -151,7 +151,7 @@ def select_topk(
     misses = 0
     draw = 0
     while len(trees) < config.k_max and misses < config.patience:
-        cand = sample_tree(dbn, [anchors[draw % len(anchors)]], rng)
+        cand = sample_tree(dbn, anchors[draw % len(anchors)], rng)
         draw += 1
         enc = canonical_encode(cand)
         if enc in seen:

@@ -34,6 +34,9 @@ __all__ = [
 
 TRUE_MODES = ("from-set", "random-generated")
 
+# Draws per phase of the out-of-set sampler before it widens or gives up.
+_REJECTION_CAP = 200
+
 
 @dataclass(frozen=True)
 class StepRecord:
@@ -146,22 +149,23 @@ def _random_anchor(model, rng) -> BehaviorSequence:
     return BehaviorSequence(acts, obs)
 
 
-def _draw_novel_tree(dbn, anchors, excluded, rng, cap: int) -> PolicyTree:
-    for _ in range(cap):
-        pick = [anchors[int(rng.integers(len(anchors)))]]
-        cand = sample_tree(dbn, pick, rng)
+def _draw_novel_tree(dbn, anchors, excluded, rng) -> PolicyTree:
+    for _ in range(_REJECTION_CAP):
+        anchor = anchors[int(rng.integers(len(anchors)))]
+        cand = sample_tree(dbn, anchor, rng)
         if canonical_encode(cand) not in excluded:
             return cand
     # The feature-anchored sampler has a finite image that a well-expanded
     # candidate set can cover completely.  Widen to uniformly random anchor
     # sequences, which can plant any action path and so reach trees no
     # feature anchor produces.
-    for _ in range(cap):
-        cand = sample_tree(dbn, [_random_anchor(dbn.base, rng)], rng)
+    for _ in range(_REJECTION_CAP):
+        cand = sample_tree(dbn, _random_anchor(dbn.base, rng), rng)
         if canonical_encode(cand) not in excluded:
             return cand
     raise RuntimeError(
-        "failed to draw a true model outside the candidate set in %d attempts" % (2 * cap)
+        "failed to draw a true model outside the candidate set in %d attempts"
+        % (2 * _REJECTION_CAP)
     )
 
 
@@ -171,21 +175,19 @@ def run_experiment(
     true_mode: str = "from-set",
     rounds: int = 50,
     seed=0,
-    resample_each_round: bool = True,
-    rejection_cap: int = 200,
     keep_traces: bool = False,
     excluded_encodings=None,
 ) -> ExperimentStats:
     """Plan once against the candidate set, then play repeated rounds.
 
     true_mode "from-set" draws the peer's true tree from the candidate
-    prior each round; "random-generated" draws a tree outside the set,
-    anchored on the known candidates' features, falling back to random
-    anchors when those features cannot escape the set (held fixed across
-    rounds when ``resample_each_round`` is false).  ``excluded_encodings``
-    widens the set the true tree must avoid (canonical encodings), so
-    algorithms under comparison can face an identical true-model stream by
-    excluding the union of their candidate sets.
+    prior each round; "random-generated" draws a fresh tree outside the set
+    each round, anchored on the known candidates' features, falling back to
+    random anchors when those features cannot escape the set.
+    ``excluded_encodings`` widens the set the true tree must avoid
+    (canonical encodings), so algorithms under comparison can face an
+    identical true-model stream by excluding the union of their candidate
+    sets.
     """
     if true_mode not in TRUE_MODES:
         raise ValueError("true_mode must be one of %r" % (TRUE_MODES,))
@@ -219,18 +221,13 @@ def run_experiment(
     rewards_i: list[float] = []
     rewards_j: list[float] = []
     traces: list[EpisodeTrace] = []
-    true_tree: PolicyTree | None = None
     for k in range(rounds):
         rng = np.random.default_rng(spawns[k])
         if true_mode == "from-set":
             idx = int(rng.choice(len(candidates.trees), p=candidates.prior))
             tt = candidates.trees[idx]
         else:
-            if true_tree is None or resample_each_round:
-                true_tree = _draw_novel_tree(
-                    dbn, anchors, excluded, rng, rejection_cap
-                )
-            tt = true_tree
+            tt = _draw_novel_tree(dbn, anchors, excluded, rng)
         ep = _play(domain, policy.tree, tt, rng)
         rewards_i.append(ep.total_reward_i)
         rewards_j.append(ep.total_reward_j)

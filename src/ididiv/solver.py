@@ -157,19 +157,15 @@ def solve_exact(model: SingleAgentModel) -> SolvedPolicy:
     return SolvedPolicy(tree=tree, value=v, model_name=model.name, horizon=model.horizon)
 
 
-def evaluate_policy(
-    model: SingleAgentModel,
-    tree: PolicyTree,
-    belief: np.ndarray | None = None,
-) -> float:
-    """Expected cumulative reward of a complete tree from a belief.
+def evaluate_policy(model: SingleAgentModel, tree: PolicyTree) -> float:
+    """Expected cumulative reward of a complete tree from the initial belief.
 
     The tree must have the model's horizon as depth and branch on the
-    model's observation alphabet.
+    model's observation alphabet.  For another belief, evaluate
+    ``model.replace(initial_belief=...)``.
     """
     validate_tree(tree, model.observations, depth=model.horizon, actions=model.actions)
-    b = model.initial_belief if belief is None else np.asarray(belief, dtype=float)
-    return _backup(model, b, model.horizon, tree)[0]
+    return _backup(model, model.initial_belief, model.horizon, tree)[0]
 
 
 def brute_force_solve(

@@ -335,15 +335,16 @@ def count_trees(n_actions: int, n_obs: int, depth: int) -> int:
 def _from_preorder(
     assignment: Iterable[str], obs: tuple[str, ...], depth: int
 ) -> PolicyTree:
-    it = iter(assignment)
+    return _build(iter(assignment), obs, depth)
 
-    def build(remaining: int) -> PolicyTree:
-        action = next(it)
-        if remaining == 1:
-            return PolicyTree(action)
-        return PolicyTree(action, tuple((o, build(remaining - 1)) for o in obs))
 
-    return build(depth)
+def _build(it: Iterator[str], obs: tuple[str, ...], remaining: int) -> PolicyTree:
+    # Module-level rather than a closure over itself, which would leave a
+    # reference cycle behind on every call.
+    action = next(it)
+    if remaining == 1:
+        return PolicyTree(action)
+    return PolicyTree(action, tuple((o, _build(it, obs, remaining - 1)) for o in obs))
 
 
 def all_trees(

@@ -214,8 +214,18 @@ class TestParsing:
             main([])
 
     def test_unknown_domain_errors(self, tmp_path):
-        with pytest.raises(FileNotFoundError):
-            _run(["--out-dir", tmp_path, "--domain", "no-such", "solve"])
+        with pytest.raises(ValueError, match="neither a builtin"):
+            _run(["--out-dir", tmp_path / "out", "--domain", "no-such", "solve"])
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["solve", "topk"])
+    def test_inline_json_domain_refused(self, tmp_path, command):
+        # --domain names a builtin or a file; JSON text is refused before
+        # any output is written, not after, when its manifest hashes inputs.
+        text = serialize_domain(builtin_tiger(2))
+        with pytest.raises(ValueError, match="neither a builtin"):
+            _run(["--out-dir", tmp_path / "out", "--domain", text, command])
+        assert not (tmp_path / "out").exists()
 
     def test_module_entrypoint(self, tmp_path):
         proc = subprocess.run(

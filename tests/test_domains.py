@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import json
 import pickle
 
 import numpy as np
@@ -22,6 +23,7 @@ from ididiv import (
     validate_model,
     with_horizon,
 )
+from ididiv.domains import domain_from_obj
 
 
 def _sidx(domain, name):
@@ -103,18 +105,7 @@ class TestTigerLevel0:
         assert tiger_j.reward[:, li] == pytest.approx([-1.0, -1.0])
         assert tiger_j.reward[0, ol] == pytest.approx(-100.0, abs=1e-12)
 
-    def test_explicit_peer_rule(self, tiger):
-        # Peer always listens: the classic single-agent view.
-        listen_only = np.array([0.0, 0.0, 1.0])
-        m = project_level0(tiger, "j", peer_rule=listen_only)
-        li = m.actions.index("Listen")
-        assert np.allclose(m.transition[:, li, :], np.eye(2))
-
     def test_bad_peer_rule(self, tiger):
-        with pytest.raises(ValueError):
-            project_level0(tiger, "j", peer_rule=np.array([0.5, 0.5]))
-        with pytest.raises(ValueError):
-            project_level0(tiger, "j", peer_rule="greedy")
         with pytest.raises(ValueError):
             project_level0(tiger, "x")
 
@@ -249,13 +240,10 @@ class TestProjectionByBlocks:
         domain = dataclasses.replace(builtin_domain(name, 3), level0={})
         joint = np.asarray(domain.transition)
         n_peer = len(domain.actions_j if agent == "i" else domain.actions_i)
-        rng = np.random.default_rng(11)
-        rules = ["uniform"] + [rng.dirichlet(np.ones(n_peer)) for _ in range(5)]
+        w = np.full(n_peer, 1.0 / n_peer)
         spec = "w,sawt->sat" if agent == "i" else "a,sawt->swt"
-        for rule in rules:
-            w = np.full(n_peer, 1.0 / n_peer) if isinstance(rule, str) else rule
-            expect = np.einsum(spec, w, joint)
-            assert np.array_equal(project_level0(domain, agent, rule).transition, expect)
+        expect = np.einsum(spec, w, joint)
+        assert np.array_equal(project_level0(domain, agent).transition, expect)
 
 
 class TestValidation:
@@ -500,11 +488,11 @@ class TestJointTransition:
 class TestSerialization:
     def test_roundtrip_canonical(self, tiger):
         text = serialize_domain(tiger)
-        again = serialize_domain(load_domain(text))
+        again = serialize_domain(domain_from_obj(json.loads(text)))
         assert text == again
 
     def test_roundtrip_values(self, tiger):
-        d = load_domain(serialize_domain(tiger))
+        d = domain_from_obj(json.loads(serialize_domain(tiger)))
         assert d.name == tiger.name
         assert d.states == tiger.states
         assert np.array_equal(d.transition, tiger.transition)
@@ -518,7 +506,7 @@ class TestSerialization:
 
     def test_missing_key(self):
         with pytest.raises(DomainValidationError, match="missing"):
-            load_domain({"name": "x"})
+            domain_from_obj({"name": "x"})
 
     def test_builtin_lookup(self):
         assert builtin_domain("tiger", 2).horizon == 2

@@ -63,8 +63,6 @@ class TestBuildMatrix:
 
     def test_bad_row_ids(self, fig_trees):
         with pytest.raises(ValueError):
-            build_matrix(fig_trees, row_ids=["a"])
-        with pytest.raises(ValueError):
             BehaviorMatrix(("r", "r"), _dummy_columns(2), np.eye(2))
 
     def test_empty_rejected(self):

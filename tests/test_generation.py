@@ -21,51 +21,13 @@ def _anchor(actions, observations):
     return BehaviorSequence(tuple(actions), tuple(observations))
 
 
-class TestConvertToDbn:
-    def test_weights_are_distributions(self, tiger_j):
-        dbn = convert_to_dbn(tiger_j)
-        w = dbn.action_weights
-        assert w.shape == tiger_j.reward.shape
-        assert np.all(w > 0.0)
-        np.testing.assert_allclose(w.sum(axis=1), 1.0, atol=1e-12)
-
-    def test_ranking_follows_reward(self, tiger_j):
-        # In TigerLeft the dominant mass sits on OpenRight.
-        dbn = convert_to_dbn(tiger_j)
-        tl = tiger_j.states.index("TigerLeft")
-        orr = tiger_j.actions.index("OpenRight")
-        assert np.argmax(dbn.action_weights[tl]) == orr
-
-    def test_constant_reward_uniform(self, tiger_j):
-        flat = tiger_j.replace(reward=np.zeros_like(tiger_j.reward))
-        dbn = convert_to_dbn(flat)
-        np.testing.assert_allclose(dbn.action_weights, 1.0 / len(tiger_j.actions))
-
-    def test_hand_value(self):
-        # reward row (0, 2) with epsilon 1: shifted (1, 3), weights (1/4, 3/4).
-        m = _det_model_2a(reward=np.array([[0.0, 2.0], [0.0, 2.0]]))
-        dbn = convert_to_dbn(m, epsilon=1.0)
-        np.testing.assert_allclose(dbn.action_weights, [[0.25, 0.75], [0.25, 0.75]])
-
-    def test_bad_epsilon(self, tiger_j):
-        with pytest.raises(ValueError):
-            convert_to_dbn(tiger_j, epsilon=0.0)
-        with pytest.raises(ValueError):
-            convert_to_dbn(tiger_j, epsilon=-1.0)
-
-    def test_weights_frozen(self, tiger_j):
-        dbn = convert_to_dbn(tiger_j)
-        with pytest.raises(ValueError):
-            dbn.action_weights[0, 0] = 1.0
-
-
 class TestSampleTree:
     def test_shape_valid(self, tiger_j):
         dbn = convert_to_dbn(tiger_j)
         rng = np.random.default_rng(0)
         anchor = _anchor(("Listen", "Listen", "Listen"), ("GrowlLeft", "GrowlLeft"))
         for _ in range(10):
-            t = sample_tree(dbn, [anchor], rng)
+            t = sample_tree(dbn, anchor, rng)
             validate_tree(t, tiger_j.observations, depth=3, actions=tiger_j.actions)
 
     def test_anchor_path_copied(self, tiger_j):
@@ -74,7 +36,7 @@ class TestSampleTree:
         anchor = _anchor(
             ("OpenLeft", "Listen", "OpenRight"), ("GrowlLeft", "GrowlRight")
         )
-        t = sample_tree(dbn, [anchor], rng)
+        t = sample_tree(dbn, anchor, rng)
         assert anchor in set(sequence_list(t))
         assert t.action == "OpenLeft"
 
@@ -82,42 +44,36 @@ class TestSampleTree:
         # Noiseless model, certain s1: leaving the anchor at z1 keeps the
         # point-mass belief, where a1 (reward 2) beats a0 (reward 0).
         m = _det_model_2a()
-        dbn = convert_to_dbn(m)
         anchor = _anchor(("a0", "a0"), ("z0",))
         b0 = np.array([0.0, 1.0])
-        t = sample_tree(dbn, [anchor], np.random.default_rng(2), initial_belief=b0)
+        t = generation._grow(m, anchor, b0, 0, True)
         assert t.action == "a0"
         assert dict(t.children)["z0"].action == "a0"  # anchor copied
         assert dict(t.children)["z1"].action == "a1"  # myopic off anchor
 
     def test_single_anchor_no_draw(self, tiger_j):
-        # One anchor and a fixed belief: the tree is a pure function of the
-        # inputs, whatever the rng state.
+        # The root belief is the only draw: the tree is the one grown from
+        # the rng's first Dirichlet sample.
         dbn = convert_to_dbn(tiger_j)
         anchor = _anchor(
             ("Listen", "OpenLeft", "Listen"), ("GrowlLeft", "GrowlRight")
         )
-        b0 = np.array([0.5, 0.5])
-        t1 = sample_tree(dbn, [anchor], np.random.default_rng(3), initial_belief=b0)
-        t2 = sample_tree(dbn, [anchor], np.random.default_rng(99), initial_belief=b0)
-        assert t1 == t2
+        b0 = np.random.default_rng(3).dirichlet(np.ones(len(tiger_j.states)))
+        t = sample_tree(dbn, anchor, np.random.default_rng(3))
+        assert t == generation._grow(tiger_j, anchor, b0, 0, True)
 
     def test_anchor_length_enforced(self, tiger_j):
         dbn = convert_to_dbn(tiger_j)
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
-            sample_tree(dbn, [_anchor(("Listen",), ())], rng)
+            sample_tree(dbn, _anchor(("Listen",), ()), rng)
 
     def test_anchor_symbols_enforced(self, tiger_j):
         dbn = convert_to_dbn(tiger_j)
         rng = np.random.default_rng(0)
         bad = _anchor(("Sing", "Listen", "Listen"), ("GrowlLeft", "GrowlLeft"))
         with pytest.raises(ValueError):
-            sample_tree(dbn, [bad], rng)
-
-    def test_empty_anchors(self, tiger_j):
-        with pytest.raises(ValueError):
-            sample_tree(convert_to_dbn(tiger_j), [], np.random.default_rng(0))
+            sample_tree(dbn, bad, rng)
 
     def test_leaves_no_cyclic_garbage(self, tiger_j):
         # Growing a tree builds no reference cycle, so everything a call
@@ -128,7 +84,7 @@ class TestSampleTree:
         gc.disable()
         try:
             gc.collect()
-            sample_tree(dbn, [anchor], rng)
+            sample_tree(dbn, anchor, rng)
             assert gc.collect() == 0
         finally:
             gc.enable()
@@ -142,7 +98,7 @@ class TestSampleTree:
         m = m.replace(obs_fn=obs)
         dbn = convert_to_dbn(m)
         anchor = _anchor(("a0", "a0"), ("z0",))
-        t = sample_tree(dbn, [anchor], np.random.default_rng(0))
+        t = sample_tree(dbn, anchor, np.random.default_rng(0))
         validate_tree(t, m.observations, depth=2, actions=m.actions)
 
 
@@ -186,7 +142,7 @@ class TestGenerateKnownModels:
             reward=m.reward[:, :1],
         )
         with pytest.raises(RuntimeError, match="distinct optimal trees"):
-            generate_known_models(one, 2, seed=0, max_attempts=8)
+            generate_known_models(one, 2, seed=0)
 
     def test_infeasible_count_fails_before_solving(self, tiger_j, monkeypatch):
         # Tiger at T=2 has 3 ** 3 = 27 complete trees, so 28 cannot exist.

@@ -79,6 +79,12 @@ class TestConfig:
             {"expansions": [-1]},
             {"seeds": [-1]},
             {"patience": 0},
+            pytest.param({"horizons": 3}, id="horizons-scalar"),
+            pytest.param({"seeds": None}, id="seeds-none"),
+            pytest.param({"seeds": [0.5]}, id="seeds-float"),
+            pytest.param({"rounds": 2.9}, id="rounds-float"),
+            pytest.param({"model_counts": [True]}, id="model_counts-bool"),
+            pytest.param({"horizons": "3"}, id="horizons-string"),
         ],
         ids=lambda bad: next(iter(bad)),
     )
@@ -363,14 +369,16 @@ class TestManifestIo:
             outputs={"set": "set.json"},
             timings={"total_seconds": 0.5},
         )
-        p = write_manifest(m, tmp_path, name="m.json")
+        p = write_manifest(m, tmp_path)
         back = load_manifest(p)
         assert back == m
 
     def test_json_is_stable(self, tmp_path):
         m = RunManifest(command="topk", config={"m": 3}, seed=7)
-        p1 = write_manifest(m, tmp_path, name="m1.json")
-        p2 = write_manifest(m, tmp_path, name="m2.json")
+        (tmp_path / "1").mkdir()
+        (tmp_path / "2").mkdir()
+        p1 = write_manifest(m, tmp_path / "1")
+        p2 = write_manifest(m, tmp_path / "2")
         assert p1.read_text() == p2.read_text()
         obj = json.loads(p1.read_text())
         assert obj["tool_version"] == "0.1.0"

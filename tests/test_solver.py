@@ -143,7 +143,9 @@ class TestEvaluate:
 
     def test_explicit_belief(self, tiger_j):
         t = constant_tree("OpenLeft", tiger_j.observations, 1)
-        v = evaluate_policy(tiger_j.replace(horizon=1), t, belief=np.array([0.0, 1.0]))
+        v = evaluate_policy(
+            tiger_j.replace(horizon=1, initial_belief=np.array([0.0, 1.0])), t
+        )
         assert v == pytest.approx(10.0, abs=1e-12)
 
     def test_depth_mismatch(self, tiger_j):

@@ -1,3 +1,5 @@
+import gc
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -193,6 +195,29 @@ class TestEnumeration:
     def test_tree_nodes_preorder(self, fig_trees):
         acts = [n.action for n in tree_nodes(fig_trees[0])]
         assert acts == ["A", "B", "A", "B", "C", "C", "A"]
+
+
+class TestBuildFromPreorder:
+    def test_leaves_no_cyclic_garbage(self, fig_trees):
+        # Building trees from a preorder makes no reference cycle, so what
+        # each call drops is freed when it returns, not when the collector runs.
+        tree = fig_trees[0]
+        obs = tree.observation_labels
+        text = compact_encode(tree)
+        calls = {
+            "validate_tree": lambda: validate_tree(tree, obs, depth=3),
+            "compact_parse": lambda: compact_parse(text, obs, 3),
+            "frame": lambda: frame(tree, 2),
+            "all_trees": lambda: list(all_trees(("A", "B"), obs, 2)),
+        }
+        gc.disable()
+        try:
+            for name, call in calls.items():
+                gc.collect()
+                call()
+                assert gc.collect() == 0, name
+        finally:
+            gc.enable()
 
 
 @st.composite
