@@ -40,6 +40,7 @@ __all__ = [
     "DomainValidationError",
     "SparseRows",
     "JointTransition",
+    "FannedRows",
     "SingleAgentModel",
     "PosgDomain",
     "validate_model",
@@ -268,15 +269,80 @@ class JointTransition:
 
 
 @dataclass(frozen=True, eq=False)
+class FannedRows:
+    """One subject action's transition over (position, physical state) pairs.
+
+    State ``g * S + s`` is physical state s at position g.  Its row is row
+    (ai, peer[g], s) of the shared ``joint`` table, fanned out over the
+    columns of ``kids[g]``: an entry p at physical column s' lands at
+    ``kids[g, o] + s'`` with value ``p * obs_j[s', peer[g], o]``.  A
+    position without successors holds its own base ``g * S`` in column 0,
+    -1 elsewhere, and keeps p as it is.  Nothing is copied from the joint
+    table; ``b @ M`` reads the rows where b is nonzero.
+
+    Entries run by row, then by ``kids`` column, then by physical column,
+    and zeros from ``obs_j`` count towards ``nnz``: a CSR matrix holding
+    these entries in this order has the same ``nnz`` and, since each term
+    is ``(p * w) * b[r]`` summed in that order, the same products bit for
+    bit.
+    """
+
+    joint: JointTransition
+    obs_j: np.ndarray
+    ai: int
+    peer: np.ndarray
+    kids: np.ndarray
+
+    # ndarray defers ``b @ M`` to __rmatmul__ instead of broadcasting.
+    __array_ufunc__ = None
+
+    def __post_init__(self) -> None:
+        for name in ("peer", "kids"):
+            getattr(self, name).setflags(write=False)
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        n = len(self.peer) * self.joint.shape[0]
+        return (n, n)
+
+    @property
+    def nnz(self) -> int:
+        S, _, Aj, _ = self.joint.shape
+        first = (self.ai * Aj + np.arange(Aj + 1)) * S
+        per_peer = np.diff(self.joint.rows.indptr[first])
+        return int(per_peer[self.peer] @ np.count_nonzero(self.kids >= 0, axis=1))
+
+    def __rmatmul__(self, b) -> np.ndarray:
+        b = np.asarray(b, dtype=float)
+        S, _, Aj, _ = self.joint.shape
+        rows = np.flatnonzero(b)
+        g, s = np.divmod(rows, S)
+        aj = self.peer[g]
+        k, lens = _row_entries(self.joint.rows.indptr, (self.ai * Aj + aj) * S + s)
+        # One pair per (row, successor), rows ascending, then each pair's
+        # copy of its row's entries.
+        pair_row, pair_o = np.nonzero(self.kids[g] >= 0)
+        kk, n = _row_entries(np.concatenate(([0], np.cumsum(lens))), pair_row)
+        k, gp = k[kk], g[pair_row]
+        col = self.joint.rows.indices[k]
+        w = self.obs_j[col, np.repeat(aj[pair_row], n), np.repeat(pair_o, n)]
+        w[np.repeat(self.kids[gp, 0] == gp * S, n)] = 1.0
+        weights = (self.joint.rows.data[k] * w) * np.repeat(b[rows[pair_row]], n)
+        col = col + np.repeat(self.kids[gp, pair_o], n)
+        return np.bincount(col, weights=weights, minlength=self.shape[1])
+
+
+@dataclass(frozen=True, eq=False)
 class SingleAgentModel:
     """Finite-horizon tabular POMDP.
 
     Parameters
     ----------
-    transition : ndarray [S, A, S'] or tuple of SparseRows, one [S, S'] per action
+    transition : ndarray [S, A, S'] or tuple of one [S, S'] operator per action
         Row-stochastic per (s, a).  Level-0 models (``project_level0``) are
-        dense; flattened models (``flattening.flatten``) are SparseRows.
-        ``transition_matrix`` hides the difference.
+        dense; flattened models (``flattening.flatten``) hold FannedRows
+        over the domain's joint table, and a hand-built model may hold
+        SparseRows.  ``transition_matrix`` hides the difference.
     obs_fn : ndarray [S', A, O]
         Probability of each observation after landing in s' under action a.
     reward : ndarray [S, A]
@@ -445,6 +511,21 @@ def _check_sparse_rows(path: str, blk: SparseRows, shape: tuple[int, int]) -> No
         )
 
 
+def _check_joint(T: JointTransition, shape: tuple[int, int, int, int]) -> None:
+    """Shape and stochastic rows of every (ai, aj) block of a joint transition."""
+    _check_shape("transition", T, shape)
+    S, Ai, Aj, _ = shape
+    n_rows = Ai * Aj * S
+    if T.rows.shape != (n_rows, S) or T.rows.indptr.shape != (n_rows + 1,):
+        raise DomainValidationError(
+            "transition: rows of shape %r with %d pointers, expected %r with %d"
+            % (T.rows.shape, len(T.rows.indptr), (n_rows, S), n_rows + 1)
+        )
+    for ai in range(Ai):
+        for aj in range(Aj):
+            _check_sparse_rows("transition[:, %d, %d]" % (ai, aj), T.block(ai, aj), (S, S))
+
+
 def validate_model(m: SingleAgentModel) -> None:
     """Raise DomainValidationError naming the offending table and row."""
     S = len(_check_labels("states", m.states))
@@ -458,7 +539,11 @@ def validate_model(m: SingleAgentModel) -> None:
                 "transition: %d sparse blocks, expected %d" % (len(m.transition), A)
             )
         for a, blk in enumerate(m.transition):
-            _check_sparse_rows("transition[%d]" % a, blk, (S, S))
+            if isinstance(blk, FannedRows):
+                # Its rows are the domain's, which flatten checked.
+                _check_shape("transition[%d]" % a, blk, (S, S))
+            else:
+                _check_sparse_rows("transition[%d]" % a, blk, (S, S))
     else:
         _check_shape("transition", m.transition, (S, A, S))
         _check_rows("transition", m.transition)
@@ -479,17 +564,7 @@ def validate_domain(d: PosgDomain) -> None:
     Oj = len(_check_labels("observations_j", d.observations_j))
     if d.horizon < 1:
         raise DomainValidationError("horizon: must be >= 1, got %d" % d.horizon)
-    T = d.transition
-    _check_shape("transition", T, (S, Ai, Aj, S))
-    n_rows = Ai * Aj * S
-    if T.rows.shape != (n_rows, S) or T.rows.indptr.shape != (n_rows + 1,):
-        raise DomainValidationError(
-            "transition: rows of shape %r with %d pointers, expected %r with %d"
-            % (T.rows.shape, len(T.rows.indptr), (n_rows, S), n_rows + 1)
-        )
-    for ai in range(Ai):
-        for aj in range(Aj):
-            _check_sparse_rows("transition[:, %d, %d]" % (ai, aj), T.block(ai, aj), (S, S))
+    _check_joint(d.transition, (S, Ai, Aj, S))
     _check_shape("obs_fn_i", d.obs_fn_i, (S, Ai, Aj, Oi))
     _check_rows("obs_fn_i", d.obs_fn_i)
     _check_shape("obs_fn_j", d.obs_fn_j, (S, Aj, Oj))

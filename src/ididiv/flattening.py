@@ -11,17 +11,15 @@ successor position conditions on the action of that position's unique
 parent.  Root positions never occur as successors, so their observation
 rows are uniform filler.
 
-Physical moves come from the domain's compact joint transition one
-(ai, aj) block at a time, nonzeros only, in row-major order.
-
-A flattened model holds one SparseRows block (CSR with int32 column
-indices) per subject action, built and compressed one action at a time,
-explicit zeros included.  Each augmented row reaches only the children of
-one position, and a T=3 uav model already has about 79k augmented states,
-which a dense table could not hold.  Level-0 models, which come from
-``domains.project_level0``, stay dense [S, A, S'] arrays: on their few
-physical states a dense product is an order of magnitude faster than a
-CSR one.  Both forms support ``b @ model.transition_matrix(a)``.
+A flattened model's transition is one ``domains.FannedRows`` per subject
+action, which reads the domain's joint table and ``obs_fn_j`` and copies
+nothing from them.  A CSR matrix of the same entries would hold 1.95 M
+entries (26.6 MB) for a 6-candidate T=3 uav set; ``tests/test_flattening.py``
+builds one as the oracle, whose ``nnz`` and products, bit for bit, the
+operators reproduce.  Level-0 models, which come from
+``domains.project_level0``, stay dense [S, A, S'] arrays.  Both forms
+support ``b @ model.transition_matrix(a)``.  ``flatten`` checks the tables
+the operators read and names the table in its error.
 """
 
 from __future__ import annotations
@@ -30,16 +28,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domains import PosgDomain, SingleAgentModel, SparseRows, validate_model
+from .domains import (
+    FannedRows,
+    PosgDomain,
+    SingleAgentModel,
+    _check_joint,
+    _check_rows,
+    _check_shape,
+    validate_model,
+)
 from .selection import CandidateModelSet
 from .solver import SolvedPolicy, solve_exact
 from .trees import node_table, validate_tree
 
 __all__ = ["FlatIdid", "flatten", "solve_idid"]
-
-# Largest augmented state count whose indices fit int32 CSR columns.
-MAX_STATES = int(np.iinfo(np.int32).max)
-
 
 @dataclass(frozen=True, eq=False)
 class FlatIdid:
@@ -67,7 +69,8 @@ def flatten(domain: PosgDomain, candidates: CandidateModelSet) -> FlatIdid:
     S = len(domain.states)
     act_i = domain.actions_i
     obs_i = domain.observations_i
-    n_ai, n_oi, n_oj = len(act_i), len(obs_i), len(domain.observations_j)
+    n_ai, n_aj = len(act_i), len(domain.actions_j)
+    n_oi, n_oj = len(obs_i), len(domain.observations_j)
     aj_index = {a: k for k, a in enumerate(domain.actions_j)}
 
     for k, tree in enumerate(candidates.trees):
@@ -78,6 +81,11 @@ def flatten(domain: PosgDomain, candidates: CandidateModelSet) -> FlatIdid:
             )
         validate_tree(tree, domain.observations_j, actions=domain.actions_j)
 
+    # What the operators read: every (ai, aj) block and the peer's sensing.
+    _check_joint(domain.transition, (S, n_ai, n_aj, S))
+    _check_shape("obs_fn_j", domain.obs_fn_j, (S, n_aj, n_oj))
+    _check_rows("obs_fn_j", domain.obs_fn_j)
+
     # Per candidate: peer action index, parent and children per position.
     tables = []
     for tree in candidates.trees:
@@ -87,64 +95,18 @@ def flatten(domain: PosgDomain, candidates: CandidateModelSet) -> FlatIdid:
     offsets = tuple(np.concatenate(([0], np.cumsum([n * S for n in node_counts])))[:-1])
     s_aug = offsets[-1] + node_counts[-1] * S
 
-    if s_aug > MAX_STATES:
-        raise ValueError(
-            "%d augmented states overflow the int32 column indices (at most %d)"
-            % (s_aug, MAX_STATES)
-        )
-
-    # Physical transition nonzeros per action pair, shared across positions.
-    nz_cache: dict[tuple[int, int], tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-
-    def phys_nz(ai: int, aj: int):
-        key = (ai, aj)
-        if key not in nz_cache:
-            blk = domain.transition.block(ai, aj)
-            r = np.repeat(np.arange(S, dtype=np.int32), np.diff(blk.indptr))
-            nz_cache[key] = (r, blk.indices, blk.data)
-        return nz_cache[key]
-
-    def action_entries(ai: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(rows, cols, vals) of action ai's augmented transition, zeros kept.
-
-        No (row, col) pair repeats: a row's successors differ in position
-        (one child per peer observation) or in physical state.
-        """
-        rows_parts: list[np.ndarray] = []
-        cols_parts: list[np.ndarray] = []
-        vals_parts: list[np.ndarray] = []
-        for m, (acts, parents, children) in enumerate(tables):
-            for pos in range(node_counts[m]):
-                aj = acts[pos]
-                r, c, v = phys_nz(ai, aj)
-                base = int(offsets[m]) + pos * S
-                if children[pos, 0] < 0:
-                    # Leaf: the position self-loops, observation mass sums out.
-                    rows_parts.append(base + r)
-                    cols_parts.append(base + c)
-                    vals_parts.append(v)
-                    continue
-                for o in range(n_oj):
-                    pos2 = int(children[pos, o])
-                    w = domain.obs_fn_j[:, aj, o]
-                    rows_parts.append(base + r)
-                    cols_parts.append(int(offsets[m]) + pos2 * S + c)
-                    vals_parts.append(v * w[c])
-        return (
-            np.concatenate(rows_parts),
-            np.concatenate(cols_parts),
-            np.concatenate(vals_parts),
-        )
-
-    # One action at a time, so only one action's entries are alive at once.
-    blocks = []
-    for ai in range(n_ai):
-        rows, cols, vals = action_entries(ai)
-        order = np.argsort(rows, kind="stable")
-        indptr = np.zeros(s_aug + 1, dtype=np.int64)
-        np.cumsum(np.bincount(rows, minlength=s_aug), out=indptr[1:])
-        blocks.append(SparseRows(indptr, cols[order], vals[order], (s_aug, s_aug)))
-        del rows, cols, vals, order
+    # Per position g over all candidates: the peer's action and the base
+    # g2 * S of each child g2; a leaf keeps itself.
+    peer = np.concatenate([np.asarray(acts, dtype=np.int64) for acts, _, _ in tables])
+    kids = np.full((len(peer), n_oj), -1, dtype=np.int64)
+    for m, (_acts, _parents, children) in enumerate(tables):
+        g = offsets[m] // S + np.arange(node_counts[m])
+        kids[g] = np.where(children >= 0, (g[0] + children) * S, -1)
+        leaf = g[children[:, 0] < 0]
+        kids[leaf, 0] = leaf * S
+    ops = tuple(
+        FannedRows(domain.transition, domain.obs_fn_j, ai, peer, kids) for ai in range(n_ai)
+    )
 
     O_aug = np.empty((s_aug, n_ai, n_oi))
     R_aug = np.empty((s_aug, n_ai))
@@ -174,7 +136,7 @@ def flatten(domain: PosgDomain, candidates: CandidateModelSet) -> FlatIdid:
         states=names,
         actions=act_i,
         observations=obs_i,
-        transition=tuple(blocks),
+        transition=ops,
         obs_fn=O_aug,
         reward=R_aug,
         initial_belief=b0_aug,

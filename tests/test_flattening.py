@@ -5,7 +5,9 @@ import pytest
 from scipy import sparse
 
 from ididiv import (
+    DomainValidationError,
     EnumerationCapError,
+    SelectionConfig,
     SparseRows,
     belief_update,
     brute_force_solve,
@@ -13,15 +15,16 @@ from ididiv import (
     constant_tree,
     evaluate_policy,
     flatten,
-    flattening,
     generate_known_models,
     make_candidate_set,
     project_level0,
+    select_topk,
     solve_exact,
     solve_idid,
     validate_model,
 )
-from ididiv.trees import all_trees, tree_nodes
+from ididiv.domains import FannedRows
+from ididiv.trees import all_trees, node_table, tree_nodes
 from conftest import _peer_trees_t2
 
 
@@ -30,16 +33,14 @@ def _scipy_csr(blk):
     return sparse.csr_array((blk.data, blk.indices, blk.indptr), shape=blk.shape)
 
 
-def _assert_products_match_scipy(model, rng, n_random=20):
-    """b @ M equals scipy's CSR product bit for bit, block by block.
-
-    Beliefs: the initial one, a posterior after each action and the first
+def _beliefs(model, rng, n_random):
+    """The initial belief, a posterior after each action and the first
     observation, and random beliefs on supports of random size, up to the
     whole state space, with exact zeros elsewhere.
     """
     S = len(model.states)
     beliefs = [model.initial_belief]
-    for a, act in enumerate(model.actions):
+    for act in model.actions:
         beliefs.append(
             belief_update(model, model.initial_belief, act, model.observations[0])
         )
@@ -48,6 +49,12 @@ def _assert_products_match_scipy(model, rng, n_random=20):
         support = rng.choice(S, size=int(rng.integers(1, S + 1)), replace=False)
         b[support] = rng.dirichlet(np.ones(len(support)))
         beliefs.append(b)
+    return beliefs
+
+
+def _assert_products_match_scipy(model, rng, n_random=20):
+    """b @ M equals scipy's CSR product bit for bit, block by block."""
+    beliefs = _beliefs(model, rng, n_random)
     for blk in model.transition:
         ref = _scipy_csr(blk)
         for b in beliefs:
@@ -222,24 +229,118 @@ class TestPriorAlgebra:
         assert solve_idid(via_pair).tree == solve_idid(alone).tree
 
 
+def _csr_oracle(domain, candidates):
+    """One SparseRows per subject action, as flatten stored them before its
+    per-action operators: every (row, column) entry with explicit zeros,
+    rows ascending, then peer observation, then physical column, with
+    int32 columns.
+    """
+    S = len(domain.states)
+    n_oj = len(domain.observations_j)
+    aj_index = {a: k for k, a in enumerate(domain.actions_j)}
+    layouts = [
+        ([aj_index[a] for a in t.preorder], node_table(n_oj, t.depth).children)
+        for t in candidates.trees
+    ]
+    s_aug = S * sum(len(acts) for acts, _ in layouts)
+    blocks = []
+    for ai in range(len(domain.actions_i)):
+        rows, cols, vals = [], [], []
+        first = 0
+        for acts, children in layouts:
+            for pos, aj in enumerate(acts):
+                blk = domain.transition.block(ai, aj)
+                r = first + pos * S + np.repeat(np.arange(S), np.diff(blk.indptr))
+                c = blk.indices
+                if children[pos, 0] < 0:
+                    # Leaf: the position self-loops, observation mass sums out.
+                    rows.append(r)
+                    cols.append(first + pos * S + c)
+                    vals.append(blk.data)
+                    continue
+                for o in range(n_oj):
+                    rows.append(r)
+                    cols.append(first + int(children[pos, o]) * S + c)
+                    vals.append(blk.data * domain.obs_fn_j[:, aj, o][c])
+            first += len(acts) * S
+        rows, cols, vals = (np.concatenate(x) for x in (rows, cols, vals))
+        order = np.argsort(rows, kind="stable")
+        indptr = np.zeros(s_aug + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=s_aug), out=indptr[1:])
+        blocks.append(
+            SparseRows(indptr, cols[order].astype(np.int32), vals[order], (s_aug, s_aug))
+        )
+    return tuple(blocks)
+
+
+def _oracle_model(flat):
+    return flat.model.replace(transition=_csr_oracle(flat.domain, flat.candidates))
+
+
 def _dense_reference(model):
     """The same model with a dense [S, A, S'] table made from its CSR blocks."""
     T = np.stack([_scipy_csr(blk).toarray() for blk in model.transition], axis=1)
     return model.replace(transition=T)
 
 
+def _uav_mdf6(uav):
+    level0 = project_level0(uav, "j")
+    known = generate_known_models(level0, 3, seed=0)
+    return select_topk(known, level0, SelectionConfig(measure="MDF", k_max=6, seed=0))
+
+
+@pytest.fixture(scope="module")
+def oracle_sets(tiger2, cand2, uav):
+    tiger3 = builtin_tiger(3)
+    known3 = generate_known_models(project_level0(tiger3, "j"), 3, seed=0)
+    cand3 = make_candidate_set(known3, len(tiger3.observations_j))
+    uav6 = _uav_mdf6(uav)
+    assert len(uav6.trees) == 6
+    return {
+        "tiger-T2": flatten(tiger2, cand2),
+        "tiger-T3": flatten(tiger3, cand3),
+        "uav-T3-mdf6": flatten(uav, uav6),
+    }
+
+
+class TestOperatorOracle:
+    """The per-action operators against the CSR blocks flatten used to build."""
+
+    @pytest.mark.parametrize("name", ["tiger-T2", "tiger-T3", "uav-T3-mdf6"])
+    def test_products_equal_the_csr_bit_for_bit(self, oracle_sets, name):
+        flat = oracle_sets[name]
+        oracle = _oracle_model(flat)
+        model = flat.model
+        for op, blk in zip(model.transition, oracle.transition):
+            assert isinstance(op, FannedRows)
+            assert op.shape == blk.shape
+            assert op.nnz == blk.nnz
+        n_random = 5 if name.startswith("uav") else 20
+        for b in _beliefs(model, np.random.default_rng(7), n_random):
+            for op, blk in zip(model.transition, oracle.transition):
+                assert np.array_equal(b @ op, b @ blk)
+
+    @pytest.mark.parametrize("name", ["tiger-T2", "tiger-T3", "uav-T3-mdf6"])
+    def test_solve_equals_the_oracle_solve(self, oracle_sets, name):
+        flat = oracle_sets[name]
+        mine, ref = solve_idid(flat), solve_exact(_oracle_model(flat))
+        assert mine.value == ref.value
+        assert mine.tree == ref.tree
+
+
 class TestSparsePath:
-    def test_tiger_model_is_csr(self, tiger2, cand2):
+    def test_tiger_model_has_one_operator_per_action(self, tiger2, cand2):
         model = flatten(tiger2, cand2).model
         assert isinstance(model.transition, tuple)
         assert len(model.transition) == len(model.actions)
-        for blk in model.transition:
-            assert isinstance(blk, SparseRows)
-            assert blk.indices.dtype == np.int32
+        for op in model.transition:
+            assert isinstance(op, FannedRows)
+            assert op.joint is tiger2.transition
+            assert op.shape == (18, 18)
 
     def test_sparse_matches_dense(self, tiger2, cand2):
         sp = flatten(tiger2, cand2)
-        dense = _dense_reference(sp.model)
+        dense = _dense_reference(_oracle_model(sp))
         validate_model(dense)
         assert not dense.is_sparse
         pd = solve_exact(dense)
@@ -247,42 +348,59 @@ class TestSparsePath:
         assert ps.value == pytest.approx(pd.value, abs=1e-12)
         assert ps.tree == pd.tree
 
-    def test_products_match_scipy_exactly(self, tiger2, cand2):
-        model = flatten(tiger2, cand2).model
-        assert model.is_sparse
+    def test_products_match_scipy_exactly(self, oracle_sets):
+        model = _oracle_model(oracle_sets["tiger-T2"])
+        validate_model(model)
         assert all(blk.indices.dtype == np.int32 for blk in model.transition)
         _assert_products_match_scipy(model, np.random.default_rng(5))
 
-    def test_uav_products_match_scipy_exactly(self, uav):
-        known = generate_known_models(project_level0(uav, "j"), 3, seed=0)
-        model = flatten(uav, make_candidate_set(known, len(uav.observations_j))).model
-        assert model.is_sparse
+    def test_uav_products_match_scipy_exactly(self, oracle_sets):
+        model = _oracle_model(oracle_sets["uav-T3-mdf6"])
         _assert_products_match_scipy(model, np.random.default_rng(6), n_random=5)
 
     def test_explicit_zeros_are_kept(self, tiger2, cand2):
         # Noiseless peer sensing makes half the observation-weighted
-        # entries exactly zero; they stay stored and counted in nnz.
+        # entries exactly zero; they stay counted in nnz.
         obs_j = np.zeros_like(tiger2.obs_fn_j)
         obs_j[0, :, 0] = 1.0  # first state: always the first growl
         obs_j[1, :, 1] = 1.0
         sharp = dataclasses.replace(tiger2, obs_fn_j=obs_j)
-        model = flatten(sharp, cand2).model
+        flat = flatten(sharp, cand2)
         aj_index = {a: k for k, a in enumerate(sharp.actions_j)}
         n_oj = len(sharp.observations_j)
-        for ai, blk in enumerate(model.transition):
+        oracle = _csr_oracle(sharp, cand2)
+        for ai, (op, blk) in enumerate(zip(flat.model.transition, oracle)):
             expect = 0
             for tree in cand2.trees:
                 for node in tree_nodes(tree):
                     nz = np.count_nonzero(sharp.transition[:, ai, aj_index[node.action], :])
                     expect += nz * (n_oj if node.children else 1)
-            assert blk.nnz == expect
+            assert op.nnz == blk.nnz == expect
             assert np.count_nonzero(blk.data == 0.0) > 0
 
-    def test_too_many_states_for_int32_indices(self, tiger2, cand2, monkeypatch):
-        # cand2 flattens to 18 augmented states; pretend int32 ends at 17.
-        monkeypatch.setattr(flattening, "MAX_STATES", 17)
-        with pytest.raises(ValueError, match="int32"):
-            flatten(tiger2, cand2)
+    def test_bad_peer_sensing_is_named(self, tiger2, cand2):
+        # The peer's observation rows are what flatten reads; a bad one is
+        # reported under its own name, not the augmented transition's.
+        obs_j = np.array(tiger2.obs_fn_j)
+        obs_j[0, 2] = [0.9, 0.0575]
+        with pytest.raises(DomainValidationError, match=r"obs_fn_j: row \(0, 2\) sums"):
+            flatten(dataclasses.replace(tiger2, obs_fn_j=obs_j), cand2)
+
+    def test_bad_joint_block_is_named(self, tiger2, cand2):
+        T = np.array(tiger2.transition)
+        T[1, 2, 0] = [0.5, 0.4]
+        with pytest.raises(DomainValidationError, match=r"transition\[:, 2, 0\]: row 1"):
+            flatten(dataclasses.replace(tiger2, transition=T), cand2)
+
+    def test_validate_model_checks_operator_count_and_shape(self, tiger2, cand2):
+        model = flatten(tiger2, cand2).model
+        other = flatten(tiger2, make_candidate_set(cand2.trees[:2], 2)).model
+        ops = (model.transition[0], other.transition[1], model.transition[2])
+        mixed = model.replace(transition=ops)
+        with pytest.raises(DomainValidationError, match=r"transition\[1\]: shape"):
+            validate_model(mixed)
+        with pytest.raises(DomainValidationError, match="2 sparse blocks, expected 3"):
+            validate_model(model.replace(transition=model.transition[:2]))
 
     def test_custom_initial_physical_belief(self, tiger2, cand2):
         left = dataclasses.replace(tiger2, start=np.array([1.0, 0.0]))

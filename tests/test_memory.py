@@ -1,4 +1,5 @@
-"""The uav domain is built once per holder and stays small once built and projected."""
+"""The uav domain is built once per holder and stays small once built,
+projected and flattened."""
 
 import os
 import subprocess
@@ -48,6 +49,23 @@ model = project_level0(domain, "i")
 print(peak_bytes() - before)
 """
 
+# Six candidates: 79,128 augmented states.  A CSR copy of the domain block
+# at every position would alone hold 26.6 MB.
+_FLAT_SOLVE_PEAK = _PEAK + """
+from ididiv import (
+    SelectionConfig, flatten, generate_known_models, select_topk, solve_idid,
+)
+
+domain = builtin_domain("uav", 3)
+level0 = project_level0(domain, "j")
+known = generate_known_models(level0, 3, seed=0)
+candidates = select_topk(known, level0, SelectionConfig(measure="MDF", k_max=6, seed=0))
+assert len(candidates.trees) == 6
+before = peak_bytes()
+solve_idid(flatten(domain, candidates))
+print(peak_bytes() - before)
+"""
+
 
 def _run(code, *args) -> str:
     src = str(Path(ididiv.__file__).resolve().parent.parent)
@@ -77,3 +95,10 @@ def test_projecting_uav_for_i_raises_the_peak_by_little():
     # The [628, 5, 628] result is 15.8 MB; densifying the joint table first
     # would add 79 MB.
     assert int(_run(_LEVEL0_PEAK)) < 40 * 2**20
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").is_file(), reason="needs Linux /proc")
+def test_flattening_and_solving_uav_raises_the_peak_by_little():
+    # O_aug (12.7 MB), the state labels (5.7 MB) and R_aug (3.2 MB) remain;
+    # the transition operators copy nothing from the domain.
+    assert int(_run(_FLAT_SOLVE_PEAK)) < 40 * 2**20
