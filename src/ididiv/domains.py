@@ -8,9 +8,9 @@ is what lets j be modeled by an ordinary single-agent POMDP at level 0.
 Builtins: a two-door tiger game with door creaks, and a 5x5 grid chase
 between a chaser (i) and a fugitive (j) heading for a safe-house corner.
 
-A domain's joint transition is held in one compact form,
-``JointTransition``: the [S, Ai, Aj, S'] table as CSR rows, which for the
-uav chase is 0.62 MB instead of a 79 MB dense array.
+A domain's joint transition has one form, in memory and in files:
+``JointTransition``, the [S, Ai, Aj, S'] table as CSR rows, 0.62 MB for the
+uav chase instead of a 79 MB dense array.  A domain file lists its entries.
 
 Built-in domains are shared read-only objects.  While any reference to one
 is alive, ``builtin_domain`` (and ``builtin_tiger``/``builtin_uav``) returns
@@ -25,7 +25,6 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
-import operator
 import weakref
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -124,7 +123,9 @@ class SparseRows:
         rows = np.flatnonzero(b)
         k, lens = _row_entries(self.indptr, rows)
         weights = self.data[k] * np.repeat(b[rows], lens)
-        return np.bincount(self.indices[k], weights=weights, minlength=self.shape[1])
+        # An all-zero b leaves no weights, and bincount would count ints.
+        out = np.bincount(self.indices[k], weights=weights, minlength=self.shape[1])
+        return out.astype(float, copy=False)
 
 
 def _csr(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, shape) -> SparseRows:
@@ -144,11 +145,10 @@ class JointTransition:
     probabilities are stored, columns ascending within a row.  Two tables
     are equal when their shapes and stored entries are.
 
-    Basic numpy indexing on the [S, Ai, Aj, S'] layout (integers, slices,
-    ``...``) returns a read-only dense ndarray of the addressed entries
-    only: ``[:, ai, aj, :]`` builds one [S, S'] block and ``[s, ai, aj]``
-    one row.  ``np.asarray`` densifies the whole table.  Assignment raises
-    ValueError.
+    Two index forms read dense values, read-only: ``[s, ai, aj]`` is one
+    row and ``[:, ai, aj, :]`` one [S, S'] block.  Any other key raises
+    IndexError, and ``np.asarray`` raises TypeError: nothing densifies the
+    whole table.
     """
 
     rows: SparseRows
@@ -161,16 +161,45 @@ class JointTransition:
         object.__setattr__(self, "shape", tuple(int(n) for n in self.shape))
 
     @classmethod
-    def from_dense(cls, table) -> "JointTransition":
-        """Compress a dense [S, Ai, Aj, S'] table, keeping its nonzeros."""
-        t = np.asarray(table, dtype=float)
-        if t.ndim != 4:
+    def from_entries(cls, entries, shape) -> "JointTransition":
+        """The table holding p at [s, ai, aj, s'] for each [s, ai, aj, s', p].
+
+        Entries are stored by row (ai, aj, s), then by column s', and those
+        with p == 0 are dropped.  An entry that is not five numbers, an index
+        that is not an integer inside ``shape`` and a repeated (s, ai, aj, s')
+        raise DomainValidationError naming the entry; ``validate_domain``
+        checks the values of p.
+        """
+        S, Ai, Aj, S2 = shape = tuple(int(n) for n in shape)
+        for n, e in enumerate(entries):
+            try:
+                if np.asarray(e, dtype=float).shape == (5,):
+                    continue
+            except (TypeError, ValueError):
+                pass
+            raise DomainValidationError("transition: entry %d is not [s, ai, aj, s', p]" % n)
+        arr = np.array(entries, dtype=float).reshape(-1, 5)
+        idx = arr[:, :4]
+        bad = ((idx != np.floor(idx)) | (idx < 0) | (idx >= shape)).any(axis=1)
+        if bad.any():
+            n = int(np.flatnonzero(bad)[0])
             raise DomainValidationError(
-                "transition: shape %r, expected [S, Ai, Aj, S']" % (t.shape,)
+                "transition: entry %d %r has an index that is not an integer inside %r"
+                % (n, arr[n].tolist(), shape)
             )
-        flat = t.transpose(1, 2, 0, 3).reshape(-1, t.shape[3])
-        r, c = np.nonzero(flat)
-        return cls(_csr(r, c, flat[r, c], flat.shape), t.shape)
+        s, ai, aj, col = idx.astype(np.int64).T
+        row = (ai * Aj + aj) * S + s
+        key = row * S2 + col
+        order = np.argsort(key, kind="stable")
+        dup = np.flatnonzero(np.diff(key[order]) == 0)
+        if dup.size:
+            first, again = order[dup[0]], order[dup[0] + 1]
+            raise DomainValidationError(
+                "transition: entry %d repeats (s, ai, aj, s') %r of entry %d"
+                % (again, idx[again].astype(int).tolist(), first)
+            )
+        order = order[arr[order, 4] != 0.0]
+        return cls(_csr(row[order], col[order], arr[order, 4], (Ai * Aj * S, S2)), shape)
 
     @property
     def nbytes(self) -> int:
@@ -187,76 +216,30 @@ class JointTransition:
         lo, hi = ptr[0], ptr[-1]
         return SparseRows(ptr - lo, self.rows.indices[lo:hi], self.rows.data[lo:hi], (S, S2))
 
-    def _gather(self, s, ai, aj, dest) -> np.ndarray:
-        """Dense [len(s), len(ai), len(aj), len(dest)] array of the picked entries."""
-        S, _, Aj, S2 = self.shape
-        rows = ((ai[:, None] * Aj + aj)[None] * S + s[:, None, None]).ravel()
-        k, lens = _row_entries(self.rows.indptr, rows)
-        col = np.full(S2, -1)
-        col[dest] = np.arange(len(dest))
-        pos = col[self.rows.indices[k]]
-        hit = pos >= 0
-        out = np.zeros((len(rows), len(dest)))
-        out[np.repeat(np.arange(len(rows)), lens)[hit], pos[hit]] = self.rows.data[k[hit]]
-        return out.reshape(len(s), len(ai), len(aj), len(dest))
-
-    def _picks(self, key) -> tuple[list[np.ndarray], tuple]:
-        """Per-axis positions a basic index picks, and how to drop integer axes."""
-        key = key if isinstance(key, tuple) else (key,)
-        ellipses = [n for n, k in enumerate(key) if k is Ellipsis]
-        if len(ellipses) > 1:
-            raise IndexError("an index can only have a single ellipsis ('...')")
-        if ellipses:
-            n = ellipses[0]
-            key = key[:n] + (slice(None),) * (5 - len(key)) + key[n + 1 :]
-        if len(key) > 4:
-            raise IndexError("too many indices for a [S, Ai, Aj, S'] table")
-        key = key + (slice(None),) * (4 - len(key))
-        picks, keep = [], []
-        for k, n in zip(key, self.shape):
-            if isinstance(k, slice):
-                picks.append(np.arange(n)[k])
-                keep.append(slice(None))
-                continue
-            if isinstance(k, (bool, np.bool_)):
-                raise IndexError("boolean indices are not supported")
-            try:
-                i = operator.index(k)
-            except TypeError:
-                raise IndexError(
-                    "only integers, slices and ... index a JointTransition"
-                ) from None
-            if not -n <= i < n:
-                raise IndexError("index %d is out of bounds for axis with size %d" % (i, n))
-            picks.append(np.array([i % n]))
-            keep.append(0)
-        return picks, tuple(keep)
-
-    def __getitem__(self, key):
-        S, _, Aj, S2 = self.shape
-        if (
-            type(key) is tuple
-            and len(key) == 3
-            and all(type(k) is int and 0 <= k < n for k, n in zip(key, self.shape))
-        ):
-            # One row, the simulator's step, without the general gather.
+    def __getitem__(self, key) -> np.ndarray:
+        S, Ai, Aj, S2 = self.shape
+        n = len(key) if type(key) is tuple else 0
+        whole = n == 4 and all(type(k) is slice and k == slice(None) for k in key[::3])
+        if n == 3 and all(_is_index(k, m) for k, m in zip(key, self.shape)):
+            # One row, the simulator's step.
             r = (key[1] * Aj + key[2]) * S + key[0]
             lo, hi = self.rows.indptr[r], self.rows.indptr[r + 1]
             out = np.zeros(S2)
             out[self.rows.indices[lo:hi]] = self.rows.data[lo:hi]
+        elif whole and _is_index(key[1], Ai) and _is_index(key[2], Aj):
+            blk = self.block(key[1], key[2])
+            out = np.zeros((S, S2))
+            out[np.repeat(np.arange(S), np.diff(blk.indptr)), blk.indices] = blk.data
         else:
-            picks, keep = self._picks(key)
-            out = self._gather(*picks)[keep]
-        if isinstance(out, np.ndarray):
-            out.setflags(write=False)
+            raise IndexError(
+                "a JointTransition reads [s, ai, aj] or [:, ai, aj, :] with integers "
+                "inside %r; block(ai, aj) gives a block's sparse rows" % (self.shape,)
+            )
+        out.setflags(write=False)
         return out
 
-    def __setitem__(self, key, value) -> None:
-        raise ValueError("assignment destination is read-only")
-
-    def __array__(self, dtype=None, copy=None) -> np.ndarray:
-        out = self._gather(*(np.arange(n) for n in self.shape))
-        return out if dtype is None else out.astype(dtype, copy=False)
+    def __array__(self, dtype=None, copy=None):
+        raise TypeError("a JointTransition is not densified; read block(ai, aj)")
 
     def __eq__(self, other):
         if not isinstance(other, JointTransition):
@@ -266,6 +249,11 @@ class JointTransition:
             np.array_equal(x, y)
             for x, y in ((a.indptr, b.indptr), (a.indices, b.indices), (a.data, b.data))
         )
+
+
+def _is_index(k, n: int) -> bool:
+    """k is an integer (not a bool) in [0, n)."""
+    return isinstance(k, (int, np.integer)) and not isinstance(k, bool) and 0 <= k < n
 
 
 @dataclass(frozen=True, eq=False)
@@ -329,7 +317,8 @@ class FannedRows:
         w[np.repeat(self.kids[gp, 0] == gp * S, n)] = 1.0
         weights = (self.joint.rows.data[k] * w) * np.repeat(b[rows[pair_row]], n)
         col = col + np.repeat(self.kids[gp, pair_o], n)
-        return np.bincount(col, weights=weights, minlength=self.shape[1])
+        out = np.bincount(col, weights=weights, minlength=self.shape[1])
+        return out.astype(float, copy=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -389,8 +378,8 @@ class PosgDomain:
     Array layouts:
       transition [S, Ai, Aj, S'], obs_fn_i [S', Ai, Aj, Oi],
       obs_fn_j [S', Aj, Oj], reward_i [S, Ai, Aj], reward_j [S, Aj, Ai].
-    ``transition`` is always a JointTransition; a dense array passed in is
-    compressed on construction, and indexing it still reads dense entries.
+    ``transition`` is a JointTransition (see ``JointTransition.from_entries``);
+    anything else raises DomainValidationError.
     ``start`` is the initial physical state distribution (uniform if None).
     ``level0`` optionally carries prebuilt single-agent views keyed by
     agent name ("i" or "j"); project_level0 returns these when present.
@@ -414,7 +403,10 @@ class PosgDomain:
 
     def __post_init__(self) -> None:
         if not isinstance(self.transition, JointTransition):
-            object.__setattr__(self, "transition", JointTransition.from_dense(self.transition))
+            raise DomainValidationError(
+                "transition: %s, expected a JointTransition"
+                % type(self.transition).__name__
+            )
         for name in ("obs_fn_i", "obs_fn_j", "reward_i", "reward_j"):
             object.__setattr__(self, name, _freeze(getattr(self, name)))
         if self.start is not None:
@@ -511,21 +503,6 @@ def _check_sparse_rows(path: str, blk: SparseRows, shape: tuple[int, int]) -> No
         )
 
 
-def _check_joint(T: JointTransition, shape: tuple[int, int, int, int]) -> None:
-    """Shape and stochastic rows of every (ai, aj) block of a joint transition."""
-    _check_shape("transition", T, shape)
-    S, Ai, Aj, _ = shape
-    n_rows = Ai * Aj * S
-    if T.rows.shape != (n_rows, S) or T.rows.indptr.shape != (n_rows + 1,):
-        raise DomainValidationError(
-            "transition: rows of shape %r with %d pointers, expected %r with %d"
-            % (T.rows.shape, len(T.rows.indptr), (n_rows, S), n_rows + 1)
-        )
-    for ai in range(Ai):
-        for aj in range(Aj):
-            _check_sparse_rows("transition[:, %d, %d]" % (ai, aj), T.block(ai, aj), (S, S))
-
-
 def validate_model(m: SingleAgentModel) -> None:
     """Raise DomainValidationError naming the offending table and row."""
     S = len(_check_labels("states", m.states))
@@ -564,7 +541,17 @@ def validate_domain(d: PosgDomain) -> None:
     Oj = len(_check_labels("observations_j", d.observations_j))
     if d.horizon < 1:
         raise DomainValidationError("horizon: must be >= 1, got %d" % d.horizon)
-    _check_joint(d.transition, (S, Ai, Aj, S))
+    T = d.transition
+    _check_shape("transition", T, (S, Ai, Aj, S))
+    n_rows = Ai * Aj * S
+    if T.rows.shape != (n_rows, S) or T.rows.indptr.shape != (n_rows + 1,):
+        raise DomainValidationError(
+            "transition: rows of shape %r with %d pointers, expected %r with %d"
+            % (T.rows.shape, len(T.rows.indptr), (n_rows, S), n_rows + 1)
+        )
+    for ai in range(Ai):
+        for aj in range(Aj):
+            _check_sparse_rows("transition[:, %d, %d]" % (ai, aj), T.block(ai, aj), (S, S))
     _check_shape("obs_fn_i", d.obs_fn_i, (S, Ai, Aj, Oi))
     _check_rows("obs_fn_i", d.obs_fn_i)
     _check_shape("obs_fn_j", d.obs_fn_j, (S, Aj, Oj))
@@ -604,13 +591,10 @@ def _build_tiger(horizon: int) -> PosgDomain:
     L, R, LISTEN = 0, 1, 2
 
     # Opening any door resets the state uniformly; double listen keeps it.
-    T = np.zeros((S, A, A, S))
-    for ai in range(A):
-        for aj in range(A):
-            if ai == LISTEN and aj == LISTEN:
-                T[:, ai, aj, :] = np.eye(S)
-            else:
-                T[:, ai, aj, :] = 0.5
+    pairs = [(ai, aj) for ai in range(A) for aj in range(A) if (ai, aj) != (LISTEN, LISTEN)]
+    entries = [(s, ai, aj, s2, 0.5) for ai, aj in pairs for s in range(S) for s2 in range(S)]
+    entries += [(s, LISTEN, LISTEN, s, 1.0) for s in range(S)]
+    T = JointTransition.from_entries(entries, (S, A, A, S))
 
     # Growl accuracy 0.85 for a listener, uninformative for an opener.
     def growl(s: int, act: int) -> np.ndarray:
@@ -940,43 +924,57 @@ def with_horizon(domain: PosgDomain, horizon: int) -> PosgDomain:
 
 # ----------------------------------------------------------------- files ----
 
+_LABELS = ("states", "actions_i", "actions_j", "observations_i", "observations_j")
+
+
 def domain_to_obj(domain: PosgDomain) -> dict:
-    obj = {
-        "name": domain.name,
-        "states": list(domain.states),
-        "actions_i": list(domain.actions_i),
-        "actions_j": list(domain.actions_j),
-        "observations_i": list(domain.observations_i),
-        "observations_j": list(domain.observations_j),
-        "horizon": domain.horizon,
-        "transition": np.asarray(domain.transition).tolist(),
-        "obs_i": domain.obs_fn_i.tolist(),
-        "obs_j": domain.obs_fn_j.tolist(),
-        "reward_i": domain.reward_i.tolist(),
-        "reward_j": domain.reward_j.tolist(),
-    }
+    """The JSON mapping of a domain; ``level0`` views are not written.
+
+    ``transition`` is the list of stored [s, ai, aj, s', p] entries, in
+    storage order: by row (ai, aj, s), then by column s'.
+    """
+    S, _, Aj, _ = domain.transition.shape
+    rows = domain.transition.rows
+    pair, s = np.divmod(np.repeat(np.arange(rows.shape[0]), np.diff(rows.indptr)), S)
+    columns = (s, *np.divmod(pair, Aj), rows.indices, rows.data)
+    obj = {name: list(getattr(domain, name)) for name in _LABELS}
+    obj.update(
+        name=domain.name,
+        horizon=domain.horizon,
+        transition=[list(e) for e in zip(*(c.tolist() for c in columns))],
+        obs_i=domain.obs_fn_i.tolist(),
+        obs_j=domain.obs_fn_j.tolist(),
+        reward_i=domain.reward_i.tolist(),
+        reward_j=domain.reward_j.tolist(),
+    )
     if domain.start is not None:
         obj["start"] = domain.start.tolist()
     return obj
 
 
 def domain_from_obj(obj: Mapping) -> PosgDomain:
+    """The domain a ``domain_to_obj`` mapping describes, validated."""
     required = [
-        "name", "states", "actions_i", "actions_j", "observations_i",
-        "observations_j", "horizon", "transition", "obs_i", "obs_j",
-        "reward_i", "reward_j",
+        "name", *_LABELS, "horizon", "transition", "obs_i", "obs_j", "reward_i", "reward_j"
     ]
     missing = [k for k in required if k not in obj]
     if missing:
         raise DomainValidationError("missing keys: %s" % ", ".join(missing))
+    labels = {name: _check_labels(name, obj[name]) for name in _LABELS}
+    entries = obj["transition"]
+    if not isinstance(entries, list):
+        raise DomainValidationError("transition: expected a list of entries")
+    if entries and isinstance(entries[0], list) and any(isinstance(x, list) for x in entries[0]):
+        raise DomainValidationError(
+            "transition: a dense [s][ai][aj][s'] table, which is no longer read; "
+            "write [s, ai, aj, s', p] entries"
+        )
+    S = len(labels["states"])
+    shape = (S, len(labels["actions_i"]), len(labels["actions_j"]), S)
     domain = PosgDomain(
         name=str(obj["name"]),
-        states=tuple(obj["states"]),
-        actions_i=tuple(obj["actions_i"]),
-        actions_j=tuple(obj["actions_j"]),
-        observations_i=tuple(obj["observations_i"]),
-        observations_j=tuple(obj["observations_j"]),
-        transition=np.asarray(obj["transition"], dtype=float),
+        **labels,
+        transition=JointTransition.from_entries(entries, shape),
         obs_fn_i=np.asarray(obj["obs_i"], dtype=float),
         obs_fn_j=np.asarray(obj["obs_j"], dtype=float),
         reward_i=np.asarray(obj["reward_i"], dtype=float),

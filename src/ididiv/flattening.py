@@ -18,8 +18,8 @@ entries (26.6 MB) for a 6-candidate T=3 uav set; ``tests/test_flattening.py``
 builds one as the oracle, whose ``nnz`` and products, bit for bit, the
 operators reproduce.  Level-0 models, which come from
 ``domains.project_level0``, stay dense [S, A, S'] arrays.  Both forms
-support ``b @ model.transition_matrix(a)``.  ``flatten`` checks the tables
-the operators read and names the table in its error.
+support ``b @ model.transition_matrix(a)``.  ``flatten`` validates the
+domain first, so an error names the domain table at fault.
 """
 
 from __future__ import annotations
@@ -32,9 +32,7 @@ from .domains import (
     FannedRows,
     PosgDomain,
     SingleAgentModel,
-    _check_joint,
-    _check_rows,
-    _check_shape,
+    validate_domain,
     validate_model,
 )
 from .selection import CandidateModelSet
@@ -69,7 +67,7 @@ def flatten(domain: PosgDomain, candidates: CandidateModelSet) -> FlatIdid:
     S = len(domain.states)
     act_i = domain.actions_i
     obs_i = domain.observations_i
-    n_ai, n_aj = len(act_i), len(domain.actions_j)
+    n_ai = len(act_i)
     n_oi, n_oj = len(obs_i), len(domain.observations_j)
     aj_index = {a: k for k, a in enumerate(domain.actions_j)}
 
@@ -81,10 +79,9 @@ def flatten(domain: PosgDomain, candidates: CandidateModelSet) -> FlatIdid:
             )
         validate_tree(tree, domain.observations_j, actions=domain.actions_j)
 
-    # What the operators read: every (ai, aj) block and the peer's sensing.
-    _check_joint(domain.transition, (S, n_ai, n_aj, S))
-    _check_shape("obs_fn_j", domain.obs_fn_j, (S, n_aj, n_oj))
-    _check_rows("obs_fn_j", domain.obs_fn_j)
+    # The operators read the domain's tables, and the model copies some of
+    # them; a bad entry is named by its domain table.
+    validate_domain(domain)
 
     # Per candidate: peer action index, parent and children per position.
     tables = []

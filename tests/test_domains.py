@@ -23,11 +23,37 @@ from ididiv import (
     validate_model,
     with_horizon,
 )
-from ididiv.domains import domain_from_obj
+from ididiv.domains import domain_from_obj, domain_to_obj
 
 
 def _sidx(domain, name):
     return domain.states.index(name)
+
+
+def _dense(T: JointTransition) -> np.ndarray:
+    """The [S, Ai, Aj, S'] array, stacked from the ``[:, ai, aj, :]`` blocks."""
+    _, Ai, Aj, _ = T.shape
+    return np.stack(
+        [np.stack([T[:, ai, aj, :] for aj in range(Aj)], axis=1) for ai in range(Ai)], axis=1
+    )
+
+
+def _with_entries(domain, edit) -> PosgDomain:
+    """``domain`` with the transition rebuilt from its entries after ``edit(entries)``."""
+    entries = domain_to_obj(domain)["transition"]
+    edit(entries)
+    T = JointTransition.from_entries(entries, domain.transition.shape)
+    return dataclasses.replace(domain, transition=T)
+
+
+def _set_p(s, ai, aj, s2, p):
+    """An edit setting p of the stored entry (s, ai, aj, s')."""
+
+    def edit(entries):
+        (e,) = [e for e in entries if e[:4] == [s, ai, aj, s2]]
+        e[4] = p
+
+    return edit
 
 
 class TestTiger:
@@ -158,13 +184,15 @@ class TestUav:
         north = uav.actions_i.index("N")
         east = uav.actions_j.index("E")
         # Both push into walls: nobody moves.
-        assert uav.transition[s, north, east, s] == pytest.approx(1.0)
+        assert uav.transition[s, north, east][s] == pytest.approx(1.0)
 
     def test_flag_chain(self, uav):
         cap = _sidx(uav, "Captured")
         done = _sidx(uav, "Done")
-        assert np.all(uav.transition[cap, :, :, done] == 1.0)
-        assert np.all(uav.transition[done, :, :, done] == 1.0)
+        for ai in range(5):
+            for aj in range(5):
+                assert uav.transition[cap, ai, aj][done] == 1.0
+                assert uav.transition[done, ai, aj][done] == 1.0
         assert np.all(uav.reward_i[cap] == 100.0)
         assert np.all(uav.reward_j[cap] == -100.0)
         assert np.all(uav.reward_i[_sidx(uav, "Escaped")] == -100.0)
@@ -238,7 +266,7 @@ class TestProjectionByBlocks:
     @pytest.mark.parametrize("name", ["tiger", "uav"])
     def test_equals_dense_einsum(self, name, agent):
         domain = dataclasses.replace(builtin_domain(name, 3), level0={})
-        joint = np.asarray(domain.transition)
+        joint = _dense(domain.transition)
         n_peer = len(domain.actions_j if agent == "i" else domain.actions_i)
         w = np.full(n_peer, 1.0 / n_peer)
         spec = "w,sawt->sat" if agent == "i" else "a,sawt->swt"
@@ -248,16 +276,17 @@ class TestProjectionByBlocks:
 
 class TestValidation:
     def test_bad_row_sum(self, tiger):
-        broken = np.array(tiger.transition)
-        broken[0, 0, 0, 0] += 1e-6
+        broken = _with_entries(tiger, _set_p(0, 0, 0, 0, 0.5 + 1e-6))
         with pytest.raises(DomainValidationError, match="transition"):
-            validate_domain(dataclasses.replace(tiger, transition=broken))
+            validate_domain(broken)
 
     def test_bad_row_names_its_block(self, tiger):
-        broken = np.array(tiger.transition)
-        broken[1, 2, 0, :] = [0.7, 0.4]
+        def edit(entries):
+            _set_p(1, 2, 0, 0, 0.7)(entries)
+            _set_p(1, 2, 0, 1, 0.4)(entries)
+
         with pytest.raises(DomainValidationError, match=r"transition\[:, 2, 0\]: row 1 sums"):
-            validate_domain(dataclasses.replace(tiger, transition=broken))
+            validate_domain(_with_entries(tiger, edit))
 
     def test_negative_probability(self, tiger_j):
         obs = np.array(tiger_j.obs_fn)
@@ -298,16 +327,18 @@ def _nan_at(arr, index) -> np.ndarray:
 class TestNonFinite:
     """A NaN row passes a sign test and a sum test alike, so it is named."""
 
-    @pytest.mark.parametrize("form", ["dense", "compact"])
+    @pytest.mark.parametrize("form", ["entries", "compact"])
     def test_domain_transition(self, tiger, form):
-        if form == "dense":
-            table = _nan_at(tiger.transition, (0, 1, 2))
+        if form == "entries":
+            broken = _with_entries(tiger, _set_p(0, 1, 2, 0, np.nan))
         else:
             rows = tiger.transition.rows
             rows = dataclasses.replace(rows, data=_nan_at(rows.data, slice(0, 2)))
-            table = JointTransition(rows, tiger.transition.shape)
+            broken = dataclasses.replace(
+                tiger, transition=JointTransition(rows, tiger.transition.shape)
+            )
         with pytest.raises(DomainValidationError, match=r"transition\[:, \d, \d\]: non-finite"):
-            validate_domain(dataclasses.replace(tiger, transition=table))
+            validate_domain(broken)
 
     def test_obs_fn_i(self, tiger):
         broken = dataclasses.replace(tiger, obs_fn_i=_nan_at(tiger.obs_fn_i, (1, 0, 2)))
@@ -357,7 +388,8 @@ class TestSparseRows:
             np.testing.assert_allclose(
                 b @ m.transition_matrix(a), b @ tiger_j.transition_matrix(a), atol=1e-15
             )
-        assert np.array_equal(np.array([0.0, 0.0]) @ m.transition[0], np.zeros(2))
+        zero = np.array([0.0, 0.0]) @ m.transition[0]
+        assert np.array_equal(zero, np.zeros(2)) and zero.dtype == np.float64
 
     @pytest.mark.parametrize(
         "change",
@@ -422,16 +454,27 @@ def _dense_uav_transition() -> np.ndarray:
     return T
 
 
+def _nonzero_entries(dense: np.ndarray) -> list:
+    """The [s, ai, aj, s', p] entries of a dense table's nonzeros, in C order."""
+    return [[*map(int, i), float(dense[i])] for i in zip(*np.nonzero(dense))]
+
+
 class TestJointTransition:
     def test_uav_matches_dense_build(self, uav):
         dense = _dense_uav_transition()
-        assert np.array_equal(np.asarray(uav.transition), dense)
-        assert uav.transition == JointTransition.from_dense(dense)
+        assert np.array_equal(_dense(uav.transition), dense)
+        assert uav.transition == JointTransition.from_entries(_nonzero_entries(dense), dense.shape)
         assert uav.transition.shape == dense.shape
         assert uav.transition.nbytes < dense.nbytes / 100
 
+    def test_tiger_matches_dense_build(self, tiger):
+        dense = np.full((2, 3, 3, 2), 0.5)
+        dense[:, 2, 2, :] = np.eye(2)
+        assert np.array_equal(_dense(tiger.transition), dense)
+        assert tiger.transition == JointTransition.from_entries(_nonzero_entries(dense), dense.shape)
+
     def test_blocks_hold_the_nonzeros_in_row_order(self, uav):
-        dense = np.asarray(uav.transition)
+        dense = _dense_uav_transition()
         for ai, aj in ((0, 0), (2, 4), (4, 1)):
             blk = uav.transition.block(ai, aj)
             r, c = np.nonzero(dense[:, ai, aj, :])
@@ -446,33 +489,59 @@ class TestJointTransition:
         [
             (slice(None), 1, 2, slice(None)),
             (17, 3, 0),
-            (17, 3, 0, 42),
-            (-1, -2, 4, -1),
-            (Ellipsis, 5),
-            (slice(600, None, 7), slice(None, None, -2), 1),
-            (Ellipsis, 1, slice(1, 4), slice(620, 628)),
-            (3,),
-            Ellipsis,
+            (0, 0, 0),
+            (627, 4, 4),
+            (slice(None), 0, 0, slice(None)),
+            (slice(None), 4, 4, slice(None)),
+            (np.int64(600), np.int64(2), 1),
+            (slice(None), np.int64(3), np.int32(1), slice(None)),
+            (625, 1, 3),
         ],
     )
     def test_basic_indexing_matches_dense(self, uav, key):
-        got, want = uav.transition[key], np.asarray(uav.transition)[key]
-        assert np.shape(got) == np.shape(want) and np.array_equal(got, want)
-        if isinstance(got, np.ndarray):
-            assert not got.flags.writeable
+        """The two index forms: [s, ai, aj] is a row, [:, ai, aj, :] a block."""
+        got, want = uav.transition[key], _dense_uav_transition()[key]
+        assert got.shape == want.shape and np.array_equal(got, want)
+        assert not got.flags.writeable
 
     @pytest.mark.parametrize(
-        "key", [(628,), (0, 5), (True,), (np.array([0, 1]),), (0, 0, 0, 0, 0), (..., ...)]
+        "key",
+        [
+            (628,),
+            (0, 5),
+            (True,),
+            (np.array([0, 1]),),
+            (0, 0, 0, 0, 0),
+            (..., ...),
+            (17, 3, 0, 42),
+            (-1, 0, 0),
+            (628, 0, 0),
+            (0, 5, 0),
+            (0, True, 0),
+            (slice(None), 1, 2),
+            (slice(0, 5), 1, 2, slice(None)),
+            (slice(None), 5, 0, slice(None)),
+            Ellipsis,
+            3,
+        ],
     )
     def test_bad_index(self, uav, key):
-        with pytest.raises(IndexError):
+        with pytest.raises(IndexError, match=r"\[s, ai, aj\].*\[:, ai, aj, :\].*block"):
             uav.transition[key]
 
+    def test_not_densified(self, tiger):
+        with pytest.raises(TypeError, match="block"):
+            np.asarray(tiger.transition)
+        with pytest.raises(TypeError):
+            np.array(tiger.transition, dtype=float)
+
     def test_equality_by_value(self, tiger, uav):
-        again = JointTransition.from_dense(np.asarray(tiger.transition))
+        again = JointTransition.from_entries(
+            domain_to_obj(tiger)["transition"], tiger.transition.shape
+        )
         assert again == tiger.transition and again is not tiger.transition
         assert tiger.transition != uav.transition
-        assert tiger.transition != np.asarray(tiger.transition)
+        assert tiger.transition != tiger.transition.rows
 
     def test_pickle_keeps_it_read_only(self, uav):
         back = pickle.loads(pickle.dumps(uav.transition))
@@ -481,8 +550,43 @@ class TestJointTransition:
             assert not arr.flags.writeable
 
     def test_flat_shape_rejected(self, tiger):
-        with pytest.raises(DomainValidationError, match="transition: shape"):
-            dataclasses.replace(tiger, transition=np.ones((2, 2)))
+        for table in (np.ones((2, 2)), _dense(tiger.transition)):
+            with pytest.raises(DomainValidationError, match="transition: ndarray, expected a JointTransition"):
+                dataclasses.replace(tiger, transition=table)
+
+
+class TestFromEntries:
+    def test_sorts_into_row_order_and_drops_zeros(self, tiger):
+        entries = domain_to_obj(tiger)["transition"]
+        shuffled = [entries[k] for k in np.random.default_rng(0).permutation(len(entries))]
+        shuffled.append([0, 2, 2, 1, 0.0])  # an explicit zero is not stored
+        again = JointTransition.from_entries(shuffled, tiger.transition.shape)
+        assert again == tiger.transition
+        assert again.rows.indices.dtype == np.int32 and again.rows.indptr.dtype == np.int64
+
+    @pytest.mark.parametrize(
+        "entry, match",
+        [
+            ([0, 0, 0, 0], r"entry 34 is not \[s, ai, aj, s', p\]"),
+            ([0, 0, 0, 0, 0.5, 1], r"entry 34 is not"),
+            ([0, 0, 0, "x", 0.5], r"entry 34 is not"),
+            ([0, 0, 0, [0], 0.5], r"entry 34 is not"),
+            ([0.5, 0, 0, 0, 0.5], r"entry 34 \[0\.5, 0\.0, 0\.0, 0\.0, 0\.5\] has an index"),
+            ([2, 0, 0, 0, 0.5], r"entry 34 .* has an index that is not an integer inside \(2, 3, 3, 2\)"),
+            ([0, 0, 3, 0, 0.5], r"entry 34 .* has an index"),
+            ([0, -1, 0, 0, 0.5], r"entry 34 .* has an index"),
+            ([0, 0, 0, np.nan, 0.5], r"entry 34 .* has an index"),
+            ([1, 2, 0, 1, 0.5], r"entry 34 repeats \(s, ai, aj, s'\) \[1, 2, 0, 1\] of entry 27"),
+        ],
+        ids=[
+            "short", "long", "text", "nested", "fraction", "state-too-large",
+            "peer-action-too-large", "negative", "nan-index", "duplicate",
+        ],
+    )
+    def test_bad_entry_is_named(self, tiger, entry, match):
+        entries = domain_to_obj(tiger)["transition"] + [entry]
+        with pytest.raises(DomainValidationError, match="transition: " + match):
+            JointTransition.from_entries(entries, tiger.transition.shape)
 
 
 class TestSerialization:
@@ -495,7 +599,7 @@ class TestSerialization:
         d = domain_from_obj(json.loads(serialize_domain(tiger)))
         assert d.name == tiger.name
         assert d.states == tiger.states
-        assert np.array_equal(d.transition, tiger.transition)
+        assert d.transition == tiger.transition
         assert np.array_equal(d.start, tiger.start)
 
     def test_load_from_file(self, tiger, tmp_path):
@@ -512,6 +616,57 @@ class TestSerialization:
         assert builtin_domain("tiger", 2).horizon == 2
         with pytest.raises(KeyError):
             builtin_domain("chess")
+
+    def test_uav_roundtrip(self, uav, tmp_path):
+        text = serialize_domain(uav)
+        path = tmp_path / "uav.json"
+        path.write_text(text)
+        d = load_domain(path)
+        assert d.transition == uav.transition
+        assert serialize_domain(d) == text
+        # Files carry no level-0 views.
+        assert d.level0 == {} and "level0" not in json.loads(text)
+
+    def test_transition_is_entries_in_storage_order(self, tiger):
+        entries = domain_to_obj(tiger)["transition"]
+        assert len(entries) == tiger.transition.rows.nnz == 34
+        assert entries[:3] == [[0, 0, 0, 0, 0.5], [0, 0, 0, 1, 0.5], [1, 0, 0, 0, 0.5]]
+        assert entries[-2:] == [[0, 2, 2, 0, 1.0], [1, 2, 2, 1, 1.0]]
+
+    def test_dense_table_refused(self, tiger):
+        obj = domain_to_obj(tiger)
+        obj["transition"] = _dense(tiger.transition).tolist()
+        with pytest.raises(DomainValidationError, match=r"transition: a dense .* no longer read"):
+            domain_from_obj(obj)
+
+    def test_labels_checked_before_entries(self, tiger):
+        obj = domain_to_obj(tiger)
+        obj["states"] = ["TigerLeft", "TigerLeft"]
+        obj["transition"] = "not entries"
+        with pytest.raises(DomainValidationError, match="states: duplicate"):
+            domain_from_obj(obj)
+        obj["states"] = list(tiger.states)
+        with pytest.raises(DomainValidationError, match="transition: expected a list"):
+            domain_from_obj(obj)
+
+    @pytest.mark.parametrize(
+        "edit, match",
+        [
+            (lambda t: t[5].pop(), r"transition: entry 5 is not \[s, ai, aj, s', p\]"),
+            (lambda t: t[5].__setitem__(0, 1.5), r"transition: entry 5 \[1\.5, .* has an index"),
+            (lambda t: t[5].__setitem__(3, 2), r"transition: entry 5 .* has an index"),
+            (lambda t: t.append(list(t[7])), r"transition: entry 34 repeats .* of entry 7"),
+            (lambda t: t[5].__setitem__(4, -0.5), r"transition\[:, 0, 1\]: negative"),
+            (lambda t: t[5].__setitem__(4, float("inf")), r"transition\[:, 0, 1\]: non-finite"),
+            (lambda t: t[26].__setitem__(4, 0.4), r"transition\[:, 2, 0\]: row 1 sums"),
+        ],
+        ids=["short", "fraction", "out-of-range", "duplicate", "negative", "infinite", "row-sum"],
+    )
+    def test_malformed_transition_named(self, tiger, edit, match):
+        obj = json.loads(serialize_domain(tiger))
+        edit(obj["transition"])
+        with pytest.raises(DomainValidationError, match=match):
+            domain_from_obj(obj)
 
 
 def _fields_equal(a, b) -> bool:
@@ -556,8 +711,8 @@ class TestReadOnly:
             uav.level0["j"] = project_level0(uav, "j")
         with pytest.raises(TypeError):
             del uav.level0["j"]
-        with pytest.raises(ValueError):
-            uav.transition[0, 0, 0, 0] = 0.5
+        with pytest.raises(TypeError):
+            uav.transition[0, 0, 0] = 0.5
 
     def test_pickle_roundtrip(self, uav):
         back = pickle.loads(pickle.dumps(uav))
@@ -580,5 +735,5 @@ class TestReadOnly:
         # No prebuilt view for tiger: j's view marginalizes i's action.
         j = project_level0(tiger, "j")
         w = np.full(3, 1.0 / 3.0)
-        assert np.array_equal(j.transition, np.einsum("a,sawt->swt", w, tiger.transition))
+        assert np.array_equal(j.transition, np.einsum("a,sawt->swt", w, _dense(tiger.transition)))
         assert np.array_equal(j.reward, np.einsum("swa,a->sw", tiger.reward_j, w))

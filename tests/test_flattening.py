@@ -7,6 +7,7 @@ from scipy import sparse
 from ididiv import (
     DomainValidationError,
     EnumerationCapError,
+    JointTransition,
     SelectionConfig,
     SparseRows,
     belief_update,
@@ -23,7 +24,7 @@ from ididiv import (
     solve_idid,
     validate_model,
 )
-from ididiv.domains import FannedRows
+from ididiv.domains import FannedRows, domain_to_obj
 from ididiv.trees import all_trees, node_table, tree_nodes
 from conftest import _peer_trees_t2
 
@@ -337,6 +338,7 @@ class TestSparsePath:
             assert isinstance(op, FannedRows)
             assert op.joint is tiger2.transition
             assert op.shape == (18, 18)
+            assert (np.zeros(18) @ op).dtype == np.float64
 
     def test_sparse_matches_dense(self, tiger2, cand2):
         sp = flatten(tiger2, cand2)
@@ -387,10 +389,25 @@ class TestSparsePath:
             flatten(dataclasses.replace(tiger2, obs_fn_j=obs_j), cand2)
 
     def test_bad_joint_block_is_named(self, tiger2, cand2):
-        T = np.array(tiger2.transition)
-        T[1, 2, 0] = [0.5, 0.4]
+        entries = domain_to_obj(tiger2)["transition"]
+        assert entries[27] == [1, 2, 0, 1, 0.5]
+        entries[27][4] = 0.4
+        T = JointTransition.from_entries(entries, tiger2.transition.shape)
         with pytest.raises(DomainValidationError, match=r"transition\[:, 2, 0\]: row 1"):
             flatten(dataclasses.replace(tiger2, transition=T), cand2)
+
+    @pytest.mark.parametrize("aj", [2, 1])
+    def test_bad_subject_sensing_is_named(self, tiger2, cand2, aj):
+        # cand2's peers play OpenRight (aj = 1) only at leaves, so the model
+        # copies no obs_fn_i[:, :, 1] row; a bad one is refused all the same,
+        # under the domain table's name.
+        parents = {n.action for t in cand2.trees for n in tree_nodes(t) if n.children}
+        assert parents == {"Listen", "OpenLeft"}
+        obs_i = np.array(tiger2.obs_fn_i)
+        obs_i[0, 0, aj, 0] += 0.05
+        broken = dataclasses.replace(tiger2, obs_fn_i=obs_i)
+        with pytest.raises(DomainValidationError, match=r"obs_fn_i: row \(0, 0, %d\) sums" % aj):
+            flatten(broken, cand2)
 
     def test_validate_model_checks_operator_count_and_shape(self, tiger2, cand2):
         model = flatten(tiger2, cand2).model
@@ -407,5 +424,5 @@ class TestSparsePath:
         b = flatten(left, cand2).model.initial_belief
         assert b[0] == pytest.approx(0.5)  # prior 0.5 on candidate 0
         assert b[1] == 0.0
-        with pytest.raises(ValueError, match="initial_belief"):
+        with pytest.raises(ValueError, match="start"):
             flatten(dataclasses.replace(tiger2, start=np.array([0.9, 0.2])), cand2)

@@ -66,6 +66,20 @@ solve_idid(flatten(domain, candidates))
 print(peak_bytes() - before)
 """
 
+# The file holds the table's 41,408 stored entries, not a dense
+# [628][5][5][628] table.
+_FILE_PEAK = _PEAK + """
+import json
+from ididiv import serialize_domain
+from ididiv.domains import domain_from_obj
+
+domain = builtin_domain("uav", 3)
+before = peak_bytes()
+again = domain_from_obj(json.loads(serialize_domain(domain)))
+assert again.transition == domain.transition
+print(peak_bytes() - before)
+"""
+
 
 def _run(code, *args) -> str:
     src = str(Path(ididiv.__file__).resolve().parent.parent)
@@ -102,3 +116,9 @@ def test_flattening_and_solving_uav_raises_the_peak_by_little():
     # O_aug (12.7 MB), the state labels (5.7 MB) and R_aug (3.2 MB) remain;
     # the transition operators copy nothing from the domain.
     assert int(_run(_FLAT_SOLVE_PEAK)) < 40 * 2**20
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").is_file(), reason="needs Linux /proc")
+def test_uav_domain_file_round_trip_raises_the_peak_by_little():
+    # Through the dense table it raised the peak by 1.2 GB.
+    assert int(_run(_FILE_PEAK)) < 150 * 2**20

@@ -340,6 +340,19 @@ class TestGrid:
         for name in ("results.csv", "diversity.csv"):
             assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
 
+    def test_domain_file_gives_the_builtin_outputs(self, tmp_path):
+        path = tmp_path / "tiger.json"
+        path.write_text(serialize_domain(builtin_tiger(2)))
+        grid = dict(
+            SMALL_GRID, algorithms=list(ALGORITHMS), true_modes=["from-set", "random-generated"]
+        )
+        for name, domain in (("builtin", "tiger"), ("file", str(path))):
+            m = run_experiment_grid(dict(grid, domain=domain), tmp_path / name)
+            assert m.errors == [] and len(m.timings["cells"]) == 12
+        for name in ("results.csv", "diversity.csv"):
+            builtin = (tmp_path / "builtin" / name).read_bytes()
+            assert (tmp_path / "file" / name).read_bytes() == builtin
+
     def test_bad_domain_file_fails_before_writing(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"name": "x"}))
