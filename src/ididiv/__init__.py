@@ -81,7 +81,6 @@ from .solver import (
     belief_update,
     brute_force_solve,
     evaluate_policy,
-    observation_probability,
     solve_exact,
 )
 from .trees import (
@@ -99,7 +98,6 @@ from .trees import (
     frame,
     prefixes,
     sequence_list,
-    sequences_of,
     tree_nodes,
     validate_tree,
 )

@@ -11,6 +11,7 @@ outputs; `experiment --from-manifest` replays a recorded run.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import sys
 import time
@@ -18,14 +19,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .domains import BUILTIN_DOMAINS, builtin_domain, load_domain, project_level0, with_horizon
+# builtin_domain is unused here; perfbench/tracer.py binds cli.builtin_domain.
+from .domains import BUILTIN_DOMAINS, builtin_domain, project_level0  # noqa: F401
 from .features import build_matrix, matrix_to_csv, pivot_decompose
 from .flattening import flatten, solve_idid
 from .generation import generate_known_models
 from .runs import (
     RunManifest,
-    _check_domain_name,
     file_sha256,
+    resolve_domain,
     run_experiment_grid,
     run_from_manifest,
     write_manifest,
@@ -105,21 +107,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cli_domain(args, horizon: int | None):
-    """The --domain domain, and its (name, path) input entry; none for a builtin.
-
-    A value that is neither a builtin name nor an existing file is refused.
-    """
-    name = args.domain
-    _check_domain_name(name)
-    if name in BUILTIN_DOMAINS:
-        return builtin_domain(name, horizon), []
-    domain = load_domain(name)
-    if horizon is not None:
-        domain = with_horizon(domain, horizon)
-    return domain, [("domain", name)]
-
-
 def _out_dir(args) -> Path:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -130,17 +117,17 @@ def _write_json(path: Path, obj) -> None:
     path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
-def _record(args, config: dict, outputs: dict, inputs=(), timings=None) -> None:
+def _record(args, config: dict, outputs: dict, input_hashes: dict, timings=None) -> None:
     """Write the subcommand's manifest.json into its output directory.
 
-    `inputs` pairs each input's name with the file it was read from and is
-    recorded by SHA-256; `outputs` maps names to the paths written.
+    `input_hashes` maps each input's name to the SHA-256 taken when it was
+    read, before the run; `outputs` maps names to the paths written.
     """
     manifest = RunManifest(
         command=args.command,
         config=config,
         seed=args.seed,
-        input_hashes={name: file_sha256(path) for name, path in inputs},
+        input_hashes=input_hashes,
         outputs={name: Path(path).name for name, path in outputs.items()},
         timings=timings or {},
     )
@@ -149,9 +136,9 @@ def _record(args, config: dict, outputs: dict, inputs=(), timings=None) -> None:
 
 def cmd_solve(args) -> int:
     t0 = time.perf_counter()
-    domain, inputs = _cli_domain(args, args.horizon)
+    by_horizon, hashes = resolve_domain(args.domain, [args.horizon])
     out = _out_dir(args)
-    model = project_level0(domain, args.agent)
+    model = project_level0(by_horizon[args.horizon], args.agent)
     pol = solve_exact(model)
     elapsed = time.perf_counter() - t0
 
@@ -167,13 +154,14 @@ def cmd_solve(args) -> int:
         },
     )
     config = {"domain": args.domain, "agent": args.agent, "horizon": model.horizon}
-    _record(args, config, {"policy": path}, inputs, {"solve_seconds": elapsed})
+    _record(args, config, {"policy": path}, hashes, {"solve_seconds": elapsed})
     print("solved %s (T=%d): value %.6f -> %s" % (model.name, model.horizon, pol.value, path))
     return 0
 
 
 def cmd_features(args) -> int:
     out = _out_dir(args)
+    hashes = {"trees": file_sha256(args.trees)}
     cs = load_candidate_set(args.trees)
     matrix = build_matrix(cs.trees)
     piv = pivot_decompose(matrix)
@@ -192,7 +180,7 @@ def cmd_features(args) -> int:
         },
     )
     outputs = {"matrix": matrix_path, "features": feat_path}
-    _record(args, {"trees": str(args.trees)}, outputs, [("trees", args.trees)])
+    _record(args, {"trees": str(args.trees)}, outputs, hashes)
     print(
         "%d trees, %d sequences, rank %d -> %s"
         % (len(cs.trees), len(matrix.columns), piv.rank, feat_path)
@@ -201,9 +189,9 @@ def cmd_features(args) -> int:
 
 
 def cmd_topk(args) -> int:
-    domain, inputs = _cli_domain(args, args.horizon)
+    by_horizon, hashes = resolve_domain(args.domain, [args.horizon])
     out = _out_dir(args)
-    level0 = project_level0(domain, "j")
+    level0 = project_level0(by_horizon[args.horizon], "j")
     known_ss, select_ss = np.random.SeedSequence(args.seed).spawn(2)
 
     t0 = time.perf_counter()
@@ -242,7 +230,7 @@ def cmd_topk(args) -> int:
         "select_seconds": t_select,
     }
     outputs = {"candidates": cand_path, "diversity": div_path}
-    _record(args, config, outputs, inputs, timings)
+    _record(args, config, outputs, hashes, timings)
     added = len(result.trees) - args.known
     print(
         "%s: %d known + %d added (%.2fs) -> %s"
@@ -252,8 +240,10 @@ def cmd_topk(args) -> int:
 
 
 def cmd_solve_idid(args) -> int:
-    domain, inputs = _cli_domain(args, args.horizon)
+    by_horizon, hashes = resolve_domain(args.domain, [args.horizon])
+    domain = by_horizon[args.horizon]
     out = _out_dir(args)
+    hashes["candidates"] = file_sha256(args.candidates)
     cs = load_candidate_set(args.candidates)
 
     t0 = time.perf_counter()
@@ -278,8 +268,7 @@ def cmd_solve_idid(args) -> int:
         "candidates": str(args.candidates),
         "horizon": domain.horizon,
     }
-    inputs.append(("candidates", args.candidates))
-    _record(args, config, {"policy": path}, inputs, {"solve_seconds": elapsed})
+    _record(args, config, {"policy": path}, hashes, {"solve_seconds": elapsed})
     print(
         "flattened %d states, value %.6f -> %s"
         % (len(flat.model.states), pol.value, path)
@@ -288,8 +277,10 @@ def cmd_solve_idid(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    domain, inputs = _cli_domain(args, args.horizon)
+    by_horizon, hashes = resolve_domain(args.domain, [args.horizon])
+    domain = by_horizon[args.horizon]
     out = _out_dir(args)
+    hashes["candidates"] = file_sha256(args.candidates)
     cs = load_candidate_set(args.candidates)
 
     t0 = time.perf_counter()
@@ -324,9 +315,8 @@ def cmd_simulate(args) -> int:
         "true_mode": args.true_mode,
         "horizon": domain.horizon,
     }
-    inputs.append(("candidates", args.candidates))
     outputs = {"episodes": ep_path, "stats": stats_path}
-    _record(args, config, outputs, inputs, {"simulate_seconds": elapsed})
+    _record(args, config, outputs, hashes, {"simulate_seconds": elapsed})
     print(
         "%d rounds: mean reward %.3f (planned %.3f) -> %s"
         % (stats.rounds, stats.mean_reward_i, stats.policy_value, stats_path)
@@ -343,8 +333,9 @@ def cmd_experiment(args) -> int:
         config = {"domain": args.domain, "seeds": [args.seed]}
         hashes = {}
         if args.config:
-            config.update(json.loads(Path(args.config).read_text()))
-            hashes["config"] = file_sha256(args.config)
+            data = Path(args.config).read_bytes()
+            config.update(json.loads(data))
+            hashes["config"] = hashlib.sha256(data).hexdigest()
         manifest = run_experiment_grid(
             config, out, workers=args.workers, input_hashes=hashes
         )

@@ -39,10 +39,11 @@ __all__ = [
 
 
 def _obs_count(n_observations) -> int:
-    n = n_observations if isinstance(n_observations, int) else len(tuple(n_observations))
-    if n < 1:
+    if isinstance(n_observations, bool) or not isinstance(n_observations, int):
+        raise ValueError("n_observations must be an int, got %r" % (n_observations,))
+    if n_observations < 1:
         raise ValueError("need at least one observation symbol")
-    return n
+    return n_observations
 
 
 def _counts(
@@ -78,12 +79,12 @@ def diff_frames(trees: Sequence[PolicyTree], t: int) -> int:
     return _at_depth(trees, t, 1)
 
 
-def mdp(trees: Sequence[PolicyTree], n_observations) -> float:
+def mdp(trees: Sequence[PolicyTree], n_observations: int) -> float:
     """Prefix diversity summed over depths, depth t scaled by n**-(t-1)."""
     return diversity_report(trees, n_observations).mdp_value
 
 
-def mdf(trees: Sequence[PolicyTree], n_observations) -> float:
+def mdf(trees: Sequence[PolicyTree], n_observations: int) -> float:
     """Prefix plus frame diversity, same per-depth scaling as mdp."""
     return diversity_report(trees, n_observations).mdf_value
 
@@ -100,7 +101,7 @@ class DiversityReport:
     mdf_value: float
 
 
-def diversity_report(trees: Sequence[PolicyTree], n_observations) -> DiversityReport:
+def diversity_report(trees: Sequence[PolicyTree], n_observations: int) -> DiversityReport:
     n = _obs_count(n_observations)
     if not trees:
         return DiversityReport(0, n, (), (), 0.0, 0.0)

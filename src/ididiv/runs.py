@@ -11,6 +11,12 @@ Result CSVs contain no timestamps or timings; rerunning a recorded manifest
 with the same tool version and the same BLAS threading reproduces them byte
 for byte.  Wall-clock timings, the thread settings and per-cell failures
 live only in the manifest.
+
+``resolve_domain`` is the one reading of a domain value, for grids, for
+``run_cell`` and for the command line: a builtin name, or a JSON file that
+is read once and parsed and hashed from the same bytes.  A manifest's
+``input_hashes`` are those hashes, so they name the bytes a run used, and a
+replay refuses a domain file whose hash has changed.
 """
 
 from __future__ import annotations
@@ -32,7 +38,7 @@ from .domains import (
     BUILTIN_DOMAINS,
     PosgDomain,
     builtin_domain,
-    load_domain,
+    domain_from_obj,
     project_level0,
     with_horizon,
 )
@@ -48,6 +54,7 @@ __all__ = [
     "write_manifest",
     "load_manifest",
     "file_sha256",
+    "resolve_domain",
     "normalize_grid_config",
     "grid_cells",
     "run_cell",
@@ -120,9 +127,7 @@ def load_manifest(path) -> RunManifest:
 
 
 def file_sha256(path) -> str:
-    h = hashlib.sha256()
-    h.update(Path(path).read_bytes())
-    return h.hexdigest()
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 def _check_domain_name(name) -> None:
@@ -206,12 +211,21 @@ def _stage_seed(cell: dict, stage: str) -> np.random.SeedSequence:
     )
 
 
-def _grid_domains(name: str, horizons) -> dict:
-    """The domain ``name`` at each horizon, a file read once for all of them."""
+def resolve_domain(name, horizons) -> tuple[dict, dict]:
+    """The domain ``name`` at each horizon, and the input hashes it read.
+
+    A builtin is the shared ``builtin_domain(name, h)``, ``None`` meaning its
+    default horizon, and hashes nothing.  A file is read once for all the
+    horizons (``None`` keeps the file's own), and ``{"domain": sha256}`` is
+    the hash of the bytes parsed, not of the file after the run.
+    """
+    _check_domain_name(name)
     if name in BUILTIN_DOMAINS:
-        return {h: builtin_domain(name, h) for h in horizons}
-    domain = load_domain(name)
-    return {h: with_horizon(domain, h) for h in horizons}
+        return {h: builtin_domain(name, h) for h in horizons}, {}
+    data = Path(name).read_bytes()
+    domain = domain_from_obj(json.loads(data))
+    by_horizon = {h: domain if h is None else with_horizon(domain, h) for h in horizons}
+    return by_horizon, {"domain": hashlib.sha256(data).hexdigest()}
 
 
 def _candidates_for(cell: dict, alg: str, known, level0):
@@ -237,7 +251,7 @@ def run_cell(cell: dict, domain: PosgDomain | None = None) -> dict:
     """
     t0 = time.perf_counter()
     if domain is None:
-        domain = _grid_domains(cell["domain"], [cell["horizon"]])[cell["horizon"]]
+        domain = resolve_domain(cell["domain"], [cell["horizon"]])[0][cell["horizon"]]
     level0 = project_level0(domain, "j")
     known = generate_known_models(level0, cell["m"], seed=_stage_seed(cell, "known"))
     alg = cell["algorithm"]
@@ -315,14 +329,12 @@ def run_experiment_grid(
 ) -> RunManifest:
     """Run every grid cell and write results.csv, diversity.csv, manifest.json."""
     config = normalize_grid_config(config)
-    input_hashes = dict(input_hashes or {})
-    if config["domain"] not in BUILTIN_DOMAINS:
-        input_hashes["domain"] = file_sha256(config["domain"])
     cells = grid_cells(config)
     # Each horizon's domain is resolved once and held while every cell runs,
     # so cells neither rebuild a built-in nor reread a domain file.
     t0 = time.perf_counter()
-    held = _grid_domains(config["domain"], config["horizons"])
+    held, domain_hashes = resolve_domain(config["domain"], config["horizons"])
+    input_hashes = {**(input_hashes or {}), **domain_hashes}
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     if workers <= 1:

@@ -32,7 +32,6 @@ __all__ = [
     "EnumerationCapError",
     "SolvedPolicy",
     "belief_update",
-    "observation_probability",
     "solve_exact",
     "brute_force_solve",
     "evaluate_policy",
@@ -65,16 +64,6 @@ def _condition(
     like = model.obs_fn[:, a, o]
     p = float(pred @ like)
     return p, ((pred * like) / p if p > 0.0 else None)
-
-
-def observation_probability(
-    model: SingleAgentModel, belief: np.ndarray, action: str, observation: str
-) -> float:
-    """Pr(observation | belief, action) one step ahead."""
-    a = model.actions.index(action)
-    o = model.observations.index(observation)
-    pred = np.asarray(belief, dtype=float) @ model.transition_matrix(a)
-    return _condition(model, pred, a, o)[0]
 
 
 def belief_update(

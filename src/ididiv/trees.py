@@ -32,7 +32,6 @@ __all__ = [
     "sequence_at",
     "prefixes",
     "frame",
-    "sequences_of",
     "sequence_list",
     "canonical_encode",
     "canonical_parse",
@@ -77,13 +76,6 @@ class BehaviorSequence:
         """Slash-joined interleaving: a1/o1/a2/o2/.../at."""
         pairs = zip(self.observations, self.actions[1:])
         return "/".join(itertools.chain(self.actions[:1], *pairs))
-
-    @staticmethod
-    def from_compact(text: str) -> "BehaviorSequence":
-        parts = text.split("/")
-        if len(parts) % 2 == 0:
-            raise ValueError("compact sequence must have odd part count: %r" % text)
-        return BehaviorSequence(tuple(parts[0::2]), tuple(parts[1::2]))
 
 
 @dataclass(frozen=True)
@@ -243,11 +235,6 @@ def frame(tree: PolicyTree, t: int) -> PolicyTree:
         raise ValueError("frame depth %d outside [1, %d]" % (t, tree.depth))
     kept = (a for a, lvl in zip(tree.preorder, _table_of(tree).level) if lvl < t)
     return _from_preorder(kept, tree.observation_labels, t)
-
-
-def sequences_of(tree: PolicyTree) -> frozenset[BehaviorSequence]:
-    """The distinct full-length behavior sequences of ``tree``."""
-    return prefixes(tree, tree.depth)
 
 
 def sequence_list(tree: PolicyTree) -> tuple[BehaviorSequence, ...]:

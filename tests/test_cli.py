@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -5,9 +6,12 @@ import sys
 import pytest
 
 from ididiv import (
+    cli,
     load_candidate_set,
     load_manifest,
     make_candidate_set,
+    run_experiment_grid,
+    runs,
     save_candidate_set,
     serialize_domain,
     builtin_tiger,
@@ -53,6 +57,41 @@ class TestSolve:
         assert rc == 0
         m = load_manifest(tmp_path / "out" / "manifest.json")
         assert "domain" in m.input_hashes
+
+
+def _rewriting(monkeypatch, module, name, path):
+    """Patch ``module.name`` to rewrite ``path`` when called; the old hash."""
+    original = getattr(module, name)
+
+    def rewrite_then_call(*args, **kwargs):
+        path.write_text(serialize_domain(builtin_tiger(3)))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, rewrite_then_call)
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+class TestInputHashes:
+    # A manifest records the bytes a run parsed, even when the file changes
+    # while the run is going on.
+    def test_cli_hashes_the_domain_bytes_it_solved(self, tmp_path, monkeypatch):
+        dom = tmp_path / "dom.json"
+        dom.write_text(serialize_domain(builtin_tiger(2)))
+        parsed = _rewriting(monkeypatch, cli, "solve_exact", dom)
+        rc = _run(["--out-dir", tmp_path / "out", "--domain", dom, "solve", "--horizon", "2"])
+        assert rc == 0
+        assert hashlib.sha256(dom.read_bytes()).hexdigest() != parsed
+        m = load_manifest(tmp_path / "out" / "manifest.json")
+        assert m.input_hashes == {"domain": parsed}
+
+    def test_grid_hashes_the_domain_bytes_it_ran(self, tmp_path, monkeypatch):
+        dom = tmp_path / "dom.json"
+        dom.write_text(serialize_domain(builtin_tiger(2)))
+        parsed = _rewriting(monkeypatch, runs, "run_experiment", dom)
+        m = run_experiment_grid(dict(GRID, domain=str(dom)), tmp_path / "out")
+        assert m.errors == []
+        assert hashlib.sha256(dom.read_bytes()).hexdigest() != parsed
+        assert m.input_hashes == {"domain": parsed}
 
 
 class TestTopkFeaturesChain:
@@ -160,7 +199,7 @@ class TestExperiment:
         )
         assert rc == 0
         m = load_manifest(tmp_path / "a" / "manifest.json")
-        assert "config" in m.input_hashes
+        assert m.input_hashes == {"config": hashlib.sha256(cfg.read_bytes()).hexdigest()}
 
         rc = _run(
             [

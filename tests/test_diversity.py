@@ -60,15 +60,11 @@ class TestMeasures:
         # (2+2)/1 + (5+3)/2 + (12+4)/4.
         assert mdf(fig_trees, 2) == 12.0
 
-    def test_alphabet_argument(self, fig_trees):
-        assert mdp(fig_trees, ("o1", "o2")) == 7.5
-        assert mdf(fig_trees, ("o1", "o2")) == 12.0
-
     def test_mdf_dominates_mdp(self):
         rng = np.random.default_rng(11)
         for _ in range(30):
             trees, _, obs = random_tree_set(rng)
-            assert mdf(trees, obs) >= mdp(trees, obs)
+            assert mdf(trees, len(obs)) >= mdp(trees, len(obs))
 
     def test_monotone_in_added_tree(self):
         # Adding a tree can only add prefixes and frames.
@@ -77,8 +73,8 @@ class TestMeasures:
             trees, _, obs = random_tree_set(rng)
             if len(trees) < 2:
                 continue
-            assert mdp(trees, obs) >= mdp(trees[:-1], obs)
-            assert mdf(trees, obs) >= mdf(trees[:-1], obs)
+            assert mdp(trees, len(obs)) >= mdp(trees[:-1], len(obs))
+            assert mdf(trees, len(obs)) >= mdf(trees[:-1], len(obs))
 
     def test_deeper_scaling(self):
         # Two constant depth-3 trees over a four-letter alphabet realize 2, 8
@@ -115,6 +111,12 @@ class TestMeasures:
         with pytest.raises(ValueError):
             mdp(fig_trees, 0)
 
+    @pytest.mark.parametrize("bad", [("o1", "o2"), 2.0, True], ids=["labels", "float", "bool"])
+    def test_observation_count_is_an_int(self, fig_trees, bad):
+        for measure in (mdp, mdf, diversity_report):
+            with pytest.raises(ValueError, match="n_observations"):
+                measure(fig_trees, bad)
+
     def test_mixed_depths_rejected(self, fig_trees):
         with pytest.raises(ValueError):
             mdp(fig_trees + [constant_tree("A", ("o1", "o2"), 2)], 2)
@@ -134,9 +136,9 @@ class TestReport:
         rng = np.random.default_rng(21)
         for _ in range(20):
             trees, _, obs = random_tree_set(rng)
-            rep = diversity_report(trees, obs)
-            assert rep.mdp_value == mdp(trees, obs)
-            assert rep.mdf_value == mdf(trees, obs)
+            rep = diversity_report(trees, len(obs))
+            assert rep.mdp_value == mdp(trees, len(obs))
+            assert rep.mdf_value == mdf(trees, len(obs))
 
     def test_csv_golden(self, fig_trees):
         text = report_to_csv(diversity_report(fig_trees, 2))

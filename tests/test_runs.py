@@ -1,17 +1,16 @@
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ididiv import runs
 from ididiv import (
     ALGORITHMS,
     DomainValidationError,
     RunManifest,
     builtin_domain,
     builtin_tiger,
-    load_domain,
     load_manifest,
     run_experiment_grid,
     run_from_manifest,
@@ -326,12 +325,14 @@ class TestGrid:
         path = tmp_path / "tiger.json"
         path.write_text(serialize_domain(builtin_tiger(3)))
         reads = []
+        read_bytes = Path.read_bytes
 
-        def counting(source):
-            reads.append(source)
-            return load_domain(source)
+        def counting(self):
+            if self == path:
+                reads.append(str(self))
+            return read_bytes(self)
 
-        monkeypatch.setattr(runs, "load_domain", counting)
+        monkeypatch.setattr(Path, "read_bytes", counting)
         grid = dict(SMALL_GRID, domain=str(path), algorithms=list(ALGORITHMS), seeds=[0])
         for workers in (1, 2):
             m = run_experiment_grid(grid, tmp_path / str(workers), workers=workers)

@@ -13,7 +13,6 @@ from ididiv import (
     count_trees,
     evaluate_policy,
     flatten,
-    observation_probability,
     solve_exact,
 )
 from conftest import random_model
@@ -49,10 +48,6 @@ class TestBeliefUpdate:
         m = _det_obs_model()
         with pytest.raises(ImpossibleObservationError):
             belief_update(m, np.array([1.0]), "a0", "z1")
-
-    def test_observation_probability(self, tiger_j):
-        p = observation_probability(tiger_j, np.array([0.5, 0.5]), "Listen", "GrowlLeft")
-        assert p == pytest.approx(0.5, abs=1e-12)
 
 
 class TestSolveTiger:

@@ -18,7 +18,6 @@ from ididiv import (
     frame,
     prefixes,
     sequence_list,
-    sequences_of,
     tree_nodes,
     validate_tree,
 )
@@ -39,7 +38,6 @@ class TestBehaviorSequence:
     def test_compact_roundtrip(self):
         s = BehaviorSequence(("a", "b", "a"), ("x", "y"))
         assert s.compact() == "a/x/b/y/a"
-        assert BehaviorSequence.from_compact("a/x/b/y/a") == s
 
 
 class TestShapes:
@@ -94,10 +92,6 @@ class TestPrefixes:
             prefixes(fig_trees[0], 0)
         with pytest.raises(ValueError):
             prefixes(fig_trees[0], 4)
-
-    def test_sequences_of_equals_full_prefixes(self, fig_trees):
-        for t in fig_trees:
-            assert sequences_of(t) == prefixes(t, 3)
 
     def test_sequence_list_order(self):
         t = node("A", node("B"), node("C"))
@@ -189,7 +183,7 @@ class TestEnumeration:
     def test_constant_tree(self):
         t = constant_tree("A", ("o1", "o2"), 3)
         validate_tree(t, ("o1", "o2"), depth=3)
-        assert len(sequences_of(t)) == 4
+        assert len(prefixes(t, 3)) == 4
         assert {n.action for n in tree_nodes(t)} == {"A"}
 
     def test_tree_nodes_preorder(self, fig_trees):
