@@ -25,11 +25,13 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
+import operator
 import weakref
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -40,6 +42,8 @@ __all__ = [
     "SparseRows",
     "JointTransition",
     "FannedRows",
+    "PositionTable",
+    "PositionLabels",
     "SingleAgentModel",
     "PosgDomain",
     "validate_model",
@@ -322,39 +326,104 @@ class FannedRows:
 
 
 @dataclass(frozen=True, eq=False)
+class PositionTable:
+    """A subject table over (position, physical state) pairs, read from a
+    domain table at each position's peer action.
+
+    Entry ``[g * S + s, a, ...]`` is ``table[s, a, act[g], ...]``, and a
+    position with ``act[g] < 0`` holds ``fill`` instead.  ``column(a, ...)``
+    gathers one new [G * S] vector; nothing else is copied from ``table``.
+    """
+
+    table: np.ndarray
+    act: np.ndarray
+    fill: float = 0.0
+
+    def __post_init__(self) -> None:
+        self.act.setflags(write=False)
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        S, A, _, *rest = self.table.shape
+        return (len(self.act) * S, A, *rest)
+
+    def column(self, a: int, *rest: int) -> np.ndarray:
+        S, _, n_peer = self.table.shape[:3]
+        # One row per peer action, then the fill row that act = -1 picks.
+        by_peer = np.empty((n_peer + 1, S))
+        by_peer[:n_peer] = self.table[(slice(None), a, slice(None), *rest)].T
+        by_peer[n_peer] = self.fill
+        return by_peer.take(self.act, axis=0).reshape(-1)
+
+
+class PositionLabels(Sequence):
+    """The state labels of a flattened model, made on index.
+
+    State ``g * S + s`` is labeled ``"m%d:p%d:%s"`` by its candidate m, the
+    position of g within that candidate's tree and ``states[s]``.  Distinct
+    positions give distinct labels, so ``validate_model`` counts them
+    without making them.
+    """
+
+    def __init__(self, node_counts: Sequence[int], states: Sequence[str]) -> None:
+        self._first = np.concatenate(([0], np.cumsum(node_counts)))
+        self._states = tuple(states)
+
+    def __len__(self) -> int:
+        return int(self._first[-1]) * len(self._states)
+
+    def __getitem__(self, k: int) -> str:
+        n = len(self)
+        k = operator.index(k)
+        if not -n <= k < n:
+            raise IndexError("state %d outside [0, %d)" % (k, n))
+        g, s = divmod(k % n, len(self._states))
+        m = int(np.searchsorted(self._first, g, side="right")) - 1
+        return "m%d:p%d:%s" % (m, g - self._first[m], self._states[s])
+
+
+@dataclass(frozen=True, eq=False)
 class SingleAgentModel:
     """Finite-horizon tabular POMDP.
 
     Parameters
     ----------
+    states : sequence of str
+        A tuple, or for flattened models the ``PositionLabels`` made on
+        index.
     transition : ndarray [S, A, S'] or tuple of one [S, S'] operator per action
         Row-stochastic per (s, a).  Level-0 models (``project_level0``) are
         dense; flattened models (``flattening.flatten``) hold FannedRows
         over the domain's joint table, and a hand-built model may hold
         SparseRows.  ``transition_matrix`` hides the difference.
-    obs_fn : ndarray [S', A, O]
+    obs_fn : ndarray or PositionTable [S', A, O]
         Probability of each observation after landing in s' under action a.
-    reward : ndarray [S, A]
+        Flattened models read it from the domain's ``obs_fn_i``;
+        ``likelihood`` hides the difference.
+    reward : ndarray or PositionTable [S, A]
+        Flattened models read it from the domain's ``reward_i``;
+        ``rewards`` hides the difference.
     initial_belief : ndarray [S]
     horizon : int
         Number of decisions; policy trees for this model have this depth.
     """
 
     name: str
-    states: tuple[str, ...]
+    states: Sequence[str]
     actions: tuple[str, ...]
     observations: tuple[str, ...]
     transition: object
-    obs_fn: np.ndarray
-    reward: np.ndarray
+    obs_fn: np.ndarray | PositionTable
+    reward: np.ndarray | PositionTable
     initial_belief: np.ndarray
     horizon: int
 
     def __post_init__(self) -> None:
         if not self.is_sparse:
             object.__setattr__(self, "transition", _freeze(self.transition))
-        object.__setattr__(self, "obs_fn", _freeze(self.obs_fn))
-        object.__setattr__(self, "reward", _freeze(self.reward))
+        for name in ("obs_fn", "reward"):
+            if not isinstance(getattr(self, name), PositionTable):
+                object.__setattr__(self, name, _freeze(getattr(self, name)))
         object.__setattr__(self, "initial_belief", _freeze(self.initial_belief))
 
     @property
@@ -366,6 +435,20 @@ class SingleAgentModel:
         if self.is_sparse:
             return self.transition[a]
         return self.transition[:, a, :]
+
+    def likelihood(self, a: int, o: int) -> np.ndarray:
+        """Probability of observation o after action a, for every s', as a
+        new array the caller may overwrite."""
+        if isinstance(self.obs_fn, PositionTable):
+            return self.obs_fn.column(a, o)
+        return self.obs_fn[:, a, o].copy()
+
+    def rewards(self, a: int) -> np.ndarray:
+        """Reward of action a in every state, as a new array the caller may
+        overwrite."""
+        if isinstance(self.reward, PositionTable):
+            return self.reward.column(a)
+        return self.reward[:, a].copy()
 
     def replace(self, **kw) -> "SingleAgentModel":
         return dataclasses.replace(self, **kw)
@@ -505,7 +588,10 @@ def _check_sparse_rows(path: str, blk: SparseRows, shape: tuple[int, int]) -> No
 
 def validate_model(m: SingleAgentModel) -> None:
     """Raise DomainValidationError naming the offending table and row."""
-    S = len(_check_labels("states", m.states))
+    if isinstance(m.states, PositionLabels):
+        S = len(m.states)  # distinct by construction
+    else:
+        S = len(_check_labels("states", m.states))
     A = len(_check_labels("actions", m.actions))
     O = len(_check_labels("observations", m.observations))
     if m.horizon < 1:
@@ -524,10 +610,12 @@ def validate_model(m: SingleAgentModel) -> None:
     else:
         _check_shape("transition", m.transition, (S, A, S))
         _check_rows("transition", m.transition)
+    # A PositionTable reads a domain table, which flatten checked.
     _check_shape("obs_fn", m.obs_fn, (S, A, O))
-    _check_rows("obs_fn", m.obs_fn)
+    if not isinstance(m.obs_fn, PositionTable):
+        _check_rows("obs_fn", m.obs_fn)
     _check_shape("reward", m.reward, (S, A))
-    if not np.all(np.isfinite(m.reward)):
+    if not isinstance(m.reward, PositionTable) and not np.all(np.isfinite(m.reward)):
         raise DomainValidationError("reward: non-finite entry")
     _check_shape("initial_belief", m.initial_belief, (S,))
     _check_rows("initial_belief", m.initial_belief)

@@ -11,15 +11,22 @@ successor position conditions on the action of that position's unique
 parent.  Root positions never occur as successors, so their observation
 rows are uniform filler.
 
-A flattened model's transition is one ``domains.FannedRows`` per subject
-action, which reads the domain's joint table and ``obs_fn_j`` and copies
-nothing from them.  A CSR matrix of the same entries would hold 1.95 M
-entries (26.6 MB) for a 6-candidate T=3 uav set; ``tests/test_flattening.py``
-builds one as the oracle, whose ``nnz`` and products, bit for bit, the
-operators reproduce.  Level-0 models, which come from
-``domains.project_level0``, stay dense [S, A, S'] arrays.  Both forms
-support ``b @ model.transition_matrix(a)``.  ``flatten`` validates the
-domain first, so an error names the domain table at fault.
+The flattened model copies nothing from the domain.  It holds two
+per-position arrays, the peer's action and its parent's (-1 at a root), and
+reads the domain's tables through them:
+  * the transition is one ``domains.FannedRows`` per subject action over the
+    joint table and ``obs_fn_j``.  A CSR matrix of the same entries would
+    hold 1.95 M entries (26.6 MB) for a 6-candidate T=3 uav set;
+    ``tests/test_flattening.py`` builds one as the oracle, whose ``nnz`` and
+    products, bit for bit, the operators reproduce;
+  * the likelihoods and rewards are ``domains.PositionTable`` gathers from
+    ``obs_fn_i`` and ``reward_i``, equal value for value to per-position
+    copies (12.7 MB and 3.2 MB for that set), which the tests also build;
+  * the state labels are ``domains.PositionLabels``, made on index.
+Level-0 models, which come from ``domains.project_level0``, stay dense
+arrays; ``transition_matrix``, ``likelihood`` and ``rewards`` read both
+forms.  ``flatten`` validates the domain first, so an error names the domain
+table at fault.
 """
 
 from __future__ import annotations
@@ -30,6 +37,8 @@ import numpy as np
 
 from .domains import (
     FannedRows,
+    PositionLabels,
+    PositionTable,
     PosgDomain,
     SingleAgentModel,
     validate_domain,
@@ -79,22 +88,27 @@ def flatten(domain: PosgDomain, candidates: CandidateModelSet) -> FlatIdid:
             )
         validate_tree(tree, domain.observations_j, actions=domain.actions_j)
 
-    # The operators read the domain's tables, and the model copies some of
-    # them; a bad entry is named by its domain table.
+    # The model reads the domain's tables without copying them; a bad entry
+    # is named by its domain table.
     validate_domain(domain)
 
     # Per candidate: peer action index, parent and children per position.
     tables = []
     for tree in candidates.trees:
         layout = node_table(n_oj, tree.depth)
-        tables.append(([aj_index[a] for a in tree.preorder], layout.parent, layout.children))
+        acts = np.array([aj_index[a] for a in tree.preorder], dtype=np.int64)
+        tables.append((acts, layout.parent, layout.children))
     node_counts = tuple(len(tab[0]) for tab in tables)
     offsets = tuple(np.concatenate(([0], np.cumsum([n * S for n in node_counts])))[:-1])
     s_aug = offsets[-1] + node_counts[-1] * S
 
-    # Per position g over all candidates: the peer's action and the base
-    # g2 * S of each child g2; a leaf keeps itself.
-    peer = np.concatenate([np.asarray(acts, dtype=np.int64) for acts, _, _ in tables])
+    # Per position g over all candidates: the peer's action, its parent's
+    # (-1 at a root), and the base g2 * S of each child g2; a leaf keeps
+    # itself.
+    peer = np.concatenate([acts for acts, _, _ in tables])
+    parent_peer = np.concatenate(
+        [np.where(parents >= 0, acts[parents], -1) for acts, parents, _ in tables]
+    )
     kids = np.full((len(peer), n_oj), -1, dtype=np.int64)
     for m, (_acts, _parents, children) in enumerate(tables):
         g = offsets[m] // S + np.arange(node_counts[m])
@@ -105,37 +119,19 @@ def flatten(domain: PosgDomain, candidates: CandidateModelSet) -> FlatIdid:
         FannedRows(domain.transition, domain.obs_fn_j, ai, peer, kids) for ai in range(n_ai)
     )
 
-    O_aug = np.empty((s_aug, n_ai, n_oi))
-    R_aug = np.empty((s_aug, n_ai))
-    for m, (acts, parents, _children) in enumerate(tables):
-        for pos in range(node_counts[m]):
-            base = offsets[m] + pos * S
-            par = int(parents[pos])
-            if par < 0:
-                O_aug[base : base + S] = 1.0 / n_oi
-            else:
-                O_aug[base : base + S] = domain.obs_fn_i[:, :, acts[par], :]
-            R_aug[base : base + S] = domain.reward_i[:, :, acts[pos]]
-
     b0 = domain.start_distribution()
     b0_aug = np.zeros(s_aug)
     for m in range(len(tables)):
         b0_aug[offsets[m] : offsets[m] + S] = candidates.prior[m] * b0
 
-    names = tuple(
-        "m%d:p%d:%s" % (m, pos, st)
-        for m in range(len(tables))
-        for pos in range(node_counts[m])
-        for st in domain.states
-    )
     model = SingleAgentModel(
         name="idid:%s" % domain.name,
-        states=names,
+        states=PositionLabels(node_counts, domain.states),
         actions=act_i,
         observations=obs_i,
         transition=ops,
-        obs_fn=O_aug,
-        reward=R_aug,
+        obs_fn=PositionTable(domain.obs_fn_i, parent_peer, 1.0 / n_oi),
+        reward=PositionTable(domain.reward_i, peer),
         initial_belief=b0_aug,
         horizon=domain.horizon,
     )

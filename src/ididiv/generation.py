@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domains import SingleAgentModel
-from .solver import _condition, solve_exact
+from .solver import _beats, _condition, _expected_reward, solve_exact
 from .trees import BehaviorSequence, PolicyTree, canonical_encode, count_trees
 
 __all__ = [
@@ -45,11 +45,11 @@ def convert_to_dbn(model: SingleAgentModel) -> DynamicBeliefNet:
 
 
 def _myopic_action(model: SingleAgentModel, b: np.ndarray) -> int:
-    # Strict first-max, same tie policy as the solver.
+    # The same sums and tie rule as the solver.
     best_a, best_q = 0, -np.inf
     for a in range(len(model.actions)):
-        q = float(b @ model.reward[:, a])
-        if q > best_q:
+        q = _expected_reward(model, b, a)
+        if a == 0 or _beats(q, best_q):
             best_a, best_q = a, q
     return best_a
 

@@ -88,9 +88,9 @@ DIVERSITY_COLUMNS = (
     "domain", "algorithm", "horizon", "m", "k", "true_mode", "seed",
     "candidates", "mdp", "mdf", "mean_reward",
 )
-# Environment variables that set the BLAS thread count.  Dense dot products
-# in the solver sum in a thread-dependent order, so policy_value can differ
-# in its last digits between thread counts.
+# Environment variables that set the BLAS thread count, recorded in the
+# manifest.  Of the pipeline's sums only the level-0 models' dense
+# b @ T[:, a, :] still goes through BLAS; the flattened solve has none.
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 RESULTS_HEADER = ",".join(RESULTS_COLUMNS)

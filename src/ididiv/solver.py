@@ -3,9 +3,15 @@
 solve_exact does backward induction on the reachable belief tree and returns
 a complete policy tree.  brute_force_solve enumerates every complete tree and
 keeps the best; it exists as an oracle for the recursive solver and refuses
-to run past an explicit cap.  Both break ties toward the earlier action in
-the declared order, and both skip observation branches whose probability is
-exactly zero, so they agree on the returned tree, not just its value.
+to run past an explicit cap.  In both, a later action or tree replaces the
+best so far only when its value q exceeds the best's by more than
+``TIE_TOL * max(1, |best|)``, so ties that rounding could break either way
+go to the earlier action in the declared order.  Both skip observation
+branches whose probability is exactly zero, so they agree on the returned
+tree, not just its value.
+
+Every sum over states is ``np.add.reduce`` of an elementwise product, whose
+order does not depend on the BLAS thread count.
 
 solve_exact, brute_force_solve and evaluate_policy run one recursion, which
 either picks the best action at each belief or follows a given tree, so the
@@ -28,6 +34,7 @@ from .trees import (
 )
 
 __all__ = [
+    "TIE_TOL",
     "ImpossibleObservationError",
     "EnumerationCapError",
     "SolvedPolicy",
@@ -36,6 +43,14 @@ __all__ = [
     "brute_force_solve",
     "evaluate_policy",
 ]
+
+
+# Relative margin by which a later action or tree must beat the best so far.
+TIE_TOL = 1e-9
+
+
+def _beats(q: float, best: float) -> bool:
+    return q > best + TIE_TOL * max(1.0, abs(best))
 
 
 class ImpossibleObservationError(ValueError):
@@ -54,6 +69,13 @@ class SolvedPolicy:
     horizon: int
 
 
+def _expected_reward(model: SingleAgentModel, b: np.ndarray, a: int) -> float:
+    """Sum over states of b times the reward of action a."""
+    r = model.rewards(a)
+    r *= b
+    return float(np.add.reduce(r))
+
+
 def _condition(
     model: SingleAgentModel, pred: np.ndarray, a: int, o: int
 ) -> tuple[float, np.ndarray | None]:
@@ -61,9 +83,13 @@ def _condition(
 
     The posterior is None when the observation has probability zero.
     """
-    like = model.obs_fn[:, a, o]
-    p = float(pred @ like)
-    return p, ((pred * like) / p if p > 0.0 else None)
+    joint = model.likelihood(a, o)
+    joint *= pred
+    p = float(np.add.reduce(joint))
+    if p > 0.0:
+        joint /= p
+        return p, joint
+    return p, None
 
 
 def belief_update(
@@ -93,10 +119,11 @@ def _backup(
 ) -> tuple[float, PolicyTree]:
     """Value and tree of the remaining decisions from belief b.
 
-    With no ``node`` every action is tried and the strict first maximum
-    wins; observation branches that cannot occur get a filler subtree
-    repeating the first action.  With a ``node`` only its action is tried,
-    each branch follows the node's child, and the node itself is returned.
+    With no ``node`` every action is tried and the first wins unless a
+    later one ``_beats`` it; observation branches that cannot occur get a
+    filler subtree repeating the first action.  With a ``node`` only its
+    action is tried, each branch follows the node's child, and the node
+    itself is returned.
     """
     n_obs = len(model.observations)
     if node is None:
@@ -106,7 +133,7 @@ def _backup(
     best_v = -np.inf
     best: tuple[int, list[PolicyTree | None]] | None = None
     for a in choices:
-        q = float(b @ model.reward[:, a])
+        q = _expected_reward(model, b, a)
         kids: list[PolicyTree | None] = []
         if remaining > 1:
             pred = b @ model.transition_matrix(a)
@@ -119,7 +146,7 @@ def _backup(
                     kids.append(sub)
                 else:
                     kids.append(None)
-        if best is None or q > best_v:
+        if best is None or _beats(q, best_v):
             best_v, best = q, (a, kids)
     assert best is not None
     if node is not None:
@@ -139,8 +166,9 @@ def solve_exact(model: SingleAgentModel) -> SolvedPolicy:
     """Optimal complete policy tree for the model's horizon.
 
     Backward induction over the beliefs reachable from the initial belief.
-    Ties prefer the earlier declared action; observation branches that
-    cannot occur are filled with subtrees repeating the first action.
+    Near ties (``TIE_TOL``) prefer the earlier declared action; observation
+    branches that cannot occur are filled with subtrees repeating the first
+    action.
     """
     v, tree = _backup(model, model.initial_belief, model.horizon)
     return SolvedPolicy(tree=tree, value=v, model_name=model.name, horizon=model.horizon)
@@ -162,8 +190,9 @@ def brute_force_solve(
 ) -> SolvedPolicy:
     """Enumerate every complete tree and keep the best.
 
-    Ties keep the lexicographically earlier tree (preorder, declared action
-    order), which is the same tree solve_exact constructs.  Raises
+    Near ties (``TIE_TOL``) keep the lexicographically earlier tree
+    (preorder, declared action order), which is the same tree solve_exact
+    constructs.  Raises
     EnumerationCapError when the tree count exceeds ``max_trees``.
     """
     n = count_trees(len(model.actions), len(model.observations), model.horizon)
@@ -175,7 +204,7 @@ def brute_force_solve(
     best_tree: PolicyTree | None = None
     for tree in all_trees(model.actions, model.observations, model.horizon):
         v = _backup(model, model.initial_belief, model.horizon, tree)[0]
-        if best_tree is None or v > best_v:
+        if best_tree is None or _beats(v, best_v):
             best_v = v
             best_tree = tree
     assert best_tree is not None

@@ -1,9 +1,14 @@
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import sparse
 
+import ididiv
 from ididiv import (
     DomainValidationError,
     EnumerationCapError,
@@ -24,7 +29,7 @@ from ididiv import (
     solve_idid,
     validate_model,
 )
-from ididiv.domains import FannedRows, domain_to_obj
+from ididiv.domains import FannedRows, PositionLabels, PositionTable, domain_to_obj
 from ididiv.trees import all_trees, node_table, tree_nodes
 from conftest import _peer_trees_t2
 
@@ -111,12 +116,22 @@ class TestStructure:
         assert flat2.model.actions == tiger2.actions_i
         assert flat2.model.observations == tiger2.observations_i
 
-    def test_augmented_index(self, flat2):
+    def test_augmented_index(self, tiger2, flat2):
         assert flat2.augmented_index(0, 0, 0) == 0
         assert flat2.augmented_index(1, 0, 1) == 7
         assert flat2.augmented_index(2, 2, 0) == 16
+        # The labels are made on index, in augmented-index order.
         names = flat2.model.states
+        assert isinstance(names, PositionLabels)
         assert names[flat2.augmented_index(1, 2, 1)] == "m1:p2:TigerRight"
+        assert names[-1] == "m2:p2:TigerRight"
+        expect = tuple(
+            "m%d:p%d:%s" % (m, pos, st)
+            for m in range(3) for pos in range(3) for st in tiger2.states
+        )
+        assert tuple(names) == expect
+        with pytest.raises(IndexError):
+            names[18]
 
     def test_initial_belief_roots_only(self, tiger2, flat2, cand2):
         b = flat2.model.initial_belief
@@ -127,12 +142,23 @@ class TestStructure:
             )
             assert np.all(b[base + 2 : base + 6] == 0.0)
 
+    def test_labels_are_counted_not_made(self, tiger2, cand2, monkeypatch):
+        def refuse(self, k):
+            raise AssertionError("label %d made" % k)
+
+        monkeypatch.setattr(PositionLabels, "__getitem__", refuse)
+        validate_model(flatten(tiger2, cand2).model)
+
     def test_root_observation_rows_uniform(self, flat2):
         # Root positions are never successors; their rows are filler.
-        n_oi = len(flat2.model.observations)
-        for m in range(3):
-            base = flat2.offsets[m]
-            np.testing.assert_allclose(flat2.model.obs_fn[base : base + 2], 1.0 / n_oi)
+        model = flat2.model
+        n_oi = len(model.observations)
+        for a in range(len(model.actions)):
+            for o in range(n_oi):
+                like = model.likelihood(a, o)
+                for m in range(3):
+                    base = flat2.offsets[m]
+                    assert np.all(like[base : base + 2] == 1.0 / n_oi)
 
     def test_candidate_depth_enforced(self, tiger2):
         shallow = make_candidate_set(
@@ -274,6 +300,34 @@ def _csr_oracle(domain, candidates):
     return tuple(blocks)
 
 
+def _dense_tables(domain, candidates):
+    """The [S_aug, Ai, Oi] observation and [S_aug, Ai] reward arrays flatten
+    stored before it read the domain's tables: one copy of ``obs_fn_i`` and
+    ``reward_i`` per position, uniform observation rows at the roots.
+    """
+    S = len(domain.states)
+    n_oi, n_oj = len(domain.observations_i), len(domain.observations_j)
+    aj_index = {a: k for k, a in enumerate(domain.actions_j)}
+    layouts = [
+        ([aj_index[a] for a in t.preorder], node_table(n_oj, t.depth).parent)
+        for t in candidates.trees
+    ]
+    s_aug = S * sum(len(acts) for acts, _ in layouts)
+    O_aug = np.empty((s_aug, len(domain.actions_i), n_oi))
+    R_aug = np.empty((s_aug, len(domain.actions_i)))
+    base = 0
+    for acts, parents in layouts:
+        for pos, aj in enumerate(acts):
+            par = int(parents[pos])
+            if par < 0:
+                O_aug[base : base + S] = 1.0 / n_oi
+            else:
+                O_aug[base : base + S] = domain.obs_fn_i[:, :, acts[par], :]
+            R_aug[base : base + S] = domain.reward_i[:, :, aj]
+            base += S
+    return O_aug, R_aug
+
+
 def _oracle_model(flat):
     return flat.model.replace(transition=_csr_oracle(flat.domain, flat.candidates))
 
@@ -327,6 +381,72 @@ class TestOperatorOracle:
         mine, ref = solve_idid(flat), solve_exact(_oracle_model(flat))
         assert mine.value == ref.value
         assert mine.tree == ref.tree
+
+
+class TestTableOracle:
+    """The gathered likelihoods and rewards against the dense tables flatten
+    used to build."""
+
+    @pytest.mark.parametrize("name", ["tiger-T2", "tiger-T3", "uav-T3-mdf6"])
+    def test_columns_equal_the_dense_tables(self, oracle_sets, name):
+        flat = oracle_sets[name]
+        model = flat.model
+        O_aug, R_aug = _dense_tables(flat.domain, flat.candidates)
+        assert isinstance(model.obs_fn, PositionTable)
+        assert isinstance(model.reward, PositionTable)
+        assert model.obs_fn.shape == O_aug.shape
+        assert model.reward.shape == R_aug.shape
+        for a in range(len(model.actions)):
+            assert np.array_equal(model.rewards(a), R_aug[:, a])
+            for o in range(len(model.observations)):
+                assert np.array_equal(model.likelihood(a, o), O_aug[:, a, o])
+
+    @pytest.mark.parametrize("name", ["tiger-T2", "tiger-T3"])
+    def test_solve_equals_the_dense_tables_solve(self, oracle_sets, name):
+        flat = oracle_sets[name]
+        O_aug, R_aug = _dense_tables(flat.domain, flat.candidates)
+        dense = flat.model.replace(obs_fn=O_aug, reward=R_aug)
+        validate_model(dense)
+        mine, ref = solve_idid(flat), solve_exact(dense)
+        assert mine.value == ref.value
+        assert mine.tree == ref.tree
+
+    def test_model_shares_the_domain_tables(self, tiger2, cand2):
+        model = flatten(tiger2, cand2).model
+        assert model.obs_fn.table is tiger2.obs_fn_i
+        assert model.reward.table is tiger2.reward_i
+
+
+_THREADED_SOLVE = """
+from ididiv import (
+    SelectionConfig, builtin_domain, canonical_encode, flatten,
+    generate_known_models, project_level0, select_topk, solve_idid,
+)
+
+domain = builtin_domain("uav", 3)
+level0 = project_level0(domain, "j")
+known = generate_known_models(level0, 3, seed=0)
+candidates = select_topk(known, level0, SelectionConfig(measure="MDF", k_max=6, seed=0))
+pol = solve_idid(flatten(domain, candidates))
+print(repr(pol.value))
+print(canonical_encode(pol.tree))
+"""
+
+
+def test_flattened_solve_does_not_depend_on_blas_threads():
+    # The flattened solve sums with numpy alone, so the BLAS thread count,
+    # fixed when a process starts, cannot reorder its sums.
+    src = str(Path(ididiv.__file__).resolve().parent.parent)
+    outs = []
+    for n in ("1", "2"):
+        env = dict(os.environ, OMP_NUM_THREADS=n, OPENBLAS_NUM_THREADS=n)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        outs.append(subprocess.run(
+            [sys.executable, "-c", _THREADED_SOLVE], env=env, capture_output=True,
+            text=True, timeout=300, check=True,
+        ).stdout)
+    assert outs[0] == outs[1]
+    assert outs[0].startswith("39.70482")
 
 
 class TestSparsePath:

@@ -15,6 +15,7 @@ from ididiv import (
     flatten,
     solve_exact,
 )
+from ididiv.solver import TIE_TOL
 from conftest import random_model
 
 
@@ -111,6 +112,58 @@ class TestSolveRandom:
             for t in all_trees(m.actions, m.observations, m.horizon)
         ]
         assert best.value == pytest.approx(max(values), abs=1e-12)
+
+
+def _mirror_model(perm, horizon, seed=0):
+    """Two actions that mirror each other: R is L with the states reversed.
+
+    The reward, transition and observation tables of R are those of L
+    under the state reversal, the observations and the initial belief are
+    symmetric, so from the initial belief L and R have equal value.  The
+    states are then relabeled by ``perm``, which changes only the order in
+    which sums over states add up.
+    """
+    n = len(perm)
+    rng = np.random.default_rng(seed)
+    rev = np.arange(n)[::-1]
+    x = rng.uniform(-1.0, 1.0, n)
+    T_L = rng.dirichlet(np.ones(n), size=n)
+    y = rng.dirichlet(np.ones(2), size=n)
+    y = (y + y[rev]) / 2
+    T = np.stack([T_L, T_L[rev][:, rev]], axis=1)
+    return SingleAgentModel(
+        name="mirror",
+        states=tuple("s%d" % k for k in range(n)),
+        actions=("L", "R"),
+        observations=("z0", "z1"),
+        transition=T[perm][:, :, perm],
+        obs_fn=np.stack([y, y], axis=1)[perm],
+        reward=np.stack([x, x[rev]], axis=1)[perm],
+        initial_belief=np.full(n, 1.0 / n),
+        horizon=horizon,
+    )
+
+
+class TestTieRule:
+    @pytest.mark.parametrize("horizon", [1, 2, 3])
+    def test_symmetric_tie_survives_state_permutations(self, horizon):
+        # Equal values that differ by rounding, in either direction
+        # depending on the state order, go to the earlier action.
+        rng = np.random.default_rng(100)
+        perms = [np.arange(8)] + [rng.permutation(8) for _ in range(7)]
+        trees = {solve_exact(_mirror_model(p, horizon)).tree for p in perms}
+        assert len(trees) == 1
+        assert next(iter(trees)).action == "L"
+        if horizon <= 2:
+            for p in perms:
+                m = _mirror_model(p, horizon)
+                assert brute_force_solve(m).tree == solve_exact(m).tree
+
+    @pytest.mark.parametrize("gain, action", [(0.5 * TIE_TOL, "a0"), (2 * TIE_TOL, "a1")])
+    def test_later_action_must_win_by_the_margin(self, gain, action):
+        m = _det_obs_model(horizon=1).replace(reward=np.array([[1.0, 1.0 + gain]]))
+        assert solve_exact(m).tree.action == action
+        assert brute_force_solve(m).tree.action == action
 
 
 class TestDeadBranches:
