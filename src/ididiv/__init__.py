@@ -42,7 +42,7 @@ from .features import (
     matrix_to_csv,
     pivot_decompose,
 )
-from .flattening import FlatIdid, flatten, solve_idid
+from .flattening import FlatIdid, FlatModel, flatten, solve_idid
 from .generation import (
     DynamicBeliefNet,
     convert_to_dbn,
@@ -76,9 +76,7 @@ from .simulate import (
 )
 from .solver import (
     EnumerationCapError,
-    ImpossibleObservationError,
     SolvedPolicy,
-    belief_update,
     brute_force_solve,
     evaluate_policy,
     solve_exact,

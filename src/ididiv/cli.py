@@ -325,7 +325,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    out = _out_dir(args)
+    # The grid runner makes the directory once the config has passed.
+    out = Path(args.out_dir)
     if args.from_manifest:
         manifest = run_from_manifest(args.from_manifest, out, workers=args.workers)
     else:
@@ -334,7 +335,13 @@ def cmd_experiment(args) -> int:
         hashes = {}
         if args.config:
             data = Path(args.config).read_bytes()
-            config.update(json.loads(data))
+            obj = json.loads(data)
+            if not isinstance(obj, dict):
+                raise ValueError(
+                    "%s: a grid config is a JSON object, not a %s"
+                    % (args.config, type(obj).__name__)
+                )
+            config.update(obj)
             hashes["config"] = hashlib.sha256(data).hexdigest()
         manifest = run_experiment_grid(
             config, out, workers=args.workers, input_hashes=hashes

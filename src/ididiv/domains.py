@@ -12,6 +12,11 @@ A domain's joint transition has one form, in memory and in files:
 ``JointTransition``, the [S, Ai, Aj, S'] table as CSR rows, 0.62 MB for the
 uav chase instead of a 79 MB dense array.  A domain file lists its entries.
 
+A ``SingleAgentModel`` (``project_level0``) has one form: dense tables,
+transition [S, A, S'], and dense beliefs.  Its ``expected_reward``,
+``predict`` and ``condition`` are the interface the solver reads, and
+``flattening.FlatModel`` offers the same three over sparse beliefs.
+
 Built-in domains are shared read-only objects.  While any reference to one
 is alive, ``builtin_domain`` (and ``builtin_tiger``/``builtin_uav``) returns
 that same object for the same name and horizon, so a caller that holds the
@@ -25,7 +30,6 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
-import operator
 import weakref
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -41,9 +45,6 @@ __all__ = [
     "DomainValidationError",
     "SparseRows",
     "JointTransition",
-    "FannedRows",
-    "PositionTable",
-    "PositionLabels",
     "SingleAgentModel",
     "PosgDomain",
     "validate_model",
@@ -73,32 +74,20 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _row_entries(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Positions of the CSR entries of ``rows``, row after row, and each row's count."""
-    starts = indptr[rows]
-    lens = indptr[rows + 1] - starts
-    ends = np.cumsum(lens)
-    k = np.arange(ends[-1] if len(ends) else 0) + np.repeat(starts - ends + lens, lens)
-    return k, lens
-
-
 @dataclass(frozen=True, eq=False)
 class SparseRows:
-    """An [S, S'] matrix in compressed sparse row form, for ``b @ M``.
+    """An [R, S'] matrix in compressed sparse row form.
 
     Row r holds ``data[indptr[r]:indptr[r + 1]]`` at the columns
     ``indices[indptr[r]:indptr[r + 1]]``.  Explicit zeros are entries like
     any other and count towards ``nnz``.  Construction does not check the
-    structure; ``validate_model`` does.
+    structure; ``validate_domain`` does, for a domain's joint transition.
     """
 
     indptr: np.ndarray
     indices: np.ndarray
     data: np.ndarray
     shape: tuple[int, int]
-
-    # ndarray defers ``b @ M`` to __rmatmul__ instead of broadcasting.
-    __array_ufunc__ = None
 
     def __post_init__(self) -> None:
         for name in ("indptr", "indices"):
@@ -115,21 +104,6 @@ class SparseRows:
     def __reduce__(self):
         # Rebuild through __init__, so the arrays come back read-only.
         return SparseRows, (self.indptr, self.indices, self.data, self.shape)
-
-    def __rmatmul__(self, b) -> np.ndarray:
-        """Row vector times matrix over the rows where b is nonzero.
-
-        Each output entry gets at most one term per source row, added in
-        ascending row order from 0.0, so the sum is the one a CSR
-        row-vector product computes; the skipped rows add only +0.0.
-        """
-        b = np.asarray(b, dtype=float)
-        rows = np.flatnonzero(b)
-        k, lens = _row_entries(self.indptr, rows)
-        weights = self.data[k] * np.repeat(b[rows], lens)
-        # An all-zero b leaves no weights, and bincount would count ints.
-        out = np.bincount(self.indices[k], weights=weights, minlength=self.shape[1])
-        return out.astype(float, copy=False)
 
 
 def _csr(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, shape) -> SparseRows:
@@ -261,194 +235,59 @@ def _is_index(k, n: int) -> bool:
 
 
 @dataclass(frozen=True, eq=False)
-class FannedRows:
-    """One subject action's transition over (position, physical state) pairs.
-
-    State ``g * S + s`` is physical state s at position g.  Its row is row
-    (ai, peer[g], s) of the shared ``joint`` table, fanned out over the
-    columns of ``kids[g]``: an entry p at physical column s' lands at
-    ``kids[g, o] + s'`` with value ``p * obs_j[s', peer[g], o]``.  A
-    position without successors holds its own base ``g * S`` in column 0,
-    -1 elsewhere, and keeps p as it is.  Nothing is copied from the joint
-    table; ``b @ M`` reads the rows where b is nonzero.
-
-    Entries run by row, then by ``kids`` column, then by physical column,
-    and zeros from ``obs_j`` count towards ``nnz``: a CSR matrix holding
-    these entries in this order has the same ``nnz`` and, since each term
-    is ``(p * w) * b[r]`` summed in that order, the same products bit for
-    bit.
-    """
-
-    joint: JointTransition
-    obs_j: np.ndarray
-    ai: int
-    peer: np.ndarray
-    kids: np.ndarray
-
-    # ndarray defers ``b @ M`` to __rmatmul__ instead of broadcasting.
-    __array_ufunc__ = None
-
-    def __post_init__(self) -> None:
-        for name in ("peer", "kids"):
-            getattr(self, name).setflags(write=False)
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        n = len(self.peer) * self.joint.shape[0]
-        return (n, n)
-
-    @property
-    def nnz(self) -> int:
-        S, _, Aj, _ = self.joint.shape
-        first = (self.ai * Aj + np.arange(Aj + 1)) * S
-        per_peer = np.diff(self.joint.rows.indptr[first])
-        return int(per_peer[self.peer] @ np.count_nonzero(self.kids >= 0, axis=1))
-
-    def __rmatmul__(self, b) -> np.ndarray:
-        b = np.asarray(b, dtype=float)
-        S, _, Aj, _ = self.joint.shape
-        rows = np.flatnonzero(b)
-        g, s = np.divmod(rows, S)
-        aj = self.peer[g]
-        k, lens = _row_entries(self.joint.rows.indptr, (self.ai * Aj + aj) * S + s)
-        # One pair per (row, successor), rows ascending, then each pair's
-        # copy of its row's entries.
-        pair_row, pair_o = np.nonzero(self.kids[g] >= 0)
-        kk, n = _row_entries(np.concatenate(([0], np.cumsum(lens))), pair_row)
-        k, gp = k[kk], g[pair_row]
-        col = self.joint.rows.indices[k]
-        w = self.obs_j[col, np.repeat(aj[pair_row], n), np.repeat(pair_o, n)]
-        w[np.repeat(self.kids[gp, 0] == gp * S, n)] = 1.0
-        weights = (self.joint.rows.data[k] * w) * np.repeat(b[rows[pair_row]], n)
-        col = col + np.repeat(self.kids[gp, pair_o], n)
-        out = np.bincount(col, weights=weights, minlength=self.shape[1])
-        return out.astype(float, copy=False)
-
-
-@dataclass(frozen=True, eq=False)
-class PositionTable:
-    """A subject table over (position, physical state) pairs, read from a
-    domain table at each position's peer action.
-
-    Entry ``[g * S + s, a, ...]`` is ``table[s, a, act[g], ...]``, and a
-    position with ``act[g] < 0`` holds ``fill`` instead.  ``column(a, ...)``
-    gathers one new [G * S] vector; nothing else is copied from ``table``.
-    """
-
-    table: np.ndarray
-    act: np.ndarray
-    fill: float = 0.0
-
-    def __post_init__(self) -> None:
-        self.act.setflags(write=False)
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        S, A, _, *rest = self.table.shape
-        return (len(self.act) * S, A, *rest)
-
-    def column(self, a: int, *rest: int) -> np.ndarray:
-        S, _, n_peer = self.table.shape[:3]
-        # One row per peer action, then the fill row that act = -1 picks.
-        by_peer = np.empty((n_peer + 1, S))
-        by_peer[:n_peer] = self.table[(slice(None), a, slice(None), *rest)].T
-        by_peer[n_peer] = self.fill
-        return by_peer.take(self.act, axis=0).reshape(-1)
-
-
-class PositionLabels(Sequence):
-    """The state labels of a flattened model, made on index.
-
-    State ``g * S + s`` is labeled ``"m%d:p%d:%s"`` by its candidate m, the
-    position of g within that candidate's tree and ``states[s]``.  Distinct
-    positions give distinct labels, so ``validate_model`` counts them
-    without making them.
-    """
-
-    def __init__(self, node_counts: Sequence[int], states: Sequence[str]) -> None:
-        self._first = np.concatenate(([0], np.cumsum(node_counts)))
-        self._states = tuple(states)
-
-    def __len__(self) -> int:
-        return int(self._first[-1]) * len(self._states)
-
-    def __getitem__(self, k: int) -> str:
-        n = len(self)
-        k = operator.index(k)
-        if not -n <= k < n:
-            raise IndexError("state %d outside [0, %d)" % (k, n))
-        g, s = divmod(k % n, len(self._states))
-        m = int(np.searchsorted(self._first, g, side="right")) - 1
-        return "m%d:p%d:%s" % (m, g - self._first[m], self._states[s])
-
-
-@dataclass(frozen=True, eq=False)
 class SingleAgentModel:
-    """Finite-horizon tabular POMDP.
+    """Finite-horizon tabular POMDP over dense beliefs.
 
     Parameters
     ----------
-    states : sequence of str
-        A tuple, or for flattened models the ``PositionLabels`` made on
-        index.
-    transition : ndarray [S, A, S'] or tuple of one [S, S'] operator per action
-        Row-stochastic per (s, a).  Level-0 models (``project_level0``) are
-        dense; flattened models (``flattening.flatten``) hold FannedRows
-        over the domain's joint table, and a hand-built model may hold
-        SparseRows.  ``transition_matrix`` hides the difference.
-    obs_fn : ndarray or PositionTable [S', A, O]
+    states : tuple of str
+    transition : ndarray [S, A, S']
+        Row-stochastic per (s, a).
+    obs_fn : ndarray [S', A, O]
         Probability of each observation after landing in s' under action a.
-        Flattened models read it from the domain's ``obs_fn_i``;
-        ``likelihood`` hides the difference.
-    reward : ndarray or PositionTable [S, A]
-        Flattened models read it from the domain's ``reward_i``;
-        ``rewards`` hides the difference.
+    reward : ndarray [S, A]
     initial_belief : ndarray [S]
     horizon : int
         Number of decisions; policy trees for this model have this depth.
+
+    A belief is a length-S vector.  ``expected_reward``, ``predict`` and
+    ``condition`` are the model interface the solver and the sampler read;
+    ``flattening.FlatModel`` offers the same three over sparse beliefs.
     """
 
     name: str
-    states: Sequence[str]
+    states: tuple[str, ...]
     actions: tuple[str, ...]
     observations: tuple[str, ...]
-    transition: object
-    obs_fn: np.ndarray | PositionTable
-    reward: np.ndarray | PositionTable
+    transition: np.ndarray
+    obs_fn: np.ndarray
+    reward: np.ndarray
     initial_belief: np.ndarray
     horizon: int
 
     def __post_init__(self) -> None:
-        if not self.is_sparse:
-            object.__setattr__(self, "transition", _freeze(self.transition))
-        for name in ("obs_fn", "reward"):
-            if not isinstance(getattr(self, name), PositionTable):
-                object.__setattr__(self, name, _freeze(getattr(self, name)))
-        object.__setattr__(self, "initial_belief", _freeze(self.initial_belief))
+        for name in ("transition", "obs_fn", "reward", "initial_belief"):
+            object.__setattr__(self, name, _freeze(getattr(self, name)))
 
-    @property
-    def is_sparse(self) -> bool:
-        return isinstance(self.transition, tuple)
+    def expected_reward(self, b: np.ndarray, a: int) -> float:
+        """Sum over states of b times the reward of action a."""
+        return float(np.add.reduce(self.reward[:, a] * b))
 
-    def transition_matrix(self, a: int):
-        """The [S, S'] operator for action index a; supports b @ M."""
-        if self.is_sparse:
-            return self.transition[a]
-        return self.transition[:, a, :]
+    def predict(self, b: np.ndarray, a: int) -> np.ndarray:
+        """The state distribution after action a from belief b."""
+        return b @ self.transition[:, a, :]
 
-    def likelihood(self, a: int, o: int) -> np.ndarray:
-        """Probability of observation o after action a, for every s', as a
-        new array the caller may overwrite."""
-        if isinstance(self.obs_fn, PositionTable):
-            return self.obs_fn.column(a, o)
-        return self.obs_fn[:, a, o].copy()
-
-    def rewards(self, a: int) -> np.ndarray:
-        """Reward of action a in every state, as a new array the caller may
-        overwrite."""
-        if isinstance(self.reward, PositionTable):
-            return self.reward.column(a)
-        return self.reward[:, a].copy()
+    def condition(
+        self, pred: np.ndarray, a: int, o: int
+    ) -> tuple[float, np.ndarray | None]:
+        """Pr(o) under the predicted belief after action a, and the
+        posterior, which is None when the observation has probability zero."""
+        joint = self.obs_fn[:, a, o] * pred
+        p = float(np.add.reduce(joint))
+        if p > 0.0:
+            joint /= p
+            return p, joint
+        return p, None
 
     def replace(self, **kw) -> "SingleAgentModel":
         return dataclasses.replace(self, **kw)
@@ -545,8 +384,8 @@ def _check_shape(path: str, arr: np.ndarray, shape: tuple[int, ...]) -> None:
         )
 
 
-def _check_sparse_rows(path: str, blk: SparseRows, shape: tuple[int, int]) -> None:
-    """Shape, CSR structure, and stochastic rows of one sparse [R, S] block."""
+def _check_csr(path: str, blk: SparseRows, shape: tuple[int, int]) -> None:
+    """Type, shape and CSR structure of one sparse [R, S] matrix."""
     if not isinstance(blk, SparseRows):
         raise DomainValidationError(
             "%s: %s, expected SparseRows" % (path, type(blk).__name__)
@@ -572,11 +411,17 @@ def _check_sparse_rows(path: str, blk: SparseRows, shape: tuple[int, int]) -> No
         raise DomainValidationError(
             "%s: %d data entries for %d indices" % (path, len(dat), len(idx))
         )
+
+
+def _check_sparse_rows(path: str, blk: SparseRows) -> None:
+    """Every row of a well-formed sparse block is a probability distribution."""
+    dat = blk.data
     if not np.all(np.isfinite(dat)):
         raise DomainValidationError("%s: non-finite probability" % path)
     if dat.size and dat.min() < -_TOL:
         raise DomainValidationError("%s: negative probability" % path)
-    row_of = np.repeat(np.arange(R), np.diff(ptr))
+    R = blk.shape[0]
+    row_of = np.repeat(np.arange(R), np.diff(blk.indptr))
     sums = np.bincount(row_of, weights=dat, minlength=R)
     bad = np.abs(sums - 1.0) > _TOL
     if np.any(bad):
@@ -588,34 +433,17 @@ def _check_sparse_rows(path: str, blk: SparseRows, shape: tuple[int, int]) -> No
 
 def validate_model(m: SingleAgentModel) -> None:
     """Raise DomainValidationError naming the offending table and row."""
-    if isinstance(m.states, PositionLabels):
-        S = len(m.states)  # distinct by construction
-    else:
-        S = len(_check_labels("states", m.states))
+    S = len(_check_labels("states", m.states))
     A = len(_check_labels("actions", m.actions))
     O = len(_check_labels("observations", m.observations))
     if m.horizon < 1:
         raise DomainValidationError("horizon: must be >= 1, got %d" % m.horizon)
-    if m.is_sparse:
-        if len(m.transition) != A:
-            raise DomainValidationError(
-                "transition: %d sparse blocks, expected %d" % (len(m.transition), A)
-            )
-        for a, blk in enumerate(m.transition):
-            if isinstance(blk, FannedRows):
-                # Its rows are the domain's, which flatten checked.
-                _check_shape("transition[%d]" % a, blk, (S, S))
-            else:
-                _check_sparse_rows("transition[%d]" % a, blk, (S, S))
-    else:
-        _check_shape("transition", m.transition, (S, A, S))
-        _check_rows("transition", m.transition)
-    # A PositionTable reads a domain table, which flatten checked.
+    _check_shape("transition", m.transition, (S, A, S))
+    _check_rows("transition", m.transition)
     _check_shape("obs_fn", m.obs_fn, (S, A, O))
-    if not isinstance(m.obs_fn, PositionTable):
-        _check_rows("obs_fn", m.obs_fn)
+    _check_rows("obs_fn", m.obs_fn)
     _check_shape("reward", m.reward, (S, A))
-    if not isinstance(m.reward, PositionTable) and not np.all(np.isfinite(m.reward)):
+    if not np.all(np.isfinite(m.reward)):
         raise DomainValidationError("reward: non-finite entry")
     _check_shape("initial_belief", m.initial_belief, (S,))
     _check_rows("initial_belief", m.initial_belief)
@@ -631,15 +459,10 @@ def validate_domain(d: PosgDomain) -> None:
         raise DomainValidationError("horizon: must be >= 1, got %d" % d.horizon)
     T = d.transition
     _check_shape("transition", T, (S, Ai, Aj, S))
-    n_rows = Ai * Aj * S
-    if T.rows.shape != (n_rows, S) or T.rows.indptr.shape != (n_rows + 1,):
-        raise DomainValidationError(
-            "transition: rows of shape %r with %d pointers, expected %r with %d"
-            % (T.rows.shape, len(T.rows.indptr), (n_rows, S), n_rows + 1)
-        )
+    _check_csr("transition", T.rows, (Ai * Aj * S, S))
     for ai in range(Ai):
         for aj in range(Aj):
-            _check_sparse_rows("transition[:, %d, %d]" % (ai, aj), T.block(ai, aj), (S, S))
+            _check_sparse_rows("transition[:, %d, %d]" % (ai, aj), T.block(ai, aj))
     _check_shape("obs_fn_i", d.obs_fn_i, (S, Ai, Aj, Oi))
     _check_rows("obs_fn_i", d.obs_fn_i)
     _check_shape("obs_fn_j", d.obs_fn_j, (S, Aj, Oj))

@@ -1,60 +1,243 @@
 """Flattening a two-agent domain with candidate peer models.
 
-The subject agent's planning problem becomes a single-agent POMDP over
-augmented states (candidate m, tree position pos, physical state s), indexed
-m-major, pos-minor, s-innermost.  Positions are the preorder node numbers of
-``trees.node_table``, which gives each position's parent and children.  The
-peer's action is read off the tree position (``PolicyTree.preorder``); its
-observation channel advances the position.  Leaf positions keep themselves
-(the physical state still moves), and the subject's observation at a
-successor position conditions on the action of that position's unique
-parent.  Root positions never occur as successors, so their observation
-rows are uniform filler.
+The subject agent's planning problem becomes a single-agent POMDP,
+``FlatModel``, over augmented states (candidate m, tree position pos,
+physical state s), indexed m-major, pos-minor, s-innermost.  Positions are
+the preorder node numbers of ``trees.node_table``, which gives each
+position's parent and children.  The peer's action is read off the tree
+position (``PolicyTree.preorder``); its observation channel advances the
+position.  Leaf positions keep themselves (the physical state still moves),
+and the subject's observation at a successor position conditions on the
+action of that position's unique parent.  Root positions never occur as
+successors, so their observation rows are uniform filler.
 
-The flattened model copies nothing from the domain.  It holds two
-per-position arrays, the peer's action and its parent's (-1 at a root), and
-reads the domain's tables through them:
-  * the transition is one ``domains.FannedRows`` per subject action over the
-    joint table and ``obs_fn_j``.  A CSR matrix of the same entries would
-    hold 1.95 M entries (26.6 MB) for a 6-candidate T=3 uav set;
-    ``tests/test_flattening.py`` builds one as the oracle, whose ``nnz`` and
-    products, bit for bit, the operators reproduce;
-  * the likelihoods and rewards are ``domains.PositionTable`` gathers from
-    ``obs_fn_i`` and ``reward_i``, equal value for value to per-position
-    copies (12.7 MB and 3.2 MB for that set), which the tests also build;
-  * the state labels are ``domains.PositionLabels``, made on index.
-Level-0 models, which come from ``domains.project_level0``, stay dense
-arrays; ``transition_matrix``, ``likelihood`` and ``rewards`` read both
-forms.  ``flatten`` validates the domain first, so an error names the domain
-table at fault.
+A belief of the flattened model is the pair (keys, vals) of its support:
+ascending augmented indices ``g * S + s`` over all positions g, and their
+nonzero probabilities.  The seed-0 MDF set of 6 uav T=3 candidates has
+79,128 augmented states, and no belief its solve reaches holds more than
+1,376.  The model
+copies nothing from the domain.  It holds two per-position arrays, the
+peer's action and its parent's (-1 at a root), and reads the domain's
+tables through them:
+  * the transition is one ``FannedRows`` per subject action over the joint
+    table and ``obs_fn_j``; ``predict`` multiplies a belief's support only,
+    with the sums of a CSR row-vector product bit for bit.  A CSR matrix of
+    the same entries would hold 1.95 M entries (26.6 MB) for that set;
+    ``tests/test_flattening.py`` builds one as the oracle;
+  * ``expected_reward`` and ``condition`` gather ``reward_i`` and
+    ``obs_fn_i`` at a belief's keys;
+  * the state labels are ``PositionLabels``, made on index.
+``flatten`` validates the domain first, so an error names the domain table
+at fault.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .domains import (
-    FannedRows,
-    PositionLabels,
-    PositionTable,
+    DomainValidationError,
+    JointTransition,
     PosgDomain,
-    SingleAgentModel,
+    _check_shape,
+    _freeze,
     validate_domain,
-    validate_model,
 )
 from .selection import CandidateModelSet
 from .solver import SolvedPolicy, solve_exact
 from .trees import node_table, validate_tree
 
-__all__ = ["FlatIdid", "flatten", "solve_idid"]
+__all__ = ["FannedRows", "PositionLabels", "FlatModel", "FlatIdid", "flatten", "solve_idid"]
+
+
+def _row_entries(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Positions of the CSR entries of ``rows``, row after row, and each row's count."""
+    starts = indptr[rows]
+    lens = indptr[rows + 1] - starts
+    ends = np.cumsum(lens)
+    k = np.arange(ends[-1] if len(ends) else 0) + np.repeat(starts - ends + lens, lens)
+    return k, lens
+
+
+@dataclass(frozen=True, eq=False)
+class FannedRows:
+    """One subject action's transition over (position, physical state) pairs.
+
+    State ``g * S + s`` is physical state s at position g.  Its row is row
+    (ai, peer[g], s) of the shared ``joint`` table, fanned out over the
+    columns of ``kids[g]``: an entry p at physical column s' lands at
+    ``kids[g, o] + s'`` with value ``p * obs_j[s', peer[g], o]``.  A
+    position without successors holds its own base ``g * S`` in column 0,
+    -1 elsewhere, and keeps p as it is.  Nothing is copied from the joint
+    table; ``rmatvec`` reads the rows of a belief's support.
+
+    Entries run by row, then by ``kids`` column, then by physical column,
+    and zeros from ``obs_j`` count towards ``nnz``: a CSR matrix holding
+    these entries in this order has the same ``nnz`` and, since each term
+    is ``(p * w) * b[r]`` summed in that order, the same products bit for
+    bit.
+    """
+
+    joint: JointTransition
+    obs_j: np.ndarray
+    ai: int
+    peer: np.ndarray
+    kids: np.ndarray
+
+    def __post_init__(self) -> None:
+        for name in ("peer", "kids"):
+            getattr(self, name).setflags(write=False)
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        n = len(self.peer) * self.joint.shape[0]
+        return (n, n)
+
+    @property
+    def nnz(self) -> int:
+        S, _, Aj, _ = self.joint.shape
+        first = (self.ai * Aj + np.arange(Aj + 1)) * S
+        per_peer = np.diff(self.joint.rows.indptr[first])
+        return int(per_peer[self.peer] @ np.count_nonzero(self.kids >= 0, axis=1))
+
+    def rmatvec(self, keys: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The row vector with ``vals`` at ascending ``keys`` times this
+        matrix, as ascending keys and their sums.
+
+        Each key's terms are added in ascending source-row order from 0.0,
+        the sums a CSR row-vector product computes; the rows outside
+        ``keys`` would add only +0.0.
+        """
+        S, _, Aj, _ = self.joint.shape
+        g, s = np.divmod(keys, S)
+        aj = self.peer[g]
+        k, lens = _row_entries(self.joint.rows.indptr, (self.ai * Aj + aj) * S + s)
+        # One pair per (row, successor), rows ascending, then each pair's
+        # copy of its row's entries.
+        pair_row, pair_o = np.nonzero(self.kids[g] >= 0)
+        kk, n = _row_entries(np.concatenate(([0], np.cumsum(lens))), pair_row)
+        k, gp = k[kk], g[pair_row]
+        col = self.joint.rows.indices[k]
+        w = self.obs_j[col, np.repeat(aj[pair_row], n), np.repeat(pair_o, n)]
+        w[np.repeat(self.kids[gp, 0] == gp * S, n)] = 1.0
+        weights = (self.joint.rows.data[k] * w) * np.repeat(vals[pair_row], n)
+        col = col + np.repeat(self.kids[gp, pair_o], n)
+        out, at = np.unique(col, return_inverse=True)
+        # bincount adds each key's weights in list order from 0.0.  With no
+        # weights at all it would count ints.
+        sums = np.bincount(at, weights=weights, minlength=len(out))
+        return out, sums.astype(float, copy=False)
+
+
+class PositionLabels(Sequence):
+    """The state labels of a flattened model, made on index.
+
+    State ``g * S + s`` is labeled ``"m%d:p%d:%s"`` by its candidate m, the
+    position of g within that candidate's tree and ``states[s]``.  Distinct
+    positions give distinct labels, so nothing needs to make them to count
+    them.
+    """
+
+    def __init__(self, node_counts: Sequence[int], states: Sequence[str]) -> None:
+        self._first = np.concatenate(([0], np.cumsum(node_counts)))
+        self._states = tuple(states)
+
+    def __len__(self) -> int:
+        return int(self._first[-1]) * len(self._states)
+
+    def __getitem__(self, k: int) -> str:
+        n = len(self)
+        k = operator.index(k)
+        if not -n <= k < n:
+            raise IndexError("state %d outside [0, %d)" % (k, n))
+        g, s = divmod(k % n, len(self._states))
+        m = int(np.searchsorted(self._first, g, side="right")) - 1
+        return "m%d:p%d:%s" % (m, g - self._first[m], self._states[s])
+
+
+@dataclass(frozen=True, eq=False)
+class FlatModel:
+    """The subject's POMDP over augmented states, on sparse beliefs.
+
+    A belief is a pair (keys, vals): ascending augmented indices and their
+    probabilities.  ``transition`` holds one ``FannedRows`` per subject
+    action; ``peer`` and ``parent_peer`` give each position's peer action and
+    its parent's (-1 at a root), at which ``reward_i`` and ``obs_fn_i``, the
+    domain's own tables, are read.  The three methods the solver calls are
+    those of ``SingleAgentModel``.
+    """
+
+    name: str
+    states: PositionLabels
+    actions: tuple[str, ...]
+    observations: tuple[str, ...]
+    transition: tuple[FannedRows, ...]
+    obs_fn_i: np.ndarray
+    reward_i: np.ndarray
+    peer: np.ndarray
+    parent_peer: np.ndarray
+    initial_belief: tuple[np.ndarray, np.ndarray]
+    horizon: int
+
+    def __post_init__(self) -> None:
+        n = len(self.states)
+        if len(self.transition) != len(self.actions):
+            raise DomainValidationError(
+                "transition: %d operators, expected %d"
+                % (len(self.transition), len(self.actions))
+            )
+        for a, op in enumerate(self.transition):
+            _check_shape("transition[%d]" % a, op, (n, n))
+        keys, vals = self.initial_belief
+        keys = np.asarray(keys, dtype=np.int64)
+        for arr in (self.parent_peer, keys):
+            arr.setflags(write=False)
+        object.__setattr__(self, "initial_belief", (keys, _freeze(vals)))
+
+    def reward_at(self, keys: np.ndarray, a: int) -> np.ndarray:
+        """The reward of action a at each augmented state in ``keys``."""
+        g, s = np.divmod(keys, self.reward_i.shape[0])
+        return self.reward_i[s, a, self.peer[g]]
+
+    def obs_at(self, keys: np.ndarray, a: int, o: int) -> np.ndarray:
+        """Pr(o | s', a) at each augmented state in ``keys``; uniform at roots."""
+        g, s = np.divmod(keys, self.obs_fn_i.shape[0])
+        par = self.parent_peer[g]
+        return np.where(par >= 0, self.obs_fn_i[s, a, par, o], 1.0 / len(self.observations))
+
+    def expected_reward(self, b: tuple[np.ndarray, np.ndarray], a: int) -> float:
+        keys, vals = b
+        return float(np.add.reduce(self.reward_at(keys, a) * vals))
+
+    def predict(self, b: tuple[np.ndarray, np.ndarray], a: int) -> tuple[np.ndarray, np.ndarray]:
+        return self.transition[a].rmatvec(*b)
+
+    def condition(
+        self, pred: tuple[np.ndarray, np.ndarray], a: int, o: int
+    ) -> tuple[float, tuple[np.ndarray, np.ndarray] | None]:
+        keys, vals = pred
+        joint = self.obs_at(keys, a, o) * vals
+        p = float(np.add.reduce(joint))
+        if p > 0.0:
+            joint /= p
+            keep = joint != 0.0
+            return p, (keys[keep], joint[keep])
+        return p, None
+
+    def replace(self, **kw) -> "FlatModel":
+        return dataclasses.replace(self, **kw)
+
 
 @dataclass(frozen=True, eq=False)
 class FlatIdid:
     """The augmented model plus the indexing needed to interpret it."""
 
-    model: SingleAgentModel
+    model: FlatModel
     domain: PosgDomain
     candidates: CandidateModelSet
     offsets: tuple[int, ...]
@@ -70,14 +253,15 @@ def flatten(domain: PosgDomain, candidates: CandidateModelSet) -> FlatIdid:
     Candidate trees must be complete over the domain's peer observation
     alphabet with depth at least the domain horizon.  The initial belief is
     the product of ``domain.start_distribution()``, the candidate prior,
-    and point mass on each tree's root position; for another physical
-    start, flatten ``dataclasses.replace(domain, start=...)``.
+    and point mass on each tree's root position, over its nonzero entries;
+    for another physical start, flatten ``dataclasses.replace(domain,
+    start=...)``.
     """
     S = len(domain.states)
     act_i = domain.actions_i
     obs_i = domain.observations_i
     n_ai = len(act_i)
-    n_oi, n_oj = len(obs_i), len(domain.observations_j)
+    n_oj = len(domain.observations_j)
     aj_index = {a: k for k, a in enumerate(domain.actions_j)}
 
     for k, tree in enumerate(candidates.trees):
@@ -100,7 +284,6 @@ def flatten(domain: PosgDomain, candidates: CandidateModelSet) -> FlatIdid:
         tables.append((acts, layout.parent, layout.children))
     node_counts = tuple(len(tab[0]) for tab in tables)
     offsets = tuple(np.concatenate(([0], np.cumsum([n * S for n in node_counts])))[:-1])
-    s_aug = offsets[-1] + node_counts[-1] * S
 
     # Per position g over all candidates: the peer's action, its parent's
     # (-1 at a root), and the base g2 * S of each child g2; a leaf keeps
@@ -120,22 +303,23 @@ def flatten(domain: PosgDomain, candidates: CandidateModelSet) -> FlatIdid:
     )
 
     b0 = domain.start_distribution()
-    b0_aug = np.zeros(s_aug)
-    for m in range(len(tables)):
-        b0_aug[offsets[m] : offsets[m] + S] = candidates.prior[m] * b0
+    keys = np.concatenate([offsets[m] + np.arange(S) for m in range(len(tables))])
+    vals = np.concatenate([candidates.prior[m] * b0 for m in range(len(tables))])
+    keep = vals != 0.0
 
-    model = SingleAgentModel(
+    model = FlatModel(
         name="idid:%s" % domain.name,
         states=PositionLabels(node_counts, domain.states),
         actions=act_i,
         observations=obs_i,
         transition=ops,
-        obs_fn=PositionTable(domain.obs_fn_i, parent_peer, 1.0 / n_oi),
-        reward=PositionTable(domain.reward_i, peer),
-        initial_belief=b0_aug,
+        obs_fn_i=domain.obs_fn_i,
+        reward_i=domain.reward_i,
+        peer=peer,
+        parent_peer=parent_peer,
+        initial_belief=(keys[keep], vals[keep]),
         horizon=domain.horizon,
     )
-    validate_model(model)
     return FlatIdid(
         model=model,
         domain=domain,

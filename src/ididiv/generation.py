@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domains import SingleAgentModel
-from .solver import _beats, _condition, _expected_reward, solve_exact
+from .solver import _beats, solve_exact
 from .trees import BehaviorSequence, PolicyTree, canonical_encode, count_trees
 
 __all__ = [
@@ -48,7 +48,7 @@ def _myopic_action(model: SingleAgentModel, b: np.ndarray) -> int:
     # The same sums and tie rule as the solver.
     best_a, best_q = 0, -np.inf
     for a in range(len(model.actions)):
-        q = _expected_reward(model, b, a)
+        q = model.expected_reward(b, a)
         if a == 0 or _beats(q, best_q):
             best_a, best_q = a, q
     return best_a
@@ -70,10 +70,10 @@ def _grow(
         a_sym = model.actions[a]
     if depth + 1 == model.horizon:
         return PolicyTree(a_sym)
-    pred = b @ model.transition_matrix(a)
+    pred = model.predict(b, a)
     kids = []
     for o, o_sym in enumerate(model.observations):
-        post = _condition(model, pred, a, o)[1]
+        post = model.condition(pred, a, o)[1]
         nb = pred if post is None else post  # impossible branch: keep the prediction
         keep = on_anchor and anchor.observations[depth] == o_sym
         kids.append((o_sym, _grow(model, anchor, nb, depth + 1, keep)))

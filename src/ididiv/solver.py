@@ -10,8 +10,13 @@ go to the earlier action in the declared order.  Both skip observation
 branches whose probability is exactly zero, so they agree on the returned
 tree, not just its value.
 
-Every sum over states is ``np.add.reduce`` of an elementwise product, whose
-order does not depend on the BLAS thread count.
+A model is read through three methods only (``Model``): the expected
+reward of an action at a belief, the predicted belief after an action, and
+the probability of an observation with the posterior it leaves.  A belief is
+whatever the model's ``initial_belief`` and those methods pass around: a
+dense vector for ``domains.SingleAgentModel``, a sparse (keys, vals) pair
+for ``flattening.FlatModel``.  Both models sum with ``np.add.reduce`` of an
+elementwise product, whose order does not depend on the BLAS thread count.
 
 solve_exact, brute_force_solve and evaluate_policy run one recursion, which
 either picks the best action at each belief or follows a given tree, so the
@@ -21,10 +26,10 @@ value reported for a solved tree is bit-identical to evaluating that tree.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any, Protocol
 
 import numpy as np
 
-from .domains import SingleAgentModel
 from .trees import (
     PolicyTree,
     all_trees,
@@ -35,10 +40,9 @@ from .trees import (
 
 __all__ = [
     "TIE_TOL",
-    "ImpossibleObservationError",
+    "Model",
     "EnumerationCapError",
     "SolvedPolicy",
-    "belief_update",
     "solve_exact",
     "brute_force_solve",
     "evaluate_policy",
@@ -53,12 +57,28 @@ def _beats(q: float, best: float) -> bool:
     return q > best + TIE_TOL * max(1.0, abs(best))
 
 
-class ImpossibleObservationError(ValueError):
-    """Conditioning on an observation whose predicted probability is zero."""
-
-
 class EnumerationCapError(RuntimeError):
     """Brute-force enumeration would exceed the requested tree cap."""
+
+
+class Model(Protocol):
+    """What the solver and the tree sampler read of a model."""
+
+    name: str
+    actions: tuple[str, ...]
+    observations: tuple[str, ...]
+    initial_belief: Any
+    horizon: int
+
+    def expected_reward(self, b, a: int) -> float:
+        """Sum over states of b times the reward of action a."""
+
+    def predict(self, b, a: int):
+        """The belief after action a from b, before observing."""
+
+    def condition(self, pred, a: int, o: int) -> tuple[float, Any]:
+        """Pr(o) under ``pred`` after action a, and the posterior, or None
+        when that probability is zero."""
 
 
 @dataclass(frozen=True)
@@ -69,51 +89,9 @@ class SolvedPolicy:
     horizon: int
 
 
-def _expected_reward(model: SingleAgentModel, b: np.ndarray, a: int) -> float:
-    """Sum over states of b times the reward of action a."""
-    r = model.rewards(a)
-    r *= b
-    return float(np.add.reduce(r))
-
-
-def _condition(
-    model: SingleAgentModel, pred: np.ndarray, a: int, o: int
-) -> tuple[float, np.ndarray | None]:
-    """Pr(o) under the predicted belief ``b @ T_a``, and the posterior.
-
-    The posterior is None when the observation has probability zero.
-    """
-    joint = model.likelihood(a, o)
-    joint *= pred
-    p = float(np.add.reduce(joint))
-    if p > 0.0:
-        joint /= p
-        return p, joint
-    return p, None
-
-
-def belief_update(
-    model: SingleAgentModel, belief: np.ndarray, action: str, observation: str
-) -> np.ndarray:
-    """Bayes posterior over states after acting and observing.
-
-    Raises ImpossibleObservationError when the observation has probability
-    zero under the predicted state distribution.
-    """
-    a = model.actions.index(action)
-    o = model.observations.index(observation)
-    pred = np.asarray(belief, dtype=float) @ model.transition_matrix(a)
-    post = _condition(model, pred, a, o)[1]
-    if post is None:
-        raise ImpossibleObservationError(
-            "observation %r has probability 0 after action %r" % (observation, action)
-        )
-    return post
-
-
 def _backup(
-    model: SingleAgentModel,
-    b: np.ndarray,
+    model: Model,
+    b,
     remaining: int,
     node: PolicyTree | None = None,
 ) -> tuple[float, PolicyTree]:
@@ -133,12 +111,12 @@ def _backup(
     best_v = -np.inf
     best: tuple[int, list[PolicyTree | None]] | None = None
     for a in choices:
-        q = _expected_reward(model, b, a)
+        q = model.expected_reward(b, a)
         kids: list[PolicyTree | None] = []
         if remaining > 1:
-            pred = b @ model.transition_matrix(a)
+            pred = model.predict(b, a)
             for o in range(n_obs):
-                p, post = _condition(model, pred, a, o)
+                p, post = model.condition(pred, a, o)
                 if post is not None:
                     follow = None if node is None else node.children[o][1]
                     v, sub = _backup(model, post, remaining - 1, follow)
@@ -162,7 +140,7 @@ def _backup(
     return best_v, PolicyTree(model.actions[a], children)
 
 
-def solve_exact(model: SingleAgentModel) -> SolvedPolicy:
+def solve_exact(model: Model) -> SolvedPolicy:
     """Optimal complete policy tree for the model's horizon.
 
     Backward induction over the beliefs reachable from the initial belief.
@@ -174,19 +152,21 @@ def solve_exact(model: SingleAgentModel) -> SolvedPolicy:
     return SolvedPolicy(tree=tree, value=v, model_name=model.name, horizon=model.horizon)
 
 
-def evaluate_policy(model: SingleAgentModel, tree: PolicyTree) -> float:
+def evaluate_policy(model: Model, tree: PolicyTree) -> float:
     """Expected cumulative reward of a complete tree from the initial belief.
 
     The tree must have the model's horizon as depth and branch on the
     model's observation alphabet.  For another belief, evaluate
-    ``model.replace(initial_belief=...)``.
+    ``model.replace(initial_belief=...)`` with a belief in the model's own
+    form: a dense vector for a SingleAgentModel, an ascending (keys, vals)
+    pair of augmented indices and probabilities for a FlatModel.
     """
     validate_tree(tree, model.observations, depth=model.horizon, actions=model.actions)
     return _backup(model, model.initial_belief, model.horizon, tree)[0]
 
 
 def brute_force_solve(
-    model: SingleAgentModel, max_trees: int = 200_000
+    model: Model, max_trees: int = 200_000
 ) -> SolvedPolicy:
     """Enumerate every complete tree and keep the best.
 

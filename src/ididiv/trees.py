@@ -287,7 +287,10 @@ def canonical_encode(tree: PolicyTree) -> str:
 
 
 def canonical_parse(text: str) -> PolicyTree:
-    depth_s, obs_s, body = text.split(";", 2)
+    parts = text.split(";", 2)
+    if len(parts) != 3 or not parts[0].isdecimal():
+        raise TreeShapeError("%r is not a depth;observations;actions tree encoding" % text)
+    depth_s, obs_s, body = parts
     depth = int(depth_s)
     obs = tuple(obs_s.split(",")) if obs_s else ()
     if depth > 1 and not obs:

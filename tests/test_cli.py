@@ -15,6 +15,7 @@ from ididiv import (
     save_candidate_set,
     serialize_domain,
     builtin_tiger,
+    TreeShapeError,
 )
 from ididiv.cli import main
 from ididiv.trees import canonical_parse
@@ -248,6 +249,20 @@ class TestExperiment:
 
 
 class TestParsing:
+    @pytest.mark.parametrize("text", ["[1, 2]", '"grid"', "3"])
+    def test_config_that_is_not_an_object_is_named(self, tmp_path, text):
+        cfg = tmp_path / "grid.json"
+        cfg.write_text(text)
+        with pytest.raises(ValueError, match="grid.json: a grid config is a JSON object"):
+            _run(["--out-dir", tmp_path / "out", "experiment", "--config", cfg])
+        assert not (tmp_path / "out").exists()
+
+    def test_candidate_file_with_a_bad_tree_is_named(self, tmp_path):
+        path = tmp_path / "candidates.json"
+        path.write_text(json.dumps({"trees": ["x"], "n_observations": 2}))
+        with pytest.raises(TreeShapeError, match="'x' is not a depth"):
+            _run(["--out-dir", tmp_path / "out", "features", "--trees", path])
+
     def test_missing_subcommand(self):
         with pytest.raises(SystemExit):
             main([])

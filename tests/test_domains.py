@@ -345,13 +345,10 @@ class TestNonFinite:
         with pytest.raises(DomainValidationError, match="obs_fn_i: non-finite"):
             validate_domain(broken)
 
-    @pytest.mark.parametrize("form", ["dense", "sparse"])
+    @pytest.mark.parametrize("form", ["dense"])
     def test_level0_transition(self, tiger_j, form):
         table = _nan_at(tiger_j.transition, (0, 1))
-        if form == "sparse":
-            table = tuple(_rows_of(table[:, a, :]) for a in range(3))
-        match = r"transition: non-finite" if form == "dense" else r"transition\[1\]: non-finite"
-        with pytest.raises(DomainValidationError, match=match):
+        with pytest.raises(DomainValidationError, match=r"transition: non-finite"):
             validate_model(tiger_j.replace(transition=table))
 
     def test_initial_belief(self, tiger_j):
@@ -371,25 +368,39 @@ def _rows_of(dense: np.ndarray) -> SparseRows:
     )
 
 
+def _one_pair(rows) -> PosgDomain:
+    """A two-state domain with one action per agent, moved by ``rows``."""
+    return PosgDomain(
+        name="pair",
+        states=("s0", "s1"),
+        actions_i=("a",),
+        actions_j=("b",),
+        observations_i=("z",),
+        observations_j=("z",),
+        transition=JointTransition(rows, (2, 1, 1, 2)),
+        obs_fn_i=np.ones((2, 1, 1, 1)),
+        obs_fn_j=np.ones((2, 1, 1)),
+        reward_i=np.zeros((2, 1, 1)),
+        reward_j=np.zeros((2, 1, 1)),
+        horizon=1,
+    )
+
+
 class TestSparseRows:
-    """Hand-built sparse transitions: tiger_j's blocks, one of them broken."""
+    """Hand-built joint transitions: tiger_j's OpenRight block as the one
+    action pair of a domain, broken in one way each."""
 
     def _with_block1(self, tiger_j, **change):
-        blocks = [_rows_of(tiger_j.transition[:, a, :]) for a in range(3)]
-        blocks[1] = dataclasses.replace(blocks[1], **change)
-        return tiger_j.replace(transition=tuple(blocks))
+        return _one_pair(dataclasses.replace(_rows_of(tiger_j.transition[:, 1, :]), **change))
 
     def test_hand_built_model_validates_and_predicts(self, tiger_j):
-        m = self._with_block1(tiger_j)
-        validate_model(m)
-        assert m.is_sparse and m.transition[0].nnz == 4
+        d = self._with_block1(tiger_j)
+        validate_domain(d)
+        assert d.transition.rows.nnz == 4
         b = np.array([0.25, 0.75])
-        for a in range(3):
-            np.testing.assert_allclose(
-                b @ m.transition_matrix(a), b @ tiger_j.transition_matrix(a), atol=1e-15
-            )
-        zero = np.array([0.0, 0.0]) @ m.transition[0]
-        assert np.array_equal(zero, np.zeros(2)) and zero.dtype == np.float64
+        np.testing.assert_allclose(
+            b @ d.transition[:, 0, 0, :], b @ tiger_j.transition[:, 1, :], atol=1e-15
+        )
 
     @pytest.mark.parametrize(
         "change",
@@ -415,22 +426,20 @@ class TestSparseRows:
         ],
     )
     def test_malformed_structure(self, tiger_j, change):
-        with pytest.raises(DomainValidationError, match=r"transition\[1\]"):
-            validate_model(self._with_block1(tiger_j, **change))
+        with pytest.raises(DomainValidationError, match=r"transition: (indptr|column|\d+ data)"):
+            validate_domain(self._with_block1(tiger_j, **change))
 
     def test_row_sum_and_sign(self, tiger_j):
-        with pytest.raises(DomainValidationError, match=r"transition\[1\]: row 0"):
-            validate_model(self._with_block1(tiger_j, data=np.array([0.5, 0.4, 0.0, 1.0])))
-        with pytest.raises(DomainValidationError, match=r"transition\[1\]: negative"):
-            validate_model(self._with_block1(tiger_j, data=np.array([1.5, -0.5, 0.0, 1.0])))
+        with pytest.raises(DomainValidationError, match=r"transition\[:, 0, 0\]: row 0"):
+            validate_domain(self._with_block1(tiger_j, data=np.array([0.5, 0.4, 0.0, 1.0])))
+        with pytest.raises(DomainValidationError, match=r"transition\[:, 0, 0\]: negative"):
+            validate_domain(self._with_block1(tiger_j, data=np.array([1.5, -0.5, 0.0, 1.0])))
 
     def test_shape_and_type(self, tiger_j):
-        with pytest.raises(DomainValidationError, match=r"transition\[1\]: shape"):
-            validate_model(self._with_block1(tiger_j, shape=(2, 3)))
-        blocks = [_rows_of(tiger_j.transition[:, a, :]) for a in range(3)]
-        blocks[1] = tiger_j.transition[:, 1, :]
-        with pytest.raises(DomainValidationError, match=r"transition\[1\]: ndarray"):
-            validate_model(tiger_j.replace(transition=tuple(blocks)))
+        with pytest.raises(DomainValidationError, match=r"transition: shape"):
+            validate_domain(self._with_block1(tiger_j, shape=(2, 3)))
+        with pytest.raises(DomainValidationError, match=r"transition: ndarray"):
+            validate_domain(_one_pair(tiger_j.transition[:, 1, :]))
 
 
 def _dense_uav_transition() -> np.ndarray:

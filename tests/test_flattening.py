@@ -2,6 +2,7 @@ import dataclasses
 import os
 import subprocess
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -14,8 +15,8 @@ from ididiv import (
     EnumerationCapError,
     JointTransition,
     SelectionConfig,
+    SingleAgentModel,
     SparseRows,
-    belief_update,
     brute_force_solve,
     builtin_tiger,
     constant_tree,
@@ -29,7 +30,8 @@ from ididiv import (
     solve_idid,
     validate_model,
 )
-from ididiv.domains import FannedRows, PositionLabels, PositionTable, domain_to_obj
+from ididiv.domains import domain_to_obj
+from ididiv.flattening import FannedRows, FlatModel, PositionLabels
 from ididiv.trees import all_trees, node_table, tree_nodes
 from conftest import _peer_trees_t2
 
@@ -39,32 +41,40 @@ def _scipy_csr(blk):
     return sparse.csr_array((blk.data, blk.indices, blk.indptr), shape=blk.shape)
 
 
+def _dense(b, n):
+    """A sparse (keys, vals) belief as a length-n vector."""
+    out = np.zeros(n)
+    out[b[0]] = b[1]
+    return out
+
+
 def _beliefs(model, rng, n_random):
     """The initial belief, a posterior after each action and the first
     observation, and random beliefs on supports of random size, up to the
-    whole state space, with exact zeros elsewhere.
+    whole state space, as sparse (keys, vals) pairs.
     """
     S = len(model.states)
-    beliefs = [model.initial_belief]
-    for act in model.actions:
-        beliefs.append(
-            belief_update(model, model.initial_belief, act, model.observations[0])
-        )
+    b0 = model.initial_belief
+    beliefs = [b0]
+    for a in range(len(model.actions)):
+        post = model.condition(model.predict(b0, a), a, 0)[1]
+        assert post is not None
+        beliefs.append(post)
     for _ in range(n_random):
-        b = np.zeros(S)
-        support = rng.choice(S, size=int(rng.integers(1, S + 1)), replace=False)
-        b[support] = rng.dirichlet(np.ones(len(support)))
-        beliefs.append(b)
+        support = np.sort(rng.choice(S, size=int(rng.integers(1, S + 1)), replace=False))
+        beliefs.append((support, rng.dirichlet(np.ones(len(support)))))
     return beliefs
 
 
-def _assert_products_match_scipy(model, rng, n_random=20):
-    """b @ M equals scipy's CSR product bit for bit, block by block."""
-    beliefs = _beliefs(model, rng, n_random)
-    for blk in model.transition:
-        ref = _scipy_csr(blk)
-        for b in beliefs:
-            assert np.array_equal(b @ blk, b @ ref)
+def _assert_products_match_scipy(flat, rng, n_random=20):
+    """predict, scattered, equals scipy's CSR product bit for bit, action by
+    action."""
+    model = flat.model
+    n = len(model.states)
+    refs = [_scipy_csr(blk) for blk in _csr_oracle(flat.domain, flat.candidates)]
+    for b in _beliefs(model, rng, n_random):
+        for a, ref in enumerate(refs):
+            assert np.array_equal(_dense(model.predict(b, a), n), _dense(b, n) @ ref)
 
 
 def _oracle_value(domain, trees, prior, subject_tree, b0=None):
@@ -134,7 +144,7 @@ class TestStructure:
             names[18]
 
     def test_initial_belief_roots_only(self, tiger2, flat2, cand2):
-        b = flat2.model.initial_belief
+        b = _dense(flat2.model.initial_belief, 18)
         for m in range(3):
             base = flat2.offsets[m]
             np.testing.assert_allclose(
@@ -147,18 +157,16 @@ class TestStructure:
             raise AssertionError("label %d made" % k)
 
         monkeypatch.setattr(PositionLabels, "__getitem__", refuse)
-        validate_model(flatten(tiger2, cand2).model)
+        solve_idid(flatten(tiger2, cand2))
 
     def test_root_observation_rows_uniform(self, flat2):
         # Root positions are never successors; their rows are filler.
         model = flat2.model
         n_oi = len(model.observations)
+        roots = np.array([flat2.offsets[m] + s for m in range(3) for s in range(2)])
         for a in range(len(model.actions)):
             for o in range(n_oi):
-                like = model.likelihood(a, o)
-                for m in range(3):
-                    base = flat2.offsets[m]
-                    assert np.all(like[base : base + 2] == 1.0 / n_oi)
+                assert np.all(model.obs_at(roots, a, o) == 1.0 / n_oi)
 
     def test_candidate_depth_enforced(self, tiger2):
         shallow = make_candidate_set(
@@ -328,14 +336,83 @@ def _dense_tables(domain, candidates):
     return O_aug, R_aug
 
 
-def _oracle_model(flat):
-    return flat.model.replace(transition=_csr_oracle(flat.domain, flat.candidates))
+@dataclass(frozen=True, eq=False)
+class _DenseOracle:
+    """The flattened model as flatten built it before sparse beliefs: dense
+    beliefs, full-length sums, and per-position copies of the domain tables.
+    ``product(b, a)`` is the transition's dense row-vector product.
+    """
+
+    name: str
+    actions: tuple
+    observations: tuple
+    horizon: int
+    initial_belief: np.ndarray
+    product: object
+    O_aug: np.ndarray
+    R_aug: np.ndarray
+
+    def expected_reward(self, b, a):
+        return float(np.add.reduce(self.R_aug[:, a] * b))
+
+    def predict(self, b, a):
+        return self.product(b, a)
+
+    def condition(self, pred, a, o):
+        joint = self.O_aug[:, a, o] * pred
+        p = float(np.add.reduce(joint))
+        if p > 0.0:
+            joint /= p
+            return p, joint
+        return p, None
 
 
-def _dense_reference(model):
-    """The same model with a dense [S, A, S'] table made from its CSR blocks."""
-    T = np.stack([_scipy_csr(blk).toarray() for blk in model.transition], axis=1)
-    return model.replace(transition=T)
+def _oracle_model(flat, product=None):
+    """The dense-belief oracle of a flattened model.  Its transition is the
+    CSR oracle's unless ``product`` is given."""
+    model = flat.model
+    if product is None:
+        blocks = [_scipy_csr(blk) for blk in _csr_oracle(flat.domain, flat.candidates)]
+
+        def product(b, a):
+            return b @ blocks[a]
+
+    O_aug, R_aug = _dense_tables(flat.domain, flat.candidates)
+    return _DenseOracle(
+        name=model.name,
+        actions=model.actions,
+        observations=model.observations,
+        horizon=model.horizon,
+        initial_belief=_dense(model.initial_belief, len(model.states)),
+        product=product,
+        O_aug=O_aug,
+        R_aug=R_aug,
+    )
+
+
+def _dense_reference(flat):
+    """The flattened model as a SingleAgentModel with a dense [S, A, S']
+    table made from the CSR oracle's blocks."""
+    model = flat.model
+    oracle = _oracle_model(flat)
+    blocks = _csr_oracle(flat.domain, flat.candidates)
+    return SingleAgentModel(
+        name=model.name,
+        states=tuple(model.states),
+        actions=model.actions,
+        observations=model.observations,
+        transition=np.stack([_scipy_csr(blk).toarray() for blk in blocks], axis=1),
+        obs_fn=oracle.O_aug,
+        reward=oracle.R_aug,
+        initial_belief=oracle.initial_belief,
+        horizon=model.horizon,
+    )
+
+
+def _assert_close_solves(mine, ref):
+    """Equal trees, and values within ROADMAP item 2's 1e-12 relative."""
+    assert mine.tree == ref.tree
+    assert abs(mine.value - ref.value) <= 1e-12 * abs(ref.value)
 
 
 def _uav_mdf6(uav):
@@ -364,23 +441,18 @@ class TestOperatorOracle:
     @pytest.mark.parametrize("name", ["tiger-T2", "tiger-T3", "uav-T3-mdf6"])
     def test_products_equal_the_csr_bit_for_bit(self, oracle_sets, name):
         flat = oracle_sets[name]
-        oracle = _oracle_model(flat)
         model = flat.model
-        for op, blk in zip(model.transition, oracle.transition):
+        for op, blk in zip(model.transition, _csr_oracle(flat.domain, flat.candidates)):
             assert isinstance(op, FannedRows)
             assert op.shape == blk.shape
             assert op.nnz == blk.nnz
         n_random = 5 if name.startswith("uav") else 20
-        for b in _beliefs(model, np.random.default_rng(7), n_random):
-            for op, blk in zip(model.transition, oracle.transition):
-                assert np.array_equal(b @ op, b @ blk)
+        _assert_products_match_scipy(flat, np.random.default_rng(7), n_random)
 
     @pytest.mark.parametrize("name", ["tiger-T2", "tiger-T3", "uav-T3-mdf6"])
     def test_solve_equals_the_oracle_solve(self, oracle_sets, name):
         flat = oracle_sets[name]
-        mine, ref = solve_idid(flat), solve_exact(_oracle_model(flat))
-        assert mine.value == ref.value
-        assert mine.tree == ref.tree
+        _assert_close_solves(solve_idid(flat), solve_exact(_oracle_model(flat)))
 
 
 class TestTableOracle:
@@ -392,29 +464,32 @@ class TestTableOracle:
         flat = oracle_sets[name]
         model = flat.model
         O_aug, R_aug = _dense_tables(flat.domain, flat.candidates)
-        assert isinstance(model.obs_fn, PositionTable)
-        assert isinstance(model.reward, PositionTable)
-        assert model.obs_fn.shape == O_aug.shape
-        assert model.reward.shape == R_aug.shape
+        keys = np.arange(len(model.states))
         for a in range(len(model.actions)):
-            assert np.array_equal(model.rewards(a), R_aug[:, a])
+            assert np.array_equal(model.reward_at(keys, a), R_aug[:, a])
             for o in range(len(model.observations)):
-                assert np.array_equal(model.likelihood(a, o), O_aug[:, a, o])
+                assert np.array_equal(model.obs_at(keys, a, o), O_aug[:, a, o])
 
     @pytest.mark.parametrize("name", ["tiger-T2", "tiger-T3"])
     def test_solve_equals_the_dense_tables_solve(self, oracle_sets, name):
+        # Only the tables differ: the oracle moves its dense beliefs with the
+        # model's own operators.
         flat = oracle_sets[name]
-        O_aug, R_aug = _dense_tables(flat.domain, flat.candidates)
-        dense = flat.model.replace(obs_fn=O_aug, reward=R_aug)
-        validate_model(dense)
-        mine, ref = solve_idid(flat), solve_exact(dense)
-        assert mine.value == ref.value
-        assert mine.tree == ref.tree
+        model = flat.model
+        n = len(model.states)
+
+        def product(b, a):
+            nz = np.flatnonzero(b)
+            return _dense(model.transition[a].rmatvec(nz, b[nz]), n)
+
+        _assert_close_solves(solve_idid(flat), solve_exact(_oracle_model(flat, product)))
 
     def test_model_shares_the_domain_tables(self, tiger2, cand2):
         model = flatten(tiger2, cand2).model
-        assert model.obs_fn.table is tiger2.obs_fn_i
-        assert model.reward.table is tiger2.reward_i
+        assert isinstance(model, FlatModel)
+        assert model.obs_fn_i is tiger2.obs_fn_i
+        assert model.reward_i is tiger2.reward_i
+        assert all(op.joint is tiger2.transition for op in model.transition)
 
 
 _THREADED_SOLVE = """
@@ -458,27 +533,28 @@ class TestSparsePath:
             assert isinstance(op, FannedRows)
             assert op.joint is tiger2.transition
             assert op.shape == (18, 18)
-            assert (np.zeros(18) @ op).dtype == np.float64
+            keys, vals = op.rmatvec(np.zeros(0, dtype=np.int64), np.zeros(0))
+            assert len(keys) == 0 and vals.dtype == np.float64
 
     def test_sparse_matches_dense(self, tiger2, cand2):
         sp = flatten(tiger2, cand2)
-        dense = _dense_reference(_oracle_model(sp))
+        dense = _dense_reference(sp)
         validate_model(dense)
-        assert not dense.is_sparse
         pd = solve_exact(dense)
         ps = solve_idid(sp)
         assert ps.value == pytest.approx(pd.value, abs=1e-12)
         assert ps.tree == pd.tree
 
     def test_products_match_scipy_exactly(self, oracle_sets):
-        model = _oracle_model(oracle_sets["tiger-T2"])
-        validate_model(model)
-        assert all(blk.indices.dtype == np.int32 for blk in model.transition)
-        _assert_products_match_scipy(model, np.random.default_rng(5))
+        flat = oracle_sets["tiger-T2"]
+        blocks = _csr_oracle(flat.domain, flat.candidates)
+        assert all(blk.indices.dtype == np.int32 for blk in blocks)
+        _assert_products_match_scipy(flat, np.random.default_rng(5))
 
     def test_uav_products_match_scipy_exactly(self, oracle_sets):
-        model = _oracle_model(oracle_sets["uav-T3-mdf6"])
-        _assert_products_match_scipy(model, np.random.default_rng(6), n_random=5)
+        _assert_products_match_scipy(
+            oracle_sets["uav-T3-mdf6"], np.random.default_rng(6), n_random=5
+        )
 
     def test_explicit_zeros_are_kept(self, tiger2, cand2):
         # Noiseless peer sensing makes half the observation-weighted
@@ -533,15 +609,14 @@ class TestSparsePath:
         model = flatten(tiger2, cand2).model
         other = flatten(tiger2, make_candidate_set(cand2.trees[:2], 2)).model
         ops = (model.transition[0], other.transition[1], model.transition[2])
-        mixed = model.replace(transition=ops)
         with pytest.raises(DomainValidationError, match=r"transition\[1\]: shape"):
-            validate_model(mixed)
-        with pytest.raises(DomainValidationError, match="2 sparse blocks, expected 3"):
-            validate_model(model.replace(transition=model.transition[:2]))
+            model.replace(transition=ops)
+        with pytest.raises(DomainValidationError, match="2 operators, expected 3"):
+            model.replace(transition=model.transition[:2])
 
     def test_custom_initial_physical_belief(self, tiger2, cand2):
         left = dataclasses.replace(tiger2, start=np.array([1.0, 0.0]))
-        b = flatten(left, cand2).model.initial_belief
+        b = _dense(flatten(left, cand2).model.initial_belief, 18)
         assert b[0] == pytest.approx(0.5)  # prior 0.5 on candidate 0
         assert b[1] == 0.0
         with pytest.raises(ValueError, match="start"):

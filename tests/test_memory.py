@@ -66,6 +66,25 @@ solve_idid(flatten(domain, candidates))
 print(peak_bytes() - before)
 """
 
+# The same set's solve alone, by the peak of traced allocations.
+_FLAT_SOLVE_TRACED = """
+import tracemalloc
+from ididiv import (
+    SelectionConfig, builtin_domain, flatten, generate_known_models, project_level0,
+    select_topk, solve_idid,
+)
+
+domain = builtin_domain("uav", 3)
+level0 = project_level0(domain, "j")
+known = generate_known_models(level0, 3, seed=0)
+candidates = select_topk(known, level0, SelectionConfig(measure="MDF", k_max=6, seed=0))
+flat = flatten(domain, candidates)
+assert len(flat.model.states) == 79128
+tracemalloc.start()
+solve_idid(flat)
+print(tracemalloc.get_traced_memory()[1])
+"""
+
 # The file holds the table's 41,408 stored entries, not a dense
 # [628][5][5][628] table.
 _FILE_PEAK = _PEAK + """
@@ -114,10 +133,17 @@ def test_projecting_uav_for_i_raises_the_peak_by_little():
 @pytest.mark.skipif(not Path("/proc/self/status").is_file(), reason="needs Linux /proc")
 def test_flattening_and_solving_uav_raises_the_peak_by_little():
     # The model copies nothing from the domain: the transition operators,
-    # likelihoods and rewards read its tables and the state labels are made
-    # on index.  Per-position copies of obs_fn_i (12.7 MB) and reward_i
+    # likelihood and reward gathers read its tables and the state labels
+    # are made on index.  Per-position copies of obs_fn_i (12.7 MB) and reward_i
     # (3.2 MB) and the 79,128 labels (5.7 MB) would raise it past the bound.
     assert int(_run(_FLAT_SOLVE_PEAK)) < 8 * 2**20
+
+
+def test_flattened_uav_solve_holds_less_than_one_dense_belief():
+    # Beliefs over their support: no belief the solve reaches holds more
+    # than 1,376 of the 79,128 states, so the whole solve allocates less
+    # than one float vector over all of them (633,024 bytes).
+    assert int(_run(_FLAT_SOLVE_TRACED)) < 79128 * 8
 
 
 @pytest.mark.skipif(not Path("/proc/self/status").is_file(), reason="needs Linux /proc")

@@ -3,11 +3,10 @@ import pytest
 
 from ididiv import (
     EnumerationCapError,
-    ImpossibleObservationError,
+    FlatModel,
     PolicyTree,
     SingleAgentModel,
     TreeShapeError,
-    belief_update,
     brute_force_solve,
     constant_tree,
     count_trees,
@@ -32,23 +31,6 @@ def _det_obs_model(horizon=2):
         initial_belief=np.array([1.0]),
         horizon=horizon,
     )
-
-
-class TestBeliefUpdate:
-    def test_tiger_growl(self, tiger_j):
-        b = belief_update(tiger_j, np.array([0.5, 0.5]), "Listen", "GrowlLeft")
-        # Uniform prior stays uniform through the transition; the growl
-        # likelihood then tilts it to exactly (0.85, 0.15).
-        assert b == pytest.approx([0.85, 0.15], abs=1e-15)
-
-    def test_normalized(self, tiger_j):
-        b = belief_update(tiger_j, np.array([0.9, 0.1]), "Listen", "GrowlRight")
-        assert b.sum() == pytest.approx(1.0, abs=1e-12)
-
-    def test_impossible_observation(self):
-        m = _det_obs_model()
-        with pytest.raises(ImpossibleObservationError):
-            belief_update(m, np.array([1.0]), "a0", "z1")
 
 
 class TestSolveTiger:
@@ -80,11 +62,11 @@ class TestSolveTiger:
 
     def test_value_reproduces_through_evaluate(self, tiger_j, tiger2, cand2):
         # Solving and evaluating run one recursion, so the floats agree
-        # exactly: on tiger, on random models, and on a CSR-flattened model.
+        # exactly: on tiger, on random models, and on a flattened model.
         rng = np.random.default_rng(31)
         models = [tiger_j] + [random_model(rng) for _ in range(30)]
         flat = flatten(tiger2, cand2).model
-        assert flat.is_sparse
+        assert isinstance(flat, FlatModel)
         models.append(flat)
         for m in models:
             pol = solve_exact(m)

@@ -156,6 +156,12 @@ class TestEncoding:
         with pytest.raises(ValueError):
             canonical_parse(text)
 
+    @pytest.mark.parametrize("text", ["x", "A|B", "2;o1,o2", "two;o1,o2;A|B|C"])
+    def test_not_an_encoding_is_named(self, text):
+        with pytest.raises(TreeShapeError, match="not a depth;observations;actions") as err:
+            canonical_parse(text)
+        assert repr(text) in str(err.value)
+
     def test_compact_empty_action_rejected(self):
         with pytest.raises(ValueError, match="reserved"):
             compact_parse("A||B", ("o1", "o2"), 2)
