@@ -15,7 +15,6 @@ from ididiv import (
     count_trees,
     frame,
     sequence_list,
-    tree_nodes,
 )
 
 obs = ("GrowlLeft", "GrowlRight")
@@ -30,7 +29,7 @@ listen_then_open = PolicyTree(
 always_listen = constant_tree("Listen", obs, 2)
 
 print("tree:", canonical_encode(listen_then_open))
-print("nodes:", len(tree_nodes(listen_then_open)), "of", count_tree_nodes(2, 2), "in a complete depth-2 tree")
+print("nodes:", len(listen_then_open.preorder), "of", count_tree_nodes(2, 2), "in a complete depth-2 tree")
 print()
 
 print("behavior sequences of the listen-then-open tree:")

@@ -1,7 +1,7 @@
 """Growing a diverse candidate set for the two-agent tiger peer.
 
 Known models come from exact solves under randomized initial beliefs.  The
-expansion loop samples policy trees from a belief-network view of the peer,
+expansion loop samples policy trees from the peer's level-0 model,
 anchored on the known models' behavioral features, and keeps a sample only
 when it strictly raises the set's diversity.
 """
@@ -15,7 +15,6 @@ from ididiv import (
     SelectionConfig,
     builtin_tiger,
     canonical_encode,
-    convert_to_dbn,
     generate_known_models,
     load_candidate_set,
     project_level0,
@@ -33,11 +32,10 @@ for t in known:
 print()
 
 # One anchored sample, outside the selection loop, to show the mechanism.
-dbn = convert_to_dbn(level0)
 from ididiv import extract_features
 
 anchor = extract_features(known)[0]
-tree = sample_tree(dbn, anchor, np.random.default_rng(1))
+tree = sample_tree(level0, anchor, np.random.default_rng(1))
 print("anchor %s -> sampled tree %s" % (anchor.compact(), canonical_encode(tree)))
 print()
 

@@ -43,12 +43,7 @@ from .features import (
     pivot_decompose,
 )
 from .flattening import FlatIdid, FlatModel, flatten, solve_idid
-from .generation import (
-    DynamicBeliefNet,
-    convert_to_dbn,
-    generate_known_models,
-    sample_tree,
-)
+from .generation import convert_to_dbn, generate_known_models, sample_tree
 from .runs import (
     ALGORITHMS,
     RunManifest,
@@ -88,15 +83,12 @@ from .trees import (
     all_trees,
     canonical_encode,
     canonical_parse,
-    compact_encode,
-    compact_parse,
     constant_tree,
     count_tree_nodes,
     count_trees,
     frame,
     prefixes,
     sequence_list,
-    tree_nodes,
     validate_tree,
 )
 

@@ -1,16 +1,15 @@
-"""Generating candidate policy trees from a behavioral model.
+"""Generating candidate policy trees from the peer's level-0 model.
 
 Trees are grown anchored on feature behavior sequences: along the anchor's
 observation path the anchored actions are copied verbatim, everywhere else
 the action maximizes the immediate expected reward under the current belief.
 The root belief is a symmetric Dirichlet draw.  Beliefs advance by Bayes
-updates; an observation branch with zero probability falls back to the
-unconditioned predicted belief so the grown tree stays complete.
+updates through the model's ``predict`` and ``condition``; an observation
+branch with zero probability falls back to the unconditioned predicted
+belief so the grown tree stays complete.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,29 +18,16 @@ from .solver import _beats, solve_exact
 from .trees import BehaviorSequence, PolicyTree, canonical_encode, count_trees
 
 __all__ = [
-    "DynamicBeliefNet",
     "convert_to_dbn",
     "sample_tree",
     "generate_known_models",
 ]
 
 
-@dataclass(frozen=True, eq=False)
-class DynamicBeliefNet:
-    """The level-0 model that ``sample_tree`` grows trees from.
-
-    It adds nothing to ``base``.  It stays, with ``convert_to_dbn``, because
-    the benchmark's tracer (``perfbench/tracer.py``) binds ``convert_to_dbn``
-    by name in ``selection`` and ``simulate``; both can go, and the sampler
-    take the model itself, once the tracer no longer pins that name.
-    """
-
-    base: SingleAgentModel
-
-
-def convert_to_dbn(model: SingleAgentModel) -> DynamicBeliefNet:
-    """Wrap the model for ``sample_tree``."""
-    return DynamicBeliefNet(base=model)
+def convert_to_dbn(model: SingleAgentModel) -> SingleAgentModel:
+    """The model itself.  It stays only because the benchmark's tracer binds
+    this name in ``selection`` and ``simulate``."""
+    return model
 
 
 def _myopic_action(model: SingleAgentModel, b: np.ndarray) -> int:
@@ -81,7 +67,7 @@ def _grow(
 
 
 def sample_tree(
-    dbn: DynamicBeliefNet,
+    model: SingleAgentModel,
     anchor: BehaviorSequence,
     rng: np.random.Generator,
 ) -> PolicyTree:
@@ -91,7 +77,6 @@ def sample_tree(
     other nodes act myopically under the propagated belief.  The root belief
     is a symmetric Dirichlet draw from ``rng``.
     """
-    model = dbn.base
     T = model.horizon
     if anchor.length != T:
         raise ValueError(

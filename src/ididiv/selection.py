@@ -18,7 +18,8 @@ import numpy as np
 from .diversity import DiversityReport, diversity_report, mdf, mdp
 from .domains import SingleAgentModel
 from .features import extract_features
-from .generation import convert_to_dbn, sample_tree
+# convert_to_dbn is unused here; perfbench/tracer.py binds selection.convert_to_dbn.
+from .generation import convert_to_dbn, sample_tree  # noqa: F401
 from .trees import PolicyTree, canonical_encode, canonical_parse, validate_tree
 
 __all__ = [
@@ -141,7 +142,6 @@ def select_topk(
         validate_tree(t, model.observations, depth=model.horizon, actions=model.actions)
 
     anchors = extract_features(base)
-    dbn = convert_to_dbn(model)
     rng = np.random.default_rng(config.seed)
 
     trees = list(base)
@@ -151,7 +151,7 @@ def select_topk(
     misses = 0
     draw = 0
     while len(trees) < config.k_max and misses < config.patience:
-        cand = sample_tree(dbn, anchors[draw % len(anchors)], rng)
+        cand = sample_tree(model, anchors[draw % len(anchors)], rng)
         draw += 1
         enc = canonical_encode(cand)
         if enc in seen:
@@ -193,6 +193,13 @@ def save_candidate_set(cs: CandidateModelSet, path) -> Path:
 
 def load_candidate_set(path) -> CandidateModelSet:
     obj = json.loads(Path(path).read_text())
+    if not isinstance(obj, dict):
+        raise ValueError(
+            "%s: a candidate file is a JSON object, not a %s" % (path, type(obj).__name__)
+        )
+    for key in ("trees", "n_observations"):
+        if key not in obj:
+            raise ValueError("%s: a candidate file needs %r" % (path, key))
     trees = [canonical_parse(t) for t in obj["trees"]]
     return make_candidate_set(
         trees,

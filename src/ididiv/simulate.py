@@ -18,7 +18,8 @@ import numpy as np
 from .domains import PosgDomain, project_level0
 from .features import extract_features
 from .flattening import flatten
-from .generation import convert_to_dbn, sample_tree
+# convert_to_dbn is unused here; perfbench/tracer.py binds simulate.convert_to_dbn.
+from .generation import convert_to_dbn, sample_tree  # noqa: F401
 from .selection import CandidateModelSet
 from .solver import solve_exact
 from .trees import BehaviorSequence, PolicyTree, canonical_encode, validate_tree
@@ -149,10 +150,10 @@ def _random_anchor(model, rng) -> BehaviorSequence:
     return BehaviorSequence(acts, obs)
 
 
-def _draw_novel_tree(dbn, anchors, excluded, rng) -> PolicyTree:
+def _draw_novel_tree(model, anchors, excluded, rng) -> PolicyTree:
     for _ in range(_REJECTION_CAP):
         anchor = anchors[int(rng.integers(len(anchors)))]
-        cand = sample_tree(dbn, anchor, rng)
+        cand = sample_tree(model, anchor, rng)
         if canonical_encode(cand) not in excluded:
             return cand
     # The feature-anchored sampler has a finite image that a well-expanded
@@ -160,7 +161,7 @@ def _draw_novel_tree(dbn, anchors, excluded, rng) -> PolicyTree:
     # sequences, which can plant any action path and so reach trees no
     # feature anchor produces.
     for _ in range(_REJECTION_CAP):
-        cand = sample_tree(dbn, _random_anchor(dbn.base, rng), rng)
+        cand = sample_tree(model, _random_anchor(model, rng), rng)
         if canonical_encode(cand) not in excluded:
             return cand
     raise RuntimeError(
@@ -209,7 +210,7 @@ def run_experiment(
             t for t, p in zip(candidates.trees, candidates.provenance) if p == "known"
         ] or list(candidates.trees)
         anchors = extract_features(known)
-        dbn = convert_to_dbn(project_level0(domain, "j"))
+        level0 = project_level0(domain, "j")
         excluded = frozenset(canonical_encode(t) for t in candidates.trees)
         if excluded_encodings is not None:
             excluded |= frozenset(excluded_encodings)
@@ -227,7 +228,7 @@ def run_experiment(
             idx = int(rng.choice(len(candidates.trees), p=candidates.prior))
             tt = candidates.trees[idx]
         else:
-            tt = _draw_novel_tree(dbn, anchors, excluded, rng)
+            tt = _draw_novel_tree(level0, anchors, excluded, rng)
         ep = _play(domain, policy.tree, tt, rng)
         rewards_i.append(ep.total_reward_i)
         rewards_j.append(ep.total_reward_j)

@@ -62,7 +62,11 @@ class EnumerationCapError(RuntimeError):
 
 
 class Model(Protocol):
-    """What the solver and the tree sampler read of a model."""
+    """What the solver and the tree sampler read of a model.
+
+    ``solve_exact`` takes a level-0 ``SingleAgentModel`` or a flattened
+    ``FlatModel``; ``generation.sample_tree`` takes the level-0 model itself.
+    """
 
     name: str
     actions: tuple[str, ...]

@@ -9,7 +9,8 @@ declared observation order.
 All complete trees of one (n_obs, depth) share their nodes, numbered in
 preorder: ``node_table`` gives each node's level, parent, children and root
 path, and ``PolicyTree.preorder`` a tree's actions.  Prefixes, frames, the
-encodings, diversity counts, matrix columns and flattening read this layout.
+canonical encoding, diversity counts, matrix columns and flattening read
+this layout, and every tree built from a preorder is built by ``_build``.
 """
 
 from __future__ import annotations
@@ -35,16 +36,13 @@ __all__ = [
     "sequence_list",
     "canonical_encode",
     "canonical_parse",
-    "compact_encode",
-    "compact_parse",
     "constant_tree",
     "all_trees",
     "count_trees",
     "count_tree_nodes",
-    "tree_nodes",
 ]
 
-# Separators used by the string encodings.  Symbol identifiers must avoid them.
+# Separators used by the canonical encoding.  Symbol identifiers must avoid them.
 _RESERVED = ";,|/"
 
 
@@ -108,7 +106,13 @@ class PolicyTree:
     @cached_property
     def preorder(self) -> tuple[str, ...]:
         """Every node's action in preorder, computed once per tree."""
-        return tuple(node.action for node in tree_nodes(self))
+        out: list[str] = []
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            out.append(node.action)
+            stack.extend(sub for _, sub in reversed(node.children))
+        return tuple(out)
 
 
 class NodeTable(NamedTuple):
@@ -200,7 +204,7 @@ def validate_tree(
     if depth is not None and d != depth:
         raise TreeShapeError("tree depth %d, expected %d" % (d, depth))
     pre = tree.preorder
-    if len(pre) != count_tree_nodes(len(obs), d) or tree != _from_preorder(pre, obs, d):
+    if len(pre) != count_tree_nodes(len(obs), d) or tree != _build(iter(pre), obs, d):
         raise TreeShapeError("tree is not complete over %r at depth %d" % (obs, d))
     unknown = set() if actions is None else set(pre) - set(actions)
     if unknown:
@@ -234,7 +238,7 @@ def frame(tree: PolicyTree, t: int) -> PolicyTree:
     if t < 1 or t > tree.depth:
         raise ValueError("frame depth %d outside [1, %d]" % (t, tree.depth))
     kept = (a for a, lvl in zip(tree.preorder, _table_of(tree).level) if lvl < t)
-    return _from_preorder(kept, tree.observation_labels, t)
+    return _build(kept, tree.observation_labels, t)
 
 
 def sequence_list(tree: PolicyTree) -> tuple[BehaviorSequence, ...]:
@@ -257,51 +261,56 @@ def _check_symbols(symbols: Iterable[str]) -> tuple[str, ...]:
     return syms
 
 
-def compact_encode(tree: PolicyTree) -> str:
-    """Pipe-joined preorder action list; shape implied by depth and arity."""
-    return "|".join(tree.preorder)
-
-
-def compact_parse(
-    text: str, observations: Iterable[str], depth: int
-) -> PolicyTree:
-    """Inverse of compact_encode given the observation alphabet and depth."""
-    obs = _check_symbols(observations)
-    parts = text.split("|")
-    expected = count_tree_nodes(len(obs), depth)
-    if len(parts) != expected:
-        raise TreeShapeError(
-            "encoding has %d nodes, expected %d for depth %d over %d observations"
-            % (len(parts), expected, depth, len(obs))
-        )
-    return _from_preorder(_check_symbols(parts), obs, depth)
-
-
 def canonical_encode(tree: PolicyTree) -> str:
-    """Self-describing canonical string: depth;obs,obs,...;preorder actions.
+    """Self-describing canonical string: depth;obs,obs,...;a|a|... in preorder.
 
-    Equal trees encode equally; used for de-duplication and as a dict key.
+    Equal trees encode equally; used for de-duplication, as a dict key and
+    in candidate files.
     """
     obs = tree.observation_labels if tree.children else ()
-    return "%d;%s;%s" % (tree.depth, ",".join(obs), compact_encode(tree))
+    return "%d;%s;%s" % (tree.depth, ",".join(obs), "|".join(tree.preorder))
 
 
 def canonical_parse(text: str) -> PolicyTree:
+    """Inverse of canonical_encode; raise TreeShapeError naming ``text``.
+
+    The observation labels must be distinct, the action list must hold one
+    action per node of the complete tree, and no symbol may be empty or
+    hold a reserved character.
+    """
     parts = text.split(";", 2)
-    if len(parts) != 3 or not parts[0].isdecimal():
+    if len(parts) != 3 or not parts[0].isdecimal() or int(parts[0]) < 1:
         raise TreeShapeError("%r is not a depth;observations;actions tree encoding" % text)
-    depth_s, obs_s, body = parts
-    depth = int(depth_s)
-    obs = tuple(obs_s.split(",")) if obs_s else ()
+    depth = int(parts[0])
+    obs = tuple(parts[1].split(",")) if parts[1] else ()
+    acts = parts[2].split("|")
+    n = count_tree_nodes(len(obs), depth)
+    problem = None
     if depth > 1 and not obs:
-        raise TreeShapeError("non-leaf encoding lacks observation alphabet")
-    return compact_parse(body, obs, depth)
+        problem = "a non-leaf encoding lacks the observation alphabet"
+    elif len(set(obs)) != len(obs):
+        problem = "repeated observation label"
+    elif len(acts) != n:
+        problem = "%d actions, expected %d for depth %d over %d observations" % (
+            len(acts), n, depth, len(obs))
+    else:
+        try:
+            _check_symbols(obs + tuple(acts))
+        except ValueError as exc:
+            problem = str(exc)
+    if problem:
+        raise TreeShapeError("%r: %s" % (text, problem))
+    return _build(iter(acts), obs, depth)
 
 
 def constant_tree(
     action: str, observations: Iterable[str], depth: int
 ) -> PolicyTree:
-    """Complete tree prescribing ``action`` everywhere."""
+    """Complete tree prescribing ``action`` everywhere.
+
+    Each level shares one subtree, so the solver fills impossible branches
+    with it at a cost linear in depth.
+    """
     obs = tuple(observations)
     node = PolicyTree(action)
     for _ in range(depth - 1):
@@ -322,15 +331,12 @@ def count_trees(n_actions: int, n_obs: int, depth: int) -> int:
     return n_actions ** count_tree_nodes(n_obs, depth)
 
 
-def _from_preorder(
-    assignment: Iterable[str], obs: tuple[str, ...], depth: int
-) -> PolicyTree:
-    return _build(iter(assignment), obs, depth)
-
-
 def _build(it: Iterator[str], obs: tuple[str, ...], remaining: int) -> PolicyTree:
-    # Module-level rather than a closure over itself, which would leave a
-    # reference cycle behind on every call.
+    """The complete tree whose preorder actions ``it`` yields.
+
+    Module-level rather than a closure over itself, which would leave a
+    reference cycle behind on every call.
+    """
     action = next(it)
     if remaining == 1:
         return PolicyTree(action)
@@ -350,16 +356,5 @@ def all_trees(
     obs = tuple(observations)
     n = count_tree_nodes(len(obs), depth)
     for assignment in itertools.product(acts, repeat=n):
-        yield _from_preorder(assignment, obs, depth)
+        yield _build(iter(assignment), obs, depth)
 
-
-def tree_nodes(tree: PolicyTree) -> tuple[PolicyTree, ...]:
-    """All nodes in preorder."""
-    out: list[PolicyTree] = []
-    stack = [tree]
-    while stack:
-        node = stack.pop()
-        out.append(node)
-        for _, sub in reversed(node.children):
-            stack.append(sub)
-    return tuple(out)

@@ -263,6 +263,21 @@ class TestParsing:
         with pytest.raises(TreeShapeError, match="'x' is not a depth"):
             _run(["--out-dir", tmp_path / "out", "features", "--trees", path])
 
+    @pytest.mark.parametrize(
+        "obj, message",
+        [
+            ([1, 2], "a candidate file is a JSON object, not a list"),
+            ({"n_observations": 2}, "a candidate file needs 'trees'"),
+            ({"trees": ["1;;A"]}, "a candidate file needs 'n_observations'"),
+        ],
+        ids=["list", "no-trees", "no-n_observations"],
+    )
+    def test_candidate_file_without_its_keys_is_named(self, tmp_path, obj, message):
+        path = tmp_path / "candidates.json"
+        path.write_text(json.dumps(obj))
+        with pytest.raises(ValueError, match="candidates.json: " + message):
+            _run(["--out-dir", tmp_path / "out", "features", "--trees", path])
+
     def test_missing_subcommand(self):
         with pytest.raises(SystemExit):
             main([])

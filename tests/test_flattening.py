@@ -32,7 +32,7 @@ from ididiv import (
 )
 from ididiv.domains import domain_to_obj
 from ididiv.flattening import FannedRows, FlatModel, PositionLabels
-from ididiv.trees import all_trees, node_table, tree_nodes
+from ididiv.trees import all_trees, node_table
 from conftest import _peer_trees_t2
 
 
@@ -570,9 +570,10 @@ class TestSparsePath:
         for ai, (op, blk) in enumerate(zip(flat.model.transition, oracle)):
             expect = 0
             for tree in cand2.trees:
-                for node in tree_nodes(tree):
-                    nz = np.count_nonzero(sharp.transition[:, ai, aj_index[node.action], :])
-                    expect += nz * (n_oj if node.children else 1)
+                level = node_table(n_oj, tree.depth).level
+                for action, lvl in zip(tree.preorder, level):
+                    nz = np.count_nonzero(sharp.transition[:, ai, aj_index[action], :])
+                    expect += nz * (n_oj if lvl + 1 < tree.depth else 1)
             assert op.nnz == blk.nnz == expect
             assert np.count_nonzero(blk.data == 0.0) > 0
 
@@ -597,7 +598,13 @@ class TestSparsePath:
         # cand2's peers play OpenRight (aj = 1) only at leaves, so the model
         # copies no obs_fn_i[:, :, 1] row; a bad one is refused all the same,
         # under the domain table's name.
-        parents = {n.action for t in cand2.trees for n in tree_nodes(t) if n.children}
+        n_oj = len(tiger2.observations_j)
+        parents = {
+            action
+            for t in cand2.trees
+            for action, lvl in zip(t.preorder, node_table(n_oj, t.depth).level)
+            if lvl + 1 < t.depth
+        }
         assert parents == {"Listen", "OpenLeft"}
         obs_i = np.array(tiger2.obs_fn_i)
         obs_i[0, 0, aj, 0] += 0.05

@@ -11,7 +11,6 @@ from ididiv import build_matrix, canonical_encode, diversity_report
 from ididiv.trees import (
     BehaviorSequence,
     PolicyTree,
-    compact_encode,
     frame,
     node_table,
     prefixes,
@@ -127,7 +126,7 @@ def check_set(trees, acts, obs):
         assert [act_index[x] for x in tree.preorder] == a
         assert table.parent.tolist() == p
         assert table.children.tolist() == c
-        assert compact_encode(tree) == oracle_preorder(tree)
+        assert "|".join(tree.preorder) == oracle_preorder(tree)
         assert sequence_list(tree) == oracle_sequence_list(tree)
         for t in range(1, depth + 1):
             assert prefixes(tree, t) == oracle_prefixes(tree, t)

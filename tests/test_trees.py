@@ -10,15 +10,12 @@ from ididiv import (
     all_trees,
     canonical_encode,
     canonical_parse,
-    compact_encode,
-    compact_parse,
     constant_tree,
     count_tree_nodes,
     count_trees,
     frame,
     prefixes,
     sequence_list,
-    tree_nodes,
     validate_tree,
 )
 from conftest import node
@@ -118,18 +115,13 @@ class TestFrame:
 
 
 class TestEncoding:
-    def test_compact(self, fig_trees):
+    def test_canonical_preorder(self, fig_trees):
         # Preorder: root, o1 subtree, o2 subtree.
-        assert compact_encode(fig_trees[0]) == "A|B|A|B|C|C|A"
+        assert canonical_encode(fig_trees[0]) == "3;o1,o2;A|B|A|B|C|C|A"
 
-    def test_compact_roundtrip(self, fig_trees):
-        for t in fig_trees:
-            enc = compact_encode(t)
-            assert compact_parse(enc, ("o1", "o2"), 3) == t
-
-    def test_compact_wrong_node_count(self):
+    def test_canonical_wrong_node_count(self):
         with pytest.raises(TreeShapeError):
-            compact_parse("A|B", ("o1", "o2"), 3)
+            canonical_parse("3;o1,o2;A|B")
 
     def test_canonical_roundtrip(self, fig_trees):
         for t in fig_trees:
@@ -145,26 +137,31 @@ class TestEncoding:
 
     def test_reserved_symbols_rejected(self):
         with pytest.raises(ValueError):
-            compact_parse("A", ("o|1",), 1)
+            canonical_parse("2;o|1;A|B")
 
     @pytest.mark.parametrize(
         "text",
-        ["1;;A|B", "1;;", "1;;A/B", "2;o1,o2;A||B", "2;o1,o2;|A|B", "2;o1,o2;A|B;C|D"],
+        [
+            "1;;A|B", "1;;", "1;;A/B", "2;o1,o2;A||B", "2;o1,o2;|A|B", "2;o1,o2;A|B;C|D",
+            "2;o1,o1;A|B|B",
+        ],
     )
     def test_malformed_actions_rejected(self, text):
-        # Empty actions and actions holding a separator cannot be re-encoded.
-        with pytest.raises(ValueError):
+        # Empty actions and actions holding a separator cannot be re-encoded,
+        # and a repeated observation label would make two children of one.
+        with pytest.raises(TreeShapeError) as err:
             canonical_parse(text)
+        assert repr(text) in str(err.value)
 
-    @pytest.mark.parametrize("text", ["x", "A|B", "2;o1,o2", "two;o1,o2;A|B|C"])
+    @pytest.mark.parametrize("text", ["x", "A|B", "2;o1,o2", "two;o1,o2;A|B|C", "0;;A"])
     def test_not_an_encoding_is_named(self, text):
         with pytest.raises(TreeShapeError, match="not a depth;observations;actions") as err:
             canonical_parse(text)
         assert repr(text) in str(err.value)
 
-    def test_compact_empty_action_rejected(self):
+    def test_empty_action_rejected(self):
         with pytest.raises(ValueError, match="reserved"):
-            compact_parse("A||B", ("o1", "o2"), 2)
+            canonical_parse("2;o1,o2;A||B")
 
 
 class TestEnumeration:
@@ -190,11 +187,10 @@ class TestEnumeration:
         t = constant_tree("A", ("o1", "o2"), 3)
         validate_tree(t, ("o1", "o2"), depth=3)
         assert len(prefixes(t, 3)) == 4
-        assert {n.action for n in tree_nodes(t)} == {"A"}
+        assert set(t.preorder) == {"A"}
 
     def test_tree_nodes_preorder(self, fig_trees):
-        acts = [n.action for n in tree_nodes(fig_trees[0])]
-        assert acts == ["A", "B", "A", "B", "C", "C", "A"]
+        assert fig_trees[0].preorder == ("A", "B", "A", "B", "C", "C", "A")
 
 
 class TestBuildFromPreorder:
@@ -203,10 +199,10 @@ class TestBuildFromPreorder:
         # each call drops is freed when it returns, not when the collector runs.
         tree = fig_trees[0]
         obs = tree.observation_labels
-        text = compact_encode(tree)
+        text = canonical_encode(tree)
         calls = {
             "validate_tree": lambda: validate_tree(tree, obs, depth=3),
-            "compact_parse": lambda: compact_parse(text, obs, 3),
+            "canonical_parse": lambda: canonical_parse(text),
             "frame": lambda: frame(tree, 2),
             "all_trees": lambda: list(all_trees(("A", "B"), obs, 2)),
         }
@@ -240,7 +236,6 @@ def small_trees(draw):
 def test_canonical_roundtrip_property(data):
     tree, obs, depth = data
     assert canonical_parse(canonical_encode(tree)) == tree
-    assert compact_parse(compact_encode(tree), obs, depth) == tree
 
 
 @given(small_trees(), st.integers(1, 3))
