@@ -123,6 +123,13 @@ class TestEncoding:
         with pytest.raises(TreeShapeError):
             canonical_parse("3;o1,o2;A|B")
 
+    def test_compact_roundtrip(self, fig_trees):
+        # The preorder action list alone, the last field of the canonical
+        # form, rebuilds the tree once its labels and depth are given.
+        for t in fig_trees:
+            actions = canonical_encode(t).rsplit(";", 1)[1]
+            assert canonical_parse(f"3;o1,o2;{actions}") == t
+
     def test_canonical_roundtrip(self, fig_trees):
         for t in fig_trees:
             assert canonical_parse(canonical_encode(t)) == t
