@@ -23,7 +23,6 @@ from .domains import (
     JointTransition,
     PosgDomain,
     SingleAgentModel,
-    SparseRows,
     builtin_domain,
     builtin_tiger,
     builtin_uav,

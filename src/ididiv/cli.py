@@ -19,12 +19,13 @@ from pathlib import Path
 
 import numpy as np
 
-# builtin_domain is unused here; perfbench/tracer.py binds cli.builtin_domain.
+# builtin_domain, file_sha256 and load_candidate_set are unused here;
+# perfbench/tracer.py binds them in cli.
 from .domains import BUILTIN_DOMAINS, builtin_domain, project_level0  # noqa: F401
 from .features import build_matrix, matrix_to_csv, pivot_decompose
 from .flattening import flatten, solve_idid
 from .generation import generate_known_models
-from .runs import (
+from .runs import (  # noqa: F401
     RunManifest,
     file_sha256,
     resolve_domain,
@@ -32,8 +33,10 @@ from .runs import (
     run_from_manifest,
     write_manifest,
 )
-from .selection import (
+from .selection import (  # noqa: F401
+    CandidateModelSet,
     SelectionConfig,
+    candidate_set_from_obj,
     load_candidate_set,
     save_candidate_set,
     select_topk,
@@ -134,6 +137,13 @@ def _record(args, config: dict, outputs: dict, input_hashes: dict, timings=None)
     write_manifest(manifest, args.out_dir)
 
 
+def _read_candidates(path) -> tuple[CandidateModelSet, str]:
+    """The candidate set in ``path`` and the SHA-256 of the bytes it was
+    parsed from, read once, so a manifest names the bytes the run used."""
+    data = Path(path).read_bytes()
+    return candidate_set_from_obj(json.loads(data), path), hashlib.sha256(data).hexdigest()
+
+
 def cmd_solve(args) -> int:
     t0 = time.perf_counter()
     by_horizon, hashes = resolve_domain(args.domain, [args.horizon])
@@ -161,8 +171,8 @@ def cmd_solve(args) -> int:
 
 def cmd_features(args) -> int:
     out = _out_dir(args)
-    hashes = {"trees": file_sha256(args.trees)}
-    cs = load_candidate_set(args.trees)
+    cs, digest = _read_candidates(args.trees)
+    hashes = {"trees": digest}
     matrix = build_matrix(cs.trees)
     piv = pivot_decompose(matrix)
 
@@ -243,8 +253,7 @@ def cmd_solve_idid(args) -> int:
     by_horizon, hashes = resolve_domain(args.domain, [args.horizon])
     domain = by_horizon[args.horizon]
     out = _out_dir(args)
-    hashes["candidates"] = file_sha256(args.candidates)
-    cs = load_candidate_set(args.candidates)
+    cs, hashes["candidates"] = _read_candidates(args.candidates)
 
     t0 = time.perf_counter()
     flat = flatten(domain, cs)
@@ -280,8 +289,7 @@ def cmd_simulate(args) -> int:
     by_horizon, hashes = resolve_domain(args.domain, [args.horizon])
     domain = by_horizon[args.horizon]
     out = _out_dir(args)
-    hashes["candidates"] = file_sha256(args.candidates)
-    cs = load_candidate_set(args.candidates)
+    cs, hashes["candidates"] = _read_candidates(args.candidates)
 
     t0 = time.perf_counter()
     stats = run_experiment(

@@ -8,9 +8,12 @@ is what lets j be modeled by an ordinary single-agent POMDP at level 0.
 Builtins: a two-door tiger game with door creaks, and a 5x5 grid chase
 between a chaser (i) and a fugitive (j) heading for a safe-house corner.
 
-A domain's joint transition has one form, in memory and in files:
-``JointTransition``, the [S, Ai, Aj, S'] table as CSR rows, 0.62 MB for the
-uav chase instead of a 79 MB dense array.  A domain file lists its entries.
+A domain's joint transition has one type:
+``JointTransition``, the [S, Ai, Aj, S'] table as CSR arrays, 0.62 MB for
+the uav chase instead of a 79 MB dense array; ``block(ai, aj)`` is the
+[S, 1, 1, S'] table of one action pair over the same arrays.  A domain file
+lists its entries.  A ``PosgDomain`` runs ``validate_domain`` when it is
+built, so every domain that exists has passed it.
 
 A ``SingleAgentModel`` (``project_level0``) has one form: dense tables,
 transition [S, A, S'], and dense beliefs.  Its ``expected_reward``,
@@ -43,7 +46,6 @@ from .trees import _check_symbols
 
 __all__ = [
     "DomainValidationError",
-    "SparseRows",
     "JointTransition",
     "SingleAgentModel",
     "PosgDomain",
@@ -75,19 +77,31 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class SparseRows:
-    """An [R, S'] matrix in compressed sparse row form.
+class JointTransition:
+    """A two-agent transition table [S, Ai, Aj, S'] in compressed sparse row form.
 
-    Row r holds ``data[indptr[r]:indptr[r + 1]]`` at the columns
-    ``indices[indptr[r]:indptr[r + 1]]``.  Explicit zeros are entries like
-    any other and count towards ``nnz``.  Construction does not check the
-    structure; ``validate_domain`` does, for a domain's joint transition.
+    Row ``r = (ai * Aj + aj) * S + s`` is P(. | s, ai, aj): it holds
+    ``data[indptr[r]:indptr[r + 1]]`` at the columns
+    ``indices[indptr[r]:indptr[r + 1]]``, so the rows of one action pair
+    form the contiguous ``block(ai, aj)``.  ``from_entries`` stores only
+    nonzero probabilities, columns ascending within a row; ``nnz`` counts
+    every stored entry.  Construction freezes the arrays but does not check
+    them; a ``PosgDomain`` checks its table when it is built.  Two tables
+    are equal when their shapes and stored entries are.
+
+    Two index forms read dense values, read-only: ``[s, ai, aj]`` is one
+    row and ``[:, ai, aj, :]`` one [S, S'] block.  Any other key raises
+    IndexError, and ``np.asarray`` raises TypeError: nothing densifies the
+    whole table.
     """
 
     indptr: np.ndarray
     indices: np.ndarray
     data: np.ndarray
-    shape: tuple[int, int]
+    shape: tuple[int, int, int, int]
+
+    # No ufunc or arithmetic densifies the table behind the caller's back.
+    __array_ufunc__ = None
 
     def __post_init__(self) -> None:
         for name in ("indptr", "indices"):
@@ -97,46 +111,17 @@ class SparseRows:
         object.__setattr__(self, "data", _freeze(self.data))
         object.__setattr__(self, "shape", tuple(int(n) for n in self.shape))
 
-    @property
-    def nnz(self) -> int:
-        return len(self.indices)
-
     def __reduce__(self):
         # Rebuild through __init__, so the arrays come back read-only.
-        return SparseRows, (self.indptr, self.indices, self.data, self.shape)
+        return JointTransition, (self.indptr, self.indices, self.data, self.shape)
 
-
-def _csr(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, shape) -> SparseRows:
-    """SparseRows of entries sorted by row, then by column, with int32 columns."""
-    indptr = np.zeros(shape[0] + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=shape[0]), out=indptr[1:])
-    return SparseRows(indptr, cols.astype(np.int32), vals, shape)
-
-
-@dataclass(frozen=True, eq=False)
-class JointTransition:
-    """A two-agent transition table [S, Ai, Aj, S'] held as CSR rows.
-
-    ``rows`` is one SparseRows of shape [Ai * Aj * S, S'] whose row
-    ``(ai * Aj + aj) * S + s`` is P(. | s, ai, aj), so the rows of one action
-    pair form the contiguous [S, S'] ``block(ai, aj)``.  Only nonzero
-    probabilities are stored, columns ascending within a row.  Two tables
-    are equal when their shapes and stored entries are.
-
-    Two index forms read dense values, read-only: ``[s, ai, aj]`` is one
-    row and ``[:, ai, aj, :]`` one [S, S'] block.  Any other key raises
-    IndexError, and ``np.asarray`` raises TypeError: nothing densifies the
-    whole table.
-    """
-
-    rows: SparseRows
-    shape: tuple[int, int, int, int]
-
-    # No ufunc or arithmetic densifies the table behind the caller's back.
-    __array_ufunc__ = None
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "shape", tuple(int(n) for n in self.shape))
+    @classmethod
+    def _from_sorted(cls, rows, cols, vals, shape) -> "JointTransition":
+        """The table of entries sorted by row, then by column, with int32 columns."""
+        S, Ai, Aj, _ = shape
+        indptr = np.zeros(Ai * Aj * S + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=Ai * Aj * S), out=indptr[1:])
+        return cls(indptr, cols.astype(np.int32), vals, shape)
 
     @classmethod
     def from_entries(cls, entries, shape) -> "JointTransition":
@@ -177,22 +162,31 @@ class JointTransition:
                 % (again, idx[again].astype(int).tolist(), first)
             )
         order = order[arr[order, 4] != 0.0]
-        return cls(_csr(row[order], col[order], arr[order, 4], (Ai * Aj * S, S2)), shape)
+        return cls._from_sorted(row[order], col[order], arr[order, 4], shape)
+
+    @property
+    def nnz(self) -> int:
+        return len(self.indices)
 
     @property
     def nbytes(self) -> int:
-        m = self.rows
-        return m.indptr.nbytes + m.indices.nbytes + m.data.nbytes
+        return self.indptr.nbytes + self.indices.nbytes + self.data.nbytes
 
-    def block(self, ai: int, aj: int) -> SparseRows:
-        """The [S, S'] rows of action pair (ai, aj), sharing this table's arrays."""
+    def _coords(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The (s, ai, aj) of each stored entry, in storage order."""
+        S, _, Aj, _ = self.shape
+        pair, s = np.divmod(np.repeat(np.arange(len(self.indptr) - 1), np.diff(self.indptr)), S)
+        return (s, *np.divmod(pair, Aj))
+
+    def block(self, ai: int, aj: int) -> "JointTransition":
+        """The [S, 1, 1, S'] table of action pair (ai, aj), sharing this table's arrays."""
         S, Ai, Aj, S2 = self.shape
         if not (0 <= ai < Ai and 0 <= aj < Aj):
             raise IndexError("action pair (%d, %d) outside [%d, %d)" % (ai, aj, Ai, Aj))
         r0 = (ai * Aj + aj) * S
-        ptr = self.rows.indptr[r0 : r0 + S + 1]
+        ptr = self.indptr[r0 : r0 + S + 1]
         lo, hi = ptr[0], ptr[-1]
-        return SparseRows(ptr - lo, self.rows.indices[lo:hi], self.rows.data[lo:hi], (S, S2))
+        return JointTransition(ptr - lo, self.indices[lo:hi], self.data[lo:hi], (S, 1, 1, S2))
 
     def __getitem__(self, key) -> np.ndarray:
         S, Ai, Aj, S2 = self.shape
@@ -201,13 +195,13 @@ class JointTransition:
         if n == 3 and all(_is_index(k, m) for k, m in zip(key, self.shape)):
             # One row, the simulator's step.
             r = (key[1] * Aj + key[2]) * S + key[0]
-            lo, hi = self.rows.indptr[r], self.rows.indptr[r + 1]
+            lo, hi = self.indptr[r], self.indptr[r + 1]
             out = np.zeros(S2)
-            out[self.rows.indices[lo:hi]] = self.rows.data[lo:hi]
+            out[self.indices[lo:hi]] = self.data[lo:hi]
         elif whole and _is_index(key[1], Ai) and _is_index(key[2], Aj):
             blk = self.block(key[1], key[2])
             out = np.zeros((S, S2))
-            out[np.repeat(np.arange(S), np.diff(blk.indptr)), blk.indices] = blk.data
+            out[blk._coords()[0], blk.indices] = blk.data
         else:
             raise IndexError(
                 "a JointTransition reads [s, ai, aj] or [:, ai, aj, :] with integers "
@@ -222,10 +216,9 @@ class JointTransition:
     def __eq__(self, other):
         if not isinstance(other, JointTransition):
             return NotImplemented
-        a, b = self.rows, other.rows
         return self.shape == other.shape and all(
-            np.array_equal(x, y)
-            for x, y in ((a.indptr, b.indptr), (a.indices, b.indices), (a.data, b.data))
+            np.array_equal(getattr(self, k), getattr(other, k))
+            for k in ("indptr", "indices", "data")
         )
 
 
@@ -306,6 +299,10 @@ class PosgDomain:
     ``level0`` optionally carries prebuilt single-agent views keyed by
     agent name ("i" or "j"); project_level0 returns these when present.
     Arrays and ``level0`` are read-only, so a domain can be shared.
+
+    A domain is valid once it exists: construction, ``dataclasses.replace``
+    and unpickling all run ``validate_domain``, which raises
+    DomainValidationError naming the table and row at fault.
     """
 
     name: str
@@ -334,6 +331,7 @@ class PosgDomain:
         if self.start is not None:
             object.__setattr__(self, "start", _freeze(self.start))
         object.__setattr__(self, "level0", MappingProxyType(dict(self.level0)))
+        validate_domain(self)
 
     def __reduce__(self):
         # A mappingproxy does not pickle, so rebuild through __init__ from
@@ -384,18 +382,11 @@ def _check_shape(path: str, arr: np.ndarray, shape: tuple[int, ...]) -> None:
         )
 
 
-def _check_csr(path: str, blk: SparseRows, shape: tuple[int, int]) -> None:
-    """Type, shape and CSR structure of one sparse [R, S] matrix."""
-    if not isinstance(blk, SparseRows):
-        raise DomainValidationError(
-            "%s: %s, expected SparseRows" % (path, type(blk).__name__)
-        )
-    if blk.shape != shape:
-        raise DomainValidationError(
-            "%s: shape %r, expected %r" % (path, blk.shape, shape)
-        )
-    R, S = shape
-    ptr, idx, dat = blk.indptr, blk.indices, blk.data
+def _check_csr(path: str, T: JointTransition) -> None:
+    """CSR structure of a joint table whose shape has been checked."""
+    S, Ai, Aj, S2 = T.shape
+    R = Ai * Aj * S
+    ptr, idx, dat = T.indptr, T.indices, T.data
     if ptr.dtype.kind not in "iu" or idx.dtype.kind not in "iu":
         raise DomainValidationError("%s: indptr and indices must be integers" % path)
     if ptr.shape != (R + 1,) or ptr[0] != 0 or ptr[-1] != len(idx):
@@ -405,24 +396,22 @@ def _check_csr(path: str, blk: SparseRows, shape: tuple[int, int]) -> None:
         )
     if np.any(np.diff(ptr) < 0):
         raise DomainValidationError("%s: indptr decreases" % path)
-    if idx.size and (idx.min() < 0 or idx.max() >= S):
-        raise DomainValidationError("%s: column index outside [0, %d)" % (path, S))
+    if idx.size and (idx.min() < 0 or idx.max() >= S2):
+        raise DomainValidationError("%s: column index outside [0, %d)" % (path, S2))
     if dat.shape != idx.shape:
         raise DomainValidationError(
             "%s: %d data entries for %d indices" % (path, len(dat), len(idx))
         )
 
 
-def _check_sparse_rows(path: str, blk: SparseRows) -> None:
-    """Every row of a well-formed sparse block is a probability distribution."""
+def _check_sparse_rows(path: str, blk: JointTransition) -> None:
+    """Every row of a well-formed [S, 1, 1, S'] block is a probability distribution."""
     dat = blk.data
     if not np.all(np.isfinite(dat)):
         raise DomainValidationError("%s: non-finite probability" % path)
     if dat.size and dat.min() < -_TOL:
         raise DomainValidationError("%s: negative probability" % path)
-    R = blk.shape[0]
-    row_of = np.repeat(np.arange(R), np.diff(blk.indptr))
-    sums = np.bincount(row_of, weights=dat, minlength=R)
+    sums = np.bincount(blk._coords()[0], weights=dat, minlength=blk.shape[0])
     bad = np.abs(sums - 1.0) > _TOL
     if np.any(bad):
         s = int(np.flatnonzero(bad)[0])
@@ -459,7 +448,7 @@ def validate_domain(d: PosgDomain) -> None:
         raise DomainValidationError("horizon: must be >= 1, got %d" % d.horizon)
     T = d.transition
     _check_shape("transition", T, (S, Ai, Aj, S))
-    _check_csr("transition", T.rows, (Ai * Aj * S, S))
+    _check_csr("transition", T)
     for ai in range(Ai):
         for aj in range(Aj):
             _check_sparse_rows("transition[:, %d, %d]" % (ai, aj), T.block(ai, aj))
@@ -690,7 +679,7 @@ def _build_uav(horizon: int) -> PosgDomain:
     weights.append(np.ones(len(flags)))
     key, inverse = np.unique(np.concatenate(keys), return_inverse=True)
     prob = np.bincount(inverse, weights=np.concatenate(weights))
-    T = JointTransition(_csr(key // S, key % S, prob, (A * A * S, S)), (S, A, A, S))
+    T = JointTransition._from_sorted(key // S, key % S, prob, (S, A, A, S))
 
     # Observation rows depend on the landed state only.
     qi = np.full((S, 4), 0.25)
@@ -783,9 +772,10 @@ def project_level0(domain: PosgDomain, agent: str) -> SingleAgentModel:
 
     A prebuilt view on the domain wins when present.  Otherwise the peer's
     action is marginalized under a uniform distribution over the peer's
-    declared actions.  The transition is summed from each action pair's
-    stored entries in peer-action order, starting from zeros: the floats of
-    a dense einsum over the joint table, without building that table.
+    declared actions.  The transition is summed from the joint table's
+    stored entries in storage order, so each cell adds its peer actions in
+    ascending order starting from zero: the floats of a dense einsum over
+    the joint table, without building that table.
     """
     if agent not in ("i", "j"):
         raise ValueError("agent must be 'i' or 'j', got %r" % agent)
@@ -795,15 +785,12 @@ def project_level0(domain: PosgDomain, agent: str) -> SingleAgentModel:
     peer_acts = domain.actions_j if agent == "i" else domain.actions_i
     w = np.full(len(peer_acts), 1.0 / len(peer_acts))
 
-    S = len(domain.states)
-    n_ai, n_aj = len(domain.actions_i), len(domain.actions_j)
+    joint = domain.transition
+    S, n_ai, n_aj, _ = joint.shape
+    s, ai, aj = joint._coords()
+    own, peer = (aj, ai) if agent == "j" else (ai, aj)
     T = np.zeros((S, n_aj if agent == "j" else n_ai, S))
-    for ai in range(n_ai):
-        for aj in range(n_aj):
-            own, peer = (aj, ai) if agent == "j" else (ai, aj)
-            blk = domain.transition.block(ai, aj)
-            rows = np.repeat(np.arange(S), np.diff(blk.indptr))
-            T[rows, own, blk.indices] += w[peer] * blk.data
+    np.add.at(T, (s, own, joint.indices), w[peer] * joint.data)
     if agent == "j":
         Ob = domain.obs_fn_j.copy()
         R = np.einsum("swa,a->sw", domain.reward_j, w)
@@ -844,10 +831,8 @@ def domain_to_obj(domain: PosgDomain) -> dict:
     ``transition`` is the list of stored [s, ai, aj, s', p] entries, in
     storage order: by row (ai, aj, s), then by column s'.
     """
-    S, _, Aj, _ = domain.transition.shape
-    rows = domain.transition.rows
-    pair, s = np.divmod(np.repeat(np.arange(rows.shape[0]), np.diff(rows.indptr)), S)
-    columns = (s, *np.divmod(pair, Aj), rows.indices, rows.data)
+    T = domain.transition
+    columns = (*T._coords(), T.indices, T.data)
     obj = {name: list(getattr(domain, name)) for name in _LABELS}
     obj.update(
         name=domain.name,
@@ -882,7 +867,7 @@ def domain_from_obj(obj: Mapping) -> PosgDomain:
         )
     S = len(labels["states"])
     shape = (S, len(labels["actions_i"]), len(labels["actions_j"]), S)
-    domain = PosgDomain(
+    return PosgDomain(
         name=str(obj["name"]),
         **labels,
         transition=JointTransition.from_entries(entries, shape),
@@ -893,8 +878,6 @@ def domain_from_obj(obj: Mapping) -> PosgDomain:
         horizon=int(obj["horizon"]),
         start=None if "start" not in obj else np.asarray(obj["start"], dtype=float),
     )
-    validate_domain(domain)
-    return domain
 
 
 def serialize_domain(domain: PosgDomain) -> str:

@@ -27,8 +27,8 @@ tables through them:
   * ``expected_reward`` and ``condition`` gather ``reward_i`` and
     ``obs_fn_i`` at a belief's keys;
   * the state labels are ``PositionLabels``, made on index.
-``flatten`` validates the domain first, so an error names the domain table
-at fault.
+The domain was checked when it was built (see ``PosgDomain``), so ``flatten``
+checks only the candidate trees.
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ from .domains import (
     PosgDomain,
     _check_shape,
     _freeze,
-    validate_domain,
 )
 from .selection import CandidateModelSet
 from .solver import SolvedPolicy, solve_exact
@@ -102,7 +101,7 @@ class FannedRows:
     def nnz(self) -> int:
         S, _, Aj, _ = self.joint.shape
         first = (self.ai * Aj + np.arange(Aj + 1)) * S
-        per_peer = np.diff(self.joint.rows.indptr[first])
+        per_peer = np.diff(self.joint.indptr[first])
         return int(per_peer[self.peer] @ np.count_nonzero(self.kids >= 0, axis=1))
 
     def rmatvec(self, keys: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -116,16 +115,16 @@ class FannedRows:
         S, _, Aj, _ = self.joint.shape
         g, s = np.divmod(keys, S)
         aj = self.peer[g]
-        k, lens = _row_entries(self.joint.rows.indptr, (self.ai * Aj + aj) * S + s)
+        k, lens = _row_entries(self.joint.indptr, (self.ai * Aj + aj) * S + s)
         # One pair per (row, successor), rows ascending, then each pair's
         # copy of its row's entries.
         pair_row, pair_o = np.nonzero(self.kids[g] >= 0)
         kk, n = _row_entries(np.concatenate(([0], np.cumsum(lens))), pair_row)
         k, gp = k[kk], g[pair_row]
-        col = self.joint.rows.indices[k]
+        col = self.joint.indices[k]
         w = self.obs_j[col, np.repeat(aj[pair_row], n), np.repeat(pair_o, n)]
         w[np.repeat(self.kids[gp, 0] == gp * S, n)] = 1.0
-        weights = (self.joint.rows.data[k] * w) * np.repeat(vals[pair_row], n)
+        weights = (self.joint.data[k] * w) * np.repeat(vals[pair_row], n)
         col = col + np.repeat(self.kids[gp, pair_o], n)
         out, at = np.unique(col, return_inverse=True)
         # bincount adds each key's weights in list order from 0.0.  With no
@@ -271,10 +270,6 @@ def flatten(domain: PosgDomain, candidates: CandidateModelSet) -> FlatIdid:
                 % (k, tree.depth, domain.horizon)
             )
         validate_tree(tree, domain.observations_j, actions=domain.actions_j)
-
-    # The model reads the domain's tables without copying them; a bad entry
-    # is named by its domain table.
-    validate_domain(domain)
 
     # Per candidate: peer action index, parent and children per position.
     tables = []

@@ -327,14 +327,22 @@ def run_experiment_grid(
     workers: int = 1,
     input_hashes: dict | None = None,
 ) -> RunManifest:
-    """Run every grid cell and write results.csv, diversity.csv, manifest.json."""
+    """Run every grid cell and write results.csv, diversity.csv, manifest.json.
+
+    ``input_hashes`` are the caller's hashes of its inputs, for the manifest.
+    A ``"domain"`` hash among them must be that of the domain bytes parsed,
+    or the grid is refused before anything is written.
+    """
     config = normalize_grid_config(config)
     cells = grid_cells(config)
     # Each horizon's domain is resolved once and held while every cell runs,
     # so cells neither rebuild a built-in nor reread a domain file.
     t0 = time.perf_counter()
     held, domain_hashes = resolve_domain(config["domain"], config["horizons"])
-    input_hashes = {**(input_hashes or {}), **domain_hashes}
+    input_hashes = input_hashes or {}
+    if "domain" in input_hashes and input_hashes["domain"] != domain_hashes.get("domain"):
+        raise ValueError("domain file %s changed since its hash was recorded" % config["domain"])
+    input_hashes = {**input_hashes, **domain_hashes}
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     if workers <= 1:
@@ -381,7 +389,8 @@ def run_from_manifest(manifest_path, out_dir, workers: int = 1) -> RunManifest:
     """Rerun a recorded experiment grid; CSV outputs reproduce byte for byte.
 
     Refuses, before writing anything, a manifest written by another tool
-    version or one whose domain file has changed since it was recorded.
+    version or one whose domain file, as the replay parses it, has changed
+    since it was recorded.
     """
     m = load_manifest(manifest_path)
     if m.command != "experiment":
@@ -392,7 +401,5 @@ def run_from_manifest(manifest_path, out_dir, workers: int = 1) -> RunManifest:
             % (m.tool_version, TOOL_VERSION)
         )
     config = normalize_grid_config(m.config)
-    domain = config["domain"]
-    if domain not in BUILTIN_DOMAINS and file_sha256(domain) != m.input_hashes.get("domain"):
-        raise ValueError("domain file %s changed since the manifest was written" % domain)
-    return run_experiment_grid(config, out_dir, workers=workers)
+    recorded = {} if config["domain"] in BUILTIN_DOMAINS else {"domain": m.input_hashes.get("domain")}
+    return run_experiment_grid(config, out_dir, workers=workers, input_hashes=recorded)

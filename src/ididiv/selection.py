@@ -30,6 +30,7 @@ __all__ = [
     "select_topk",
     "save_candidate_set",
     "load_candidate_set",
+    "candidate_set_from_obj",
 ]
 
 MEASURES = {"MDP": mdp, "MDF": mdf}
@@ -192,14 +193,18 @@ def save_candidate_set(cs: CandidateModelSet, path) -> Path:
 
 
 def load_candidate_set(path) -> CandidateModelSet:
-    obj = json.loads(Path(path).read_text())
+    return candidate_set_from_obj(json.loads(Path(path).read_text()), path)
+
+
+def candidate_set_from_obj(obj, source) -> CandidateModelSet:
+    """The candidate set a parsed candidate file describes; errors name ``source``."""
     if not isinstance(obj, dict):
         raise ValueError(
-            "%s: a candidate file is a JSON object, not a %s" % (path, type(obj).__name__)
+            "%s: a candidate file is a JSON object, not a %s" % (source, type(obj).__name__)
         )
     for key in ("trees", "n_observations"):
         if key not in obj:
-            raise ValueError("%s: a candidate file needs %r" % (path, key))
+            raise ValueError("%s: a candidate file needs %r" % (source, key))
     trees = [canonical_parse(t) for t in obj["trees"]]
     return make_candidate_set(
         trees,

@@ -274,9 +274,9 @@ def canonical_encode(tree: PolicyTree) -> str:
 def canonical_parse(text: str) -> PolicyTree:
     """Inverse of canonical_encode; raise TreeShapeError naming ``text``.
 
-    The observation labels must be distinct, the action list must hold one
-    action per node of the complete tree, and no symbol may be empty or
-    hold a reserved character.
+    The observation labels must be distinct and listed exactly when the
+    depth is above 1, the action list must hold one action per node of the
+    complete tree, and no symbol may be empty or hold a reserved character.
     """
     parts = text.split(";", 2)
     if len(parts) != 3 or not parts[0].isdecimal() or int(parts[0]) < 1:
@@ -288,6 +288,8 @@ def canonical_parse(text: str) -> PolicyTree:
     problem = None
     if depth > 1 and not obs:
         problem = "a non-leaf encoding lacks the observation alphabet"
+    elif depth == 1 and obs:
+        problem = "a leaf encoding lists observations"
     elif len(set(obs)) != len(obs):
         problem = "repeated observation label"
     elif len(acts) != n:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import weakref
 
 import numpy as np
@@ -16,7 +17,21 @@ from ididiv import (
     constant_tree,
     make_candidate_set,
     project_level0,
+    serialize_domain,
 )
+
+
+def _rewriting(monkeypatch, module, name, path):
+    """Patch ``module.name`` to rewrite the domain file ``path`` when called;
+    the hash of the file before."""
+    original = getattr(module, name)
+
+    def rewrite_then_call(*args, **kwargs):
+        path.write_text(serialize_domain(builtin_tiger(3)))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, rewrite_then_call)
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def node(action, c1=None, c2=None, obs=("o1", "o2")):

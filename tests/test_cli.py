@@ -7,6 +7,7 @@ import pytest
 
 from ididiv import (
     cli,
+    selection,
     load_candidate_set,
     load_manifest,
     make_candidate_set,
@@ -19,6 +20,7 @@ from ididiv import (
 )
 from ididiv.cli import main
 from ididiv.trees import canonical_parse
+from conftest import _peer_trees_t2, _rewriting
 
 
 GRID = {
@@ -60,18 +62,6 @@ class TestSolve:
         assert "domain" in m.input_hashes
 
 
-def _rewriting(monkeypatch, module, name, path):
-    """Patch ``module.name`` to rewrite ``path`` when called; the old hash."""
-    original = getattr(module, name)
-
-    def rewrite_then_call(*args, **kwargs):
-        path.write_text(serialize_domain(builtin_tiger(3)))
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(module, name, rewrite_then_call)
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
 class TestInputHashes:
     # A manifest records the bytes a run parsed, even when the file changes
     # while the run is going on.
@@ -93,6 +83,41 @@ class TestInputHashes:
         assert m.errors == []
         assert hashlib.sha256(dom.read_bytes()).hexdigest() != parsed
         assert m.input_hashes == {"domain": parsed}
+
+    @pytest.mark.parametrize(
+        "argv, key",
+        [
+            (["features", "--trees"], "trees"),
+            (["solve-idid", "--horizon", "2", "--candidates"], "candidates"),
+            (["simulate", "--rounds", "2", "--horizon", "2", "--candidates"], "candidates"),
+        ],
+        ids=["features", "solve-idid", "simulate"],
+    )
+    def test_cli_hashes_the_candidate_bytes_it_parsed(self, tmp_path, monkeypatch, argv, key):
+        # The file holds two trees; a second read through load_candidate_set
+        # would find it rewritten with three.
+        trees = _peer_trees_t2()
+        path = tmp_path / "cands.json"
+        digests = {}
+        for n in (3, 2):
+            save_candidate_set(make_candidate_set(trees[:n], 2), path)
+            digests[n] = hashlib.sha256(path.read_bytes()).hexdigest()
+        make, load = selection.make_candidate_set, cli.load_candidate_set
+        parsed = []
+
+        def recording_make(parsed_trees, *args, **kwargs):
+            parsed.append(digests[len(parsed_trees)])
+            return make(parsed_trees, *args, **kwargs)
+
+        def rewrite_then_load(p):
+            save_candidate_set(make(trees, 2), path)
+            return load(p)
+
+        monkeypatch.setattr(selection, "make_candidate_set", recording_make)
+        monkeypatch.setattr(cli, "load_candidate_set", rewrite_then_load)
+        assert _run(["--out-dir", tmp_path / "out", *argv, path]) == 0
+        m = load_manifest(tmp_path / "out" / "manifest.json")
+        assert parsed == [m.input_hashes[key]]
 
 
 class TestTopkFeaturesChain:

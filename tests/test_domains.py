@@ -12,7 +12,6 @@ from ididiv import (
     JointTransition,
     PosgDomain,
     SingleAgentModel,
-    SparseRows,
     builtin_domain,
     builtin_tiger,
     builtin_uav,
@@ -275,10 +274,11 @@ class TestProjectionByBlocks:
 
 
 class TestValidation:
+    # A domain is checked when it is built: dataclasses.replace refuses a
+    # bad table as the constructor does.
     def test_bad_row_sum(self, tiger):
-        broken = _with_entries(tiger, _set_p(0, 0, 0, 0, 0.5 + 1e-6))
         with pytest.raises(DomainValidationError, match="transition"):
-            validate_domain(broken)
+            _with_entries(tiger, _set_p(0, 0, 0, 0, 0.5 + 1e-6))
 
     def test_bad_row_names_its_block(self, tiger):
         def edit(entries):
@@ -286,7 +286,13 @@ class TestValidation:
             _set_p(1, 2, 0, 1, 0.4)(entries)
 
         with pytest.raises(DomainValidationError, match=r"transition\[:, 2, 0\]: row 1 sums"):
-            validate_domain(_with_entries(tiger, edit))
+            _with_entries(tiger, edit)
+
+    def test_constructor_refuses_a_bad_row(self):
+        entries = [[0, 0, 0, 0, 0.5], [0, 0, 0, 1, 0.4], [1, 0, 0, 1, 1.0]]
+        T = JointTransition.from_entries(entries, (2, 1, 1, 2))
+        with pytest.raises(DomainValidationError, match=r"transition\[:, 0, 0\]: row 0 sums"):
+            _one_pair(T)
 
     def test_negative_probability(self, tiger_j):
         obs = np.array(tiger_j.obs_fn)
@@ -329,21 +335,17 @@ class TestNonFinite:
 
     @pytest.mark.parametrize("form", ["entries", "compact"])
     def test_domain_transition(self, tiger, form):
-        if form == "entries":
-            broken = _with_entries(tiger, _set_p(0, 1, 2, 0, np.nan))
-        else:
-            rows = tiger.transition.rows
-            rows = dataclasses.replace(rows, data=_nan_at(rows.data, slice(0, 2)))
-            broken = dataclasses.replace(
-                tiger, transition=JointTransition(rows, tiger.transition.shape)
-            )
         with pytest.raises(DomainValidationError, match=r"transition\[:, \d, \d\]: non-finite"):
-            validate_domain(broken)
+            if form == "entries":
+                _with_entries(tiger, _set_p(0, 1, 2, 0, np.nan))
+            else:
+                T = tiger.transition
+                T = dataclasses.replace(T, data=_nan_at(T.data, slice(0, 2)))
+                dataclasses.replace(tiger, transition=T)
 
     def test_obs_fn_i(self, tiger):
-        broken = dataclasses.replace(tiger, obs_fn_i=_nan_at(tiger.obs_fn_i, (1, 0, 2)))
         with pytest.raises(DomainValidationError, match="obs_fn_i: non-finite"):
-            validate_domain(broken)
+            dataclasses.replace(tiger, obs_fn_i=_nan_at(tiger.obs_fn_i, (1, 0, 2)))
 
     @pytest.mark.parametrize("form", ["dense"])
     def test_level0_transition(self, tiger_j, form):
@@ -357,19 +359,20 @@ class TestNonFinite:
             validate_model(broken)
 
 
-def _rows_of(dense: np.ndarray) -> SparseRows:
-    """Every entry of a dense [S, S] block, zeros included, in CSR form."""
+def _rows_of(dense: np.ndarray) -> JointTransition:
+    """The one-pair [S, 1, 1, S] table holding every entry of a dense [S, S]
+    block, zeros included."""
     S = dense.shape[0]
-    return SparseRows(
+    return JointTransition(
         indptr=np.arange(0, S * S + 1, S),
         indices=np.tile(np.arange(S, dtype=np.int32), S),
         data=dense.ravel(),
-        shape=(S, S),
+        shape=(S, 1, 1, S),
     )
 
 
-def _one_pair(rows) -> PosgDomain:
-    """A two-state domain with one action per agent, moved by ``rows``."""
+def _one_pair(T) -> PosgDomain:
+    """A two-state domain with one action per agent, moved by ``T``."""
     return PosgDomain(
         name="pair",
         states=("s0", "s1"),
@@ -377,7 +380,7 @@ def _one_pair(rows) -> PosgDomain:
         actions_j=("b",),
         observations_i=("z",),
         observations_j=("z",),
-        transition=JointTransition(rows, (2, 1, 1, 2)),
+        transition=T,
         obs_fn_i=np.ones((2, 1, 1, 1)),
         obs_fn_j=np.ones((2, 1, 1)),
         reward_i=np.zeros((2, 1, 1)),
@@ -388,15 +391,15 @@ def _one_pair(rows) -> PosgDomain:
 
 class TestSparseRows:
     """Hand-built joint transitions: tiger_j's OpenRight block as the one
-    action pair of a domain, broken in one way each."""
+    action pair of a domain, broken in one way each.  The domain refuses
+    a broken table when it is built."""
 
     def _with_block1(self, tiger_j, **change):
         return _one_pair(dataclasses.replace(_rows_of(tiger_j.transition[:, 1, :]), **change))
 
     def test_hand_built_model_validates_and_predicts(self, tiger_j):
         d = self._with_block1(tiger_j)
-        validate_domain(d)
-        assert d.transition.rows.nnz == 4
+        assert d.transition.nnz == 4
         b = np.array([0.25, 0.75])
         np.testing.assert_allclose(
             b @ d.transition[:, 0, 0, :], b @ tiger_j.transition[:, 1, :], atol=1e-15
@@ -427,19 +430,19 @@ class TestSparseRows:
     )
     def test_malformed_structure(self, tiger_j, change):
         with pytest.raises(DomainValidationError, match=r"transition: (indptr|column|\d+ data)"):
-            validate_domain(self._with_block1(tiger_j, **change))
+            self._with_block1(tiger_j, **change)
 
     def test_row_sum_and_sign(self, tiger_j):
         with pytest.raises(DomainValidationError, match=r"transition\[:, 0, 0\]: row 0"):
-            validate_domain(self._with_block1(tiger_j, data=np.array([0.5, 0.4, 0.0, 1.0])))
+            self._with_block1(tiger_j, data=np.array([0.5, 0.4, 0.0, 1.0]))
         with pytest.raises(DomainValidationError, match=r"transition\[:, 0, 0\]: negative"):
-            validate_domain(self._with_block1(tiger_j, data=np.array([1.5, -0.5, 0.0, 1.0])))
+            self._with_block1(tiger_j, data=np.array([1.5, -0.5, 0.0, 1.0]))
 
     def test_shape_and_type(self, tiger_j):
         with pytest.raises(DomainValidationError, match=r"transition: shape"):
-            validate_domain(self._with_block1(tiger_j, shape=(2, 3)))
+            self._with_block1(tiger_j, shape=(2, 1, 1, 3))
         with pytest.raises(DomainValidationError, match=r"transition: ndarray"):
-            validate_domain(_one_pair(tiger_j.transition[:, 1, :]))
+            _one_pair(tiger_j.transition[:, 1, :])
 
 
 def _dense_uav_transition() -> np.ndarray:
@@ -486,6 +489,8 @@ class TestJointTransition:
         dense = _dense_uav_transition()
         for ai, aj in ((0, 0), (2, 4), (4, 1)):
             blk = uav.transition.block(ai, aj)
+            assert isinstance(blk, JointTransition) and blk.shape == (628, 1, 1, 628)
+            assert np.shares_memory(blk.data, uav.transition.data)
             r, c = np.nonzero(dense[:, ai, aj, :])
             assert np.array_equal(np.repeat(np.arange(blk.shape[0]), np.diff(blk.indptr)), r)
             assert np.array_equal(blk.indices, c)
@@ -550,12 +555,12 @@ class TestJointTransition:
         )
         assert again == tiger.transition and again is not tiger.transition
         assert tiger.transition != uav.transition
-        assert tiger.transition != tiger.transition.rows
+        assert tiger.transition != tiger.transition.block(0, 0)
 
     def test_pickle_keeps_it_read_only(self, uav):
         back = pickle.loads(pickle.dumps(uav.transition))
         assert back == uav.transition
-        for arr in (back.rows.indptr, back.rows.indices, back.rows.data):
+        for arr in (back.indptr, back.indices, back.data):
             assert not arr.flags.writeable
 
     def test_flat_shape_rejected(self, tiger):
@@ -571,7 +576,7 @@ class TestFromEntries:
         shuffled.append([0, 2, 2, 1, 0.0])  # an explicit zero is not stored
         again = JointTransition.from_entries(shuffled, tiger.transition.shape)
         assert again == tiger.transition
-        assert again.rows.indices.dtype == np.int32 and again.rows.indptr.dtype == np.int64
+        assert again.indices.dtype == np.int32 and again.indptr.dtype == np.int64
 
     @pytest.mark.parametrize(
         "entry, match",
@@ -638,7 +643,7 @@ class TestSerialization:
 
     def test_transition_is_entries_in_storage_order(self, tiger):
         entries = domain_to_obj(tiger)["transition"]
-        assert len(entries) == tiger.transition.rows.nnz == 34
+        assert len(entries) == tiger.transition.nnz == 34
         assert entries[:3] == [[0, 0, 0, 0, 0.5], [0, 0, 0, 1, 0.5], [1, 0, 0, 0, 0.5]]
         assert entries[-2:] == [[0, 2, 2, 0, 1.0], [1, 2, 2, 1, 1.0]]
 

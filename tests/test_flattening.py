@@ -16,7 +16,6 @@ from ididiv import (
     JointTransition,
     SelectionConfig,
     SingleAgentModel,
-    SparseRows,
     brute_force_solve,
     builtin_tiger,
     constant_tree,
@@ -34,11 +33,6 @@ from ididiv.domains import domain_to_obj
 from ididiv.flattening import FannedRows, FlatModel, PositionLabels
 from ididiv.trees import all_trees, node_table
 from conftest import _peer_trees_t2
-
-
-def _scipy_csr(blk):
-    """The reference scipy matrix holding the same CSR arrays."""
-    return sparse.csr_array((blk.data, blk.indices, blk.indptr), shape=blk.shape)
 
 
 def _dense(b, n):
@@ -71,7 +65,7 @@ def _assert_products_match_scipy(flat, rng, n_random=20):
     action."""
     model = flat.model
     n = len(model.states)
-    refs = [_scipy_csr(blk) for blk in _csr_oracle(flat.domain, flat.candidates)]
+    refs = _csr_oracle(flat.domain, flat.candidates)
     for b in _beliefs(model, rng, n_random):
         for a, ref in enumerate(refs):
             assert np.array_equal(_dense(model.predict(b, a), n), _dense(b, n) @ ref)
@@ -265,10 +259,10 @@ class TestPriorAlgebra:
 
 
 def _csr_oracle(domain, candidates):
-    """One SparseRows per subject action, as flatten stored them before its
-    per-action operators: every (row, column) entry with explicit zeros,
-    rows ascending, then peer observation, then physical column, with
-    int32 columns.
+    """One scipy CSR matrix per subject action, as flatten stored them
+    before its per-action operators: every (row, column) entry with explicit
+    zeros, rows ascending, then peer observation, then physical column,
+    with int32 columns.
     """
     S = len(domain.states)
     n_oj = len(domain.observations_j)
@@ -300,10 +294,12 @@ def _csr_oracle(domain, candidates):
             first += len(acts) * S
         rows, cols, vals = (np.concatenate(x) for x in (rows, cols, vals))
         order = np.argsort(rows, kind="stable")
-        indptr = np.zeros(s_aug + 1, dtype=np.int64)
+        indptr = np.zeros(s_aug + 1, dtype=np.int32)
         np.cumsum(np.bincount(rows, minlength=s_aug), out=indptr[1:])
         blocks.append(
-            SparseRows(indptr, cols[order].astype(np.int32), vals[order], (s_aug, s_aug))
+            sparse.csr_array(
+                (vals[order], cols[order].astype(np.int32), indptr), shape=(s_aug, s_aug)
+            )
         )
     return tuple(blocks)
 
@@ -372,7 +368,7 @@ def _oracle_model(flat, product=None):
     CSR oracle's unless ``product`` is given."""
     model = flat.model
     if product is None:
-        blocks = [_scipy_csr(blk) for blk in _csr_oracle(flat.domain, flat.candidates)]
+        blocks = _csr_oracle(flat.domain, flat.candidates)
 
         def product(b, a):
             return b @ blocks[a]
@@ -401,7 +397,7 @@ def _dense_reference(flat):
         states=tuple(model.states),
         actions=model.actions,
         observations=model.observations,
-        transition=np.stack([_scipy_csr(blk).toarray() for blk in blocks], axis=1),
+        transition=np.stack([blk.toarray() for blk in blocks], axis=1),
         obs_fn=oracle.O_aug,
         reward=oracle.R_aug,
         initial_belief=oracle.initial_belief,
@@ -577,27 +573,28 @@ class TestSparsePath:
             assert op.nnz == blk.nnz == expect
             assert np.count_nonzero(blk.data == 0.0) > 0
 
-    def test_bad_peer_sensing_is_named(self, tiger2, cand2):
-        # The peer's observation rows are what flatten reads; a bad one is
-        # reported under its own name, not the augmented transition's.
+    # The tables flatten reads are checked when the domain is built, so a
+    # bad one is refused by dataclasses.replace under the domain table's
+    # own name, not the augmented transition's.
+    def test_bad_peer_sensing_is_named(self, tiger2):
         obs_j = np.array(tiger2.obs_fn_j)
         obs_j[0, 2] = [0.9, 0.0575]
         with pytest.raises(DomainValidationError, match=r"obs_fn_j: row \(0, 2\) sums"):
-            flatten(dataclasses.replace(tiger2, obs_fn_j=obs_j), cand2)
+            dataclasses.replace(tiger2, obs_fn_j=obs_j)
 
-    def test_bad_joint_block_is_named(self, tiger2, cand2):
+    def test_bad_joint_block_is_named(self, tiger2):
         entries = domain_to_obj(tiger2)["transition"]
         assert entries[27] == [1, 2, 0, 1, 0.5]
         entries[27][4] = 0.4
         T = JointTransition.from_entries(entries, tiger2.transition.shape)
         with pytest.raises(DomainValidationError, match=r"transition\[:, 2, 0\]: row 1"):
-            flatten(dataclasses.replace(tiger2, transition=T), cand2)
+            dataclasses.replace(tiger2, transition=T)
 
     @pytest.mark.parametrize("aj", [2, 1])
     def test_bad_subject_sensing_is_named(self, tiger2, cand2, aj):
         # cand2's peers play OpenRight (aj = 1) only at leaves, so the model
-        # copies no obs_fn_i[:, :, 1] row; a bad one is refused all the same,
-        # under the domain table's name.
+        # reads no obs_fn_i[:, :, 1] row; a bad one is refused all the same,
+        # when the domain is built.
         n_oj = len(tiger2.observations_j)
         parents = {
             action
@@ -608,9 +605,8 @@ class TestSparsePath:
         assert parents == {"Listen", "OpenLeft"}
         obs_i = np.array(tiger2.obs_fn_i)
         obs_i[0, 0, aj, 0] += 0.05
-        broken = dataclasses.replace(tiger2, obs_fn_i=obs_i)
         with pytest.raises(DomainValidationError, match=r"obs_fn_i: row \(0, 0, %d\) sums" % aj):
-            flatten(broken, cand2)
+            dataclasses.replace(tiger2, obs_fn_i=obs_i)
 
     def test_validate_model_checks_operator_count_and_shape(self, tiger2, cand2):
         model = flatten(tiger2, cand2).model

@@ -17,6 +17,7 @@ from ididiv import (
     serialize_domain,
     write_manifest,
 )
+from ididiv import runs
 from ididiv.runs import (
     DIVERSITY_HEADER,
     RESULTS_HEADER,
@@ -27,6 +28,7 @@ from ididiv.runs import (
     normalize_grid_config,
     run_cell,
 )
+from conftest import _rewriting
 
 
 SMALL_GRID = {
@@ -297,6 +299,17 @@ class TestGrid:
         with pytest.raises(ValueError, match="domain file"):
             run_from_manifest(tmp_path / "a" / "manifest.json", tmp_path / "c")
         assert not (tmp_path / "c").exists()
+
+    def test_replay_refuses_a_domain_file_rewritten_as_it_is_read(self, tmp_path, monkeypatch):
+        # The hash checked is that of the bytes the replay parses.
+        dom = tmp_path / "dom.json"
+        dom.write_text(serialize_domain(builtin_tiger(2)))
+        grid = dict(SMALL_GRID, domain=str(dom), algorithms=["IDID"], seeds=[0])
+        assert run_experiment_grid(grid, tmp_path / "a").errors == []
+        _rewriting(monkeypatch, runs, "resolve_domain", dom)
+        with pytest.raises(ValueError, match="domain file .* changed"):
+            run_from_manifest(tmp_path / "a" / "manifest.json", tmp_path / "b")
+        assert not (tmp_path / "b").exists()
 
     def test_replay_refuses_other_tool_version(self, tmp_path):
         run_experiment_grid(dict(SMALL_GRID, algorithms=["IDID"], seeds=[0]), tmp_path / "a")

@@ -150,12 +150,13 @@ class TestEncoding:
         "text",
         [
             "1;;A|B", "1;;", "1;;A/B", "2;o1,o2;A||B", "2;o1,o2;|A|B", "2;o1,o2;A|B;C|D",
-            "2;o1,o1;A|B|B",
+            "2;o1,o1;A|B|B", "1;o1,o2;A",
         ],
     )
     def test_malformed_actions_rejected(self, text):
         # Empty actions and actions holding a separator cannot be re-encoded,
-        # and a repeated observation label would make two children of one.
+        # a repeated observation label would make two children of one, and
+        # a leaf that lists observations would re-encode without them.
         with pytest.raises(TreeShapeError) as err:
             canonical_parse(text)
         assert repr(text) in str(err.value)
