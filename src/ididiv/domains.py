@@ -134,14 +134,20 @@ class JointTransition:
         checks the values of p.
         """
         S, Ai, Aj, S2 = shape = tuple(int(n) for n in shape)
-        for n, e in enumerate(entries):
-            try:
-                if np.asarray(e, dtype=float).shape == (5,):
-                    continue
-            except (TypeError, ValueError):
-                pass
-            raise DomainValidationError("transition: entry %d is not [s, ai, aj, s', p]" % n)
-        arr = np.array(entries, dtype=float).reshape(-1, 5)
+        try:
+            arr = np.array(entries, dtype=float)
+        except (TypeError, ValueError):
+            arr = None
+        if arr is None or arr.ndim != 2 or arr.shape[1] != 5:
+            # Only an empty list or a bad entry gets here; find the entry.
+            for n, e in enumerate(entries):
+                try:
+                    if np.asarray(e, dtype=float).shape == (5,):
+                        continue
+                except (TypeError, ValueError):
+                    pass
+                raise DomainValidationError("transition: entry %d is not [s, ai, aj, s', p]" % n)
+            arr = np.array(entries, dtype=float).reshape(-1, 5)
         idx = arr[:, :4]
         bad = ((idx != np.floor(idx)) | (idx < 0) | (idx >= shape)).any(axis=1)
         if bad.any():
@@ -638,6 +644,43 @@ def _uav_level0_fugitive(horizon: int) -> SingleAgentModel:
     )
 
 
+def _uav_transition(ci: np.ndarray, cj: np.ndarray) -> JointTransition:
+    """The uav joint table over the cell pairs (ci, cj) and three flags.
+
+    Each action pair's entries are keyed s * S + s' and reduced on their
+    own: no key spans two pairs.  bincount adds each key's weights in list
+    order from 0.0, so moves that land on the same state sum as four
+    successive += would.
+    """
+    n = _GRID * _GRID
+    A = len(_UAV_MOVES)
+    n_joint = n * n
+    CAP, ESC, DONE = n_joint, n_joint + 1, n_joint + 2
+    S = n_joint + 3
+    tgt = np.array([[_move_target(c, a) for a in range(A)] for c in range(n)])
+    src = np.arange(n_joint) * S
+    flags = np.array([CAP, ESC, DONE]) * S + DONE
+    keys, probs = [], []
+    for ai in range(A):
+        for aj in range(A):
+            block, weights = [], []
+            for nci, wi in ((tgt[ci, ai], 0.9), (ci, 0.1)):
+                for ncj, wj in ((tgt[cj, aj], 0.9), (cj, 0.1)):
+                    # Capture takes precedence over escape at the safe cell.
+                    dest = np.where(
+                        nci == ncj, CAP, np.where(ncj == _SAFE, ESC, nci * n + ncj)
+                    )
+                    block.append(src + dest)
+                    weights.append(np.full(n_joint, wi * wj))
+            block.append(flags)
+            weights.append(np.ones(len(flags)))
+            key, inverse = np.unique(np.concatenate(block), return_inverse=True)
+            keys.append(key + (ai * A + aj) * S * S)
+            probs.append(np.bincount(inverse, weights=np.concatenate(weights)))
+    key = np.concatenate(keys)
+    return JointTransition._from_sorted(key // S, key % S, np.concatenate(probs), (S, A, A, S))
+
+
 def _build_uav(horizon: int) -> PosgDomain:
     """5x5 grid chase: chaser i starts at the center, fugitive j at the
     corner opposite the safe house.
@@ -655,31 +698,11 @@ def _build_uav(horizon: int) -> PosgDomain:
     n_joint = n * n
     CAP, ESC, DONE = n_joint, n_joint + 1, n_joint + 2
     S = n_joint + 3
-
-    tgt = np.array([[_move_target(c, a) for a in range(A)] for c in range(n)])
-
-    # Entries keyed ((ai * A + aj) * S + s) * S + s'.  bincount adds each
-    # key's weights in list order from 0.0, so moves that land on the same
-    # state sum as four successive += would.
     pair = np.arange(n_joint)
     ci, cj = pair // n, pair % n
-    keys, weights = [], []
-    for ai in range(A):
-        for aj in range(A):
-            for nci, wi in ((tgt[ci, ai], 0.9), (ci, 0.1)):
-                for ncj, wj in ((tgt[cj, aj], 0.9), (cj, 0.1)):
-                    # Capture takes precedence over escape at the safe cell.
-                    dest = np.where(
-                        nci == ncj, CAP, np.where(ncj == _SAFE, ESC, nci * n + ncj)
-                    )
-                    keys.append(((ai * A + aj) * S + pair) * S + dest)
-                    weights.append(np.full(n_joint, wi * wj))
-    flags = (np.arange(A * A)[:, None] * S + np.array([CAP, ESC, DONE])).ravel()
-    keys.append(flags * S + DONE)
-    weights.append(np.ones(len(flags)))
-    key, inverse = np.unique(np.concatenate(keys), return_inverse=True)
-    prob = np.bincount(inverse, weights=np.concatenate(weights))
-    T = JointTransition._from_sorted(key // S, key % S, prob, (S, A, A, S))
+    # Built in a helper, so its temporaries are freed before the domain
+    # validates the table.
+    T = _uav_transition(ci, cj)
 
     # Observation rows depend on the landed state only.
     qi = np.full((S, 4), 0.25)

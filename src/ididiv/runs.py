@@ -28,7 +28,6 @@ import json
 import numbers
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -348,6 +347,10 @@ def run_experiment_grid(
     if workers <= 1:
         outcomes = [_safe_run_cell(c, held[c["horizon"]]) for c in cells]
     else:
+        # Imported here, the one place that uses it: with multiprocessing it
+        # would add over 1 MB to every process that imports ididiv.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(
             max_workers=workers, initializer=_hold_domains, initargs=(held,)
         ) as ex:

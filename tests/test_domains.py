@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import hashlib
 import json
 import pickle
 
@@ -224,6 +225,20 @@ class TestUav:
         cap = _sidx(uav, "Captured")
         assert np.all(uav.obs_fn_i[cap] == 0.25)
         assert np.all(uav.obs_fn_j[cap] == 0.25)
+
+    def test_transition_table_is_pinned(self, uav):
+        # The table's bytes as built by one np.unique over every action pair
+        # at once; reducing pair by pair must sum the same weights in the
+        # same order.
+        T = uav.transition
+        assert (T.indptr.dtype, T.indices.dtype, T.data.dtype) == (np.int64, np.int32, np.float64)
+        assert T.nnz == 41408
+        digest = hashlib.sha256()
+        for arr in (T.indptr, T.indices, T.data):
+            digest.update(arr.tobytes())
+        assert digest.hexdigest() == (
+            "31bb6189ea432e7594c060abc92e4da0cbbf59a6a7925d478df9b6e29ab22a18"
+        )
 
 
 class TestUavLevel0:

@@ -1,4 +1,5 @@
-"""The runtime imports numpy only; scipy is a test dependency."""
+"""The runtime imports numpy only; scipy is a test dependency.  The process
+pool is imported only by a grid run with more than one worker."""
 
 import os
 import subprocess
@@ -8,7 +9,9 @@ from pathlib import Path
 import ididiv
 
 
-def test_package_and_cli_do_not_import_scipy():
+def _modules_loaded_by_import(test: str) -> str:
+    """The sorted names m in sys.modules that satisfy ``test`` after a fresh
+    ``import ididiv, ididiv.cli``."""
     src = str(Path(ididiv.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -16,10 +19,21 @@ def test_package_and_cli_do_not_import_scipy():
     )
     code = (
         "import sys, ididiv, ididiv.cli; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        "print(sorted(m for m in sys.modules if %s))" % test
     )
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True,
         timeout=60, check=True,
     )
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+def test_package_and_cli_do_not_import_scipy():
+    assert _modules_loaded_by_import("m.split('.')[0] == 'scipy'") == "[]"
+
+
+def test_package_and_cli_do_not_import_the_process_pool():
+    # Together they add over 1 MB to every process; run_experiment_grid
+    # imports them only when workers > 1.
+    test = "m == 'concurrent.futures.process' or m.split('.')[0] == 'multiprocessing'"
+    assert _modules_loaded_by_import(test) == "[]"
