@@ -43,7 +43,7 @@ from .selection import (  # noqa: F401
 )
 from .simulate import TRUE_MODES, episodes_to_csv, run_experiment
 from .solver import solve_exact
-from .trees import canonical_encode
+from .trees import _read_json, canonical_encode
 from .diversity import report_to_csv
 
 __all__ = [
@@ -140,8 +140,8 @@ def _record(args, config: dict, outputs: dict, input_hashes: dict, timings=None)
 def _read_candidates(path) -> tuple[CandidateModelSet, str]:
     """The candidate set in ``path`` and the SHA-256 of the bytes it was
     parsed from, read once, so a manifest names the bytes the run used."""
-    data = Path(path).read_bytes()
-    return candidate_set_from_obj(json.loads(data), path), hashlib.sha256(data).hexdigest()
+    obj, data = _read_json(path)
+    return candidate_set_from_obj(obj, path), hashlib.sha256(data).hexdigest()
 
 
 def cmd_solve(args) -> int:
@@ -342,8 +342,7 @@ def cmd_experiment(args) -> int:
         config = {"domain": args.domain, "seeds": [args.seed]}
         hashes = {}
         if args.config:
-            data = Path(args.config).read_bytes()
-            obj = json.loads(data)
+            obj, data = _read_json(args.config)
             if not isinstance(obj, dict):
                 raise ValueError(
                     "%s: a grid config is a JSON object, not a %s"

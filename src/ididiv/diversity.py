@@ -20,12 +20,12 @@ the given size.
 
 from __future__ import annotations
 
-import io
+import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
 # canonical_encode is unused here; perfbench/tracer.py binds diversity.canonical_encode.
-from .trees import PolicyTree, canonical_encode, prefix_ids  # noqa: F401
+from .trees import PolicyTree, _csv_text, canonical_encode, prefix_ids  # noqa: F401
 
 __all__ = [
     "diff_sequences",
@@ -119,10 +119,6 @@ def diversity_report(trees: Sequence[PolicyTree], n_observations: int) -> Divers
 
 
 def report_to_csv(report: DiversityReport) -> str:
-    buf = io.StringIO()
-    buf.write("depth,distinct_prefixes,distinct_frames\n")
-    for t, (s, f) in enumerate(zip(report.sequence_counts, report.frame_counts), 1):
-        buf.write("%d,%d,%d\n" % (t, s, f))
-    buf.write("mdp,%r,\n" % report.mdp_value)
-    buf.write("mdf,%r,\n" % report.mdf_value)
-    return buf.getvalue()
+    counts = zip(itertools.count(1), report.sequence_counts, report.frame_counts)
+    totals = [("mdp", report.mdp_value, ""), ("mdf", report.mdf_value, "")]
+    return _csv_text(("depth", "distinct_prefixes", "distinct_frames"), [*counts, *totals])

@@ -36,13 +36,12 @@ import json
 import weakref
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from pathlib import Path
 from types import MappingProxyType
 from typing import Mapping
 
 import numpy as np
 
-from .trees import _check_symbols
+from .trees import _check_symbols, _read_json
 
 __all__ = [
     "DomainValidationError",
@@ -910,4 +909,4 @@ def serialize_domain(domain: PosgDomain) -> str:
 
 def load_domain(path) -> PosgDomain:
     """Load a domain JSON file; ``domain_from_obj`` takes a parsed mapping."""
-    return domain_from_obj(json.loads(Path(path).read_text()))
+    return domain_from_obj(_read_json(path)[0])

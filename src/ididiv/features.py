@@ -13,14 +13,13 @@ feature behaviors: a minimal spanning subset of the observed behavior.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
-from .trees import BehaviorSequence, PolicyTree, prefix_ids, sequence_at
+from .trees import BehaviorSequence, PolicyTree, _csv_text, prefix_ids, sequence_at
 
 __all__ = [
     "BehaviorMatrix",
@@ -164,8 +163,5 @@ def extract_features(trees: Sequence[PolicyTree]) -> tuple[BehaviorSequence, ...
 
 def matrix_to_csv(matrix: BehaviorMatrix) -> str:
     """CSV dump: header of compact sequence encodings, one row per tree."""
-    buf = io.StringIO()
-    buf.write("tree," + ",".join(c.compact() for c in matrix.columns) + "\n")
-    for rid, row in zip(matrix.row_ids, matrix.entries):
-        buf.write(rid + "," + ",".join(str(int(x)) for x in row) + "\n")
-    return buf.getvalue()
+    rows = [(rid, *row) for rid, row in zip(matrix.row_ids, matrix.entries.tolist())]
+    return _csv_text(["tree", *(c.compact() for c in matrix.columns)], rows)

@@ -44,7 +44,7 @@ from .domains import (
 from .generation import generate_known_models
 from .selection import SelectionConfig, make_candidate_set, select_topk
 from .simulate import TRUE_MODES, run_experiment
-from .trees import canonical_encode
+from .trees import _csv_text, _read_json, canonical_encode
 
 __all__ = [
     "TOOL_VERSION",
@@ -118,7 +118,7 @@ def write_manifest(m: RunManifest, out_dir) -> Path:
 
 
 def load_manifest(path) -> RunManifest:
-    obj = json.loads(Path(path).read_text())
+    obj = _read_json(path)[0]
     try:
         return RunManifest(**{"seed": None, "tool_version": "unknown", **obj})
     except TypeError as exc:  # names the unknown or missing key
@@ -221,8 +221,8 @@ def resolve_domain(name, horizons) -> tuple[dict, dict]:
     _check_domain_name(name)
     if name in BUILTIN_DOMAINS:
         return {h: builtin_domain(name, h) for h in horizons}, {}
-    data = Path(name).read_bytes()
-    domain = domain_from_obj(json.loads(data))
+    obj, data = _read_json(name)
+    domain = domain_from_obj(obj)
     by_horizon = {h: domain if h is None else with_horizon(domain, h) for h in horizons}
     return by_horizon, {"domain": hashlib.sha256(data).hexdigest()}
 
@@ -311,15 +311,6 @@ def _worker_run_cell(cell: dict) -> tuple[dict | None, str | None]:
     return _safe_run_cell(cell, _worker_domains[cell["horizon"]])
 
 
-def _csv_text(columns: tuple, rows: list[dict]) -> str:
-    """Header plus one line per row; repr keeps every digit of a float."""
-    lines = [",".join(columns)] + [
-        ",".join(repr(r[c]) if isinstance(r[c], float) else str(r[c]) for c in columns)
-        for r in rows
-    ]
-    return "\n".join(lines) + "\n"
-
-
 def run_experiment_grid(
     config: dict,
     out_dir,
@@ -368,8 +359,8 @@ def run_experiment_grid(
         timings["cells"][cid] = row.pop("_elapsed")
         rows.append(row)
 
-    (out / "results.csv").write_text(_csv_text(RESULTS_COLUMNS, rows))
-    (out / "diversity.csv").write_text(_csv_text(DIVERSITY_COLUMNS, rows))
+    for name, columns in (("results.csv", RESULTS_COLUMNS), ("diversity.csv", DIVERSITY_COLUMNS)):
+        (out / name).write_text(_csv_text(columns, [[r[c] for c in columns] for r in rows]))
 
     manifest = RunManifest(
         command="experiment",

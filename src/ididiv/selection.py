@@ -20,7 +20,9 @@ from .domains import SingleAgentModel
 from .features import extract_features
 # convert_to_dbn is unused here; perfbench/tracer.py binds selection.convert_to_dbn.
 from .generation import convert_to_dbn, sample_tree  # noqa: F401
-from .trees import PolicyTree, canonical_encode, canonical_parse, validate_tree
+from .trees import (
+    PolicyTree, TreeShapeError, _read_json, canonical_encode, canonical_parse, validate_tree,
+)
 
 __all__ = [
     "MEASURES",
@@ -86,7 +88,8 @@ class CandidateModelSet:
         prior = np.asarray(self.prior, dtype=float)
         if prior.shape != (len(self.trees),):
             raise ValueError("prior shape %r for %d trees" % (prior.shape, len(self.trees)))
-        if prior.min() < 0.0 or abs(float(prior.sum()) - 1.0) > 1e-12:
+        # Written so that a NaN entry fails too.
+        if not (prior.min() >= 0.0 and abs(float(prior.sum()) - 1.0) <= 1e-12):
             raise ValueError("prior must be a distribution over the trees")
         prior.setflags(write=False)
         object.__setattr__(self, "prior", prior)
@@ -193,7 +196,7 @@ def save_candidate_set(cs: CandidateModelSet, path) -> Path:
 
 
 def load_candidate_set(path) -> CandidateModelSet:
-    return candidate_set_from_obj(json.loads(Path(path).read_text()), path)
+    return candidate_set_from_obj(_read_json(path)[0], path)
 
 
 def candidate_set_from_obj(obj, source) -> CandidateModelSet:
@@ -205,12 +208,18 @@ def candidate_set_from_obj(obj, source) -> CandidateModelSet:
     for key in ("trees", "n_observations"):
         if key not in obj:
             raise ValueError("%s: a candidate file needs %r" % (source, key))
-    trees = [canonical_parse(t) for t in obj["trees"]]
-    return make_candidate_set(
-        trees,
-        int(obj["n_observations"]),
-        provenance=obj.get("provenance"),
-        prior=np.asarray(obj["prior"], dtype=float) if "prior" in obj else None,
-        measure=obj.get("measure"),
-        trace=[(int(k), float(v)) for k, v in obj.get("trace", [])],
-    )
+    if not isinstance(obj["trees"], list) or not all(isinstance(t, str) for t in obj["trees"]):
+        raise ValueError("%s: 'trees' is a list of tree encodings" % source)
+    try:
+        return make_candidate_set(
+            [canonical_parse(t) for t in obj["trees"]],
+            obj["n_observations"],
+            provenance=obj.get("provenance"),
+            prior=np.asarray(obj["prior"], dtype=float) if "prior" in obj else None,
+            measure=obj.get("measure"),
+            trace=[(int(k), float(v)) for k, v in obj.get("trace", [])],
+        )
+    except TreeShapeError as exc:
+        raise TreeShapeError("%s: %s" % (source, exc)) from exc
+    except (TypeError, ValueError) as exc:
+        raise ValueError("%s: %s" % (source, exc)) from exc

@@ -11,7 +11,7 @@ draws an individual round consumes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
@@ -22,7 +22,7 @@ from .flattening import flatten
 from .generation import convert_to_dbn, sample_tree  # noqa: F401
 from .selection import CandidateModelSet
 from .solver import solve_exact
-from .trees import BehaviorSequence, PolicyTree, canonical_encode, validate_tree
+from .trees import BehaviorSequence, PolicyTree, _csv_text, canonical_encode, validate_tree
 
 __all__ = [
     "StepRecord",
@@ -250,24 +250,6 @@ def run_experiment(
 
 def episodes_to_csv(traces) -> str:
     """Step-level CSV across rounds; no timestamps, reproducible byte for byte."""
-    lines = [
-        "round,t,state,action_i,action_j,reward_i,reward_j,next_state,obs_i,obs_j"
-    ]
-    for rnd, tr in enumerate(traces):
-        for st in tr.steps:
-            lines.append(
-                "%d,%d,%s,%s,%s,%r,%r,%s,%s,%s"
-                % (
-                    rnd,
-                    st.t,
-                    st.state,
-                    st.action_i,
-                    st.action_j,
-                    st.reward_i,
-                    st.reward_j,
-                    st.next_state,
-                    st.obs_i,
-                    st.obs_j,
-                )
-            )
-    return "\n".join(lines) + "\n"
+    columns = ("round", *(f.name for f in fields(StepRecord)))
+    rows = [(rnd, *astuple(st)) for rnd, tr in enumerate(traces) for st in tr.steps]
+    return _csv_text(columns, rows)

@@ -21,6 +21,9 @@ elementwise product, whose order does not depend on the BLAS thread count.
 solve_exact, brute_force_solve and evaluate_policy run one recursion, which
 either picks the best action at each belief or follows a given tree, so the
 value reported for a solved tree is bit-identical to evaluating that tree.
+Picking returns each subtree as its preorder action row, an immutable
+tuple, and solve_exact builds the one tree of a solve from the root's row
+with ``trees._build``.
 """
 
 from __future__ import annotations
@@ -30,13 +33,7 @@ from typing import Any, Protocol
 
 import numpy as np
 
-from .trees import (
-    PolicyTree,
-    all_trees,
-    constant_tree,
-    count_trees,
-    validate_tree,
-)
+from .trees import PolicyTree, _build, all_trees, count_tree_nodes, count_trees, validate_tree
 
 __all__ = [
     "TIE_TOL",
@@ -98,14 +95,13 @@ def _backup(
     b,
     remaining: int,
     node: PolicyTree | None = None,
-) -> tuple[float, PolicyTree]:
-    """Value and tree of the remaining decisions from belief b.
+) -> tuple[float, tuple[str, ...] | None]:
+    """Value and preorder action row of the remaining decisions from belief b.
 
     With no ``node`` every action is tried and the first wins unless a
     later one ``_beats`` it; observation branches that cannot occur get a
-    filler subtree repeating the first action.  With a ``node`` only its
-    action is tried, each branch follows the node's child, and the node
-    itself is returned.
+    filler row repeating the first action.  With a ``node`` only its action
+    is tried, each branch follows the node's child, and no row is returned.
     """
     n_obs = len(model.observations)
     if node is None:
@@ -113,10 +109,10 @@ def _backup(
     else:
         choices = (model.actions.index(node.action),)
     best_v = -np.inf
-    best: tuple[int, list[PolicyTree | None]] | None = None
+    best: tuple[int, list] | None = None
     for a in choices:
         q = model.expected_reward(b, a)
-        kids: list[PolicyTree | None] = []
+        kids: list[tuple[str, ...] | None] = []
         if remaining > 1:
             pred = model.predict(b, a)
             for o in range(n_obs):
@@ -132,16 +128,14 @@ def _backup(
             best_v, best = q, (a, kids)
     assert best is not None
     if node is not None:
-        return best_v, node
+        return best_v, None
     a, kids = best
-    if remaining == 1:
-        return best_v, PolicyTree(model.actions[a])
-    filler = constant_tree(model.actions[0], model.observations, remaining - 1)
-    children = tuple(
-        (model.observations[o], filler if kids[o] is None else kids[o])
-        for o in range(n_obs)
-    )
-    return best_v, PolicyTree(model.actions[a], children)
+    row = (model.actions[a],)
+    for sub in kids:
+        if sub is None:
+            sub = (model.actions[0],) * count_tree_nodes(n_obs, remaining - 1)
+        row += sub
+    return best_v, row
 
 
 def solve_exact(model: Model) -> SolvedPolicy:
@@ -152,7 +146,8 @@ def solve_exact(model: Model) -> SolvedPolicy:
     branches that cannot occur are filled with subtrees repeating the first
     action.
     """
-    v, tree = _backup(model, model.initial_belief, model.horizon)
+    v, row = _backup(model, model.initial_belief, model.horizon)
+    tree = _build(iter(row), model.observations, model.horizon)
     return SolvedPolicy(tree=tree, value=v, model_name=model.name, horizon=model.horizon)
 
 

@@ -10,14 +10,24 @@ All complete trees of one (n_obs, depth) share their nodes, numbered in
 preorder: ``node_table`` gives each node's level, parent, children and root
 path, and ``PolicyTree.preorder`` a tree's actions.  Prefixes, frames, the
 canonical encoding, diversity counts, matrix columns and flattening read
-this layout, and every tree built from a preorder is built by ``_build``.
+this layout.  Every tree built from a preorder is built by ``_build``: a
+parsed encoding, a frame, an enumerated tree, the tree a check compares
+against and the tree of each exact solve, whose recursion returns rows.
+
+``_csv_text`` is the one CSV writer, for grid results, diversity reports,
+behavior matrices and episode steps.  Byte-identical replay rests on its
+one rule: a float cell is written with ``repr``, every other cell with
+``str``.  ``_read_json`` is the one reading of an input file: a domain, a
+candidate set, a grid config or a manifest.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -310,8 +320,8 @@ def constant_tree(
 ) -> PolicyTree:
     """Complete tree prescribing ``action`` everywhere.
 
-    Each level shares one subtree, so the solver fills impossible branches
-    with it at a cost linear in depth.
+    Each level shares one subtree, so building it costs time linear in
+    depth.
     """
     obs = tuple(observations)
     node = PolicyTree(action)
@@ -360,3 +370,22 @@ def all_trees(
     for assignment in itertools.product(acts, repeat=n):
         yield _build(iter(assignment), obs, depth)
 
+
+def _csv_text(columns: Sequence[str], rows: Iterable[Sequence]) -> str:
+    """Header plus one line per row; repr keeps every digit of a float."""
+    lines = [",".join(columns)]
+    lines += (",".join(repr(x) if isinstance(x, float) else str(x) for x in r) for r in rows)
+    return "\n".join(lines) + "\n"
+
+
+def _read_json(path) -> tuple[object, bytes]:
+    """The JSON value in the file ``path`` and the bytes it was parsed from.
+
+    A file that is not JSON raises a ValueError naming it, caused by the
+    decode error.
+    """
+    data = Path(path).read_bytes()
+    try:
+        return json.loads(data), data
+    except ValueError as exc:
+        raise ValueError("%s: not a JSON file: %s" % (path, exc)) from exc

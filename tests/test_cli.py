@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 import subprocess
 import sys
 
@@ -294,14 +295,46 @@ class TestParsing:
             ([1, 2], "a candidate file is a JSON object, not a list"),
             ({"n_observations": 2}, "a candidate file needs 'trees'"),
             ({"trees": ["1;;A"]}, "a candidate file needs 'n_observations'"),
+            ({"trees": "1;;A", "n_observations": 2}, "'trees' is a list of tree encodings"),
+            ({"trees": ["1;;A"], "n_observations": "two"}, "n_observations must be an int"),
+            (
+                {"trees": ["1;;A", "1;;B"], "n_observations": 2, "prior": [1.0]},
+                r"prior shape \(1,\) for 2 trees",
+            ),
+            ({"trees": ["1;;A"], "n_observations": 2, "trace": [[1]]}, "not enough values"),
+            (
+                {"trees": ["1;;A"], "n_observations": 2, "prior": [float("nan")]},
+                "prior must be a distribution",
+            ),
         ],
-        ids=["list", "no-trees", "no-n_observations"],
+        ids=[
+            "list", "no-trees", "no-n_observations", "trees-string",
+            "n_observations-string", "short-prior", "short-trace", "nan-prior",
+        ],
     )
     def test_candidate_file_without_its_keys_is_named(self, tmp_path, obj, message):
         path = tmp_path / "candidates.json"
         path.write_text(json.dumps(obj))
         with pytest.raises(ValueError, match="candidates.json: " + message):
             _run(["--out-dir", tmp_path / "out", "features", "--trees", path])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--domain", "{}", "solve"],
+            ["features", "--trees", "{}"],
+            ["experiment", "--config", "{}"],
+            ["experiment", "--from-manifest", "{}"],
+        ],
+        ids=["domain", "candidates", "config", "manifest"],
+    )
+    def test_input_that_is_not_json_is_named(self, tmp_path, argv):
+        path = tmp_path / "input.json"
+        path.write_text("{trees: 1}")
+        argv = [a.format(path) for a in argv]
+        with pytest.raises(ValueError, match="^" + re.escape(str(path)) + ": ") as info:
+            _run(["--out-dir", tmp_path / "out", *argv])
+        assert isinstance(info.value.__cause__, json.JSONDecodeError)
 
     def test_missing_subcommand(self):
         with pytest.raises(SystemExit):

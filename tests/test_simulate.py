@@ -302,3 +302,12 @@ class TestCsv:
             tiger2, cand2, "from-set", rounds=4, seed=2, keep_traces=True
         )
         assert episodes_to_csv(a.traces) == episodes_to_csv(b.traces)
+
+    def test_float_cells_keep_every_digit(self):
+        step = simulate.StepRecord(
+            t=0, state="s", action_i="a", action_j="b", reward_i=-1.0,
+            reward_j=0.1 + 0.2, next_state="s2", obs_i="o", obs_j="p",
+        )
+        trace = simulate.EpisodeTrace(steps=(step,), total_reward_i=-1.0, total_reward_j=0.1 + 0.2)
+        lines = episodes_to_csv([trace]).split("\n")
+        assert lines[1:] == ["0,0,s,a,b,-1.0,0.30000000000000004,s2,o,p", ""]
