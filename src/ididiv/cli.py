@@ -11,8 +11,6 @@ outputs; `experiment --from-manifest` replays a recorded run.
 from __future__ import annotations
 
 import argparse
-import hashlib
-import json
 import sys
 import time
 from pathlib import Path
@@ -28,13 +26,13 @@ from .generation import generate_known_models
 from .runs import (  # noqa: F401
     RunManifest,
     file_sha256,
+    normalize_grid_config,
     resolve_domain,
     run_experiment_grid,
     run_from_manifest,
     write_manifest,
 )
 from .selection import (  # noqa: F401
-    CandidateModelSet,
     SelectionConfig,
     candidate_set_from_obj,
     load_candidate_set,
@@ -43,7 +41,7 @@ from .selection import (  # noqa: F401
 )
 from .simulate import TRUE_MODES, episodes_to_csv, run_experiment
 from .solver import solve_exact
-from .trees import _read_json, canonical_encode
+from .trees import _json_text, _read_input, canonical_encode
 from .diversity import report_to_csv
 
 __all__ = [
@@ -117,7 +115,7 @@ def _out_dir(args) -> Path:
 
 
 def _write_json(path: Path, obj) -> None:
-    path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
+    path.write_text(_json_text(obj))
 
 
 def _record(args, config: dict, outputs: dict, input_hashes: dict, timings=None) -> None:
@@ -135,13 +133,6 @@ def _record(args, config: dict, outputs: dict, input_hashes: dict, timings=None)
         timings=timings or {},
     )
     write_manifest(manifest, args.out_dir)
-
-
-def _read_candidates(path) -> tuple[CandidateModelSet, str]:
-    """The candidate set in ``path`` and the SHA-256 of the bytes it was
-    parsed from, read once, so a manifest names the bytes the run used."""
-    obj, data = _read_json(path)
-    return candidate_set_from_obj(obj, path), hashlib.sha256(data).hexdigest()
 
 
 def cmd_solve(args) -> int:
@@ -171,7 +162,7 @@ def cmd_solve(args) -> int:
 
 def cmd_features(args) -> int:
     out = _out_dir(args)
-    cs, digest = _read_candidates(args.trees)
+    cs, digest = _read_input(args.trees, candidate_set_from_obj)
     hashes = {"trees": digest}
     matrix = build_matrix(cs.trees)
     piv = pivot_decompose(matrix)
@@ -253,7 +244,7 @@ def cmd_solve_idid(args) -> int:
     by_horizon, hashes = resolve_domain(args.domain, [args.horizon])
     domain = by_horizon[args.horizon]
     out = _out_dir(args)
-    cs, hashes["candidates"] = _read_candidates(args.candidates)
+    cs, hashes["candidates"] = _read_input(args.candidates, candidate_set_from_obj)
 
     t0 = time.perf_counter()
     flat = flatten(domain, cs)
@@ -289,7 +280,7 @@ def cmd_simulate(args) -> int:
     by_horizon, hashes = resolve_domain(args.domain, [args.horizon])
     domain = by_horizon[args.horizon]
     out = _out_dir(args)
-    cs, hashes["candidates"] = _read_candidates(args.candidates)
+    cs, hashes["candidates"] = _read_input(args.candidates, candidate_set_from_obj)
 
     t0 = time.perf_counter()
     stats = run_experiment(
@@ -339,17 +330,16 @@ def cmd_experiment(args) -> int:
         manifest = run_from_manifest(args.from_manifest, out, workers=args.workers)
     else:
         # --domain and --seed fill only the keys a config file leaves out.
-        config = {"domain": args.domain, "seeds": [args.seed]}
-        hashes = {}
+        flags = {"domain": args.domain, "seeds": [args.seed]}
+        config, hashes = flags, {}
         if args.config:
-            obj, data = _read_json(args.config)
-            if not isinstance(obj, dict):
-                raise ValueError(
-                    "%s: a grid config is a JSON object, not a %s"
-                    % (args.config, type(obj).__name__)
-                )
-            config.update(obj)
-            hashes["config"] = hashlib.sha256(data).hexdigest()
+            # normalize_grid_config refuses a config that is not an object.
+            config, hashes["config"] = _read_input(
+                args.config,
+                lambda obj: normalize_grid_config(
+                    {**flags, **obj} if isinstance(obj, dict) else obj
+                ),
+            )
         manifest = run_experiment_grid(
             config, out, workers=args.workers, input_hashes=hashes
         )

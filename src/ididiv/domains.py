@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import json
 import weakref
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -41,7 +40,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .trees import _check_symbols, _read_json
+from .trees import _check_symbols, _json_text, _read_input
 
 __all__ = [
     "DomainValidationError",
@@ -872,6 +871,8 @@ def domain_to_obj(domain: PosgDomain) -> dict:
 
 def domain_from_obj(obj: Mapping) -> PosgDomain:
     """The domain a ``domain_to_obj`` mapping describes, validated."""
+    if not isinstance(obj, Mapping):
+        raise DomainValidationError("a domain file is a JSON object, not a %s" % type(obj).__name__)
     required = [
         "name", *_LABELS, "horizon", "transition", "obs_i", "obs_j", "reward_i", "reward_j"
     ]
@@ -887,6 +888,9 @@ def domain_from_obj(obj: Mapping) -> PosgDomain:
             "transition: a dense [s][ai][aj][s'] table, which is no longer read; "
             "write [s, ai, aj, s', p] entries"
         )
+    horizon = obj["horizon"]
+    if isinstance(horizon, bool) or not isinstance(horizon, int):
+        raise DomainValidationError("horizon: %r is not an integer" % (horizon,))
     S = len(labels["states"])
     shape = (S, len(labels["actions_i"]), len(labels["actions_j"]), S)
     return PosgDomain(
@@ -897,16 +901,16 @@ def domain_from_obj(obj: Mapping) -> PosgDomain:
         obs_fn_j=np.asarray(obj["obs_j"], dtype=float),
         reward_i=np.asarray(obj["reward_i"], dtype=float),
         reward_j=np.asarray(obj["reward_j"], dtype=float),
-        horizon=int(obj["horizon"]),
+        horizon=horizon,
         start=None if "start" not in obj else np.asarray(obj["start"], dtype=float),
     )
 
 
 def serialize_domain(domain: PosgDomain) -> str:
     """Canonical JSON text: sorted keys, two-space indent, trailing newline."""
-    return json.dumps(domain_to_obj(domain), sort_keys=True, indent=2) + "\n"
+    return _json_text(domain_to_obj(domain))
 
 
 def load_domain(path) -> PosgDomain:
     """Load a domain JSON file; ``domain_from_obj`` takes a parsed mapping."""
-    return domain_from_obj(_read_json(path)[0])
+    return _read_input(path, domain_from_obj)[0]

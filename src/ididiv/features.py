@@ -5,14 +5,15 @@ column per distinct full-length behavior sequence, in first-appearance order
 (trees scanned in the given order, each tree's leaves in preorder).  Columns
 are found from the set's prefix ids at the leaves (``trees.prefix_ids``), so
 each distinct sequence is built once.
-Exact Gauss-Jordan elimination over the rationals yields P = F x U where U
-holds the top ``rank`` rows of the reduced row echelon form and F is P
-restricted to the pivot columns.  The pivot columns' sequences are the
+Exact Gauss-Jordan elimination yields P = F x U where U holds the top
+``rank`` rows of the reduced row echelon form and F is P restricted to the
+pivot columns.  The pivot columns' sequences are the
 feature behaviors: a minimal spanning subset of the observed behavior.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -102,18 +103,17 @@ def build_matrix(trees: Sequence[PolicyTree]) -> BehaviorMatrix:
 
 
 def pivot_decompose(matrix: BehaviorMatrix) -> PivotResult:
-    """Exact rational Gauss-Jordan elimination with leftmost-pivot order.
+    """Exact Gauss-Jordan elimination with leftmost-pivot order.
 
     Returns the rank, the pivot column positions, F = P[:, pivots], and the
-    first ``rank`` rows of rref(P) as U.  The reconstruction F x U equals P
-    exactly; this identity is re-checked in rational arithmetic before
-    returning.
+    first ``rank`` rows of rref(P) as U.  The elimination is fraction-free on
+    Python ints, each row a nonzero multiple of the rational one, so U's
+    Fractions are formed once at the end.  F x U equals P exactly; this
+    identity is re-checked in integer arithmetic before returning.
     """
     ent = matrix.entries
     nrows, ncols = ent.shape
-    rows: list[list[Fraction]] = [
-        [Fraction(int(x)) for x in ent[r]] for r in range(nrows)
-    ]
+    rows: list[list[int]] = ent.tolist()
 
     pivots: list[int] = []
     r = 0
@@ -124,27 +124,30 @@ def pivot_decompose(matrix: BehaviorMatrix) -> PivotResult:
         if pr is None:
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
-        inv = rows[r][c]
-        if inv != 1:
-            rows[r] = [v / inv for v in rows[r]]
+        p = rows[r][c]
         for k in range(nrows):
             if k != r and rows[k][c] != 0:
                 f = rows[k][c]
-                rows[k] = [a - f * b for a, b in zip(rows[k], rows[r])]
+                row = [p * a - f * b for a, b in zip(rows[k], rows[r])]
+                g = math.gcd(*row)
+                rows[k] = [v // g for v in row] if g > 1 else row
         pivots.append(c)
         r += 1
 
     rank = len(pivots)
-    u_matrix = tuple(tuple(rows[k]) for k in range(rank))
+    heads = [rows[k][c] for k, c in enumerate(pivots)]
+    u_matrix = tuple(tuple(Fraction(v, h) for v in rows[k]) for k, h in enumerate(heads))
     f_matrix = ent[:, pivots].astype(np.int64)
 
     # P = F x U must hold exactly; the pivot submatrix of U is the identity.
     # F is P on the pivot columns, so 0/1: row i of F x U sums the U rows
-    # that F[i] selects.
+    # that F[i] selects, each scaled by lcm / head to clear denominators.
     for i in range(nrows):
-        picked = [u_matrix[k] for k in range(rank) if f_matrix[i, k]]
+        picked = [k for k in range(rank) if f_matrix[i, k]]
+        lcm = math.lcm(*(heads[k] for k in picked))
+        scaled = [(rows[k], lcm // heads[k]) for k in picked]
         for c in range(ncols):
-            if sum(u[c] for u in picked) != int(ent[i, c]):
+            if sum(row[c] * m for row, m in scaled) != int(ent[i, c]) * lcm:
                 raise RuntimeError("decomposition mismatch at entry (%d, %d)" % (i, c))
 
     return PivotResult(

@@ -8,13 +8,14 @@ that algorithms sharing a seed also share the known models and the true-peer
 stream, which is what makes per-seed comparisons across algorithms paired.
 
 Result CSVs contain no timestamps or timings; rerunning a recorded manifest
-with the same tool version and the same BLAS threading reproduces them byte
-for byte.  Wall-clock timings, the thread settings and per-cell failures
+with the same tool version reproduces them byte for byte, under any BLAS
+thread count.  Wall-clock timings, the thread settings and per-cell failures
 live only in the manifest.
 
 ``resolve_domain`` is the one reading of a domain value, for grids, for
 ``run_cell`` and for the command line: a builtin name, or a JSON file that
-is read once and parsed and hashed from the same bytes.  A manifest's
+is read once, through ``trees._read_input``, and parsed and hashed from the
+same bytes.  A manifest's
 ``input_hashes`` are those hashes, so they name the bytes a run used, and a
 replay refuses a domain file whose hash has changed.
 """
@@ -24,7 +25,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import itertools
-import json
 import numbers
 import os
 import time
@@ -44,7 +44,7 @@ from .domains import (
 from .generation import generate_known_models
 from .selection import SelectionConfig, make_candidate_set, select_topk
 from .simulate import TRUE_MODES, run_experiment
-from .trees import _csv_text, _read_json, canonical_encode
+from .trees import _csv_text, _json_text, _read_input, canonical_encode
 
 __all__ = [
     "TOOL_VERSION",
@@ -113,16 +113,15 @@ class RunManifest:
 
 def write_manifest(m: RunManifest, out_dir) -> Path:
     path = Path(out_dir) / "manifest.json"
-    path.write_text(json.dumps(dataclasses.asdict(m), sort_keys=True, indent=2) + "\n")
+    path.write_text(_json_text(dataclasses.asdict(m)))
     return path
 
 
 def load_manifest(path) -> RunManifest:
-    obj = _read_json(path)[0]
-    try:
-        return RunManifest(**{"seed": None, "tool_version": "unknown", **obj})
-    except TypeError as exc:  # names the unknown or missing key
-        raise ValueError("manifest %s: %s" % (path, exc)) from None
+    """The manifest in ``path``; an unknown or missing key is named."""
+    return _read_input(
+        path, lambda obj: RunManifest(**{"seed": None, "tool_version": "unknown", **obj})
+    )[0]
 
 
 def file_sha256(path) -> str:
@@ -151,6 +150,8 @@ def normalize_grid_config(obj: dict) -> dict:
     Axes must be lists, and the numeric axes, ``rounds`` and ``patience``
     must hold integers; nothing is coerced.
     """
+    if not isinstance(obj, dict):
+        raise ValueError("a grid config is a JSON object, not a %s" % type(obj).__name__)
     unknown = set(obj) - set(_GRID_DEFAULTS)
     if unknown:
         raise ValueError("unknown grid config keys: %s" % ", ".join(sorted(unknown)))
@@ -221,10 +222,9 @@ def resolve_domain(name, horizons) -> tuple[dict, dict]:
     _check_domain_name(name)
     if name in BUILTIN_DOMAINS:
         return {h: builtin_domain(name, h) for h in horizons}, {}
-    obj, data = _read_json(name)
-    domain = domain_from_obj(obj)
+    domain, digest = _read_input(name, domain_from_obj)
     by_horizon = {h: domain if h is None else with_horizon(domain, h) for h in horizons}
-    return by_horizon, {"domain": hashlib.sha256(data).hexdigest()}
+    return by_horizon, {"domain": digest}
 
 
 def _candidates_for(cell: dict, alg: str, known, level0):

@@ -8,7 +8,6 @@ size cap or after ``patience`` consecutive non-improving samples.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -21,7 +20,7 @@ from .features import extract_features
 # convert_to_dbn is unused here; perfbench/tracer.py binds selection.convert_to_dbn.
 from .generation import convert_to_dbn, sample_tree  # noqa: F401
 from .trees import (
-    PolicyTree, TreeShapeError, _read_json, canonical_encode, canonical_parse, validate_tree,
+    PolicyTree, _json_text, _read_input, canonical_encode, canonical_parse, validate_tree,
 )
 
 __all__ = [
@@ -191,35 +190,28 @@ def save_candidate_set(cs: CandidateModelSet, path) -> Path:
         "trace": [[int(k), float(v)] for k, v in cs.trace],
     }
     p = Path(path)
-    p.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
+    p.write_text(_json_text(obj))
     return p
 
 
 def load_candidate_set(path) -> CandidateModelSet:
-    return candidate_set_from_obj(_read_json(path)[0], path)
+    return _read_input(path, candidate_set_from_obj)[0]
 
 
-def candidate_set_from_obj(obj, source) -> CandidateModelSet:
-    """The candidate set a parsed candidate file describes; errors name ``source``."""
+def candidate_set_from_obj(obj) -> CandidateModelSet:
+    """The candidate set a parsed candidate file describes."""
     if not isinstance(obj, dict):
-        raise ValueError(
-            "%s: a candidate file is a JSON object, not a %s" % (source, type(obj).__name__)
-        )
+        raise ValueError("a candidate file is a JSON object, not a %s" % type(obj).__name__)
     for key in ("trees", "n_observations"):
         if key not in obj:
-            raise ValueError("%s: a candidate file needs %r" % (source, key))
+            raise ValueError("a candidate file needs %r" % key)
     if not isinstance(obj["trees"], list) or not all(isinstance(t, str) for t in obj["trees"]):
-        raise ValueError("%s: 'trees' is a list of tree encodings" % source)
-    try:
-        return make_candidate_set(
-            [canonical_parse(t) for t in obj["trees"]],
-            obj["n_observations"],
-            provenance=obj.get("provenance"),
-            prior=np.asarray(obj["prior"], dtype=float) if "prior" in obj else None,
-            measure=obj.get("measure"),
-            trace=[(int(k), float(v)) for k, v in obj.get("trace", [])],
-        )
-    except TreeShapeError as exc:
-        raise TreeShapeError("%s: %s" % (source, exc)) from exc
-    except (TypeError, ValueError) as exc:
-        raise ValueError("%s: %s" % (source, exc)) from exc
+        raise ValueError("'trees' is a list of tree encodings")
+    return make_candidate_set(
+        [canonical_parse(t) for t in obj["trees"]],
+        obj["n_observations"],
+        provenance=obj.get("provenance"),
+        prior=np.asarray(obj["prior"], dtype=float) if "prior" in obj else None,
+        measure=obj.get("measure"),
+        trace=[(int(k), float(v)) for k, v in obj.get("trace", [])],
+    )

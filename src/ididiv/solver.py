@@ -15,8 +15,11 @@ reward of an action at a belief, the predicted belief after an action, and
 the probability of an observation with the posterior it leaves.  A belief is
 whatever the model's ``initial_belief`` and those methods pass around: a
 dense vector for ``domains.SingleAgentModel``, a sparse (keys, vals) pair
-for ``flattening.FlatModel``.  Both models sum with ``np.add.reduce`` of an
-elementwise product, whose order does not depend on the BLAS thread count.
+for ``flattening.FlatModel``.  Both models sum rewards and observation
+probabilities with ``np.add.reduce`` of an elementwise product, and
+``FlatModel.predict`` sums in a fixed order, so the flattened solve does not
+depend on the BLAS thread count.  ``SingleAgentModel.predict`` is the BLAS
+product ``b @ T[:, a, :]``.
 
 solve_exact, brute_force_solve and evaluate_policy run one recursion, which
 either picks the best action at each belief or follows a given tree, so the

@@ -17,18 +17,20 @@ against and the tree of each exact solve, whose recursion returns rows.
 ``_csv_text`` is the one CSV writer, for grid results, diversity reports,
 behavior matrices and episode steps.  Byte-identical replay rests on its
 one rule: a float cell is written with ``repr``, every other cell with
-``str``.  ``_read_json`` is the one reading of an input file: a domain, a
-candidate set, a grid config or a manifest.
+``str``.  ``_json_text`` is the one JSON writer.  ``_read_input`` is the one
+reading of an input file (a domain, candidate set, grid config or manifest):
+it parses, builds and hashes the same bytes, and its errors start with the path.
 """
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -378,14 +380,27 @@ def _csv_text(columns: Sequence[str], rows: Iterable[Sequence]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _read_json(path) -> tuple[object, bytes]:
-    """The JSON value in the file ``path`` and the bytes it was parsed from.
+def _json_text(obj) -> str:
+    """Canonical JSON text: sorted keys, two-space indent, trailing newline."""
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
-    A file that is not JSON raises a ValueError naming it, caused by the
-    decode error.
+
+def _read_input(path, build: Callable) -> tuple[object, str]:
+    """``build`` of the JSON value in the file ``path``, and the SHA-256 of
+    the bytes parsed, so a manifest names the bytes a run used.
+
+    A file that is not JSON, or a value ``build`` refuses with a ValueError
+    or TypeError, raises a ValueError that starts with the path and is
+    caused by the original.  A ValueError subclass that takes a bare message
+    (DomainValidationError, TreeShapeError) keeps its class.
     """
     data = Path(path).read_bytes()
     try:
-        return json.loads(data), data
+        obj = json.loads(data)
     except ValueError as exc:
         raise ValueError("%s: not a JSON file: %s" % (path, exc)) from exc
+    try:
+        return build(obj), hashlib.sha256(data).hexdigest()
+    except (TypeError, ValueError) as exc:
+        keep = isinstance(exc, ValueError) and type(exc).__init__ is ValueError.__init__
+        raise (type(exc) if keep else ValueError)("%s: %s" % (path, exc)) from exc

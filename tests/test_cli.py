@@ -20,6 +20,7 @@ from ididiv import (
     TreeShapeError,
 )
 from ididiv.cli import main
+from ididiv.domains import domain_to_obj
 from ididiv.trees import canonical_parse
 from conftest import _peer_trees_t2, _rewriting
 
@@ -36,6 +37,11 @@ GRID = {
 
 def _run(argv):
     return main([str(a) for a in argv])
+
+
+def _tiger2_obj(**keys):
+    """The tiger T=2 domain file's mapping, with ``keys`` replaced."""
+    return dict(domain_to_obj(builtin_tiger(2)), **keys)
 
 
 class TestSolve:
@@ -95,27 +101,24 @@ class TestInputHashes:
         ids=["features", "solve-idid", "simulate"],
     )
     def test_cli_hashes_the_candidate_bytes_it_parsed(self, tmp_path, monkeypatch, argv, key):
-        # The file holds two trees; a second read through load_candidate_set
-        # would find it rewritten with three.
+        # The file holds two trees and is rewritten with three as soon as
+        # they are parsed, so a second read, or a hash taken after the
+        # parse, would see the three-tree bytes.
         trees = _peer_trees_t2()
         path = tmp_path / "cands.json"
         digests = {}
         for n in (3, 2):
             save_candidate_set(make_candidate_set(trees[:n], 2), path)
             digests[n] = hashlib.sha256(path.read_bytes()).hexdigest()
-        make, load = selection.make_candidate_set, cli.load_candidate_set
+        make = selection.make_candidate_set
         parsed = []
 
-        def recording_make(parsed_trees, *args, **kwargs):
+        def recording_make_then_rewrite(parsed_trees, *args, **kwargs):
             parsed.append(digests[len(parsed_trees)])
+            save_candidate_set(make(trees, 2), path)
             return make(parsed_trees, *args, **kwargs)
 
-        def rewrite_then_load(p):
-            save_candidate_set(make(trees, 2), path)
-            return load(p)
-
-        monkeypatch.setattr(selection, "make_candidate_set", recording_make)
-        monkeypatch.setattr(cli, "load_candidate_set", rewrite_then_load)
+        monkeypatch.setattr(selection, "make_candidate_set", recording_make_then_rewrite)
         assert _run(["--out-dir", tmp_path / "out", *argv, path]) == 0
         m = load_manifest(tmp_path / "out" / "manifest.json")
         assert parsed == [m.input_hashes[key]]
@@ -335,6 +338,41 @@ class TestParsing:
         with pytest.raises(ValueError, match="^" + re.escape(str(path)) + ": ") as info:
             _run(["--out-dir", tmp_path / "out", *argv])
         assert isinstance(info.value.__cause__, json.JSONDecodeError)
+
+    @pytest.mark.parametrize(
+        "argv, obj, message",
+        [
+            (["--domain", "{}", "solve"], lambda: [1, 2],
+             "a domain file is a JSON object, not a list"),
+            (["--domain", "{}", "solve"], lambda: {"name": "x"}, "missing keys: states, "),
+            (["--domain", "{}", "solve"], lambda: _tiger2_obj(horizon=[2]),
+             r"horizon: \[2\] is not an integer"),
+            (["--domain", "{}", "solve"], lambda: _tiger2_obj(horizon=2.7),
+             "horizon: 2.7 is not an integer"),
+            (["--domain", "{}", "solve"], lambda: _tiger2_obj(horizon="3"),
+             "horizon: '3' is not an integer"),
+            (["--domain", "{}", "solve"], lambda: _tiger2_obj(horizon=True),
+             "horizon: True is not an integer"),
+            (["experiment", "--config", "{}"], lambda: {"seeds": "x"},
+             "seeds must be a list, got 'x'"),
+            (["experiment", "--config", "{}"], lambda: {"rounds": 0}, "rounds must be >= 1"),
+            (["experiment", "--from-manifest", "{}"],
+             lambda: {"command": "experiment", "config": {}, "bogus": 1},
+             "RunManifest.__init__.. got an unexpected keyword argument 'bogus'"),
+        ],
+        ids=[
+            "domain-list", "domain-no-keys", "horizon-list", "horizon-float",
+            "horizon-string", "horizon-bool", "config-seeds", "config-rounds",
+            "manifest-unknown-key",
+        ],
+    )
+    def test_input_error_names_its_file(self, tmp_path, argv, obj, message):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(obj()))
+        argv = [a.format(path) for a in argv]
+        with pytest.raises(ValueError, match="^" + re.escape(str(path)) + ": " + message):
+            _run(["--out-dir", tmp_path / "out", *argv])
+        assert not (tmp_path / "out").exists()
 
     def test_missing_subcommand(self):
         with pytest.raises(SystemExit):

@@ -6,11 +6,16 @@ import pytest
 from ididiv import (
     BehaviorMatrix,
     BehaviorSequence,
+    SelectionConfig,
     build_matrix,
+    builtin_uav,
     constant_tree,
     extract_features,
+    generate_known_models,
     matrix_to_csv,
     pivot_decompose,
+    project_level0,
+    select_topk,
     sequence_list,
 )
 from conftest import node, random_tree_set
@@ -129,6 +134,62 @@ class TestPivotDecompose:
             for a, ca in enumerate(piv.pivot_indices):
                 for b, cb in enumerate(piv.pivot_indices):
                     assert piv.u_matrix[a][cb] == (1 if a == b else 0)
+
+
+def _rational_pivot(ent):
+    """Gauss-Jordan over Fractions, leftmost pivots: (pivots, rref rows)."""
+    nrows, ncols = ent.shape
+    rows = [[Fraction(int(x)) for x in ent[r]] for r in range(nrows)]
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        pr = next((k for k in range(r, nrows) if rows[k][c] != 0), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        rows[r] = [v / rows[r][c] for v in rows[r]]
+        for k in range(nrows):
+            if k != r and rows[k][c] != 0:
+                f = rows[k][c]
+                rows[k] = [a - f * b for a, b in zip(rows[k], rows[r])]
+        pivots.append(c)
+        r += 1
+    return tuple(pivots), tuple(tuple(rows[k]) for k in range(len(pivots)))
+
+
+def _assert_matches_rational(m):
+    piv = pivot_decompose(m)
+    pivots, u = _rational_pivot(m.entries)
+    assert (piv.pivot_indices, piv.rank) == (pivots, len(pivots))
+    assert piv.u_matrix == u
+    assert all(type(v) is Fraction for row in piv.u_matrix for v in row)
+    assert piv.f_matrix.tolist() == m.entries[:, list(pivots)].tolist()
+
+
+class TestIntegerElimination:
+    """The fraction-free elimination against the rational one, as oracle."""
+
+    def test_random_matrices(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(3000):
+            nr = int(rng.integers(1, 9))
+            nc = int(rng.integers(1, 25))
+            ent = rng.integers(0, 2, size=(nr, nc)).astype(np.uint8)
+            _assert_matches_rational(
+                BehaviorMatrix(tuple("r%d" % k for k in range(nr)), _dummy_columns(nc), ent)
+            )
+
+    def test_uav_horizon4_topk_set(self):
+        # The set `ididiv --domain uav topk --horizon 4 --k-max 30` builds.
+        level0 = project_level0(builtin_uav(4), "j")
+        known_ss, select_ss = np.random.SeedSequence(0).spawn(2)
+        known = generate_known_models(level0, 3, seed=known_ss)
+        cs = select_topk(known, level0, SelectionConfig(k_max=30, seed=select_ss))
+        m = build_matrix(cs.trees)
+        assert m.entries.shape[0] == 30
+        _assert_matches_rational(m)
 
 
 class TestPivotPositions:
