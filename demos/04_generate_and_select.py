@@ -32,11 +32,12 @@ for t in known:
 print()
 
 # One anchored sample, outside the selection loop, to show the mechanism.
+# The sampler returns the tree's actions in preorder.
 from ididiv import extract_features
 
 anchor = extract_features(known)[0]
-tree = sample_tree(level0, anchor, np.random.default_rng(1))
-print("anchor %s -> sampled tree %s" % (anchor.compact(), canonical_encode(tree)))
+row = sample_tree(level0, anchor, np.random.default_rng(1))
+print("anchor %s -> sampled preorder actions %s" % (anchor.compact(), "|".join(row)))
 print()
 
 candidates = select_topk(

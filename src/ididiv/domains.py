@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 import weakref
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -869,8 +870,24 @@ def domain_to_obj(domain: PosgDomain) -> dict:
     return obj
 
 
+def _as_written(key: str, value):
+    """``value``, once a search one nesting level at a time finds no bool or
+    string in it: a domain file's numbers are read as written."""
+    level = [value]
+    while level:
+        kinds = set(map(type, level))
+        if bool in kinds or str in kinds:
+            x = next(x for x in level if type(x) in (bool, str))
+            raise DomainValidationError("%s: %r is not a number" % (key, x))
+        nested = (x for x in level if type(x) is list) if list in kinds else ()
+        level = list(itertools.chain.from_iterable(nested))
+    return value
+
+
 def domain_from_obj(obj: Mapping) -> PosgDomain:
-    """The domain a ``domain_to_obj`` mapping describes, validated."""
+    """The domain a ``domain_to_obj`` mapping describes, validated.  Nothing
+    is coerced: the name is a non-empty string, and no number is a bool or
+    a string."""
     if not isinstance(obj, Mapping):
         raise DomainValidationError("a domain file is a JSON object, not a %s" % type(obj).__name__)
     required = [
@@ -888,21 +905,27 @@ def domain_from_obj(obj: Mapping) -> PosgDomain:
             "transition: a dense [s][ai][aj][s'] table, which is no longer read; "
             "write [s, ai, aj, s', p] entries"
         )
-    horizon = obj["horizon"]
+    horizon, name = obj["horizon"], obj["name"]
     if isinstance(horizon, bool) or not isinstance(horizon, int):
         raise DomainValidationError("horizon: %r is not an integer" % (horizon,))
+    if not isinstance(name, str) or not name:
+        raise DomainValidationError("name: %r is not a non-empty string" % (name,))
     S = len(labels["states"])
     shape = (S, len(labels["actions_i"]), len(labels["actions_j"]), S)
+
+    def table(key):
+        return np.asarray(_as_written(key, obj[key]), dtype=float)
+
     return PosgDomain(
-        name=str(obj["name"]),
+        name=name,
         **labels,
-        transition=JointTransition.from_entries(entries, shape),
-        obs_fn_i=np.asarray(obj["obs_i"], dtype=float),
-        obs_fn_j=np.asarray(obj["obs_j"], dtype=float),
-        reward_i=np.asarray(obj["reward_i"], dtype=float),
-        reward_j=np.asarray(obj["reward_j"], dtype=float),
+        transition=JointTransition.from_entries(_as_written("transition", entries), shape),
+        obs_fn_i=table("obs_i"),
+        obs_fn_j=table("obs_j"),
+        reward_i=table("reward_i"),
+        reward_j=table("reward_j"),
         horizon=horizon,
-        start=None if "start" not in obj else np.asarray(obj["start"], dtype=float),
+        start=table("start") if "start" in obj else None,
     )
 
 

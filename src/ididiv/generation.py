@@ -6,7 +6,8 @@ the action maximizes the immediate expected reward under the current belief.
 The root belief is a symmetric Dirichlet draw.  Beliefs advance by Bayes
 updates through the model's ``predict`` and ``condition``; an observation
 branch with zero probability falls back to the unconditioned predicted
-belief so the grown tree stays complete.
+belief so the grown tree stays complete.  A grown tree is its preorder
+action row; callers compare rows and build a tree only for a kept draw.
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ import numpy as np
 
 from .domains import SingleAgentModel
 from .solver import _beats, solve_exact
-from .trees import BehaviorSequence, PolicyTree, canonical_encode, count_trees
+# canonical_encode is unused here; perfbench/tracer.py binds generation.canonical_encode.
+from .trees import BehaviorSequence, PolicyTree, canonical_encode, count_trees  # noqa: F401
 
 __all__ = [
     "convert_to_dbn",
@@ -40,38 +42,33 @@ def _myopic_action(model: SingleAgentModel, b: np.ndarray) -> int:
     return best_a
 
 
-def _grow(
-    model: SingleAgentModel,
-    anchor: BehaviorSequence,
-    b: np.ndarray,
-    depth: int,
-    on_anchor: bool,
-) -> PolicyTree:
-    """The subtree at ``depth`` under belief b; see ``sample_tree``."""
+def _grow(model, anchor, b: np.ndarray, depth: int, on_anchor: bool, row: list[str]) -> None:
+    """Append the preorder row of the subtree at ``depth`` under belief b
+    to ``row``; see ``sample_tree``."""
     if on_anchor:
         a_sym = anchor.actions[depth]
         a = model.actions.index(a_sym)
     else:
         a = _myopic_action(model, b)
         a_sym = model.actions[a]
+    row.append(a_sym)
     if depth + 1 == model.horizon:
-        return PolicyTree(a_sym)
+        return
     pred = model.predict(b, a)
-    kids = []
     for o, o_sym in enumerate(model.observations):
         post = model.condition(pred, a, o)[1]
         nb = pred if post is None else post  # impossible branch: keep the prediction
         keep = on_anchor and anchor.observations[depth] == o_sym
-        kids.append((o_sym, _grow(model, anchor, nb, depth + 1, keep)))
-    return PolicyTree(a_sym, tuple(kids))
+        _grow(model, anchor, nb, depth + 1, keep, row)
 
 
 def sample_tree(
     model: SingleAgentModel,
     anchor: BehaviorSequence,
     rng: np.random.Generator,
-) -> PolicyTree:
-    """Grow one complete tree anchored on a feature behavior sequence.
+) -> tuple[str, ...]:
+    """Grow one complete tree anchored on a feature behavior sequence and
+    return its preorder action row, from which ``trees._build`` builds it.
 
     Nodes on the anchor's observation path copy the anchor's actions; all
     other nodes act myopically under the propagated belief.  The root belief
@@ -88,8 +85,9 @@ def sample_tree(
     for o in anchor.observations:
         if o not in model.observations:
             raise ValueError("anchor observation %r not in model observations" % o)
-    b0 = rng.dirichlet(np.ones(len(model.states)))
-    return _grow(model, anchor, b0, 0, True)
+    row: list[str] = []
+    _grow(model, anchor, rng.dirichlet(np.ones(len(model.states))), 0, True, row)
+    return tuple(row)
 
 
 def generate_known_models(
@@ -115,13 +113,12 @@ def generate_known_models(
     rng = np.random.default_rng(seed)
     cap = 40 * count + 20
     out: list[PolicyTree] = []
-    seen: set[str] = set()
+    seen: set[tuple[str, ...]] = set()
     for _ in range(cap):
         b = rng.dirichlet(np.ones(len(model.states)))
         pol = solve_exact(model.replace(initial_belief=b))
-        enc = canonical_encode(pol.tree)
-        if enc not in seen:
-            seen.add(enc)
+        if pol.tree.preorder not in seen:
+            seen.add(pol.tree.preorder)
             out.append(pol.tree)
             if len(out) == count:
                 return out

@@ -20,7 +20,7 @@ from .features import extract_features
 # convert_to_dbn is unused here; perfbench/tracer.py binds selection.convert_to_dbn.
 from .generation import convert_to_dbn, sample_tree  # noqa: F401
 from .trees import (
-    PolicyTree, _json_text, _read_input, canonical_encode, canonical_parse, validate_tree,
+    PolicyTree, _build, _json_text, _read_input, canonical_encode, canonical_parse, validate_tree,
 )
 
 __all__ = [
@@ -118,11 +118,6 @@ def make_candidate_set(
     )
 
 
-def _dedup(trees: Sequence[PolicyTree]) -> list[PolicyTree]:
-    # In first-appearance order; trees with equal encodings are equal.
-    return list({canonical_encode(t): t for t in trees}.values())
-
-
 def select_topk(
     known: Sequence[PolicyTree],
     model: SingleAgentModel,
@@ -134,11 +129,12 @@ def select_topk(
     Anchors are the feature sequences of the known set, cycled in order.  A
     sampled tree is accepted only when the configured measure strictly
     increases; the loop ends at ``k_max`` trees or after ``patience``
-    consecutive rejections.  Deterministic for a fixed config.
+    consecutive rejections.  Deterministic for a fixed config.  Draws are
+    compared as preorder rows, and only one not seen before becomes a tree.
     """
     measure_fn = MEASURES[config.measure]
     n_obs = len(model.observations)
-    base = _dedup(known)
+    base = list(dict.fromkeys(known))  # equal trees collapse, in first-appearance order
     if not base:
         raise ValueError("need at least one known tree")
     for t in base:
@@ -148,22 +144,22 @@ def select_topk(
     rng = np.random.default_rng(config.seed)
 
     trees = list(base)
-    seen = {canonical_encode(t) for t in trees}
+    seen = {t.preorder for t in trees}
     current = measure_fn(trees, n_obs)
     trace: list[tuple[int, float]] = [(len(trees), current)]
     misses = 0
     draw = 0
     while len(trees) < config.k_max and misses < config.patience:
-        cand = sample_tree(model, anchors[draw % len(anchors)], rng)
+        row = sample_tree(model, anchors[draw % len(anchors)], rng)
         draw += 1
-        enc = canonical_encode(cand)
-        if enc in seen:
+        if row in seen:
             misses += 1
             continue
+        cand = _build(iter(row), model.observations, model.horizon)
         value = measure_fn(trees + [cand], n_obs)
         if value > current:
             trees.append(cand)
-            seen.add(enc)
+            seen.add(row)
             current = value
             trace.append((len(trees), value))
             misses = 0

@@ -22,7 +22,10 @@ from .flattening import flatten
 from .generation import convert_to_dbn, sample_tree  # noqa: F401
 from .selection import CandidateModelSet
 from .solver import solve_exact
-from .trees import BehaviorSequence, PolicyTree, _csv_text, canonical_encode, validate_tree
+from .trees import (
+    BehaviorSequence, PolicyTree, _csv_text, _encoded_rows, _table_of, canonical_encode, node_table,
+    validate_tree,
+)
 
 __all__ = [
     "StepRecord",
@@ -97,20 +100,27 @@ def run_episode(
             "trees of depth (%d, %d) cannot cover horizon %d"
             % (tree_i.depth, tree_j.depth, T)
         )
-    return _play(domain, tree_i, tree_j, rng)
+    return _play(domain, _walk(tree_i), _walk(tree_j), rng)
 
 
-def _play(domain, tree_i, tree_j, rng) -> EpisodeTrace:
-    """``run_episode`` for trees already checked against the domain."""
+def _walk(tree: PolicyTree):
+    """A tree as ``_play`` reads it: its preorder row and its node children."""
+    return tree.preorder, _table_of(tree).children
+
+
+def _play(domain, walk_i, walk_j, rng) -> EpisodeTrace:
+    """``run_episode`` for trees already checked against the domain, each a
+    ``_walk``, so a tree deeper than the horizon keeps its own numbering."""
     T = domain.horizon
     s = int(rng.choice(len(domain.states), p=domain.start_distribution()))
 
-    node_i, node_j = tree_i, tree_j
+    (row_i, kids_i), (row_j, kids_j) = walk_i, walk_j
+    v_i = v_j = 0
     steps: list[StepRecord] = []
     tot_i = tot_j = 0.0
     for t in range(T):
-        ai = domain.actions_i.index(node_i.action)
-        aj = domain.actions_j.index(node_j.action)
+        ai = domain.actions_i.index(row_i[v_i])
+        aj = domain.actions_j.index(row_j[v_j])
         ri = float(domain.reward_i[s, ai, aj])
         rj = float(domain.reward_j[s, aj, ai])
         s2 = int(rng.choice(len(domain.states), p=domain.transition[s, ai, aj]))
@@ -120,8 +130,8 @@ def _play(domain, tree_i, tree_j, rng) -> EpisodeTrace:
             StepRecord(
                 t=t,
                 state=domain.states[s],
-                action_i=node_i.action,
-                action_j=node_j.action,
+                action_i=row_i[v_i],
+                action_j=row_j[v_j],
                 reward_i=ri,
                 reward_j=rj,
                 next_state=domain.states[s2],
@@ -132,8 +142,7 @@ def _play(domain, tree_i, tree_j, rng) -> EpisodeTrace:
         tot_i += ri
         tot_j += rj
         if t + 1 < T:
-            node_i = node_i.children[oi][1]
-            node_j = node_j.children[oj][1]
+            v_i, v_j = kids_i[v_i, oi], kids_j[v_j, oj]
             s = s2
     return EpisodeTrace(steps=tuple(steps), total_reward_i=tot_i, total_reward_j=tot_j)
 
@@ -150,20 +159,22 @@ def _random_anchor(model, rng) -> BehaviorSequence:
     return BehaviorSequence(acts, obs)
 
 
-def _draw_novel_tree(model, anchors, excluded, rng) -> PolicyTree:
+def _draw_novel_tree(model, anchors, excluded, rng) -> tuple[str, ...]:
+    """The preorder row of the first sampled tree whose row is not in
+    ``excluded`` (rows of the model's depth and observation alphabet)."""
     for _ in range(_REJECTION_CAP):
         anchor = anchors[int(rng.integers(len(anchors)))]
-        cand = sample_tree(model, anchor, rng)
-        if canonical_encode(cand) not in excluded:
-            return cand
+        row = sample_tree(model, anchor, rng)
+        if row not in excluded:
+            return row
     # The feature-anchored sampler has a finite image that a well-expanded
     # candidate set can cover completely.  Widen to uniformly random anchor
     # sequences, which can plant any action path and so reach trees no
     # feature anchor produces.
     for _ in range(_REJECTION_CAP):
-        cand = sample_tree(model, _random_anchor(model, rng), rng)
-        if canonical_encode(cand) not in excluded:
-            return cand
+        row = sample_tree(model, _random_anchor(model, rng), rng)
+        if row not in excluded:
+            return row
     raise RuntimeError(
         "failed to draw a true model outside the candidate set in %d attempts"
         % (2 * _REJECTION_CAP)
@@ -197,8 +208,8 @@ def run_experiment(
     if excluded_encodings is not None and true_mode != "random-generated":
         raise ValueError("excluded_encodings only applies to random-generated mode")
 
-    # flatten checks every candidate tree, and a tree sample_tree grows is
-    # complete by construction, so rounds play without re-checking trees.
+    # flatten checks every candidate tree, and sample_tree grows the row of a
+    # complete tree, so rounds play rows without re-checking or building trees.
     flat = flatten(domain, candidates)
     policy = solve_exact(flat.model)
     validate_tree(
@@ -211,14 +222,16 @@ def run_experiment(
         ] or list(candidates.trees)
         anchors = extract_features(known)
         level0 = project_level0(domain, "j")
-        excluded = frozenset(canonical_encode(t) for t in candidates.trees)
-        if excluded_encodings is not None:
-            excluded |= frozenset(excluded_encodings)
+        encodings = [canonical_encode(t) for t in candidates.trees]
+        encodings += excluded_encodings or ()
+        excluded = _encoded_rows(encodings, level0.observations, level0.horizon)
+        kids_j = node_table(len(level0.observations), level0.horizon).children
 
     if isinstance(seed, np.random.SeedSequence):
         spawns = seed.spawn(rounds)
     else:
         spawns = np.random.SeedSequence(seed).spawn(rounds)
+    walk_i = _walk(policy.tree)
     rewards_i: list[float] = []
     rewards_j: list[float] = []
     traces: list[EpisodeTrace] = []
@@ -226,10 +239,10 @@ def run_experiment(
         rng = np.random.default_rng(spawns[k])
         if true_mode == "from-set":
             idx = int(rng.choice(len(candidates.trees), p=candidates.prior))
-            tt = candidates.trees[idx]
+            walk_j = _walk(candidates.trees[idx])
         else:
-            tt = _draw_novel_tree(level0, anchors, excluded, rng)
-        ep = _play(domain, policy.tree, tt, rng)
+            walk_j = (_draw_novel_tree(level0, anchors, excluded, rng), kids_j)
+        ep = _play(domain, walk_i, walk_j, rng)
         rewards_i.append(ep.total_reward_i)
         rewards_j.append(ep.total_reward_j)
         if keep_traces:

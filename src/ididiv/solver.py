@@ -26,17 +26,19 @@ either picks the best action at each belief or follows a given tree, so the
 value reported for a solved tree is bit-identical to evaluating that tree.
 Picking returns each subtree as its preorder action row, an immutable
 tuple, and solve_exact builds the one tree of a solve from the root's row
-with ``trees._build``.
+with ``trees._build``.  Following reads a tree's preorder row through its
+``trees.node_table``, so brute_force_solve builds only the winning tree.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Any, Protocol
 
 import numpy as np
 
-from .trees import PolicyTree, _build, all_trees, count_tree_nodes, count_trees, validate_tree
+from .trees import PolicyTree, _build, count_tree_nodes, count_trees, node_table, validate_tree
 
 __all__ = [
     "TIE_TOL",
@@ -97,20 +99,22 @@ def _backup(
     model: Model,
     b,
     remaining: int,
-    node: PolicyTree | None = None,
+    follow: tuple[tuple[str, ...], np.ndarray] | None = None,
+    v: int = 0,
 ) -> tuple[float, tuple[str, ...] | None]:
     """Value and preorder action row of the remaining decisions from belief b.
 
-    With no ``node`` every action is tried and the first wins unless a
+    With no ``follow`` every action is tried and the first wins unless a
     later one ``_beats`` it; observation branches that cannot occur get a
-    filler row repeating the first action.  With a ``node`` only its action
-    is tried, each branch follows the node's child, and no row is returned.
+    filler row repeating the first action.  With ``follow``, a tree's
+    preorder row and its node table's children, only the action of node v
+    is tried, each branch follows v's child, and no row is returned.
     """
     n_obs = len(model.observations)
-    if node is None:
+    if follow is None:
         choices = range(len(model.actions))
     else:
-        choices = (model.actions.index(node.action),)
+        choices = (model.actions.index(follow[0][v]),)
     best_v = -np.inf
     best: tuple[int, list] | None = None
     for a in choices:
@@ -121,16 +125,16 @@ def _backup(
             for o in range(n_obs):
                 p, post = model.condition(pred, a, o)
                 if post is not None:
-                    follow = None if node is None else node.children[o][1]
-                    v, sub = _backup(model, post, remaining - 1, follow)
-                    q += p * v
+                    w = 0 if follow is None else follow[1][v, o]
+                    val, sub = _backup(model, post, remaining - 1, follow, w)
+                    q += p * val
                     kids.append(sub)
                 else:
                     kids.append(None)
         if best is None or _beats(q, best_v):
             best_v, best = q, (a, kids)
     assert best is not None
-    if node is not None:
+    if follow is not None:
         return best_v, None
     a, kids = best
     row = (model.actions[a],)
@@ -164,7 +168,8 @@ def evaluate_policy(model: Model, tree: PolicyTree) -> float:
     pair of augmented indices and probabilities for a FlatModel.
     """
     validate_tree(tree, model.observations, depth=model.horizon, actions=model.actions)
-    return _backup(model, model.initial_belief, model.horizon, tree)[0]
+    kids = node_table(len(model.observations), model.horizon).children
+    return _backup(model, model.initial_belief, model.horizon, (tree.preorder, kids))[0]
 
 
 def brute_force_solve(
@@ -173,23 +178,21 @@ def brute_force_solve(
     """Enumerate every complete tree and keep the best.
 
     Near ties (``TIE_TOL``) keep the lexicographically earlier tree
-    (preorder, declared action order), which is the same tree solve_exact
-    constructs.  Raises
+    (preorder, declared action order, as ``trees.all_trees`` lists them),
+    which is the same tree solve_exact constructs.  Raises
     EnumerationCapError when the tree count exceeds ``max_trees``.
     """
-    n = count_trees(len(model.actions), len(model.observations), model.horizon)
+    n_obs, T = len(model.observations), model.horizon
+    n = count_trees(len(model.actions), n_obs, T)
     if n > max_trees:
         raise EnumerationCapError(
             "%d complete trees exceed the enumeration cap of %d" % (n, max_trees)
         )
-    best_v = -np.inf
-    best_tree: PolicyTree | None = None
-    for tree in all_trees(model.actions, model.observations, model.horizon):
-        v = _backup(model, model.initial_belief, model.horizon, tree)[0]
-        if best_tree is None or _beats(v, best_v):
-            best_v = v
-            best_tree = tree
-    assert best_tree is not None
-    return SolvedPolicy(
-        tree=best_tree, value=best_v, model_name=model.name, horizon=model.horizon
-    )
+    kids = node_table(n_obs, T).children
+    best_v, best = -np.inf, None
+    for row in itertools.product(model.actions, repeat=count_tree_nodes(n_obs, T)):
+        v = _backup(model, model.initial_belief, T, (row, kids))[0]
+        if best is None or _beats(v, best_v):
+            best_v, best = v, row
+    tree = _build(iter(best), model.observations, T)
+    return SolvedPolicy(tree=tree, value=best_v, model_name=model.name, horizon=T)

@@ -283,6 +283,14 @@ def canonical_encode(tree: PolicyTree) -> str:
     return "%d;%s;%s" % (tree.depth, ",".join(obs), "|".join(tree.preorder))
 
 
+def _encoded_rows(encodings: Iterable[str], observations, depth: int) -> frozenset:
+    """The preorder action rows of those ``encodings`` that spell a tree of
+    this depth over these observations, the only ones whose encoding can
+    equal ``canonical_encode`` of such a tree."""
+    head = "%d;%s;" % (depth, ",".join(observations) if depth > 1 else "")
+    return frozenset(tuple(e[len(head):].split("|")) for e in encodings if e.startswith(head))
+
+
 def canonical_parse(text: str) -> PolicyTree:
     """Inverse of canonical_encode; raise TreeShapeError naming ``text``.
 

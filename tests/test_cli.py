@@ -44,6 +44,17 @@ def _tiger2_obj(**keys):
     return dict(domain_to_obj(builtin_tiger(2)), **keys)
 
 
+def _tiger2_edit(key, index, value):
+    """The tiger T=2 domain file's mapping with obj[key][index...] = value."""
+    obj = _tiger2_obj()
+    *path, last = index
+    inner = obj[key]
+    for k in path:
+        inner = inner[k]
+    inner[last] = value
+    return obj
+
+
 class TestSolve:
     def test_level0_policy_written(self, tmp_path, capsys):
         rc = _run(["--out-dir", tmp_path, "solve", "--agent", "j", "--horizon", "2"])
@@ -353,6 +364,16 @@ class TestParsing:
              "horizon: '3' is not an integer"),
             (["--domain", "{}", "solve"], lambda: _tiger2_obj(horizon=True),
              "horizon: True is not an integer"),
+            (["--domain", "{}", "solve"], lambda: _tiger2_obj(name=5),
+             "name: 5 is not a non-empty string"),
+            (["--domain", "{}", "solve"], lambda: _tiger2_obj(name=""),
+             "name: '' is not a non-empty string"),
+            (["--domain", "{}", "solve"], lambda: _tiger2_edit("reward_i", (0, 0, 0), "-1.0"),
+             "reward_i: '-1.0' is not a number"),
+            (["--domain", "{}", "solve"], lambda: _tiger2_obj(start=[True, False]),
+             "start: (True|False) is not a number"),
+            (["--domain", "{}", "solve"], lambda: _tiger2_edit("transition", (0, 4), True),
+             "transition: True is not a number"),
             (["experiment", "--config", "{}"], lambda: {"seeds": "x"},
              "seeds must be a list, got 'x'"),
             (["experiment", "--config", "{}"], lambda: {"rounds": 0}, "rounds must be >= 1"),
@@ -362,7 +383,8 @@ class TestParsing:
         ],
         ids=[
             "domain-list", "domain-no-keys", "horizon-list", "horizon-float",
-            "horizon-string", "horizon-bool", "config-seeds", "config-rounds",
+            "horizon-string", "horizon-bool", "name-number", "name-empty",
+            "reward-string", "start-bools", "probability-bool", "config-seeds", "config-rounds",
             "manifest-unknown-key",
         ],
     )

@@ -14,11 +14,23 @@ from ididiv import (
     solve_exact,
     validate_tree,
 )
+from ididiv.trees import _build
 from conftest import _det_model_2a
 
 
 def _anchor(actions, observations):
     return BehaviorSequence(tuple(actions), tuple(observations))
+
+
+def _tree(model, row):
+    """The tree a sampled preorder row spells."""
+    return _build(iter(row), model.observations, model.horizon)
+
+
+def _grown(model, anchor, b0):
+    row = []
+    generation._grow(model, anchor, b0, 0, True, row)
+    return _tree(model, row)
 
 
 class TestSampleTree:
@@ -27,7 +39,7 @@ class TestSampleTree:
         rng = np.random.default_rng(0)
         anchor = _anchor(("Listen", "Listen", "Listen"), ("GrowlLeft", "GrowlLeft"))
         for _ in range(10):
-            t = sample_tree(dbn, anchor, rng)
+            t = _tree(dbn, sample_tree(dbn, anchor, rng))
             validate_tree(t, tiger_j.observations, depth=3, actions=tiger_j.actions)
 
     def test_anchor_path_copied(self, tiger_j):
@@ -36,7 +48,7 @@ class TestSampleTree:
         anchor = _anchor(
             ("OpenLeft", "Listen", "OpenRight"), ("GrowlLeft", "GrowlRight")
         )
-        t = sample_tree(dbn, anchor, rng)
+        t = _tree(dbn, sample_tree(dbn, anchor, rng))
         assert anchor in set(sequence_list(t))
         assert t.action == "OpenLeft"
 
@@ -46,7 +58,7 @@ class TestSampleTree:
         m = _det_model_2a()
         anchor = _anchor(("a0", "a0"), ("z0",))
         b0 = np.array([0.0, 1.0])
-        t = generation._grow(m, anchor, b0, 0, True)
+        t = _grown(m, anchor, b0)
         assert t.action == "a0"
         assert dict(t.children)["z0"].action == "a0"  # anchor copied
         assert dict(t.children)["z1"].action == "a1"  # myopic off anchor
@@ -66,8 +78,8 @@ class TestSampleTree:
             ("Listen", "OpenLeft", "Listen"), ("GrowlLeft", "GrowlRight")
         )
         b0 = np.random.default_rng(3).dirichlet(np.ones(len(tiger_j.states)))
-        t = sample_tree(dbn, anchor, np.random.default_rng(3))
-        assert t == generation._grow(tiger_j, anchor, b0, 0, True)
+        t = _tree(dbn, sample_tree(dbn, anchor, np.random.default_rng(3)))
+        assert t == _grown(tiger_j, anchor, b0)
 
     def test_anchor_length_enforced(self, tiger_j):
         dbn = convert_to_dbn(tiger_j)
@@ -105,7 +117,7 @@ class TestSampleTree:
         m = m.replace(obs_fn=obs)
         dbn = convert_to_dbn(m)
         anchor = _anchor(("a0", "a0"), ("z0",))
-        t = sample_tree(dbn, anchor, np.random.default_rng(0))
+        t = _tree(m, sample_tree(dbn, anchor, np.random.default_rng(0)))
         validate_tree(t, m.observations, depth=2, actions=m.actions)
 
 

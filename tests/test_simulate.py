@@ -20,6 +20,33 @@ from ididiv import (
     flatten,
     simulate,
 )
+from ididiv.trees import _build, _encoded_rows, all_trees, node_table
+
+
+def _levels(obs, *actions):
+    """The complete tree whose every node on level t plays actions[t]."""
+    levels = node_table(len(obs), len(actions)).level
+    return _build(iter([actions[t] for t in levels]), tuple(obs), len(actions))
+
+
+def _tree(model, row):
+    """The tree a sampled preorder row spells."""
+    return _build(iter(row), model.observations, model.horizon)
+
+
+def _draw_by_encoding(model, anchors, excluded, rng):
+    """Reference for ``_draw_novel_tree``: the same draws, each built as a
+    tree and rejected by its canonical encoding; None when all are rejected."""
+    cap = simulate._REJECTION_CAP
+    for k in range(2 * cap):
+        if k < cap:
+            anchor = anchors[int(rng.integers(len(anchors)))]
+        else:
+            anchor = simulate._random_anchor(model, rng)
+        tree = _tree(model, simulate.sample_tree(model, anchor, rng))
+        if canonical_encode(tree) not in excluded:
+            return tree.preorder
+    return None
 
 
 @pytest.fixture(scope="module")
@@ -103,6 +130,20 @@ class TestRunEpisode:
         with pytest.raises(Exception):
             run_episode(tiger2, deep, shallow_i, np.random.default_rng(0))
 
+    def test_deeper_trees_follow_their_own_children(self, tiger2):
+        # Depth-3 trees on a T=2 domain.  In a depth-3 preorder the root's
+        # children are not nodes 1, 2, ..., as in a depth-2 one, so step 1
+        # must play the level-1 action, never the level-2 one.
+        ti = _levels(tiger2.observations_i, "Listen", "OpenLeft", "OpenRight")
+        tj = _levels(tiger2.observations_j, "Listen", "OpenRight", "OpenLeft")
+        seen = set()
+        for seed in range(20):
+            s0, s1 = run_episode(tiger2, ti, tj, np.random.default_rng(seed)).steps
+            assert s1.action_i == dict(ti.children)[s0.obs_i].action == "OpenLeft"
+            assert s1.action_j == dict(tj.children)[s0.obs_j].action == "OpenRight"
+            seen.update((s0.obs_i, s0.obs_j))
+        assert {"GrowlRight", "GrowlRightSilence"} <= seen
+
 
 class TestRunExperiment:
     def test_from_set_stats(self, tiger2, cand2):
@@ -180,6 +221,27 @@ class TestRunExperiment:
             for st in tr.steps:
                 assert st.action_j in tiger2.actions_j
 
+    def test_deeper_candidates_follow_their_own_children(self, tiger2):
+        # Depth-3 candidates on a T=2 domain, told apart by their root
+        # action; each round's peer steps through its own tree's children.
+        deep = [
+            _levels(tiger2.observations_j, "Listen", "OpenLeft", "OpenRight"),
+            _levels(tiger2.observations_j, "OpenRight", "Listen", "OpenLeft"),
+        ]
+        stats = run_experiment(
+            tiger2, make_candidate_set(deep, 2), "from-set", rounds=20, seed=0,
+            keep_traces=True,
+        )
+        by_root = {t.action: t for t in deep}
+        seen = set()
+        for tr in stats.traces:
+            s0, s1 = tr.steps
+            tree = by_root[s0.action_j]
+            assert s1.action_j == dict(tree.children)[s0.obs_j].action
+            assert s1.action_j == dict(tree.children)["GrowlLeft"].action
+            seen.add((s0.action_j, s0.obs_j))
+        assert len(seen) == 4
+
     def test_single_round_variance_zero(self, tiger2, cand2):
         stats = run_experiment(tiger2, cand2, "from-set", rounds=1, seed=0)
         assert stats.reward_variance_i == 0.0
@@ -238,8 +300,9 @@ class TestExcludedEncodings:
         dbn = convert_to_dbn(j)
         anchors = extract_features(known)
         excl = frozenset(canonical_encode(t) for t in known)
-        a = _draw_novel_tree(dbn, anchors, excl, np.random.default_rng(21))
-        b = _draw_novel_tree(dbn, anchors, excl, np.random.default_rng(21))
+        rows = _encoded_rows(excl, dbn.observations, 2)
+        a = _tree(j, _draw_novel_tree(dbn, anchors, rows, np.random.default_rng(21)))
+        b = _tree(j, _draw_novel_tree(dbn, anchors, rows, np.random.default_rng(21)))
         assert canonical_encode(a) == canonical_encode(b)
         assert canonical_encode(a) not in excl
 
@@ -250,17 +313,17 @@ class TestExcludedEncodings:
         from ididiv.features import extract_features
         from ididiv.generation import convert_to_dbn
         from ididiv.simulate import _draw_novel_tree
-        from ididiv.trees import all_trees
 
         j = project_level0(tiger2, "j")
         known = generate_known_models(j, 2, seed=0)
         dbn = convert_to_dbn(j)
         anchors = extract_features(known)
-        tau = _draw_novel_tree(dbn, anchors, frozenset(), np.random.default_rng(5))
+        tau = _tree(j, _draw_novel_tree(dbn, anchors, frozenset(), np.random.default_rng(5)))
         universe = {canonical_encode(t) for t in all_trees(j.actions, j.observations, 2)}
         excl = frozenset(universe - {canonical_encode(tau)})
 
-        got = _draw_novel_tree(dbn, anchors, excl, np.random.default_rng(7))
+        rows = _encoded_rows(excl, j.observations, 2)
+        got = _tree(j, _draw_novel_tree(dbn, anchors, rows, np.random.default_rng(7)))
         assert canonical_encode(got) == canonical_encode(tau)
 
         pool = [
@@ -276,6 +339,56 @@ class TestExcludedEncodings:
             assert tr.steps[0].action_j == tau.action
             branch = dict(tau.children)[tr.steps[0].obs_j]
             assert tr.steps[1].action_j == branch.action
+
+    @staticmethod
+    def _other_shapes(j):
+        """Every depth-2 action row of the peer, spelled under another
+        observation alphabet and under depth 3 over one observation (also
+        three nodes): encodings no drawn tree can have."""
+        rows = ["|".join(t.preorder) for t in all_trees(j.actions, j.observations, 2)]
+        return frozenset(h + r for r in rows for h in ("2;Left,Right;", "3;GrowlLeft;"))
+
+    def test_other_shapes_leave_draws_alone(self, tiger2, cand2):
+        j = project_level0(tiger2, "j")
+        a = run_experiment(tiger2, cand2, "random-generated", rounds=6, seed=9, keep_traces=True)
+        b = run_experiment(
+            tiger2, cand2, "random-generated", rounds=6, seed=9, keep_traces=True,
+            excluded_encodings=self._other_shapes(j),
+        )
+        assert a.traces == b.traces
+
+    def test_rows_match_encoding_reference(self, tiger2):
+        # With the same rng, row exclusion draws what exclusion by encoding
+        # draws, leaves the rng in the same state, and gives up alike.
+        from ididiv.features import extract_features
+        from ididiv.simulate import _draw_novel_tree
+
+        j = project_level0(tiger2, "j")
+        known = generate_known_models(j, 2, seed=0)
+        anchors = extract_features(known)
+        universe = [canonical_encode(t) for t in all_trees(j.actions, j.observations, 2)]
+        other = self._other_shapes(j)
+        cases = [
+            frozenset(),
+            frozenset(canonical_encode(t) for t in known) | other,
+            frozenset(universe[::2]) | other,
+            frozenset(universe) - {universe[5]},
+            frozenset(universe) | other,
+        ]
+        outcomes = set()
+        for excl in cases:
+            rows = _encoded_rows(excl, j.observations, 2)
+            for seed in range(4):
+                ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+                want = _draw_by_encoding(j, anchors, excl, ref_rng)
+                try:
+                    got = _draw_novel_tree(j, anchors, rows, rng)
+                except RuntimeError:
+                    got = None
+                assert got == want
+                assert rng.bit_generator.state == ref_rng.bit_generator.state
+                outcomes.add(want is None)
+        assert outcomes == {True, False}
 
 
 class TestCsv:
