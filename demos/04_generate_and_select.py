@@ -49,7 +49,8 @@ for size, value in candidates.trace:
 print("provenance:", candidates.provenance)
 print()
 
-out = Path(tempfile.mkdtemp()) / "candidates.json"
-save_candidate_set(candidates, out)
-again = load_candidate_set(out)
+with tempfile.TemporaryDirectory() as tmp:
+    out = Path(tmp) / "candidates.json"
+    save_candidate_set(candidates, out)
+    again = load_candidate_set(out)
 print("saved to %s, round-trip equal: %s" % (out, again.trees == candidates.trees))

@@ -22,17 +22,18 @@ config = {
     "seeds": [0, 1],
 }
 
-out = Path(tempfile.mkdtemp())
-manifest = run_experiment_grid(config, out / "first")
-print("cells:", len(manifest.timings["cells"]))
-print("errors:", manifest.errors)
-print()
+with tempfile.TemporaryDirectory() as tmp:
+    out = Path(tmp)
+    manifest = run_experiment_grid(config, out / "first")
+    print("cells:", len(manifest.timings["cells"]))
+    print("errors:", manifest.errors)
+    print()
 
-print((out / "first" / "results.csv").read_text())
+    print((out / "first" / "results.csv").read_text())
 
-rerun = run_from_manifest(out / "first" / "manifest.json", out / "second")
-same = all(
-    file_sha256(out / "first" / f) == file_sha256(out / "second" / f)
-    for f in ("results.csv", "diversity.csv")
-)
-print("manifest rerun reproduces the CSVs byte for byte:", same)
+    rerun = run_from_manifest(out / "first" / "manifest.json", out / "second")
+    same = all(
+        file_sha256(out / "first" / f) == file_sha256(out / "second" / f)
+        for f in ("results.csv", "diversity.csv")
+    )
+    print("manifest rerun reproduces the CSVs byte for byte:", same)

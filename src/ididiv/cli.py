@@ -161,8 +161,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_features(args) -> int:
-    out = _out_dir(args)
     cs, digest = _read_input(args.trees, candidate_set_from_obj)
+    out = _out_dir(args)
     hashes = {"trees": digest}
     matrix = build_matrix(cs.trees)
     piv = pivot_decompose(matrix)
@@ -243,8 +243,8 @@ def cmd_topk(args) -> int:
 def cmd_solve_idid(args) -> int:
     by_horizon, hashes = resolve_domain(args.domain, [args.horizon])
     domain = by_horizon[args.horizon]
-    out = _out_dir(args)
     cs, hashes["candidates"] = _read_input(args.candidates, candidate_set_from_obj)
+    out = _out_dir(args)
 
     t0 = time.perf_counter()
     flat = flatten(domain, cs)
@@ -279,8 +279,8 @@ def cmd_solve_idid(args) -> int:
 def cmd_simulate(args) -> int:
     by_horizon, hashes = resolve_domain(args.domain, [args.horizon])
     domain = by_horizon[args.horizon]
-    out = _out_dir(args)
     cs, hashes["candidates"] = _read_input(args.candidates, candidate_set_from_obj)
+    out = _out_dir(args)
 
     t0 = time.perf_counter()
     stats = run_experiment(

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import itertools
 import weakref
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -41,7 +40,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .trees import _check_symbols, _json_text, _read_input
+from .trees import _as_written, _check_symbols, _json_text, _read_input
 
 __all__ = [
     "DomainValidationError",
@@ -63,6 +62,7 @@ __all__ = [
 ]
 
 _TOL = 1e-12
+_LABELS = ("states", "actions_i", "actions_j", "observations_i", "observations_j")
 
 
 class DomainValidationError(ValueError):
@@ -129,8 +129,9 @@ class JointTransition:
         Entries are stored by row (ai, aj, s), then by column s', and those
         with p == 0 are dropped.  An entry that is not five numbers, an index
         that is not an integer inside ``shape`` and a repeated (s, ai, aj, s')
-        raise DomainValidationError naming the entry; ``validate_domain``
-        checks the values of p.
+        raise DomainValidationError naming the entry, and a bool or string
+        in any entry one naming the value: numbers are read as written.
+        ``validate_domain`` checks the values of p.
         """
         S, Ai, Aj, S2 = shape = tuple(int(n) for n in shape)
         try:
@@ -147,6 +148,7 @@ class JointTransition:
                     pass
                 raise DomainValidationError("transition: entry %d is not [s, ai, aj, s', p]" % n)
             arr = np.array(entries, dtype=float).reshape(-1, 5)
+        _as_written("transition", entries, DomainValidationError)
         idx = arr[:, :4]
         bad = ((idx != np.floor(idx)) | (idx < 0) | (idx >= shape)).any(axis=1)
         if bad.any():
@@ -444,11 +446,7 @@ def validate_model(m: SingleAgentModel) -> None:
 
 
 def validate_domain(d: PosgDomain) -> None:
-    S = len(_check_labels("states", d.states))
-    Ai = len(_check_labels("actions_i", d.actions_i))
-    Aj = len(_check_labels("actions_j", d.actions_j))
-    Oi = len(_check_labels("observations_i", d.observations_i))
-    Oj = len(_check_labels("observations_j", d.observations_j))
+    S, Ai, Aj, Oi, Oj = (len(_check_labels(k, getattr(d, k))) for k in _LABELS)
     if d.horizon < 1:
         raise DomainValidationError("horizon: must be >= 1, got %d" % d.horizon)
     T = d.transition
@@ -529,17 +527,11 @@ def _build_tiger(horizon: int) -> PosgDomain:
         for aj in range(A):
             Oj[s, aj, :] = growl(s, aj)
 
-    def base_reward(s: int, act: int) -> float:
-        if act == LISTEN:
-            return -1.0
-        return -100.0 if act == s else 10.0
-
-    Ri = np.zeros((S, A, A))
-    Rj = np.zeros((S, A, A))
+    # [S, own action, peer action], the same for both agents.
+    reward = np.zeros((S, A, A))
     for s in range(S):
         for a in range(A):
-            Ri[s, a, :] = base_reward(s, a)
-            Rj[s, a, :] = base_reward(s, a)
+            reward[s, a, :] = -1.0 if a == LISTEN else -100.0 if a == s else 10.0
 
     return PosgDomain(
         name="tiger",
@@ -551,8 +543,8 @@ def _build_tiger(horizon: int) -> PosgDomain:
         transition=T,
         obs_fn_i=Oi,
         obs_fn_j=Oj,
-        reward_i=Ri,
-        reward_j=Rj,
+        reward_i=reward,
+        reward_j=reward,
         horizon=horizon,
         start=np.array([0.5, 0.5]),
     )
@@ -561,9 +553,13 @@ def _build_tiger(horizon: int) -> PosgDomain:
 # ------------------------------------------------------------------ uav ----
 
 _GRID = 5
+_CELLS = _GRID * _GRID
 _SAFE = 0  # cell (0, 0)
 _UAV_MOVES = ("N", "S", "E", "W", "Stay")
-_QUADS = ("NE", "NW", "SE", "SW")
+_QUADS = ("NE", "NW", "SE", "SW")  # at 2 * south + west, as _quad_rows reads it
+# Joint state ci * _CELLS + cj puts the chaser on cell ci and the fugitive on
+# cj; the three flag states follow the _CAP cell pairs.
+_CAP, _ESC, _DONE = _CELLS**2, _CELLS**2 + 1, _CELLS**2 + 2
 
 
 def _cell_name(c: int) -> str:
@@ -578,21 +574,13 @@ def _move_target(c: int, move: int) -> int:
     return ny * _GRID + nx
 
 
-def _quadrant(dx: int, dy: int) -> int:
-    # Ties go north and east.
-    ns = "N" if dy >= 0 else "S"
-    ew = "E" if dx >= 0 else "W"
-    return _QUADS.index(ns + ew)
-
-
-def _quad_rows(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
-    """Noisy quadrant observation rows: 0.8 correct, 0.2 split over the rest."""
-    n = dx.shape[0]
-    rows = np.full((n, 4), 0.2 / 3.0)
-    correct = np.fromiter(
-        (_quadrant(int(a), int(b)) for a, b in zip(dx, dy)), dtype=int, count=n
-    )
-    rows[np.arange(n), correct] = 0.8
+def _quad_rows(frm: np.ndarray, to) -> np.ndarray:
+    """Noisy observation rows of the quadrant of cell ``to`` seen from each
+    cell of ``frm``: 0.8 correct, 0.2 split over the rest.  Ties go north
+    and east."""
+    dx, dy = to % _GRID - frm % _GRID, to // _GRID - frm // _GRID
+    rows = np.full((len(frm), 4), 0.2 / 3.0)
+    rows[np.arange(len(frm)), 2 * (dy < 0) + (dx < 0)] = 0.8
     return rows
 
 
@@ -605,11 +593,10 @@ def _uav_level0_fugitive(horizon: int) -> SingleAgentModel:
     safe house relative to the new cell, identical to the joint channel, so
     trees built against this model drive the fugitive in the joint game.
     """
-    n = _GRID * _GRID
     A = len(_UAV_MOVES)
-    T = np.zeros((n, A, n))
-    R = np.zeros((n, A))
-    for c in range(n):
+    T = np.zeros((_CELLS, A, _CELLS))
+    R = np.zeros((_CELLS, A))
+    for c in range(_CELLS):
         for a in range(A):
             if c == _SAFE:
                 T[c, a, c] = 1.0
@@ -622,17 +609,14 @@ def _uav_level0_fugitive(horizon: int) -> SingleAgentModel:
                 T[c, a, c] = 0.1
             R[c, a] = -1.0 + 100.0 * T[c, a, _SAFE]
 
-    cells = np.arange(n)
-    dx = (_SAFE % _GRID) - (cells % _GRID)
-    dy = (_SAFE // _GRID) - (cells // _GRID)
-    Ob = np.repeat(_quad_rows(dx, dy)[:, None, :], A, axis=1)
+    Ob = np.repeat(_quad_rows(np.arange(_CELLS), _SAFE)[:, None, :], A, axis=1)
 
-    b0 = np.zeros(n)
-    b0[(_GRID - 1) * _GRID + (_GRID - 1)] = 1.0  # corner opposite the safe house
+    b0 = np.zeros(_CELLS)
+    b0[_CELLS - 1] = 1.0  # corner opposite the safe house
 
     return SingleAgentModel(
         name="uav:level0:j",
-        states=tuple(_cell_name(c) for c in range(n)),
+        states=tuple(_cell_name(c) for c in range(_CELLS)),
         actions=_UAV_MOVES,
         observations=_QUADS,
         transition=T,
@@ -651,14 +635,11 @@ def _uav_transition(ci: np.ndarray, cj: np.ndarray) -> JointTransition:
     order from 0.0, so moves that land on the same state sum as four
     successive += would.
     """
-    n = _GRID * _GRID
     A = len(_UAV_MOVES)
-    n_joint = n * n
-    CAP, ESC, DONE = n_joint, n_joint + 1, n_joint + 2
-    S = n_joint + 3
-    tgt = np.array([[_move_target(c, a) for a in range(A)] for c in range(n)])
-    src = np.arange(n_joint) * S
-    flags = np.array([CAP, ESC, DONE]) * S + DONE
+    S = _DONE + 1
+    tgt = np.array([[_move_target(c, a) for a in range(A)] for c in range(_CELLS)])
+    src = np.arange(_CAP) * S
+    flags = np.array([_CAP, _ESC, _DONE]) * S + _DONE
     keys, probs = [], []
     for ai in range(A):
         for aj in range(A):
@@ -667,10 +648,10 @@ def _uav_transition(ci: np.ndarray, cj: np.ndarray) -> JointTransition:
                 for ncj, wj in ((tgt[cj, aj], 0.9), (cj, 0.1)):
                     # Capture takes precedence over escape at the safe cell.
                     dest = np.where(
-                        nci == ncj, CAP, np.where(ncj == _SAFE, ESC, nci * n + ncj)
+                        nci == ncj, _CAP, np.where(ncj == _SAFE, _ESC, nci * _CELLS + ncj)
                     )
                     block.append(src + dest)
-                    weights.append(np.full(n_joint, wi * wj))
+                    weights.append(np.full(_CAP, wi * wj))
             block.append(flags)
             weights.append(np.ones(len(flags)))
             key, inverse = np.unique(np.concatenate(block), return_inverse=True)
@@ -692,39 +673,34 @@ def _build_uav(horizon: int) -> PosgDomain:
     chaser observes the fugitive's quadrant, the fugitive observes the
     safe house's quadrant, both at 0.8 accuracy.
     """
-    n = _GRID * _GRID
     A = len(_UAV_MOVES)
-    n_joint = n * n
-    CAP, ESC, DONE = n_joint, n_joint + 1, n_joint + 2
-    S = n_joint + 3
-    pair = np.arange(n_joint)
-    ci, cj = pair // n, pair % n
+    S = _DONE + 1
+    ci, cj = np.divmod(np.arange(_CAP), _CELLS)
     # Built in a helper, so its temporaries are freed before the domain
     # validates the table.
     T = _uav_transition(ci, cj)
 
     # Observation rows depend on the landed state only.
     qi = np.full((S, 4), 0.25)
-    qi[:n_joint] = _quad_rows((cj % _GRID) - (ci % _GRID), (cj // _GRID) - (ci // _GRID))
+    qi[:_CAP] = _quad_rows(ci, cj)
     Oi = np.broadcast_to(qi[:, None, None, :], (S, A, A, 4)).copy()
 
     qj = np.full((S, 4), 0.25)
-    qj[:n_joint] = _quad_rows((_SAFE % _GRID) - (cj % _GRID), (_SAFE // _GRID) - (cj // _GRID))
+    qj[:_CAP] = _quad_rows(cj, _SAFE)
     Oj = np.broadcast_to(qj[:, None, :], (S, A, 4)).copy()
 
     Ri = np.full((S, A, A), -1.0)
     Rj = np.full((S, A, A), -1.0)
-    Ri[CAP], Rj[CAP] = 100.0, -100.0
-    Ri[ESC], Rj[ESC] = -100.0, 100.0
-    Ri[DONE], Rj[DONE] = 0.0, 0.0
+    Ri[_CAP], Rj[_CAP] = 100.0, -100.0
+    Ri[_ESC], Rj[_ESC] = -100.0, 100.0
+    Ri[_DONE], Rj[_DONE] = 0.0, 0.0
 
     start = np.zeros(S)
     center = (_GRID // 2) * _GRID + (_GRID // 2)
-    corner = (_GRID - 1) * _GRID + (_GRID - 1)
-    start[center * n + corner] = 1.0
+    start[center * _CELLS + _CELLS - 1] = 1.0  # the fugitive in the corner
 
     names = tuple(
-        "%s@%s" % (_cell_name(a), _cell_name(b)) for a in range(n) for b in range(n)
+        "%s@%s" % (_cell_name(a), _cell_name(b)) for a in range(_CELLS) for b in range(_CELLS)
     ) + ("Captured", "Escaped", "Done")
 
     return PosgDomain(
@@ -836,15 +812,11 @@ def project_level0(domain: PosgDomain, agent: str) -> SingleAgentModel:
 
 
 def with_horizon(domain: PosgDomain, horizon: int) -> PosgDomain:
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
     level0 = {k: m.replace(horizon=horizon) for k, m in domain.level0.items()}
     return dataclasses.replace(domain, horizon=horizon, level0=level0)
 
 
 # ----------------------------------------------------------------- files ----
-
-_LABELS = ("states", "actions_i", "actions_j", "observations_i", "observations_j")
 
 
 def domain_to_obj(domain: PosgDomain) -> dict:
@@ -868,20 +840,6 @@ def domain_to_obj(domain: PosgDomain) -> dict:
     if domain.start is not None:
         obj["start"] = domain.start.tolist()
     return obj
-
-
-def _as_written(key: str, value):
-    """``value``, once a search one nesting level at a time finds no bool or
-    string in it: a domain file's numbers are read as written."""
-    level = [value]
-    while level:
-        kinds = set(map(type, level))
-        if bool in kinds or str in kinds:
-            x = next(x for x in level if type(x) in (bool, str))
-            raise DomainValidationError("%s: %r is not a number" % (key, x))
-        nested = (x for x in level if type(x) is list) if list in kinds else ()
-        level = list(itertools.chain.from_iterable(nested))
-    return value
 
 
 def domain_from_obj(obj: Mapping) -> PosgDomain:
@@ -914,12 +872,12 @@ def domain_from_obj(obj: Mapping) -> PosgDomain:
     shape = (S, len(labels["actions_i"]), len(labels["actions_j"]), S)
 
     def table(key):
-        return np.asarray(_as_written(key, obj[key]), dtype=float)
+        return np.asarray(_as_written(key, obj[key], DomainValidationError), dtype=float)
 
     return PosgDomain(
         name=name,
         **labels,
-        transition=JointTransition.from_entries(_as_written("transition", entries), shape),
+        transition=JointTransition.from_entries(entries, shape),
         obs_fn_i=table("obs_i"),
         obs_fn_j=table("obs_j"),
         reward_i=table("reward_i"),

@@ -20,7 +20,8 @@ from .features import extract_features
 # convert_to_dbn is unused here; perfbench/tracer.py binds selection.convert_to_dbn.
 from .generation import convert_to_dbn, sample_tree  # noqa: F401
 from .trees import (
-    PolicyTree, _build, _json_text, _read_input, canonical_encode, canonical_parse, validate_tree,
+    PolicyTree, _as_written, _build, _json_text, _read_input, canonical_encode, canonical_parse,
+    validate_tree,
 )
 
 __all__ = [
@@ -195,7 +196,9 @@ def load_candidate_set(path) -> CandidateModelSet:
 
 
 def candidate_set_from_obj(obj) -> CandidateModelSet:
-    """The candidate set a parsed candidate file describes."""
+    """The candidate set a parsed candidate file describes.  Numbers are read
+    as written: ``prior`` holds numbers, each ``trace`` entry is [integer,
+    number], and ``measure`` is null, "MDP" or "MDF"."""
     if not isinstance(obj, dict):
         raise ValueError("a candidate file is a JSON object, not a %s" % type(obj).__name__)
     for key in ("trees", "n_observations"):
@@ -203,11 +206,19 @@ def candidate_set_from_obj(obj) -> CandidateModelSet:
             raise ValueError("a candidate file needs %r" % key)
     if not isinstance(obj["trees"], list) or not all(isinstance(t, str) for t in obj["trees"]):
         raise ValueError("'trees' is a list of tree encodings")
+    trace = [(k, float(v)) for k, v in _as_written("trace", obj.get("trace", []))]
+    for k, _ in trace:
+        if type(k) is not int:
+            raise ValueError("trace: %r is not an integer" % (k,))
+    prior = np.asarray(_as_written("prior", obj["prior"]), dtype=float) if "prior" in obj else None
+    measure = obj.get("measure")
+    if measure not in (None, *MEASURES):
+        raise ValueError("measure: %r is not null, 'MDP' or 'MDF'" % (measure,))
     return make_candidate_set(
         [canonical_parse(t) for t in obj["trees"]],
         obj["n_observations"],
         provenance=obj.get("provenance"),
-        prior=np.asarray(obj["prior"], dtype=float) if "prior" in obj else None,
-        measure=obj.get("measure"),
-        trace=[(int(k), float(v)) for k, v in obj.get("trace", [])],
+        prior=prior,
+        measure=measure,
+        trace=trace,
     )

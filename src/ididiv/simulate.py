@@ -22,7 +22,8 @@ from .flattening import flatten
 from .generation import convert_to_dbn, sample_tree  # noqa: F401
 from .selection import CandidateModelSet
 from .solver import solve_exact
-from .trees import (
+# canonical_encode is unused here; perfbench/tracer.py binds simulate.canonical_encode.
+from .trees import (  # noqa: F401
     BehaviorSequence, PolicyTree, _csv_text, _encoded_rows, _table_of, canonical_encode, node_table,
     validate_tree,
 )
@@ -161,18 +162,19 @@ def _random_anchor(model, rng) -> BehaviorSequence:
 
 def _draw_novel_tree(model, anchors, excluded, rng) -> tuple[str, ...]:
     """The preorder row of the first sampled tree whose row is not in
-    ``excluded`` (rows of the model's depth and observation alphabet)."""
-    for _ in range(_REJECTION_CAP):
-        anchor = anchors[int(rng.integers(len(anchors)))]
+    ``excluded``, a set of preorder rows.
+
+    The feature-anchored sampler has a finite image that a well-expanded
+    candidate set can cover completely.  After ``_REJECTION_CAP`` draws the
+    sampler widens to uniformly random anchor sequences, which can plant any
+    action path and so reach trees no feature anchor produces.
+    """
+    for n in range(2 * _REJECTION_CAP):
+        if n < _REJECTION_CAP:
+            anchor = anchors[int(rng.integers(len(anchors)))]
+        else:
+            anchor = _random_anchor(model, rng)
         row = sample_tree(model, anchor, rng)
-        if row not in excluded:
-            return row
-    # The feature-anchored sampler has a finite image that a well-expanded
-    # candidate set can cover completely.  Widen to uniformly random anchor
-    # sequences, which can plant any action path and so reach trees no
-    # feature anchor produces.
-    for _ in range(_REJECTION_CAP):
-        row = sample_tree(model, _random_anchor(model, rng), rng)
         if row not in excluded:
             return row
     raise RuntimeError(
@@ -222,9 +224,10 @@ def run_experiment(
         ] or list(candidates.trees)
         anchors = extract_features(known)
         level0 = project_level0(domain, "j")
-        encodings = [canonical_encode(t) for t in candidates.trees]
-        encodings += excluded_encodings or ()
-        excluded = _encoded_rows(encodings, level0.observations, level0.horizon)
+        # flatten checked the candidates against the peer's observations; a
+        # deeper candidate's row is longer than any drawn row.
+        excluded = {t.preorder for t in candidates.trees}
+        excluded |= _encoded_rows(excluded_encodings or (), level0.observations, level0.horizon)
         kids_j = node_table(len(level0.observations), level0.horizon).children
 
     if isinstance(seed, np.random.SeedSequence):

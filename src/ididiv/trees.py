@@ -20,6 +20,8 @@ one rule: a float cell is written with ``repr``, every other cell with
 ``str``.  ``_json_text`` is the one JSON writer.  ``_read_input`` is the one
 reading of an input file (a domain, candidate set, grid config or manifest):
 it parses, builds and hashes the same bytes, and its errors start with the path.
+``_as_written`` is the one rule for the numbers in such a file: a bool or a
+string where a number belongs is refused, never converted.
 """
 
 from __future__ import annotations
@@ -391,6 +393,21 @@ def _csv_text(columns: Sequence[str], rows: Iterable[Sequence]) -> str:
 def _json_text(obj) -> str:
     """Canonical JSON text: sorted keys, two-space indent, trailing newline."""
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+def _as_written(key: str, value, error: type = ValueError):
+    """``value``, once a search one nesting level at a time finds no bool or
+    string in it, else ``error`` naming ``key``: an input file's numbers are
+    read as written."""
+    level = [value]
+    while level:
+        kinds = set(map(type, level))
+        if bool in kinds or str in kinds:
+            x = next(x for x in level if type(x) in (bool, str))
+            raise error("%s: %r is not a number" % (key, x))
+        nested = (x for x in level if type(x) in (list, tuple)) if kinds & {list, tuple} else ()
+        level = list(itertools.chain.from_iterable(nested))
+    return value
 
 
 def _read_input(path, build: Callable) -> tuple[object, str]:

@@ -44,6 +44,11 @@ def _tiger2_obj(**keys):
     return dict(domain_to_obj(builtin_tiger(2)), **keys)
 
 
+def _candidates_obj(**keys):
+    """A two-tree candidate file's mapping, with ``keys`` replaced."""
+    return dict({"trees": ["1;;A", "1;;B"], "n_observations": 2}, **keys)
+
+
 def _tiger2_edit(key, index, value):
     """The tiger T=2 domain file's mapping with obj[key][index...] = value."""
     obj = _tiger2_obj()
@@ -374,6 +379,18 @@ class TestParsing:
              "start: (True|False) is not a number"),
             (["--domain", "{}", "solve"], lambda: _tiger2_edit("transition", (0, 4), True),
              "transition: True is not a number"),
+            (["features", "--trees", "{}"], lambda: _candidates_obj(prior=["0.5", "0.5"]),
+             "prior: '0.5' is not a number"),
+            (["features", "--trees", "{}"], lambda: _candidates_obj(prior=[True, False]),
+             "prior: True is not a number"),
+            (["features", "--trees", "{}"], lambda: _candidates_obj(trace=[["1", "2.5"]]),
+             "trace: '1' is not a number"),
+            (["features", "--trees", "{}"], lambda: _candidates_obj(trace=[[True, 1]]),
+             "trace: True is not a number"),
+            (["features", "--trees", "{}"], lambda: _candidates_obj(trace=[[2.5, 1]]),
+             "trace: 2.5 is not an integer"),
+            (["features", "--trees", "{}"], lambda: _candidates_obj(measure=5),
+             "measure: 5 is not null, 'MDP' or 'MDF'"),
             (["experiment", "--config", "{}"], lambda: {"seeds": "x"},
              "seeds must be a list, got 'x'"),
             (["experiment", "--config", "{}"], lambda: {"rounds": 0}, "rounds must be >= 1"),
@@ -384,7 +401,9 @@ class TestParsing:
         ids=[
             "domain-list", "domain-no-keys", "horizon-list", "horizon-float",
             "horizon-string", "horizon-bool", "name-number", "name-empty",
-            "reward-string", "start-bools", "probability-bool", "config-seeds", "config-rounds",
+            "reward-string", "start-bools", "probability-bool", "prior-strings", "prior-bools",
+            "trace-strings", "trace-bool", "trace-float-size", "measure-number",
+            "config-seeds", "config-rounds",
             "manifest-unknown-key",
         ],
     )

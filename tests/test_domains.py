@@ -216,6 +216,19 @@ class TestUav:
         se = uav.observations_i.index("SE")
         assert np.all(uav.obs_fn_i[s, :, :, se] == pytest.approx(0.8))
 
+        def row(labels, dx, dy):
+            # The quadrant of (dx, dy) at 0.8, ties north and east.
+            out = np.full(4, 0.2 / 3)
+            out[labels.index(("N" if dy >= 0 else "S") + ("E" if dx >= 0 else "W"))] = 0.8
+            return out
+
+        # The chaser sees the fugitive's quadrant, the fugitive the safe
+        # house's (X0Y0), at every cell pair and action pair.
+        for s, name in enumerate(uav.states[:-3]):  # the cell pairs, not the flags
+            (xi, yi), (xj, yj) = [(int(c[1]), int(c[3])) for c in name.split("@")]
+            assert np.all(uav.obs_fn_i[s] == row(uav.observations_i, xj - xi, yj - yi))
+            assert np.all(uav.obs_fn_j[s] == row(uav.observations_j, -xj, -yj))
+
     def test_fugitive_observes_safe_house(self, uav):
         s = _sidx(uav, "X4Y4@X3Y3")  # safe house south west of the fugitive
         sw = uav.observations_j.index("SW")
@@ -606,10 +619,13 @@ class TestFromEntries:
             ([0, -1, 0, 0, 0.5], r"entry 34 .* has an index"),
             ([0, 0, 0, np.nan, 0.5], r"entry 34 .* has an index"),
             ([1, 2, 0, 1, 0.5], r"entry 34 repeats \(s, ai, aj, s'\) \[1, 2, 0, 1\] of entry 27"),
+            ([0, 0, 0, "0", 0.5], r"'0' is not a number"),
+            ([0, 0, 0, 0, True], r"True is not a number"),
         ],
         ids=[
             "short", "long", "text", "nested", "fraction", "state-too-large",
             "peer-action-too-large", "negative", "nan-index", "duplicate",
+            "numeric-string", "bool-probability",
         ],
     )
     def test_bad_entry_is_named(self, tiger, entry, match):
