@@ -15,6 +15,12 @@ the uav chase instead of a 79 MB dense array; ``block(ai, aj)`` is the
 lists its entries.  A ``PosgDomain`` runs ``validate_domain`` when it is
 built, so every domain that exists has passed it.
 
+The uav chase's ``obs_fn_i``, ``obs_fn_j``, ``reward_i`` and ``reward_j``
+depend on the state only, so each is a read-only ``np.broadcast_to`` view of
+one row per state; every reader indexes them as it would dense tables, and
+``project_level0`` sums over contiguous copies, since einsum over a view
+adds in another order.
+
 A ``SingleAgentModel`` (``project_level0``) has one form: dense tables,
 transition [S, A, S'], and dense beliefs.  Its ``expected_reward``,
 ``predict`` and ``condition`` are the interface the solver reads, and
@@ -63,6 +69,11 @@ __all__ = [
 
 _TOL = 1e-12
 _LABELS = ("states", "actions_i", "actions_j", "observations_i", "observations_j")
+# The most nodes a complete policy tree of either agent may have at a
+# domain's horizon: tiger T=5 needs 1,555 for agent i, T=6 9,331; uav T=5
+# needs 341, T=6 1,365 and T=7 5,461.  A horizon past it is refused before
+# any tree is enumerated.
+MAX_TREE_NODES = 2_000
 
 
 class DomainValidationError(ValueError):
@@ -115,14 +126,6 @@ class JointTransition:
         return JointTransition, (self.indptr, self.indices, self.data, self.shape)
 
     @classmethod
-    def _from_sorted(cls, rows, cols, vals, shape) -> "JointTransition":
-        """The table of entries sorted by row, then by column, with int32 columns."""
-        S, Ai, Aj, _ = shape
-        indptr = np.zeros(Ai * Aj * S + 1, dtype=np.int64)
-        np.cumsum(np.bincount(rows, minlength=Ai * Aj * S), out=indptr[1:])
-        return cls(indptr, cols.astype(np.int32), vals, shape)
-
-    @classmethod
     def from_entries(cls, entries, shape) -> "JointTransition":
         """The table holding p at [s, ai, aj, s'] for each [s, ai, aj, s', p].
 
@@ -169,7 +172,9 @@ class JointTransition:
                 % (again, idx[again].astype(int).tolist(), first)
             )
         order = order[arr[order, 4] != 0.0]
-        return cls._from_sorted(row[order], col[order], arr[order, 4], shape)
+        indptr = np.zeros(Ai * Aj * S + 1, dtype=np.int64)
+        np.cumsum(np.bincount(row[order], minlength=Ai * Aj * S), out=indptr[1:])
+        return cls(indptr, col[order].astype(np.int32), arr[order, 4], shape)
 
     @property
     def nnz(self) -> int:
@@ -268,6 +273,10 @@ class SingleAgentModel:
     def __post_init__(self) -> None:
         for name in ("transition", "obs_fn", "reward", "initial_belief"):
             object.__setattr__(self, name, _freeze(getattr(self, name)))
+
+    def __reduce__(self):
+        # Rebuild through __init__, so the arrays come back read-only.
+        return SingleAgentModel, tuple(getattr(self, f.name) for f in dataclasses.fields(self))
 
     def expected_reward(self, b: np.ndarray, a: int) -> float:
         """Sum over states of b times the reward of action a."""
@@ -445,10 +454,26 @@ def validate_model(m: SingleAgentModel) -> None:
     _check_rows("initial_belief", m.initial_belief)
 
 
+def _check_tree_size(horizon: int, agent: str, n_obs: int) -> None:
+    """Refuse a horizon whose complete policy trees exceed MAX_TREE_NODES,
+    counting level by level so a huge horizon stops at the limit."""
+    nodes, width, depth = 0, 1, 0
+    while depth < horizon and nodes <= MAX_TREE_NODES:
+        nodes, width, depth = nodes + width, width * n_obs, depth + 1
+    if nodes > MAX_TREE_NODES:
+        raise DomainValidationError(
+            "horizon: %d gives agent %s complete policy trees of %s%d nodes, "
+            "more than MAX_TREE_NODES = %d"
+            % (horizon, agent, "" if depth == horizon else "at least ", nodes, MAX_TREE_NODES)
+        )
+
+
 def validate_domain(d: PosgDomain) -> None:
     S, Ai, Aj, Oi, Oj = (len(_check_labels(k, getattr(d, k))) for k in _LABELS)
     if d.horizon < 1:
         raise DomainValidationError("horizon: must be >= 1, got %d" % d.horizon)
+    _check_tree_size(d.horizon, "i", Oi)
+    _check_tree_size(d.horizon, "j", Oj)
     T = d.transition
     _check_shape("transition", T, (S, Ai, Aj, S))
     _check_csr("transition", T)
@@ -633,14 +658,15 @@ def _uav_transition(ci: np.ndarray, cj: np.ndarray) -> JointTransition:
     Each action pair's entries are keyed s * S + s' and reduced on their
     own: no key spans two pairs.  bincount adds each key's weights in list
     order from 0.0, so moves that land on the same state sum as four
-    successive += would.
+    successive += would.  A pair keeps its row counts, int32 columns and
+    probabilities, which concatenate in row order into the CSR arrays.
     """
     A = len(_UAV_MOVES)
     S = _DONE + 1
     tgt = np.array([[_move_target(c, a) for a in range(A)] for c in range(_CELLS)])
     src = np.arange(_CAP) * S
     flags = np.array([_CAP, _ESC, _DONE]) * S + _DONE
-    keys, probs = [], []
+    counts, cols, probs = [], [], []
     for ai in range(A):
         for aj in range(A):
             block, weights = [], []
@@ -655,10 +681,12 @@ def _uav_transition(ci: np.ndarray, cj: np.ndarray) -> JointTransition:
             block.append(flags)
             weights.append(np.ones(len(flags)))
             key, inverse = np.unique(np.concatenate(block), return_inverse=True)
-            keys.append(key + (ai * A + aj) * S * S)
+            counts.append(np.bincount(key // S, minlength=S))
+            cols.append((key % S).astype(np.int32))
             probs.append(np.bincount(inverse, weights=np.concatenate(weights)))
-    key = np.concatenate(keys)
-    return JointTransition._from_sorted(key // S, key % S, np.concatenate(probs), (S, A, A, S))
+    indptr = np.zeros(A * A * S + 1, dtype=np.int64)
+    np.cumsum(np.concatenate(counts), out=indptr[1:])
+    return JointTransition(indptr, np.concatenate(cols), np.concatenate(probs), (S, A, A, S))
 
 
 def _build_uav(horizon: int) -> PosgDomain:
@@ -680,20 +708,21 @@ def _build_uav(horizon: int) -> PosgDomain:
     # validates the table.
     T = _uav_transition(ci, cj)
 
-    # Observation rows depend on the landed state only.
+    # Observations and rewards depend on the state only, so each table is
+    # a read-only view of its per-state rows, stored once.
     qi = np.full((S, 4), 0.25)
     qi[:_CAP] = _quad_rows(ci, cj)
-    Oi = np.broadcast_to(qi[:, None, None, :], (S, A, A, 4)).copy()
-
     qj = np.full((S, 4), 0.25)
     qj[:_CAP] = _quad_rows(cj, _SAFE)
-    Oj = np.broadcast_to(qj[:, None, :], (S, A, 4)).copy()
-
-    Ri = np.full((S, A, A), -1.0)
-    Rj = np.full((S, A, A), -1.0)
-    Ri[_CAP], Rj[_CAP] = 100.0, -100.0
-    Ri[_ESC], Rj[_ESC] = -100.0, 100.0
-    Ri[_DONE], Rj[_DONE] = 0.0, 0.0
+    ri = np.full(S, -1.0)
+    rj = np.full(S, -1.0)
+    ri[_CAP], rj[_CAP] = 100.0, -100.0
+    ri[_ESC], rj[_ESC] = -100.0, 100.0
+    ri[_DONE], rj[_DONE] = 0.0, 0.0
+    Oi = np.broadcast_to(qi[:, None, None, :], (S, A, A, 4))
+    Oj = np.broadcast_to(qj[:, None, :], (S, A, 4))
+    Ri = np.broadcast_to(ri[:, None, None], (S, A, A))
+    Rj = np.broadcast_to(rj[:, None, None], (S, A, A))
 
     start = np.zeros(S)
     center = (_GRID // 2) * _GRID + (_GRID // 2)
@@ -789,13 +818,15 @@ def project_level0(domain: PosgDomain, agent: str) -> SingleAgentModel:
     own, peer = (aj, ai) if agent == "j" else (ai, aj)
     T = np.zeros((S, n_aj if agent == "j" else n_ai, S))
     np.add.at(T, (s, own, joint.indices), w[peer] * joint.data)
+    # einsum sums over a per-state view in another order than over its
+    # dense copy, so it reads dense copies.
     if agent == "j":
         Ob = domain.obs_fn_j.copy()
-        R = np.einsum("swa,a->sw", domain.reward_j, w)
+        R = np.einsum("swa,a->sw", np.ascontiguousarray(domain.reward_j), w)
         acts, obs = domain.actions_j, domain.observations_j
     else:
-        Ob = np.einsum("w,sawo->sao", w, domain.obs_fn_i)
-        R = np.einsum("saw,w->sa", domain.reward_i, w)
+        Ob = np.einsum("w,sawo->sao", w, np.ascontiguousarray(domain.obs_fn_i))
+        R = np.einsum("saw,w->sa", np.ascontiguousarray(domain.reward_i), w)
         acts, obs = domain.actions_i, domain.observations_i
 
     return SingleAgentModel(

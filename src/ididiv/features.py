@@ -13,6 +13,7 @@ feature behaviors: a minimal spanning subset of the observed behavior.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -61,15 +62,24 @@ class BehaviorMatrix:
 class PivotResult:
     """Exact decomposition P = F x U with pivot bookkeeping.
 
-    ``u_matrix`` rows are rational (Fraction) tuples; ``f_matrix`` is the
-    integer pivot-column restriction of the behavior matrix.
+    ``f_matrix`` is the integer pivot-column restriction of the behavior
+    matrix.  U is held as integer rows, row k being ``u_heads[k]`` times
+    row k of U; ``u_matrix`` gives U's rows as Fraction tuples, formed
+    when it is first read.
     """
 
     rank: int
     pivot_indices: tuple[int, ...]
     pivot_sequences: tuple[BehaviorSequence, ...]
     f_matrix: np.ndarray
-    u_matrix: tuple[tuple[Fraction, ...], ...]
+    u_rows: tuple[tuple[int, ...], ...]
+    u_heads: tuple[int, ...]
+
+    @functools.cached_property
+    def u_matrix(self) -> tuple[tuple[Fraction, ...], ...]:
+        return tuple(
+            tuple(Fraction(v, h) for v in row) for row, h in zip(self.u_rows, self.u_heads)
+        )
 
 
 def build_matrix(trees: Sequence[PolicyTree]) -> BehaviorMatrix:
@@ -108,8 +118,9 @@ def pivot_decompose(matrix: BehaviorMatrix) -> PivotResult:
     Returns the rank, the pivot column positions, F = P[:, pivots], and the
     first ``rank`` rows of rref(P) as U.  The elimination is fraction-free on
     Python ints, each row a nonzero multiple of the rational one, so U's
-    Fractions are formed once at the end.  F x U equals P exactly; this
-    identity is re-checked in integer arithmetic before returning.
+    Fractions are formed only when ``u_matrix`` is first read.  F x U equals
+    P exactly; this identity is re-checked in integer arithmetic before
+    returning.
     """
     ent = matrix.entries
     nrows, ncols = ent.shape
@@ -136,7 +147,6 @@ def pivot_decompose(matrix: BehaviorMatrix) -> PivotResult:
 
     rank = len(pivots)
     heads = [rows[k][c] for k, c in enumerate(pivots)]
-    u_matrix = tuple(tuple(Fraction(v, h) for v in rows[k]) for k, h in enumerate(heads))
     f_matrix = ent[:, pivots].astype(np.int64)
 
     # P = F x U must hold exactly; the pivot submatrix of U is the identity.
@@ -155,7 +165,8 @@ def pivot_decompose(matrix: BehaviorMatrix) -> PivotResult:
         pivot_indices=tuple(pivots),
         pivot_sequences=tuple(matrix.columns[c] for c in pivots),
         f_matrix=f_matrix,
-        u_matrix=u_matrix,
+        u_rows=tuple(map(tuple, rows[:rank])),
+        u_heads=tuple(heads),
     )
 
 

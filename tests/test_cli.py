@@ -3,6 +3,7 @@ import json
 import re
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -432,6 +433,22 @@ class TestParsing:
         with pytest.raises(ValueError, match="neither a builtin"):
             _run(["--out-dir", tmp_path / "out", "--domain", text, command])
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("horizon", [40, 10**30])
+    @pytest.mark.parametrize("command", ["solve", "topk", "experiment"])
+    def test_horizon_too_large_is_refused_at_once(self, tmp_path, command, horizon):
+        # Horizon 40 ran past 8 s and 10**30 ended in a RecursionError; a
+        # complete tree over MAX_TREE_NODES is refused when the domain is built.
+        if command == "experiment":
+            cfg = tmp_path / "grid.json"
+            cfg.write_text(json.dumps(dict(GRID, domain="tiger", horizons=[horizon])))
+            args = ["experiment", "--config", cfg]
+        else:
+            args = ["--domain", "tiger", command, "--horizon", horizon]
+        t0 = time.perf_counter()
+        with pytest.raises(ValueError, match="horizon: %d gives agent i complete" % horizon):
+            _run(["--out-dir", tmp_path / "out", *args])
+        assert time.perf_counter() - t0 < 1.0
 
     def test_module_entrypoint(self, tmp_path):
         proc = subprocess.run(

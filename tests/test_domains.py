@@ -352,6 +352,51 @@ class TestValidation:
             validate_model(tiger_j.replace(reward=r))
 
 
+class TestTreeSizeRule:
+    """A horizon whose complete trees exceed MAX_TREE_NODES is refused."""
+
+    @pytest.mark.parametrize(
+        "name, horizon, agent, nodes",
+        [("tiger", 6, "i", 9331), ("uav", 7, "i", 5461)],
+    )
+    def test_first_refused_horizon_gives_its_count(self, name, horizon, agent, nodes):
+        assert nodes > domains.MAX_TREE_NODES
+        with pytest.raises(
+            DomainValidationError,
+            match="horizon: %d gives agent %s complete policy trees of %d nodes"
+            % (horizon, agent, nodes),
+        ):
+            builtin_domain(name, horizon)
+
+    @pytest.mark.parametrize("name, horizon", [("tiger", 5), ("uav", 6)])
+    def test_last_accepted_horizon_builds(self, name, horizon):
+        assert builtin_domain(name, horizon).horizon == horizon
+
+    @pytest.mark.parametrize("horizon", [40, 10**30])
+    def test_huge_horizon_refused_at_once(self, tiger, horizon):
+        with pytest.raises(
+            DomainValidationError,
+            match="horizon: %d gives agent i complete policy trees of at least" % horizon,
+        ):
+            with_horizon(tiger, horizon)
+
+    def test_one_observation_counts_the_depth(self, tiger):
+        # With one observation a tree has one node per level.
+        one = dataclasses.replace(
+            tiger,
+            observations_i=("Growl",),
+            observations_j=("Growl",),
+            obs_fn_i=np.ones((2, 3, 3, 1)),
+            obs_fn_j=np.ones((2, 3, 1)),
+        )
+        limit = domains.MAX_TREE_NODES
+        assert with_horizon(one, limit).horizon == limit
+        with pytest.raises(DomainValidationError, match="of %d nodes" % (limit + 1)):
+            with_horizon(one, limit + 1)
+        with pytest.raises(DomainValidationError, match="of at least %d nodes" % (limit + 1)):
+            with_horizon(one, 10**30)
+
+
 def _nan_at(arr, index) -> np.ndarray:
     out = np.array(arr, dtype=float)
     out[index] = np.nan

@@ -8,6 +8,7 @@ from ididiv import (
     BehaviorSequence,
     SelectionConfig,
     build_matrix,
+    builtin_domain,
     builtin_uav,
     constant_tree,
     extract_features,
@@ -15,9 +16,12 @@ from ididiv import (
     matrix_to_csv,
     pivot_decompose,
     project_level0,
+    save_candidate_set,
     select_topk,
     sequence_list,
 )
+from ididiv import features
+from ididiv.cli import main
 from conftest import node, random_tree_set
 
 
@@ -183,13 +187,61 @@ class TestIntegerElimination:
 
     def test_uav_horizon4_topk_set(self):
         # The set `ididiv --domain uav topk --horizon 4 --k-max 30` builds.
-        level0 = project_level0(builtin_uav(4), "j")
-        known_ss, select_ss = np.random.SeedSequence(0).spawn(2)
-        known = generate_known_models(level0, 3, seed=known_ss)
-        cs = select_topk(known, level0, SelectionConfig(k_max=30, seed=select_ss))
-        m = build_matrix(cs.trees)
+        m = build_matrix(_topk_set(builtin_uav(4), 30).trees)
         assert m.entries.shape[0] == 30
         _assert_matches_rational(m)
+
+
+def _topk_set(domain, k_max):
+    """The candidate set `ididiv topk --known 3 --k-max k_max` builds at seed 0."""
+    level0 = project_level0(domain, "j")
+    known_ss, select_ss = np.random.SeedSequence(0).spawn(2)
+    known = generate_known_models(level0, 3, seed=known_ss)
+    return select_topk(known, level0, SelectionConfig(k_max=k_max, seed=select_ss))
+
+
+class TestLazyU:
+    """U's Fractions are formed when u_matrix is first read, and only then."""
+
+    @pytest.fixture
+    def fractions_made(self, monkeypatch):
+        made = []
+
+        class Counted(Fraction):
+            def __new__(cls, *args, **kw):
+                made.append(args)
+                return super().__new__(cls, *args, **kw)
+
+        monkeypatch.setattr(features, "Fraction", Counted)
+        return made
+
+    def test_features_paths_form_no_fraction(self, fractions_made, tmp_path):
+        cs = _topk_set(builtin_uav(4), 30)
+        assert len(extract_features(cs.trees)) == 30
+        path = save_candidate_set(cs, tmp_path / "candidates.json")
+        assert main(["--out-dir", str(tmp_path / "out"), "features", "--trees", str(path)]) == 0
+        assert fractions_made == []
+        # The counter sees the Fractions u_matrix forms.
+        piv = pivot_decompose(build_matrix(cs.trees))
+        assert piv.u_matrix is piv.u_matrix
+        assert len(fractions_made) == piv.rank * len(piv.u_rows[0])
+
+    @pytest.mark.parametrize(
+        "name, horizon, k_max", [("tiger", 3, 10), ("uav", 3, 30), ("uav", 4, 30)]
+    )
+    def test_equals_the_rational_elimination_on_candidate_sets(self, name, horizon, k_max):
+        cs = _topk_set(builtin_domain(name, horizon), k_max)
+        _assert_matches_rational(build_matrix(cs.trees))
+
+    def test_equals_the_rational_elimination_on_criterion_2_matrices(self):
+        # Criterion 2 draws 0/1 matrices of 1-8 rows and 1-64 columns.
+        rng = np.random.default_rng(7)
+        for _ in range(200):
+            nr, nc = int(rng.integers(1, 9)), int(rng.integers(1, 65))
+            ent = rng.integers(0, 2, size=(nr, nc)).astype(np.uint8)
+            _assert_matches_rational(
+                BehaviorMatrix(tuple("h%d" % k for k in range(nr)), _dummy_columns(nc), ent)
+            )
 
 
 class TestPivotPositions:

@@ -2,13 +2,16 @@
 projected and flattened."""
 
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import ididiv
+from ididiv import builtin_uav, serialize_domain
 
 _REUSE = """
 import sys
@@ -49,6 +52,16 @@ from ididiv import builtin_domain
 tracemalloc.start()
 domain = builtin_domain("uav", 3)
 print(tracemalloc.get_traced_memory()[1])
+"""
+
+# The built domain, by the traced allocations it still holds.
+_LIVE_TRACED = """
+import tracemalloc
+from ididiv import builtin_domain
+
+tracemalloc.start()
+domain = builtin_domain("uav", 3)
+print(tracemalloc.get_traced_memory()[0])
 """
 
 # The uav chase has no prebuilt view for agent i, so this projects.
@@ -134,10 +147,53 @@ def test_building_uav_raises_the_peak_by_little():
 
 
 def test_building_uav_traces_little_beyond_its_table():
-    # The domain holds 1.49 MB when built, 0.59 MB of it the joint table.
+    # The domain holds 0.72 MiB when built, 0.59 MiB of it the joint table.
     # One np.unique over the keys of all 25 action pairs at once peaked at
-    # 4.24 MB; reduced pair by pair the build peaks at 2.27 MB.
+    # 4.04 MiB; reduced pair by pair the build peaks at 1.28 MiB.
     assert int(_run(_BUILD_TRACED)) < 3 * 2**20
+
+
+def test_uav_build_peaks_under_one_and_a_half_mib():
+    # Dense state-only tables (0.78 MiB) or one int64 key array over all 25
+    # action pairs, split by // and %, would take it past the bound.
+    assert int(_run(_BUILD_TRACED)) < 1.5 * 2**20
+
+
+def test_built_uav_domain_holds_under_point_eight_mib():
+    # The joint table's 0.59 MiB plus one row per state of each state-only
+    # table; dense copies of those four would hold 0.78 MiB more.
+    assert int(_run(_LIVE_TRACED)) < 0.8 * 2**20
+
+
+def _span(a: np.ndarray) -> int:
+    """Bytes between the first and last element a view can reach."""
+    return sum((n - 1) * abs(st) for n, st in zip(a.shape, a.strides)) + a.itemsize
+
+
+def test_state_only_uav_tables_hold_one_row_per_state():
+    domain = builtin_uav(3)
+    S = len(domain.states)
+    for name in ("obs_fn_i", "obs_fn_j", "reward_i", "reward_j"):
+        table = getattr(domain, name)
+        row = table.shape[-1] if name.startswith("obs") else 1
+        assert _span(table) <= S * row * table.itemsize, name
+        assert not table.flags.writeable, name
+
+
+def test_pickled_uav_domain_comes_back_equal_and_read_only():
+    domain = builtin_uav(3)
+    back = pickle.loads(pickle.dumps(domain))
+    assert back is not domain
+    assert serialize_domain(back) == serialize_domain(domain)
+    assert back.transition == domain.transition
+    for name in ("obs_fn_i", "obs_fn_j", "reward_i", "reward_j", "start"):
+        assert np.array_equal(getattr(back, name), getattr(domain, name)), name
+        assert not getattr(back, name).flags.writeable, name
+    assert dict(back.level0).keys() == {"j"}
+    view, again = domain.level0["j"], back.level0["j"]
+    for name in ("transition", "obs_fn", "reward", "initial_belief"):
+        assert np.array_equal(getattr(again, name), getattr(view, name)), name
+        assert not getattr(again, name).flags.writeable, name
 
 
 @pytest.mark.skipif(not Path("/proc/self/status").is_file(), reason="needs Linux /proc")
