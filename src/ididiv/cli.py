@@ -70,34 +70,35 @@ def _build_parser() -> argparse.ArgumentParser:
         % ", ".join(sorted(BUILTIN_DOMAINS)),
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # The subcommands that read the domain read it at --horizon.
+    at_horizon = argparse.ArgumentParser(add_help=False)
+    at_horizon.add_argument("--horizon", type=int, default=None)
 
-    p = sub.add_parser("solve", help="solve a level-0 model exactly")
+    p = sub.add_parser("solve", parents=[at_horizon], help="solve a level-0 model exactly")
     p.add_argument("--agent", choices=["i", "j"], default="j")
-    p.add_argument("--horizon", type=int, default=None)
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("features", help="behavior matrix and pivot features")
     p.add_argument("--trees", required=True, help="candidate set JSON file")
     p.set_defaults(func=cmd_features)
 
-    p = sub.add_parser("topk", help="build a diverse candidate model set")
+    p = sub.add_parser("topk", parents=[at_horizon], help="build a diverse candidate model set")
     p.add_argument("--measure", choices=["MDP", "MDF"], default="MDF")
     p.add_argument("--known", type=int, default=3, help="known model count M")
     p.add_argument("--k-max", type=int, default=6, help="candidate set size cap")
     p.add_argument("--patience", type=int, default=20)
-    p.add_argument("--horizon", type=int, default=None)
     p.set_defaults(func=cmd_topk)
 
-    p = sub.add_parser("solve-idid", help="solve the flattened planning problem")
+    p = sub.add_parser(
+        "solve-idid", parents=[at_horizon], help="solve the flattened planning problem"
+    )
     p.add_argument("--candidates", required=True, help="candidate set JSON file")
-    p.add_argument("--horizon", type=int, default=None)
     p.set_defaults(func=cmd_solve_idid)
 
-    p = sub.add_parser("simulate", help="play repeated interaction rounds")
+    p = sub.add_parser("simulate", parents=[at_horizon], help="play repeated interaction rounds")
     p.add_argument("--candidates", required=True, help="candidate set JSON file")
     p.add_argument("--rounds", type=int, default=50)
     p.add_argument("--true-mode", choices=list(TRUE_MODES), default="from-set")
-    p.add_argument("--horizon", type=int, default=None)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("experiment", help="run a batch experiment grid")
@@ -108,22 +109,49 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _out_dir(args) -> Path:
+def _inputs(args):
+    """The subcommand's domain, at --horizon when it has that flag, and its
+    candidate set, named by --trees or --candidates, each None without the
+    flag; the SHA-256 of each file parsed, keyed by its flag's name; and the
+    output directory, made only once every input has been read."""
+    domain = cs = None
+    hashes = {}
+    if "horizon" in args:
+        by_horizon, hashes = resolve_domain(args.domain, [args.horizon])
+        domain = by_horizon[args.horizon]
+    for flag in ("trees", "candidates"):
+        if flag in args:
+            cs, hashes[flag] = _read_input(getattr(args, flag), candidate_set_from_obj)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    return out
+    return domain, cs, hashes, out
 
 
 def _write_json(path: Path, obj) -> None:
     path.write_text(_json_text(obj))
 
 
-def _record(args, config: dict, outputs: dict, input_hashes: dict, timings=None) -> None:
+def _write_policy(path: Path, model, pol, **extra) -> None:
+    head = {"model": model.name, "horizon": model.horizon, "value": pol.value}
+    _write_json(path, {**head, "tree": canonical_encode(pol.tree), **extra})
+
+
+# Flags that every subcommand has, or that argparse adds; a manifest's
+# config holds the subcommand's own flags.
+_GLOBAL_FLAGS = ("seed", "out_dir", "workers", "domain", "command", "func")
+
+
+def _record(args, domain, outputs: dict, input_hashes: dict, timings=None) -> None:
     """Write the subcommand's manifest.json into its output directory.
 
-    `input_hashes` maps each input's name to the SHA-256 taken when it was
-    read, before the run; `outputs` maps names to the paths written.
+    Its config is the subcommand's own flags, plus, when it read ``domain``,
+    the --domain value and the horizon the run used.  ``input_hashes`` maps
+    each input's name to the SHA-256 taken when it was read, before the run;
+    ``outputs`` maps names to the paths written.
     """
+    config = {k: v for k, v in vars(args).items() if k not in _GLOBAL_FLAGS}
+    if domain is not None:
+        config.update(domain=args.domain, horizon=domain.horizon)
     manifest = RunManifest(
         command=args.command,
         config=config,
@@ -137,33 +165,20 @@ def _record(args, config: dict, outputs: dict, input_hashes: dict, timings=None)
 
 def cmd_solve(args) -> int:
     t0 = time.perf_counter()
-    by_horizon, hashes = resolve_domain(args.domain, [args.horizon])
-    out = _out_dir(args)
-    model = project_level0(by_horizon[args.horizon], args.agent)
+    domain, _, hashes, out = _inputs(args)
+    model = project_level0(domain, args.agent)
     pol = solve_exact(model)
     elapsed = time.perf_counter() - t0
 
     path = out / ("policy_%s.json" % args.agent)
-    _write_json(
-        path,
-        {
-            "agent": args.agent,
-            "model": model.name,
-            "horizon": model.horizon,
-            "value": pol.value,
-            "tree": canonical_encode(pol.tree),
-        },
-    )
-    config = {"domain": args.domain, "agent": args.agent, "horizon": model.horizon}
-    _record(args, config, {"policy": path}, hashes, {"solve_seconds": elapsed})
+    _write_policy(path, model, pol, agent=args.agent)
+    _record(args, domain, {"policy": path}, hashes, {"solve_seconds": elapsed})
     print("solved %s (T=%d): value %.6f -> %s" % (model.name, model.horizon, pol.value, path))
     return 0
 
 
 def cmd_features(args) -> int:
-    cs, digest = _read_input(args.trees, candidate_set_from_obj)
-    out = _out_dir(args)
-    hashes = {"trees": digest}
+    _, cs, hashes, out = _inputs(args)
     matrix = build_matrix(cs.trees)
     piv = pivot_decompose(matrix)
 
@@ -181,7 +196,7 @@ def cmd_features(args) -> int:
         },
     )
     outputs = {"matrix": matrix_path, "features": feat_path}
-    _record(args, {"trees": str(args.trees)}, outputs, hashes)
+    _record(args, None, outputs, hashes)
     print(
         "%d trees, %d sequences, rank %d -> %s"
         % (len(cs.trees), len(matrix.columns), piv.rank, feat_path)
@@ -190,9 +205,8 @@ def cmd_features(args) -> int:
 
 
 def cmd_topk(args) -> int:
-    by_horizon, hashes = resolve_domain(args.domain, [args.horizon])
-    out = _out_dir(args)
-    level0 = project_level0(by_horizon[args.horizon], "j")
+    domain, _, hashes, out = _inputs(args)
+    level0 = project_level0(domain, "j")
     known_ss, select_ss = np.random.SeedSequence(args.seed).spawn(2)
 
     t0 = time.perf_counter()
@@ -216,14 +230,6 @@ def cmd_topk(args) -> int:
     save_candidate_set(result, cand_path)
     div_path = out / "diversity.csv"
     div_path.write_text(report_to_csv(result.report))
-    config = {
-        "domain": args.domain,
-        "measure": args.measure,
-        "known": args.known,
-        "k_max": args.k_max,
-        "patience": args.patience,
-        "horizon": level0.horizon,
-    }
     timings = {
         "m": args.known,
         "measure": args.measure,
@@ -231,7 +237,7 @@ def cmd_topk(args) -> int:
         "select_seconds": t_select,
     }
     outputs = {"candidates": cand_path, "diversity": div_path}
-    _record(args, config, outputs, hashes, timings)
+    _record(args, domain, outputs, hashes, timings)
     added = len(result.trees) - args.known
     print(
         "%s: %d known + %d added (%.2fs) -> %s"
@@ -241,10 +247,7 @@ def cmd_topk(args) -> int:
 
 
 def cmd_solve_idid(args) -> int:
-    by_horizon, hashes = resolve_domain(args.domain, [args.horizon])
-    domain = by_horizon[args.horizon]
-    cs, hashes["candidates"] = _read_input(args.candidates, candidate_set_from_obj)
-    out = _out_dir(args)
+    domain, cs, hashes, out = _inputs(args)
 
     t0 = time.perf_counter()
     flat = flatten(domain, cs)
@@ -252,23 +255,10 @@ def cmd_solve_idid(args) -> int:
     elapsed = time.perf_counter() - t0
 
     path = out / "policy_idid.json"
-    _write_json(
-        path,
-        {
-            "model": flat.model.name,
-            "horizon": domain.horizon,
-            "candidates": len(cs.trees),
-            "augmented_states": len(flat.model.states),
-            "value": pol.value,
-            "tree": canonical_encode(pol.tree),
-        },
+    _write_policy(
+        path, flat.model, pol, candidates=len(cs.trees), augmented_states=len(flat.model.states)
     )
-    config = {
-        "domain": args.domain,
-        "candidates": str(args.candidates),
-        "horizon": domain.horizon,
-    }
-    _record(args, config, {"policy": path}, hashes, {"solve_seconds": elapsed})
+    _record(args, domain, {"policy": path}, hashes, {"solve_seconds": elapsed})
     print(
         "flattened %d states, value %.6f -> %s"
         % (len(flat.model.states), pol.value, path)
@@ -277,10 +267,7 @@ def cmd_solve_idid(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    by_horizon, hashes = resolve_domain(args.domain, [args.horizon])
-    domain = by_horizon[args.horizon]
-    cs, hashes["candidates"] = _read_input(args.candidates, candidate_set_from_obj)
-    out = _out_dir(args)
+    domain, cs, hashes, out = _inputs(args)
 
     t0 = time.perf_counter()
     stats = run_experiment(
@@ -307,15 +294,8 @@ def cmd_simulate(args) -> int:
             "policy_value": stats.policy_value,
         },
     )
-    config = {
-        "domain": args.domain,
-        "candidates": str(args.candidates),
-        "rounds": args.rounds,
-        "true_mode": args.true_mode,
-        "horizon": domain.horizon,
-    }
     outputs = {"episodes": ep_path, "stats": stats_path}
-    _record(args, config, outputs, hashes, {"simulate_seconds": elapsed})
+    _record(args, domain, outputs, hashes, {"simulate_seconds": elapsed})
     print(
         "%d rounds: mean reward %.3f (planned %.3f) -> %s"
         % (stats.rounds, stats.mean_reward_i, stats.policy_value, stats_path)

@@ -19,7 +19,8 @@ The uav chase's ``obs_fn_i``, ``obs_fn_j``, ``reward_i`` and ``reward_j``
 depend on the state only, so each is a read-only ``np.broadcast_to`` view of
 one row per state; every reader indexes them as it would dense tables, and
 ``project_level0`` sums over contiguous copies, since einsum over a view
-adds in another order.
+adds in another order.  A pickled domain, as a pool worker receives it,
+carries each view as its rows and is rebuilt with the same views.
 
 A ``SingleAgentModel`` (``project_level0``) has one form: dense tables,
 transition [S, A, S'], and dense beliefs.  Its ``expected_reward``,
@@ -37,7 +38,6 @@ of rebuilding it.  Nothing may mutate a domain: its arrays are read-only and
 from __future__ import annotations
 
 import dataclasses
-import functools
 import weakref
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -46,7 +46,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .trees import _as_written, _check_symbols, _json_text, _read_input
+from .trees import _as_written, _check_keys, _check_symbols, _integer, _json_text, _read_input
 
 __all__ = [
     "DomainValidationError",
@@ -351,15 +351,26 @@ class PosgDomain:
 
     def __reduce__(self):
         # A mappingproxy does not pickle, so rebuild through __init__ from
-        # the fields with level0 as a dict.
+        # the fields with level0 as a dict.  A table that is a broadcast view
+        # goes as the rows it views, so it is rebuilt as a view, not dense.
         kw = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
-        return functools.partial(PosgDomain, **{**kw, "level0": dict(self.level0)}), ()
+        tables = {}
+        for name in ("obs_fn_i", "obs_fn_j", "reward_i", "reward_j"):
+            a = kw.pop(name)
+            cut = tuple(slice(None) if st else slice(0, 1) for st in a.strides)
+            tables[name] = (a[cut], a.shape)
+        return _unpickle_domain, ({**kw, "level0": dict(self.level0)}, tables)
 
     def start_distribution(self) -> np.ndarray:
         if self.start is not None:
             return self.start
         n = len(self.states)
         return np.full(n, 1.0 / n)
+
+
+def _unpickle_domain(kw: dict, tables: dict) -> PosgDomain:
+    views = {name: np.broadcast_to(rows, shape) for name, (rows, shape) in tables.items()}
+    return PosgDomain(**kw, **views)
 
 
 def _check_labels(path: str, labels: Sequence[str]) -> tuple[str, ...]:
@@ -873,15 +884,14 @@ def domain_to_obj(domain: PosgDomain) -> dict:
     return obj
 
 
-def domain_from_obj(obj: Mapping) -> PosgDomain:
+def domain_from_obj(obj: dict) -> PosgDomain:
     """The domain a ``domain_to_obj`` mapping describes, validated.  Nothing
     is coerced: the name is a non-empty string, and no number is a bool or
     a string."""
-    if not isinstance(obj, Mapping):
-        raise DomainValidationError("a domain file is a JSON object, not a %s" % type(obj).__name__)
     required = [
         "name", *_LABELS, "horizon", "transition", "obs_i", "obs_j", "reward_i", "reward_j"
     ]
+    _check_keys("domain file", obj, [*required, "start"], DomainValidationError)
     missing = [k for k in required if k not in obj]
     if missing:
         raise DomainValidationError("missing keys: %s" % ", ".join(missing))
@@ -894,9 +904,8 @@ def domain_from_obj(obj: Mapping) -> PosgDomain:
             "transition: a dense [s][ai][aj][s'] table, which is no longer read; "
             "write [s, ai, aj, s', p] entries"
         )
-    horizon, name = obj["horizon"], obj["name"]
-    if isinstance(horizon, bool) or not isinstance(horizon, int):
-        raise DomainValidationError("horizon: %r is not an integer" % (horizon,))
+    horizon = _integer("horizon", obj["horizon"], DomainValidationError)
+    name = obj["name"]
     if not isinstance(name, str) or not name:
         raise DomainValidationError("name: %r is not a non-empty string" % (name,))
     S = len(labels["states"])

@@ -25,7 +25,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import itertools
-import numbers
 import os
 import time
 from dataclasses import dataclass, field
@@ -44,7 +43,7 @@ from .domains import (
 from .generation import generate_known_models
 from .selection import SelectionConfig, make_candidate_set, select_topk
 from .simulate import TRUE_MODES, run_experiment
-from .trees import _csv_text, _json_text, _read_input, canonical_encode
+from .trees import _check_keys, _csv_text, _integer, _json_text, _read_input, canonical_encode
 
 __all__ = [
     "TOOL_VERSION",
@@ -117,11 +116,28 @@ def write_manifest(m: RunManifest, out_dir) -> Path:
     return path
 
 
+# Each manifest field's JSON type, as json.loads gives it, and its name.
+_MANIFEST_TYPES = {
+    "command": (str, "a string"), "tool_version": (str, "a string"),
+    "seed": ((int, type(None)), "an integer or null"), "config": (dict, "an object"),
+    "input_hashes": (dict, "an object"), "outputs": (dict, "an object"),
+    "timings": (dict, "an object"), "threads": (dict, "an object"), "errors": (list, "a list"),
+}
+
+
+def _manifest_from_obj(obj) -> RunManifest:
+    """The manifest a parsed manifest file describes; an unknown or missing
+    key, or a field of another JSON type, is named."""
+    m = RunManifest(**{"seed": None, "tool_version": "unknown", **obj})
+    for key, (kind, name) in _MANIFEST_TYPES.items():
+        value = getattr(m, key)
+        if isinstance(value, bool) or not isinstance(value, kind):
+            raise ValueError("%s: %r is not %s" % (key, value, name))
+    return m
+
+
 def load_manifest(path) -> RunManifest:
-    """The manifest in ``path``; an unknown or missing key is named."""
-    return _read_input(
-        path, lambda obj: RunManifest(**{"seed": None, "tool_version": "unknown", **obj})
-    )[0]
+    return _read_input(path, _manifest_from_obj)[0]
 
 
 def file_sha256(path) -> str:
@@ -138,23 +154,13 @@ def _check_domain_name(name) -> None:
         )
 
 
-def _integer(key: str, x) -> int:
-    if isinstance(x, bool) or not isinstance(x, numbers.Integral):
-        raise ValueError("%s: %r is not an integer" % (key, x))
-    return int(x)
-
-
 def normalize_grid_config(obj: dict) -> dict:
     """Fill defaults and validate; unknown keys are rejected.
 
     Axes must be lists, and the numeric axes, ``rounds`` and ``patience``
     must hold integers; nothing is coerced.
     """
-    if not isinstance(obj, dict):
-        raise ValueError("a grid config is a JSON object, not a %s" % type(obj).__name__)
-    unknown = set(obj) - set(_GRID_DEFAULTS)
-    if unknown:
-        raise ValueError("unknown grid config keys: %s" % ", ".join(sorted(unknown)))
+    _check_keys("grid config", obj, _GRID_DEFAULTS)
     cfg = dict(_GRID_DEFAULTS)
     cfg.update(obj)
     _check_domain_name(cfg["domain"])
@@ -384,16 +390,22 @@ def run_from_manifest(manifest_path, out_dir, workers: int = 1) -> RunManifest:
 
     Refuses, before writing anything, a manifest written by another tool
     version or one whose domain file, as the replay parses it, has changed
-    since it was recorded.
+    since it was recorded.  The manifest is read, checked and run as one
+    ``_read_input``, so every refusal starts with the manifest's path.
     """
-    m = load_manifest(manifest_path)
-    if m.command != "experiment":
-        raise ValueError("manifest records command %r, not an experiment" % m.command)
-    if m.tool_version != TOOL_VERSION:
-        raise ValueError(
-            "manifest was written by tool version %s, this is %s"
-            % (m.tool_version, TOOL_VERSION)
-        )
-    config = normalize_grid_config(m.config)
-    recorded = {} if config["domain"] in BUILTIN_DOMAINS else {"domain": m.input_hashes.get("domain")}
-    return run_experiment_grid(config, out_dir, workers=workers, input_hashes=recorded)
+
+    def replay(obj) -> RunManifest:
+        m = _manifest_from_obj(obj)
+        if m.command != "experiment":
+            raise ValueError("manifest records command %r, not an experiment" % m.command)
+        if m.tool_version != TOOL_VERSION:
+            raise ValueError(
+                "manifest was written by tool version %s, this is %s"
+                % (m.tool_version, TOOL_VERSION)
+            )
+        config = normalize_grid_config(m.config)
+        builtin = config["domain"] in BUILTIN_DOMAINS
+        recorded = {} if builtin else {"domain": m.input_hashes.get("domain")}
+        return run_experiment_grid(config, out_dir, workers=workers, input_hashes=recorded)
+
+    return _read_input(manifest_path, replay)[0]

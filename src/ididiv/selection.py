@@ -20,8 +20,8 @@ from .features import extract_features
 # convert_to_dbn is unused here; perfbench/tracer.py binds selection.convert_to_dbn.
 from .generation import convert_to_dbn, sample_tree  # noqa: F401
 from .trees import (
-    PolicyTree, _as_written, _build, _json_text, _read_input, canonical_encode, canonical_parse,
-    validate_tree,
+    PolicyTree, _as_written, _build, _check_keys, _integer, _json_text, _read_input,
+    canonical_encode, canonical_parse, validate_tree,
 )
 
 __all__ = [
@@ -199,17 +199,17 @@ def candidate_set_from_obj(obj) -> CandidateModelSet:
     """The candidate set a parsed candidate file describes.  Numbers are read
     as written: ``prior`` holds numbers, each ``trace`` entry is [integer,
     number], and ``measure`` is null, "MDP" or "MDF"."""
-    if not isinstance(obj, dict):
-        raise ValueError("a candidate file is a JSON object, not a %s" % type(obj).__name__)
+    keys = ("trees", "prior", "provenance", "n_observations", "measure", "trace")
+    _check_keys("candidate file", obj, keys)
     for key in ("trees", "n_observations"):
         if key not in obj:
             raise ValueError("a candidate file needs %r" % key)
     if not isinstance(obj["trees"], list) or not all(isinstance(t, str) for t in obj["trees"]):
         raise ValueError("'trees' is a list of tree encodings")
-    trace = [(k, float(v)) for k, v in _as_written("trace", obj.get("trace", []))]
-    for k, _ in trace:
-        if type(k) is not int:
-            raise ValueError("trace: %r is not an integer" % (k,))
+    trace = _as_written("trace", obj.get("trace", []))
+    if not isinstance(trace, list):
+        raise ValueError("trace: %r is not a list" % (trace,))
+    trace = [(_integer("trace", k), float(v)) for k, v in trace]
     prior = np.asarray(_as_written("prior", obj["prior"]), dtype=float) if "prior" in obj else None
     measure = obj.get("measure")
     if measure not in (None, *MEASURES):

@@ -21,7 +21,8 @@ one rule: a float cell is written with ``repr``, every other cell with
 reading of an input file (a domain, candidate set, grid config or manifest):
 it parses, builds and hashes the same bytes, and its errors start with the path.
 ``_as_written`` is the one rule for the numbers in such a file: a bool or a
-string where a number belongs is refused, never converted.
+string where a number belongs is refused, never converted, and ``_integer``
+its rule for an integer.  ``_check_keys`` refuses a key the reader does not know.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import numbers
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from pathlib import Path
@@ -408,6 +410,21 @@ def _as_written(key: str, value, error: type = ValueError):
         nested = (x for x in level if type(x) in (list, tuple)) if kinds & {list, tuple} else ()
         level = list(itertools.chain.from_iterable(nested))
     return value
+
+
+def _integer(key: str, x, error: type = ValueError) -> int:
+    if isinstance(x, bool) or not isinstance(x, numbers.Integral):
+        raise error("%s: %r is not an integer" % (key, x))
+    return int(x)
+
+
+def _check_keys(noun: str, obj, keys, error: type = ValueError) -> None:
+    """``error`` unless ``obj``, a ``noun``, is a JSON object keyed within ``keys``."""
+    if not isinstance(obj, dict):
+        raise error("a %s is a JSON object, not a %s" % (noun, type(obj).__name__))
+    unknown = set(obj) - set(keys)
+    if unknown:
+        raise error("unknown %s keys: %s" % (noun, ", ".join(sorted(map(str, unknown)))))
 
 
 def _read_input(path, build: Callable) -> tuple[object, str]:

@@ -380,6 +380,8 @@ class TestParsing:
              "start: (True|False) is not a number"),
             (["--domain", "{}", "solve"], lambda: _tiger2_edit("transition", (0, 4), True),
              "transition: True is not a number"),
+            (["--domain", "{}", "solve"], lambda: _tiger2_obj(strat=[0.5, 0.5]),
+             "unknown domain file keys: strat"),
             (["features", "--trees", "{}"], lambda: _candidates_obj(prior=["0.5", "0.5"]),
              "prior: '0.5' is not a number"),
             (["features", "--trees", "{}"], lambda: _candidates_obj(prior=[True, False]),
@@ -390,8 +392,12 @@ class TestParsing:
              "trace: True is not a number"),
             (["features", "--trees", "{}"], lambda: _candidates_obj(trace=[[2.5, 1]]),
              "trace: 2.5 is not an integer"),
+            (["features", "--trees", "{}"], lambda: _candidates_obj(trace={}),
+             "trace: {} is not a list"),
             (["features", "--trees", "{}"], lambda: _candidates_obj(measure=5),
              "measure: 5 is not null, 'MDP' or 'MDF'"),
+            (["features", "--trees", "{}"], lambda: _candidates_obj(priorr=[0.5, 0.5]),
+             "unknown candidate file keys: priorr"),
             (["experiment", "--config", "{}"], lambda: {"seeds": "x"},
              "seeds must be a list, got 'x'"),
             (["experiment", "--config", "{}"], lambda: {"rounds": 0}, "rounds must be >= 1"),
@@ -402,8 +408,9 @@ class TestParsing:
         ids=[
             "domain-list", "domain-no-keys", "horizon-list", "horizon-float",
             "horizon-string", "horizon-bool", "name-number", "name-empty",
-            "reward-string", "start-bools", "probability-bool", "prior-strings", "prior-bools",
-            "trace-strings", "trace-bool", "trace-float-size", "measure-number",
+            "reward-string", "start-bools", "probability-bool", "domain-unknown-key",
+            "prior-strings", "prior-bools", "trace-strings", "trace-bool", "trace-float-size",
+            "trace-object", "measure-number", "candidates-unknown-key",
             "config-seeds", "config-rounds",
             "manifest-unknown-key",
         ],
@@ -415,6 +422,33 @@ class TestParsing:
         with pytest.raises(ValueError, match="^" + re.escape(str(path)) + ": " + message):
             _run(["--out-dir", tmp_path / "out", *argv])
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda m, dom: m.update(input_hashes=[]), r"input_hashes: \[\] is not an object"),
+            (lambda m, dom: m.update(command=5), "command: 5 is not a string"),
+            (lambda m, dom: m.update(config=[1]), r"config: \[1\] is not an object"),
+            (lambda m, dom: dom.write_text(dom.read_text() + "\n"),
+             "domain file .* changed since its hash was recorded"),
+        ],
+        ids=["hashes-list", "command-number", "config-list", "domain-changed"],
+    )
+    def test_replay_refusal_names_the_manifest(self, tmp_path, edit, message):
+        # A domain-file grid's manifest, then one field of it or the domain
+        # file changed.
+        dom = tmp_path / "dom.json"
+        dom.write_text(serialize_domain(builtin_tiger(2)))
+        cfg = tmp_path / "grid.json"
+        cfg.write_text(json.dumps(dict(GRID, domain=str(dom))))
+        assert _run(["--out-dir", tmp_path / "a", "experiment", "--config", cfg]) == 0
+        path = tmp_path / "a" / "manifest.json"
+        manifest = json.loads(path.read_text())
+        edit(manifest, dom)
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match="^" + re.escape(str(path)) + ": " + message):
+            _run(["--out-dir", tmp_path / "b", "experiment", "--from-manifest", path])
+        assert not (tmp_path / "b").exists()
 
     def test_missing_subcommand(self):
         with pytest.raises(SystemExit):

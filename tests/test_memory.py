@@ -196,6 +196,20 @@ def test_pickled_uav_domain_comes_back_equal_and_read_only():
         assert not getattr(again, name).flags.writeable, name
 
 
+def test_pickled_uav_domain_keeps_its_state_only_views():
+    # Written dense, the four tables took the pickle to 1.45 MiB, and every
+    # pool worker held them dense (obs_fn_i strides (800, 160, 32, 8)).
+    domain = builtin_uav(3)
+    data = pickle.dumps(domain)
+    assert len(data) < 0.8 * 2**20
+    back = pickle.loads(data)
+    for name in ("obs_fn_i", "obs_fn_j", "reward_i", "reward_j"):
+        table, again = getattr(domain, name), getattr(back, name)
+        assert np.array_equal(again, table), name
+        assert not again.flags.writeable, name
+        assert again.strides == table.strides and 0 in again.strides, name
+
+
 @pytest.mark.skipif(not Path("/proc/self/status").is_file(), reason="needs Linux /proc")
 def test_projecting_uav_for_i_raises_the_peak_by_little():
     # The [628, 5, 628] result is 15.8 MB; densifying the joint table first
