@@ -39,9 +39,9 @@ from .selection import (  # noqa: F401
     save_candidate_set,
     select_topk,
 )
-from .simulate import TRUE_MODES, episodes_to_csv, run_experiment
+from .simulate import MAX_ROUNDS, TRUE_MODES, episodes_to_csv, run_experiment
 from .solver import solve_exact
-from .trees import _json_text, _read_input, canonical_encode
+from .trees import _count, _json_text, _read_input, canonical_encode
 from .diversity import report_to_csv
 
 __all__ = [
@@ -102,8 +102,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("experiment", help="run a batch experiment grid")
-    p.add_argument("--config", default=None, help="grid config JSON file")
-    p.add_argument("--from-manifest", default=None, help="rerun a recorded manifest")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--config", default=None, help="grid config JSON file")
+    source.add_argument("--from-manifest", default=None, help="rerun a recorded manifest")
     p.set_defaults(func=cmd_experiment)
 
     return parser
@@ -205,25 +206,19 @@ def cmd_features(args) -> int:
 
 
 def cmd_topk(args) -> int:
+    known_ss, select_ss = np.random.SeedSequence(args.seed).spawn(2)
+    config = SelectionConfig(
+        measure=args.measure, k_max=args.k_max, patience=args.patience, seed=select_ss
+    )
     domain, _, hashes, out = _inputs(args)
     level0 = project_level0(domain, "j")
-    known_ss, select_ss = np.random.SeedSequence(args.seed).spawn(2)
 
     t0 = time.perf_counter()
     known = generate_known_models(level0, args.known, seed=known_ss)
     t_known = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    result = select_topk(
-        known,
-        level0,
-        SelectionConfig(
-            measure=args.measure,
-            k_max=args.k_max,
-            patience=args.patience,
-            seed=select_ss,
-        ),
-    )
+    result = select_topk(known, level0, config)
     t_select = time.perf_counter() - t0
 
     cand_path = out / "candidates.json"
@@ -267,6 +262,7 @@ def cmd_solve_idid(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    _count("rounds", args.rounds, MAX_ROUNDS)
     domain, cs, hashes, out = _inputs(args)
 
     t0 = time.perf_counter()

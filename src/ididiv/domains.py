@@ -390,7 +390,7 @@ def _check_rows(path: str, arr: np.ndarray) -> None:
     """Last axis must be a probability distribution on every row."""
     if not np.all(np.isfinite(arr)):
         raise DomainValidationError("%s: non-finite probability" % path)
-    if np.any(arr < -_TOL):
+    if np.any(arr < 0.0):
         raise DomainValidationError("%s: negative probability" % path)
     sums = arr.sum(axis=-1)
     bad = np.abs(sums - 1.0) > _TOL
@@ -436,7 +436,7 @@ def _check_sparse_rows(path: str, blk: JointTransition) -> None:
     dat = blk.data
     if not np.all(np.isfinite(dat)):
         raise DomainValidationError("%s: non-finite probability" % path)
-    if dat.size and dat.min() < -_TOL:
+    if dat.size and dat.min() < 0.0:
         raise DomainValidationError("%s: negative probability" % path)
     sums = np.bincount(blk._coords()[0], weights=dat, minlength=blk.shape[0])
     bad = np.abs(sums - 1.0) > _TOL

@@ -26,7 +26,7 @@ tables through them:
     ``tests/test_flattening.py`` builds one as the oracle;
   * ``expected_reward`` and ``condition`` gather ``reward_i`` and
     ``obs_fn_i`` at a belief's keys;
-  * the state labels are ``PositionLabels``, made on index.
+  * its ``states`` are the augmented indices themselves, ``range(n)``.
 The domain was checked when it was built (see ``PosgDomain``), so ``flatten``
 checks only the candidate trees.
 """
@@ -34,8 +34,6 @@ checks only the candidate trees.
 from __future__ import annotations
 
 import dataclasses
-import operator
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,7 +49,7 @@ from .selection import CandidateModelSet
 from .solver import SolvedPolicy, solve_exact
 from .trees import node_table, validate_tree
 
-__all__ = ["FannedRows", "PositionLabels", "FlatModel", "FlatIdid", "flatten", "solve_idid"]
+__all__ = ["FannedRows", "FlatModel", "FlatIdid", "flatten", "solve_idid"]
 
 
 def _row_entries(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -133,37 +131,12 @@ class FannedRows:
         return out, sums.astype(float, copy=False)
 
 
-class PositionLabels(Sequence):
-    """The state labels of a flattened model, made on index.
-
-    State ``g * S + s`` is labeled ``"m%d:p%d:%s"`` by its candidate m, the
-    position of g within that candidate's tree and ``states[s]``.  Distinct
-    positions give distinct labels, so nothing needs to make them to count
-    them.
-    """
-
-    def __init__(self, node_counts: Sequence[int], states: Sequence[str]) -> None:
-        self._first = np.concatenate(([0], np.cumsum(node_counts)))
-        self._states = tuple(states)
-
-    def __len__(self) -> int:
-        return int(self._first[-1]) * len(self._states)
-
-    def __getitem__(self, k: int) -> str:
-        n = len(self)
-        k = operator.index(k)
-        if not -n <= k < n:
-            raise IndexError("state %d outside [0, %d)" % (k, n))
-        g, s = divmod(k % n, len(self._states))
-        m = int(np.searchsorted(self._first, g, side="right")) - 1
-        return "m%d:p%d:%s" % (m, g - self._first[m], self._states[s])
-
-
 @dataclass(frozen=True, eq=False)
 class FlatModel:
     """The subject's POMDP over augmented states, on sparse beliefs.
 
-    A belief is a pair (keys, vals): ascending augmented indices and their
+    A state is its augmented index, so ``states`` is ``range(n)``.  A belief
+    is a pair (keys, vals): ascending augmented indices and their
     probabilities.  ``transition`` holds one ``FannedRows`` per subject
     action; ``peer`` and ``parent_peer`` give each position's peer action and
     its parent's (-1 at a root), at which ``reward_i`` and ``obs_fn_i``, the
@@ -172,7 +145,7 @@ class FlatModel:
     """
 
     name: str
-    states: PositionLabels
+    states: range
     actions: tuple[str, ...]
     observations: tuple[str, ...]
     transition: tuple[FannedRows, ...]
@@ -234,16 +207,9 @@ class FlatModel:
 
 @dataclass(frozen=True, eq=False)
 class FlatIdid:
-    """The augmented model plus the indexing needed to interpret it."""
+    """What ``flatten`` returns: the augmented model, read as ``.model``."""
 
     model: FlatModel
-    domain: PosgDomain
-    candidates: CandidateModelSet
-    offsets: tuple[int, ...]
-    node_counts: tuple[int, ...]
-
-    def augmented_index(self, m: int, pos: int, s: int) -> int:
-        return self.offsets[m] + pos * len(self.domain.states) + s
 
 
 def flatten(domain: PosgDomain, candidates: CandidateModelSet) -> FlatIdid:
@@ -277,8 +243,8 @@ def flatten(domain: PosgDomain, candidates: CandidateModelSet) -> FlatIdid:
         layout = node_table(n_oj, tree.depth)
         acts = np.array([aj_index[a] for a in tree.preorder], dtype=np.int64)
         tables.append((acts, layout.parent, layout.children))
-    node_counts = tuple(len(tab[0]) for tab in tables)
-    offsets = tuple(np.concatenate(([0], np.cumsum([n * S for n in node_counts])))[:-1])
+    # The first position of each candidate, counted over all candidates.
+    first = np.cumsum([0] + [len(acts) for acts, _, _ in tables])[:-1]
 
     # Per position g over all candidates: the peer's action, its parent's
     # (-1 at a root), and the base g2 * S of each child g2; a leaf keeps
@@ -288,9 +254,9 @@ def flatten(domain: PosgDomain, candidates: CandidateModelSet) -> FlatIdid:
         [np.where(parents >= 0, acts[parents], -1) for acts, parents, _ in tables]
     )
     kids = np.full((len(peer), n_oj), -1, dtype=np.int64)
-    for m, (_acts, _parents, children) in enumerate(tables):
-        g = offsets[m] // S + np.arange(node_counts[m])
-        kids[g] = np.where(children >= 0, (g[0] + children) * S, -1)
+    for g0, (_acts, _parents, children) in zip(first, tables):
+        g = g0 + np.arange(len(children))
+        kids[g] = np.where(children >= 0, (g0 + children) * S, -1)
         leaf = g[children[:, 0] < 0]
         kids[leaf, 0] = leaf * S
     ops = tuple(
@@ -298,13 +264,13 @@ def flatten(domain: PosgDomain, candidates: CandidateModelSet) -> FlatIdid:
     )
 
     b0 = domain.start_distribution()
-    keys = np.concatenate([offsets[m] + np.arange(S) for m in range(len(tables))])
-    vals = np.concatenate([candidates.prior[m] * b0 for m in range(len(tables))])
+    keys = np.concatenate([g0 * S + np.arange(S) for g0 in first])
+    vals = np.concatenate([p * b0 for p in candidates.prior])
     keep = vals != 0.0
 
     model = FlatModel(
         name="idid:%s" % domain.name,
-        states=PositionLabels(node_counts, domain.states),
+        states=range(len(peer) * S),
         actions=act_i,
         observations=obs_i,
         transition=ops,
@@ -315,13 +281,7 @@ def flatten(domain: PosgDomain, candidates: CandidateModelSet) -> FlatIdid:
         initial_belief=(keys[keep], vals[keep]),
         horizon=domain.horizon,
     )
-    return FlatIdid(
-        model=model,
-        domain=domain,
-        candidates=candidates,
-        offsets=offsets,
-        node_counts=node_counts,
-    )
+    return FlatIdid(model)
 
 
 def solve_idid(flat: FlatIdid) -> SolvedPolicy:

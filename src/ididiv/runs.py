@@ -41,9 +41,11 @@ from .domains import (
     with_horizon,
 )
 from .generation import generate_known_models
-from .selection import SelectionConfig, make_candidate_set, select_topk
-from .simulate import TRUE_MODES, run_experiment
-from .trees import _check_keys, _csv_text, _integer, _json_text, _read_input, canonical_encode
+from .selection import MAX_PATIENCE, SelectionConfig, make_candidate_set, select_topk
+from .simulate import MAX_ROUNDS, TRUE_MODES, run_experiment
+from .trees import (
+    _check_keys, _count, _csv_text, _integer, _json_text, _read_input, canonical_encode,
+)
 
 __all__ = [
     "TOOL_VERSION",
@@ -179,10 +181,8 @@ def normalize_grid_config(obj: dict) -> dict:
         for value in cfg[key]:
             if value not in allowed:
                 raise ValueError("%s: unknown value %r" % (key, value))
-    for key in ("rounds", "patience"):
-        cfg[key] = _integer(key, cfg[key])
-        if cfg[key] < 1:
-            raise ValueError("%s must be >= 1" % key)
+    for key, bound in (("rounds", MAX_ROUNDS), ("patience", MAX_PATIENCE)):
+        cfg[key] = _count(key, _integer(key, cfg[key]), bound)
     return cfg
 
 

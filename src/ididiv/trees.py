@@ -418,6 +418,16 @@ def _integer(key: str, x, error: type = ValueError) -> int:
     return int(x)
 
 
+def _count(key: str, x: int, bound: int) -> int:
+    """``x``, unless it lies outside [1, bound]: then a ValueError naming
+    ``key`` and ``x``."""
+    if x < 1:
+        raise ValueError("%s must be >= 1" % key)
+    if x > bound:
+        raise ValueError("%s must be <= %d, got %d" % (key, bound, x))
+    return x
+
+
 def _check_keys(noun: str, obj, keys, error: type = ValueError) -> None:
     """``error`` unless ``obj``, a ``noun``, is a JSON object keyed within ``keys``."""
     if not isinstance(obj, dict):

@@ -214,7 +214,8 @@ class TestTopkFeaturesChain:
         )
         assert rc == 0
         pol = json.loads((tmp_path / "plan" / "policy_idid.json").read_text())
-        assert pol["augmented_states"] > 0
+        # Each peer tree has 3 nodes and the domain 2 states.
+        assert pol["augmented_states"] == 6 * pol["candidates"]
         assert canonical_parse(pol["tree"]).depth == 2
 
         rc = _run(
@@ -401,6 +402,10 @@ class TestParsing:
             (["experiment", "--config", "{}"], lambda: {"seeds": "x"},
              "seeds must be a list, got 'x'"),
             (["experiment", "--config", "{}"], lambda: {"rounds": 0}, "rounds must be >= 1"),
+            (["experiment", "--config", "{}"], lambda: {"rounds": 10**30},
+             "rounds must be <= 100000, got 10{30}$"),
+            (["experiment", "--config", "{}"], lambda: {"patience": 10**30},
+             "patience must be <= 10000, got 10{30}$"),
             (["experiment", "--from-manifest", "{}"],
              lambda: {"command": "experiment", "config": {}, "bogus": 1},
              "RunManifest.__init__.. got an unexpected keyword argument 'bogus'"),
@@ -411,7 +416,7 @@ class TestParsing:
             "reward-string", "start-bools", "probability-bool", "domain-unknown-key",
             "prior-strings", "prior-bools", "trace-strings", "trace-bool", "trace-float-size",
             "trace-object", "measure-number", "candidates-unknown-key",
-            "config-seeds", "config-rounds",
+            "config-seeds", "config-rounds", "config-rounds-huge", "config-patience-huge",
             "manifest-unknown-key",
         ],
     )
@@ -448,6 +453,30 @@ class TestParsing:
         path.write_text(json.dumps(manifest))
         with pytest.raises(ValueError, match="^" + re.escape(str(path)) + ": " + message):
             _run(["--out-dir", tmp_path / "b", "experiment", "--from-manifest", path])
+        assert not (tmp_path / "b").exists()
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["simulate", "--candidates", "c.json", "--rounds", 10**30],
+             "rounds must be <= 100000, got 10{30}$"),
+            (["topk", "--patience", 10**30], "patience must be <= 10000, got 10{30}$"),
+        ],
+        ids=["simulate-rounds", "topk-patience"],
+    )
+    def test_count_flag_above_its_bound_is_refused(self, tmp_path, argv, message):
+        with pytest.raises(ValueError, match=message):
+            _run(["--out-dir", tmp_path / "out", *argv])
+        assert not (tmp_path / "out").exists()
+
+    def test_config_and_manifest_are_exclusive(self, tmp_path, capsys):
+        # Replaying the manifest would leave the config unread and unnamed.
+        assert _run(["--out-dir", tmp_path / "a", "experiment"]) == 0
+        argv = ["--config", tmp_path / "missing.json",
+                "--from-manifest", tmp_path / "a" / "manifest.json"]
+        with pytest.raises(SystemExit):
+            _run(["--out-dir", tmp_path / "b", "experiment", *argv])
+        assert "not allowed with argument --config" in capsys.readouterr().err
         assert not (tmp_path / "b").exists()
 
     def test_missing_subcommand(self):

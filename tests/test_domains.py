@@ -758,6 +758,28 @@ class TestSerialization:
         with pytest.raises(DomainValidationError, match=match):
             domain_from_obj(obj)
 
+    # The simulator's sampler refuses any negative probability, so a row
+    # whose sum is within tolerance is refused all the same.
+    @pytest.mark.parametrize(
+        "edit, match",
+        [
+            (lambda o: o.__setitem__("start", [-1e-13, 1.0000000000001]), r"start: negative"),
+            (
+                lambda o: o["transition"].__setitem__(
+                    slice(0, 2), [[0, 0, 0, 0, -1e-13], [0, 0, 0, 1, 1.0000000000001]]
+                ),
+                r"transition\[:, 0, 0\]: negative",
+            ),
+            (lambda o: o["obs_j"][0].__setitem__(2, [-1e-13, 1.0000000000001]), r"obs_fn_j: negative"),
+        ],
+        ids=["start", "transition", "obs_j"],
+    )
+    def test_tiny_negative_probability_refused(self, tiger, edit, match):
+        obj = json.loads(serialize_domain(tiger))
+        edit(obj)
+        with pytest.raises(DomainValidationError, match=match):
+            domain_from_obj(obj)
+
 
 def _fields_equal(a, b) -> bool:
     """Dataclass field values equal, arrays by value; recurses into level0."""

@@ -30,7 +30,7 @@ from ididiv import (
     validate_model,
 )
 from ididiv.domains import domain_to_obj
-from ididiv.flattening import FannedRows, FlatModel, PositionLabels
+from ididiv.flattening import FannedRows, FlatModel
 from ididiv.trees import all_trees, node_table
 from conftest import _peer_trees_t2
 
@@ -60,12 +60,13 @@ def _beliefs(model, rng, n_random):
     return beliefs
 
 
-def _assert_products_match_scipy(flat, rng, n_random=20):
+def _assert_products_match_scipy(case, rng, n_random=20):
     """predict, scattered, equals scipy's CSR product bit for bit, action by
-    action."""
+    action, for a (domain, candidates, flattened) triple."""
+    domain, candidates, flat = case
     model = flat.model
     n = len(model.states)
-    refs = _csr_oracle(flat.domain, flat.candidates)
+    refs = _csr_oracle(domain, candidates)
     for b in _beliefs(model, rng, n_random):
         for a, ref in enumerate(refs):
             assert np.array_equal(_dense(model.predict(b, a), n), _dense(b, n) @ ref)
@@ -113,51 +114,26 @@ def flat2(tiger2, cand2):
 
 class TestStructure:
     def test_dimensions(self, tiger2, flat2):
-        # Three 3-node trees over two physical states.
-        assert flat2.node_counts == (3, 3, 3)
-        assert flat2.offsets == (0, 6, 12)
-        assert len(flat2.model.states) == 18
+        # Three 3-node trees over two physical states; a state is its index.
+        assert len(flat2.model.peer) == 9
+        assert flat2.model.states == range(18)
         assert flat2.model.actions == tiger2.actions_i
         assert flat2.model.observations == tiger2.observations_i
-
-    def test_augmented_index(self, tiger2, flat2):
-        assert flat2.augmented_index(0, 0, 0) == 0
-        assert flat2.augmented_index(1, 0, 1) == 7
-        assert flat2.augmented_index(2, 2, 0) == 16
-        # The labels are made on index, in augmented-index order.
-        names = flat2.model.states
-        assert isinstance(names, PositionLabels)
-        assert names[flat2.augmented_index(1, 2, 1)] == "m1:p2:TigerRight"
-        assert names[-1] == "m2:p2:TigerRight"
-        expect = tuple(
-            "m%d:p%d:%s" % (m, pos, st)
-            for m in range(3) for pos in range(3) for st in tiger2.states
-        )
-        assert tuple(names) == expect
-        with pytest.raises(IndexError):
-            names[18]
 
     def test_initial_belief_roots_only(self, tiger2, flat2, cand2):
         b = _dense(flat2.model.initial_belief, 18)
         for m in range(3):
-            base = flat2.offsets[m]
+            base = 6 * m
             np.testing.assert_allclose(
                 b[base : base + 2], cand2.prior[m] * tiger2.start_distribution()
             )
             assert np.all(b[base + 2 : base + 6] == 0.0)
 
-    def test_labels_are_counted_not_made(self, tiger2, cand2, monkeypatch):
-        def refuse(self, k):
-            raise AssertionError("label %d made" % k)
-
-        monkeypatch.setattr(PositionLabels, "__getitem__", refuse)
-        solve_idid(flatten(tiger2, cand2))
-
     def test_root_observation_rows_uniform(self, flat2):
         # Root positions are never successors; their rows are filler.
         model = flat2.model
         n_oi = len(model.observations)
-        roots = np.array([flat2.offsets[m] + s for m in range(3) for s in range(2)])
+        roots = np.array([6 * m + s for m in range(3) for s in range(2)])
         for a in range(len(model.actions)):
             for o in range(n_oi):
                 assert np.all(model.obs_at(roots, a, o) == 1.0 / n_oi)
@@ -363,17 +339,18 @@ class _DenseOracle:
         return p, None
 
 
-def _oracle_model(flat, product=None):
-    """The dense-belief oracle of a flattened model.  Its transition is the
-    CSR oracle's unless ``product`` is given."""
+def _oracle_model(case, product=None):
+    """The dense-belief oracle of a (domain, candidates, flattened) triple.
+    Its transition is the CSR oracle's unless ``product`` is given."""
+    domain, candidates, flat = case
     model = flat.model
     if product is None:
-        blocks = _csr_oracle(flat.domain, flat.candidates)
+        blocks = _csr_oracle(domain, candidates)
 
         def product(b, a):
             return b @ blocks[a]
 
-    O_aug, R_aug = _dense_tables(flat.domain, flat.candidates)
+    O_aug, R_aug = _dense_tables(domain, candidates)
     return _DenseOracle(
         name=model.name,
         actions=model.actions,
@@ -386,15 +363,17 @@ def _oracle_model(flat, product=None):
     )
 
 
-def _dense_reference(flat):
-    """The flattened model as a SingleAgentModel with a dense [S, A, S']
-    table made from the CSR oracle's blocks."""
+def _dense_reference(case):
+    """The flattened model of a (domain, candidates, flattened) triple as a
+    SingleAgentModel with a dense [S, A, S'] table made from the CSR
+    oracle's blocks, its states labeled ``s0``, ``s1``, ..."""
+    domain, candidates, flat = case
     model = flat.model
-    oracle = _oracle_model(flat)
-    blocks = _csr_oracle(flat.domain, flat.candidates)
+    oracle = _oracle_model(case)
+    blocks = _csr_oracle(domain, candidates)
     return SingleAgentModel(
         name=model.name,
-        states=tuple(model.states),
+        states=tuple("s%d" % k for k in model.states),
         actions=model.actions,
         observations=model.observations,
         transition=np.stack([blk.toarray() for blk in blocks], axis=1),
@@ -425,9 +404,9 @@ def oracle_sets(tiger2, cand2, uav):
     uav6 = _uav_mdf6(uav)
     assert len(uav6.trees) == 6
     return {
-        "tiger-T2": flatten(tiger2, cand2),
-        "tiger-T3": flatten(tiger3, cand3),
-        "uav-T3-mdf6": flatten(uav, uav6),
+        "tiger-T2": (tiger2, cand2, flatten(tiger2, cand2)),
+        "tiger-T3": (tiger3, cand3, flatten(tiger3, cand3)),
+        "uav-T3-mdf6": (uav, uav6, flatten(uav, uav6)),
     }
 
 
@@ -436,19 +415,19 @@ class TestOperatorOracle:
 
     @pytest.mark.parametrize("name", ["tiger-T2", "tiger-T3", "uav-T3-mdf6"])
     def test_products_equal_the_csr_bit_for_bit(self, oracle_sets, name):
-        flat = oracle_sets[name]
+        domain, candidates, flat = oracle_sets[name]
         model = flat.model
-        for op, blk in zip(model.transition, _csr_oracle(flat.domain, flat.candidates)):
+        for op, blk in zip(model.transition, _csr_oracle(domain, candidates)):
             assert isinstance(op, FannedRows)
             assert op.shape == blk.shape
             assert op.nnz == blk.nnz
         n_random = 5 if name.startswith("uav") else 20
-        _assert_products_match_scipy(flat, np.random.default_rng(7), n_random)
+        _assert_products_match_scipy(oracle_sets[name], np.random.default_rng(7), n_random)
 
     @pytest.mark.parametrize("name", ["tiger-T2", "tiger-T3", "uav-T3-mdf6"])
     def test_solve_equals_the_oracle_solve(self, oracle_sets, name):
-        flat = oracle_sets[name]
-        _assert_close_solves(solve_idid(flat), solve_exact(_oracle_model(flat)))
+        case = oracle_sets[name]
+        _assert_close_solves(solve_idid(case[2]), solve_exact(_oracle_model(case)))
 
 
 class TestTableOracle:
@@ -457,9 +436,9 @@ class TestTableOracle:
 
     @pytest.mark.parametrize("name", ["tiger-T2", "tiger-T3", "uav-T3-mdf6"])
     def test_columns_equal_the_dense_tables(self, oracle_sets, name):
-        flat = oracle_sets[name]
+        domain, candidates, flat = oracle_sets[name]
         model = flat.model
-        O_aug, R_aug = _dense_tables(flat.domain, flat.candidates)
+        O_aug, R_aug = _dense_tables(domain, candidates)
         keys = np.arange(len(model.states))
         for a in range(len(model.actions)):
             assert np.array_equal(model.reward_at(keys, a), R_aug[:, a])
@@ -470,7 +449,8 @@ class TestTableOracle:
     def test_solve_equals_the_dense_tables_solve(self, oracle_sets, name):
         # Only the tables differ: the oracle moves its dense beliefs with the
         # model's own operators.
-        flat = oracle_sets[name]
+        case = oracle_sets[name]
+        flat = case[2]
         model = flat.model
         n = len(model.states)
 
@@ -478,7 +458,7 @@ class TestTableOracle:
             nz = np.flatnonzero(b)
             return _dense(model.transition[a].rmatvec(nz, b[nz]), n)
 
-        _assert_close_solves(solve_idid(flat), solve_exact(_oracle_model(flat, product)))
+        _assert_close_solves(solve_idid(flat), solve_exact(_oracle_model(case, product)))
 
     def test_model_shares_the_domain_tables(self, tiger2, cand2):
         model = flatten(tiger2, cand2).model
@@ -534,7 +514,7 @@ class TestSparsePath:
 
     def test_sparse_matches_dense(self, tiger2, cand2):
         sp = flatten(tiger2, cand2)
-        dense = _dense_reference(sp)
+        dense = _dense_reference((tiger2, cand2, sp))
         validate_model(dense)
         pd = solve_exact(dense)
         ps = solve_idid(sp)
@@ -542,10 +522,10 @@ class TestSparsePath:
         assert ps.tree == pd.tree
 
     def test_products_match_scipy_exactly(self, oracle_sets):
-        flat = oracle_sets["tiger-T2"]
-        blocks = _csr_oracle(flat.domain, flat.candidates)
+        domain, candidates, _flat = oracle_sets["tiger-T2"]
+        blocks = _csr_oracle(domain, candidates)
         assert all(blk.indices.dtype == np.int32 for blk in blocks)
-        _assert_products_match_scipy(flat, np.random.default_rng(5))
+        _assert_products_match_scipy(oracle_sets["tiger-T2"], np.random.default_rng(5))
 
     def test_uav_products_match_scipy_exactly(self, oracle_sets):
         _assert_products_match_scipy(

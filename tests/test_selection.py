@@ -41,6 +41,8 @@ class TestConfig:
             SelectionConfig(k_max=0)
         with pytest.raises(ValueError):
             SelectionConfig(patience=0)
+        with pytest.raises(ValueError, match="patience must be <= 10000, got 10{30}$"):
+            SelectionConfig(patience=10**30)
 
 
 class TestCandidateSet:

@@ -253,6 +253,20 @@ class TestRunExperiment:
     def test_bad_rounds(self, tiger2, cand2):
         with pytest.raises(ValueError):
             run_experiment(tiger2, cand2, rounds=0)
+        # Refused before any seed is spawned or model flattened.
+        with pytest.raises(ValueError, match="rounds must be <= 100000, got 10{30}$"):
+            run_experiment(tiger2, cand2, rounds=10**30)
+
+    def test_round_seeds_are_the_children_of_the_seed(self, tiger2, cand2, monkeypatch):
+        # Round k plays on child k of the seed, the child spawn(rounds) gives.
+        seen = []
+        make = np.random.default_rng
+        monkeypatch.setattr(np.random, "default_rng", lambda ss: seen.append(ss) or make(ss))
+        run_experiment(tiger2, cand2, rounds=4, seed=11)
+        expect = np.random.SeedSequence(11).spawn(4)
+        assert [(s.entropy, s.spawn_key) for s in seen] == [
+            (s.entropy, s.spawn_key) for s in expect
+        ]
 
     def test_rejection_cap_exhaustion(self, tiger2):
         # A single-tree candidate "set" that already contains every tree a
