@@ -1,8 +1,10 @@
 """Policy trees and behavior sequences from the ground up.
 
 A depth-T policy tree prescribes an action at every node and branches on the
-observation received after acting.  Behavior sequences are the action paths
-it can realize; frames are its depth-limited truncations.
+observation received after acting.  A tree is its actions in preorder (root,
+then each observation's subtree in turn) over its observation alphabet.
+Behavior sequences are the action paths it can realize; frames are its
+depth-limited truncations.
 """
 
 from ididiv import (
@@ -19,13 +21,8 @@ from ididiv import (
 
 obs = ("GrowlLeft", "GrowlRight")
 
-listen_then_open = PolicyTree(
-    "Listen",
-    (
-        (obs[0], PolicyTree("OpenRight")),
-        (obs[1], PolicyTree("OpenLeft")),
-    ),
-)
+# Listen; on GrowlLeft open right, on GrowlRight open left.
+listen_then_open = PolicyTree(("Listen", "OpenRight", "OpenLeft"), obs)
 always_listen = constant_tree("Listen", obs, 2)
 
 print("tree:", canonical_encode(listen_then_open))

@@ -12,9 +12,11 @@ from ididiv import PolicyTree, build_matrix, extract_features, matrix_to_csv, pi
 
 
 def two_obs(action, left=None, right=None):
+    """The tree with root ``action`` and subtrees ``left`` (after o1) and
+    ``right`` (after o2): its preorder row is the root, then each subtree's."""
     if left is None:
-        return PolicyTree(action)
-    return PolicyTree(action, (("o1", left), ("o2", right)))
+        return PolicyTree((action,))
+    return PolicyTree((action,) + left.preorder + right.preorder, ("o1", "o2"))
 
 
 trees = [

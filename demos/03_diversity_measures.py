@@ -10,9 +10,11 @@ from ididiv import PolicyTree, diff_frames, diff_sequences, diversity_report, md
 
 
 def two_obs(action, left=None, right=None):
+    """The tree with root ``action`` and subtrees ``left`` (after o1) and
+    ``right`` (after o2): its preorder row is the root, then each subtree's."""
     if left is None:
-        return PolicyTree(action)
-    return PolicyTree(action, (("o1", left), ("o2", right)))
+        return PolicyTree((action,))
+    return PolicyTree((action,) + left.preorder + right.preorder, ("o1", "o2"))
 
 
 trees = [

@@ -39,9 +39,9 @@ from .selection import (  # noqa: F401
     save_candidate_set,
     select_topk,
 )
-from .simulate import MAX_ROUNDS, TRUE_MODES, episodes_to_csv, run_experiment
+from .simulate import EPISODE_COLUMNS, MAX_ROUNDS, TRUE_MODES, episode_rows, run_experiment
 from .solver import solve_exact
-from .trees import _count, _json_text, _read_input, canonical_encode
+from .trees import _count, _csv_line, _json_text, _read_input, canonical_encode
 from .diversity import report_to_csv
 
 __all__ = [
@@ -265,19 +265,21 @@ def cmd_simulate(args) -> int:
     _count("rounds", args.rounds, MAX_ROUNDS)
     domain, cs, hashes, out = _inputs(args)
 
+    # Each round's steps are written as the round ends, so no trace is kept.
+    ep_path = out / "episodes.csv"
     t0 = time.perf_counter()
-    stats = run_experiment(
-        domain,
-        cs,
-        true_mode=args.true_mode,
-        rounds=args.rounds,
-        seed=args.seed,
-        keep_traces=True,
-    )
+    with ep_path.open("w") as f:
+        f.write(_csv_line(EPISODE_COLUMNS))
+        stats = run_experiment(
+            domain,
+            cs,
+            true_mode=args.true_mode,
+            rounds=args.rounds,
+            seed=args.seed,
+            on_round=lambda k, ep: f.writelines(map(_csv_line, episode_rows(k, ep))),
+        )
     elapsed = time.perf_counter() - t0
 
-    ep_path = out / "episodes.csv"
-    ep_path.write_text(episodes_to_csv(stats.traces))
     stats_path = out / "stats.json"
     _write_json(
         stats_path,

@@ -4,11 +4,12 @@ The subject agent's planning problem becomes a single-agent POMDP,
 ``FlatModel``, over augmented states (candidate m, tree position pos,
 physical state s), indexed m-major, pos-minor, s-innermost.  Positions are
 the preorder node numbers of ``trees.node_table``, which gives each
-position's parent and children.  The peer's action is read off the tree
-position (``PolicyTree.preorder``); its observation channel advances the
-position.  Leaf positions keep themselves (the physical state still moves),
-and the subject's observation at a successor position conditions on the
-action of that position's unique parent.  Root positions never occur as
+position's parent and children.  The peer's action at a position is that
+entry of the candidate's preorder row, which is the tree itself
+(``PolicyTree.preorder``); its observation channel advances the position.
+Leaf positions keep themselves (the physical state still moves), and the
+subject's observation at a successor position conditions on the action of
+that position's unique parent.  Root positions never occur as
 successors, so their observation rows are uniform filler.
 
 A belief of the flattened model is the pair (keys, vals) of its support:

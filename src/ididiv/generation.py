@@ -68,7 +68,8 @@ def sample_tree(
     rng: np.random.Generator,
 ) -> tuple[str, ...]:
     """Grow one complete tree anchored on a feature behavior sequence and
-    return its preorder action row, from which ``trees._build`` builds it.
+    return its preorder action row: ``PolicyTree(row, model.observations)``
+    is the tree.
 
     Nodes on the anchor's observation path copy the anchor's actions; all
     other nodes act myopically under the propagated belief.  The root belief

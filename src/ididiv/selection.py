@@ -20,7 +20,7 @@ from .features import extract_features
 # convert_to_dbn is unused here; perfbench/tracer.py binds selection.convert_to_dbn.
 from .generation import convert_to_dbn, sample_tree  # noqa: F401
 from .trees import (
-    PolicyTree, _as_written, _build, _check_keys, _count, _integer, _json_text, _read_input,
+    PolicyTree, _as_written, _check_keys, _count, _integer, _json_text, _read_input,
     canonical_encode, canonical_parse, validate_tree,
 )
 
@@ -159,7 +159,7 @@ def select_topk(
         if row in seen:
             misses += 1
             continue
-        cand = _build(iter(row), model.observations, model.horizon)
+        cand = PolicyTree(row, model.observations)
         value = measure_fn(trees + [cand], n_obs)
         if value > current:
             trees.append(cand)

@@ -12,6 +12,7 @@ draws an individual round consumes.
 from __future__ import annotations
 
 from dataclasses import astuple, dataclass, fields
+from typing import Callable
 
 import numpy as np
 
@@ -34,6 +35,8 @@ __all__ = [
     "ExperimentStats",
     "run_episode",
     "run_experiment",
+    "EPISODE_COLUMNS",
+    "episode_rows",
     "episodes_to_csv",
 ]
 
@@ -83,7 +86,6 @@ class ExperimentStats:
     reward_variance_i: float
     mean_reward_j: float
     policy_value: float
-    traces: tuple[EpisodeTrace, ...] | None = None
 
 
 def run_episode(
@@ -193,8 +195,8 @@ def run_experiment(
     true_mode: str = "from-set",
     rounds: int = 50,
     seed=0,
-    keep_traces: bool = False,
     excluded_encodings=None,
+    on_round: Callable[[int, EpisodeTrace], object] | None = None,
 ) -> ExperimentStats:
     """Plan once against the candidate set, then play repeated rounds.
 
@@ -205,7 +207,8 @@ def run_experiment(
     ``excluded_encodings`` widens the set the true tree must avoid
     (canonical encodings), so algorithms under comparison can face an
     identical true-model stream by excluding the union of their candidate
-    sets.
+    sets.  ``on_round(index, trace)``, when given, receives each round's
+    ``EpisodeTrace`` as the round ends; no trace is kept.
     """
     if true_mode not in TRUE_MODES:
         raise ValueError("true_mode must be one of %r" % (TRUE_MODES,))
@@ -238,8 +241,7 @@ def run_experiment(
     walk_i = _walk(policy.tree)
     rewards_i: list[float] = []
     rewards_j: list[float] = []
-    traces: list[EpisodeTrace] = []
-    for _ in range(rounds):
+    for index in range(rounds):
         rng = np.random.default_rng(root.spawn(1)[0])
         if true_mode == "from-set":
             idx = int(rng.choice(len(candidates.trees), p=candidates.prior))
@@ -249,8 +251,8 @@ def run_experiment(
         ep = _play(domain, walk_i, walk_j, rng)
         rewards_i.append(ep.total_reward_i)
         rewards_j.append(ep.total_reward_j)
-        if keep_traces:
-            traces.append(ep)
+        if on_round is not None:
+            on_round(index, ep)
 
     arr = np.asarray(rewards_i)
     return ExperimentStats(
@@ -261,12 +263,18 @@ def run_experiment(
         reward_variance_i=float(arr.var(ddof=1)) if rounds > 1 else 0.0,
         mean_reward_j=float(np.mean(rewards_j)),
         policy_value=policy.value,
-        traces=tuple(traces) if keep_traces else None,
     )
+
+
+EPISODE_COLUMNS = ("round", *(f.name for f in fields(StepRecord)))
+
+
+def episode_rows(index: int, trace: EpisodeTrace) -> list[tuple]:
+    """The step-level CSV rows of round ``index``, one per step."""
+    return [(index, *astuple(st)) for st in trace.steps]
 
 
 def episodes_to_csv(traces) -> str:
     """Step-level CSV across rounds; no timestamps, reproducible byte for byte."""
-    columns = ("round", *(f.name for f in fields(StepRecord)))
-    rows = [(rnd, *astuple(st)) for rnd, tr in enumerate(traces) for st in tr.steps]
-    return _csv_text(columns, rows)
+    rows = [row for rnd, tr in enumerate(traces) for row in episode_rows(rnd, tr)]
+    return _csv_text(EPISODE_COLUMNS, rows)

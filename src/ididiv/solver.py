@@ -25,9 +25,9 @@ solve_exact, brute_force_solve and evaluate_policy run one recursion, which
 either picks the best action at each belief or follows a given tree, so the
 value reported for a solved tree is bit-identical to evaluating that tree.
 Picking returns each subtree as its preorder action row, an immutable
-tuple, and solve_exact builds the one tree of a solve from the root's row
-with ``trees._build``.  Following reads a tree's preorder row through its
-``trees.node_table``, so brute_force_solve builds only the winning tree.
+tuple, and the root's row is the solved ``PolicyTree``.  Following reads a
+tree's preorder row through its ``trees.node_table``, so brute_force_solve
+makes a tree only of the winning row.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from typing import Any, Protocol
 
 import numpy as np
 
-from .trees import PolicyTree, _build, count_tree_nodes, count_trees, node_table, validate_tree
+from .trees import PolicyTree, count_tree_nodes, count_trees, node_table, validate_tree
 
 __all__ = [
     "TIE_TOL",
@@ -154,7 +154,7 @@ def solve_exact(model: Model) -> SolvedPolicy:
     action.
     """
     v, row = _backup(model, model.initial_belief, model.horizon)
-    tree = _build(iter(row), model.observations, model.horizon)
+    tree = PolicyTree(row, model.observations)
     return SolvedPolicy(tree=tree, value=v, model_name=model.name, horizon=model.horizon)
 
 
@@ -194,5 +194,5 @@ def brute_force_solve(
         v = _backup(model, model.initial_belief, T, (row, kids))[0]
         if best is None or _beats(v, best_v):
             best_v, best = v, row
-    tree = _build(iter(best), model.observations, T)
+    tree = PolicyTree(best, model.observations)
     return SolvedPolicy(tree=tree, value=best_v, model_name=model.name, horizon=T)

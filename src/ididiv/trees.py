@@ -6,20 +6,20 @@ sequence: T actions interleaved with T-1 observations.  Trees are complete:
 every non-leaf node has exactly one child per observation symbol, in the
 declared observation order.
 
-All complete trees of one (n_obs, depth) share their nodes, numbered in
-preorder: ``node_table`` gives each node's level, parent, children and root
-path, and ``PolicyTree.preorder`` a tree's actions.  Prefixes, frames, the
-canonical encoding, diversity counts, matrix columns and flattening read
-this layout.  Every tree built from a preorder is built by ``_build``: a
-parsed encoding, a frame, an enumerated tree, the tree a check compares
-against and the tree of each exact solve, whose recursion returns rows.
+A ``PolicyTree`` is its preorder action row and its observation alphabet;
+there is no other tree form.  All complete trees of one (n_obs, depth)
+share their nodes, numbered in preorder: ``node_table`` gives each node's
+level, parent, children and root path.  Prefixes, frames, the canonical
+encoding, diversity counts, matrix columns, flattening, the solver and the
+simulator read this layout and the row.
 
-``_csv_text`` is the one CSV writer, for grid results, diversity reports,
-behavior matrices and episode steps.  Byte-identical replay rests on its
-one rule: a float cell is written with ``repr``, every other cell with
-``str``.  ``_json_text`` is the one JSON writer.  ``_read_input`` is the one
-reading of an input file (a domain, candidate set, grid config or manifest):
-it parses, builds and hashes the same bytes, and its errors start with the path.
+``_csv_line`` is the one CSV line writer, for grid results, diversity
+reports, behavior matrices and episode steps, and ``_csv_text`` a header
+plus its lines.  Byte-identical replay rests on its one rule: a float cell
+is written with ``repr``, every other cell with ``str``.  ``_json_text`` is
+the one JSON writer.  ``_read_input`` is the one reading of an input file (a
+domain, candidate set, grid config or manifest): it parses, builds and
+hashes the same bytes, and its errors start with the path.
 ``_as_written`` is the one rule for the numbers in such a file: a bool or a
 string where a number belongs is refused, never converted, and ``_integer``
 its rule for an integer.  ``_check_keys`` refuses a key the reader does not know.
@@ -31,8 +31,8 @@ import hashlib
 import itertools
 import json
 import numbers
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from dataclasses import dataclass, field
+from functools import lru_cache
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -94,41 +94,49 @@ class BehaviorSequence:
 
 @dataclass(frozen=True)
 class PolicyTree:
-    """One node of a complete policy tree.
+    """A complete policy tree: its actions in preorder and the observation
+    alphabet it branches on.
 
-    ``children`` pairs each observation symbol with its subtree, in declared
-    observation order.  Leaves have no children.
+    Preorder visits a node, then its subtrees in declared observation order,
+    so each subtree is a contiguous slice of the row and the depth follows
+    from the row's length: a length that no complete tree over these
+    observations has raises TreeShapeError.  A leaf keeps no observations,
+    so leaves of one action are equal whatever alphabet they were given.
+    ``action`` and ``children`` are read-only views of the row for code that
+    walks nodes, as the benchmark's tracer and planner check do.
     """
 
-    action: str
-    children: tuple[tuple[str, "PolicyTree"], ...] = ()
+    preorder: tuple[str, ...]
+    observations: tuple[str, ...] = ()
+    depth: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        row, obs = tuple(self.preorder), tuple(self.observations)
+        depth, n = 1, 1
+        while n < len(row) and obs:
+            depth += 1
+            n = count_tree_nodes(len(obs), depth)
+        if n != len(row):
+            raise TreeShapeError(
+                "a preorder of %d actions is not a complete tree over %d observations"
+                % (len(row), len(obs))
+            )
+        object.__setattr__(self, "preorder", row)
+        object.__setattr__(self, "observations", obs if depth > 1 else ())
+        object.__setattr__(self, "depth", depth)
 
     @property
-    def depth(self) -> int:
-        if not self.children:
-            return 1
-        return 1 + self.children[0][1].depth
+    def action(self) -> str:
+        return self.preorder[0]
 
     @property
-    def observation_labels(self) -> tuple[str, ...]:
-        return tuple(o for o, _ in self.children)
-
-    def child(self, obs: str) -> "PolicyTree":
-        for o, sub in self.children:
-            if o == obs:
-                return sub
-        raise KeyError("no child for observation %r" % obs)
-
-    @cached_property
-    def preorder(self) -> tuple[str, ...]:
-        """Every node's action in preorder, computed once per tree."""
-        out: list[str] = []
-        stack = [self]
-        while stack:
-            node = stack.pop()
-            out.append(node.action)
-            stack.extend(sub for _, sub in reversed(node.children))
-        return tuple(out)
+    def children(self) -> tuple[tuple[str, "PolicyTree"], ...]:
+        """Each observation with its subtree, in declared order; () at a leaf."""
+        row, obs = self.preorder, self.observations
+        size = (len(row) - 1) // len(obs) if obs else 0
+        return tuple(
+            (o, PolicyTree(row[1 + k * size:1 + (k + 1) * size], obs)) for k, o in enumerate(obs)
+        )
 
 
 class NodeTable(NamedTuple):
@@ -171,7 +179,7 @@ def node_table(n_obs: int, depth: int) -> NodeTable:
 
 
 def _table_of(tree: PolicyTree) -> NodeTable:
-    return node_table(len(tree.observation_labels), tree.depth)
+    return node_table(len(tree.observations), tree.depth)
 
 
 def prefix_ids(trees: Sequence[PolicyTree]) -> tuple[NodeTable, np.ndarray]:
@@ -182,14 +190,11 @@ def prefix_ids(trees: Sequence[PolicyTree]) -> tuple[NodeTable, np.ndarray]:
     equal ids mean equal prefixes.  A tree's ids on level t-1 fix its depth-t
     frame: every node above that level is an ancestor of one on it.
     """
-    shapes = {(t.depth, t.observation_labels) for t in trees}
+    shapes = {(t.depth, t.observations) for t in trees}
     if len(shapes) != 1:
         raise ValueError("trees need one depth and one observation alphabet: %r" % shapes)
     ((depth, obs),) = shapes
     table = node_table(len(obs), depth)
-    n = len(table.level)
-    if any(len(t.preorder) != n for t in trees):
-        raise TreeShapeError("incomplete tree: not %d nodes at depth %d" % (n, depth))
     # A prefix is its parent's prefix (earlier in preorder), position and action.
     parent = table.parent.tolist()
     seen: dict[tuple[int, int, str], int] = {}
@@ -208,28 +213,25 @@ def validate_tree(
     depth: int | None = None,
     actions: Iterable[str] | None = None,
 ) -> None:
-    """Check completeness and labeling; raise TreeShapeError on violation.
-
-    Every non-leaf node must carry one child per symbol of ``observations``,
-    in that exact order, and all leaves must sit at the same depth: the tree
-    must equal the complete tree its preorder spells.  When ``depth`` or
-    ``actions`` are given they are enforced too.
+    """Raise TreeShapeError unless the tree branches on ``observations``, in
+    that exact order (a leaf branches on none), and, when they are given,
+    has depth ``depth`` and takes only ``actions``.  Completeness holds by
+    construction.
     """
     obs = tuple(observations)
     d = tree.depth
     if depth is not None and d != depth:
         raise TreeShapeError("tree depth %d, expected %d" % (d, depth))
-    pre = tree.preorder
-    if len(pre) != count_tree_nodes(len(obs), d) or tree != _build(iter(pre), obs, d):
-        raise TreeShapeError("tree is not complete over %r at depth %d" % (obs, d))
-    unknown = set() if actions is None else set(pre) - set(actions)
+    if d > 1 and tree.observations != obs:
+        raise TreeShapeError("tree branches on %r, not %r" % (tree.observations, obs))
+    unknown = set() if actions is None else set(tree.preorder) - set(actions)
     if unknown:
         raise TreeShapeError("unknown actions %r" % sorted(unknown))
 
 
 def sequence_at(tree: PolicyTree, node: int) -> BehaviorSequence:
     """The behavior sequence from the root to preorder node ``node``."""
-    obs = tree.observation_labels
+    obs = tree.observations
     table = _table_of(tree)
     path = table.path[node]
     return BehaviorSequence(
@@ -253,8 +255,8 @@ def frame(tree: PolicyTree, t: int) -> PolicyTree:
     """
     if t < 1 or t > tree.depth:
         raise ValueError("frame depth %d outside [1, %d]" % (t, tree.depth))
-    kept = (a for a, lvl in zip(tree.preorder, _table_of(tree).level) if lvl < t)
-    return _build(kept, tree.observation_labels, t)
+    kept = tuple(a for a, lvl in zip(tree.preorder, _table_of(tree).level) if lvl < t)
+    return PolicyTree(kept, tree.observations)
 
 
 def sequence_list(tree: PolicyTree) -> tuple[BehaviorSequence, ...]:
@@ -283,8 +285,7 @@ def canonical_encode(tree: PolicyTree) -> str:
     Equal trees encode equally; used for de-duplication, as a dict key and
     in candidate files.
     """
-    obs = tree.observation_labels if tree.children else ()
-    return "%d;%s;%s" % (tree.depth, ",".join(obs), "|".join(tree.preorder))
+    return "%d;%s;%s" % (tree.depth, ",".join(tree.observations), "|".join(tree.preorder))
 
 
 def _encoded_rows(encodings: Iterable[str], observations, depth: int) -> frozenset:
@@ -326,22 +327,15 @@ def canonical_parse(text: str) -> PolicyTree:
             problem = str(exc)
     if problem:
         raise TreeShapeError("%r: %s" % (text, problem))
-    return _build(iter(acts), obs, depth)
+    return PolicyTree(tuple(acts), obs)
 
 
 def constant_tree(
     action: str, observations: Iterable[str], depth: int
 ) -> PolicyTree:
-    """Complete tree prescribing ``action`` everywhere.
-
-    Each level shares one subtree, so building it costs time linear in
-    depth.
-    """
+    """Complete tree prescribing ``action`` everywhere."""
     obs = tuple(observations)
-    node = PolicyTree(action)
-    for _ in range(depth - 1):
-        node = PolicyTree(action, tuple((o, node) for o in obs))
-    return node
+    return PolicyTree((action,) * count_tree_nodes(len(obs), depth), obs)
 
 
 def count_tree_nodes(n_obs: int, depth: int) -> int:
@@ -357,18 +351,6 @@ def count_trees(n_actions: int, n_obs: int, depth: int) -> int:
     return n_actions ** count_tree_nodes(n_obs, depth)
 
 
-def _build(it: Iterator[str], obs: tuple[str, ...], remaining: int) -> PolicyTree:
-    """The complete tree whose preorder actions ``it`` yields.
-
-    Module-level rather than a closure over itself, which would leave a
-    reference cycle behind on every call.
-    """
-    action = next(it)
-    if remaining == 1:
-        return PolicyTree(action)
-    return PolicyTree(action, tuple((o, _build(it, obs, remaining - 1)) for o in obs))
-
-
 def all_trees(
     actions: Iterable[str], observations: Iterable[str], depth: int
 ) -> Iterator[PolicyTree]:
@@ -382,14 +364,17 @@ def all_trees(
     obs = tuple(observations)
     n = count_tree_nodes(len(obs), depth)
     for assignment in itertools.product(acts, repeat=n):
-        yield _build(iter(assignment), obs, depth)
+        yield PolicyTree(assignment, obs)
+
+
+def _csv_line(row: Sequence) -> str:
+    """One CSV line; repr keeps every digit of a float."""
+    return ",".join(repr(x) if isinstance(x, float) else str(x) for x in row) + "\n"
 
 
 def _csv_text(columns: Sequence[str], rows: Iterable[Sequence]) -> str:
-    """Header plus one line per row; repr keeps every digit of a float."""
-    lines = [",".join(columns)]
-    lines += (",".join(repr(x) if isinstance(x, float) else str(x) for x in r) for r in rows)
-    return "\n".join(lines) + "\n"
+    """Header plus one line per row."""
+    return _csv_line(columns) + "".join(map(_csv_line, rows))
 
 
 def _json_text(obj) -> str:

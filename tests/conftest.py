@@ -34,11 +34,18 @@ def _rewriting(monkeypatch, module, name, path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def nested(action, children=()):
+    """The tree with root ``action`` and these (observation, subtree) pairs,
+    built from its preorder row: the root, then each subtree's row in turn."""
+    row = (action,) + tuple(a for _, sub in children for a in sub.preorder)
+    return PolicyTree(row, tuple(o for o, _ in children))
+
+
 def node(action, c1=None, c2=None, obs=("o1", "o2")):
     """Two-observation tree builder for fixtures."""
     if c1 is None:
-        return PolicyTree(action)
-    return PolicyTree(action, ((obs[0], c1), (obs[1], c2)))
+        return nested(action)
+    return nested(action, ((obs[0], c1), (obs[1], c2)))
 
 
 def _det_model_2a(reward=None):
@@ -97,14 +104,14 @@ def uav():
 
 def _peer_trees_t2():
     """Three hand-built depth-2 peer trees over the growl alphabet."""
-    listen = PolicyTree(
+    listen = nested(
         "Listen",
-        (("GrowlLeft", PolicyTree("OpenRight")), ("GrowlRight", PolicyTree("OpenLeft"))),
+        (("GrowlLeft", nested("OpenRight")), ("GrowlRight", nested("OpenLeft"))),
     )
     passive = constant_tree("Listen", ("GrowlLeft", "GrowlRight"), 2)
-    reckless = PolicyTree(
+    reckless = nested(
         "OpenLeft",
-        (("GrowlLeft", PolicyTree("Listen")), ("GrowlRight", PolicyTree("Listen"))),
+        (("GrowlLeft", nested("Listen")), ("GrowlRight", nested("Listen"))),
     )
     return [listen, passive, reckless]
 
@@ -171,8 +178,8 @@ def random_tree(rng: np.random.Generator, actions, observations, depth) -> Polic
     def build(remaining: int) -> PolicyTree:
         a = acts[int(rng.integers(len(acts)))]
         if remaining == 1:
-            return PolicyTree(a)
-        return PolicyTree(a, tuple((o, build(remaining - 1)) for o in obs))
+            return nested(a)
+        return nested(a, tuple((o, build(remaining - 1)) for o in obs))
 
     return build(depth)
 

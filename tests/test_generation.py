@@ -14,7 +14,7 @@ from ididiv import (
     solve_exact,
     validate_tree,
 )
-from ididiv.trees import _build
+from ididiv.trees import PolicyTree
 from conftest import _det_model_2a
 
 
@@ -24,7 +24,7 @@ def _anchor(actions, observations):
 
 def _tree(model, row):
     """The tree a sampled preorder row spells."""
-    return _build(iter(row), model.observations, model.horizon)
+    return PolicyTree(row, model.observations)
 
 
 def _grown(model, anchor, b0):

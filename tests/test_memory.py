@@ -122,6 +122,45 @@ assert again.transition == domain.transition
 print(peak_bytes() - before)
 """
 
+# Thirty uav T=4 MDF candidates (85 nodes each), parsed again from their
+# encodings, by the traced allocations the set still holds.
+_CANDIDATES_LIVE = """
+import tracemalloc
+from ididiv import (
+    SelectionConfig, builtin_domain, canonical_encode, generate_known_models,
+    project_level0, select_topk,
+)
+from ididiv.selection import candidate_set_from_obj
+
+level0 = project_level0(builtin_domain("uav", 4), "j")
+known = generate_known_models(level0, 3, seed=0)
+chosen = select_topk(known, level0, SelectionConfig(measure="MDF", k_max=30, seed=0))
+obj = {"trees": [canonical_encode(t) for t in chosen.trees], "n_observations": 4}
+assert len(obj["trees"]) == 30
+tracemalloc.start()
+candidates = candidate_set_from_obj(obj)
+print(tracemalloc.get_traced_memory()[0])
+"""
+
+# The traced peak of `simulate` over 1,000 and then 10,000 tiger T=2 rounds.
+_SIMULATE_PEAKS = """
+import sys
+import tracemalloc
+from ididiv import cli
+
+out = sys.argv[1]
+assert cli.main(["--out-dir", out, "topk", "--known", "3", "--k-max", "4", "--horizon", "2"]) == 0
+peaks = []
+for rounds in (1000, 10000):
+    tracemalloc.start()
+    argv = ["--out-dir", out, "simulate", "--candidates", out + "/candidates.json",
+            "--rounds", str(rounds), "--horizon", "2"]
+    assert cli.main(argv) == 0
+    peaks.append(tracemalloc.get_traced_memory()[1])
+    tracemalloc.stop()
+print(peaks[1] - peaks[0])
+"""
+
 
 def _run(code, *args) -> str:
     src = str(Path(ididiv.__file__).resolve().parent.parent)
@@ -237,3 +276,17 @@ def test_flattened_uav_solve_holds_less_than_one_dense_belief():
 def test_uav_domain_file_round_trip_raises_the_peak_by_little():
     # Through the dense table it raised the peak by 1.2 GB.
     assert int(_run(_FILE_PEAK)) < 150 * 2**20
+
+
+def test_parsed_candidate_set_holds_its_rows_not_nested_nodes():
+    # A tree is its preorder row: the set held 32.2 KB.  One node object
+    # per tree node, as nested trees were built, held 446.6 KB.
+    assert int(_run(_CANDIDATES_LIVE)) < 128 * 2**10
+
+
+def test_simulate_peak_grows_only_by_the_reward_lists(tmp_path):
+    # Each round's steps go to episodes.csv as the round ends.  What grows
+    # with the rounds is two lists of float rewards and their tuple and
+    # array copies, about 96 bytes a round (70.7 measured); every round's
+    # trace kept until the end cost 1,511 bytes a round.
+    assert int(_run(_SIMULATE_PEAKS, str(tmp_path))) < 9000 * 128

@@ -1,8 +1,9 @@
 """The preorder node table against recursive set- and string-based oracles.
 
-The oracles walk ``PolicyTree`` nodes directly, as the package did before
-prefixes, frames, leaf sequences, behavior matrix columns and flattening's
-position tables moved onto ``trees.node_table`` and ``PolicyTree.preorder``.
+The oracles walk a tree's ``action`` and ``children`` views recursively, as
+the package walked nested nodes before prefixes, frames, leaf sequences,
+behavior matrix columns and flattening's position tables moved onto
+``trees.node_table`` and ``PolicyTree.preorder``.
 """
 
 import numpy as np
@@ -16,7 +17,7 @@ from ididiv.trees import (
     prefixes,
     sequence_list,
 )
-from conftest import random_tree, random_tree_set
+from conftest import nested, random_tree, random_tree_set
 
 
 def oracle_prefixes(tree: PolicyTree, t: int) -> frozenset:
@@ -36,8 +37,8 @@ def oracle_prefixes(tree: PolicyTree, t: int) -> frozenset:
 
 def oracle_frame(tree: PolicyTree, t: int) -> PolicyTree:
     if t == 1:
-        return PolicyTree(tree.action)
-    return PolicyTree(
+        return nested(tree.action)
+    return nested(
         tree.action, tuple((o, oracle_frame(sub, t - 1)) for o, sub in tree.children)
     )
 

@@ -20,18 +20,30 @@ from ididiv import (
     flatten,
     simulate,
 )
-from ididiv.trees import _build, _encoded_rows, all_trees, node_table
+from ididiv.trees import _encoded_rows, all_trees, node_table
 
 
 def _levels(obs, *actions):
     """The complete tree whose every node on level t plays actions[t]."""
     levels = node_table(len(obs), len(actions)).level
-    return _build(iter([actions[t] for t in levels]), tuple(obs), len(actions))
+    return PolicyTree(tuple(actions[t] for t in levels), tuple(obs))
 
 
 def _tree(model, row):
     """The tree a sampled preorder row spells."""
-    return _build(iter(row), model.observations, model.horizon)
+    return PolicyTree(row, model.observations)
+
+
+def _traced(*args, **kwargs):
+    """``run_experiment``'s stats and the trace of every round, in order, as
+    its ``on_round`` callback receives them."""
+    traces = []
+
+    def on_round(index, trace):
+        assert index == len(traces)
+        traces.append(trace)
+
+    return run_experiment(*args, on_round=on_round, **kwargs), traces
 
 
 def _draw_by_encoding(model, anchors, excluded, rng):
@@ -154,7 +166,7 @@ class TestRunExperiment:
         assert stats.reward_variance_i == pytest.approx(
             np.var(stats.rewards_i, ddof=1)
         )
-        assert stats.traces is None
+        assert "traces" not in {f.name for f in dataclasses.fields(stats)}
 
     def test_trees_checked_once(self, tiger2, cand2, monkeypatch):
         # flatten checks the candidates; the rounds re-check no tree.
@@ -162,9 +174,9 @@ class TestRunExperiment:
         monkeypatch.setattr(
             simulate, "validate_tree", lambda tree, *a, **kw: checked.append(tree)
         )
-        stats = run_experiment(tiger2, cand2, "from-set", rounds=20, seed=0, keep_traces=True)
+        stats, traces = _traced(tiger2, cand2, "from-set", rounds=20, seed=0)
         assert checked == [solve_idid(flatten(tiger2, cand2)).tree]
-        assert stats.traces[0].steps[0].action_i == checked[0].action
+        assert traces[0].steps[0].action_i == checked[0].action
 
     def test_policy_value_reported(self, tiger2, cand2):
         stats = run_experiment(tiger2, cand2, "from-set", rounds=2, seed=0)
@@ -198,26 +210,23 @@ class TestRunExperiment:
         assert long.rewards_i[:5] == short.rewards_i
 
     def test_traces_kept_on_request(self, tiger2, cand2):
-        stats = run_experiment(
-            tiger2, cand2, "from-set", rounds=3, seed=0, keep_traces=True
-        )
-        assert stats.traces is not None and len(stats.traces) == 3
-        assert stats.traces[0].total_reward_i == stats.rewards_i[0]
+        stats, traces = _traced(tiger2, cand2, "from-set", rounds=3, seed=0)
+        assert len(traces) == 3
+        assert traces[0].total_reward_i == stats.rewards_i[0]
 
     def test_random_generated_outside_set(self, tiger2, cand2):
-        stats = run_experiment(
+        stats, traces = _traced(
             tiger2,
             cand2,
             "random-generated",
             rounds=8,
             seed=3,
-            keep_traces=True,
         )
         assert stats.rounds == 8
         # The peer's realized openings can only come from tree actions, and
         # in this mode the tree is sampled outside the candidate set; check
         # the recorded actions stay inside the peer alphabet.
-        for tr in stats.traces:
+        for tr in traces:
             for st in tr.steps:
                 assert st.action_j in tiger2.actions_j
 
@@ -228,13 +237,12 @@ class TestRunExperiment:
             _levels(tiger2.observations_j, "Listen", "OpenLeft", "OpenRight"),
             _levels(tiger2.observations_j, "OpenRight", "Listen", "OpenLeft"),
         ]
-        stats = run_experiment(
+        stats, traces = _traced(
             tiger2, make_candidate_set(deep, 2), "from-set", rounds=20, seed=0,
-            keep_traces=True,
         )
         by_root = {t.action: t for t in deep}
         seen = set()
-        for tr in stats.traces:
+        for tr in traces:
             s0, s1 = tr.steps
             tree = by_root[s0.action_j]
             assert s1.action_j == dict(tree.children)[s0.obs_j].action
@@ -345,11 +353,11 @@ class TestExcludedEncodings:
             if canonical_encode(t) != canonical_encode(tau)
         ]
         cand = make_candidate_set(pool[:2], 2)
-        stats = run_experiment(
+        stats, traces = _traced(
             tiger2, cand, "random-generated", rounds=3, seed=13,
-            excluded_encodings=excl, keep_traces=True,
+            excluded_encodings=excl,
         )
-        for tr in stats.traces:
+        for tr in traces:
             assert tr.steps[0].action_j == tau.action
             branch = dict(tau.children)[tr.steps[0].obs_j]
             assert tr.steps[1].action_j == branch.action
@@ -364,12 +372,12 @@ class TestExcludedEncodings:
 
     def test_other_shapes_leave_draws_alone(self, tiger2, cand2):
         j = project_level0(tiger2, "j")
-        a = run_experiment(tiger2, cand2, "random-generated", rounds=6, seed=9, keep_traces=True)
-        b = run_experiment(
-            tiger2, cand2, "random-generated", rounds=6, seed=9, keep_traces=True,
+        a = _traced(tiger2, cand2, "random-generated", rounds=6, seed=9)[1]
+        b = _traced(
+            tiger2, cand2, "random-generated", rounds=6, seed=9,
             excluded_encodings=self._other_shapes(j),
-        )
-        assert a.traces == b.traces
+        )[1]
+        assert a == b
 
     def test_rows_match_encoding_reference(self, tiger2):
         # With the same rng, row exclusion draws what exclusion by encoding
@@ -407,10 +415,8 @@ class TestExcludedEncodings:
 
 class TestCsv:
     def test_golden_shape(self, tiger2, cand2):
-        stats = run_experiment(
-            tiger2, cand2, "from-set", rounds=2, seed=0, keep_traces=True
-        )
-        text = episodes_to_csv(stats.traces)
+        traces = _traced(tiger2, cand2, "from-set", rounds=2, seed=0)[1]
+        text = episodes_to_csv(traces)
         lines = text.strip().split("\n")
         assert lines[0] == (
             "round,t,state,action_i,action_j,reward_i,reward_j,"
@@ -422,13 +428,9 @@ class TestCsv:
         assert first[2] in tiger2.states
 
     def test_byte_reproducible(self, tiger2, cand2):
-        a = run_experiment(
-            tiger2, cand2, "from-set", rounds=4, seed=2, keep_traces=True
-        )
-        b = run_experiment(
-            tiger2, cand2, "from-set", rounds=4, seed=2, keep_traces=True
-        )
-        assert episodes_to_csv(a.traces) == episodes_to_csv(b.traces)
+        a = _traced(tiger2, cand2, "from-set", rounds=4, seed=2)[1]
+        b = _traced(tiger2, cand2, "from-set", rounds=4, seed=2)[1]
+        assert episodes_to_csv(a) == episodes_to_csv(b)
 
     def test_float_cells_keep_every_digit(self):
         step = simulate.StepRecord(

@@ -4,7 +4,6 @@ import pytest
 from ididiv import (
     EnumerationCapError,
     FlatModel,
-    PolicyTree,
     SingleAgentModel,
     TreeShapeError,
     brute_force_solve,
@@ -15,7 +14,7 @@ from ididiv import (
     solve_exact,
 )
 from ididiv.solver import TIE_TOL
-from conftest import random_model
+from conftest import nested, random_model
 
 
 def _det_obs_model(horizon=2):
@@ -37,7 +36,7 @@ class TestSolveTiger:
     def test_horizon_one_listens(self, tiger_j):
         pol = solve_exact(tiger_j.replace(horizon=1))
         # Opening at uniform belief scores -45, listening -1.
-        assert pol.tree == PolicyTree("Listen")
+        assert pol.tree == nested("Listen")
         assert pol.value == pytest.approx(-1.0, abs=1e-12)
 
     def test_matches_brute_force_t2(self, tiger_j):
@@ -155,8 +154,8 @@ class TestDeadBranches:
         # a1 pays 1 every step; the impossible z1 branch falls back to the
         # first declared action.
         assert pol.tree.action == "a1"
-        assert pol.tree.child("z0").action == "a1"
-        assert pol.tree.child("z1") == constant_tree("a0", ("z0", "z1"), 1)
+        assert dict(pol.tree.children)["z0"].action == "a1"
+        assert dict(pol.tree.children)["z1"] == constant_tree("a0", ("z0", "z1"), 1)
         assert pol.value == pytest.approx(2.0, abs=1e-12)
 
     def test_brute_force_agrees_on_dead_branches(self):
@@ -195,4 +194,4 @@ class TestEnumerationCap:
             brute_force_solve(tiger_j, max_trees=100)
 
     def test_under_cap_runs(self, tiger_j):
-        assert brute_force_solve(tiger_j.replace(horizon=1)).tree == PolicyTree("Listen")
+        assert brute_force_solve(tiger_j.replace(horizon=1)).tree == nested("Listen")

@@ -1,4 +1,5 @@
 import gc
+import pickle
 
 import pytest
 from hypothesis import given, strategies as st
@@ -18,7 +19,7 @@ from ididiv import (
     sequence_list,
     validate_tree,
 )
-from conftest import node
+from conftest import nested, node
 
 
 class TestBehaviorSequence:
@@ -40,7 +41,7 @@ class TestBehaviorSequence:
 class TestShapes:
     def test_depth(self, fig_trees):
         assert all(t.depth == 3 for t in fig_trees)
-        assert PolicyTree("A").depth == 1
+        assert nested("A").depth == 1
 
     def test_validate_complete(self, fig_trees):
         for t in fig_trees:
@@ -59,14 +60,15 @@ class TestShapes:
             validate_tree(fig_trees[0], ("o1", "o2"), actions=("A", "B"))
 
     def test_ragged_tree_rejected(self):
-        ragged = PolicyTree("A", (("o1", PolicyTree("B")),))
+        # One child under a two-symbol alphabet spells a chain over ("o1",).
+        ragged = nested("A", (("o1", nested("B")),))
         with pytest.raises(TreeShapeError):
             validate_tree(ragged, ("o1", "o2"))
 
     def test_child_lookup(self, fig_trees):
-        assert fig_trees[0].child("o1").action == "B"
+        assert dict(fig_trees[0].children)["o1"].action == "B"
         with pytest.raises(KeyError):
-            fig_trees[0].child("nope")
+            dict(fig_trees[0].children)["nope"]
 
 
 class TestPrefixes:
@@ -99,7 +101,7 @@ class TestPrefixes:
 class TestFrame:
     def test_frame_top(self, fig_trees):
         f = frame(fig_trees[0], 1)
-        assert f == PolicyTree("A")
+        assert f == nested("A")
 
     def test_frame_middle(self, fig_trees):
         f = frame(fig_trees[0], 2)
@@ -135,7 +137,7 @@ class TestEncoding:
             assert canonical_parse(canonical_encode(t)) == t
 
     def test_canonical_leaf(self):
-        t = PolicyTree("Go")
+        t = nested("Go")
         assert canonical_parse(canonical_encode(t)) == t
 
     def test_canonical_distinguishes(self, fig_trees):
@@ -206,9 +208,11 @@ class TestBuildFromPreorder:
         # Building trees from a preorder makes no reference cycle, so what
         # each call drops is freed when it returns, not when the collector runs.
         tree = fig_trees[0]
-        obs = tree.observation_labels
+        obs = tree.observations
         text = canonical_encode(tree)
         calls = {
+            "PolicyTree": lambda: PolicyTree(tree.preorder, obs),
+            "children": lambda: tree.children,
             "validate_tree": lambda: validate_tree(tree, obs, depth=3),
             "canonical_parse": lambda: canonical_parse(text),
             "frame": lambda: frame(tree, 2),
@@ -234,16 +238,32 @@ def small_trees(draw):
     def build(remaining):
         a = draw(st.sampled_from(acts))
         if remaining == 1:
-            return PolicyTree(a)
-        return PolicyTree(a, tuple((o, build(remaining - 1)) for o in obs))
+            return nested(a)
+        return nested(a, tuple((o, build(remaining - 1)) for o in obs))
 
     return build(depth), obs, depth
+
+
+def _walked(tree):
+    """The tree rebuilt by walking its ``action`` and ``children`` views."""
+    return nested(tree.action, tuple((o, _walked(sub)) for o, sub in tree.children))
 
 
 @given(small_trees())
 def test_canonical_roundtrip_property(data):
     tree, obs, depth = data
     assert canonical_parse(canonical_encode(tree)) == tree
+    again = PolicyTree(tree.preorder, tree.observations)
+    assert again == tree and hash(again) == hash(tree)
+    assert pickle.loads(pickle.dumps(tree)) == tree
+    assert _walked(tree) == tree
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_row_of_no_node_count_is_refused(n):
+    # Complete trees over two observations have 1, 3, 7, ... nodes.
+    with pytest.raises(TreeShapeError, match="of %d actions" % n):
+        PolicyTree(("a",) * n, ("o1", "o2"))
 
 
 @given(small_trees(), st.integers(1, 3))
