@@ -17,9 +17,9 @@ built, so every domain that exists has passed it.
 
 The uav chase's ``obs_fn_i``, ``obs_fn_j``, ``reward_i`` and ``reward_j``
 depend on the state only, so each is a read-only ``np.broadcast_to`` view of
-one row per state; every reader indexes them as it would dense tables, and
-``project_level0`` sums over contiguous copies, since einsum over a view
-adds in another order.  A pickled domain, as a pool worker receives it,
+one row per state.  Every reader indexes them as it would dense tables and
+sums over a fresh product with ``np.add.reduce``, so a view and its dense
+copy give the same floats.  A pickled domain, as a pool worker receives it,
 carries each view as its rows and is rebuilt with the same views.
 
 A ``SingleAgentModel`` (``project_level0``) has one form: dense tables,
@@ -284,7 +284,7 @@ class SingleAgentModel:
 
     def predict(self, b: np.ndarray, a: int) -> np.ndarray:
         """The state distribution after action a from belief b."""
-        return b @ self.transition[:, a, :]
+        return np.add.reduce(b[:, None] * self.transition[:, a, :], axis=0)
 
     def condition(
         self, pred: np.ndarray, a: int, o: int
@@ -812,8 +812,7 @@ def project_level0(domain: PosgDomain, agent: str) -> SingleAgentModel:
     action is marginalized under a uniform distribution over the peer's
     declared actions.  The transition is summed from the joint table's
     stored entries in storage order, so each cell adds its peer actions in
-    ascending order starting from zero: the floats of a dense einsum over
-    the joint table, without building that table.
+    ascending order starting from zero, without building the dense table.
     """
     if agent not in ("i", "j"):
         raise ValueError("agent must be 'i' or 'j', got %r" % agent)
@@ -829,15 +828,13 @@ def project_level0(domain: PosgDomain, agent: str) -> SingleAgentModel:
     own, peer = (aj, ai) if agent == "j" else (ai, aj)
     T = np.zeros((S, n_aj if agent == "j" else n_ai, S))
     np.add.at(T, (s, own, joint.indices), w[peer] * joint.data)
-    # einsum sums over a per-state view in another order than over its
-    # dense copy, so it reads dense copies.
     if agent == "j":
         Ob = domain.obs_fn_j.copy()
-        R = np.einsum("swa,a->sw", np.ascontiguousarray(domain.reward_j), w)
+        R = np.add.reduce(domain.reward_j * w, axis=2)
         acts, obs = domain.actions_j, domain.observations_j
     else:
-        Ob = np.einsum("w,sawo->sao", w, np.ascontiguousarray(domain.obs_fn_i))
-        R = np.einsum("saw,w->sa", np.ascontiguousarray(domain.reward_i), w)
+        Ob = np.add.reduce(domain.obs_fn_i * w[:, None], axis=2)
+        R = np.add.reduce(domain.reward_i * w, axis=2)
         acts, obs = domain.actions_i, domain.observations_i
 
     return SingleAgentModel(

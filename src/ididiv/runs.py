@@ -27,6 +27,7 @@ import hashlib
 import itertools
 import os
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -89,8 +90,7 @@ DIVERSITY_COLUMNS = (
     "candidates", "mdp", "mdf", "mean_reward",
 )
 # Environment variables that set the BLAS thread count, recorded in the
-# manifest.  Of the pipeline's sums only the level-0 models' dense
-# b @ T[:, a, :] still goes through BLAS; the flattened solve has none.
+# manifest; no sum in the pipeline goes through BLAS.
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 RESULTS_HEADER = ",".join(RESULTS_COLUMNS)
@@ -159,8 +159,8 @@ def _check_domain_name(name) -> None:
 def normalize_grid_config(obj: dict) -> dict:
     """Fill defaults and validate; unknown keys are rejected.
 
-    Axes must be lists, and the numeric axes, ``rounds`` and ``patience``
-    must hold integers; nothing is coerced.
+    Axes must be non-empty lists without a repeated value, and the numeric
+    axes, ``rounds`` and ``patience`` must hold integers; nothing is coerced.
     """
     _check_keys("grid config", obj, _GRID_DEFAULTS)
     cfg = dict(_GRID_DEFAULTS)
@@ -181,6 +181,10 @@ def normalize_grid_config(obj: dict) -> dict:
         for value in cfg[key]:
             if value not in allowed:
                 raise ValueError("%s: unknown value %r" % (key, value))
+    for key in (*_AXIS_MIN, "algorithms", "true_modes"):
+        value, count = Counter(cfg[key]).most_common(1)[0]
+        if count > 1:
+            raise ValueError("%s: repeated value %r" % (key, value))
     for key, bound in (("rounds", MAX_ROUNDS), ("patience", MAX_PATIENCE)):
         cfg[key] = _count(key, _integer(key, cfg[key]), bound)
     return cfg
@@ -341,6 +345,9 @@ def run_experiment_grid(
     input_hashes = {**input_hashes, **domain_hashes}
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    # The pool starts all its workers at once, so it asks for no more than
+    # there are cells to run or CPUs to run them.
+    workers = min(workers, len(cells), os.cpu_count() or 1)
     if workers <= 1:
         outcomes = [_safe_run_cell(c, held[c["horizon"]]) for c in cells]
     else:

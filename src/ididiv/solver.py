@@ -15,11 +15,8 @@ reward of an action at a belief, the predicted belief after an action, and
 the probability of an observation with the posterior it leaves.  A belief is
 whatever the model's ``initial_belief`` and those methods pass around: a
 dense vector for ``domains.SingleAgentModel``, a sparse (keys, vals) pair
-for ``flattening.FlatModel``.  Both models sum rewards and observation
-probabilities with ``np.add.reduce`` of an elementwise product, and
-``FlatModel.predict`` sums in a fixed order, so the flattened solve does not
-depend on the BLAS thread count.  ``SingleAgentModel.predict`` is the BLAS
-product ``b @ T[:, a, :]``.
+for ``flattening.FlatModel``.  Both models sum in a fixed order with numpy
+reductions over elementwise products, so no solve depends on BLAS.
 
 solve_exact, brute_force_solve and evaluate_policy run one recursion, which
 either picks the best action at each belief or follows a given tree, so the

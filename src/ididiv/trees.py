@@ -299,35 +299,29 @@ def _encoded_rows(encodings: Iterable[str], observations, depth: int) -> frozens
 def canonical_parse(text: str) -> PolicyTree:
     """Inverse of canonical_encode; raise TreeShapeError naming ``text``.
 
-    The observation labels must be distinct and listed exactly when the
-    depth is above 1, the action list must hold one action per node of the
-    complete tree, and no symbol may be empty or hold a reserved character.
+    The action list must hold one action per node of a complete tree, whose
+    depth (read from the list's length, so a huge written depth costs
+    nothing) must be the one written; the observation labels must be
+    distinct and listed exactly when the depth is above 1, and no symbol may
+    be empty or hold a reserved character.
     """
     parts = text.split(";", 2)
-    if len(parts) != 3 or not parts[0].isdecimal() or int(parts[0]) < 1:
+    if len(parts) != 3 or not parts[0].isdecimal() or not parts[0].strip("0"):
         raise TreeShapeError("%r is not a depth;observations;actions tree encoding" % text)
-    depth = int(parts[0])
     obs = tuple(parts[1].split(",")) if parts[1] else ()
-    acts = parts[2].split("|")
-    n = count_tree_nodes(len(obs), depth)
-    problem = None
-    if depth > 1 and not obs:
-        problem = "a non-leaf encoding lacks the observation alphabet"
-    elif depth == 1 and obs:
-        problem = "a leaf encoding lists observations"
-    elif len(set(obs)) != len(obs):
-        problem = "repeated observation label"
-    elif len(acts) != n:
-        problem = "%d actions, expected %d for depth %d over %d observations" % (
-            len(acts), n, depth, len(obs))
-    else:
-        try:
-            _check_symbols(obs + tuple(acts))
-        except ValueError as exc:
-            problem = str(exc)
-    if problem:
-        raise TreeShapeError("%r: %s" % (text, problem))
-    return PolicyTree(tuple(acts), obs)
+    acts = tuple(parts[2].split("|"))
+    try:
+        tree = PolicyTree(acts, obs)
+        _check_symbols(obs + acts)
+        if parts[0] != str(tree.depth):
+            raise TreeShapeError("its actions form a tree of depth %d" % tree.depth)
+        if tree.depth == 1 and obs:
+            raise TreeShapeError("a leaf encoding lists observations")
+        if len(set(obs)) != len(obs):
+            raise TreeShapeError("repeated observation label")
+    except ValueError as exc:
+        raise TreeShapeError("%r: %s" % (text, exc)) from None
+    return tree
 
 
 def constant_tree(

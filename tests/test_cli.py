@@ -399,6 +399,10 @@ class TestParsing:
              "measure: 5 is not null, 'MDP' or 'MDF'"),
             (["features", "--trees", "{}"], lambda: _candidates_obj(priorr=[0.5, 0.5]),
              "unknown candidate file keys: priorr"),
+            (["features", "--trees", "{}"], lambda: _candidates_obj(trees=["20000;a,b;x"]),
+             "'20000;a,b;x': its actions form a tree of depth 1$"),
+            (["features", "--trees", "{}"], lambda: _candidates_obj(trees=["%d;a,b;x" % 10**9]),
+             "'1000000000;a,b;x': its actions form a tree of depth 1$"),
             (["experiment", "--config", "{}"], lambda: {"seeds": "x"},
              "seeds must be a list, got 'x'"),
             (["experiment", "--config", "{}"], lambda: {"rounds": 0}, "rounds must be >= 1"),
@@ -406,6 +410,10 @@ class TestParsing:
              "rounds must be <= 100000, got 10{30}$"),
             (["experiment", "--config", "{}"], lambda: {"patience": 10**30},
              "patience must be <= 10000, got 10{30}$"),
+            (["experiment", "--config", "{}"], lambda: {"seeds": [0, 1, 0]},
+             "seeds: repeated value 0$"),
+            (["experiment", "--config", "{}"], lambda: {"algorithms": ["IDID", "IDID"]},
+             "algorithms: repeated value 'IDID'$"),
             (["experiment", "--from-manifest", "{}"],
              lambda: {"command": "experiment", "config": {}, "bogus": 1},
              "RunManifest.__init__.. got an unexpected keyword argument 'bogus'"),
@@ -416,7 +424,9 @@ class TestParsing:
             "reward-string", "start-bools", "probability-bool", "domain-unknown-key",
             "prior-strings", "prior-bools", "trace-strings", "trace-bool", "trace-float-size",
             "trace-object", "measure-number", "candidates-unknown-key",
+            "tree-depth-20000", "tree-depth-1e9",
             "config-seeds", "config-rounds", "config-rounds-huge", "config-patience-huge",
+            "config-repeated-seed", "config-repeated-algorithm",
             "manifest-unknown-key",
         ],
     )

@@ -300,6 +300,19 @@ class TestProjectionByBlocks:
         expect = np.einsum(spec, w, joint)
         assert np.array_equal(project_level0(domain, agent).transition, expect)
 
+    @pytest.mark.parametrize("agent", ["i", "j"])
+    @pytest.mark.parametrize("name", ["tiger", "uav"])
+    def test_views_project_as_dense_copies(self, name, agent):
+        # The uav state-only tables are per-state views; the projection sums
+        # over a fresh product, so it reads them as it reads dense copies.
+        domain = dataclasses.replace(builtin_domain(name, 3), level0={})
+        tables = ("obs_fn_i", "obs_fn_j", "reward_i", "reward_j")
+        dense = dataclasses.replace(domain, **{t: np.array(getattr(domain, t)) for t in tables})
+        assert name == "tiger" or 0 in domain.obs_fn_i.strides
+        got, want = project_level0(domain, agent), project_level0(dense, agent)
+        for table in ("transition", "obs_fn", "reward"):
+            assert getattr(got, table).tobytes() == getattr(want, table).tobytes()
+
 
 class TestValidation:
     # A domain is checked when it is built: dataclasses.replace refuses a

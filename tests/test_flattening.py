@@ -471,7 +471,7 @@ class TestTableOracle:
 _THREADED_SOLVE = """
 from ididiv import (
     SelectionConfig, builtin_domain, canonical_encode, flatten,
-    generate_known_models, project_level0, select_topk, solve_idid,
+    generate_known_models, project_level0, select_topk, solve_exact, solve_idid,
 )
 
 domain = builtin_domain("uav", 3)
@@ -481,12 +481,15 @@ candidates = select_topk(known, level0, SelectionConfig(measure="MDF", k_max=6, 
 pol = solve_idid(flatten(domain, candidates))
 print(repr(pol.value))
 print(canonical_encode(pol.tree))
+pol = solve_exact(project_level0(builtin_domain("tiger", 3), "j"))
+print(repr(pol.value))
+print(canonical_encode(pol.tree))
 """
 
 
 def test_flattened_solve_does_not_depend_on_blas_threads():
-    # The flattened solve sums with numpy alone, so the BLAS thread count,
-    # fixed when a process starts, cannot reorder its sums.
+    # The flattened and the level-0 solve sum with numpy alone, so the BLAS
+    # thread count, fixed when a process starts, cannot reorder their sums.
     src = str(Path(ididiv.__file__).resolve().parent.parent)
     outs = []
     for n in ("1", "2"):

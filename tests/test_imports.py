@@ -34,6 +34,6 @@ def test_package_and_cli_do_not_import_scipy():
 
 def test_package_and_cli_do_not_import_the_process_pool():
     # Together they add over 1 MB to every process; run_experiment_grid
-    # imports them only when workers > 1.
+    # imports them only for a pool of more than one worker.
     test = "m == 'concurrent.futures.process' or m.split('.')[0] == 'multiprocessing'"
     assert _modules_loaded_by_import(test) == "[]"

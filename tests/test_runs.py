@@ -245,6 +245,35 @@ class TestGrid:
                 tmp_path / "two" / name
             ).read_text()
 
+    @pytest.mark.parametrize("cpus, pools", [(64, [2]), (1, [])])
+    def test_pool_is_no_larger_than_cells_or_cpus(self, tmp_path, monkeypatch, cpus, pools):
+        # The pool starts every worker at once, so a 2-cell grid with 8
+        # workers asks for 2 processes, and on one CPU runs without a pool.
+        import concurrent.futures
+
+        asked = []
+
+        class InlinePool:
+            def __init__(self, max_workers, initializer, initargs):
+                asked.append(max_workers)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, cells):
+                return map(fn, cells)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(runs, "_worker_domains", {})
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        m = run_experiment_grid(dict(SMALL_GRID, algorithms=["IDID"]), tmp_path, workers=8)
+        assert asked == pools
+        assert m.errors == [] and len(m.timings["cells"]) == 2
+
     def test_manifest_roundtrip(self, tmp_path):
         run_experiment_grid(SMALL_GRID, tmp_path)
         m = load_manifest(tmp_path / "manifest.json")

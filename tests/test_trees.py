@@ -1,5 +1,6 @@
 import gc
 import pickle
+import time
 
 import pytest
 from hypothesis import given, strategies as st
@@ -152,16 +153,21 @@ class TestEncoding:
         "text",
         [
             "1;;A|B", "1;;", "1;;A/B", "2;o1,o2;A||B", "2;o1,o2;|A|B", "2;o1,o2;A|B;C|D",
-            "2;o1,o1;A|B|B", "1;o1,o2;A",
+            "2;o1,o1;A|B|B", "1;o1,o2;A", "01;;A", "20000;a,b;x", "%d;a,b;x" % 10**9,
         ],
     )
     def test_malformed_actions_rejected(self, text):
         # Empty actions and actions holding a separator cannot be re-encoded,
         # a repeated observation label would make two children of one, and
-        # a leaf that lists observations would re-encode without them.
+        # a leaf that lists observations, or a depth with a leading zero,
+        # would re-encode otherwise.  A written depth that the actions do not
+        # fill is refused at once: the node count of depth 10**9 over two
+        # observations has 3e8 digits.
+        start = time.process_time()
         with pytest.raises(TreeShapeError) as err:
             canonical_parse(text)
         assert repr(text) in str(err.value)
+        assert time.process_time() - start < 1.0
 
     @pytest.mark.parametrize("text", ["x", "A|B", "2;o1,o2", "two;o1,o2;A|B|C", "0;;A"])
     def test_not_an_encoding_is_named(self, text):
