@@ -44,7 +44,8 @@ from .domains import (
 from .generation import generate_known_models
 from .selection import MAX_PATIENCE, SelectionConfig, make_candidate_set, select_topk
 from .simulate import MAX_ROUNDS, TRUE_MODES, run_experiment
-from .trees import (
+# canonical_encode is unused here; perfbench/tracer.py binds runs.canonical_encode.
+from .trees import (  # noqa: F401
     _check_keys, _count, _csv_text, _integer, _json_text, _read_input, canonical_encode,
 )
 
@@ -92,9 +93,6 @@ DIVERSITY_COLUMNS = (
 # Environment variables that set the BLAS thread count, recorded in the
 # manifest; no sum in the pipeline goes through BLAS.
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
-
-RESULTS_HEADER = ",".join(RESULTS_COLUMNS)
-DIVERSITY_HEADER = ",".join(DIVERSITY_COLUMNS)
 
 
 @dataclass
@@ -267,21 +265,21 @@ def run_cell(cell: dict, domain: PosgDomain | None = None) -> dict:
     candidates = _candidates_for(cell, alg, known, level0)
     excluded = None
     if cell["true_mode"] == "random-generated":
-        # The true peer model must avoid every algorithm's expanded set, not
-        # just this cell's: with the union excluded, the drawn stream depends
-        # only on the seed, so algorithms face identical true models.
-        union = set()
-        for other in ALGORITHMS:
+        # The true peer model must avoid every algorithm's set, not just this
+        # cell's: with the union excluded, the drawn stream depends only on
+        # the seed, so algorithms face identical true models.  Both
+        # expansions keep every known tree, so theirs is the union of all.
+        excluded = set()
+        for other in ("IDID-MDP", "IDID-MDF"):
             cset = candidates if other == alg else _candidates_for(cell, other, known, level0)
-            union.update(canonical_encode(t) for t in cset.trees)
-        excluded = frozenset(union)
+            excluded.update(cset.trees)
     stats = run_experiment(
         domain,
         candidates,
         true_mode=cell["true_mode"],
         rounds=cell["rounds"],
         seed=_stage_seed(cell, "episodes"),
-        excluded_encodings=excluded,
+        excluded_trees=excluded,
     )
     return {
         "domain": domain.name,

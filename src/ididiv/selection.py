@@ -85,8 +85,7 @@ class CandidateModelSet:
         for p in self.provenance:
             if p not in ("known", "generated"):
                 raise ValueError("provenance entries must be known/generated")
-        encs = [canonical_encode(t) for t in self.trees]
-        if len(set(encs)) != len(encs):
+        if len(set(self.trees)) != len(self.trees):
             raise ValueError("duplicate trees in candidate set")
         prior = np.asarray(self.prior, dtype=float)
         if prior.shape != (len(self.trees),):

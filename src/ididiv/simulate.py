@@ -25,8 +25,8 @@ from .selection import CandidateModelSet
 from .solver import solve_exact
 # canonical_encode is unused here; perfbench/tracer.py binds simulate.canonical_encode.
 from .trees import (  # noqa: F401
-    BehaviorSequence, PolicyTree, _count, _csv_text, _encoded_rows, _table_of, canonical_encode,
-    node_table, validate_tree,
+    BehaviorSequence, PolicyTree, _count, _csv_text, _table_of, canonical_encode, node_table,
+    validate_tree,
 )
 
 __all__ = [
@@ -195,7 +195,7 @@ def run_experiment(
     true_mode: str = "from-set",
     rounds: int = 50,
     seed=0,
-    excluded_encodings=None,
+    excluded_trees=None,
     on_round: Callable[[int, EpisodeTrace], object] | None = None,
 ) -> ExperimentStats:
     """Plan once against the candidate set, then play repeated rounds.
@@ -204,17 +204,18 @@ def run_experiment(
     prior each round; "random-generated" draws a fresh tree outside the set
     each round, anchored on the known candidates' features, falling back to
     random anchors when those features cannot escape the set.
-    ``excluded_encodings`` widens the set the true tree must avoid
-    (canonical encodings), so algorithms under comparison can face an
-    identical true-model stream by excluding the union of their candidate
-    sets.  ``on_round(index, trace)``, when given, receives each round's
+    ``excluded_trees`` widens the set the true tree must avoid, so
+    algorithms under comparison can face an identical true-model stream by
+    excluding the union of their candidate sets; a tree of another depth or
+    observation alphabet than a drawn tree's cannot equal one and is
+    ignored.  ``on_round(index, trace)``, when given, receives each round's
     ``EpisodeTrace`` as the round ends; no trace is kept.
     """
     if true_mode not in TRUE_MODES:
         raise ValueError("true_mode must be one of %r" % (TRUE_MODES,))
     _count("rounds", rounds, MAX_ROUNDS)
-    if excluded_encodings is not None and true_mode != "random-generated":
-        raise ValueError("excluded_encodings only applies to random-generated mode")
+    if excluded_trees is not None and true_mode != "random-generated":
+        raise ValueError("excluded_trees only applies to random-generated mode")
 
     # flatten checks every candidate tree, and sample_tree grows the row of a
     # complete tree, so rounds play rows without re-checking or building trees.
@@ -230,11 +231,17 @@ def run_experiment(
         ] or list(candidates.trees)
         anchors = extract_features(known)
         level0 = project_level0(domain, "j")
-        # flatten checked the candidates against the peer's observations; a
-        # deeper candidate's row is longer than any drawn row.
+        # Drawn trees are compared by their rows.  flatten checked the
+        # candidates against the peer's observations, and a deeper
+        # candidate's row is longer than any drawn row; an excluded tree of
+        # another shape could share a drawn row's length, so it is left out.
+        T = level0.horizon
+        shape = (T, level0.observations if T > 1 else ())
         excluded = {t.preorder for t in candidates.trees}
-        excluded |= _encoded_rows(excluded_encodings or (), level0.observations, level0.horizon)
-        kids_j = node_table(len(level0.observations), level0.horizon).children
+        excluded.update(
+            t.preorder for t in excluded_trees or () if (t.depth, t.observations) == shape
+        )
+        kids_j = node_table(len(level0.observations), T).children
 
     # One child seed per round, spawned as the round starts.
     root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)

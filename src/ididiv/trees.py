@@ -282,18 +282,10 @@ def _check_symbols(symbols: Iterable[str]) -> tuple[str, ...]:
 def canonical_encode(tree: PolicyTree) -> str:
     """Self-describing canonical string: depth;obs,obs,...;a|a|... in preorder.
 
-    Equal trees encode equally; used for de-duplication, as a dict key and
-    in candidate files.
+    Equal trees encode equally, and only equal trees do; written to candidate
+    and policy files, while trees in memory are compared as trees.
     """
     return "%d;%s;%s" % (tree.depth, ",".join(tree.observations), "|".join(tree.preorder))
-
-
-def _encoded_rows(encodings: Iterable[str], observations, depth: int) -> frozenset:
-    """The preorder action rows of those ``encodings`` that spell a tree of
-    this depth over these observations, the only ones whose encoding can
-    equal ``canonical_encode`` of such a tree."""
-    head = "%d;%s;" % (depth, ",".join(observations) if depth > 1 else "")
-    return frozenset(tuple(e[len(head):].split("|")) for e in encodings if e.startswith(head))
 
 
 def canonical_parse(text: str) -> PolicyTree:

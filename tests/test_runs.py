@@ -19,8 +19,8 @@ from ididiv import (
 )
 from ididiv import runs
 from ididiv.runs import (
-    DIVERSITY_HEADER,
-    RESULTS_HEADER,
+    DIVERSITY_COLUMNS,
+    RESULTS_COLUMNS,
     _stage_seed,
     cell_id,
     file_sha256,
@@ -184,26 +184,32 @@ class TestRunCell:
         assert a["true_mode"] == "random-generated"
 
     def test_union_same_from_every_arm(self):
-        # Each arm rebuilds all three candidate sets to derive the shared
-        # exclusion; the rebuild must not depend on which arm is running.
-        from ididiv import canonical_encode, generate_known_models, project_level0
+        # Each arm rebuilds the expanded sets it does not hold to derive the
+        # shared exclusion; the rebuild must not depend on which arm is
+        # running.  The exclusion is the two expansions' trees, the union of
+        # all three sets because both keep every known tree.
+        from ididiv import generate_known_models, project_level0
         from ididiv.domains import builtin_domain
         from ididiv.runs import ALGORITHMS, _candidates_for
 
-        cell = {
-            "domain": "tiger", "horizon": 2, "m": 2, "k": 1,
-            "true_mode": "random-generated", "algorithm": "IDID",
-            "seed": 3, "rounds": 4, "patience": 10,
-        }
-        domain = builtin_domain("tiger", 2)
-        level0 = project_level0(domain, "j")
-        known = generate_known_models(level0, 2, seed=_stage_seed(cell, "known"))
-        for target in ALGORITHMS:
-            sets = []
-            for arm in ("IDID", "IDID-MDP", "IDID-MDF"):
-                cs = _candidates_for({**cell, "algorithm": arm}, target, known, level0)
-                sets.append(frozenset(canonical_encode(t) for t in cs.trees))
-            assert sets[0] == sets[1] == sets[2]
+        for name, horizon, m, k in (("tiger", 2, 2, 1), ("uav", 3, 3, 3)):
+            cell = {
+                "domain": name, "horizon": horizon, "m": m, "k": k,
+                "true_mode": "random-generated", "algorithm": "IDID",
+                "seed": 3, "rounds": 4, "patience": 10,
+            }
+            level0 = project_level0(builtin_domain(name, horizon), "j")
+            known = generate_known_models(level0, m, seed=_stage_seed(cell, "known"))
+            built = {}
+            for target in ALGORITHMS:
+                sets = []
+                for arm in ALGORITHMS:
+                    cs = _candidates_for({**cell, "algorithm": arm}, target, known, level0)
+                    sets.append(frozenset(cs.trees))
+                assert sets[0] == sets[1] == sets[2]
+                built[target] = sets[0]
+            assert set(known) <= built["IDID-MDP"] and set(known) <= built["IDID-MDF"]
+            assert built["IDID-MDP"] | built["IDID-MDF"] == frozenset().union(*built.values())
 
 
 class TestGrid:
@@ -212,9 +218,9 @@ class TestGrid:
         results = (tmp_path / "results.csv").read_text()
         diversity = (tmp_path / "diversity.csv").read_text()
         lines = results.strip().split("\n")
-        assert lines[0] == RESULTS_HEADER
+        assert lines[0] == ",".join(RESULTS_COLUMNS)
         assert len(lines) == 1 + 4
-        assert diversity.strip().split("\n")[0] == DIVERSITY_HEADER
+        assert diversity.strip().split("\n")[0] == ",".join(DIVERSITY_COLUMNS)
         assert (tmp_path / "manifest.json").exists()
         assert manifest.errors == []
         assert set(manifest.timings["cells"]) == {

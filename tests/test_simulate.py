@@ -20,7 +20,7 @@ from ididiv import (
     flatten,
     simulate,
 )
-from ididiv.trees import _encoded_rows, all_trees, node_table
+from ididiv.trees import all_trees, node_table
 
 
 def _levels(obs, *actions):
@@ -291,21 +291,23 @@ class TestRunExperiment:
 
 
 class TestExcludedEncodings:
+    """``run_experiment(excluded_trees=...)``, the exclusion a grid shares
+    across algorithms, against exclusion by canonical encoding."""
+
     def test_rejected_for_from_set(self, tiger2, cand2):
         with pytest.raises(ValueError, match="random-generated"):
             run_experiment(
                 tiger2, cand2, "from-set", rounds=1, seed=0,
-                excluded_encodings=frozenset(),
+                excluded_trees=frozenset(),
             )
 
     def test_own_set_idempotent(self, tiger2, cand2):
         # Widening the exclusion by trees it already avoids cannot change
         # the draw stream, so the whole run reproduces.
-        own = frozenset(canonical_encode(t) for t in cand2.trees)
         a = run_experiment(tiger2, cand2, "random-generated", rounds=6, seed=9)
         b = run_experiment(
             tiger2, cand2, "random-generated", rounds=6, seed=9,
-            excluded_encodings=own,
+            excluded_trees=frozenset(cand2.trees),
         )
         assert a.rewards_i == b.rewards_i
         assert a.rewards_j == b.rewards_j
@@ -321,12 +323,11 @@ class TestExcludedEncodings:
         known = generate_known_models(j, 2, seed=0)
         dbn = convert_to_dbn(j)
         anchors = extract_features(known)
-        excl = frozenset(canonical_encode(t) for t in known)
-        rows = _encoded_rows(excl, dbn.observations, 2)
+        rows = frozenset(t.preorder for t in known)
         a = _tree(j, _draw_novel_tree(dbn, anchors, rows, np.random.default_rng(21)))
         b = _tree(j, _draw_novel_tree(dbn, anchors, rows, np.random.default_rng(21)))
-        assert canonical_encode(a) == canonical_encode(b)
-        assert canonical_encode(a) not in excl
+        assert a == b
+        assert a not in known
 
     def test_exclusion_forces_unique_survivor(self, tiger2):
         # Exclude every depth-2 tree except one reachable target: any draw
@@ -341,21 +342,17 @@ class TestExcludedEncodings:
         dbn = convert_to_dbn(j)
         anchors = extract_features(known)
         tau = _tree(j, _draw_novel_tree(dbn, anchors, frozenset(), np.random.default_rng(5)))
-        universe = {canonical_encode(t) for t in all_trees(j.actions, j.observations, 2)}
-        excl = frozenset(universe - {canonical_encode(tau)})
+        excl = frozenset(all_trees(j.actions, j.observations, 2)) - {tau}
 
-        rows = _encoded_rows(excl, j.observations, 2)
+        rows = frozenset(t.preorder for t in excl)
         got = _tree(j, _draw_novel_tree(dbn, anchors, rows, np.random.default_rng(7)))
-        assert canonical_encode(got) == canonical_encode(tau)
+        assert got == tau
 
-        pool = [
-            t for t in all_trees(j.actions, j.observations, 2)
-            if canonical_encode(t) != canonical_encode(tau)
-        ]
+        pool = [t for t in all_trees(j.actions, j.observations, 2) if t != tau]
         cand = make_candidate_set(pool[:2], 2)
         stats, traces = _traced(
             tiger2, cand, "random-generated", rounds=3, seed=13,
-            excluded_encodings=excl,
+            excluded_trees=excl,
         )
         for tr in traces:
             assert tr.steps[0].action_j == tau.action
@@ -364,45 +361,49 @@ class TestExcludedEncodings:
 
     @staticmethod
     def _other_shapes(j):
-        """Every depth-2 action row of the peer, spelled under another
-        observation alphabet and under depth 3 over one observation (also
-        three nodes): encodings no drawn tree can have."""
-        rows = ["|".join(t.preorder) for t in all_trees(j.actions, j.observations, 2)]
-        return frozenset(h + r for r in rows for h in ("2;Left,Right;", "3;GrowlLeft;"))
+        """Every depth-2 action row of the peer, as a tree over another
+        observation alphabet and as a depth-3 tree over one observation (also
+        three nodes): trees no drawn tree can equal."""
+        rows = [t.preorder for t in all_trees(j.actions, j.observations, 2)]
+        return frozenset(
+            PolicyTree(r, obs) for r in rows for obs in (("Left", "Right"), ("GrowlLeft",))
+        )
 
     def test_other_shapes_leave_draws_alone(self, tiger2, cand2):
         j = project_level0(tiger2, "j")
         a = _traced(tiger2, cand2, "random-generated", rounds=6, seed=9)[1]
         b = _traced(
             tiger2, cand2, "random-generated", rounds=6, seed=9,
-            excluded_encodings=self._other_shapes(j),
+            excluded_trees=self._other_shapes(j),
         )[1]
         assert a == b
 
     def test_rows_match_encoding_reference(self, tiger2):
-        # With the same rng, row exclusion draws what exclusion by encoding
-        # draws, leaves the rng in the same state, and gives up alike.
+        # With the same rng, exclusion by the rows of the excluded trees of a
+        # drawn tree's shape draws what exclusion by encoding draws, leaves
+        # the rng in the same state, and gives up alike.
         from ididiv.features import extract_features
         from ididiv.simulate import _draw_novel_tree
 
         j = project_level0(tiger2, "j")
         known = generate_known_models(j, 2, seed=0)
         anchors = extract_features(known)
-        universe = [canonical_encode(t) for t in all_trees(j.actions, j.observations, 2)]
+        universe = list(all_trees(j.actions, j.observations, 2))
         other = self._other_shapes(j)
         cases = [
             frozenset(),
-            frozenset(canonical_encode(t) for t in known) | other,
+            frozenset(known) | other,
             frozenset(universe[::2]) | other,
             frozenset(universe) - {universe[5]},
             frozenset(universe) | other,
         ]
         outcomes = set()
         for excl in cases:
-            rows = _encoded_rows(excl, j.observations, 2)
+            encodings = frozenset(map(canonical_encode, excl))
+            rows = frozenset(t.preorder for t in excl if t.observations == j.observations)
             for seed in range(4):
                 ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
-                want = _draw_by_encoding(j, anchors, excl, ref_rng)
+                want = _draw_by_encoding(j, anchors, encodings, ref_rng)
                 try:
                     got = _draw_novel_tree(j, anchors, rows, rng)
                 except RuntimeError:
