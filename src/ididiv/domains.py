@@ -313,7 +313,8 @@ class PosgDomain:
     anything else raises DomainValidationError.
     ``start`` is the initial physical state distribution (uniform if None).
     ``level0`` optionally carries prebuilt single-agent views keyed by
-    agent name ("i" or "j"); project_level0 returns these when present.
+    agent name ("i" or "j"), each over its agent's own actions and
+    observations; project_level0 returns these when present.
     Arrays and ``level0`` are read-only, so a domain can be shared.
 
     A domain is valid once it exists: construction, ``dataclasses.replace``
@@ -506,6 +507,10 @@ def validate_domain(d: PosgDomain) -> None:
     for agent, model in d.level0.items():
         if agent not in ("i", "j"):
             raise DomainValidationError("level0: unknown agent %r" % agent)
+        want = (getattr(d, "actions_" + agent), getattr(d, "observations_" + agent))
+        if (model.actions, model.observations) != want:
+            raise DomainValidationError("level0: agent %s's view is over %r, not its %r" % (
+                agent, (model.actions, model.observations), want))
         validate_model(model)
 
 

@@ -16,12 +16,14 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from .trees import BehaviorSequence, PolicyTree, _csv_text, prefix_ids, sequence_at
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "BehaviorMatrix",
@@ -77,6 +79,8 @@ class PivotResult:
 
     @functools.cached_property
     def u_matrix(self) -> tuple[tuple[Fraction, ...], ...]:
+        # Imported here, the one place that uses it: no pipeline path reads U.
+        from fractions import Fraction
         return tuple(
             tuple(Fraction(v, h) for v in row) for row, h in zip(self.u_rows, self.u_heads)
         )

@@ -2,12 +2,14 @@
 
 Trees are grown anchored on feature behavior sequences: along the anchor's
 observation path the anchored actions are copied verbatim, everywhere else
-the action maximizes the immediate expected reward under the current belief.
-The root belief is a symmetric Dirichlet draw.  Beliefs advance by Bayes
-updates through the model's ``predict`` and ``condition``; an observation
-branch with zero probability falls back to the unconditioned predicted
-belief so the grown tree stays complete.  A grown tree is its preorder
-action row; callers compare rows and build a tree only for a kept draw.
+the action is the solver's one-step pick (``solver._backup`` with one
+decision left): the best immediate expected reward under the current belief,
+near ties going to the earlier action by the solver's rule.  The root belief
+is a symmetric Dirichlet draw.  Beliefs advance by Bayes updates through the
+model's ``predict`` and ``condition``; an observation branch with zero
+probability falls back to the unconditioned predicted belief so the grown
+tree stays complete.  A grown tree is its preorder action row; callers
+compare rows and build a tree only for a kept draw.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .domains import SingleAgentModel
-from .solver import _beats, solve_exact
+from .solver import _backup, solve_exact
 # canonical_encode is unused here; perfbench/tracer.py binds generation.canonical_encode.
 from .trees import BehaviorSequence, PolicyTree, canonical_encode, count_trees  # noqa: F401
 
@@ -32,25 +34,11 @@ def convert_to_dbn(model: SingleAgentModel) -> SingleAgentModel:
     return model
 
 
-def _myopic_action(model: SingleAgentModel, b: np.ndarray) -> int:
-    # The same sums and tie rule as the solver.
-    best_a, best_q = 0, -np.inf
-    for a in range(len(model.actions)):
-        q = model.expected_reward(b, a)
-        if a == 0 or _beats(q, best_q):
-            best_a, best_q = a, q
-    return best_a
-
-
 def _grow(model, anchor, b: np.ndarray, depth: int, on_anchor: bool, row: list[str]) -> None:
     """Append the preorder row of the subtree at ``depth`` under belief b
-    to ``row``; see ``sample_tree``."""
-    if on_anchor:
-        a_sym = anchor.actions[depth]
-        a = model.actions.index(a_sym)
-    else:
-        a = _myopic_action(model, b)
-        a_sym = model.actions[a]
+    to ``row``; off the anchor the action is the solver's one-step pick."""
+    a_sym = anchor.actions[depth] if on_anchor else _backup(model, b, 1)[1][0]
+    a = model.actions.index(a_sym)
     row.append(a_sym)
     if depth + 1 == model.horizon:
         return
@@ -72,8 +60,8 @@ def sample_tree(
     is the tree.
 
     Nodes on the anchor's observation path copy the anchor's actions; all
-    other nodes act myopically under the propagated belief.  The root belief
-    is a symmetric Dirichlet draw from ``rng``.
+    other nodes take the solver's one-step pick under the propagated belief.
+    The root belief is a symmetric Dirichlet draw from ``rng``.
     """
     T = model.horizon
     if anchor.length != T:

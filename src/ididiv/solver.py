@@ -24,7 +24,9 @@ value reported for a solved tree is bit-identical to evaluating that tree.
 Picking returns each subtree as its preorder action row, an immutable
 tuple, and the root's row is the solved ``PolicyTree``.  Following reads a
 tree's preorder row through its ``trees.node_table``, so brute_force_solve
-makes a tree only of the winning row.
+makes a tree only of the winning row.  ``generation.sample_tree`` picks its
+off-anchor actions by ``_backup`` with one step left, so ``_beats`` is the
+one place where actions or trees are compared.
 """
 
 from __future__ import annotations

@@ -335,6 +335,19 @@ class TestValidation:
         with pytest.raises(DomainValidationError, match=r"transition\[:, 0, 0\]: row 0 sums"):
             _one_pair(T)
 
+    @pytest.mark.parametrize("field", ["actions", "observations"])
+    def test_level0_view_over_other_labels(self, field):
+        # Refused when built, not when a tree over the view's labels is
+        # first flattened.
+        tiger = builtin_tiger(2)
+        view = project_level0(tiger, "j")
+        assert dataclasses.replace(tiger, level0={"j": view}).level0["j"] is view
+        labels = getattr(view, field) + ("C",)
+        with pytest.raises(DomainValidationError, match=r"level0: agent j's view") as err:
+            dataclasses.replace(tiger, level0={"j": view.replace(**{field: labels})})
+        assert repr(labels) in str(err.value)
+        assert repr((tiger.actions_j, tiger.observations_j)) in str(err.value)
+
     def test_negative_probability(self, tiger_j):
         obs = np.array(tiger_j.obs_fn)
         obs[0, 0, 0] = -0.1

@@ -20,7 +20,6 @@ from ididiv import (
     select_topk,
     sequence_list,
 )
-from ididiv import features
 from ididiv.cli import main
 from conftest import node, random_tree_set
 
@@ -205,14 +204,17 @@ class TestLazyU:
 
     @pytest.fixture
     def fractions_made(self, monkeypatch):
+        # features imports Fraction only inside u_matrix, so the class
+        # itself is patched.  A subclass bound as fractions.Fraction would
+        # recurse: Fraction.__new__ calls super(Fraction, cls).
         made = []
+        new = Fraction.__new__
 
-        class Counted(Fraction):
-            def __new__(cls, *args, **kw):
-                made.append(args)
-                return super().__new__(cls, *args, **kw)
+        def counted(cls, *args, **kw):
+            made.append(args)
+            return new(cls, *args, **kw)
 
-        monkeypatch.setattr(features, "Fraction", Counted)
+        monkeypatch.setattr(Fraction, "__new__", counted)
         return made
 
     def test_features_paths_form_no_fraction(self, fractions_made, tmp_path):

@@ -66,9 +66,12 @@ class TestSampleTree:
     @pytest.mark.parametrize("gain, action", [(0.5e-9, 0), (2e-9, 1)])
     def test_myopic_tie_rule(self, gain, action):
         # The solver's rule: a later action must beat the earlier by more
-        # than TIE_TOL relative.
+        # than TIE_TOL relative.  Leaving the anchor at z1 gives the
+        # point-mass belief on s1, where a1 gains ``gain`` over a0.
         m = _det_model_2a(reward=[[1.0, 1.0 + gain], [1.0, 1.0 + gain]])
-        assert generation._myopic_action(m, np.array([0.5, 0.5])) == action
+        t = _grown(m, _anchor(("a0", "a0"), ("z0",)), np.array([0.5, 0.5]))
+        assert dict(t.children)["z0"].action == "a0"  # anchor copied
+        assert dict(t.children)["z1"].action == m.actions[action]
 
     def test_single_anchor_no_draw(self, tiger_j):
         # The root belief is the only draw: the tree is the one grown from

@@ -1,5 +1,6 @@
 """The runtime imports numpy only; scipy is a test dependency.  The process
-pool is imported only by a grid run with more than one worker."""
+pool is imported only by a grid run with more than one worker, and
+``fractions`` only when ``PivotResult.u_matrix`` is read."""
 
 import os
 import subprocess
@@ -37,3 +38,9 @@ def test_package_and_cli_do_not_import_the_process_pool():
     # imports them only for a pool of more than one worker.
     test = "m == 'concurrent.futures.process' or m.split('.')[0] == 'multiprocessing'"
     assert _modules_loaded_by_import(test) == "[]"
+
+
+def test_package_and_cli_do_not_import_fractions():
+    # fractions loads decimal; only PivotResult.u_matrix uses it, and no
+    # pipeline path reads u_matrix.
+    assert _modules_loaded_by_import("m in ('fractions', 'decimal')") == "[]"

@@ -4,15 +4,23 @@ import pytest
 from ididiv import (
     EnumerationCapError,
     FlatModel,
+    SelectionConfig,
     SingleAgentModel,
     TreeShapeError,
     brute_force_solve,
+    builtin_uav,
     constant_tree,
     count_trees,
     evaluate_policy,
     flatten,
+    generate_known_models,
+    project_level0,
+    run_experiment_grid,
+    select_topk,
     solve_exact,
+    solver,
 )
+from ididiv.runs import ALGORITHMS, run_cell
 from ididiv.solver import TIE_TOL
 from conftest import nested, random_model
 
@@ -195,3 +203,66 @@ class TestEnumerationCap:
 
     def test_under_cap_runs(self, tiger_j):
         assert brute_force_solve(tiger_j.replace(horizon=1)).tree == nested("Listen")
+
+
+def _tiger_cells():
+    for alg in ALGORITHMS:
+        run_cell({
+            "domain": "tiger", "horizon": 3, "m": 6, "k": 3,
+            "true_mode": "random-generated", "algorithm": alg,
+            "seed": 0, "rounds": 50, "patience": 20,
+        })
+
+
+def _uav_topk(horizon):
+    # What `ididiv --domain uav --seed 0 topk --known 3 --k-max 30` runs,
+    # under both measures.
+    level0 = project_level0(builtin_uav(horizon), "j")
+    known_ss, select_ss = np.random.SeedSequence(0).spawn(2)
+    known = generate_known_models(level0, 3, seed=known_ss)
+    for measure in ("MDP", "MDF"):
+        select_topk(known, level0, SelectionConfig(measure=measure, k_max=30, seed=select_ss))
+
+
+def _grid(tmp_path, **config):
+    assert not run_experiment_grid(config, tmp_path, workers=1).errors
+
+
+_MARGIN_WORKLOADS = {
+    "criterion-9-grid": lambda tmp: _grid(
+        tmp, domain="tiger", horizons=[2], model_counts=[2], expansions=[1],
+        algorithms=list(ALGORITHMS), true_modes=["from-set", "random-generated"],
+        rounds=3, seeds=[0, 1],
+    ),
+    "tiger-t3-cells": lambda tmp: _tiger_cells(),
+    "uav-t3-topk": lambda tmp: _uav_topk(3),
+    "uav-t4-topk": lambda tmp: _uav_topk(4),
+    "uav-plan-grid": lambda tmp: _grid(
+        tmp, domain="uav", horizons=[3], model_counts=[3], expansions=[3],
+        algorithms=list(ALGORITHMS), true_modes=["from-set"], rounds=50, seeds=[0],
+    ),
+}
+
+
+class TestDecisionMargins:
+    """Every choice between actions or trees, the solver's and the tree
+    sampler's, goes through ``solver._beats``.  A choice flips only when its
+    gap ``q - best`` lies within rounding of the boundary
+    ``TIE_TOL * max(1, |best|)``; none in these workloads comes within 1e-12
+    of it, relative, so a change in the last bits of a sum leaves every
+    chosen tree as it is."""
+
+    @pytest.mark.parametrize("workload", list(_MARGIN_WORKLOADS))
+    def test_no_choice_near_the_tie_boundary(self, workload, monkeypatch, tmp_path):
+        margins = []
+        beats = solver._beats
+
+        def recorded(q, best):
+            scale = max(1.0, abs(best))
+            margins.append(abs(q - best - TIE_TOL * scale) / scale)
+            return beats(q, best)
+
+        monkeypatch.setattr(solver, "_beats", recorded)
+        _MARGIN_WORKLOADS[workload](tmp_path)
+        assert margins
+        assert min(margins) >= 1e-12
