@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from contextlib import ExitStack
 from pathlib import Path
 
 import numpy as np
@@ -266,17 +267,26 @@ def cmd_simulate(args) -> int:
     domain, cs, hashes, out = _inputs(args)
 
     # Each round's steps are written as the round ends, so no trace is kept.
+    # The first round opens the file, so a run refused before play writes none.
     ep_path = out / "episodes.csv"
     t0 = time.perf_counter()
-    with ep_path.open("w") as f:
-        f.write(_csv_line(EPISODE_COLUMNS))
+    with ExitStack() as files:
+        f = None
+
+        def write_round(k, ep):
+            nonlocal f
+            if f is None:
+                f = files.enter_context(ep_path.open("w"))
+                f.write(_csv_line(EPISODE_COLUMNS))
+            f.writelines(map(_csv_line, episode_rows(k, ep)))
+
         stats = run_experiment(
             domain,
             cs,
             true_mode=args.true_mode,
             rounds=args.rounds,
             seed=args.seed,
-            on_round=lambda k, ep: f.writelines(map(_csv_line, episode_rows(k, ep))),
+            on_round=write_round,
         )
     elapsed = time.perf_counter() - t0
 

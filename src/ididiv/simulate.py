@@ -25,8 +25,8 @@ from .selection import CandidateModelSet
 from .solver import solve_exact
 # canonical_encode is unused here; perfbench/tracer.py binds simulate.canonical_encode.
 from .trees import (  # noqa: F401
-    BehaviorSequence, PolicyTree, _count, _csv_text, _table_of, canonical_encode, node_table,
-    validate_tree,
+    BehaviorSequence, PolicyTree, _count, _csv_text, _table_of, canonical_encode, frame,
+    node_table, validate_tree,
 )
 
 __all__ = [
@@ -206,9 +206,13 @@ def run_experiment(
     random anchors when those features cannot escape the set.
     ``excluded_trees`` widens the set the true tree must avoid, so
     algorithms under comparison can face an identical true-model stream by
-    excluding the union of their candidate sets; a tree of another depth or
-    observation alphabet than a drawn tree's cannot equal one and is
-    ignored.  ``on_round(index, trace)``, when given, receives each round's
+    excluding the union of their candidate sets.  A tree deeper than the
+    horizon plays as its top ``domain.horizon`` levels, so anchors come from
+    the known trees' frames at the horizon, and a drawn tree must differ
+    from the frame of every candidate and of every excluded tree at least
+    that deep over the peer's observations; shallower excluded trees and
+    those over another alphabet cannot equal a drawn tree and are ignored.
+    ``on_round(index, trace)``, when given, receives each round's
     ``EpisodeTrace`` as the round ends; no trace is kept.
     """
     if true_mode not in TRUE_MODES:
@@ -226,20 +230,21 @@ def run_experiment(
     )
 
     if true_mode == "random-generated":
+        level0 = project_level0(domain, "j")
+        T = level0.horizon
         known = [
             t for t, p in zip(candidates.trees, candidates.provenance) if p == "known"
         ] or list(candidates.trees)
-        anchors = extract_features(known)
-        level0 = project_level0(domain, "j")
-        # Drawn trees are compared by their rows.  flatten checked the
-        # candidates against the peer's observations, and a deeper
-        # candidate's row is longer than any drawn row; an excluded tree of
-        # another shape could share a drawn row's length, so it is left out.
-        T = level0.horizon
-        shape = (T, level0.observations if T > 1 else ())
-        excluded = {t.preorder for t in candidates.trees}
+        anchors = extract_features(list(dict.fromkeys(frame(t, T) for t in known)))
+        # Drawn trees are compared by their rows, each the row of a depth-T
+        # tree.  flatten checked the candidates against the peer's
+        # observations; an excluded tree over another alphabet (a leaf is
+        # over any) could share a framed row, so it is left out.
+        excluded = {frame(t, T).preorder for t in candidates.trees}
         excluded.update(
-            t.preorder for t in excluded_trees or () if (t.depth, t.observations) == shape
+            frame(t, T).preorder
+            for t in excluded_trees or ()
+            if t.depth >= T and t.observations in ((), level0.observations)
         )
         kids_j = node_table(len(level0.observations), T).children
 

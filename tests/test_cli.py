@@ -237,6 +237,28 @@ class TestTopkFeaturesChain:
         lines = (tmp_path / "sim" / "episodes.csv").read_text().strip().split("\n")
         assert len(lines) == 1 + 4 * 2
 
+    def test_simulate_against_deeper_candidates(self, tmp_path):
+        # Depth-3 candidates on a T=2 domain, the peer drawn outside them.
+        _run(["--out-dir", tmp_path, "topk", "--horizon", 3, "--known", 3, "--k-max", 6])
+        rc = _run(
+            ["--out-dir", tmp_path / "sim", "simulate", "--horizon", 2, "--rounds", 3,
+             "--true-mode", "random-generated", "--candidates", tmp_path / "candidates.json"]
+        )
+        assert rc == 0
+        lines = (tmp_path / "sim" / "episodes.csv").read_text().strip().split("\n")
+        assert len(lines) == 1 + 3 * 2
+
+    def test_simulate_refused_set_writes_no_episodes(self, tmp_path):
+        # uav candidates branch on uav observations, so tiger cannot plan
+        # against them; the refusal comes before any round is played.
+        _run(["--domain", "uav", "--out-dir", tmp_path, "topk", "--horizon", 2,
+              "--known", 2, "--k-max", 3])
+        with pytest.raises(TreeShapeError, match="tree branches on"):
+            _run(["--out-dir", tmp_path / "sim", "simulate", "--horizon", 2,
+                  "--candidates", tmp_path / "candidates.json"])
+        assert not (tmp_path / "sim" / "episodes.csv").exists()
+        assert not (tmp_path / "sim" / "manifest.json").exists()
+
 
 class TestExperiment:
     def test_grid_and_replay(self, tmp_path):

@@ -20,7 +20,7 @@ from ididiv import (
     flatten,
     simulate,
 )
-from ididiv.trees import all_trees, node_table
+from ididiv.trees import all_trees, frame, node_table
 
 
 def _levels(obs, *actions):
@@ -250,6 +250,33 @@ class TestRunExperiment:
             seen.add((s0.action_j, s0.obs_j))
         assert len(seen) == 4
 
+    def test_deeper_candidates_random_generated(self, tiger2, monkeypatch):
+        # Depth-3 candidates on a T=2 domain: anchors and the exclusion are
+        # the candidates' depth-2 frames, so no drawn peer plays exactly as
+        # a candidate does.
+        j3 = project_level0(builtin_tiger(3), "j")
+        known = generate_known_models(j3, 3, seed=0)
+        cand = select_topk(known, j3, SelectionConfig(seed=0, k_max=6))
+        frames = {frame(t, 2).preorder for t in cand.trees}
+        drawn = []
+        draw = simulate._draw_novel_tree
+
+        def spy(model, anchors, excluded, rng):
+            assert all(len(a.actions) == 2 for a in anchors)
+            assert frames <= excluded
+            drawn.append(draw(model, anchors, excluded, rng))
+            return drawn[-1]
+
+        monkeypatch.setattr(simulate, "_draw_novel_tree", spy)
+        stats, traces = _traced(tiger2, cand, "random-generated", rounds=12, seed=4)
+        assert stats.rounds == len(drawn) == 12
+        assert all(len(row) == 3 and row not in frames for row in drawn)
+        for row, tr in zip(drawn, traces):
+            tree = PolicyTree(row, tiger2.observations_j)
+            s0, s1 = tr.steps
+            assert s0.action_j == tree.action
+            assert s1.action_j == dict(tree.children)[s0.obs_j].action
+
     def test_single_round_variance_zero(self, tiger2, cand2):
         stats = run_experiment(tiger2, cand2, "from-set", rounds=1, seed=0)
         assert stats.reward_variance_i == 0.0
@@ -377,6 +404,24 @@ class TestExcludedEncodings:
             excluded_trees=self._other_shapes(j),
         )[1]
         assert a == b
+
+    def test_deeper_trees_excluded_by_their_frames(self, tiger2, cand2):
+        # An excluded tree deeper than the horizon excludes its frame, so it
+        # draws what excluding the frame itself draws.
+        universe = list(all_trees(tiger2.actions_j, tiger2.observations_j, 2))[::3]
+        deep = frozenset(
+            PolicyTree((r, a, "Listen", "Listen", b, "Listen", "Listen"), t.observations)
+            for t in universe
+            for r, a, b in [t.preorder]
+        )
+        assert {frame(t, 2) for t in deep} == set(universe)
+        a = _traced(
+            tiger2, cand2, "random-generated", rounds=6, seed=9,
+            excluded_trees=frozenset(universe),
+        )[1]
+        b = _traced(tiger2, cand2, "random-generated", rounds=6, seed=9, excluded_trees=deep)[1]
+        c = _traced(tiger2, cand2, "random-generated", rounds=6, seed=9)[1]
+        assert a == b != c
 
     def test_rows_match_encoding_reference(self, tiger2):
         # With the same rng, exclusion by the rows of the excluded trees of a
