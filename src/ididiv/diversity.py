@@ -93,7 +93,6 @@ def mdf(trees: Sequence[PolicyTree], n_observations: int) -> float:
 class DiversityReport:
     """Per-depth distinct counts plus both aggregate measures."""
 
-    n_trees: int
     n_observations: int
     sequence_counts: tuple[int, ...]
     frame_counts: tuple[int, ...]
@@ -104,10 +103,9 @@ class DiversityReport:
 def diversity_report(trees: Sequence[PolicyTree], n_observations: int) -> DiversityReport:
     n = _obs_count(n_observations)
     if not trees:
-        return DiversityReport(0, n, (), (), 0.0, 0.0)
+        return DiversityReport(n, (), (), 0.0, 0.0)
     seq, frm = _counts(trees, n)
     return DiversityReport(
-        n_trees=len(trees),
         n_observations=n,
         sequence_counts=seq,
         frame_counts=frm,

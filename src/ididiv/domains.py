@@ -99,10 +99,11 @@ class JointTransition:
     them; a ``PosgDomain`` checks its table when it is built.  Two tables
     are equal when their shapes and stored entries are.
 
-    Two index forms read dense values, read-only: ``[s, ai, aj]`` is one
-    row and ``[:, ai, aj, :]`` one [S, S'] block.  Any other key raises
-    IndexError, and ``np.asarray`` raises TypeError: nothing densifies the
-    whole table.
+    The pipeline reads the stored entries: the planner through ``block``,
+    the simulator a row at a time.  One index form reads dense values,
+    read-only: ``[:, ai, aj, :]`` is one [S, S'] block.  Any other key
+    raises IndexError, and ``np.asarray`` raises TypeError: nothing
+    densifies the whole table.
     """
 
     indptr: np.ndarray
@@ -202,23 +203,17 @@ class JointTransition:
 
     def __getitem__(self, key) -> np.ndarray:
         S, Ai, Aj, S2 = self.shape
-        n = len(key) if type(key) is tuple else 0
-        whole = n == 4 and all(type(k) is slice and k == slice(None) for k in key[::3])
-        if n == 3 and all(_is_index(k, m) for k, m in zip(key, self.shape)):
-            # One row, the simulator's step.
-            r = (key[1] * Aj + key[2]) * S + key[0]
-            lo, hi = self.indptr[r], self.indptr[r + 1]
-            out = np.zeros(S2)
-            out[self.indices[lo:hi]] = self.data[lo:hi]
-        elif whole and _is_index(key[1], Ai) and _is_index(key[2], Aj):
-            blk = self.block(key[1], key[2])
-            out = np.zeros((S, S2))
-            out[blk._coords()[0], blk.indices] = blk.data
-        else:
+        whole = type(key) is tuple and len(key) == 4 and all(
+            type(k) is slice and k == slice(None) for k in key[::3]
+        )
+        if not (whole and _is_index(key[1], Ai) and _is_index(key[2], Aj)):
             raise IndexError(
-                "a JointTransition reads [s, ai, aj] or [:, ai, aj, :] with integers "
-                "inside %r; block(ai, aj) gives a block's sparse rows" % (self.shape,)
+                "a JointTransition reads [:, ai, aj, :] with integers inside %r; "
+                "block(ai, aj) gives a block's sparse rows" % (self.shape,)
             )
+        blk = self.block(key[1], key[2])
+        out = np.zeros((S, S2))
+        out[blk._coords()[0], blk.indices] = blk.data
         out.setflags(write=False)
         return out
 

@@ -25,7 +25,7 @@ from .selection import CandidateModelSet
 from .solver import solve_exact
 # canonical_encode is unused here; perfbench/tracer.py binds simulate.canonical_encode.
 from .trees import (  # noqa: F401
-    BehaviorSequence, PolicyTree, _count, _csv_text, _table_of, canonical_encode, frame,
+    BehaviorSequence, PolicyTree, _count, _table_of, canonical_encode, frame,
     node_table, validate_tree,
 )
 
@@ -37,7 +37,6 @@ __all__ = [
     "run_experiment",
     "EPISODE_COLUMNS",
     "episode_rows",
-    "episodes_to_csv",
 ]
 
 TRUE_MODES = ("from-set", "random-generated")
@@ -119,7 +118,9 @@ def _play(domain, walk_i, walk_j, rng) -> EpisodeTrace:
     """``run_episode`` for trees already checked against the domain, each a
     ``_walk``, so a tree deeper than the horizon keeps its own numbering."""
     T = domain.horizon
-    s = int(rng.choice(len(domain.states), p=domain.start_distribution()))
+    S, n_aj = len(domain.states), len(domain.actions_j)
+    P = domain.transition
+    s = int(rng.choice(S, p=domain.start_distribution()))
 
     (row_i, kids_i), (row_j, kids_j) = walk_i, walk_j
     v_i = v_j = 0
@@ -130,7 +131,13 @@ def _play(domain, walk_i, walk_j, rng) -> EpisodeTrace:
         aj = domain.actions_j.index(row_j[v_j])
         ri = float(domain.reward_i[s, ai, aj])
         rj = float(domain.reward_j[s, aj, ai])
-        s2 = int(rng.choice(len(domain.states), p=domain.transition[s, ai, aj]))
+        # Draw from the stored entries of row (ai, aj, s), columns ascending.
+        # choice takes one double and returns the first index whose running
+        # sum exceeds it; at every stored column those sums equal the dense
+        # row's, and an unstored zero is never first, so the draw is the same.
+        r = (ai * n_aj + aj) * S + s
+        lo, hi = P.indptr[r], P.indptr[r + 1]
+        s2 =int(P.indices[lo + rng.choice(hi - lo, p=P.data[lo:hi])])
         oi = int(rng.choice(len(domain.observations_i), p=domain.obs_fn_i[s2, ai, aj]))
         oj = int(rng.choice(len(domain.observations_j), p=domain.obs_fn_j[s2, aj]))
         steps.append(
@@ -285,8 +292,3 @@ def episode_rows(index: int, trace: EpisodeTrace) -> list[tuple]:
     """The step-level CSV rows of round ``index``, one per step."""
     return [(index, *astuple(st)) for st in trace.steps]
 
-
-def episodes_to_csv(traces) -> str:
-    """Step-level CSV across rounds; no timestamps, reproducible byte for byte."""
-    rows = [row for rnd, tr in enumerate(traces) for row in episode_rows(rnd, tr)]
-    return _csv_text(EPISODE_COLUMNS, rows)

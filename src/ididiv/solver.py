@@ -90,8 +90,6 @@ class Model(Protocol):
 class SolvedPolicy:
     tree: PolicyTree
     value: float
-    model_name: str
-    horizon: int
 
 
 def _backup(
@@ -154,7 +152,7 @@ def solve_exact(model: Model) -> SolvedPolicy:
     """
     v, row = _backup(model, model.initial_belief, model.horizon)
     tree = PolicyTree(row, model.observations)
-    return SolvedPolicy(tree=tree, value=v, model_name=model.name, horizon=model.horizon)
+    return SolvedPolicy(tree=tree, value=v)
 
 
 def evaluate_policy(model: Model, tree: PolicyTree) -> float:
@@ -194,4 +192,4 @@ def brute_force_solve(
         if best is None or _beats(v, best_v):
             best_v, best = v, row
     tree = PolicyTree(best, model.observations)
-    return SolvedPolicy(tree=tree, value=best_v, model_name=model.name, horizon=T)
+    return SolvedPolicy(tree=tree, value=best_v)

@@ -125,7 +125,6 @@ class TestMeasures:
 class TestReport:
     def test_report_fields(self, fig_trees):
         rep = diversity_report(fig_trees, 2)
-        assert rep.n_trees == 4
         assert rep.n_observations == 2
         assert rep.sequence_counts == (2, 5, 12)
         assert rep.frame_counts == (2, 3, 4)

@@ -158,7 +158,7 @@ class TestUav:
         s = _sidx(uav, "X4Y4@X0Y1")
         stay = uav.actions_i.index("Stay")
         south = uav.actions_j.index("S")
-        row = uav.transition[s, stay, south]
+        row = uav.transition[:, stay, south, :][s]
         assert row[_sidx(uav, "Escaped")] == pytest.approx(0.9)
         assert row[_sidx(uav, "X4Y4@X0Y1")] == pytest.approx(0.1)
 
@@ -166,7 +166,7 @@ class TestUav:
         s = _sidx(uav, "X1Y0@X1Y1")
         stay = uav.actions_i.index("Stay")
         south = uav.actions_j.index("S")
-        row = uav.transition[s, stay, south]
+        row = uav.transition[:, stay, south, :][s]
         assert row[_sidx(uav, "Captured")] == pytest.approx(0.9)
         assert row[_sidx(uav, "X1Y0@X1Y1")] == pytest.approx(0.1)
 
@@ -175,7 +175,7 @@ class TestUav:
         s = _sidx(uav, "X0Y0@X1Y0")
         stay = uav.actions_i.index("Stay")
         west = uav.actions_j.index("W")
-        row = uav.transition[s, stay, west]
+        row = uav.transition[:, stay, west, :][s]
         assert row[_sidx(uav, "Captured")] == pytest.approx(0.9)
         assert row[_sidx(uav, "Escaped")] == 0.0
 
@@ -184,15 +184,15 @@ class TestUav:
         north = uav.actions_i.index("N")
         east = uav.actions_j.index("E")
         # Both push into walls: nobody moves.
-        assert uav.transition[s, north, east][s] == pytest.approx(1.0)
+        assert uav.transition[:, north, east, :][s, s] == pytest.approx(1.0)
 
     def test_flag_chain(self, uav):
         cap = _sidx(uav, "Captured")
         done = _sidx(uav, "Done")
         for ai in range(5):
             for aj in range(5):
-                assert uav.transition[cap, ai, aj][done] == 1.0
-                assert uav.transition[done, ai, aj][done] == 1.0
+                block = uav.transition[:, ai, aj, :]
+                assert block[cap, done] == 1.0 and block[done, done] == 1.0
         assert np.all(uav.reward_i[cap] == 100.0)
         assert np.all(uav.reward_j[cap] == -100.0)
         assert np.all(uav.reward_i[_sidx(uav, "Escaped")] == -100.0)
@@ -601,18 +601,18 @@ class TestJointTransition:
         "key",
         [
             (slice(None), 1, 2, slice(None)),
-            (17, 3, 0),
-            (0, 0, 0),
-            (627, 4, 4),
+            (slice(None), 3, 0, slice(None)),
+            (slice(None), 0, 1, slice(None)),
+            (slice(None), 4, 0, slice(None)),
             (slice(None), 0, 0, slice(None)),
             (slice(None), 4, 4, slice(None)),
-            (np.int64(600), np.int64(2), 1),
+            (slice(None), np.int64(2), 1, slice(None)),
             (slice(None), np.int64(3), np.int32(1), slice(None)),
-            (625, 1, 3),
+            (slice(None), 1, 3, slice(None)),
         ],
     )
     def test_basic_indexing_matches_dense(self, uav, key):
-        """The two index forms: [s, ai, aj] is a row, [:, ai, aj, :] a block."""
+        """The one index form: [:, ai, aj, :] is a block."""
         got, want = uav.transition[key], _dense_uav_transition()[key]
         assert got.shape == want.shape and np.array_equal(got, want)
         assert not got.flags.writeable
@@ -636,10 +636,13 @@ class TestJointTransition:
             (slice(None), 5, 0, slice(None)),
             Ellipsis,
             3,
+            (17, 3, 0),
+            (np.int64(600), np.int64(2), 1),
         ],
     )
     def test_bad_index(self, uav, key):
-        with pytest.raises(IndexError, match=r"\[s, ai, aj\].*\[:, ai, aj, :\].*block"):
+        """Every key but [:, ai, aj, :] is refused, a row [s, ai, aj] too."""
+        with pytest.raises(IndexError, match=r"reads \[:, ai, aj, :\] .*block"):
             uav.transition[key]
 
     def test_not_densified(self, tiger):

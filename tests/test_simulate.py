@@ -8,19 +8,20 @@ from ididiv import (
     SelectionConfig,
     builtin_tiger,
     canonical_encode,
+    cli,
     constant_tree,
-    episodes_to_csv,
     generate_known_models,
     make_candidate_set,
     project_level0,
     run_episode,
     run_experiment,
+    save_candidate_set,
     select_topk,
     solve_idid,
     flatten,
     simulate,
 )
-from ididiv.trees import all_trees, frame, node_table
+from ididiv.trees import _csv_line, all_trees, frame, node_table
 
 
 def _levels(obs, *actions):
@@ -460,9 +461,18 @@ class TestExcludedEncodings:
 
 
 class TestCsv:
-    def test_golden_shape(self, tiger2, cand2):
-        traces = _traced(tiger2, cand2, "from-set", rounds=2, seed=0)[1]
-        text = episodes_to_csv(traces)
+    """``episodes.csv`` as ``simulate`` writes it: the header, then each
+    round's ``episode_rows`` through ``_csv_line`` as the round ends."""
+
+    def _simulate(self, tmp_path, cand2, name, rounds, seed):
+        path = save_candidate_set(cand2, tmp_path / "candidates.json")
+        argv = ["--seed", seed, "--out-dir", tmp_path / name, "simulate",
+                "--horizon", 2, "--candidates", path, "--rounds", rounds]
+        assert cli.main([str(a) for a in argv]) == 0
+        return (tmp_path / name / "episodes.csv").read_text()
+
+    def test_golden_shape(self, tmp_path, tiger2, cand2):
+        text = self._simulate(tmp_path, cand2, "sim", 2, 0)
         lines = text.strip().split("\n")
         assert lines[0] == (
             "round,t,state,action_i,action_j,reward_i,reward_j,"
@@ -472,11 +482,13 @@ class TestCsv:
         first = lines[1].split(",")
         assert first[0] == "0" and first[1] == "0"
         assert first[2] in tiger2.states
+        traces = _traced(tiger2, cand2, "from-set", rounds=2, seed=0)[1]
+        rows = [row for k, tr in enumerate(traces) for row in simulate.episode_rows(k, tr)]
+        assert text == "".join(map(_csv_line, [simulate.EPISODE_COLUMNS, *rows]))
 
-    def test_byte_reproducible(self, tiger2, cand2):
-        a = _traced(tiger2, cand2, "from-set", rounds=4, seed=2)[1]
-        b = _traced(tiger2, cand2, "from-set", rounds=4, seed=2)[1]
-        assert episodes_to_csv(a) == episodes_to_csv(b)
+    def test_byte_reproducible(self, tmp_path, cand2):
+        a = self._simulate(tmp_path, cand2, "a", 4, 2)
+        assert a == self._simulate(tmp_path, cand2, "b", 4, 2)
 
     def test_float_cells_keep_every_digit(self):
         step = simulate.StepRecord(
@@ -484,5 +496,5 @@ class TestCsv:
             reward_j=0.1 + 0.2, next_state="s2", obs_i="o", obs_j="p",
         )
         trace = simulate.EpisodeTrace(steps=(step,), total_reward_i=-1.0, total_reward_j=0.1 + 0.2)
-        lines = episodes_to_csv([trace]).split("\n")
-        assert lines[1:] == ["0,0,s,a,b,-1.0,0.30000000000000004,s2,o,p", ""]
+        lines = list(map(_csv_line, simulate.episode_rows(0, trace)))
+        assert lines == ["0,0,s,a,b,-1.0,0.30000000000000004,s2,o,p\n"]

@@ -63,9 +63,8 @@ class TestSolveTiger:
 
     def test_policy_shape(self, tiger_j):
         pol = solve_exact(tiger_j)
-        assert pol.tree.depth == 3
-        assert pol.horizon == 3
-        assert pol.model_name == tiger_j.name
+        assert pol.tree.depth == tiger_j.horizon == 3
+        assert pol.tree.observations == tiger_j.observations
 
     def test_value_reproduces_through_evaluate(self, tiger_j, tiger2, cand2):
         # Solving and evaluating run one recursion, so the floats agree
