@@ -26,6 +26,7 @@ from .flattening import flatten, solve_idid
 from .generation import generate_known_models
 from .runs import (  # noqa: F401
     RunManifest,
+    _versions,
     file_sha256,
     normalize_grid_config,
     resolve_domain,
@@ -161,6 +162,7 @@ def _record(args, domain, outputs: dict, input_hashes: dict, timings=None) -> No
         input_hashes=input_hashes,
         outputs={name: Path(path).name for name, path in outputs.items()},
         timings=timings or {},
+        versions=_versions(),
     )
     write_manifest(manifest, args.out_dir)
 

@@ -96,8 +96,9 @@ class JointTransition:
     form the contiguous ``block(ai, aj)``.  ``from_entries`` stores only
     nonzero probabilities, columns ascending within a row; ``nnz`` counts
     every stored entry.  Construction freezes the arrays but does not check
-    them; a ``PosgDomain`` checks its table when it is built.  Two tables
-    are equal when their shapes and stored entries are.
+    them; a ``PosgDomain`` checks its table when it is built, and refuses a
+    row whose columns do not strictly ascend.  Two tables are equal when
+    their shapes and stored entries are.
 
     The pipeline reads the stored entries: the planner through ``block``,
     the simulator a row at a time.  One index form reads dense values,
@@ -424,6 +425,18 @@ def _check_csr(path: str, T: JointTransition) -> None:
     if dat.shape != idx.shape:
         raise DomainValidationError(
             "%s: %d data entries for %d indices" % (path, len(dat), len(idx))
+        )
+    # Columns strictly ascend within a row, so no column is stored twice.
+    # Entry k + 1 is compared with entry k unless it starts a row.
+    bad = idx[1:] <= idx[:-1]
+    starts = ptr[1:-1]
+    bad[starts[(starts > 0) & (starts < len(idx))] - 1] = False
+    if bad.any():
+        k = int(np.flatnonzero(bad)[0]) + 1
+        pair, s = divmod(int(np.searchsorted(ptr, k, side="right")) - 1, S)
+        raise DomainValidationError(
+            "%s[:, %d, %d]: row %d repeats or reorders column %d"
+            % (path, *divmod(pair, Aj), s, int(idx[k]))
         )
 
 

@@ -26,6 +26,7 @@ import dataclasses
 import hashlib
 import itertools
 import os
+import sys
 import time
 from collections import Counter
 from dataclasses import dataclass, field
@@ -108,6 +109,7 @@ class RunManifest:
     timings: dict = field(default_factory=dict)
     errors: list = field(default_factory=list)
     threads: dict = field(default_factory=dict)
+    versions: dict = field(default_factory=dict)
 
 
 def write_manifest(m: RunManifest, out_dir) -> Path:
@@ -122,7 +124,14 @@ _MANIFEST_TYPES = {
     "seed": ((int, type(None)), "an integer or null"), "config": (dict, "an object"),
     "input_hashes": (dict, "an object"), "outputs": (dict, "an object"),
     "timings": (dict, "an object"), "threads": (dict, "an object"), "errors": (list, "a list"),
+    "versions": (dict, "an object"),
 }
+
+
+def _versions() -> dict:
+    """The numpy and Python versions a manifest records; every stream comes
+    from numpy's Generator, so a replay refuses another numpy version."""
+    return {"numpy": np.__version__, "python": "%d.%d.%d" % sys.version_info[:3]}
 
 
 def _manifest_from_obj(obj) -> RunManifest:
@@ -385,6 +394,7 @@ def run_experiment_grid(
             **{k: os.environ.get(k) for k in THREAD_VARS},
             "cpu_count": os.cpu_count(),
         },
+        versions=_versions(),
     )
     write_manifest(manifest, out)
     return manifest
@@ -394,8 +404,9 @@ def run_from_manifest(manifest_path, out_dir, workers: int = 1) -> RunManifest:
     """Rerun a recorded experiment grid; CSV outputs reproduce byte for byte.
 
     Refuses, before writing anything, a manifest written by another tool
-    version or one whose domain file, as the replay parses it, has changed
-    since it was recorded.  The manifest is read, checked and run as one
+    version or under another numpy version, or one whose domain file, as the
+    replay parses it, has changed since it was recorded.  A manifest that
+    records no versions replays.  The manifest is read, checked and run as one
     ``_read_input``, so every refusal starts with the manifest's path.
     """
 
@@ -407,6 +418,12 @@ def run_from_manifest(manifest_path, out_dir, workers: int = 1) -> RunManifest:
             raise ValueError(
                 "manifest was written by tool version %s, this is %s"
                 % (m.tool_version, TOOL_VERSION)
+            )
+        recorded_numpy = m.versions.get("numpy", np.__version__)
+        if recorded_numpy != np.__version__:
+            raise ValueError(
+                "manifest was written under numpy %s, this is numpy %s"
+                % (recorded_numpy, np.__version__)
             )
         config = normalize_grid_config(m.config)
         builtin = config["domain"] in BUILTIN_DOMAINS

@@ -128,7 +128,9 @@ def select_topk(
 ) -> CandidateModelSet:
     """Expand the known trees with diversity-increasing sampled trees.
 
-    The known trees are always retained (duplicates among them collapse).
+    The known trees are always retained (duplicates among them collapse),
+    so a ``k_max`` below the number of distinct known trees raises
+    ValueError before the first draw.
     Anchors are the feature sequences of the known set, cycled in order.  A
     sampled tree is accepted only when the configured measure strictly
     increases; the loop ends at ``k_max`` trees or after ``patience``
@@ -140,6 +142,10 @@ def select_topk(
     base = list(dict.fromkeys(known))  # equal trees collapse, in first-appearance order
     if not base:
         raise ValueError("need at least one known tree")
+    if config.k_max < len(base):
+        raise ValueError(
+            "k_max %d is below the %d distinct known trees" % (config.k_max, len(base))
+        )
     for t in base:
         validate_tree(t, model.observations, depth=model.horizon, actions=model.actions)
 

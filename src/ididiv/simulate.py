@@ -137,7 +137,7 @@ def _play(domain, walk_i, walk_j, rng) -> EpisodeTrace:
         # row's, and an unstored zero is never first, so the draw is the same.
         r = (ai * n_aj + aj) * S + s
         lo, hi = P.indptr[r], P.indptr[r + 1]
-        s2 =int(P.indices[lo + rng.choice(hi - lo, p=P.data[lo:hi])])
+        s2 = int(P.indices[lo + rng.choice(hi - lo, p=P.data[lo:hi])])
         oi = int(rng.choice(len(domain.observations_i), p=domain.obs_fn_i[s2, ai, aj]))
         oj = int(rng.choice(len(domain.observations_j), p=domain.obs_fn_j[s2, aj]))
         steps.append(

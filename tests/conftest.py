@@ -1,4 +1,5 @@
-"""Shared fixtures: domains, the worked diversity fixture, random generators."""
+"""Shared fixtures: domains, the worked diversity fixture, random generators
+and the random-domain strategy."""
 
 from __future__ import annotations
 
@@ -7,10 +8,13 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from ididiv import domains
 from ididiv import (
+    JointTransition,
     PolicyTree,
+    PosgDomain,
     SingleAgentModel,
     builtin_tiger,
     builtin_uav,
@@ -194,3 +198,60 @@ def random_tree_set(rng: np.random.Generator, max_trees=6, max_a=3, max_o=3, max
     obs = tuple("z%d" % k for k in range(n_o))
     trees = [random_tree(rng, acts, obs, depth) for _ in range(count)]
     return trees, acts, obs
+
+
+def _sparse_rows(rng: np.random.Generator, shape) -> np.ndarray:
+    """Distributions over the last axis, each Dirichlet on a random nonempty
+    support, so many rows hold a single nonzero entry."""
+    n = shape[-1]
+    keep = rng.random(shape) < 0.5
+    np.put_along_axis(keep, rng.integers(n, size=(*shape[:-1], 1)), True, axis=-1)
+    rows = np.where(keep, rng.dirichlet(np.ones(n), size=shape[:-1]), 0.0)
+    return rows / rows.sum(axis=-1, keepdims=True)
+
+
+@st.composite
+def random_domains(draw):
+    """A small two-agent domain and a candidate set of its peer's trees.
+
+    Sizes: S 1-4; Ai, Aj, Oi and Oj 1-3; horizon T 1-3.  The joint table is
+    built through ``JointTransition.from_entries``, zeros included, which it
+    drops.  Every transition, observation and start row is ``_sparse_rows``,
+    so stored rows can hold one entry and some observation branches cannot
+    occur.  Both rewards depend on both actions.  The candidates are 1-5
+    distinct peer trees of one depth, T or T+1, under a prior with zeros.
+    Hypothesis draws the sizes and the seed of the numpy generator that
+    fills the tables.
+    """
+    S = draw(st.integers(1, 4))
+    Ai, Aj, Oi, Oj = (draw(st.integers(1, 3)) for _ in range(4))
+    T = draw(st.integers(1, 3))
+    depth = T + draw(st.integers(0, 1))
+    n_trees = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    P = _sparse_rows(rng, (S, Ai, Aj, S))
+    entries = [[*idx, float(P[idx])] for idx in np.ndindex(P.shape)]
+    domain = PosgDomain(
+        name="random",
+        states=tuple("s%d" % k for k in range(S)),
+        actions_i=tuple("a%d" % k for k in range(Ai)),
+        actions_j=tuple("b%d" % k for k in range(Aj)),
+        observations_i=tuple("y%d" % k for k in range(Oi)),
+        observations_j=tuple("z%d" % k for k in range(Oj)),
+        transition=JointTransition.from_entries(entries, P.shape),
+        obs_fn_i=_sparse_rows(rng, (S, Ai, Aj, Oi)),
+        obs_fn_j=_sparse_rows(rng, (S, Aj, Oj)),
+        reward_i=rng.normal(0.0, 5.0, size=(S, Ai, Aj)),
+        reward_j=rng.normal(0.0, 5.0, size=(S, Aj, Ai)),
+        horizon=T,
+        start=_sparse_rows(rng, (S,)),
+    )
+    trees = list(dict.fromkeys(
+        random_tree(rng, domain.actions_j, domain.observations_j, depth) for _ in range(n_trees)
+    ))
+    prior = rng.dirichlet(np.ones(len(trees)))
+    zero = rng.random(len(trees)) < 0.3
+    zero[rng.integers(len(trees))] = False
+    prior[zero] = 0.0
+    return domain, make_candidate_set(trees, Oj, prior=prior / prior.sum())

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import time
 
+import numpy as np
 import pytest
 
 from ididiv import (
@@ -259,6 +260,18 @@ class TestTopkFeaturesChain:
         assert not (tmp_path / "sim" / "episodes.csv").exists()
         assert not (tmp_path / "sim" / "manifest.json").exists()
 
+    def test_topk_cap_below_the_known_set_is_refused(self, tmp_path):
+        # Five distinct known trees cannot fit a cap of three; the run exits
+        # non-zero, naming both numbers, and writes no candidate set.
+        argv = ["--out-dir", str(tmp_path), "topk", "--known", "5", "--k-max", "3"]
+        proc = subprocess.run(
+            [sys.executable, "-m", "ididiv", *argv], capture_output=True, text=True
+        )
+        assert proc.returncode != 0
+        assert "k_max 3 is below the 5 distinct known trees" in proc.stderr
+        assert not (tmp_path / "candidates.json").exists()
+        assert not (tmp_path / "manifest.json").exists()
+
 
 class TestExperiment:
     def test_grid_and_replay(self, tmp_path):
@@ -284,6 +297,24 @@ class TestExperiment:
         assert (tmp_path / "a" / "results.csv").read_text() == (
             tmp_path / "b" / "results.csv"
         ).read_text()
+
+    def test_manifests_record_versions(self, tmp_path):
+        want = {"numpy": np.__version__, "python": "%d.%d.%d" % sys.version_info[:3]}
+        assert _run(["--out-dir", tmp_path / "solve", "solve", "--horizon", "2"]) == 0
+        assert load_manifest(tmp_path / "solve" / "manifest.json").versions == want
+        grid = run_experiment_grid(GRID, tmp_path / "grid")
+        assert grid.versions == want
+        assert load_manifest(tmp_path / "grid" / "manifest.json").versions == want
+
+    def test_manifest_without_versions_replays(self, tmp_path):
+        run_experiment_grid(GRID, tmp_path / "a")
+        path = tmp_path / "a" / "manifest.json"
+        manifest = json.loads(path.read_text())
+        del manifest["versions"]
+        path.write_text(json.dumps(manifest))
+        assert _run(["--out-dir", tmp_path / "b", "experiment", "--from-manifest", path]) == 0
+        for name in ("results.csv", "diversity.csv"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
     def test_flags_fill_missing_config_keys(self, tmp_path):
         cfg = tmp_path / "grid.json"
@@ -468,8 +499,12 @@ class TestParsing:
             (lambda m, dom: m.update(config=[1]), r"config: \[1\] is not an object"),
             (lambda m, dom: dom.write_text(dom.read_text() + "\n"),
              "domain file .* changed since its hash was recorded"),
+            (lambda m, dom: m.update(versions=[]), r"versions: \[\] is not an object"),
+            (lambda m, dom: m["versions"].update(numpy="1.0.0"),
+             "manifest was written under numpy 1.0.0, this is numpy " + re.escape(np.__version__)),
         ],
-        ids=["hashes-list", "command-number", "config-list", "domain-changed"],
+        ids=["hashes-list", "command-number", "config-list", "domain-changed",
+             "versions-list", "numpy-version"],
     )
     def test_replay_refusal_names_the_manifest(self, tmp_path, edit, message):
         # A domain-file grid's manifest, then one field of it or the domain

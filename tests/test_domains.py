@@ -537,6 +537,28 @@ class TestSparseRows:
         with pytest.raises(DomainValidationError, match=r"transition\[:, 0, 0\]: negative"):
             self._with_block1(tiger_j, data=np.array([1.5, -0.5, 0.0, 1.0]))
 
+    @pytest.mark.parametrize(
+        "pair, s, cols, probs, message",
+        [
+            # Listen/Listen's row for state 0 as two 0.5 entries at column 0:
+            # it sums to 1, but a row draw would step by the stored entries.
+            ((2, 2), 0, [0, 0], [0.5, 0.5], r"transition\[:, 2, 2\]: row 0 repeats .* column 0"),
+            ((0, 1), 1, [1, 0], [0.5, 0.5], r"transition\[:, 0, 1\]: row 1 .*reorders column 0"),
+        ],
+        ids=["repeated", "reordered"],
+    )
+    def test_row_columns_strictly_ascend(self, tiger2, pair, s, cols, probs, message):
+        T = tiger2.transition
+        r = (pair[0] * 3 + pair[1]) * 2 + s
+        lo, hi = T.indptr[r], T.indptr[r + 1]
+        indptr = T.indptr.copy()
+        indptr[r + 1 :] += len(cols) - (hi - lo)
+        indices = np.concatenate([T.indices[:lo], cols, T.indices[hi:]]).astype(np.int32)
+        data = np.concatenate([T.data[:lo], probs, T.data[hi:]])
+        broken = JointTransition(indptr, indices, data, T.shape)
+        with pytest.raises(DomainValidationError, match=message):
+            dataclasses.replace(tiger2, transition=broken)
+
     def test_shape_and_type(self, tiger_j):
         with pytest.raises(DomainValidationError, match=r"transition: shape"):
             self._with_block1(tiger_j, shape=(2, 1, 1, 3))
