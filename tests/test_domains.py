@@ -541,7 +541,8 @@ class TestSparseRows:
         "pair, s, cols, probs, message",
         [
             # Listen/Listen's row for state 0 as two 0.5 entries at column 0:
-            # it sums to 1, but a row draw would step by the stored entries.
+            # it sums to 1, but a [:, ai, aj, :] read keeps one entry and its
+            # domain file would repeat an (s, ai, aj, s').
             ((2, 2), 0, [0, 0], [0.5, 0.5], r"transition\[:, 2, 2\]: row 0 repeats .* column 0"),
             ((0, 1), 1, [1, 0], [0.5, 0.5], r"transition\[:, 0, 1\]: row 1 .*reorders column 0"),
         ],
