@@ -10,13 +10,13 @@ depth-limited truncations.
 from ididiv import (
     PolicyTree,
     all_trees,
+    build_matrix,
     canonical_encode,
     canonical_parse,
     constant_tree,
     count_tree_nodes,
     count_trees,
     frame,
-    sequence_list,
 )
 
 obs = ("GrowlLeft", "GrowlRight")
@@ -30,7 +30,8 @@ print("nodes:", len(listen_then_open.preorder), "of", count_tree_nodes(2, 2), "i
 print()
 
 print("behavior sequences of the listen-then-open tree:")
-for seq in sequence_list(listen_then_open):
+# A tree's behavior matrix has one column per leaf, leaves in preorder.
+for seq in build_matrix([listen_then_open]).columns:
     print("  ", seq.compact())
 print()
 

@@ -6,7 +6,7 @@ truncations, rewarding sets whose trees differ in overall shape and not just
 along single paths.
 """
 
-from ididiv import PolicyTree, diff_frames, diff_sequences, diversity_report, mdf, mdp, report_to_csv
+from ididiv import PolicyTree, diversity_report, mdf, mdp, report_to_csv
 
 
 def two_obs(action, left=None, right=None):
@@ -24,15 +24,15 @@ trees = [
     two_obs("B", two_obs("A", two_obs("C"), two_obs("C")), two_obs("A", two_obs("A"), two_obs("B"))),
 ]
 
+report = diversity_report(trees, 2)
 for t in (1, 2, 3):
     print(
         "depth %d: %2d distinct prefixes, %d distinct frames"
-        % (t, diff_sequences(trees, t), diff_frames(trees, t))
+        % (t, report.sequence_counts[t - 1], report.frame_counts[t - 1])
     )
 print()
 print("prefix measure        = 2 + 5/2 + 12/4 =", mdp(trees, 2))
 print("frame-augmented value = 4 + 8/2 + 16/4 =", mdf(trees, 2))
 print()
 
-report = diversity_report(trees, 2)
 print(report_to_csv(report))

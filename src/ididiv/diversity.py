@@ -28,8 +28,6 @@ from typing import Sequence
 from .trees import PolicyTree, _csv_text, canonical_encode, prefix_ids  # noqa: F401
 
 __all__ = [
-    "diff_sequences",
-    "diff_frames",
     "mdp",
     "mdf",
     "DiversityReport",
@@ -47,36 +45,17 @@ def _obs_count(n_observations) -> int:
 
 
 def _counts(
-    trees: Sequence[PolicyTree], n_observations: int | None = None
+    trees: Sequence[PolicyTree], n_observations: int
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Distinct prefixes and distinct frames across the set, per depth 1..T."""
     table, ids = prefix_ids(trees)
     n_obs = table.children.shape[1]
-    if n_observations is not None and n_obs and n_obs != n_observations:
+    if n_obs and n_obs != n_observations:
         raise ValueError("trees branch on %d observations, not %d" % (n_obs, n_observations))
     levels = [ids[:, table.level == t] for t in range(trees[0].depth)]
     seq = tuple(len(set(lv.ravel().tolist())) for lv in levels)
     frm = tuple(len({row.tobytes() for row in lv}) for lv in levels)
     return seq, frm
-
-
-def _at_depth(trees: Sequence[PolicyTree], t: int, which: int) -> int:
-    if not trees:
-        return 0
-    counts = _counts(trees)[which]
-    if t < 1 or t > len(counts):
-        raise ValueError("depth %d outside [1, %d]" % (t, len(counts)))
-    return counts[t - 1]
-
-
-def diff_sequences(trees: Sequence[PolicyTree], t: int) -> int:
-    """Distinct length-t behavior prefixes realized across the set."""
-    return _at_depth(trees, t, 0)
-
-
-def diff_frames(trees: Sequence[PolicyTree], t: int) -> int:
-    """Distinct depth-t truncations across the set."""
-    return _at_depth(trees, t, 1)
 
 
 def mdp(trees: Sequence[PolicyTree], n_observations: int) -> float:

@@ -182,10 +182,6 @@ class JointTransition:
     def nnz(self) -> int:
         return len(self.indices)
 
-    @property
-    def nbytes(self) -> int:
-        return self.indptr.nbytes + self.indices.nbytes + self.data.nbytes
-
     def _coords(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The (s, ai, aj) of each stored entry, in storage order."""
         S, _, Aj, _ = self.shape
@@ -407,7 +403,8 @@ def _check_shape(path: str, arr: np.ndarray, shape: tuple[int, ...]) -> None:
 
 
 def _check_csr(path: str, T: JointTransition) -> None:
-    """CSR structure of a joint table whose shape has been checked."""
+    """CSR structure and row distributions of a joint table whose shape has
+    been checked."""
     S, Ai, Aj, S2 = T.shape
     R = Ai * Aj * S
     ptr, idx, dat = T.indptr, T.indices, T.data
@@ -438,22 +435,26 @@ def _check_csr(path: str, T: JointTransition) -> None:
             "%s[:, %d, %d]: row %d repeats or reorders column %d"
             % (path, *divmod(pair, Aj), s, int(idx[k]))
         )
-
-
-def _check_sparse_rows(path: str, blk: JointTransition) -> None:
-    """Every row of a well-formed [S, 1, 1, S'] block is a probability distribution."""
-    dat = blk.data
-    if not np.all(np.isfinite(dat)):
-        raise DomainValidationError("%s: non-finite probability" % path)
-    if dat.size and dat.min() < 0.0:
-        raise DomainValidationError("%s: negative probability" % path)
-    sums = np.bincount(blk._coords()[0], weights=dat, minlength=blk.shape[0])
-    bad = np.abs(sums - 1.0) > _TOL
-    if np.any(bad):
-        s = int(np.flatnonzero(bad)[0])
-        raise DomainValidationError(
-            "%s: row %d sums to %.17g" % (path, s, float(sums[s]))
-        )
+    # Every row is a probability distribution, an empty one summing to 0.
+    # The first action pair with a fault is named, and within it a
+    # non-finite entry before a negative one before a bad sum.
+    filled = ptr[1:] > ptr[:-1]
+    bad = ~filled
+    if filled.any():
+        bad[filled] = np.abs(np.add.reduceat(dat, ptr[:-1][filled]) - 1.0) > _TOL
+    entries = (np.flatnonzero(hit)[:1] for hit in (~np.isfinite(dat), dat < 0.0))
+    first = [np.searchsorted(ptr, k, side="right") - 1 for k in entries]
+    first.append(np.flatnonzero(bad)[:1])
+    found = [(int(r[0]) // S, kind, int(r[0]) % S) for kind, r in enumerate(first) if r.size]
+    if found:
+        pair, kind, s = min(found)
+        fault = ("non-finite probability", "negative probability", "row %d sums to %.17g")[kind]
+        if kind == 2:
+            # Reported as summed one entry at a time in storage order, since
+            # reduceat may add a row's entries in another order.
+            lo, hi = ptr[pair * S + s], ptr[pair * S + s + 1]
+            fault %= (s, float(np.add.accumulate(np.r_[0.0, dat[lo:hi]])[-1]))
+        raise DomainValidationError("%s[:, %d, %d]: %s" % (path, *divmod(pair, Aj), fault))
 
 
 def validate_model(m: SingleAgentModel) -> None:
@@ -497,9 +498,6 @@ def validate_domain(d: PosgDomain) -> None:
     T = d.transition
     _check_shape("transition", T, (S, Ai, Aj, S))
     _check_csr("transition", T)
-    for ai in range(Ai):
-        for aj in range(Aj):
-            _check_sparse_rows("transition[:, %d, %d]" % (ai, aj), T.block(ai, aj))
     _check_shape("obs_fn_i", d.obs_fn_i, (S, Ai, Aj, Oi))
     _check_rows("obs_fn_i", d.obs_fn_i)
     _check_shape("obs_fn_j", d.obs_fn_j, (S, Aj, Oj))

@@ -173,23 +173,22 @@ def normalize_grid_config(obj: dict) -> dict:
     cfg = dict(_GRID_DEFAULTS)
     cfg.update(obj)
     _check_domain_name(cfg["domain"])
-    for key in (*_AXIS_MIN, "algorithms", "true_modes"):
-        if not isinstance(cfg[key], (list, tuple)):
-            raise ValueError("%s must be a list, got %r" % (key, cfg[key]))
-    for key, lo in _AXIS_MIN.items():
-        cfg[key] = [_integer(key, x) for x in cfg[key]]
-        if not cfg[key]:
+    allowed = {"algorithms": ALGORITHMS, "true_modes": TRUE_MODES}
+    for key in (*_AXIS_MIN, *allowed):
+        values = cfg[key]
+        if not isinstance(values, (list, tuple)):
+            raise ValueError("%s must be a list, got %r" % (key, values))
+        if not values:
             raise ValueError("%s must be non-empty" % key)
-        if min(cfg[key]) < lo:
-            raise ValueError("%s must all be >= %d" % (key, lo))
-    for key, allowed in (("algorithms", ALGORITHMS), ("true_modes", TRUE_MODES)):
-        if not cfg[key]:
-            raise ValueError("%s must be non-empty" % key)
-        for value in cfg[key]:
-            if value not in allowed:
-                raise ValueError("%s: unknown value %r" % (key, value))
-    for key in (*_AXIS_MIN, "algorithms", "true_modes"):
-        value, count = Counter(cfg[key]).most_common(1)[0]
+        if key in _AXIS_MIN:
+            values = cfg[key] = [_integer(key, x) for x in values]
+            if min(values) < _AXIS_MIN[key]:
+                raise ValueError("%s must all be >= %d" % (key, _AXIS_MIN[key]))
+        else:
+            for value in values:
+                if value not in allowed[key]:
+                    raise ValueError("%s: unknown value %r" % (key, value))
+        value, count = Counter(values).most_common(1)[0]
         if count > 1:
             raise ValueError("%s: repeated value %r" % (key, value))
     for key, bound in (("rounds", MAX_ROUNDS), ("patience", MAX_PATIENCE)):

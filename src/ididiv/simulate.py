@@ -71,7 +71,8 @@ class EpisodeTrace:
 
 @dataclass(frozen=True, eq=False)
 class ExperimentStats:
-    """Per-round subject rewards with summary moments.
+    """Summary moments of the rounds' total rewards; a round's own rewards
+    reach only ``run_experiment``'s ``on_round``.
 
     ``reward_variance_i`` is the sample variance (ddof=1), 0.0 for a single
     round.  ``policy_value`` is the subject's planned value against the
@@ -79,8 +80,6 @@ class ExperimentStats:
     """
 
     rounds: int
-    rewards_i: tuple[float, ...]
-    rewards_j: tuple[float, ...]
     mean_reward_i: float
     reward_variance_i: float
     mean_reward_j: float
@@ -276,8 +275,6 @@ def run_experiment(
     arr = np.asarray(rewards_i)
     return ExperimentStats(
         rounds=rounds,
-        rewards_i=tuple(rewards_i),
-        rewards_j=tuple(rewards_j),
         mean_reward_i=float(arr.mean()),
         reward_variance_i=float(arr.var(ddof=1)) if rounds > 1 else 0.0,
         mean_reward_j=float(np.mean(rewards_j)),

@@ -47,9 +47,7 @@ __all__ = [
     "prefix_ids",
     "validate_tree",
     "sequence_at",
-    "prefixes",
     "frame",
-    "sequence_list",
     "canonical_encode",
     "canonical_parse",
     "constant_tree",
@@ -240,14 +238,6 @@ def sequence_at(tree: PolicyTree, node: int) -> BehaviorSequence:
     )
 
 
-def prefixes(tree: PolicyTree, t: int) -> frozenset[BehaviorSequence]:
-    """All length-t behavior sequences realized by root-to-depth-t walks."""
-    if t < 1 or t > tree.depth:
-        raise ValueError("prefix length %d outside [1, %d]" % (t, tree.depth))
-    nodes = np.flatnonzero(_table_of(tree).level == t - 1)
-    return frozenset(sequence_at(tree, v) for v in nodes)
-
-
 def frame(tree: PolicyTree, t: int) -> PolicyTree:
     """The depth-t truncation of ``tree`` (top t levels, leaves stripped).
 
@@ -257,15 +247,6 @@ def frame(tree: PolicyTree, t: int) -> PolicyTree:
         raise ValueError("frame depth %d outside [1, %d]" % (t, tree.depth))
     kept = tuple(a for a, lvl in zip(tree.preorder, _table_of(tree).level) if lvl < t)
     return PolicyTree(kept, tree.observations)
-
-
-def sequence_list(tree: PolicyTree) -> tuple[BehaviorSequence, ...]:
-    """Full-length sequences, one per leaf, leaves in preorder.
-
-    Every leaf path differs in observations, so no sequence repeats.
-    """
-    nodes = np.flatnonzero(_table_of(tree).level == tree.depth - 1)
-    return tuple(sequence_at(tree, v) for v in nodes)
 
 
 def _check_symbols(symbols: Iterable[str]) -> tuple[str, ...]:

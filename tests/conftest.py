@@ -8,7 +8,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import strategies as st
+from hypothesis import HealthCheck, strategies as st
 
 from ididiv import domains
 from ididiv import (
@@ -22,6 +22,12 @@ from ididiv import (
     make_candidate_set,
     project_level0,
     serialize_domain,
+)
+
+# Hypothesis settings for property tests: every run draws the same examples
+# and reads or writes no example database.
+_DERANDOMIZED = dict(
+    derandomize=True, database=None, deadline=None, suppress_health_check=[HealthCheck.too_slow]
 )
 
 

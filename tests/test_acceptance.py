@@ -22,8 +22,7 @@ from ididiv import (
     builtin_tiger,
     canonical_encode,
     constant_tree,
-    diff_frames,
-    diff_sequences,
+    diversity_report,
     evaluate_policy,
     flatten,
     generate_known_models,
@@ -68,8 +67,8 @@ def _exact_product(piv, shape):
 
 def test_criterion_1_worked_example(fig_trees, capsys):
     t0 = time.perf_counter()
-    seqs = tuple(diff_sequences(fig_trees, t) for t in (1, 2, 3))
-    frames = tuple(diff_frames(fig_trees, t) for t in (1, 2, 3))
+    report = diversity_report(fig_trees, 2)
+    seqs, frames = report.sequence_counts, report.frame_counts
     v_mdp = mdp(fig_trees, 2)
     v_mdf = mdf(fig_trees, 2)
     elapsed = time.perf_counter() - t0
@@ -183,7 +182,8 @@ def test_criterion_4_diversity_invariants(capsys):
         if not grows:
             violations += 1
             continue
-        if diff_sequences(trees, 1) != diff_frames(trees, 1):
+        report = diversity_report(trees, n)
+        if report.sequence_counts[0] != report.frame_counts[0]:
             violations += 1
     ok = violations == 0
     assert _verdict(

@@ -3,8 +3,6 @@ import pytest
 
 from ididiv import (
     constant_tree,
-    diff_frames,
-    diff_sequences,
     diversity_report,
     mdf,
     mdp,
@@ -13,42 +11,39 @@ from ididiv import (
 from conftest import node, random_tree_set
 
 
+def _sequences(trees):
+    return diversity_report(trees, 2).sequence_counts
+
+
+def _frames(trees):
+    return diversity_report(trees, 2).frame_counts
+
+
 class TestDiffSequences:
     def test_hand_counts(self, fig_trees):
         # Counted by hand in the fixture docstring.
-        assert diff_sequences(fig_trees, 1) == 2
-        assert diff_sequences(fig_trees, 2) == 5
-        assert diff_sequences(fig_trees, 3) == 12
+        assert _sequences(fig_trees) == (2, 5, 12)
 
     def test_identical_trees(self):
         t = constant_tree("A", ("o1", "o2"), 3)
-        assert diff_sequences([t, t, t], 3) == 4
-
-    def test_depth_bounds(self, fig_trees):
-        with pytest.raises(ValueError):
-            diff_sequences(fig_trees, 0)
-        with pytest.raises(ValueError):
-            diff_sequences(fig_trees, 4)
+        assert _sequences([t, t, t])[2] == 4
 
     def test_single_tree(self):
         t = node("A", node("B"), node("C"))
-        assert diff_sequences([t], 1) == 1
-        assert diff_sequences([t], 2) == 2
+        assert _sequences([t]) == (1, 2)
 
 
 class TestDiffFrames:
     def test_hand_counts(self, fig_trees):
-        assert diff_frames(fig_trees, 1) == 2
-        assert diff_frames(fig_trees, 2) == 3
-        assert diff_frames(fig_trees, 3) == 4
+        assert _frames(fig_trees) == (2, 3, 4)
 
     def test_identical_trees(self):
         t = constant_tree("A", ("o1", "o2"), 3)
-        assert diff_frames([t, t], 2) == 1
+        assert _frames([t, t])[1] == 1
 
     def test_distinct_roots(self):
         trees = [constant_tree(a, ("o1", "o2"), 2) for a in "ABC"]
-        assert diff_frames(trees, 1) == 3
+        assert _frames(trees)[0] == 3
 
 
 class TestMeasures:
@@ -97,8 +92,7 @@ class TestMeasures:
         for call in (
             lambda: mdp([a, b], 2),
             lambda: mdf([a, b], 2),
-            lambda: diff_sequences([a, b], 2),
-            lambda: diff_frames([a, b], 1),
+            lambda: diversity_report([a, b], 2),
         ):
             with pytest.raises(ValueError, match="observation alphabet"):
                 call()

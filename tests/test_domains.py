@@ -329,6 +329,29 @@ class TestValidation:
         with pytest.raises(DomainValidationError, match=r"transition\[:, 2, 0\]: row 1 sums"):
             _with_entries(tiger, edit)
 
+    def test_row_with_no_stored_entry(self, tiger):
+        # Listen/Listen keeps state 0 with p=1; at p=0 from_entries drops the
+        # entry, so row 0 of that block stores nothing and sums to 0.
+        message = r"transition\[:, 2, 2\]: row 0 sums to 0$"
+        with pytest.raises(DomainValidationError, match=message):
+            _with_entries(tiger, _set_p(0, 2, 2, 0, 0.0))
+
+    def test_row_sum_reported_in_storage_order(self, uav):
+        # A three-entry row set to 0.1, 0.2, 0.3 sums to 0.60000000000000009
+        # one entry at a time, and to 0.59999999999999998 as 0.1 + (0.2 + 0.3).
+        S, _, Aj, _ = uav.transition.shape
+        r = int(np.flatnonzero(np.diff(uav.transition.indptr) == 3)[0])
+        (ai, aj), s = divmod(r // S, Aj), r % S
+
+        def edit(entries):
+            row = sorted((e for e in entries if e[:3] == [s, ai, aj]), key=lambda e: e[3])
+            for e, p in zip(row, (0.1, 0.2, 0.3)):
+                e[4] = p
+
+        message = r"transition\[:, %d, %d\]: row %d sums to 0.60000000000000009$" % (ai, aj, s)
+        with pytest.raises(DomainValidationError, match=message):
+            _with_entries(uav, edit)
+
     def test_constructor_refuses_a_bad_row(self):
         entries = [[0, 0, 0, 0, 0.5], [0, 0, 0, 1, 0.4], [1, 0, 0, 1, 1.0]]
         T = JointTransition.from_entries(entries, (2, 1, 1, 2))
@@ -599,7 +622,8 @@ class TestJointTransition:
         assert np.array_equal(_dense(uav.transition), dense)
         assert uav.transition == JointTransition.from_entries(_nonzero_entries(dense), dense.shape)
         assert uav.transition.shape == dense.shape
-        assert uav.transition.nbytes < dense.nbytes / 100
+        T = uav.transition
+        assert T.indptr.nbytes + T.indices.nbytes + T.data.nbytes < dense.nbytes / 100
 
     def test_tiger_matches_dense_build(self, tiger):
         dense = np.full((2, 3, 3, 2), 0.5)

@@ -18,7 +18,6 @@ from ididiv import (
     project_level0,
     save_candidate_set,
     select_topk,
-    sequence_list,
 )
 from ididiv.cli import main
 from conftest import node, random_tree_set
@@ -62,7 +61,7 @@ class TestBuildMatrix:
         m = build_matrix(fig_trees)
         union = set()
         for t in fig_trees:
-            union |= set(sequence_list(t))
+            union |= set(build_matrix([t]).columns)
         assert set(m.columns) == union
 
     def test_mixed_depth_rejected(self):
@@ -113,7 +112,7 @@ class TestPivotDecompose:
         t = constant_tree("A", ("o1", "o2"), 2)
         m = BehaviorMatrix(
             ("r1", "r2"),
-            tuple(sequence_list(t)),
+            build_matrix([t]).columns,
             np.array([[1, 1], [1, 1]], dtype=np.uint8),
         )
         piv = pivot_decompose(m)
@@ -285,7 +284,7 @@ class TestExtractFeatures:
         assert all(f.length == 3 for f in feats)
         # Leftmost pivots on a first-appearance matrix: the first feature
         # is the first tree's first sequence.
-        assert feats[0] == sequence_list(fig_trees[0])[0]
+        assert feats[0] == build_matrix(fig_trees[:1]).columns[0]
 
     def test_features_subset_of_columns(self):
         rng = np.random.default_rng(3)

@@ -5,12 +5,12 @@ import pytest
 
 from ididiv import (
     BehaviorSequence,
+    build_matrix,
     canonical_encode,
     convert_to_dbn,
     generate_known_models,
     generation,
     sample_tree,
-    sequence_list,
     solve_exact,
     validate_tree,
 )
@@ -49,7 +49,7 @@ class TestSampleTree:
             ("OpenLeft", "Listen", "OpenRight"), ("GrowlLeft", "GrowlRight")
         )
         t = _tree(dbn, sample_tree(dbn, anchor, rng))
-        assert anchor in set(sequence_list(t))
+        assert anchor in build_matrix([t]).columns
         assert t.action == "OpenLeft"
 
     def test_off_anchor_is_myopic(self):

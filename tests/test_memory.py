@@ -286,7 +286,7 @@ def test_parsed_candidate_set_holds_its_rows_not_nested_nodes():
 
 def test_simulate_peak_grows_only_by_the_reward_lists(tmp_path):
     # Each round's steps go to episodes.csv as the round ends.  What grows
-    # with the rounds is two lists of float rewards and their tuple and
-    # array copies, about 96 bytes a round (70.7 measured); every round's
-    # trace kept until the end cost 1,511 bytes a round.
+    # with the rounds is two lists of float rewards and an array copy of
+    # one, about 55 bytes a round measured; every round's trace kept until the
+    # end cost 1,511 bytes a round.
     assert int(_run(_SIMULATE_PEAKS, str(tmp_path))) < 9000 * 128

@@ -9,14 +9,7 @@ behavior matrix columns and flattening's position tables moved onto
 import numpy as np
 
 from ididiv import build_matrix, canonical_encode, diversity_report
-from ididiv.trees import (
-    BehaviorSequence,
-    PolicyTree,
-    frame,
-    node_table,
-    prefixes,
-    sequence_list,
-)
+from ididiv.trees import BehaviorSequence, PolicyTree, frame, node_table, sequence_at
 from conftest import nested, random_tree, random_tree_set
 
 
@@ -128,9 +121,10 @@ def check_set(trees, acts, obs):
         assert table.parent.tolist() == p
         assert table.children.tolist() == c
         assert "|".join(tree.preorder) == oracle_preorder(tree)
-        assert sequence_list(tree) == oracle_sequence_list(tree)
+        assert build_matrix([tree]).columns == oracle_sequence_list(tree)
         for t in range(1, depth + 1):
-            assert prefixes(tree, t) == oracle_prefixes(tree, t)
+            level = np.flatnonzero(table.level == t - 1)
+            assert {sequence_at(tree, v) for v in level} == oracle_prefixes(tree, t)
             assert frame(tree, t) == oracle_frame(tree, t)
 
 

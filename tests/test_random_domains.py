@@ -18,7 +18,7 @@ Hypothesis is derandomized, so every run draws the same examples.
 """
 
 import numpy as np
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from ididiv import (
     TIE_TOL,
@@ -29,12 +29,9 @@ from ididiv import (
     solve_exact,
 )
 from ididiv.trees import count_trees
-from conftest import random_domains, random_tree
+from conftest import _DERANDOMIZED, random_domains, random_tree
 from test_flattening import _oracle_value
 
-_DERANDOMIZED = dict(
-    derandomize=True, database=None, deadline=None, suppress_health_check=[HealthCheck.too_slow]
-)
 # The most subject trees brute_force_solve enumerates here, its own default
 # cap; 3 actions and 3 observations at T=3 (1.6M trees) are left out.
 _MAX_TREES = 200_000

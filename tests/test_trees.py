@@ -2,25 +2,28 @@ import gc
 import pickle
 import time
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from ididiv import (
     BehaviorSequence,
     PolicyTree,
     TreeShapeError,
     all_trees,
+    build_matrix,
     canonical_encode,
     canonical_parse,
     constant_tree,
     count_tree_nodes,
     count_trees,
+    diversity_report,
     frame,
-    prefixes,
-    sequence_list,
+    prefix_ids,
+    sequence_at,
     validate_tree,
 )
-from conftest import nested, node
+from conftest import _DERANDOMIZED, nested, node
 
 
 class TestBehaviorSequence:
@@ -75,27 +78,17 @@ class TestShapes:
 class TestPrefixes:
     # Hand-counted on the fixture: 2, 5, 12 distinct prefixes by depth.
     def test_fixture_counts(self, fig_trees):
-        union = set()
-        for depth, expect in ((1, 2), (2, 5), (3, 12)):
-            union = set()
-            for t in fig_trees:
-                union |= prefixes(t, depth)
-            assert len(union) == expect
+        assert diversity_report(fig_trees, 2).sequence_counts == (2, 5, 12)
 
     def test_single_tree(self, fig_trees):
         t = fig_trees[0]
-        assert prefixes(t, 1) == {BehaviorSequence(("A",), ())}
-        assert len(prefixes(t, 3)) == 4
-
-    def test_out_of_range(self, fig_trees):
-        with pytest.raises(ValueError):
-            prefixes(fig_trees[0], 0)
-        with pytest.raises(ValueError):
-            prefixes(fig_trees[0], 4)
+        assert sequence_at(t, 0) == BehaviorSequence(("A",), ())
+        assert diversity_report([t], 2).sequence_counts[2] == 4
 
     def test_sequence_list_order(self):
+        # A tree's full sequences are its behavior matrix columns, leaves in preorder.
         t = node("A", node("B"), node("C"))
-        seqs = sequence_list(t)
+        seqs = build_matrix([t]).columns
         assert [s.compact() for s in seqs] == ["A/o1/B", "A/o2/C"]
 
 
@@ -202,7 +195,7 @@ class TestEnumeration:
     def test_constant_tree(self):
         t = constant_tree("A", ("o1", "o2"), 3)
         validate_tree(t, ("o1", "o2"), depth=3)
-        assert len(prefixes(t, 3)) == 4
+        assert diversity_report([t], 2).sequence_counts[2] == 4
         assert set(t.preorder) == {"A"}
 
     def test_tree_nodes_preorder(self, fig_trees):
@@ -255,6 +248,7 @@ def _walked(tree):
     return nested(tree.action, tuple((o, _walked(sub)) for o, sub in tree.children))
 
 
+@settings(**_DERANDOMIZED)
 @given(small_trees())
 def test_canonical_roundtrip_property(data):
     tree, obs, depth = data
@@ -272,12 +266,13 @@ def test_row_of_no_node_count_is_refused(n):
         PolicyTree(("a",) * n, ("o1", "o2"))
 
 
+@settings(**_DERANDOMIZED)
 @given(small_trees(), st.integers(1, 3))
 def test_prefix_count_bounds_property(data, t):
     tree, obs, depth = data
     t = min(t, depth)
-    p = prefixes(tree, t)
-    # At most one prefix per observation history.
-    assert 1 <= len(p) <= len(obs) ** (t - 1)
-    for s in p:
-        assert s.length == t
+    table, ids = prefix_ids([tree])
+    nodes = np.flatnonzero(table.level == t - 1)
+    # One prefix per observation history, each of t actions.
+    assert len(set(ids[0, nodes].tolist())) == len(nodes) == len(obs) ** (t - 1)
+    assert all(sequence_at(tree, v).length == t for v in nodes)
