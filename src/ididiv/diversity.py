@@ -20,7 +20,9 @@ the given size.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -79,6 +81,11 @@ class DiversityReport:
     mdf_value: float
 
 
+def _total(terms) -> float:
+    # Left to right from 0.0, as sum() added before it compensated (3.12).
+    return functools.reduce(operator.add, terms, 0.0)
+
+
 def diversity_report(trees: Sequence[PolicyTree], n_observations: int) -> DiversityReport:
     n = _obs_count(n_observations)
     if not trees:
@@ -88,8 +95,8 @@ def diversity_report(trees: Sequence[PolicyTree], n_observations: int) -> Divers
         n_observations=n,
         sequence_counts=seq,
         frame_counts=frm,
-        mdp_value=sum(s / n ** (t - 1) for t, s in enumerate(seq, start=1)),
-        mdf_value=sum(
+        mdp_value=_total(s / n ** (t - 1) for t, s in enumerate(seq, start=1)),
+        mdf_value=_total(
             (s + f) / n ** (t - 1) for t, (s, f) in enumerate(zip(seq, frm), start=1)
         ),
     )

@@ -60,7 +60,6 @@ __all__ = [
     "builtin_domain",
     "BUILTIN_DOMAINS",
     "project_level0",
-    "with_horizon",
     "load_domain",
     "serialize_domain",
     "domain_from_obj",
@@ -100,11 +99,11 @@ class JointTransition:
     row whose columns do not strictly ascend.  Two tables are equal when
     their shapes and stored entries are.
 
-    The pipeline reads the stored entries: the planner through ``block``,
-    the simulator a row at a time.  One index form reads dense values,
-    read-only: ``[:, ai, aj, :]`` is one [S, S'] block.  Any other key
-    raises IndexError, and ``np.asarray`` raises TypeError: nothing
-    densifies the whole table.
+    ``flattening.FannedRows``, the simulator and the level-0 projection (via
+    ``_coords``) read the stored arrays; ``block`` serves the one index form
+    that reads dense values, read-only: ``[:, ai, aj, :]`` is one [S, S']
+    block.  Any other key raises IndexError, and ``np.asarray`` raises
+    TypeError: nothing densifies the whole table.
     """
 
     indptr: np.ndarray
@@ -306,7 +305,9 @@ class PosgDomain:
     ``start`` is the initial physical state distribution (uniform if None).
     ``level0`` optionally carries prebuilt single-agent views keyed by
     agent name ("i" or "j"), each over its agent's own actions and
-    observations; project_level0 returns these when present.
+    observations, each kept at the domain's horizon (so
+    ``dataclasses.replace(domain, horizon=h)`` re-horizons them too);
+    project_level0 returns these when present.
     Arrays and ``level0`` are read-only, so a domain can be shared.
 
     A domain is valid once it exists: construction, ``dataclasses.replace``
@@ -339,7 +340,11 @@ class PosgDomain:
             object.__setattr__(self, name, _freeze(getattr(self, name)))
         if self.start is not None:
             object.__setattr__(self, "start", _freeze(self.start))
-        object.__setattr__(self, "level0", MappingProxyType(dict(self.level0)))
+        level0 = {
+            k: m if m.horizon == self.horizon else m.replace(horizon=self.horizon)
+            for k, m in self.level0.items()
+        }
+        object.__setattr__(self, "level0", MappingProxyType(level0))
         validate_domain(self)
 
     def __reduce__(self):
@@ -772,7 +777,8 @@ def _build_uav(horizon: int) -> PosgDomain:
     )
 
 
-_BUILDERS = {"tiger": _build_tiger, "uav": _build_uav}
+# Each built-in's builder by name; ``builtin_domain`` shares what they build.
+BUILTIN_DOMAINS = {"tiger": _build_tiger, "uav": _build_uav}
 _DEFAULT_HORIZON = 3
 
 # The built-in domains somebody still holds, keyed by (name, horizon).  A
@@ -788,11 +794,11 @@ def builtin_domain(name: str, horizon: int | None = None) -> PosgDomain:
     builds it afresh.
     """
     try:
-        builder = _BUILDERS[name]
+        builder = BUILTIN_DOMAINS[name]
     except KeyError:
         raise KeyError(
             "unknown builtin domain %r (have: %s)"
-            % (name, ", ".join(sorted(_BUILDERS)))
+            % (name, ", ".join(sorted(BUILTIN_DOMAINS)))
         ) from None
     key = (name, _DEFAULT_HORIZON if horizon is None else horizon)
     domain = _SHARED.get(key)
@@ -811,24 +817,21 @@ def builtin_uav(horizon: int = _DEFAULT_HORIZON) -> PosgDomain:
     return builtin_domain("uav", horizon)
 
 
-BUILTIN_DOMAINS = {"tiger": builtin_tiger, "uav": builtin_uav}
-
-
 # ------------------------------------------------------------ projection ----
 
 def project_level0(domain: PosgDomain, agent: str) -> SingleAgentModel:
     """Single-agent POMDP for one agent with the peer folded out.
 
-    A prebuilt view on the domain wins when present.  Otherwise the peer's
-    action is marginalized under a uniform distribution over the peer's
-    declared actions.  The transition is summed from the joint table's
+    A prebuilt view on the domain is returned itself when present.  Otherwise
+    the peer's action is marginalized under a uniform distribution over the
+    peer's declared actions.  The transition is summed from the joint table's
     stored entries in storage order, so each cell adds its peer actions in
     ascending order starting from zero, without building the dense table.
     """
     if agent not in ("i", "j"):
         raise ValueError("agent must be 'i' or 'j', got %r" % agent)
     if agent in domain.level0:
-        return domain.level0[agent].replace(horizon=domain.horizon)
+        return domain.level0[agent]
 
     peer_acts = domain.actions_j if agent == "i" else domain.actions_i
     w = np.full(len(peer_acts), 1.0 / len(peer_acts))
@@ -859,11 +862,6 @@ def project_level0(domain: PosgDomain, agent: str) -> SingleAgentModel:
         initial_belief=domain.start_distribution(),
         horizon=domain.horizon,
     )
-
-
-def with_horizon(domain: PosgDomain, horizon: int) -> PosgDomain:
-    level0 = {k: m.replace(horizon=horizon) for k, m in domain.level0.items()}
-    return dataclasses.replace(domain, horizon=horizon, level0=level0)
 
 
 # ----------------------------------------------------------------- files ----
@@ -907,11 +905,6 @@ def domain_from_obj(obj: dict) -> PosgDomain:
     entries = obj["transition"]
     if not isinstance(entries, list):
         raise DomainValidationError("transition: expected a list of entries")
-    if entries and isinstance(entries[0], list) and any(isinstance(x, list) for x in entries[0]):
-        raise DomainValidationError(
-            "transition: a dense [s][ai][aj][s'] table, which is no longer read; "
-            "write [s, ai, aj, s', p] entries"
-        )
     horizon = _integer("horizon", obj["horizon"], DomainValidationError)
     name = obj["name"]
     if not isinstance(name, str) or not name:

@@ -34,14 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .domains import (
-    BUILTIN_DOMAINS,
-    PosgDomain,
-    builtin_domain,
-    domain_from_obj,
-    project_level0,
-    with_horizon,
-)
+from .domains import BUILTIN_DOMAINS, PosgDomain, builtin_domain, domain_from_obj, project_level0
 from .generation import generate_known_models
 from .selection import MAX_PATIENCE, SelectionConfig, make_candidate_set, select_topk
 from .simulate import MAX_ROUNDS, TRUE_MODES, run_experiment
@@ -239,8 +232,9 @@ def resolve_domain(name, horizons) -> tuple[dict, dict]:
     if name in BUILTIN_DOMAINS:
         return {h: builtin_domain(name, h) for h in horizons}, {}
     domain, digest = _read_input(name, domain_from_obj)
-    by_horizon = {h: domain if h is None else with_horizon(domain, h) for h in horizons}
-    return by_horizon, {"domain": digest}
+    return {
+        h: domain if h is None else dataclasses.replace(domain, horizon=h) for h in horizons
+    }, {"domain": digest}
 
 
 def _candidates_for(cell: dict, alg: str, known, level0):

@@ -8,7 +8,7 @@ size cap or after ``patience`` consecutive non-improving samples.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 from pathlib import Path
 from typing import Sequence
 
@@ -64,61 +64,53 @@ class SelectionConfig:
 class CandidateModelSet:
     """Distinct complete trees with a prior and per-tree provenance.
 
-    ``provenance`` entries are "known" or "generated".  ``trace`` records
+    ``provenance`` entries are "known" or "generated", all "known" by
+    default, and ``prior`` is uniform by default.  ``report`` is the trees'
+    diversity report over ``n_observations`` symbols.  ``trace`` records
     (set size, diversity value) after the initial set and after each
     accepted addition, for the measure that drove selection (empty when no
     selection ran).
     """
 
     trees: tuple[PolicyTree, ...]
-    prior: np.ndarray
-    provenance: tuple[str, ...]
-    report: DiversityReport
+    n_observations: InitVar[int]
+    provenance: tuple[str, ...] | None = None
+    prior: np.ndarray | None = None
     measure: str | None = None
     trace: tuple[tuple[int, float], ...] = ()
+    report: DiversityReport = field(init=False)
 
-    def __post_init__(self) -> None:
-        if not self.trees:
+    def __post_init__(self, n_observations) -> None:
+        trees = tuple(self.trees)
+        # First, so that a bad n_observations is named even with no trees.
+        object.__setattr__(self, "report", diversity_report(trees, n_observations))
+        if not trees:
             raise ValueError("candidate set cannot be empty")
-        if len(self.provenance) != len(self.trees):
+        provenance = ("known",) * len(trees) if self.provenance is None else tuple(self.provenance)
+        if len(provenance) != len(trees):
             raise ValueError("provenance length does not match trees")
-        for p in self.provenance:
+        for p in provenance:
             if p not in ("known", "generated"):
                 raise ValueError("provenance entries must be known/generated")
-        if len(set(self.trees)) != len(self.trees):
+        if len(set(trees)) != len(trees):
             raise ValueError("duplicate trees in candidate set")
-        prior = np.asarray(self.prior, dtype=float)
-        if prior.shape != (len(self.trees),):
-            raise ValueError("prior shape %r for %d trees" % (prior.shape, len(self.trees)))
+        if self.prior is None:
+            prior = np.full(len(trees), 1.0 / len(trees))
+        else:
+            prior = np.asarray(self.prior, dtype=float)
+        if prior.shape != (len(trees),):
+            raise ValueError("prior shape %r for %d trees" % (prior.shape, len(trees)))
         # Written so that a NaN entry fails too.
         if not (prior.min() >= 0.0 and abs(float(prior.sum()) - 1.0) <= 1e-12):
             raise ValueError("prior must be a distribution over the trees")
         prior.setflags(write=False)
+        object.__setattr__(self, "trees", trees)
+        object.__setattr__(self, "provenance", provenance)
         object.__setattr__(self, "prior", prior)
+        object.__setattr__(self, "trace", tuple(self.trace))
 
 
-def make_candidate_set(
-    trees: Sequence[PolicyTree],
-    n_observations,
-    provenance: Sequence[str] | None = None,
-    prior: np.ndarray | None = None,
-    measure: str | None = None,
-    trace: Sequence[tuple[int, float]] = (),
-) -> CandidateModelSet:
-    """Assemble a set with a uniform prior and a diversity report by default."""
-    trees = tuple(trees)
-    if provenance is None:
-        provenance = ("known",) * len(trees)
-    if prior is None:
-        prior = np.full(len(trees), 1.0 / len(trees)) if trees else np.zeros(0)
-    return CandidateModelSet(
-        trees=trees,
-        prior=np.asarray(prior, dtype=float),
-        provenance=tuple(provenance),
-        report=diversity_report(trees, n_observations),
-        measure=measure,
-        trace=tuple(trace),
-    )
+make_candidate_set = CandidateModelSet
 
 
 def select_topk(

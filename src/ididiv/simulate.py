@@ -257,8 +257,7 @@ def run_experiment(
     # One child seed per round, spawned as the round starts.
     root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     walk_i = _walk(policy.tree)
-    rewards_i: list[float] = []
-    rewards_j: list[float] = []
+    rewards_i, rewards_j = np.empty(rounds), np.empty(rounds)
     for index in range(rounds):
         rng = np.random.default_rng(root.spawn(1)[0])
         if true_mode == "from-set":
@@ -267,17 +266,15 @@ def run_experiment(
         else:
             walk_j = (_draw_novel_tree(level0, anchors, excluded, rng), kids_j)
         ep = _play(domain, walk_i, walk_j, rng)
-        rewards_i.append(ep.total_reward_i)
-        rewards_j.append(ep.total_reward_j)
+        rewards_i[index], rewards_j[index] = ep.total_reward_i, ep.total_reward_j
         if on_round is not None:
             on_round(index, ep)
 
-    arr = np.asarray(rewards_i)
     return ExperimentStats(
         rounds=rounds,
-        mean_reward_i=float(arr.mean()),
-        reward_variance_i=float(arr.var(ddof=1)) if rounds > 1 else 0.0,
-        mean_reward_j=float(np.mean(rewards_j)),
+        mean_reward_i=float(rewards_i.mean()),
+        reward_variance_i=float(rewards_i.var(ddof=1)) if rounds > 1 else 0.0,
+        mean_reward_j=float(rewards_j.mean()),
         policy_value=policy.value,
     )
 

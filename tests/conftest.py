@@ -86,14 +86,14 @@ def tiger_builds(monkeypatch):
     """Horizons of the tiger domains built from here on, under a fresh memo
     so that no other test's domain is shared."""
     builds = []
-    build = domains._BUILDERS["tiger"]
+    build = domains.BUILTIN_DOMAINS["tiger"]
 
     def counting(horizon):
         builds.append(horizon)
         return build(horizon)
 
     monkeypatch.setattr(domains, "_SHARED", weakref.WeakValueDictionary())
-    monkeypatch.setitem(domains._BUILDERS, "tiger", counting)
+    monkeypatch.setitem(domains.BUILTIN_DOMAINS, "tiger", counting)
     return builds
 
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from ididiv import (
+    PolicyTree,
     constant_tree,
     diversity_report,
     mdf,
@@ -54,6 +55,18 @@ class TestMeasures:
     def test_mdf_fixture_exact(self, fig_trees):
         # (2+2)/1 + (5+3)/2 + (12+4)/4.
         assert mdf(fig_trees, 2) == 12.0
+
+    def test_three_observations_add_left_to_right(self):
+        # With 3 observations the terms are not exact in binary floats, and
+        # the order of addition shows: Python 3.12's compensated sum() gives
+        # 3.888888888888889 for these counts.
+        obs = ("o1", "o2", "o3")
+        rep = diversity_report(
+            [PolicyTree(tuple("A" * 13), obs), PolicyTree(tuple("A" "BAAA" "ABAA" "AABA"), obs)], 3
+        )
+        assert (rep.sequence_counts, rep.frame_counts) == ((1, 4, 14), (1, 2, 2))
+        assert rep.mdp_value == 0.0 + 1 / 1 + 4 / 3 + 14 / 9 == 3.8888888888888884
+        assert rep.mdf_value == 0.0 + 2 / 1 + 6 / 3 + 16 / 9
 
     def test_mdf_dominates_mdp(self):
         rng = np.random.default_rng(11)

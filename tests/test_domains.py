@@ -21,7 +21,6 @@ from ididiv import (
     serialize_domain,
     validate_domain,
     validate_model,
-    with_horizon,
 )
 from ididiv.domains import domain_from_obj, domain_to_obj
 
@@ -281,9 +280,10 @@ class TestUavLevel0:
         assert np.all(m.reward[c] == 0.0)
 
     def test_with_horizon_propagates(self, uav):
-        d4 = with_horizon(uav, 4)
+        d4 = dataclasses.replace(uav, horizon=4)
         assert d4.horizon == 4
-        assert project_level0(d4, "j").horizon == 4
+        assert d4.level0["j"].horizon == 4
+        assert project_level0(d4, "j") is d4.level0["j"]
 
 
 class TestProjectionByBlocks:
@@ -427,7 +427,7 @@ class TestTreeSizeRule:
             DomainValidationError,
             match="horizon: %d gives agent i complete policy trees of at least" % horizon,
         ):
-            with_horizon(tiger, horizon)
+            dataclasses.replace(tiger, horizon=horizon)
 
     def test_one_observation_counts_the_depth(self, tiger):
         # With one observation a tree has one node per level.
@@ -439,11 +439,11 @@ class TestTreeSizeRule:
             obs_fn_j=np.ones((2, 3, 1)),
         )
         limit = domains.MAX_TREE_NODES
-        assert with_horizon(one, limit).horizon == limit
+        assert dataclasses.replace(one, horizon=limit).horizon == limit
         with pytest.raises(DomainValidationError, match="of %d nodes" % (limit + 1)):
-            with_horizon(one, limit + 1)
+            dataclasses.replace(one, horizon=limit + 1)
         with pytest.raises(DomainValidationError, match="of at least %d nodes" % (limit + 1)):
-            with_horizon(one, 10**30)
+            dataclasses.replace(one, horizon=10**30)
 
 
 def _nan_at(arr, index) -> np.ndarray:
@@ -802,7 +802,9 @@ class TestSerialization:
     def test_dense_table_refused(self, tiger):
         obj = domain_to_obj(tiger)
         obj["transition"] = _dense(tiger.transition).tolist()
-        with pytest.raises(DomainValidationError, match=r"transition: a dense .* no longer read"):
+        with pytest.raises(
+            DomainValidationError, match=r"transition: entry 0 is not \[s, ai, aj, s', p\]"
+        ):
             domain_from_obj(obj)
 
     def test_labels_checked_before_entries(self, tiger):
@@ -910,15 +912,15 @@ class TestReadOnly:
             back.level0["i"] = back.level0["j"]
 
     def test_with_horizon_unchanged(self, uav, tiger):
-        d4 = with_horizon(uav, 4)
+        d4 = dataclasses.replace(uav, horizon=4)
         assert _fields_equal(d4, domains._build_uav(4))
         assert d4.transition is uav.transition
         assert d4.level0["j"].transition is uav.level0["j"].transition
-        assert _fields_equal(with_horizon(tiger, 2), domains._build_tiger(2))
+        assert _fields_equal(dataclasses.replace(tiger, horizon=2), domains._build_tiger(2))
 
     def test_project_level0_unchanged(self, uav, tiger):
         assert _fields_equal(project_level0(uav, "j"), domains._uav_level0_fugitive(3))
-        d4 = with_horizon(uav, 4)
+        d4 = dataclasses.replace(uav, horizon=4)
         assert _fields_equal(project_level0(d4, "j"), domains._uav_level0_fugitive(4))
         # No prebuilt view for tiger: j's view marginalizes i's action.
         j = project_level0(tiger, "j")

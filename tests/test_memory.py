@@ -18,8 +18,8 @@ import sys
 from ididiv import builtin_domain, cli, domains
 
 calls = []
-build = domains._BUILDERS["uav"]
-domains._BUILDERS["uav"] = lambda horizon: calls.append(horizon) or build(horizon)
+build = domains.BUILTIN_DOMAINS["uav"]
+domains.BUILTIN_DOMAINS["uav"] = lambda horizon: calls.append(horizon) or build(horizon)
 domain = builtin_domain("uav", 3)
 argv = ["--domain", "uav", "--out-dir", sys.argv[1],
         "topk", "--known", "2", "--k-max", "4", "--horizon", "3"]
@@ -286,7 +286,7 @@ def test_parsed_candidate_set_holds_its_rows_not_nested_nodes():
 
 def test_simulate_peak_grows_only_by_the_reward_lists(tmp_path):
     # Each round's steps go to episodes.csv as the round ends.  What grows
-    # with the rounds is two lists of float rewards and an array copy of
-    # one, about 55 bytes a round measured; every round's trace kept until the
-    # end cost 1,511 bytes a round.
-    assert int(_run(_SIMULATE_PEAKS, str(tmp_path))) < 9000 * 128
+    # with the rounds is two float64 arrays of rewards, 16 bytes a round;
+    # two lists of float rewards and an array copy of one grew about 55
+    # bytes a round, and every round's trace kept until the end 1,511.
+    assert int(_run(_SIMULATE_PEAKS, str(tmp_path))) < 9000 * 32

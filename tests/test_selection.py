@@ -7,6 +7,7 @@ from ididiv import (
     builtin_tiger,
     canonical_encode,
     constant_tree,
+    diversity_report,
     generate_known_models,
     load_candidate_set,
     make_candidate_set,
@@ -47,12 +48,17 @@ class TestConfig:
 
 class TestCandidateSet:
     def test_defaults(self, fig_trees):
-        cs = make_candidate_set(fig_trees, 2)
+        cs = CandidateModelSet(fig_trees, 2)
         assert cs.provenance == ("known",) * 4
-        np.testing.assert_allclose(cs.prior, 0.25)
+        assert np.array_equal(cs.prior, np.full(4, 0.25))
+        assert cs.report == diversity_report(fig_trees, 2)
         assert cs.report.mdp_value == 7.5
         assert cs.measure is None
         assert cs.trace == ()
+
+    def test_report_is_computed_not_passed(self, fig_trees):
+        with pytest.raises(TypeError, match="unexpected keyword argument 'report'"):
+            CandidateModelSet(fig_trees, 2, report=diversity_report(fig_trees, 2))
 
     def test_duplicate_trees_rejected(self, fig_trees):
         with pytest.raises(ValueError, match="duplicate"):
@@ -75,6 +81,9 @@ class TestCandidateSet:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             make_candidate_set([], 2)
+        # The observation count is checked first.
+        with pytest.raises(ValueError, match="n_observations must be an int"):
+            make_candidate_set([], 2.0)
 
     def test_prior_frozen(self, fig_trees):
         cs = make_candidate_set(fig_trees, 2)
