@@ -13,7 +13,7 @@ import numpy as np
 
 from ididiv import (
     SelectionConfig,
-    builtin_tiger,
+    builtin_domain,
     canonical_encode,
     generate_known_models,
     load_candidate_set,
@@ -23,7 +23,7 @@ from ididiv import (
     select_topk,
 )
 
-level0 = project_level0(builtin_tiger(3), "j")
+level0 = project_level0(builtin_domain("tiger", 3), "j")
 
 known = generate_known_models(level0, 3, seed=0)
 print("known peer models:")

@@ -10,7 +10,7 @@ import numpy as np
 
 from ididiv import (
     SelectionConfig,
-    builtin_tiger,
+    builtin_domain,
     canonical_encode,
     flatten,
     generate_known_models,
@@ -20,7 +20,7 @@ from ididiv import (
     solve_idid,
 )
 
-domain = builtin_tiger(3)
+domain = builtin_domain("tiger", 3)
 level0 = project_level0(domain, "j")
 known = generate_known_models(level0, 3, seed=0)
 candidates = select_topk(

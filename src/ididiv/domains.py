@@ -10,10 +10,9 @@ between a chaser (i) and a fugitive (j) heading for a safe-house corner.
 
 A domain's joint transition has one type:
 ``JointTransition``, the [S, Ai, Aj, S'] table as CSR arrays, 0.62 MB for
-the uav chase instead of a 79 MB dense array; ``block(ai, aj)`` is the
-[S, 1, 1, S'] table of one action pair over the same arrays.  A domain file
-lists its entries.  A ``PosgDomain`` runs ``validate_domain`` when it is
-built, so every domain that exists has passed it.
+the uav chase instead of a 79 MB dense array.  A domain file lists its
+entries.  A ``PosgDomain`` runs ``validate_domain`` when it is built, so
+every domain that exists has passed it.
 
 The uav chase's ``obs_fn_i``, ``obs_fn_j``, ``reward_i`` and ``reward_j``
 depend on the state only, so each is a read-only ``np.broadcast_to`` view of
@@ -28,8 +27,8 @@ transition [S, A, S'], and dense beliefs.  Its ``expected_reward``,
 ``flattening.FlatModel`` offers the same three over sparse beliefs.
 
 Built-in domains are shared read-only objects.  While any reference to one
-is alive, ``builtin_domain`` (and ``builtin_tiger``/``builtin_uav``) returns
-that same object for the same name and horizon, so a caller that holds the
+is alive, ``builtin_domain`` returns that same object for the same name and
+horizon, so a caller that holds the
 domain lets grids and subcommands run in the same process reuse it instead
 of rebuilding it.  Nothing may mutate a domain: its arrays are read-only and
 ``level0`` is a read-only mapping.
@@ -55,8 +54,6 @@ __all__ = [
     "PosgDomain",
     "validate_model",
     "validate_domain",
-    "builtin_tiger",
-    "builtin_uav",
     "builtin_domain",
     "BUILTIN_DOMAINS",
     "project_level0",
@@ -92,18 +89,18 @@ class JointTransition:
     Row ``r = (ai * Aj + aj) * S + s`` is P(. | s, ai, aj): it holds
     ``data[indptr[r]:indptr[r + 1]]`` at the columns
     ``indices[indptr[r]:indptr[r + 1]]``, so the rows of one action pair
-    form the contiguous ``block(ai, aj)``.  ``from_entries`` stores only
-    nonzero probabilities, columns ascending within a row; ``nnz`` counts
-    every stored entry.  Construction freezes the arrays but does not check
-    them; a ``PosgDomain`` checks its table when it is built, and refuses a
-    row whose columns do not strictly ascend.  Two tables are equal when
-    their shapes and stored entries are.
+    are contiguous.  ``from_entries`` stores only nonzero probabilities,
+    columns ascending within a row; ``nnz`` counts every stored entry.
+    Construction freezes the caller's arrays in place rather than copying
+    them, and does not check them; a ``PosgDomain`` checks its table when it
+    is built, and refuses a row whose columns do not strictly ascend.  Two
+    tables are equal when their shapes and stored entries are.
 
     ``flattening.FannedRows``, the simulator and the level-0 projection (via
-    ``_coords``) read the stored arrays; ``block`` serves the one index form
-    that reads dense values, read-only: ``[:, ai, aj, :]`` is one [S, S']
-    block.  Any other key raises IndexError, and ``np.asarray`` raises
-    TypeError: nothing densifies the whole table.
+    ``_coords``) read the stored arrays.  One index form reads dense values,
+    read-only: ``[:, ai, aj, :]`` is the [S, S'] block of one action pair,
+    filled from that pair's stored rows.  Any other key raises IndexError,
+    and ``np.asarray`` raises TypeError: nothing densifies the whole table.
     """
 
     indptr: np.ndarray
@@ -187,16 +184,6 @@ class JointTransition:
         pair, s = np.divmod(np.repeat(np.arange(len(self.indptr) - 1), np.diff(self.indptr)), S)
         return (s, *np.divmod(pair, Aj))
 
-    def block(self, ai: int, aj: int) -> "JointTransition":
-        """The [S, 1, 1, S'] table of action pair (ai, aj), sharing this table's arrays."""
-        S, Ai, Aj, S2 = self.shape
-        if not (0 <= ai < Ai and 0 <= aj < Aj):
-            raise IndexError("action pair (%d, %d) outside [%d, %d)" % (ai, aj, Ai, Aj))
-        r0 = (ai * Aj + aj) * S
-        ptr = self.indptr[r0 : r0 + S + 1]
-        lo, hi = ptr[0], ptr[-1]
-        return JointTransition(ptr - lo, self.indices[lo:hi], self.data[lo:hi], (S, 1, 1, S2))
-
     def __getitem__(self, key) -> np.ndarray:
         S, Ai, Aj, S2 = self.shape
         whole = type(key) is tuple and len(key) == 4 and all(
@@ -204,17 +191,19 @@ class JointTransition:
         )
         if not (whole and _is_index(key[1], Ai) and _is_index(key[2], Aj)):
             raise IndexError(
-                "a JointTransition reads [:, ai, aj, :] with integers inside %r; "
-                "block(ai, aj) gives a block's sparse rows" % (self.shape,)
+                "a JointTransition reads [:, ai, aj, :] with integers inside %r"
+                % (self.shape,)
             )
-        blk = self.block(key[1], key[2])
+        r0 = (key[1] * Aj + key[2]) * S
+        ptr = self.indptr[r0 : r0 + S + 1]
+        stored = slice(ptr[0], ptr[-1])
         out = np.zeros((S, S2))
-        out[blk._coords()[0], blk.indices] = blk.data
+        out[np.repeat(np.arange(S), np.diff(ptr)), self.indices[stored]] = self.data[stored]
         out.setflags(write=False)
         return out
 
     def __array__(self, dtype=None, copy=None):
-        raise TypeError("a JointTransition is not densified; read block(ai, aj)")
+        raise TypeError("a JointTransition is not densified; read [:, ai, aj, :]")
 
     def __eq__(self, other):
         if not isinstance(other, JointTransition):
@@ -249,6 +238,8 @@ class SingleAgentModel:
     A belief is a length-S vector.  ``expected_reward``, ``predict`` and
     ``condition`` are the model interface the solver and the sampler read;
     ``flattening.FlatModel`` offers the same three over sparse beliefs.
+    Construction freezes the caller's arrays in place rather than copying
+    them.
     """
 
     name: str
@@ -302,13 +293,17 @@ class PosgDomain:
       obs_fn_j [S', Aj, Oj], reward_i [S, Ai, Aj], reward_j [S, Aj, Ai].
     ``transition`` is a JointTransition (see ``JointTransition.from_entries``);
     anything else raises DomainValidationError.
-    ``start`` is the initial physical state distribution (uniform if None).
+    ``start`` is the initial physical state distribution, always a
+    read-only array: construction copies the one given, or builds the
+    uniform distribution when it is None.
     ``level0`` optionally carries prebuilt single-agent views keyed by
     agent name ("i" or "j"), each over its agent's own actions and
     observations, each kept at the domain's horizon (so
     ``dataclasses.replace(domain, horizon=h)`` re-horizons them too);
     project_level0 returns these when present.
-    Arrays and ``level0`` are read-only, so a domain can be shared.
+    Arrays and ``level0`` are read-only, so a domain can be shared.  The
+    large tables are frozen in place rather than copied: a copy of the uav
+    joint table would add 0.59 MiB to a build that peaks near 1.3 MiB.
 
     A domain is valid once it exists: construction, ``dataclasses.replace``
     and unpickling all run ``validate_domain``, which raises
@@ -338,8 +333,10 @@ class PosgDomain:
             )
         for name in ("obs_fn_i", "obs_fn_j", "reward_i", "reward_j"):
             object.__setattr__(self, name, _freeze(getattr(self, name)))
-        if self.start is not None:
-            object.__setattr__(self, "start", _freeze(self.start))
+        # Divided after filling, so no state (refused below) divides by zero.
+        n = len(self.states)
+        start = np.full(n, 1.0) / n if self.start is None else self.start
+        object.__setattr__(self, "start", _freeze(np.array(start, dtype=float)))
         level0 = {
             k: m if m.horizon == self.horizon else m.replace(horizon=self.horizon)
             for k, m in self.level0.items()
@@ -358,12 +355,6 @@ class PosgDomain:
             cut = tuple(slice(None) if st else slice(0, 1) for st in a.strides)
             tables[name] = (a[cut], a.shape)
         return _unpickle_domain, ({**kw, "level0": dict(self.level0)}, tables)
-
-    def start_distribution(self) -> np.ndarray:
-        if self.start is not None:
-            return self.start
-        n = len(self.states)
-        return np.full(n, 1.0 / n)
 
 
 def _unpickle_domain(kw: dict, tables: dict) -> PosgDomain:
@@ -512,9 +503,8 @@ def validate_domain(d: PosgDomain) -> None:
     for nm in ("reward_i", "reward_j"):
         if not np.all(np.isfinite(getattr(d, nm))):
             raise DomainValidationError("%s: non-finite entry" % nm)
-    if d.start is not None:
-        _check_shape("start", d.start, (S,))
-        _check_rows("start", d.start)
+    _check_shape("start", d.start, (S,))
+    _check_rows("start", d.start)
     for agent, model in d.level0.items():
         if agent not in ("i", "j"):
             raise DomainValidationError("level0: unknown agent %r" % agent)
@@ -618,12 +608,11 @@ def _cell_name(c: int) -> str:
     return "X%dY%d" % (c % _GRID, c // _GRID)
 
 
-def _move_target(c: int, move: int) -> int:
-    x, y = c % _GRID, c // _GRID
-    dx, dy = ((0, 1), (0, -1), (1, 0), (-1, 0), (0, 0))[move]
-    nx = min(max(x + dx, 0), _GRID - 1)
-    ny = min(max(y + dy, 0), _GRID - 1)
-    return ny * _GRID + nx
+def _move_targets() -> np.ndarray:
+    """[cell, move] -> the cell the move leads to; a wall keeps the cell."""
+    y, x = np.divmod(np.arange(_CELLS), _GRID)
+    dx, dy = np.array([(0, 1), (0, -1), (1, 0), (-1, 0), (0, 0)]).T
+    return np.clip(y[:, None] + dy, 0, _GRID - 1) * _GRID + np.clip(x[:, None] + dx, 0, _GRID - 1)
 
 
 def _quad_rows(frm: np.ndarray, to) -> np.ndarray:
@@ -636,8 +625,9 @@ def _quad_rows(frm: np.ndarray, to) -> np.ndarray:
     return rows
 
 
-def _uav_level0_fugitive(horizon: int) -> SingleAgentModel:
-    """25-cell view of the fugitive alone: reach the safe corner.
+def _uav_level0_fugitive(horizon: int, tgt: np.ndarray, start: int) -> SingleAgentModel:
+    """25-cell view of the fugitive alone, from cell ``start``: reach the
+    safe corner, moving by the [cell, move] targets ``tgt``.
 
     The safe cell is absorbing with reward 0; arrival pays +100 through the
     expected-reward encoding r(c, a) = -1 + 100 * P(next = safe | c, a),
@@ -646,25 +636,18 @@ def _uav_level0_fugitive(horizon: int) -> SingleAgentModel:
     trees built against this model drive the fugitive in the joint game.
     """
     A = len(_UAV_MOVES)
+    cells = np.arange(_CELLS)
     T = np.zeros((_CELLS, A, _CELLS))
-    R = np.zeros((_CELLS, A))
-    for c in range(_CELLS):
-        for a in range(A):
-            if c == _SAFE:
-                T[c, a, c] = 1.0
-                continue
-            t = _move_target(c, a)
-            if t == c:
-                T[c, a, c] = 1.0
-            else:
-                T[c, a, t] = 0.9
-                T[c, a, c] = 0.1
-            R[c, a] = -1.0 + 100.0 * T[c, a, _SAFE]
+    T[cells, :, cells] = 1.0
+    # Outside the safe cell, a move that no wall blocks lands with 0.9 and
+    # stays with 0.1, written as such: 1 - 0.9 is 0.09999999999999998.
+    c, a = np.nonzero((tgt != cells[:, None]) & (cells[:, None] != _SAFE))
+    T[c, a, c] = 0.1
+    T[c, a, tgt[c, a]] = 0.9
+    R = -1.0 + 100.0 * T[:, :, _SAFE]
+    R[_SAFE] = 0.0
 
-    Ob = np.repeat(_quad_rows(np.arange(_CELLS), _SAFE)[:, None, :], A, axis=1)
-
-    b0 = np.zeros(_CELLS)
-    b0[_CELLS - 1] = 1.0  # corner opposite the safe house
+    Ob = np.repeat(_quad_rows(cells, _SAFE)[:, None, :], A, axis=1)
 
     return SingleAgentModel(
         name="uav:level0:j",
@@ -674,13 +657,14 @@ def _uav_level0_fugitive(horizon: int) -> SingleAgentModel:
         transition=T,
         obs_fn=Ob,
         reward=R,
-        initial_belief=b0,
+        initial_belief=np.eye(_CELLS)[start],
         horizon=horizon,
     )
 
 
-def _uav_transition(ci: np.ndarray, cj: np.ndarray) -> JointTransition:
-    """The uav joint table over the cell pairs (ci, cj) and three flags.
+def _uav_transition(ci: np.ndarray, cj: np.ndarray, tgt: np.ndarray) -> JointTransition:
+    """The uav joint table over the cell pairs (ci, cj) and three flags,
+    moving by the [cell, move] targets ``tgt``.
 
     Each action pair's entries are keyed s * S + s' and reduced on their
     own: no key spans two pairs.  bincount adds each key's weights in list
@@ -690,7 +674,6 @@ def _uav_transition(ci: np.ndarray, cj: np.ndarray) -> JointTransition:
     """
     A = len(_UAV_MOVES)
     S = _DONE + 1
-    tgt = np.array([[_move_target(c, a) for a in range(A)] for c in range(_CELLS)])
     src = np.arange(_CAP) * S
     flags = np.array([_CAP, _ESC, _DONE]) * S + _DONE
     counts, cols, probs = [], [], []
@@ -731,9 +714,10 @@ def _build_uav(horizon: int) -> PosgDomain:
     A = len(_UAV_MOVES)
     S = _DONE + 1
     ci, cj = np.divmod(np.arange(_CAP), _CELLS)
+    tgt = _move_targets()
     # Built in a helper, so its temporaries are freed before the domain
     # validates the table.
-    T = _uav_transition(ci, cj)
+    T = _uav_transition(ci, cj, tgt)
 
     # Observations and rewards depend on the state only, so each table is
     # a read-only view of its per-state rows, stored once.
@@ -751,9 +735,10 @@ def _build_uav(horizon: int) -> PosgDomain:
     Ri = np.broadcast_to(ri[:, None, None], (S, A, A))
     Rj = np.broadcast_to(rj[:, None, None], (S, A, A))
 
-    start = np.zeros(S)
     center = (_GRID // 2) * _GRID + (_GRID // 2)
-    start[center * _CELLS + _CELLS - 1] = 1.0  # the fugitive in the corner
+    corner = _CELLS - 1  # opposite the safe house
+    start = np.zeros(S)
+    start[center * _CELLS + corner] = 1.0
 
     names = tuple(
         "%s@%s" % (_cell_name(a), _cell_name(b)) for a in range(_CELLS) for b in range(_CELLS)
@@ -773,13 +758,12 @@ def _build_uav(horizon: int) -> PosgDomain:
         reward_j=Rj,
         horizon=horizon,
         start=start,
-        level0={"j": _uav_level0_fugitive(horizon)},
+        level0={"j": _uav_level0_fugitive(horizon, tgt, corner)},
     )
 
 
 # Each built-in's builder by name; ``builtin_domain`` shares what they build.
 BUILTIN_DOMAINS = {"tiger": _build_tiger, "uav": _build_uav}
-_DEFAULT_HORIZON = 3
 
 # The built-in domains somebody still holds, keyed by (name, horizon).  A
 # weak memo adds no eviction policy and keeps nothing alive by itself.
@@ -800,21 +784,11 @@ def builtin_domain(name: str, horizon: int | None = None) -> PosgDomain:
             "unknown builtin domain %r (have: %s)"
             % (name, ", ".join(sorted(BUILTIN_DOMAINS)))
         ) from None
-    key = (name, _DEFAULT_HORIZON if horizon is None else horizon)
+    key = (name, 3 if horizon is None else horizon)
     domain = _SHARED.get(key)
     if domain is None:
         domain = _SHARED[key] = builder(key[1])
     return domain
-
-
-def builtin_tiger(horizon: int = _DEFAULT_HORIZON) -> PosgDomain:
-    """The shared two-agent tiger game; see ``_build_tiger``."""
-    return builtin_domain("tiger", horizon)
-
-
-def builtin_uav(horizon: int = _DEFAULT_HORIZON) -> PosgDomain:
-    """The shared 5x5 grid chase; see ``_build_uav``."""
-    return builtin_domain("uav", horizon)
 
 
 # ------------------------------------------------------------ projection ----
@@ -859,7 +833,7 @@ def project_level0(domain: PosgDomain, agent: str) -> SingleAgentModel:
         transition=T,
         obs_fn=Ob,
         reward=R,
-        initial_belief=domain.start_distribution(),
+        initial_belief=domain.start,
         horizon=domain.horizon,
     )
 
@@ -875,8 +849,8 @@ def domain_to_obj(domain: PosgDomain) -> dict:
     """
     T = domain.transition
     columns = (*T._coords(), T.indices, T.data)
-    obj = {name: list(getattr(domain, name)) for name in _LABELS}
-    obj.update(
+    return dict(
+        {name: list(getattr(domain, name)) for name in _LABELS},
         name=domain.name,
         horizon=domain.horizon,
         transition=[list(e) for e in zip(*(c.tolist() for c in columns))],
@@ -884,10 +858,8 @@ def domain_to_obj(domain: PosgDomain) -> dict:
         obs_j=domain.obs_fn_j.tolist(),
         reward_i=domain.reward_i.tolist(),
         reward_j=domain.reward_j.tolist(),
+        start=domain.start.tolist(),
     )
-    if domain.start is not None:
-        obj["start"] = domain.start.tolist()
-    return obj
 
 
 def domain_from_obj(obj: dict) -> PosgDomain:

@@ -218,10 +218,9 @@ def flatten(domain: PosgDomain, candidates: CandidateModelSet) -> FlatIdid:
 
     Candidate trees must be complete over the domain's peer observation
     alphabet with depth at least the domain horizon.  The initial belief is
-    the product of ``domain.start_distribution()``, the candidate prior,
-    and point mass on each tree's root position, over its nonzero entries;
-    for another physical start, flatten ``dataclasses.replace(domain,
-    start=...)``.
+    the product of ``domain.start``, the candidate prior, and point mass on
+    each tree's root position, over its nonzero entries; for another
+    physical start, flatten ``dataclasses.replace(domain, start=...)``.
     """
     S = len(domain.states)
     act_i = domain.actions_i
@@ -264,9 +263,8 @@ def flatten(domain: PosgDomain, candidates: CandidateModelSet) -> FlatIdid:
         FannedRows(domain.transition, domain.obs_fn_j, ai, peer, kids) for ai in range(n_ai)
     )
 
-    b0 = domain.start_distribution()
     keys = np.concatenate([g0 * S + np.arange(S) for g0 in first])
-    vals = np.concatenate([p * b0 for p in candidates.prior])
+    vals = np.concatenate([p * domain.start for p in candidates.prior])
     keep = vals != 0.0
 
     model = FlatModel(

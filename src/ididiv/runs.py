@@ -12,12 +12,11 @@ with the same tool version reproduces them byte for byte, under any BLAS
 thread count.  Wall-clock timings, the thread settings and per-cell failures
 live only in the manifest.
 
-``resolve_domain`` is the one reading of a domain value, for grids, for
-``run_cell`` and for the command line: a builtin name, or a JSON file that
-is read once, through ``trees._read_input``, and parsed and hashed from the
-same bytes.  A manifest's
-``input_hashes`` are those hashes, so they name the bytes a run used, and a
-replay refuses a domain file whose hash has changed.
+``resolve_domain`` is the one reading of a domain value, for grids and for
+the command line: a builtin name, or a JSON file that is read once, through
+``trees._read_input``, and parsed and hashed from the same bytes.  A
+manifest's ``input_hashes`` are those hashes, so they name the bytes a run
+used, and a replay refuses a domain file whose hash has changed.
 """
 
 from __future__ import annotations
@@ -253,14 +252,13 @@ def _candidates_for(cell: dict, alg: str, known, level0):
     )
 
 
-def run_cell(cell: dict, domain: PosgDomain | None = None) -> dict:
+def run_cell(cell: dict, domain: PosgDomain) -> dict:
     """One grid cell, returning a flat result row plus its elapsed time.
 
-    ``domain`` is the cell's domain at its horizon, when the caller holds it.
+    ``domain`` is the cell's domain at its horizon, as the grid resolved it:
+    ``resolve_domain(cell["domain"], [h])[0][h]`` for ``h = cell["horizon"]``.
     """
     t0 = time.perf_counter()
-    if domain is None:
-        domain = resolve_domain(cell["domain"], [cell["horizon"]])[0][cell["horizon"]]
     level0 = project_level0(domain, "j")
     known = generate_known_models(level0, cell["m"], seed=_stage_seed(cell, "known"))
     alg = cell["algorithm"]
@@ -302,7 +300,7 @@ def run_cell(cell: dict, domain: PosgDomain | None = None) -> dict:
     }
 
 
-def _safe_run_cell(cell: dict, domain: PosgDomain | None = None) -> tuple[dict | None, str | None]:
+def _safe_run_cell(cell: dict, domain: PosgDomain) -> tuple[dict | None, str | None]:
     try:
         return run_cell(cell, domain), None
     except Exception as exc:  # per-cell isolation: one bad cell cannot sink the grid

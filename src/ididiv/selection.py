@@ -65,11 +65,11 @@ class CandidateModelSet:
     """Distinct complete trees with a prior and per-tree provenance.
 
     ``provenance`` entries are "known" or "generated", all "known" by
-    default, and ``prior`` is uniform by default.  ``report`` is the trees'
-    diversity report over ``n_observations`` symbols.  ``trace`` records
-    (set size, diversity value) after the initial set and after each
-    accepted addition, for the measure that drove selection (empty when no
-    selection ran).
+    default, and ``prior`` is a read-only copy of the one given, uniform by
+    default.  ``report`` is the trees' diversity report over
+    ``n_observations`` symbols.  ``trace`` records (set size, diversity
+    value) after the initial set and after each accepted addition, for the
+    measure that drove selection (empty when no selection ran).
     """
 
     trees: tuple[PolicyTree, ...]
@@ -97,7 +97,7 @@ class CandidateModelSet:
         if self.prior is None:
             prior = np.full(len(trees), 1.0 / len(trees))
         else:
-            prior = np.asarray(self.prior, dtype=float)
+            prior = np.array(self.prior, dtype=float)
         if prior.shape != (len(trees),):
             raise ValueError("prior shape %r for %d trees" % (prior.shape, len(trees)))
         # Written so that a NaN entry fails too.

@@ -94,8 +94,8 @@ def run_episode(
 ) -> EpisodeTrace:
     """Play one horizon-length episode with both agents following trees.
 
-    The first state is drawn from ``domain.start_distribution()``; for
-    another start, pass ``dataclasses.replace(domain, start=...)``.
+    The first state is drawn from ``domain.start``; for another start, pass
+    ``dataclasses.replace(domain, start=...)``.
     """
     T = domain.horizon
     validate_tree(tree_i, domain.observations_i, actions=domain.actions_i)
@@ -119,7 +119,7 @@ def _play(domain, walk_i, walk_j, rng) -> EpisodeTrace:
     T = domain.horizon
     S, n_aj = len(domain.states), len(domain.actions_j)
     P = domain.transition
-    s = int(rng.choice(S, p=domain.start_distribution()))
+    s = int(rng.choice(S, p=domain.start))
 
     (row_i, kids_i), (row_j, kids_j) = walk_i, walk_j
     v_i = v_j = 0

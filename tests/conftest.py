@@ -16,8 +16,7 @@ from ididiv import (
     PolicyTree,
     PosgDomain,
     SingleAgentModel,
-    builtin_tiger,
-    builtin_uav,
+    builtin_domain,
     constant_tree,
     make_candidate_set,
     project_level0,
@@ -37,7 +36,7 @@ def _rewriting(monkeypatch, module, name, path):
     original = getattr(module, name)
 
     def rewrite_then_call(*args, **kwargs):
-        path.write_text(serialize_domain(builtin_tiger(3)))
+        path.write_text(serialize_domain(builtin_domain("tiger", 3)))
         return original(*args, **kwargs)
 
     monkeypatch.setattr(module, name, rewrite_then_call)
@@ -99,7 +98,7 @@ def tiger_builds(monkeypatch):
 
 @pytest.fixture(scope="session")
 def tiger():
-    return builtin_tiger(3)
+    return builtin_domain("tiger", 3)
 
 
 @pytest.fixture(scope="session")
@@ -109,7 +108,7 @@ def tiger_j(tiger):
 
 @pytest.fixture(scope="session")
 def uav():
-    return builtin_uav(3)
+    return builtin_domain("uav", 3)
 
 
 def _peer_trees_t2():
@@ -128,7 +127,7 @@ def _peer_trees_t2():
 
 @pytest.fixture(scope="session")
 def tiger2():
-    return builtin_tiger(2)
+    return builtin_domain("tiger", 2)
 
 
 @pytest.fixture(scope="session")

@@ -19,7 +19,7 @@ from ididiv import (
     SelectionConfig,
     all_trees,
     brute_force_solve,
-    builtin_tiger,
+    builtin_domain,
     canonical_encode,
     constant_tree,
     diversity_report,
@@ -142,7 +142,7 @@ def test_criterion_3_solver_oracle(capsys):
             break
         agreed += 1
 
-    j2 = project_level0(builtin_tiger(2), "j")
+    j2 = project_level0(builtin_domain("tiger", 2), "j")
     n_trees = len(list(all_trees(j2.actions, j2.observations, 2)))
     a = solve_exact(j2)
     b = brute_force_solve(j2)
@@ -193,7 +193,7 @@ def test_criterion_4_diversity_invariants(capsys):
 
 
 def test_criterion_5_selection_contract(capsys):
-    j2 = project_level0(builtin_tiger(2), "j")
+    j2 = project_level0(builtin_domain("tiger", 2), "j")
     violations = 0
     runs = 0
     for seed in range(100):
@@ -290,6 +290,7 @@ def test_criterion_6_flattening_algebra(tiger, tiger_j, capsys):
 def trend_rows():
     t0 = time.perf_counter()
     rows = {}
+    domain = builtin_domain("tiger", 3)
 
     def cell(m, k, alg, seed):
         return {
@@ -301,10 +302,10 @@ def trend_rows():
     for m, k in ((4, 1), (4, 3), (6, 1), (6, 3)):
         for alg in ALGORITHMS:
             for seed in range(25):
-                rows[(m, k, alg, seed)] = run_cell(cell(m, k, alg, seed))
+                rows[(m, k, alg, seed)] = run_cell(cell(m, k, alg, seed), domain)
     for alg in ("IDID", "IDID-MDF"):
         for seed in range(25, 30):
-            rows[(6, 3, alg, seed)] = run_cell(cell(6, 3, alg, seed))
+            rows[(6, 3, alg, seed)] = run_cell(cell(6, 3, alg, seed), domain)
     return rows, time.perf_counter() - t0
 
 

@@ -18,7 +18,7 @@ from ididiv import (
     runs,
     save_candidate_set,
     serialize_domain,
-    builtin_tiger,
+    builtin_domain,
     TreeShapeError,
 )
 from ididiv.cli import main
@@ -43,7 +43,7 @@ def _run(argv):
 
 def _tiger2_obj(**keys):
     """The tiger T=2 domain file's mapping, with ``keys`` replaced."""
-    return dict(domain_to_obj(builtin_tiger(2)), **keys)
+    return dict(domain_to_obj(builtin_domain("tiger", 2)), **keys)
 
 
 def _candidates_obj(**keys):
@@ -78,7 +78,7 @@ class TestSolve:
 
     def test_json_domain_file(self, tmp_path):
         dom_path = tmp_path / "dom.json"
-        dom_path.write_text(serialize_domain(builtin_tiger(2)))
+        dom_path.write_text(serialize_domain(builtin_domain("tiger", 2)))
         rc = _run(
             ["--out-dir", tmp_path / "out", "--domain", dom_path, "solve", "--horizon", "2"]
         )
@@ -92,7 +92,7 @@ class TestInputHashes:
     # while the run is going on.
     def test_cli_hashes_the_domain_bytes_it_solved(self, tmp_path, monkeypatch):
         dom = tmp_path / "dom.json"
-        dom.write_text(serialize_domain(builtin_tiger(2)))
+        dom.write_text(serialize_domain(builtin_domain("tiger", 2)))
         parsed = _rewriting(monkeypatch, cli, "solve_exact", dom)
         rc = _run(["--out-dir", tmp_path / "out", "--domain", dom, "solve", "--horizon", "2"])
         assert rc == 0
@@ -102,7 +102,7 @@ class TestInputHashes:
 
     def test_grid_hashes_the_domain_bytes_it_ran(self, tmp_path, monkeypatch):
         dom = tmp_path / "dom.json"
-        dom.write_text(serialize_domain(builtin_tiger(2)))
+        dom.write_text(serialize_domain(builtin_domain("tiger", 2)))
         parsed = _rewriting(monkeypatch, runs, "run_experiment", dom)
         m = run_experiment_grid(dict(GRID, domain=str(dom)), tmp_path / "out")
         assert m.errors == []
@@ -510,7 +510,7 @@ class TestParsing:
         # A domain-file grid's manifest, then one field of it or the domain
         # file changed.
         dom = tmp_path / "dom.json"
-        dom.write_text(serialize_domain(builtin_tiger(2)))
+        dom.write_text(serialize_domain(builtin_domain("tiger", 2)))
         cfg = tmp_path / "grid.json"
         cfg.write_text(json.dumps(dict(GRID, domain=str(dom))))
         assert _run(["--out-dir", tmp_path / "a", "experiment", "--config", cfg]) == 0
@@ -559,7 +559,7 @@ class TestParsing:
     def test_inline_json_domain_refused(self, tmp_path, command):
         # --domain names a builtin or a file; JSON text is refused before
         # any output is written, not after, when its manifest hashes inputs.
-        text = serialize_domain(builtin_tiger(2))
+        text = serialize_domain(builtin_domain("tiger", 2))
         with pytest.raises(ValueError, match="neither a builtin"):
             _run(["--out-dir", tmp_path / "out", "--domain", text, command])
         assert not (tmp_path / "out").exists()

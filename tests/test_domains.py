@@ -14,8 +14,6 @@ from ididiv import (
     PosgDomain,
     SingleAgentModel,
     builtin_domain,
-    builtin_tiger,
-    builtin_uav,
     load_domain,
     project_level0,
     serialize_domain,
@@ -107,7 +105,7 @@ class TestTiger:
         assert tiger.obs_fn_i[sl, li, ol, sil] == pytest.approx(0.85 * 0.05, abs=1e-15)
 
     def test_start_uniform(self, tiger):
-        assert np.allclose(tiger.start_distribution(), 0.5)
+        assert np.allclose(tiger.start, 0.5)
 
 
 class TestTigerLevel0:
@@ -149,7 +147,7 @@ class TestUav:
 
     def test_start(self, uav):
         s = _sidx(uav, "X2Y2@X4Y4")
-        assert uav.start_distribution()[s] == 1.0
+        assert uav.start[s] == 1.0
 
     def test_escape_transition(self, uav):
         # Fugitive one step above the safe corner moves south, chaser far
@@ -279,6 +277,13 @@ class TestUavLevel0:
         assert np.all(m.transition[c, :, c] == 1.0)
         assert np.all(m.reward[c] == 0.0)
 
+    @pytest.mark.parametrize("horizon", [2, 3, 4])
+    def test_equals_cell_by_cell_reference(self, horizon):
+        m, ref = project_level0(builtin_domain("uav", horizon), "j"), _fugitive_reference(horizon)
+        assert _fields_equal(m, ref)
+        for name in ("transition", "reward", "obs_fn", "initial_belief"):
+            assert getattr(m, name).tobytes() == getattr(ref, name).tobytes(), name
+
     def test_with_horizon_propagates(self, uav):
         d4 = dataclasses.replace(uav, horizon=4)
         assert d4.horizon == 4
@@ -362,7 +367,7 @@ class TestValidation:
     def test_level0_view_over_other_labels(self, field):
         # Refused when built, not when a tree over the view's labels is
         # first flattened.
-        tiger = builtin_tiger(2)
+        tiger = builtin_domain("tiger", 2)
         view = project_level0(tiger, "j")
         assert dataclasses.replace(tiger, level0={"j": view}).level0["j"] is view
         labels = getattr(view, field) + ("C",)
@@ -590,12 +595,59 @@ class TestSparseRows:
             _one_pair(tiger_j.transition[:, 1, :])
 
 
+def _move_target(c: int, move: int) -> int:
+    """The uav cell that ``move`` leads to from cell ``c``, one cell at a time."""
+    x, y = c % domains._GRID, c // domains._GRID
+    dx, dy = ((0, 1), (0, -1), (1, 0), (-1, 0), (0, 0))[move]
+    nx = min(max(x + dx, 0), domains._GRID - 1)
+    ny = min(max(y + dy, 0), domains._GRID - 1)
+    return ny * domains._GRID + nx
+
+
+def _fugitive_reference(horizon: int) -> SingleAgentModel:
+    """The uav fugitive's level-0 view built one cell and move at a time."""
+    G, A, safe = domains._GRID, len(domains._UAV_MOVES), domains._SAFE
+    n = G * G
+    T = np.zeros((n, A, n))
+    R = np.zeros((n, A))
+    Ob = np.zeros((n, A, 4))
+    for c in range(n):
+        for a in range(A):
+            if c == safe:
+                T[c, a, c] = 1.0
+                continue
+            t = _move_target(c, a)
+            if t == c:
+                T[c, a, c] = 1.0
+            else:
+                T[c, a, t] = 0.9
+                T[c, a, c] = 0.1
+            R[c, a] = -1.0 + 100.0 * T[c, a, safe]
+        # The safe house's quadrant seen from c: 0.8 correct, ties north and east.
+        dx, dy = safe % G - c % G, safe // G - c // G
+        Ob[c] = 0.2 / 3.0
+        Ob[c, :, 2 * (dy < 0) + (dx < 0)] = 0.8
+    b0 = np.zeros(n)
+    b0[n - 1] = 1.0  # corner opposite the safe house
+    return SingleAgentModel(
+        name="uav:level0:j",
+        states=tuple("X%dY%d" % (c % G, c // G) for c in range(n)),
+        actions=domains._UAV_MOVES,
+        observations=domains._QUADS,
+        transition=T,
+        obs_fn=Ob,
+        reward=R,
+        initial_belief=b0,
+        horizon=horizon,
+    )
+
+
 def _dense_uav_transition() -> np.ndarray:
     """The uav joint transition built densely, one += per move outcome."""
     n, A = domains._GRID ** 2, len(domains._UAV_MOVES)
     CAP, ESC, DONE = n * n, n * n + 1, n * n + 2
     S = n * n + 3
-    tgt = np.array([[domains._move_target(c, a) for a in range(A)] for c in range(n)])
+    tgt = np.array([[_move_target(c, a) for a in range(A)] for c in range(n)])
     T = np.zeros((S, A, A, S))
     T[[CAP, ESC, DONE], :, :, DONE] = 1.0
     pair = np.arange(n * n)
@@ -632,17 +684,16 @@ class TestJointTransition:
         assert tiger.transition == JointTransition.from_entries(_nonzero_entries(dense), dense.shape)
 
     def test_blocks_hold_the_nonzeros_in_row_order(self, uav):
+        """A pair's stored rows are its block's nonzeros, row by row."""
         dense = _dense_uav_transition()
+        T = uav.transition
+        S, _, Aj, _ = T.shape
         for ai, aj in ((0, 0), (2, 4), (4, 1)):
-            blk = uav.transition.block(ai, aj)
-            assert isinstance(blk, JointTransition) and blk.shape == (628, 1, 1, 628)
-            assert np.shares_memory(blk.data, uav.transition.data)
+            ptr = T.indptr[(ai * Aj + aj) * S :][: S + 1]
             r, c = np.nonzero(dense[:, ai, aj, :])
-            assert np.array_equal(np.repeat(np.arange(blk.shape[0]), np.diff(blk.indptr)), r)
-            assert np.array_equal(blk.indices, c)
-            assert np.array_equal(blk.data, dense[r, ai, aj, c])
-        with pytest.raises(IndexError):
-            uav.transition.block(5, 0)
+            assert np.array_equal(np.repeat(np.arange(S), np.diff(ptr)), r)
+            assert np.array_equal(T.indices[ptr[0] : ptr[-1]], c)
+            assert np.array_equal(T.data[ptr[0] : ptr[-1]], dense[r, ai, aj, c])
 
     @pytest.mark.parametrize(
         "key",
@@ -689,11 +740,11 @@ class TestJointTransition:
     )
     def test_bad_index(self, uav, key):
         """Every key but [:, ai, aj, :] is refused, a row [s, ai, aj] too."""
-        with pytest.raises(IndexError, match=r"reads \[:, ai, aj, :\] .*block"):
+        with pytest.raises(IndexError, match=r"reads \[:, ai, aj, :\] with integers"):
             uav.transition[key]
 
     def test_not_densified(self, tiger):
-        with pytest.raises(TypeError, match="block"):
+        with pytest.raises(TypeError, match=r"read \[:, ai, aj, :\]"):
             np.asarray(tiger.transition)
         with pytest.raises(TypeError):
             np.array(tiger.transition, dtype=float)
@@ -704,7 +755,9 @@ class TestJointTransition:
         )
         assert again == tiger.transition and again is not tiger.transition
         assert tiger.transition != uav.transition
-        assert tiger.transition != tiger.transition.block(0, 0)
+        entries = domain_to_obj(tiger)["transition"]
+        entries[0][4] = 0.25
+        assert tiger.transition != JointTransition.from_entries(entries, tiger.transition.shape)
 
     def test_pickle_keeps_it_read_only(self, uav):
         back = pickle.loads(pickle.dumps(uav.transition))
@@ -767,6 +820,21 @@ class TestSerialization:
         assert d.states == tiger.states
         assert d.transition == tiger.transition
         assert np.array_equal(d.start, tiger.start)
+
+    def test_start_omitted_is_uniform_and_written(self, tiger, uav):
+        for domain in (tiger, uav):
+            obj = domain_to_obj(domain)
+            del obj["start"]
+            d = domain_from_obj(obj)
+            n = len(d.states)
+            assert d.start.tobytes() == np.full(n, 1.0 / n).tobytes()
+            assert not d.start.flags.writeable
+        # tiger's own start is uniform, so a file without it serializes alike.
+        obj = domain_to_obj(tiger)
+        del obj["start"]
+        text = serialize_domain(domain_from_obj(obj))
+        assert json.loads(text)["start"] == [0.5, 0.5]
+        assert text == serialize_domain(tiger)
 
     def test_load_from_file(self, tiger, tmp_path):
         p = tmp_path / "tiger.json"
@@ -876,21 +944,21 @@ def _fields_equal(a, b) -> bool:
 
 class TestSharedBuiltins:
     def test_one_object_while_held(self):
-        d = builtin_uav(3)
+        d = builtin_domain("uav", 3)
         assert d is builtin_domain("uav", 3) is builtin_domain("uav")
-        assert builtin_tiger() is builtin_domain("tiger", 3)
+        assert builtin_domain("tiger") is builtin_domain("tiger", 3)
 
     def test_horizons_are_distinct(self):
-        d2, d3 = builtin_tiger(2), builtin_tiger(3)
+        d2, d3 = builtin_domain("tiger", 2), builtin_domain("tiger", 3)
         assert d2 is not d3
         assert (d2.horizon, d3.horizon) == (2, 3)
 
     def test_rebuilt_after_release(self, tiger_builds):
-        d = builtin_tiger(2)
-        assert builtin_tiger(2) is d and tiger_builds == [2]
+        d = builtin_domain("tiger", 2)
+        assert builtin_domain("tiger", 2) is d and tiger_builds == [2]
         del d
         gc.collect()
-        fresh = builtin_tiger(2)
+        fresh = builtin_domain("tiger", 2)
         assert tiger_builds == [2, 2]
         assert _fields_equal(fresh, domains._build_tiger(2))
 
@@ -903,6 +971,12 @@ class TestReadOnly:
             del uav.level0["j"]
         with pytest.raises(TypeError):
             uav.transition[0, 0, 0] = 0.5
+
+    def test_callers_start_stays_writable(self, tiger):
+        s = np.array([1.0, 0.0])
+        d = dataclasses.replace(tiger, start=s)
+        s[0] = 0.5
+        assert d.start.tolist() == [1.0, 0.0] and not d.start.flags.writeable
 
     def test_pickle_roundtrip(self, uav):
         back = pickle.loads(pickle.dumps(uav))
@@ -919,9 +993,7 @@ class TestReadOnly:
         assert _fields_equal(dataclasses.replace(tiger, horizon=2), domains._build_tiger(2))
 
     def test_project_level0_unchanged(self, uav, tiger):
-        assert _fields_equal(project_level0(uav, "j"), domains._uav_level0_fugitive(3))
-        d4 = dataclasses.replace(uav, horizon=4)
-        assert _fields_equal(project_level0(d4, "j"), domains._uav_level0_fugitive(4))
+        # uav's prebuilt view: TestUavLevel0::test_equals_cell_by_cell_reference.
         # No prebuilt view for tiger: j's view marginalizes i's action.
         j = project_level0(tiger, "j")
         w = np.full(3, 1.0 / 3.0)

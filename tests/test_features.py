@@ -9,7 +9,6 @@ from ididiv import (
     SelectionConfig,
     build_matrix,
     builtin_domain,
-    builtin_uav,
     constant_tree,
     extract_features,
     generate_known_models,
@@ -185,7 +184,7 @@ class TestIntegerElimination:
 
     def test_uav_horizon4_topk_set(self):
         # The set `ididiv --domain uav topk --horizon 4 --k-max 30` builds.
-        m = build_matrix(_topk_set(builtin_uav(4), 30).trees)
+        m = build_matrix(_topk_set(builtin_domain("uav", 4), 30).trees)
         assert m.entries.shape[0] == 30
         _assert_matches_rational(m)
 
@@ -217,7 +216,7 @@ class TestLazyU:
         return made
 
     def test_features_paths_form_no_fraction(self, fractions_made, tmp_path):
-        cs = _topk_set(builtin_uav(4), 30)
+        cs = _topk_set(builtin_domain("uav", 4), 30)
         assert len(extract_features(cs.trees)) == 30
         path = save_candidate_set(cs, tmp_path / "candidates.json")
         assert main(["--out-dir", str(tmp_path / "out"), "features", "--trees", str(path)]) == 0

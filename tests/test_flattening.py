@@ -17,7 +17,7 @@ from ididiv import (
     SelectionConfig,
     SingleAgentModel,
     brute_force_solve,
-    builtin_tiger,
+    builtin_domain,
     constant_tree,
     evaluate_policy,
     flatten,
@@ -79,7 +79,7 @@ def _oracle_value(domain, trees, prior, subject_tree, b0=None):
     subject's tree is a list of (peer node, unnormalized joint weight over
     physical states).  No augmented-model table is consulted.
     """
-    b0 = domain.start_distribution() if b0 is None else np.asarray(b0, dtype=float)
+    b0 = domain.start if b0 is None else np.asarray(b0, dtype=float)
     ai_idx = {a: k for k, a in enumerate(domain.actions_i)}
     aj_idx = {a: k for k, a in enumerate(domain.actions_j)}
     oi_idx = {o: k for k, o in enumerate(domain.observations_i)}
@@ -125,7 +125,7 @@ class TestStructure:
         for m in range(3):
             base = 6 * m
             np.testing.assert_allclose(
-                b[base : base + 2], cand2.prior[m] * tiger2.start_distribution()
+                b[base : base + 2], cand2.prior[m] * tiger2.start
             )
             assert np.all(b[base + 2 : base + 6] == 0.0)
 
@@ -183,7 +183,7 @@ class TestOracle:
 
     def test_horizon_three_exceeds_enumeration_cap(self, tiger2):
         # 3 ** 43 subject trees at depth 3: enumeration must refuse.
-        d3 = builtin_tiger(3)
+        d3 = builtin_domain("tiger", 3)
         cand = make_candidate_set(
             [constant_tree("Listen", ("GrowlLeft", "GrowlRight"), 3)], 2
         )
@@ -254,19 +254,21 @@ def _csr_oracle(domain, candidates):
         first = 0
         for acts, children in layouts:
             for pos, aj in enumerate(acts):
-                blk = domain.transition.block(ai, aj)
-                r = first + pos * S + np.repeat(np.arange(S), np.diff(blk.indptr))
-                c = blk.indices
+                # The pair's stored rows, in row then column order: tables
+                # built from entries, and the built-ins, store no zeros.
+                dense = domain.transition[:, ai, aj, :]
+                s, c = np.nonzero(dense)
+                r, p = first + pos * S + s, dense[s, c]
                 if children[pos, 0] < 0:
                     # Leaf: the position self-loops, observation mass sums out.
                     rows.append(r)
                     cols.append(first + pos * S + c)
-                    vals.append(blk.data)
+                    vals.append(p)
                     continue
                 for o in range(n_oj):
                     rows.append(r)
                     cols.append(first + int(children[pos, o]) * S + c)
-                    vals.append(blk.data * domain.obs_fn_j[:, aj, o][c])
+                    vals.append(p * domain.obs_fn_j[:, aj, o][c])
             first += len(acts) * S
         rows, cols, vals = (np.concatenate(x) for x in (rows, cols, vals))
         order = np.argsort(rows, kind="stable")
@@ -398,7 +400,7 @@ def _uav_mdf6(uav):
 
 @pytest.fixture(scope="module")
 def oracle_sets(tiger2, cand2, uav):
-    tiger3 = builtin_tiger(3)
+    tiger3 = builtin_domain("tiger", 3)
     known3 = generate_known_models(project_level0(tiger3, "j"), 3, seed=0)
     cand3 = make_candidate_set(known3, len(tiger3.observations_j))
     uav6 = _uav_mdf6(uav)

@@ -15,7 +15,7 @@ import pytest
 
 from ididiv import (
     SelectionConfig,
-    builtin_tiger,
+    builtin_domain,
     generate_known_models,
     load_candidate_set,
     load_domain,
@@ -66,7 +66,7 @@ def _write_manifest(manifest, path):
 
 
 def _candidates(path):
-    level0 = project_level0(builtin_tiger(2), "j")
+    level0 = project_level0(builtin_domain("tiger", 2), "j")
     known = generate_known_models(level0, 2, seed=0)
     save_candidate_set(select_topk(known, level0, SelectionConfig(k_max=3, seed=0)), path)
     return json.loads(path.read_text())
@@ -74,14 +74,14 @@ def _candidates(path):
 
 def _manifest(path):
     domain = path.parent / "tiger2.json"
-    domain.write_text(serialize_domain(builtin_tiger(2)))
+    domain.write_text(serialize_domain(builtin_domain("tiger", 2)))
     run_experiment_grid(dict(GRID, domain=str(domain)), path.parent)
     return json.loads(path.read_text())
 
 
 # name: (the valid file's mapping, given a scratch path; reader; writer)
 READERS = {
-    "domain": (lambda path: domain_to_obj(builtin_tiger(2)), load_domain, _write_domain),
+    "domain": (lambda path: domain_to_obj(builtin_domain("tiger", 2)), load_domain, _write_domain),
     "candidates": (_candidates, load_candidate_set, save_candidate_set),
     "config": (lambda path: dict(GRID), _read_config, _write_config),
     "manifest": (_manifest, load_manifest, _write_manifest),

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import ididiv
-from ididiv import builtin_uav, serialize_domain
+from ididiv import builtin_domain, serialize_domain
 
 _REUSE = """
 import sys
@@ -210,7 +210,7 @@ def _span(a: np.ndarray) -> int:
 
 
 def test_state_only_uav_tables_hold_one_row_per_state():
-    domain = builtin_uav(3)
+    domain = builtin_domain("uav", 3)
     S = len(domain.states)
     for name in ("obs_fn_i", "obs_fn_j", "reward_i", "reward_j"):
         table = getattr(domain, name)
@@ -220,7 +220,7 @@ def test_state_only_uav_tables_hold_one_row_per_state():
 
 
 def test_pickled_uav_domain_comes_back_equal_and_read_only():
-    domain = builtin_uav(3)
+    domain = builtin_domain("uav", 3)
     back = pickle.loads(pickle.dumps(domain))
     assert back is not domain
     assert serialize_domain(back) == serialize_domain(domain)
@@ -238,7 +238,7 @@ def test_pickled_uav_domain_comes_back_equal_and_read_only():
 def test_pickled_uav_domain_keeps_its_state_only_views():
     # Written dense, the four tables took the pickle to 1.45 MiB, and every
     # pool worker held them dense (obs_fn_i strides (800, 160, 32, 8)).
-    domain = builtin_uav(3)
+    domain = builtin_domain("uav", 3)
     data = pickle.dumps(domain)
     assert len(data) < 0.8 * 2**20
     back = pickle.loads(data)

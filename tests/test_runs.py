@@ -10,7 +10,6 @@ from ididiv import (
     DomainValidationError,
     RunManifest,
     builtin_domain,
-    builtin_tiger,
     load_manifest,
     run_experiment_grid,
     run_from_manifest,
@@ -142,7 +141,7 @@ class TestRunCell:
     def test_basic_row(self):
         cfg = normalize_grid_config(SMALL_GRID)
         cell = grid_cells(cfg)[0]
-        row = run_cell(cell)
+        row = run_cell(cell, builtin_domain("tiger", cell["horizon"]))
         assert row["domain"] == "tiger"
         assert row["algorithm"] == "IDID"
         assert row["candidates"] == 2
@@ -159,8 +158,9 @@ class TestRunCell:
         expanded = next(
             c for c in cells if c["algorithm"] == "IDID-MDF" and c["seed"] == 0
         )
-        r0 = run_cell(base)
-        r1 = run_cell(expanded)
+        domain = builtin_domain("tiger", base["horizon"])
+        r0 = run_cell(base, domain)
+        r1 = run_cell(expanded, domain)
         assert r0["candidates"] == 2
         assert 2 <= r1["candidates"] <= 3
         assert r1["mdf"] >= r0["mdf"]
@@ -168,7 +168,8 @@ class TestRunCell:
     def test_deterministic(self):
         cfg = normalize_grid_config(SMALL_GRID)
         cell = grid_cells(cfg)[1]
-        a, b = run_cell(cell), run_cell(cell)
+        domain = builtin_domain("tiger", cell["horizon"])
+        a, b = run_cell(cell, domain), run_cell(cell, domain)
         a.pop("_elapsed"), b.pop("_elapsed")
         assert a == b
 
@@ -178,7 +179,8 @@ class TestRunCell:
             "true_mode": "random-generated", "algorithm": "IDID-MDF",
             "seed": 0, "rounds": 4, "patience": 10,
         }
-        a, b = run_cell(cell), run_cell(cell)
+        domain = builtin_domain("tiger", cell["horizon"])
+        a, b = run_cell(cell, domain), run_cell(cell, domain)
         a.pop("_elapsed"), b.pop("_elapsed")
         assert a == b
         assert a["true_mode"] == "random-generated"
@@ -189,7 +191,6 @@ class TestRunCell:
         # running.  The exclusion is the two expansions' trees, the union of
         # all three sets because both keep every known tree.
         from ididiv import generate_known_models, project_level0
-        from ididiv.domains import builtin_domain
         from ididiv.runs import ALGORITHMS, _candidates_for
 
         for name, horizon, m, k in (("tiger", 2, 2, 1), ("uav", 3, 3, 3)):
@@ -319,7 +320,7 @@ class TestGrid:
 
     def test_replay_refuses_changed_domain_file(self, tmp_path):
         dom = tmp_path / "dom.json"
-        dom.write_text(serialize_domain(builtin_tiger(2)))
+        dom.write_text(serialize_domain(builtin_domain("tiger", 2)))
         grid = dict(SMALL_GRID, domain=str(dom), seeds=[0])
         m = run_experiment_grid(grid, tmp_path / "a")
         assert m.errors == []
@@ -338,7 +339,7 @@ class TestGrid:
     def test_replay_refuses_a_domain_file_rewritten_as_it_is_read(self, tmp_path, monkeypatch):
         # The hash checked is that of the bytes the replay parses.
         dom = tmp_path / "dom.json"
-        dom.write_text(serialize_domain(builtin_tiger(2)))
+        dom.write_text(serialize_domain(builtin_domain("tiger", 2)))
         grid = dict(SMALL_GRID, domain=str(dom), algorithms=["IDID"], seeds=[0])
         assert run_experiment_grid(grid, tmp_path / "a").errors == []
         _rewriting(monkeypatch, runs, "resolve_domain", dom)
@@ -371,7 +372,7 @@ class TestGrid:
 
     def test_domain_file_read_once(self, tmp_path, monkeypatch):
         path = tmp_path / "tiger.json"
-        path.write_text(serialize_domain(builtin_tiger(3)))
+        path.write_text(serialize_domain(builtin_domain("tiger", 3)))
         reads = []
         read_bytes = Path.read_bytes
 
@@ -391,16 +392,23 @@ class TestGrid:
 
     def test_domain_file_gives_the_builtin_outputs(self, tmp_path):
         path = tmp_path / "tiger.json"
-        path.write_text(serialize_domain(builtin_tiger(2)))
+        path.write_text(serialize_domain(builtin_domain("tiger", 2)))
+        # tiger's start is [0.5, 0.5], the uniform start a file without one gets.
+        obj = json.loads(path.read_text())
+        del obj["start"]
+        start_less = tmp_path / "start-less.json"
+        start_less.write_text(json.dumps(obj))
         grid = dict(
             SMALL_GRID, algorithms=list(ALGORITHMS), true_modes=["from-set", "random-generated"]
         )
-        for name, domain in (("builtin", "tiger"), ("file", str(path))):
+        files = (("file", str(path)), ("start-less", str(start_less)))
+        for name, domain in (("builtin", "tiger"), *files):
             m = run_experiment_grid(dict(grid, domain=domain), tmp_path / name)
             assert m.errors == [] and len(m.timings["cells"]) == 12
         for name in ("results.csv", "diversity.csv"):
             builtin = (tmp_path / "builtin" / name).read_bytes()
-            assert (tmp_path / "file" / name).read_bytes() == builtin
+            for out, _ in files:
+                assert (tmp_path / out / name).read_bytes() == builtin
 
     def test_bad_domain_file_fails_before_writing(self, tmp_path):
         path = tmp_path / "bad.json"

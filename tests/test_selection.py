@@ -4,7 +4,7 @@ import pytest
 from ididiv import (
     CandidateModelSet,
     SelectionConfig,
-    builtin_tiger,
+    builtin_domain,
     canonical_encode,
     constant_tree,
     diversity_report,
@@ -90,6 +90,12 @@ class TestCandidateSet:
         with pytest.raises(ValueError):
             cs.prior[0] = 1.0
 
+    def test_callers_prior_stays_writable(self, fig_trees):
+        p = np.full(4, 0.25)
+        cs = make_candidate_set(fig_trees, 2, prior=p)
+        p[0] = 0.5
+        assert cs.prior[0] == 0.25 and not cs.prior.flags.writeable
+
 
 class TestSelectTopk:
     def test_known_always_retained(self, tiger_j, known3):
@@ -123,7 +129,7 @@ class TestSelectTopk:
 
     def test_pinned_regression_t4(self):
         # Same pin at horizon 4, seed 4: four accepted additions.
-        j = project_level0(builtin_tiger(4), "j")
+        j = project_level0(builtin_domain("tiger", 4), "j")
         known = generate_known_models(j, 3, seed=4)
         cs = select_topk(known, j, SelectionConfig(seed=4, k_max=12))
         assert sum(1 for p in cs.provenance if p == "generated") == 4

@@ -6,7 +6,7 @@ import pytest
 from ididiv import (
     PolicyTree,
     SelectionConfig,
-    builtin_tiger,
+    builtin_domain,
     canonical_encode,
     cli,
     constant_tree,
@@ -70,7 +70,7 @@ def _draw_by_encoding(model, anchors, excluded, rng):
 
 @pytest.fixture(scope="module")
 def tiger2():
-    return builtin_tiger(2)
+    return builtin_domain("tiger", 2)
 
 
 @pytest.fixture(scope="module")
@@ -255,7 +255,7 @@ class TestRunExperiment:
         # Depth-3 candidates on a T=2 domain: anchors and the exclusion are
         # the candidates' depth-2 frames, so no drawn peer plays exactly as
         # a candidate does.
-        j3 = project_level0(builtin_tiger(3), "j")
+        j3 = project_level0(builtin_domain("tiger", 3), "j")
         known = generate_known_models(j3, 3, seed=0)
         cand = select_topk(known, j3, SelectionConfig(seed=0, k_max=6))
         frames = {frame(t, 2).preorder for t in cand.trees}

@@ -8,7 +8,7 @@ from ididiv import (
     SingleAgentModel,
     TreeShapeError,
     brute_force_solve,
-    builtin_uav,
+    builtin_domain,
     constant_tree,
     count_trees,
     evaluate_policy,
@@ -205,18 +205,19 @@ class TestEnumerationCap:
 
 
 def _tiger_cells():
+    domain = builtin_domain("tiger", 3)
     for alg in ALGORITHMS:
         run_cell({
             "domain": "tiger", "horizon": 3, "m": 6, "k": 3,
             "true_mode": "random-generated", "algorithm": alg,
             "seed": 0, "rounds": 50, "patience": 20,
-        })
+        }, domain)
 
 
 def _uav_topk(horizon):
     # What `ididiv --domain uav --seed 0 topk --known 3 --k-max 30` runs,
     # under both measures.
-    level0 = project_level0(builtin_uav(horizon), "j")
+    level0 = project_level0(builtin_domain("uav", horizon), "j")
     known_ss, select_ss = np.random.SeedSequence(0).spawn(2)
     known = generate_known_models(level0, 3, seed=known_ss)
     for measure in ("MDP", "MDF"):
