@@ -11,6 +11,7 @@ outputs; `experiment --from-manifest` replays a recorded run.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 import time
 from contextlib import ExitStack
@@ -35,6 +36,7 @@ from .runs import (  # noqa: F401
     write_manifest,
 )
 from .selection import (  # noqa: F401
+    MEASURES,
     SelectionConfig,
     candidate_set_from_obj,
     load_candidate_set,
@@ -85,7 +87,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_features)
 
     p = sub.add_parser("topk", parents=[at_horizon], help="build a diverse candidate model set")
-    p.add_argument("--measure", choices=["MDP", "MDF"], default="MDF")
+    p.add_argument("--measure", choices=list(MEASURES), default="MDF")
     p.add_argument("--known", type=int, default=3, help="known model count M")
     p.add_argument("--k-max", type=int, default=6, help="candidate set size cap")
     p.add_argument("--patience", type=int, default=20)
@@ -228,14 +230,8 @@ def cmd_topk(args) -> int:
     save_candidate_set(result, cand_path)
     div_path = out / "diversity.csv"
     div_path.write_text(report_to_csv(result.report))
-    timings = {
-        "m": args.known,
-        "measure": args.measure,
-        "generate_seconds": t_known,
-        "select_seconds": t_select,
-    }
-    outputs = {"candidates": cand_path, "diversity": div_path}
-    _record(args, domain, outputs, hashes, timings)
+    timings = {"generate_seconds": t_known, "select_seconds": t_select}
+    _record(args, domain, {"candidates": cand_path, "diversity": div_path}, hashes, timings)
     added = len(result.trees) - args.known
     print(
         "%s: %d known + %d added (%.2fs) -> %s"
@@ -293,17 +289,7 @@ def cmd_simulate(args) -> int:
     elapsed = time.perf_counter() - t0
 
     stats_path = out / "stats.json"
-    _write_json(
-        stats_path,
-        {
-            "rounds": stats.rounds,
-            "true_mode": args.true_mode,
-            "mean_reward_i": stats.mean_reward_i,
-            "reward_variance_i": stats.reward_variance_i,
-            "mean_reward_j": stats.mean_reward_j,
-            "policy_value": stats.policy_value,
-        },
-    )
+    _write_json(stats_path, {**dataclasses.asdict(stats), "true_mode": args.true_mode})
     outputs = {"episodes": ep_path, "stats": stats_path}
     _record(args, domain, outputs, hashes, {"simulate_seconds": elapsed})
     print(

@@ -280,9 +280,6 @@ class SingleAgentModel:
             return p, joint
         return p, None
 
-    def replace(self, **kw) -> "SingleAgentModel":
-        return dataclasses.replace(self, **kw)
-
 
 @dataclass(frozen=True, eq=False)
 class PosgDomain:
@@ -338,7 +335,7 @@ class PosgDomain:
         start = np.full(n, 1.0) / n if self.start is None else self.start
         object.__setattr__(self, "start", _freeze(np.array(start, dtype=float)))
         level0 = {
-            k: m if m.horizon == self.horizon else m.replace(horizon=self.horizon)
+            k: m if m.horizon == self.horizon else dataclasses.replace(m, horizon=self.horizon)
             for k, m in self.level0.items()
         }
         object.__setattr__(self, "level0", MappingProxyType(level0))

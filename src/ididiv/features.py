@@ -65,24 +65,28 @@ class PivotResult:
     """Exact decomposition P = F x U with pivot bookkeeping.
 
     ``f_matrix`` is the integer pivot-column restriction of the behavior
-    matrix.  U is held as integer rows, row k being ``u_heads[k]`` times
-    row k of U; ``u_matrix`` gives U's rows as Fraction tuples, formed
-    when it is first read.
+    matrix.  U is held as integer rows: row k of U is ``u_rows[k]`` divided
+    by its entry at ``pivot_indices[k]``.  ``u_matrix`` gives U's rows as
+    Fraction tuples, formed when it is first read.  ``rank`` is the pivot
+    count.
     """
 
-    rank: int
     pivot_indices: tuple[int, ...]
     pivot_sequences: tuple[BehaviorSequence, ...]
     f_matrix: np.ndarray
     u_rows: tuple[tuple[int, ...], ...]
-    u_heads: tuple[int, ...]
+
+    @property
+    def rank(self) -> int:
+        return len(self.pivot_indices)
 
     @functools.cached_property
     def u_matrix(self) -> tuple[tuple[Fraction, ...], ...]:
         # Imported here, the one place that uses it: no pipeline path reads U.
         from fractions import Fraction
         return tuple(
-            tuple(Fraction(v, h) for v in row) for row, h in zip(self.u_rows, self.u_heads)
+            tuple(Fraction(v, row[c]) for v in row)
+            for row, c in zip(self.u_rows, self.pivot_indices)
         )
 
 
@@ -165,12 +169,10 @@ def pivot_decompose(matrix: BehaviorMatrix) -> PivotResult:
                 raise RuntimeError("decomposition mismatch at entry (%d, %d)" % (i, c))
 
     return PivotResult(
-        rank=rank,
         pivot_indices=tuple(pivots),
         pivot_sequences=tuple(matrix.columns[c] for c in pivots),
         f_matrix=f_matrix,
         u_rows=tuple(map(tuple, rows[:rank])),
-        u_heads=tuple(heads),
     )
 
 

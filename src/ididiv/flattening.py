@@ -34,7 +34,6 @@ checks only the candidate trees.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -201,9 +200,6 @@ class FlatModel:
             keep = joint != 0.0
             return p, (keys[keep], joint[keep])
         return p, None
-
-    def replace(self, **kw) -> "FlatModel":
-        return dataclasses.replace(self, **kw)
 
 
 @dataclass(frozen=True, eq=False)

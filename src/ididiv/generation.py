@@ -14,12 +14,16 @@ compare rows and build a tree only for a kept draw.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 
 from .domains import SingleAgentModel
 from .solver import _backup, solve_exact
 # canonical_encode is unused here; perfbench/tracer.py binds generation.canonical_encode.
-from .trees import BehaviorSequence, PolicyTree, canonical_encode, count_trees  # noqa: F401
+from .trees import (  # noqa: F401
+    BehaviorSequence, PolicyTree, _integer, canonical_encode, count_trees,
+)
 
 __all__ = [
     "convert_to_dbn",
@@ -91,7 +95,7 @@ def generate_known_models(
     when ``count`` exceeds the number of complete trees, and otherwise when
     ``40 * count + 20`` attempts pass before enough distinct optima appear.
     """
-    if count < 1:
+    if _integer("count", count) < 1:
         raise ValueError("count must be >= 1")
     n_trees = count_trees(len(model.actions), len(model.observations), model.horizon)
     if count > n_trees:
@@ -105,7 +109,7 @@ def generate_known_models(
     seen: set[tuple[str, ...]] = set()
     for _ in range(cap):
         b = rng.dirichlet(np.ones(len(model.states)))
-        pol = solve_exact(model.replace(initial_belief=b))
+        pol = solve_exact(dataclasses.replace(model, initial_belief=b))
         if pol.tree.preorder not in seen:
             seen.add(pol.tree.preorder)
             out.append(pol.tree)

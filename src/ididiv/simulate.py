@@ -25,7 +25,7 @@ from .selection import CandidateModelSet
 from .solver import solve_exact
 # canonical_encode is unused here; perfbench/tracer.py binds simulate.canonical_encode.
 from .trees import (  # noqa: F401
-    BehaviorSequence, PolicyTree, _count, _table_of, canonical_encode, frame,
+    BehaviorSequence, PolicyTree, _count, _integer, _table_of, canonical_encode, frame,
     node_table, validate_tree,
 )
 
@@ -223,7 +223,7 @@ def run_experiment(
     """
     if true_mode not in TRUE_MODES:
         raise ValueError("true_mode must be one of %r" % (TRUE_MODES,))
-    _count("rounds", rounds, MAX_ROUNDS)
+    rounds = _count("rounds", _integer("rounds", rounds), MAX_ROUNDS)
     if excluded_trees is not None and true_mode != "random-generated":
         raise ValueError("excluded_trees only applies to random-generated mode")
 

@@ -160,9 +160,9 @@ def evaluate_policy(model: Model, tree: PolicyTree) -> float:
 
     The tree must have the model's horizon as depth and branch on the
     model's observation alphabet.  For another belief, evaluate
-    ``model.replace(initial_belief=...)`` with a belief in the model's own
-    form: a dense vector for a SingleAgentModel, an ascending (keys, vals)
-    pair of augmented indices and probabilities for a FlatModel.
+    ``dataclasses.replace(model, initial_belief=...)`` with a belief in the
+    model's own form: a dense vector for a SingleAgentModel, an ascending
+    (keys, vals) pair of augmented indices and probabilities for a FlatModel.
     """
     validate_tree(tree, model.observations, depth=model.horizon, actions=model.actions)
     kids = node_table(len(model.observations), model.horizon).children

@@ -5,6 +5,7 @@ reads as a checklist, then asserts.  Tolerances and runtime budgets are part
 of the checks.
 """
 
+import dataclasses
 import math
 import time
 from fractions import Fraction
@@ -217,7 +218,8 @@ def test_criterion_5_selection_contract(capsys):
                 violations += 1
 
     base = _det_model_2a()
-    one = base.replace(
+    one = dataclasses.replace(
+        base,
         actions=("a0",),
         transition=base.transition[:, :1],
         obs_fn=base.obs_fn[:, :1],

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import re
@@ -9,11 +10,13 @@ import numpy as np
 import pytest
 
 from ididiv import (
+    ExperimentStats,
     cli,
     selection,
     load_candidate_set,
     load_manifest,
     make_candidate_set,
+    run_experiment,
     run_experiment_grid,
     runs,
     save_candidate_set,
@@ -23,7 +26,7 @@ from ididiv import (
 )
 from ididiv.cli import main
 from ididiv.domains import domain_to_obj
-from ididiv.trees import canonical_parse
+from ididiv.trees import _json_text, canonical_parse
 from conftest import _peer_trees_t2, _rewriting
 
 
@@ -165,9 +168,10 @@ class TestTopkFeaturesChain:
         assert (tmp_path / "diversity.csv").read_text().startswith("depth,")
         m = load_manifest(tmp_path / "manifest.json")
         assert m.command == "topk"
-        assert m.timings["m"] == 2
-        assert m.timings["measure"] == "MDF"
-        assert "generate_seconds" in m.timings
+        assert m.config["known"] == 2
+        assert m.config["measure"] == "MDF"
+        # Timings hold only seconds; the flags are in the config.
+        assert set(m.timings) == {"generate_seconds", "select_seconds"}
 
         rc = _run(
             [
@@ -237,6 +241,34 @@ class TestTopkFeaturesChain:
         assert stats["rounds"] == 4
         lines = (tmp_path / "sim" / "episodes.csv").read_text().strip().split("\n")
         assert len(lines) == 1 + 4 * 2
+
+    @pytest.mark.parametrize("mode", ["from-set", "random-generated"])
+    def test_stats_json_is_the_experiment_stats(self, tmp_path, mode):
+        # stats.json holds the ExperimentStats fields plus true_mode, in the
+        # bytes of the dict that was once written out field by field.
+        _run(["--out-dir", tmp_path, "topk", "--horizon", 2, "--known", 2, "--k-max", 3])
+        cands = tmp_path / "candidates.json"
+        rc = _run(
+            ["--out-dir", tmp_path / "sim", "--seed", 3, "simulate", "--horizon", 2,
+             "--rounds", 5, "--true-mode", mode, "--candidates", cands]
+        )
+        assert rc == 0
+        text = (tmp_path / "sim" / "stats.json").read_text()
+        fields = {f.name for f in dataclasses.fields(ExperimentStats)}
+        assert set(json.loads(text)) == fields | {"true_mode"}
+
+        stats = run_experiment(
+            builtin_domain("tiger", 2), load_candidate_set(cands), true_mode=mode, rounds=5, seed=3
+        )
+        oracle = {
+            "rounds": stats.rounds,
+            "true_mode": mode,
+            "mean_reward_i": stats.mean_reward_i,
+            "reward_variance_i": stats.reward_variance_i,
+            "mean_reward_j": stats.mean_reward_j,
+            "policy_value": stats.policy_value,
+        }
+        assert text == _json_text(oracle)
 
     def test_simulate_against_deeper_candidates(self, tmp_path):
         # Depth-3 candidates on a T=2 domain, the peer drawn outside them.

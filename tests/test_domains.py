@@ -372,7 +372,7 @@ class TestValidation:
         assert dataclasses.replace(tiger, level0={"j": view}).level0["j"] is view
         labels = getattr(view, field) + ("C",)
         with pytest.raises(DomainValidationError, match=r"level0: agent j's view") as err:
-            dataclasses.replace(tiger, level0={"j": view.replace(**{field: labels})})
+            dataclasses.replace(tiger, level0={"j": dataclasses.replace(view, **{field: labels})})
         assert repr(labels) in str(err.value)
         assert repr((tiger.actions_j, tiger.observations_j)) in str(err.value)
 
@@ -381,29 +381,29 @@ class TestValidation:
         obs[0, 0, 0] = -0.1
         obs[0, 0, 1] = 1.1
         with pytest.raises(DomainValidationError):
-            validate_model(tiger_j.replace(obs_fn=obs))
+            validate_model(dataclasses.replace(tiger_j, obs_fn=obs))
 
     def test_duplicate_labels(self, tiger_j):
         with pytest.raises(DomainValidationError, match="duplicate"):
-            validate_model(tiger_j.replace(states=("x", "x")))
+            validate_model(dataclasses.replace(tiger_j, states=("x", "x")))
 
     def test_reserved_chars_in_labels(self, tiger_j):
         with pytest.raises(DomainValidationError):
-            validate_model(tiger_j.replace(states=("a|b", "c")))
+            validate_model(dataclasses.replace(tiger_j, states=("a|b", "c")))
 
     def test_shape_mismatch(self, tiger_j):
         with pytest.raises(DomainValidationError, match="reward"):
-            validate_model(tiger_j.replace(reward=np.zeros((2, 2))))
+            validate_model(dataclasses.replace(tiger_j, reward=np.zeros((2, 2))))
 
     def test_bad_horizon(self, tiger_j):
         with pytest.raises(DomainValidationError, match="horizon"):
-            validate_model(tiger_j.replace(horizon=0))
+            validate_model(dataclasses.replace(tiger_j, horizon=0))
 
     def test_non_finite_reward(self, tiger_j):
         r = np.array(tiger_j.reward)
         r[0, 0] = np.nan
         with pytest.raises(DomainValidationError):
-            validate_model(tiger_j.replace(reward=r))
+            validate_model(dataclasses.replace(tiger_j, reward=r))
 
 
 class TestTreeSizeRule:
@@ -478,10 +478,10 @@ class TestNonFinite:
     def test_level0_transition(self, tiger_j, form):
         table = _nan_at(tiger_j.transition, (0, 1))
         with pytest.raises(DomainValidationError, match=r"transition: non-finite"):
-            validate_model(tiger_j.replace(transition=table))
+            validate_model(dataclasses.replace(tiger_j, transition=table))
 
     def test_initial_belief(self, tiger_j):
-        broken = tiger_j.replace(initial_belief=np.array([np.nan, np.nan]))
+        broken = dataclasses.replace(tiger_j, initial_belief=np.array([np.nan, np.nan]))
         with pytest.raises(DomainValidationError, match="initial_belief: non-finite"):
             validate_model(broken)
 

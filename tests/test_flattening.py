@@ -598,9 +598,9 @@ class TestSparsePath:
         other = flatten(tiger2, make_candidate_set(cand2.trees[:2], 2)).model
         ops = (model.transition[0], other.transition[1], model.transition[2])
         with pytest.raises(DomainValidationError, match=r"transition\[1\]: shape"):
-            model.replace(transition=ops)
+            dataclasses.replace(model, transition=ops)
         with pytest.raises(DomainValidationError, match="2 operators, expected 3"):
-            model.replace(transition=model.transition[:2])
+            dataclasses.replace(model, transition=model.transition[:2])
 
     def test_custom_initial_physical_belief(self, tiger2, cand2):
         left = dataclasses.replace(tiger2, start=np.array([1.0, 0.0]))

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 
 import numpy as np
@@ -117,7 +118,7 @@ class TestSampleTree:
         m = _det_model_2a()
         obs = np.zeros((2, 2, 2))
         obs[:, :, 0] = 1.0
-        m = m.replace(obs_fn=obs)
+        m = dataclasses.replace(m, obs_fn=obs)
         dbn = convert_to_dbn(m)
         anchor = _anchor(("a0", "a0"), ("z0",))
         t = _tree(m, sample_tree(dbn, anchor, np.random.default_rng(0)))
@@ -142,7 +143,7 @@ class TestGenerateKnownModels:
         replayed = []
         while len(replayed) < 3:
             b = rng.dirichlet(np.ones(2))
-            pol = solve_exact(tiger_j.replace(initial_belief=b))
+            pol = solve_exact(dataclasses.replace(tiger_j, initial_belief=b))
             enc = canonical_encode(pol.tree)
             if enc not in seen:
                 seen.add(enc)
@@ -157,7 +158,8 @@ class TestGenerateKnownModels:
     def test_budget_exhaustion(self):
         # One action, one possible tree: asking for two must fail.
         m = _det_model_2a()
-        one = m.replace(
+        one = dataclasses.replace(
+            m,
             actions=("a0",),
             transition=m.transition[:, :1],
             obs_fn=m.obs_fn[:, :1],
@@ -177,7 +179,7 @@ class TestGenerateKnownModels:
 
         monkeypatch.setattr(generation, "solve_exact", counted)
         with pytest.raises(RuntimeError, match="distinct optimal trees"):
-            generate_known_models(tiger_j.replace(horizon=2), 28, seed=0)
+            generate_known_models(dataclasses.replace(tiger_j, horizon=2), 28, seed=0)
         assert len(calls) == 0
 
     def test_bad_count(self, tiger_j):

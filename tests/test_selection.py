@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -160,7 +162,8 @@ class TestSelectTopk:
         # One action: every sample duplicates the lone known tree, so the
         # loop must stop after exactly `patience` rejections.
         m = _det_model_2a()
-        one = m.replace(
+        one = dataclasses.replace(
+            m,
             actions=("a0",),
             transition=m.transition[:, :1],
             obs_fn=m.obs_fn[:, :1],

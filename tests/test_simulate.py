@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -497,3 +498,19 @@ class TestCsv:
         trace = simulate.EpisodeTrace(steps=(step,), total_reward_i=-1.0, total_reward_j=0.1 + 0.2)
         lines = list(map(_csv_line, simulate.episode_rows(0, trace)))
         assert lines == ["0,0,s,a,b,-1.0,0.30000000000000004,s2,o,p\n"]
+
+
+@pytest.mark.parametrize("name", ["k_max", "patience", "count", "rounds"])
+def test_counts_refuse_non_integers_by_name(name, tiger_j, tiger2, cand2):
+    # A float or a bool count is refused, not truncated or read as 1; a
+    # numpy integer is accepted.
+    call = {
+        "k_max": lambda n: SelectionConfig(k_max=n),
+        "patience": lambda n: SelectionConfig(patience=n),
+        "count": lambda n: generate_known_models(tiger_j, n, seed=0),
+        "rounds": lambda n: run_experiment(tiger2, cand2, rounds=n, seed=0),
+    }[name]
+    for bad in (2.5, True):
+        with pytest.raises(ValueError, match=re.escape("%s: %r is not an integer" % (name, bad))):
+            call(bad)
+    call(np.int64(2))

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -42,13 +44,13 @@ def _det_obs_model(horizon=2):
 
 class TestSolveTiger:
     def test_horizon_one_listens(self, tiger_j):
-        pol = solve_exact(tiger_j.replace(horizon=1))
+        pol = solve_exact(dataclasses.replace(tiger_j, horizon=1))
         # Opening at uniform belief scores -45, listening -1.
         assert pol.tree == nested("Listen")
         assert pol.value == pytest.approx(-1.0, abs=1e-12)
 
     def test_matches_brute_force_t2(self, tiger_j):
-        m = tiger_j.replace(horizon=2)
+        m = dataclasses.replace(tiger_j, horizon=2)
         assert count_trees(3, 2, 2) == 27
         a = solve_exact(m)
         b = brute_force_solve(m)
@@ -149,7 +151,7 @@ class TestTieRule:
 
     @pytest.mark.parametrize("gain, action", [(0.5 * TIE_TOL, "a0"), (2 * TIE_TOL, "a1")])
     def test_later_action_must_win_by_the_margin(self, gain, action):
-        m = _det_obs_model(horizon=1).replace(reward=np.array([[1.0, 1.0 + gain]]))
+        m = dataclasses.replace(_det_obs_model(horizon=1), reward=np.array([[1.0, 1.0 + gain]]))
         assert solve_exact(m).tree.action == action
         assert brute_force_solve(m).tree.action == action
 
@@ -180,7 +182,7 @@ class TestEvaluate:
     def test_explicit_belief(self, tiger_j):
         t = constant_tree("OpenLeft", tiger_j.observations, 1)
         v = evaluate_policy(
-            tiger_j.replace(horizon=1, initial_belief=np.array([0.0, 1.0])), t
+            dataclasses.replace(tiger_j, horizon=1, initial_belief=np.array([0.0, 1.0])), t
         )
         assert v == pytest.approx(10.0, abs=1e-12)
 
@@ -201,7 +203,7 @@ class TestEnumerationCap:
             brute_force_solve(tiger_j, max_trees=100)
 
     def test_under_cap_runs(self, tiger_j):
-        assert brute_force_solve(tiger_j.replace(horizon=1)).tree == nested("Listen")
+        assert brute_force_solve(dataclasses.replace(tiger_j, horizon=1)).tree == nested("Listen")
 
 
 def _tiger_cells():
