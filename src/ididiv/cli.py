@@ -332,6 +332,8 @@ def cmd_experiment(args) -> int:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if args.seed < 0:
+        parser.error("--seed must be >= 0, got %d" % args.seed)
     return args.func(args)
 
 

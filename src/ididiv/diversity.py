@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 # canonical_encode is unused here; perfbench/tracer.py binds diversity.canonical_encode.
-from .trees import PolicyTree, _csv_text, canonical_encode, prefix_ids  # noqa: F401
+from .trees import PolicyTree, _count, _csv_text, canonical_encode, prefix_ids  # noqa: F401
 
 __all__ = [
     "mdp",
@@ -36,14 +36,6 @@ __all__ = [
     "diversity_report",
     "report_to_csv",
 ]
-
-
-def _obs_count(n_observations) -> int:
-    if isinstance(n_observations, bool) or not isinstance(n_observations, int):
-        raise ValueError("n_observations must be an int, got %r" % (n_observations,))
-    if n_observations < 1:
-        raise ValueError("need at least one observation symbol")
-    return n_observations
 
 
 def _counts(
@@ -87,7 +79,7 @@ def _total(terms) -> float:
 
 
 def diversity_report(trees: Sequence[PolicyTree], n_observations: int) -> DiversityReport:
-    n = _obs_count(n_observations)
+    n = _count("n_observations", n_observations)
     if not trees:
         return DiversityReport(n, (), (), 0.0, 0.0)
     seq, frm = _counts(trees, n)

@@ -45,7 +45,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .trees import _as_written, _check_keys, _check_symbols, _integer, _json_text, _read_input
+from .trees import _as_written, _check_keys, _check_symbols, _count, _json_text, _read_input
 
 __all__ = [
     "DomainValidationError",
@@ -455,8 +455,7 @@ def validate_model(m: SingleAgentModel) -> None:
     S = len(_check_labels("states", m.states))
     A = len(_check_labels("actions", m.actions))
     O = len(_check_labels("observations", m.observations))
-    if m.horizon < 1:
-        raise DomainValidationError("horizon: must be >= 1, got %d" % m.horizon)
+    _count("horizon", m.horizon, error=DomainValidationError)
     _check_shape("transition", m.transition, (S, A, S))
     _check_rows("transition", m.transition)
     _check_shape("obs_fn", m.obs_fn, (S, A, O))
@@ -484,10 +483,9 @@ def _check_tree_size(horizon: int, agent: str, n_obs: int) -> None:
 
 def validate_domain(d: PosgDomain) -> None:
     S, Ai, Aj, Oi, Oj = (len(_check_labels(k, getattr(d, k))) for k in _LABELS)
-    if d.horizon < 1:
-        raise DomainValidationError("horizon: must be >= 1, got %d" % d.horizon)
-    _check_tree_size(d.horizon, "i", Oi)
-    _check_tree_size(d.horizon, "j", Oj)
+    horizon = _count("horizon", d.horizon, error=DomainValidationError)
+    _check_tree_size(horizon, "i", Oi)
+    _check_tree_size(horizon, "j", Oj)
     T = d.transition
     _check_shape("transition", T, (S, Ai, Aj, S))
     _check_csr("transition", T)
@@ -781,7 +779,8 @@ def builtin_domain(name: str, horizon: int | None = None) -> PosgDomain:
             "unknown builtin domain %r (have: %s)"
             % (name, ", ".join(sorted(BUILTIN_DOMAINS)))
         ) from None
-    key = (name, 3 if horizon is None else horizon)
+    # Checked first: 3.0 and True would find the shared 3 and 1 by hash.
+    key = (name, 3 if horizon is None else _count("horizon", horizon, error=DomainValidationError))
     domain = _SHARED.get(key)
     if domain is None:
         domain = _SHARED[key] = builder(key[1])
@@ -874,7 +873,6 @@ def domain_from_obj(obj: dict) -> PosgDomain:
     entries = obj["transition"]
     if not isinstance(entries, list):
         raise DomainValidationError("transition: expected a list of entries")
-    horizon = _integer("horizon", obj["horizon"], DomainValidationError)
     name = obj["name"]
     if not isinstance(name, str) or not name:
         raise DomainValidationError("name: %r is not a non-empty string" % (name,))
@@ -892,7 +890,7 @@ def domain_from_obj(obj: dict) -> PosgDomain:
         obs_fn_j=table("obs_j"),
         reward_i=table("reward_i"),
         reward_j=table("reward_j"),
-        horizon=horizon,
+        horizon=obj["horizon"],
         start=table("start") if "start" in obj else None,
     )
 

@@ -22,7 +22,7 @@ from .domains import SingleAgentModel
 from .solver import _backup, solve_exact
 # canonical_encode is unused here; perfbench/tracer.py binds generation.canonical_encode.
 from .trees import (  # noqa: F401
-    BehaviorSequence, PolicyTree, _integer, canonical_encode, count_trees,
+    BehaviorSequence, PolicyTree, _count, canonical_encode, count_trees,
 )
 
 __all__ = [
@@ -95,8 +95,7 @@ def generate_known_models(
     when ``count`` exceeds the number of complete trees, and otherwise when
     ``40 * count + 20`` attempts pass before enough distinct optima appear.
     """
-    if _integer("count", count) < 1:
-        raise ValueError("count must be >= 1")
+    count = _count("count", count)
     n_trees = count_trees(len(model.actions), len(model.observations), model.horizon)
     if count > n_trees:
         raise RuntimeError(

@@ -35,7 +35,7 @@ import numpy as np
 
 from .domains import BUILTIN_DOMAINS, PosgDomain, builtin_domain, domain_from_obj, project_level0
 from .generation import generate_known_models
-from .selection import MAX_PATIENCE, SelectionConfig, make_candidate_set, select_topk
+from .selection import MAX_PATIENCE, MEASURES, SelectionConfig, make_candidate_set, select_topk
 from .simulate import MAX_ROUNDS, TRUE_MODES, run_experiment
 # canonical_encode is unused here; perfbench/tracer.py binds runs.canonical_encode.
 from .trees import (  # noqa: F401
@@ -58,7 +58,7 @@ __all__ = [
 ]
 
 TOOL_VERSION = "0.1.0"
-ALGORITHMS = ("IDID", "IDID-MDP", "IDID-MDF")
+ALGORITHMS = ("IDID", *("IDID-" + m for m in MEASURES))
 
 _GRID_DEFAULTS = {
     "domain": "tiger",
@@ -129,6 +129,7 @@ def _versions() -> dict:
 def _manifest_from_obj(obj) -> RunManifest:
     """The manifest a parsed manifest file describes; an unknown or missing
     key, or a field of another JSON type, is named."""
+    _check_keys("manifest", obj, [f.name for f in dataclasses.fields(RunManifest)])
     m = RunManifest(**{"seed": None, "tool_version": "unknown", **obj})
     for key, (kind, name) in _MANIFEST_TYPES.items():
         value = getattr(m, key)
@@ -184,7 +185,7 @@ def normalize_grid_config(obj: dict) -> dict:
         if count > 1:
             raise ValueError("%s: repeated value %r" % (key, value))
     for key, bound in (("rounds", MAX_ROUNDS), ("patience", MAX_PATIENCE)):
-        cfg[key] = _count(key, _integer(key, cfg[key]), bound)
+        cfg[key] = _count(key, cfg[key], bound)
     return cfg
 
 
@@ -270,7 +271,7 @@ def run_cell(cell: dict, domain: PosgDomain) -> dict:
         # the seed, so algorithms face identical true models.  Both
         # expansions keep every known tree, so theirs is the union of all.
         excluded = set()
-        for other in ("IDID-MDP", "IDID-MDF"):
+        for other in ALGORITHMS[1:]:
             cset = candidates if other == alg else _candidates_for(cell, other, known, level0)
             excluded.update(cset.trees)
     stats = run_experiment(

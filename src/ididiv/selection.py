@@ -55,9 +55,8 @@ class SelectionConfig:
                 "measure must be one of %s, got %r"
                 % (", ".join(sorted(MEASURES)), self.measure)
             )
-        if _integer("k_max", self.k_max) < 1:
-            raise ValueError("k_max must be >= 1")
-        _count("patience", _integer("patience", self.patience), MAX_PATIENCE)
+        _count("k_max", self.k_max)
+        _count("patience", self.patience, MAX_PATIENCE)
 
 
 @dataclass(frozen=True, eq=False)

@@ -2,11 +2,12 @@
 
 One experiment: flatten the domain against the candidate set, solve for the
 subject's policy once, then play repeated rounds.  Each round draws the true
-peer tree (from the candidate prior, or freshly generated outside the set),
-then steps the domain forward for the full horizon, sampling transitions and
-both observation channels.  Round randomness comes from per-round spawns of
-one seed sequence, so runs are reproducible and insensitive to how many
-draws an individual round consumes.
+peer tree (from the candidate prior, or freshly generated outside the set)
+and plays it through ``run_episode``, the one way an episode is played: it
+checks both trees, then steps the domain forward for the full horizon,
+sampling transitions and both observation channels.  Round randomness comes
+from per-round spawns of one seed sequence, so runs are reproducible and
+insensitive to how many draws an individual round consumes.
 """
 
 from __future__ import annotations
@@ -25,8 +26,7 @@ from .selection import CandidateModelSet
 from .solver import solve_exact
 # canonical_encode is unused here; perfbench/tracer.py binds simulate.canonical_encode.
 from .trees import (  # noqa: F401
-    BehaviorSequence, PolicyTree, _count, _integer, _table_of, canonical_encode, frame,
-    node_table, validate_tree,
+    BehaviorSequence, PolicyTree, _count, _table_of, canonical_encode, frame, validate_tree,
 )
 
 __all__ = [
@@ -94,7 +94,8 @@ def run_episode(
 ) -> EpisodeTrace:
     """Play one horizon-length episode with both agents following trees.
 
-    The first state is drawn from ``domain.start``; for another start, pass
+    Both trees are checked; a deeper tree plays its top levels.  The first
+    state is drawn from ``domain.start``; for another start, pass
     ``dataclasses.replace(domain, start=...)``.
     """
     T = domain.horizon
@@ -105,23 +106,12 @@ def run_episode(
             "trees of depth (%d, %d) cannot cover horizon %d"
             % (tree_i.depth, tree_j.depth, T)
         )
-    return _play(domain, _walk(tree_i), _walk(tree_j), rng)
-
-
-def _walk(tree: PolicyTree):
-    """A tree as ``_play`` reads it: its preorder row and its node children."""
-    return tree.preorder, _table_of(tree).children
-
-
-def _play(domain, walk_i, walk_j, rng) -> EpisodeTrace:
-    """``run_episode`` for trees already checked against the domain, each a
-    ``_walk``, so a tree deeper than the horizon keeps its own numbering."""
-    T = domain.horizon
     S, n_aj = len(domain.states), len(domain.actions_j)
     P = domain.transition
     s = int(rng.choice(S, p=domain.start))
 
-    (row_i, kids_i), (row_j, kids_j) = walk_i, walk_j
+    row_i, kids_i = tree_i.preorder, _table_of(tree_i).children
+    row_j, kids_j = tree_j.preorder, _table_of(tree_j).children
     v_i = v_j = 0
     steps: list[StepRecord] = []
     tot_i = tot_j = 0.0
@@ -204,7 +194,7 @@ def run_experiment(
     excluded_trees=None,
     on_round: Callable[[int, EpisodeTrace], object] | None = None,
 ) -> ExperimentStats:
-    """Plan once against the candidate set, then play repeated rounds.
+    """Plan once against the candidate set, then play rounds through ``run_episode``.
 
     true_mode "from-set" draws the peer's true tree from the candidate
     prior each round; "random-generated" draws a fresh tree outside the set
@@ -223,17 +213,12 @@ def run_experiment(
     """
     if true_mode not in TRUE_MODES:
         raise ValueError("true_mode must be one of %r" % (TRUE_MODES,))
-    rounds = _count("rounds", _integer("rounds", rounds), MAX_ROUNDS)
+    rounds = _count("rounds", rounds, MAX_ROUNDS)
     if excluded_trees is not None and true_mode != "random-generated":
         raise ValueError("excluded_trees only applies to random-generated mode")
 
-    # flatten checks every candidate tree, and sample_tree grows the row of a
-    # complete tree, so rounds play rows without re-checking or building trees.
     flat = flatten(domain, candidates)
     policy = solve_exact(flat.model)
-    validate_tree(
-        policy.tree, domain.observations_i, depth=domain.horizon, actions=domain.actions_i
-    )
 
     if true_mode == "random-generated":
         level0 = project_level0(domain, "j")
@@ -252,20 +237,18 @@ def run_experiment(
             for t in excluded_trees or ()
             if t.depth >= T and t.observations in ((), level0.observations)
         )
-        kids_j = node_table(len(level0.observations), T).children
 
     # One child seed per round, spawned as the round starts.
     root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    walk_i = _walk(policy.tree)
     rewards_i, rewards_j = np.empty(rounds), np.empty(rounds)
     for index in range(rounds):
         rng = np.random.default_rng(root.spawn(1)[0])
         if true_mode == "from-set":
-            idx = int(rng.choice(len(candidates.trees), p=candidates.prior))
-            walk_j = _walk(candidates.trees[idx])
+            tree_j = candidates.trees[int(rng.choice(len(candidates.trees), p=candidates.prior))]
         else:
-            walk_j = (_draw_novel_tree(level0, anchors, excluded, rng), kids_j)
-        ep = _play(domain, walk_i, walk_j, rng)
+            row = _draw_novel_tree(level0, anchors, excluded, rng)
+            tree_j = PolicyTree(row, level0.observations)
+        ep = run_episode(domain, policy.tree, tree_j, rng)
         rewards_i[index], rewards_j[index] = ep.total_reward_i, ep.total_reward_j
         if on_round is not None:
             on_round(index, ep)

@@ -21,8 +21,9 @@ the one JSON writer.  ``_read_input`` is the one reading of an input file (a
 domain, candidate set, grid config or manifest): it parses, builds and
 hashes the same bytes, and its errors start with the path.
 ``_as_written`` is the one rule for the numbers in such a file: a bool or a
-string where a number belongs is refused, never converted, and ``_integer``
-its rule for an integer.  ``_check_keys`` refuses a key the reader does not know.
+string where a number belongs is refused, never converted.  ``_integer`` is
+the one rule for an integer, and ``_count`` for a count, a horizon included.
+``_check_keys`` refuses a key the reader does not know.
 """
 
 from __future__ import annotations
@@ -370,13 +371,14 @@ def _integer(key: str, x, error: type = ValueError) -> int:
     return int(x)
 
 
-def _count(key: str, x: int, bound: int) -> int:
-    """``x``, unless it lies outside [1, bound]: then a ValueError naming
-    ``key`` and ``x``."""
+def _count(key: str, x, bound: int | None = None, error: type = ValueError) -> int:
+    """``x`` as an int, unless ``_integer`` refuses it or it lies outside [1,
+    bound] (no upper bound when None): then ``error`` naming ``key`` and ``x``."""
+    x = _integer(key, x, error)
     if x < 1:
-        raise ValueError("%s must be >= 1" % key)
-    if x > bound:
-        raise ValueError("%s must be <= %d, got %d" % (key, bound, x))
+        raise error("%s must be >= 1, got %d" % (key, x))
+    if bound is not None and x > bound:
+        raise error("%s must be <= %d, got %d" % (key, bound, x))
     return x
 
 

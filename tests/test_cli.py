@@ -402,7 +402,8 @@ class TestParsing:
             ({"n_observations": 2}, "a candidate file needs 'trees'"),
             ({"trees": ["1;;A"]}, "a candidate file needs 'n_observations'"),
             ({"trees": "1;;A", "n_observations": 2}, "'trees' is a list of tree encodings"),
-            ({"trees": ["1;;A"], "n_observations": "two"}, "n_observations must be an int"),
+            ({"trees": ["1;;A"], "n_observations": "two"},
+             "n_observations: 'two' is not an integer"),
             (
                 {"trees": ["1;;A", "1;;B"], "n_observations": 2, "prior": [1.0]},
                 r"prior shape \(1,\) for 2 trees",
@@ -501,7 +502,9 @@ class TestParsing:
              "algorithms: repeated value 'IDID'$"),
             (["experiment", "--from-manifest", "{}"],
              lambda: {"command": "experiment", "config": {}, "bogus": 1},
-             "RunManifest.__init__.. got an unexpected keyword argument 'bogus'"),
+             "unknown manifest keys: bogus$"),
+            (["experiment", "--from-manifest", "{}"], lambda: [1],
+             "a manifest is a JSON object, not a list$"),
         ],
         ids=[
             "domain-list", "domain-no-keys", "horizon-list", "horizon-float",
@@ -512,7 +515,7 @@ class TestParsing:
             "tree-depth-20000", "tree-depth-1e9",
             "config-seeds", "config-rounds", "config-rounds-huge", "config-patience-huge",
             "config-repeated-seed", "config-repeated-algorithm",
-            "manifest-unknown-key",
+            "manifest-unknown-key", "manifest-list",
         ],
     )
     def test_input_error_names_its_file(self, tmp_path, argv, obj, message):
@@ -577,6 +580,20 @@ class TestParsing:
             _run(["--out-dir", tmp_path / "b", "experiment", *argv])
         assert "not allowed with argument --config" in capsys.readouterr().err
         assert not (tmp_path / "b").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["topk"], ["simulate", "--candidates", "c.json"], ["experiment"]],
+        ids=["topk", "simulate", "experiment"],
+    )
+    def test_negative_seed_is_refused_before_output(self, tmp_path, capsys, argv):
+        # numpy's SeedSequence refuses it only mid-run, after the output
+        # directory was made.
+        with pytest.raises(SystemExit) as info:
+            _run(["--seed", -1, "--out-dir", tmp_path / "out", *argv])
+        assert info.value.code == 2
+        assert "--seed must be >= 0, got -1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_missing_subcommand(self):
         with pytest.raises(SystemExit):

@@ -456,7 +456,7 @@ class TestManifestIo:
     @pytest.mark.parametrize(
         "edit, named",
         [
-            (lambda obj: obj.update(bogus=1), "unexpected keyword argument 'bogus'"),
+            (lambda obj: obj.update(bogus=1), "unknown manifest keys: bogus$"),
             (lambda obj: obj.pop("command"), "missing 1 required positional argument: 'command'"),
         ],
         ids=["unknown", "missing"],
@@ -470,6 +470,12 @@ class TestManifestIo:
             load_manifest(p)
         with pytest.raises(ValueError, match=named):
             run_from_manifest(p, tmp_path / "replay")
+
+    def test_manifest_that_is_not_an_object_named(self, tmp_path):
+        p = tmp_path / "manifest.json"
+        p.write_text("[1]")
+        with pytest.raises(ValueError, match="a manifest is a JSON object, not a list$"):
+            load_manifest(p)
 
     def test_file_sha256(self, tmp_path):
         p = tmp_path / "x.bin"

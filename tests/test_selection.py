@@ -84,7 +84,7 @@ class TestCandidateSet:
         with pytest.raises(ValueError):
             make_candidate_set([], 2)
         # The observation count is checked first.
-        with pytest.raises(ValueError, match="n_observations must be an int"):
+        with pytest.raises(ValueError, match="n_observations: 2.0 is not an integer"):
             make_candidate_set([], 2.0)
 
     def test_prior_frozen(self, fig_trees):

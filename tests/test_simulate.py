@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from ididiv import (
+    DomainValidationError,
     PolicyTree,
     SelectionConfig,
     builtin_domain,
@@ -21,6 +22,7 @@ from ididiv import (
     solve_idid,
     flatten,
     simulate,
+    validate_model,
 )
 from ididiv.trees import _csv_line, all_trees, frame, node_table
 
@@ -52,6 +54,18 @@ def _rewards(*args, **kwargs):
     """Each round's total rewards, (agent i's, agent j's), from its trace."""
     _, traces = _traced(*args, **kwargs)
     return [(t.total_reward_i, t.total_reward_j) for t in traces]
+
+
+def _spy_episodes(monkeypatch):
+    """The (tree_i, tree_j) of each ``simulate.run_episode`` call, in order."""
+    played = []
+
+    def spy(domain, tree_i, tree_j, rng):
+        played.append((tree_i, tree_j))
+        return run_episode(domain, tree_i, tree_j, rng)
+
+    monkeypatch.setattr(simulate, "run_episode", spy)
+    return played
 
 
 def _draw_by_encoding(model, anchors, excluded, rng):
@@ -175,15 +189,30 @@ class TestRunExperiment:
         assert stats.mean_reward_j == np.mean([t.total_reward_j for t in traces])
         assert "traces" not in {f.name for f in dataclasses.fields(stats)}
 
-    def test_trees_checked_once(self, tiger2, cand2, monkeypatch):
-        # flatten checks the candidates; the rounds re-check no tree.
-        checked = []
-        monkeypatch.setattr(
-            simulate, "validate_tree", lambda tree, *a, **kw: checked.append(tree)
-        )
+    def test_every_round_plays_the_solved_tree(self, tiger2, cand2, monkeypatch):
+        # Each round is one run_episode call, the solved policy as tree_i
+        # and a candidate as tree_j.
+        played = _spy_episodes(monkeypatch)
         stats, traces = _traced(tiger2, cand2, "from-set", rounds=20, seed=0)
-        assert checked == [solve_idid(flatten(tiger2, cand2)).tree]
-        assert traces[0].steps[0].action_i == checked[0].action
+        policy = solve_idid(flatten(tiger2, cand2)).tree
+        assert len(played) == 20
+        for (tree_i, tree_j), trace in zip(played, traces):
+            assert tree_i == policy and tree_j in cand2.trees
+            assert trace.steps[0].action_i == policy.action
+            assert trace.steps[0].action_j == tree_j.action
+
+    def test_random_generated_rounds_play_depth_t_peer_trees(self, tiger2, cand2, monkeypatch):
+        # Each drawn peer is built as a depth-T tree over the peer's
+        # observations, outside the candidate set, and played as drawn.
+        played = _spy_episodes(monkeypatch)
+        stats, traces = _traced(tiger2, cand2, "random-generated", rounds=20, seed=0)
+        policy = solve_idid(flatten(tiger2, cand2)).tree
+        assert len(played) == 20
+        for (tree_i, tree_j), trace in zip(played, traces):
+            assert tree_i == policy
+            assert (tree_j.depth, tree_j.observations) == (tiger2.horizon, tiger2.observations_j)
+            assert tree_j not in cand2.trees
+            assert trace.steps[0].action_j == tree_j.action
 
     def test_policy_value_reported(self, tiger2, cand2):
         stats = run_experiment(tiger2, cand2, "from-set", rounds=2, seed=0)
@@ -514,3 +543,31 @@ def test_counts_refuse_non_integers_by_name(name, tiger_j, tiger2, cand2):
         with pytest.raises(ValueError, match=re.escape("%s: %r is not an integer" % (name, bad))):
             call(bad)
     call(np.int64(2))
+
+
+@pytest.mark.parametrize("name", ["builtin_domain", "replace", "validate_model", "n_observations"])
+def test_horizons_and_observation_counts_are_counts(name, tiger2):
+    # A horizon of 2.5 used to build and plan 3 decisions, and True 1; a
+    # horizon or observation count is an integer of at least 1, a numpy one
+    # included.
+    if name == "n_observations":
+        key, error, accepted = name, ValueError, np.int64(2)
+        tree = constant_tree("Listen", ("a", "b"), 2)
+        call = lambda n: make_candidate_set([tree], n)  # noqa: E731
+    else:
+        key, error, accepted = "horizon", DomainValidationError, np.int64(3)
+        j = project_level0(tiger2, "j")
+        call = {
+            "builtin_domain": lambda h: builtin_domain("tiger", h),
+            "replace": lambda h: dataclasses.replace(tiger2, horizon=h),
+            "validate_model": lambda h: validate_model(dataclasses.replace(j, horizon=h)),
+        }[name]
+    for bad in (2.5, True, "3", 0):
+        if type(bad) is int:
+            message = "%s must be >= 1, got %d$" % (key, bad)
+        else:
+            message = re.escape("%s: %r is not an integer" % (key, bad)) + "$"
+        with pytest.raises(ValueError, match=message) as info:
+            call(bad)
+        assert type(info.value) is error
+    call(accepted)
