@@ -862,9 +862,8 @@ def domain_from_obj(obj: dict) -> PosgDomain:
     """The domain a ``domain_to_obj`` mapping describes, validated.  Nothing
     is coerced: the name is a non-empty string, and no number is a bool or
     a string."""
-    required = [
-        "name", *_LABELS, "horizon", "transition", "obs_i", "obs_j", "reward_i", "reward_j"
-    ]
+    required = ["name", *_LABELS, "horizon", "transition",
+                "obs_i", "obs_j", "reward_i", "reward_j"]
     _check_keys("domain file", obj, [*required, "start"], DomainValidationError)
     missing = [k for k in required if k not in obj]
     if missing:
@@ -873,6 +872,7 @@ def domain_from_obj(obj: dict) -> PosgDomain:
     entries = obj["transition"]
     if not isinstance(entries, list):
         raise DomainValidationError("transition: expected a list of entries")
+    horizon = _count("horizon", obj["horizon"], error=DomainValidationError)
     name = obj["name"]
     if not isinstance(name, str) or not name:
         raise DomainValidationError("name: %r is not a non-empty string" % (name,))
@@ -890,7 +890,7 @@ def domain_from_obj(obj: dict) -> PosgDomain:
         obs_fn_j=table("obs_j"),
         reward_i=table("reward_i"),
         reward_j=table("reward_j"),
-        horizon=obj["horizon"],
+        horizon=horizon,
         start=table("start") if "start" in obj else None,
     )
 

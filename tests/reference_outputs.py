@@ -1,15 +1,13 @@
 """Reference outputs: regenerate a fixed set of pipeline outputs and compare
 their SHA-256 hashes with those recorded in ``reference_outputs.json``.
 
-    PYTHONPATH=src python tests/reference_outputs.py check [--quick]
+    PYTHONPATH=src python tests/reference_outputs.py check
     PYTHONPATH=src python tests/reference_outputs.py write
 
 ``check`` exits 1 naming each file whose hash differs from the recorded one,
-or that is missing or new; ``--quick`` leaves out the ``tiger-oos-grid``
-grids, about two thirds of the CPU time.  ``write`` rewrites the JSON from
-this tree's outputs; a change that alters outputs on purpose does that and
-says which hashes moved and why.  Manifests are left out, since they hold
-timings.
+or that is missing or new.  ``write`` rewrites the JSON from this tree's
+outputs; a change that alters outputs on purpose does that and says which
+hashes moved and why.  Manifests are left out, since they hold timings.
 
 The set:
 - the criterion-9 grid's CSVs;
@@ -76,7 +74,7 @@ GRIDS = {
         "rounds": 50,
     }),
 }
-# The parts ``--quick`` leaves out.
+# The parts ``generate(..., quick=True)`` leaves out.
 SLOW = ("tiger-oos-grid",)
 
 
@@ -149,12 +147,9 @@ def differing(hashes: dict, recorded: dict, quick: bool = False) -> list[str]:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("action", choices=["check", "write"])
-    parser.add_argument("--quick", action="store_true", help="leave out tiger-oos-grid")
     args = parser.parse_args(argv)
-    if args.action == "write" and args.quick:
-        parser.error("write regenerates the whole set")
     with tempfile.TemporaryDirectory() as tmp:
-        hashes = generate(tmp, quick=args.quick)
+        hashes = generate(tmp)
     if args.action == "write":
         env = {k: os.environ.get(k) for k in ("PYTHONHASHSEED", "OMP_NUM_THREADS")}
         RECORD.write_text(
@@ -168,7 +163,7 @@ def main(argv=None) -> int:
         print("hashes were recorded under numpy %s, this is numpy %s"
               % (record["numpy"], np.__version__), file=sys.stderr)
         return 1
-    bad = differing(hashes, record["outputs"], quick=args.quick)
+    bad = differing(hashes, record["outputs"])
     for path in bad:
         print("differs: %s" % path, file=sys.stderr)
     print("%d files, %d differ" % (len(hashes), len(bad)))
