@@ -26,8 +26,6 @@ from .features import build_matrix, matrix_to_csv, pivot_decompose
 from .flattening import flatten, solve_idid
 from .generation import generate_known_models
 from .runs import (  # noqa: F401
-    RunManifest,
-    _versions,
     file_sha256,
     normalize_grid_config,
     resolve_domain,
@@ -118,7 +116,8 @@ def _inputs(args):
     """The subcommand's domain, at --horizon when it has that flag, and its
     candidate set, named by --trees or --candidates, each None without the
     flag; the SHA-256 of each file parsed, keyed by its flag's name; and the
-    output directory, made only once every input has been read."""
+    output directory, which ``_made`` makes at the subcommand's first write,
+    so a run refused before it leaves no directory."""
     domain = cs = None
     hashes = {}
     if "horizon" in args:
@@ -127,9 +126,12 @@ def _inputs(args):
     for flag in ("trees", "candidates"):
         if flag in args:
             cs, hashes[flag] = _read_input(getattr(args, flag), candidate_set_from_obj)
-    out = Path(args.out_dir)
+    return domain, cs, hashes, Path(args.out_dir)
+
+
+def _made(out: Path) -> Path:
     out.mkdir(parents=True, exist_ok=True)
-    return domain, cs, hashes, out
+    return out
 
 
 def _write_json(path: Path, obj) -> None:
@@ -157,16 +159,10 @@ def _record(args, domain, outputs: dict, input_hashes: dict, timings=None) -> No
     config = {k: v for k, v in vars(args).items() if k not in _GLOBAL_FLAGS}
     if domain is not None:
         config.update(domain=args.domain, horizon=domain.horizon)
-    manifest = RunManifest(
-        command=args.command,
-        config=config,
-        seed=args.seed,
-        input_hashes=input_hashes,
-        outputs={name: Path(path).name for name, path in outputs.items()},
-        timings=timings or {},
-        versions=_versions(),
+    names = {name: Path(path).name for name, path in outputs.items()}
+    write_manifest(
+        args.out_dir, args.command, config, args.seed, input_hashes, names, timings or {}
     )
-    write_manifest(manifest, args.out_dir)
 
 
 def cmd_solve(args) -> int:
@@ -176,7 +172,7 @@ def cmd_solve(args) -> int:
     pol = solve_exact(model)
     elapsed = time.perf_counter() - t0
 
-    path = out / ("policy_%s.json" % args.agent)
+    path = _made(out) / ("policy_%s.json" % args.agent)
     _write_policy(path, model, pol, agent=args.agent)
     _record(args, domain, {"policy": path}, hashes, {"solve_seconds": elapsed})
     print("solved %s (T=%d): value %.6f -> %s" % (model.name, model.horizon, pol.value, path))
@@ -188,7 +184,7 @@ def cmd_features(args) -> int:
     matrix = build_matrix(cs.trees)
     piv = pivot_decompose(matrix)
 
-    matrix_path = out / "behavior_matrix.csv"
+    matrix_path = _made(out) / "behavior_matrix.csv"
     matrix_path.write_text(matrix_to_csv(matrix))
     feat_path = out / "features.json"
     _write_json(
@@ -226,7 +222,7 @@ def cmd_topk(args) -> int:
     result = select_topk(known, level0, config)
     t_select = time.perf_counter() - t0
 
-    cand_path = out / "candidates.json"
+    cand_path = _made(out) / "candidates.json"
     save_candidate_set(result, cand_path)
     div_path = out / "diversity.csv"
     div_path.write_text(report_to_csv(result.report))
@@ -248,7 +244,7 @@ def cmd_solve_idid(args) -> int:
     pol = solve_idid(flat)
     elapsed = time.perf_counter() - t0
 
-    path = out / "policy_idid.json"
+    path = _made(out) / "policy_idid.json"
     _write_policy(
         path, flat.model, pol, candidates=len(cs.trees), augmented_states=len(flat.model.states)
     )
@@ -265,7 +261,8 @@ def cmd_simulate(args) -> int:
     domain, cs, hashes, out = _inputs(args)
 
     # Each round's steps are written as the round ends, so no trace is kept.
-    # The first round opens the file, so a run refused before play writes none.
+    # The first round makes the directory and opens the file, so a run
+    # refused before play writes neither.
     ep_path = out / "episodes.csv"
     t0 = time.perf_counter()
     with ExitStack() as files:
@@ -274,6 +271,7 @@ def cmd_simulate(args) -> int:
         def write_round(k, ep):
             nonlocal f
             if f is None:
+                _made(out)
                 f = files.enter_context(ep_path.open("w"))
                 f.write(_csv_line(EPISODE_COLUMNS))
             f.writelines(map(_csv_line, episode_rows(k, ep)))
@@ -334,6 +332,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.seed < 0:
         parser.error("--seed must be >= 0, got %d" % args.seed)
+    if args.workers < 1:
+        parser.error("--workers must be >= 1, got %d" % args.workers)
     return args.func(args)
 
 

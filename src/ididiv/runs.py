@@ -104,10 +104,20 @@ class RunManifest:
     versions: dict = field(default_factory=dict)
 
 
-def write_manifest(m: RunManifest, out_dir) -> Path:
-    path = Path(out_dir) / "manifest.json"
-    path.write_text(_json_text(dataclasses.asdict(m)))
-    return path
+def write_manifest(
+    out_dir, command: str, config: dict, seed: int | None, input_hashes: dict,
+    outputs: dict, timings: dict, errors=(),
+) -> RunManifest:
+    """Write ``out_dir/manifest.json`` for a run and return its manifest;
+    ``outputs`` maps names to file names.  The tool version, ``threads`` and
+    ``versions``, which every run records, are filled in here."""
+    threads = {**{k: os.environ.get(k) for k in THREAD_VARS}, "cpu_count": os.cpu_count()}
+    m = RunManifest(
+        command, config, seed, input_hashes=input_hashes, outputs=outputs, timings=timings,
+        errors=list(errors), threads=threads, versions=_versions(),
+    )
+    (Path(out_dir) / "manifest.json").write_text(_json_text(dataclasses.asdict(m)))
+    return m
 
 
 # Each manifest field's JSON type, as json.loads gives it, and its name.
@@ -329,9 +339,10 @@ def run_experiment_grid(
     """Run every grid cell and write results.csv, diversity.csv, manifest.json.
 
     ``input_hashes`` are the caller's hashes of its inputs, for the manifest.
-    A ``"domain"`` hash among them must be that of the domain bytes parsed,
-    or the grid is refused before anything is written.
+    A grid with ``workers`` below 1, or a ``"domain"`` hash other than that of
+    the domain bytes parsed, is refused before anything is written.
     """
+    workers = _count("workers", workers)
     config = normalize_grid_config(config)
     cells = grid_cells(config)
     # Each horizon's domain is resolved once and held while every cell runs,
@@ -374,22 +385,10 @@ def run_experiment_grid(
     for name, columns in (("results.csv", RESULTS_COLUMNS), ("diversity.csv", DIVERSITY_COLUMNS)):
         (out / name).write_text(_csv_text(columns, [[r[c] for c in columns] for r in rows]))
 
-    manifest = RunManifest(
-        command="experiment",
-        config=config,
-        seed=None,
-        input_hashes=input_hashes,
-        outputs={"results": "results.csv", "diversity": "diversity.csv"},
-        timings=timings,
-        errors=errors,
-        threads={
-            **{k: os.environ.get(k) for k in THREAD_VARS},
-            "cpu_count": os.cpu_count(),
-        },
-        versions=_versions(),
+    return write_manifest(
+        out, "experiment", config, None, input_hashes,
+        {"results": "results.csv", "diversity": "diversity.csv"}, timings, errors,
     )
-    write_manifest(manifest, out)
-    return manifest
 
 
 def run_from_manifest(manifest_path, out_dir, workers: int = 1) -> RunManifest:
@@ -399,8 +398,10 @@ def run_from_manifest(manifest_path, out_dir, workers: int = 1) -> RunManifest:
     version or under another numpy version, or one whose domain file, as the
     replay parses it, has changed since it was recorded.  A manifest that
     records no versions replays.  The manifest is read, checked and run as one
-    ``_read_input``, so every refusal starts with the manifest's path.
+    ``_read_input``, so every refusal starts with the manifest's path, but
+    ``workers`` below 1, which is no fault of the manifest, is refused first.
     """
+    workers = _count("workers", workers)
 
     def replay(obj) -> RunManifest:
         m = _manifest_from_obj(obj)

@@ -11,10 +11,11 @@ hashes moved and why.  Manifests are left out, since they hold timings.
 
 The set:
 - the criterion-9 grid's CSVs;
-- the grid CSVs of ``uav-plan-grid`` items 0-4 and ``tiger-oos-grid`` items
-  0-3, the benchmark's grid configs copied here at one seed per item;
-- ``uav-topk-features`` seeds 0-2: T=4 ``topk`` then ``features``, MDP and
-  MDF, through the command line;
+- every item of the benchmark's three workloads, run by
+  ``perfbench/workloads.py``'s own ``run_item``, which this file reads and
+  never edits: the grid CSVs of ``tiger-oos-grid`` items 0-3 and
+  ``uav-plan-grid`` items 0-4, and for ``uav-topk-features`` seeds 0-2 a T=4
+  ``topk`` then ``features``, MDP and MDF, through the command line;
 - tiger and uav at T=3 through the command line: ``topk``, ``solve`` for
   agents i and j, ``solve-idid``, and ``simulate --rounds 200`` in both true
   modes.
@@ -42,6 +43,8 @@ from ididiv import cli
 from ididiv.runs import ALGORITHMS, _versions, run_experiment_grid
 
 RECORD = Path(__file__).with_name("reference_outputs.json")
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import workloads  # noqa: E402  perfbench/workloads.py, the benchmark's items
 
 CRITERION_9 = {
     "domain": "tiger",
@@ -53,27 +56,6 @@ CRITERION_9 = {
     "rounds": 3,
     "seeds": [0, 1],
 }
-# The benchmark's grid workloads and their items, one seed per item.
-GRIDS = {
-    "uav-plan-grid": ((0, 1, 2, 3, 4), {
-        "domain": "uav",
-        "horizons": [3],
-        "model_counts": [3],
-        "expansions": [3],
-        "algorithms": ["IDID", "IDID-MDP", "IDID-MDF"],
-        "true_modes": ["from-set"],
-        "rounds": 50,
-    }),
-    "tiger-oos-grid": ((0, 1, 2, 3), {
-        "domain": "tiger",
-        "horizons": [3],
-        "model_counts": [4, 6],
-        "expansions": [1, 3],
-        "algorithms": ["IDID", "IDID-MDP", "IDID-MDF"],
-        "true_modes": ["random-generated"],
-        "rounds": 50,
-    }),
-}
 # The parts ``generate(..., quick=True)`` leaves out.
 SLOW = ("tiger-oos-grid",)
 
@@ -84,23 +66,15 @@ def _main(*argv) -> None:
             raise RuntimeError("ididiv %s failed" % " ".join(map(str, argv)))
 
 
-def _grids(out: Path, quick: bool) -> None:
-    run_experiment_grid(CRITERION_9, out / "criterion-9")
-    for name, (items, grid) in GRIDS.items():
+def _workloads(out: Path, quick: bool) -> None:
+    for name, wl in workloads.WORKLOADS.items():
         if quick and name in SLOW:
             continue
-        for item in items:
-            run_experiment_grid(dict(grid, seeds=[item]), out / name / ("item-%d" % item))
-
-
-def _topk_features(out: Path) -> None:
-    for seed in (0, 1, 2):
-        for measure in ("MDP", "MDF"):
-            d = out / "uav-topk-features" / ("seed-%d" % seed) / measure
-            head = ("--domain", "uav", "--seed", seed, "--out-dir", d)
-            _main(*head, "topk", "--measure", measure, "--known", 3, "--k-max", 30,
-                  "--horizon", 4)
-            _main(*head, "features", "--trees", d / "candidates.json")
+        for item in wl.items:
+            d = out / name / (("item-%d" if wl.grid else "seed-%d") % item)
+            with contextlib.redirect_stdout(io.StringIO()):
+                if not workloads.run_item(wl, item, d):
+                    raise RuntimeError("%s item %d failed" % (name, item))
 
 
 def _commands(out: Path) -> None:
@@ -121,8 +95,8 @@ def _commands(out: Path) -> None:
 def generate(out, quick: bool = False) -> dict:
     """Write the set under ``out`` and return ``{relative path: sha256}``."""
     out = Path(out)
-    _grids(out, quick)
-    _topk_features(out)
+    run_experiment_grid(CRITERION_9, out / "criterion-9")
+    _workloads(out, quick)
     _commands(out)
     return {
         p.relative_to(out).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()

@@ -289,20 +289,21 @@ class TestTopkFeaturesChain:
         with pytest.raises(TreeShapeError, match="tree branches on"):
             _run(["--out-dir", tmp_path / "sim", "simulate", "--horizon", 2,
                   "--candidates", tmp_path / "candidates.json"])
-        assert not (tmp_path / "sim" / "episodes.csv").exists()
-        assert not (tmp_path / "sim" / "manifest.json").exists()
+        assert not (tmp_path / "sim").exists()
 
     def test_topk_cap_below_the_known_set_is_refused(self, tmp_path):
         # Five distinct known trees cannot fit a cap of three; the run exits
-        # non-zero, naming both numbers, and writes no candidate set.
-        argv = ["--out-dir", str(tmp_path), "topk", "--known", "5", "--k-max", "3"]
+        # non-zero, naming both numbers, and makes no output directory.
+        argv = ["--out-dir", str(tmp_path / "out"), "topk", "--known", "5", "--k-max", "3"]
         proc = subprocess.run(
             [sys.executable, "-m", "ididiv", *argv], capture_output=True, text=True
         )
         assert proc.returncode != 0
         assert "k_max 3 is below the 5 distinct known trees" in proc.stderr
-        assert not (tmp_path / "candidates.json").exists()
-        assert not (tmp_path / "manifest.json").exists()
+        assert not (tmp_path / "out").exists()
+        with pytest.raises(ValueError, match="count must be >= 1, got 0"):
+            _run(["--out-dir", tmp_path / "none", "topk", "--known", 0])
+        assert not (tmp_path / "none").exists()
 
 
 class TestExperiment:
@@ -337,6 +338,29 @@ class TestExperiment:
         grid = run_experiment_grid(GRID, tmp_path / "grid")
         assert grid.versions == want
         assert load_manifest(tmp_path / "grid" / "manifest.json").versions == want
+
+    def test_every_manifest_has_one_shape(self, tmp_path):
+        # The command-line manifests record threads as a grid does.
+        cands = tmp_path / "topk" / "candidates.json"
+        commands = {
+            "topk": ["topk", "--horizon", 2, "--known", 2, "--k-max", 3],
+            "solve": ["solve", "--horizon", 2],
+            "features": ["features", "--trees", cands],
+            "solve-idid": ["solve-idid", "--horizon", 2, "--candidates", cands],
+            "simulate": ["simulate", "--horizon", 2, "--rounds", 2, "--candidates", cands],
+            "experiment": ["experiment"],
+        }
+        for name, argv in commands.items():
+            assert _run(["--out-dir", tmp_path / name, *argv]) == 0
+            obj = json.loads((tmp_path / name / "manifest.json").read_text())
+            assert set(obj) == {
+                "command", "config", "seed", "tool_version", "input_hashes", "outputs",
+                "timings", "errors", "threads", "versions",
+            }
+            assert set(obj["threads"]) == {
+                "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "cpu_count"
+            }
+            assert set(obj["versions"]) == {"numpy", "python"}
 
     def test_manifest_without_versions_replays(self, tmp_path):
         run_experiment_grid(GRID, tmp_path / "a")
@@ -582,17 +606,20 @@ class TestParsing:
         assert not (tmp_path / "b").exists()
 
     @pytest.mark.parametrize(
-        "argv",
-        [["topk"], ["simulate", "--candidates", "c.json"], ["experiment"]],
-        ids=["topk", "simulate", "experiment"],
+        "flag, argv",
+        [(flag, argv)
+         for flag in (("--seed", -1, ">= 0, got -1"), ("--workers", 0, ">= 1, got 0"))
+         for argv in (["topk"], ["simulate", "--candidates", "c.json"], ["experiment"])],
+        ids=["topk", "simulate", "experiment",
+             "workers-topk", "workers-simulate", "workers-experiment"],
     )
-    def test_negative_seed_is_refused_before_output(self, tmp_path, capsys, argv):
-        # numpy's SeedSequence refuses it only mid-run, after the output
-        # directory was made.
+    def test_negative_seed_is_refused_before_output(self, tmp_path, capsys, flag, argv):
+        # numpy's SeedSequence refuses a negative seed only mid-run, after the
+        # output directory was made; --workers 0 is refused, not run serially.
         with pytest.raises(SystemExit) as info:
-            _run(["--seed", -1, "--out-dir", tmp_path / "out", *argv])
+            _run([*flag[:2], "--out-dir", tmp_path / "out", *argv])
         assert info.value.code == 2
-        assert "--seed must be >= 0, got -1" in capsys.readouterr().err
+        assert "%s must be %s" % (flag[0], flag[2]) in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_missing_subcommand(self):

@@ -61,8 +61,10 @@ def _write_domain(domain, path):
     path.write_text(serialize_domain(domain))
 
 
-def _write_manifest(manifest, path):
-    write_manifest(manifest, path.parent)
+def _write_manifest(m, path):
+    write_manifest(
+        path.parent, m.command, m.config, m.seed, m.input_hashes, m.outputs, m.timings, m.errors
+    )
 
 
 def _candidates(path):

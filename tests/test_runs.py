@@ -8,7 +8,6 @@ import pytest
 from ididiv import (
     ALGORITHMS,
     DomainValidationError,
-    RunManifest,
     builtin_domain,
     load_manifest,
     run_experiment_grid,
@@ -281,6 +280,21 @@ class TestGrid:
         assert asked == pools
         assert m.errors == [] and len(m.timings["cells"]) == 2
 
+    @pytest.mark.parametrize(
+        "workers, named",
+        [(0, "workers must be >= 1, got 0"), (True, "workers: True is not")],
+        ids=["0", "True"],
+    )
+    def test_workers_below_one_refused_before_output(self, tmp_path, workers, named):
+        # Refused by name, not clamped to a serial run.
+        with pytest.raises(ValueError, match=named):
+            run_experiment_grid(SMALL_GRID, tmp_path / "out", workers=workers)
+        assert not (tmp_path / "out").exists()
+        run_experiment_grid(dict(SMALL_GRID, algorithms=["IDID"]), tmp_path / "a")
+        with pytest.raises(ValueError, match="^" + named):
+            run_from_manifest(tmp_path / "a" / "manifest.json", tmp_path / "b", workers=workers)
+        assert not (tmp_path / "b").exists()
+
     def test_manifest_roundtrip(self, tmp_path):
         run_experiment_grid(SMALL_GRID, tmp_path)
         m = load_manifest(tmp_path / "manifest.json")
@@ -313,10 +327,9 @@ class TestGrid:
             assert (tmp_path / "a" / name).read_text() == (tmp_path / "b" / name).read_text()
 
     def test_rerun_rejects_other_commands(self, tmp_path):
-        m = RunManifest(command="solve", config={}, seed=0)
-        p = write_manifest(m, tmp_path)
+        write_manifest(tmp_path, "solve", {}, 0, {}, {}, {})
         with pytest.raises(ValueError, match="not an experiment"):
-            run_from_manifest(p, tmp_path / "out")
+            run_from_manifest(tmp_path / "manifest.json", tmp_path / "out")
 
     def test_replay_refuses_changed_domain_file(self, tmp_path):
         dom = tmp_path / "dom.json"
@@ -431,24 +444,18 @@ class TestGrid:
 
 class TestManifestIo:
     def test_write_load(self, tmp_path):
-        m = RunManifest(
-            command="topk",
-            config={"m": 3},
-            seed=7,
-            input_hashes={"domain": "ab" * 32},
-            outputs={"set": "set.json"},
-            timings={"total_seconds": 0.5},
+        m = write_manifest(
+            tmp_path, "topk", {"m": 3}, 7, {"domain": "ab" * 32}, {"set": "set.json"},
+            {"total_seconds": 0.5},
         )
-        p = write_manifest(m, tmp_path)
-        back = load_manifest(p)
+        back = load_manifest(tmp_path / "manifest.json")
         assert back == m
 
     def test_json_is_stable(self, tmp_path):
-        m = RunManifest(command="topk", config={"m": 3}, seed=7)
-        (tmp_path / "1").mkdir()
-        (tmp_path / "2").mkdir()
-        p1 = write_manifest(m, tmp_path / "1")
-        p2 = write_manifest(m, tmp_path / "2")
+        p1, p2 = tmp_path / "1" / "manifest.json", tmp_path / "2" / "manifest.json"
+        for p in (p1, p2):
+            p.parent.mkdir()
+            write_manifest(p.parent, "topk", {"m": 3}, 7, {}, {}, {})
         assert p1.read_text() == p2.read_text()
         obj = json.loads(p1.read_text())
         assert obj["tool_version"] == "0.1.0"
@@ -462,7 +469,8 @@ class TestManifestIo:
         ids=["unknown", "missing"],
     )
     def test_malformed_manifest_named(self, tmp_path, edit, named):
-        p = write_manifest(RunManifest(command="experiment", config={}, seed=None), tmp_path)
+        write_manifest(tmp_path, "experiment", {}, None, {}, {}, {})
+        p = tmp_path / "manifest.json"
         obj = json.loads(p.read_text())
         edit(obj)
         p.write_text(json.dumps(obj))
