@@ -18,8 +18,8 @@ The uav chase's ``obs_fn_i``, ``obs_fn_j``, ``reward_i`` and ``reward_j``
 depend on the state only, so each is a read-only ``np.broadcast_to`` view of
 one row per state.  Every reader indexes them as it would dense tables and
 sums over a fresh product with ``np.add.reduce``, so a view and its dense
-copy give the same floats.  A pickled domain, as a pool worker receives it,
-carries each view as its rows and is rebuilt with the same views.
+copy give the same floats.  A pickled domain (a spawn or forkserver pool
+worker's) carries each view as its rows and is rebuilt with the same views.
 
 A ``SingleAgentModel`` (``project_level0``) has one form: dense tables,
 transition [S, A, S'], and dense beliefs.  Its ``expected_reward``,
@@ -65,6 +65,10 @@ __all__ = [
 
 _TOL = 1e-12
 _LABELS = ("states", "actions_i", "actions_j", "observations_i", "observations_j")
+# Each domain file key's JSON kind; all but ``start`` are required.  The reader
+# checks ``horizon``, and ``transition`` after the labels.
+_DOMAIN_KINDS = dict(name=str, **dict.fromkeys(_LABELS, list), horizon=None, transition=None,
+                     **dict.fromkeys(("obs_i", "obs_j", "reward_i", "reward_j", "start"), list))
 # The most nodes a complete policy tree of either agent may have at a
 # domain's horizon: tiger T=5 needs 1,555 for agent i, T=6 9,331; uav T=5
 # needs 341, T=6 1,365 and T=7 5,461.  A horizon past it is refused before
@@ -860,22 +864,17 @@ def domain_to_obj(domain: PosgDomain) -> dict:
 
 def domain_from_obj(obj: dict) -> PosgDomain:
     """The domain a ``domain_to_obj`` mapping describes, validated.  Nothing
-    is coerced: the name is a non-empty string, and no number is a bool or
-    a string."""
-    required = ["name", *_LABELS, "horizon", "transition",
-                "obs_i", "obs_j", "reward_i", "reward_j"]
-    _check_keys("domain file", obj, [*required, "start"], DomainValidationError)
-    missing = [k for k in required if k not in obj]
-    if missing:
-        raise DomainValidationError("missing keys: %s" % ", ".join(missing))
+    is coerced: the name is a non-empty string, each label list and table a
+    list, and no number is a bool or a string."""
+    required = [key for key in _DOMAIN_KINDS if key != "start"]
+    _check_keys("domain file", obj, _DOMAIN_KINDS, required, DomainValidationError)
     labels = {name: _check_labels(name, obj[name]) for name in _LABELS}
     entries = obj["transition"]
     if not isinstance(entries, list):
         raise DomainValidationError("transition: expected a list of entries")
     horizon = _count("horizon", obj["horizon"], error=DomainValidationError)
-    name = obj["name"]
-    if not isinstance(name, str) or not name:
-        raise DomainValidationError("name: %r is not a non-empty string" % (name,))
+    if not obj["name"]:
+        raise DomainValidationError("name: '' is not a non-empty string")
     S = len(labels["states"])
     shape = (S, len(labels["actions_i"]), len(labels["actions_j"]), S)
 
@@ -883,7 +882,7 @@ def domain_from_obj(obj: dict) -> PosgDomain:
         return np.asarray(_as_written(key, obj[key], DomainValidationError), dtype=float)
 
     return PosgDomain(
-        name=name,
+        name=obj["name"],
         **labels,
         transition=JointTransition.from_entries(entries, shape),
         obs_fn_i=table("obs_i"),

@@ -27,6 +27,7 @@ import itertools
 import os
 import sys
 import time
+import typing
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -72,6 +73,8 @@ _GRID_DEFAULTS = {
     "patience": 20,
 }
 
+# Each grid config key's JSON kind: an axis, whose default is a list, is a list.
+_GRID_KINDS = {key: list if isinstance(v, list) else None for key, v in _GRID_DEFAULTS.items()}
 # Smallest value each numeric grid axis accepts.
 _AXIS_MIN = {"horizons": 1, "model_counts": 1, "expansions": 0, "seeds": 0}
 
@@ -120,16 +123,6 @@ def write_manifest(
     return m
 
 
-# Each manifest field's JSON type, as json.loads gives it, and its name.
-_MANIFEST_TYPES = {
-    "command": (str, "a string"), "tool_version": (str, "a string"),
-    "seed": ((int, type(None)), "an integer or null"), "config": (dict, "an object"),
-    "input_hashes": (dict, "an object"), "outputs": (dict, "an object"),
-    "timings": (dict, "an object"), "threads": (dict, "an object"), "errors": (list, "a list"),
-    "versions": (dict, "an object"),
-}
-
-
 def _versions() -> dict:
     """The numpy and Python versions a manifest records; every stream comes
     from numpy's Generator, so a replay refuses another numpy version."""
@@ -138,14 +131,9 @@ def _versions() -> dict:
 
 def _manifest_from_obj(obj) -> RunManifest:
     """The manifest a parsed manifest file describes; an unknown or missing
-    key, or a field of another JSON type, is named."""
-    _check_keys("manifest", obj, [f.name for f in dataclasses.fields(RunManifest)])
-    m = RunManifest(**{"seed": None, "tool_version": "unknown", **obj})
-    for key, (kind, name) in _MANIFEST_TYPES.items():
-        value = getattr(m, key)
-        if isinstance(value, bool) or not isinstance(value, kind):
-            raise ValueError("%s: %r is not %s" % (key, value, name))
-    return m
+    key, or a field of another kind than ``RunManifest`` declares, is named."""
+    _check_keys("manifest", obj, typing.get_type_hints(RunManifest), ("command", "config"))
+    return RunManifest(**{"seed": None, "tool_version": "unknown", **obj})
 
 
 def load_manifest(path) -> RunManifest:
@@ -172,15 +160,13 @@ def normalize_grid_config(obj: dict) -> dict:
     Axes must be non-empty lists without a repeated value, and the numeric
     axes, ``rounds`` and ``patience`` must hold integers; nothing is coerced.
     """
-    _check_keys("grid config", obj, _GRID_DEFAULTS)
+    _check_keys("grid config", obj, _GRID_KINDS)
     cfg = dict(_GRID_DEFAULTS)
     cfg.update(obj)
     _check_domain_name(cfg["domain"])
     allowed = {"algorithms": ALGORITHMS, "true_modes": TRUE_MODES}
     for key in (*_AXIS_MIN, *allowed):
         values = cfg[key]
-        if not isinstance(values, (list, tuple)):
-            raise ValueError("%s must be a list, got %r" % (key, values))
         if not values:
             raise ValueError("%s must be non-empty" % key)
         if key in _AXIS_MIN:

@@ -8,6 +8,7 @@ size cap or after ``patience`` consecutive non-improving samples.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import InitVar, dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -36,6 +37,8 @@ __all__ = [
 ]
 
 MEASURES = {"MDP": mdp, "MDF": mdf}
+_CANDIDATE_KINDS = dict(trees=list, prior=None, provenance=list, n_observations=None,
+                        measure=None, trace=list)
 # The most consecutive rejected draws a selection waits through.  A draw
 # took 0.04-1.5 ms (tiger T=2-3, uav T=3-4, on a 2-vCPU VM), so 10,000 of
 # them take 0.4-15 s.
@@ -198,17 +201,15 @@ def candidate_set_from_obj(obj) -> CandidateModelSet:
     """The candidate set a parsed candidate file describes.  Numbers are read
     as written: ``prior`` holds numbers, each ``trace`` entry is [integer,
     number], and ``measure`` is null, "MDP" or "MDF"."""
-    keys = ("trees", "prior", "provenance", "n_observations", "measure", "trace")
-    _check_keys("candidate file", obj, keys)
-    for key in ("trees", "n_observations"):
-        if key not in obj:
-            raise ValueError("a candidate file needs %r" % key)
-    if not isinstance(obj["trees"], list) or not all(isinstance(t, str) for t in obj["trees"]):
+    _check_keys("candidate file", obj, _CANDIDATE_KINDS, ("trees", "n_observations"))
+    if not all(isinstance(t, str) for t in obj["trees"]):
         raise ValueError("'trees' is a list of tree encodings")
-    trace = _as_written("trace", obj.get("trace", []))
-    if not isinstance(trace, list):
-        raise ValueError("trace: %r is not a list" % (trace,))
-    trace = [(_integer("trace", k), float(v)) for k, v in trace]
+    trace = []
+    for entry in _as_written("trace", obj.get("trace", [])):
+        if not (isinstance(entry, (list, tuple)) and len(entry) == 2
+                and isinstance(entry[1], numbers.Real)):
+            raise ValueError("trace: %r is not [integer, number]" % (entry,))
+        trace.append((_integer("trace", entry[0]), float(entry[1])))
     prior = np.asarray(_as_written("prior", obj["prior"]), dtype=float) if "prior" in obj else None
     measure = obj.get("measure")
     if measure not in (None, *MEASURES):

@@ -23,7 +23,7 @@ hashes the same bytes, and its errors start with the path.
 ``_as_written`` is the one rule for the numbers in such a file: a bool or a
 string where a number belongs is refused, never converted.  ``_integer`` is
 the one rule for an integer, and ``_count`` for a count, a horizon included.
-``_check_keys`` refuses a key the reader does not know.
+``_check_keys`` is the one rule for an input file's keys and their JSON kinds.
 """
 
 from __future__ import annotations
@@ -382,13 +382,26 @@ def _count(key: str, x, bound: int | None = None, error: type = ValueError) -> i
     return x
 
 
-def _check_keys(noun: str, obj, keys, error: type = ValueError) -> None:
-    """``error`` unless ``obj``, a ``noun``, is a JSON object keyed within ``keys``."""
+# Each kind a key may be declared: its JSON types (a caller's tuple is a list), its name.
+_KINDS = {list: ((list, tuple), "a list"), dict: ((dict,), "an object"), str: ((str,), "a string"),
+          int | None: ((int, type(None)), "an integer or null")}
+
+
+def _check_keys(noun: str, obj, kinds: dict, required=(), error: type = ValueError) -> None:
+    """``error`` unless ``obj``, a ``noun``, is a JSON object keyed within
+    ``kinds`` and holding each ``required`` key, whose values have exactly a
+    type of their key's kind, so a bool is no integer; kind None: unchecked."""
     if not isinstance(obj, dict):
         raise error("a %s is a JSON object, not a %s" % (noun, type(obj).__name__))
-    unknown = set(obj) - set(keys)
+    unknown = set(obj) - set(kinds)
     if unknown:
         raise error("unknown %s keys: %s" % (noun, ", ".join(sorted(map(str, unknown)))))
+    missing = [key for key in required if key not in obj]
+    if missing:
+        raise error("missing %s keys: %s" % (noun, ", ".join(missing)))
+    for key, value in obj.items():
+        if kinds[key] is not None and type(value) not in _KINDS[kinds[key]][0]:
+            raise error("%s: %r is not %s" % (key, value, _KINDS[kinds[key]][1]))
 
 
 def _read_input(path, build: Callable) -> tuple[object, str]:

@@ -423,24 +423,32 @@ class TestParsing:
         "obj, message",
         [
             ([1, 2], "a candidate file is a JSON object, not a list"),
-            ({"n_observations": 2}, "a candidate file needs 'trees'"),
-            ({"trees": ["1;;A"]}, "a candidate file needs 'n_observations'"),
-            ({"trees": "1;;A", "n_observations": 2}, "'trees' is a list of tree encodings"),
+            ({"n_observations": 2}, "missing candidate file keys: trees$"),
+            ({"trees": ["1;;A"]}, "missing candidate file keys: n_observations$"),
+            ({}, "missing candidate file keys: trees, n_observations$"),
+            ({"trees": "1;;A", "n_observations": 2}, "trees: '1;;A' is not a list$"),
+            ({"trees": [1], "n_observations": 2}, "'trees' is a list of tree encodings"),
             ({"trees": ["1;;A"], "n_observations": "two"},
              "n_observations: 'two' is not an integer"),
             (
                 {"trees": ["1;;A", "1;;B"], "n_observations": 2, "prior": [1.0]},
                 r"prior shape \(1,\) for 2 trees",
             ),
-            ({"trees": ["1;;A"], "n_observations": 2, "trace": [[1]]}, "not enough values"),
+            ({"trees": ["1;;A"], "n_observations": 2, "trace": [[1]]},
+             r"trace: \[1\] is not \[integer, number\]$"),
+            ({"trees": ["1;;A"], "n_observations": 2, "trace": [[1, None]]},
+             r"trace: \[1, None\] is not \[integer, number\]$"),
+            ({"trees": ["1;;A"], "n_observations": 2, "provenance": 5},
+             "provenance: 5 is not a list$"),
             (
                 {"trees": ["1;;A"], "n_observations": 2, "prior": [float("nan")]},
                 "prior must be a distribution",
             ),
         ],
         ids=[
-            "list", "no-trees", "no-n_observations", "trees-string",
-            "n_observations-string", "short-prior", "short-trace", "nan-prior",
+            "list", "no-trees", "no-n_observations", "no-keys", "trees-string", "trees-numbers",
+            "n_observations-string", "short-prior", "short-trace", "null-trace",
+            "provenance-number", "nan-prior",
         ],
     )
     def test_candidate_file_without_its_keys_is_named(self, tmp_path, obj, message):
@@ -472,7 +480,8 @@ class TestParsing:
         [
             (["--domain", "{}", "solve"], lambda: [1, 2],
              "a domain file is a JSON object, not a list"),
-            (["--domain", "{}", "solve"], lambda: {"name": "x"}, "missing keys: states, "),
+            (["--domain", "{}", "solve"], lambda: {"name": "x"},
+             "missing domain file keys: states, actions_i, actions_j, observations_i, "),
             (["--domain", "{}", "solve"], lambda: _tiger2_obj(horizon=[2]),
              r"horizon: \[2\] is not an integer"),
             (["--domain", "{}", "solve"], lambda: _tiger2_obj(horizon=2.7),
@@ -482,7 +491,7 @@ class TestParsing:
             (["--domain", "{}", "solve"], lambda: _tiger2_obj(horizon=True),
              "horizon: True is not an integer"),
             (["--domain", "{}", "solve"], lambda: _tiger2_obj(name=5),
-             "name: 5 is not a non-empty string"),
+             "name: 5 is not a string$"),
             (["--domain", "{}", "solve"], lambda: _tiger2_obj(name=""),
              "name: '' is not a non-empty string"),
             (["--domain", "{}", "solve"], lambda: _tiger2_edit("reward_i", (0, 0, 0), "-1.0"),
@@ -491,6 +500,15 @@ class TestParsing:
              "start: (True|False) is not a number"),
             (["--domain", "{}", "solve"], lambda: _tiger2_edit("transition", (0, 4), True),
              "transition: True is not a number"),
+            (["--domain", "{}", "solve"], lambda: _tiger2_obj(states="ab"),
+             "states: 'ab' is not a list$"),
+            (["--domain", "{}", "solve"],
+             lambda: _tiger2_obj(states={"TigerLeft": 0, "TigerRight": 1}),
+             "states: {'TigerLeft': 0, 'TigerRight': 1} is not a list$"),
+            (["--domain", "{}", "solve"], lambda: _tiger2_obj(observations_j="LR"),
+             "observations_j: 'LR' is not a list$"),
+            (["--domain", "{}", "solve"], lambda: _tiger2_obj(obs_i=5),
+             "obs_i: 5 is not a list$"),
             (["--domain", "{}", "solve"], lambda: _tiger2_obj(strat=[0.5, 0.5]),
              "unknown domain file keys: strat"),
             (["features", "--trees", "{}"], lambda: _candidates_obj(prior=["0.5", "0.5"]),
@@ -514,7 +532,7 @@ class TestParsing:
             (["features", "--trees", "{}"], lambda: _candidates_obj(trees=["%d;a,b;x" % 10**9]),
              "'1000000000;a,b;x': its actions form a tree of depth 1$"),
             (["experiment", "--config", "{}"], lambda: {"seeds": "x"},
-             "seeds must be a list, got 'x'"),
+             "seeds: 'x' is not a list$"),
             (["experiment", "--config", "{}"], lambda: {"rounds": 0}, "rounds must be >= 1"),
             (["experiment", "--config", "{}"], lambda: {"rounds": 10**30},
              "rounds must be <= 100000, got 10{30}$"),
@@ -533,7 +551,8 @@ class TestParsing:
         ids=[
             "domain-list", "domain-no-keys", "horizon-list", "horizon-float",
             "horizon-string", "horizon-bool", "name-number", "name-empty",
-            "reward-string", "start-bools", "probability-bool", "domain-unknown-key",
+            "reward-string", "start-bools", "probability-bool", "states-string",
+            "states-object", "observations-string", "obs-number", "domain-unknown-key",
             "prior-strings", "prior-bools", "trace-strings", "trace-bool", "trace-float-size",
             "trace-object", "measure-number", "candidates-unknown-key",
             "tree-depth-20000", "tree-depth-1e9",

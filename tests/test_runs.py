@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +40,22 @@ SMALL_GRID = {
     "seeds": [0, 1],
 }
 
+# A grid run inline, then by a pool of two spawned workers, in a fresh
+# process; it prints the name of each domain pickled.
+_SPAWN_GRID = """
+import multiprocessing, os, sys
+from ididiv import domains, runs
+
+multiprocessing.set_start_method("spawn")
+os.cpu_count = lambda: 2  # the pool asks for no more workers than CPUs
+pickled = []
+reduce = domains.PosgDomain.__reduce__
+domains.PosgDomain.__reduce__ = lambda self: pickled.append(self.name) or reduce(self)
+for workers in (1, 2):
+    runs.run_experiment_grid(%s, os.path.join(sys.argv[1], str(workers)), workers=workers)
+print(pickled)
+"""
+
 
 class TestConfig:
     def test_defaults_filled(self):
@@ -46,6 +64,10 @@ class TestConfig:
         assert cfg["horizons"] == [3]
         assert cfg["algorithms"] == list(ALGORITHMS)
         assert cfg["rounds"] == 50
+
+    def test_axis_may_be_a_tuple(self):
+        # A Python caller may pass an axis as a tuple; it is read as a list.
+        assert normalize_grid_config({"seeds": (0, 1)})["seeds"] == [0, 1]
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="unknown grid config keys"):
@@ -250,6 +272,25 @@ class TestGrid:
             assert (tmp_path / "one" / name).read_text() == (
                 tmp_path / "two" / name
             ).read_text()
+
+    def test_spawned_pool_matches_inline(self, tmp_path):
+        # Under fork a worker inherits its domain; under spawn (the default
+        # on macOS and Windows) it receives the domain pickled.
+        code = _SPAWN_GRID % json.dumps(
+            {"domain": "uav", "horizons": [3], "model_counts": [2], "expansions": [1],
+             "algorithms": ["IDID-MDF"], "rounds": 3, "seeds": [0, 1]}
+        )
+        src = str(Path(runs.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p
+        ))
+        out = subprocess.run(
+            [sys.executable, "-c", code, str(tmp_path)], env=env, capture_output=True,
+            text=True, timeout=120, check=True,
+        )
+        assert out.stdout == "['uav', 'uav']\n"
+        for name in ("results.csv", "diversity.csv"):
+            assert (tmp_path / "1" / name).read_text() == (tmp_path / "2" / name).read_text()
 
     @pytest.mark.parametrize("cpus, pools", [(64, [2]), (1, [])])
     def test_pool_is_no_larger_than_cells_or_cpus(self, tmp_path, monkeypatch, cpus, pools):
@@ -464,9 +505,11 @@ class TestManifestIo:
         "edit, named",
         [
             (lambda obj: obj.update(bogus=1), "unknown manifest keys: bogus$"),
-            (lambda obj: obj.pop("command"), "missing 1 required positional argument: 'command'"),
+            (lambda obj: obj.pop("command"), "missing manifest keys: command$"),
+            (lambda obj: obj.update(seed=True), "seed: True is not an integer or null$"),
+            (lambda obj: obj.update(errors={}), r"errors: \{\} is not a list$"),
         ],
-        ids=["unknown", "missing"],
+        ids=["unknown", "missing", "seed-bool", "errors-object"],
     )
     def test_malformed_manifest_named(self, tmp_path, edit, named):
         write_manifest(tmp_path, "experiment", {}, None, {}, {}, {})
