@@ -11,8 +11,9 @@ between a chaser (i) and a fugitive (j) heading for a safe-house corner.
 A domain's joint transition has one type:
 ``JointTransition``, the [S, Ai, Aj, S'] table as CSR arrays, 0.62 MB for
 the uav chase instead of a 79 MB dense array.  A domain file lists its
-entries.  A ``PosgDomain`` runs ``validate_domain`` when it is built, so
-every domain that exists has passed it.
+entries.  A ``PosgDomain`` or a ``SingleAgentModel`` runs its check when it
+is built, so every domain and model that exists has passed it.  Label lists
+are stored as tuples of strings.
 
 The uav chase's ``obs_fn_i``, ``obs_fn_j``, ``reward_i`` and ``reward_j``
 depend on the state only, so each is a read-only ``np.broadcast_to`` view of
@@ -52,8 +53,6 @@ __all__ = [
     "JointTransition",
     "SingleAgentModel",
     "PosgDomain",
-    "validate_model",
-    "validate_domain",
     "builtin_domain",
     "BUILTIN_DOMAINS",
     "project_level0",
@@ -136,7 +135,7 @@ class JointTransition:
         that is not an integer inside ``shape`` and a repeated (s, ai, aj, s')
         raise DomainValidationError naming the entry, and a bool or string
         in any entry one naming the value: numbers are read as written.
-        ``validate_domain`` checks the values of p.
+        A ``PosgDomain`` checks the values of p when it is built.
         """
         S, Ai, Aj, S2 = shape = tuple(int(n) for n in shape)
         try:
@@ -243,7 +242,9 @@ class SingleAgentModel:
     ``condition`` are the model interface the solver and the sampler read;
     ``flattening.FlatModel`` offers the same three over sparse beliefs.
     Construction freezes the caller's arrays in place rather than copying
-    them.
+    them.  A model is valid once it exists: construction,
+    ``dataclasses.replace`` and unpickling all run the model check, which
+    raises DomainValidationError naming the table and row at fault.
     """
 
     name: str
@@ -257,8 +258,11 @@ class SingleAgentModel:
     horizon: int
 
     def __post_init__(self) -> None:
+        for name in ("states", "actions", "observations"):
+            object.__setattr__(self, name, _check_labels(name, getattr(self, name)))
         for name in ("transition", "obs_fn", "reward", "initial_belief"):
             object.__setattr__(self, name, _freeze(getattr(self, name)))
+        _validate_model(self)
 
     def __reduce__(self):
         # Rebuild through __init__, so the arrays come back read-only.
@@ -307,7 +311,7 @@ class PosgDomain:
     joint table would add 0.59 MiB to a build that peaks near 1.3 MiB.
 
     A domain is valid once it exists: construction, ``dataclasses.replace``
-    and unpickling all run ``validate_domain``, which raises
+    and unpickling all run the domain check, which raises
     DomainValidationError naming the table and row at fault.
     """
 
@@ -327,6 +331,8 @@ class PosgDomain:
     level0: Mapping[str, SingleAgentModel] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        for name in _LABELS:
+            object.__setattr__(self, name, _check_labels(name, getattr(self, name)))
         if not isinstance(self.transition, JointTransition):
             raise DomainValidationError(
                 "transition: %s, expected a JointTransition"
@@ -334,7 +340,6 @@ class PosgDomain:
             )
         for name in ("obs_fn_i", "obs_fn_j", "reward_i", "reward_j"):
             object.__setattr__(self, name, _freeze(getattr(self, name)))
-        # Divided after filling, so no state (refused below) divides by zero.
         n = len(self.states)
         start = np.full(n, 1.0) / n if self.start is None else self.start
         object.__setattr__(self, "start", _freeze(np.array(start, dtype=float)))
@@ -343,7 +348,7 @@ class PosgDomain:
             for k, m in self.level0.items()
         }
         object.__setattr__(self, "level0", MappingProxyType(level0))
-        validate_domain(self)
+        _validate_domain(self)
 
     def __reduce__(self):
         # A mappingproxy does not pickle, so rebuild through __init__ from
@@ -364,7 +369,14 @@ def _unpickle_domain(kw: dict, tables: dict) -> PosgDomain:
 
 
 def _check_labels(path: str, labels: Sequence[str]) -> tuple[str, ...]:
+    """The labels as a tuple: a non-empty list of distinct strings, none
+    empty or holding a reserved character."""
+    if not isinstance(labels, (list, tuple)):
+        raise DomainValidationError("%s: %r is not a list" % (path, labels))
     tup = tuple(labels)
+    for label in tup:
+        if not isinstance(label, str):
+            raise DomainValidationError("%s: label %r is not a string" % (path, label))
     if len(tup) == 0:
         raise DomainValidationError("%s: empty label list" % path)
     if len(set(tup)) != len(tup):
@@ -454,11 +466,9 @@ def _check_csr(path: str, T: JointTransition) -> None:
         raise DomainValidationError("%s[:, %d, %d]: %s" % (path, *divmod(pair, Aj), fault))
 
 
-def validate_model(m: SingleAgentModel) -> None:
+def _validate_model(m: SingleAgentModel) -> None:
     """Raise DomainValidationError naming the offending table and row."""
-    S = len(_check_labels("states", m.states))
-    A = len(_check_labels("actions", m.actions))
-    O = len(_check_labels("observations", m.observations))
+    S, A, O = len(m.states), len(m.actions), len(m.observations)
     _count("horizon", m.horizon, error=DomainValidationError)
     _check_shape("transition", m.transition, (S, A, S))
     _check_rows("transition", m.transition)
@@ -485,8 +495,8 @@ def _check_tree_size(horizon: int, agent: str, n_obs: int) -> None:
         )
 
 
-def validate_domain(d: PosgDomain) -> None:
-    S, Ai, Aj, Oi, Oj = (len(_check_labels(k, getattr(d, k))) for k in _LABELS)
+def _validate_domain(d: PosgDomain) -> None:
+    S, Ai, Aj, Oi, Oj = (len(getattr(d, k)) for k in _LABELS)
     horizon = _count("horizon", d.horizon, error=DomainValidationError)
     _check_tree_size(horizon, "i", Oi)
     _check_tree_size(horizon, "j", Oj)
@@ -511,7 +521,6 @@ def validate_domain(d: PosgDomain) -> None:
         if (model.actions, model.observations) != want:
             raise DomainValidationError("level0: agent %s's view is over %r, not its %r" % (
                 agent, (model.actions, model.observations), want))
-        validate_model(model)
 
 
 # ---------------------------------------------------------------- tiger ----

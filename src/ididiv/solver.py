@@ -10,9 +10,9 @@ go to the earlier action in the declared order.  Both skip observation
 branches whose probability is exactly zero, so they agree on the returned
 tree, not just its value.
 
-A model is read through three methods only (``Model``): the expected
-reward of an action at a belief, the predicted belief after an action, and
-the probability of an observation with the posterior it leaves.  A belief is
+A model is read through three methods only: the expected reward of an
+action at a belief, the predicted belief after an action, and the
+probability of an observation with the posterior it leaves.  A belief is
 whatever the model's ``initial_belief`` and those methods pass around: a
 dense vector for ``domains.SingleAgentModel``, a sparse (keys, vals) pair
 for ``flattening.FlatModel``.  Both models sum in a fixed order with numpy
@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Any, Protocol
 
 import numpy as np
 
@@ -41,7 +40,6 @@ from .trees import PolicyTree, count_tree_nodes, count_trees, node_table, valida
 
 __all__ = [
     "TIE_TOL",
-    "Model",
     "EnumerationCapError",
     "SolvedPolicy",
     "solve_exact",
@@ -62,30 +60,6 @@ class EnumerationCapError(RuntimeError):
     """Brute-force enumeration would exceed the requested tree cap."""
 
 
-class Model(Protocol):
-    """What the solver and the tree sampler read of a model.
-
-    ``solve_exact`` takes a level-0 ``SingleAgentModel`` or a flattened
-    ``FlatModel``; ``generation.sample_tree`` takes the level-0 model itself.
-    """
-
-    name: str
-    actions: tuple[str, ...]
-    observations: tuple[str, ...]
-    initial_belief: Any
-    horizon: int
-
-    def expected_reward(self, b, a: int) -> float:
-        """Sum over states of b times the reward of action a."""
-
-    def predict(self, b, a: int):
-        """The belief after action a from b, before observing."""
-
-    def condition(self, pred, a: int, o: int) -> tuple[float, Any]:
-        """Pr(o) under ``pred`` after action a, and the posterior, or None
-        when that probability is zero."""
-
-
 @dataclass(frozen=True)
 class SolvedPolicy:
     tree: PolicyTree
@@ -93,7 +67,7 @@ class SolvedPolicy:
 
 
 def _backup(
-    model: Model,
+    model,
     b,
     remaining: int,
     follow: tuple[tuple[str, ...], np.ndarray] | None = None,
@@ -142,7 +116,7 @@ def _backup(
     return best_v, row
 
 
-def solve_exact(model: Model) -> SolvedPolicy:
+def solve_exact(model) -> SolvedPolicy:
     """Optimal complete policy tree for the model's horizon.
 
     Backward induction over the beliefs reachable from the initial belief.
@@ -155,23 +129,22 @@ def solve_exact(model: Model) -> SolvedPolicy:
     return SolvedPolicy(tree=tree, value=v)
 
 
-def evaluate_policy(model: Model, tree: PolicyTree) -> float:
+def evaluate_policy(model, tree: PolicyTree) -> float:
     """Expected cumulative reward of a complete tree from the initial belief.
 
     The tree must have the model's horizon as depth and branch on the
     model's observation alphabet.  For another belief, evaluate
     ``dataclasses.replace(model, initial_belief=...)`` with a belief in the
-    model's own form: a dense vector for a SingleAgentModel, an ascending
-    (keys, vals) pair of augmented indices and probabilities for a FlatModel.
+    model's own form: a dense vector for a SingleAgentModel, which the replace
+    checks is a distribution over its states, or an ascending (keys, vals)
+    pair of augmented indices and probabilities for a FlatModel.
     """
     validate_tree(tree, model.observations, depth=model.horizon, actions=model.actions)
     kids = node_table(len(model.observations), model.horizon).children
     return _backup(model, model.initial_belief, model.horizon, (tree.preorder, kids))[0]
 
 
-def brute_force_solve(
-    model: Model, max_trees: int = 200_000
-) -> SolvedPolicy:
+def brute_force_solve(model, max_trees: int = 200_000) -> SolvedPolicy:
     """Enumerate every complete tree and keep the best.
 
     Near ties (``TIE_TOL``) keep the lexicographically earlier tree

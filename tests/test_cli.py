@@ -507,6 +507,8 @@ class TestParsing:
              "states: {'TigerLeft': 0, 'TigerRight': 1} is not a list$"),
             (["--domain", "{}", "solve"], lambda: _tiger2_obj(observations_j="LR"),
              "observations_j: 'LR' is not a list$"),
+            (["--domain", "{}", "solve"], lambda: _tiger2_obj(states=[1, 2]),
+             "states: label 1 is not a string$"),
             (["--domain", "{}", "solve"], lambda: _tiger2_obj(obs_i=5),
              "obs_i: 5 is not a list$"),
             (["--domain", "{}", "solve"], lambda: _tiger2_obj(strat=[0.5, 0.5]),
@@ -552,7 +554,8 @@ class TestParsing:
             "domain-list", "domain-no-keys", "horizon-list", "horizon-float",
             "horizon-string", "horizon-bool", "name-number", "name-empty",
             "reward-string", "start-bools", "probability-bool", "states-string",
-            "states-object", "observations-string", "obs-number", "domain-unknown-key",
+            "states-object", "observations-string", "states-numbers", "obs-number",
+            "domain-unknown-key",
             "prior-strings", "prior-bools", "trace-strings", "trace-bool", "trace-float-size",
             "trace-object", "measure-number", "candidates-unknown-key",
             "tree-depth-20000", "tree-depth-1e9",

@@ -17,8 +17,6 @@ from ididiv import (
     load_domain,
     project_level0,
     serialize_domain,
-    validate_domain,
-    validate_model,
 )
 from ididiv.domains import domain_from_obj, domain_to_obj
 
@@ -55,7 +53,8 @@ def _set_p(s, ai, aj, s2, p):
 
 class TestTiger:
     def test_validates(self, tiger):
-        validate_domain(tiger)
+        # Built through the check; a rebuild passes it again.
+        assert dataclasses.replace(tiger).states == tiger.states
 
     def test_shapes(self, tiger):
         assert tiger.states == ("TigerLeft", "TigerRight")
@@ -110,7 +109,6 @@ class TestTiger:
 
 class TestTigerLevel0:
     def test_projection_shape(self, tiger_j):
-        validate_model(tiger_j)
         assert len(tiger_j.states) == 2
         assert tiger_j.actions == ("OpenLeft", "OpenRight", "Listen")
         assert tiger_j.observations == ("GrowlLeft", "GrowlRight")
@@ -134,13 +132,11 @@ class TestTigerLevel0:
 
     def test_subject_projection(self, tiger):
         m = project_level0(tiger, "i")
-        validate_model(m)
         assert m.observations == tiger.observations_i
 
 
 class TestUav:
     def test_validates(self, uav):
-        validate_domain(uav)
         assert len(uav.states) == 628
         assert uav.actions_i == ("N", "S", "E", "W", "Stay")
         assert len(uav.observations_i) == 4
@@ -254,7 +250,6 @@ class TestUav:
 class TestUavLevel0:
     def test_prebuilt_view(self, uav):
         m = project_level0(uav, "j")
-        validate_model(m)
         assert len(m.states) == 25
         assert m.observations == uav.observations_j
         assert m.horizon == uav.horizon
@@ -370,40 +365,77 @@ class TestValidation:
         tiger = builtin_domain("tiger", 2)
         view = project_level0(tiger, "j")
         assert dataclasses.replace(tiger, level0={"j": view}).level0["j"] is view
-        labels = getattr(view, field) + ("C",)
+        # As many labels as the view's, so its own shape check passes and
+        # the domain's alphabet rule is what refuses it.
+        labels = tuple(x + "C" for x in getattr(view, field))
         with pytest.raises(DomainValidationError, match=r"level0: agent j's view") as err:
             dataclasses.replace(tiger, level0={"j": dataclasses.replace(view, **{field: labels})})
         assert repr(labels) in str(err.value)
         assert repr((tiger.actions_j, tiger.observations_j)) in str(err.value)
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"horizon": 2.5}, "horizon: 2.5 is not an integer$"),
+            ({"initial_belief": [0.7, 0.7]}, r"initial_belief: row \(\) sums to 1.3999"),
+            ({"states": ("a", "a")}, r"states: duplicate labels in \('a', 'a'\)$"),
+            ({"observations": "AB"}, "observations: 'AB' is not a list$"),
+        ],
+        ids=["horizon-float", "belief-sum", "states-repeated", "observations-string"],
+    )
+    def test_level0_view_refused_when_built(self, change, message):
+        # Each used to build, and to solve or generate known models.
+        j = project_level0(builtin_domain("tiger", 3), "j")
+        with pytest.raises(DomainValidationError, match=message):
+            dataclasses.replace(j, **change)
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"actions_j": ("OpenLeft", 3, "Listen")}, "actions_j: label 3 is not a string$"),
+            ({"observations_j": "AB"}, "observations_j: 'AB' is not a list$"),
+        ],
+        ids=["label-number", "labels-string"],
+    )
+    def test_label_list_refused_when_built(self, change, message):
+        with pytest.raises(DomainValidationError, match=message):
+            dataclasses.replace(builtin_domain("tiger", 2), **change)
+
+    def test_label_lists_are_stored_as_tuples(self):
+        tiger = builtin_domain("tiger", 2)
+        d = dataclasses.replace(tiger, states=["TigerLeft", "TigerRight"])
+        assert type(d.states) is tuple and d.states == tiger.states
+        j = dataclasses.replace(project_level0(tiger, "j"), actions=list(tiger.actions_j))
+        assert type(j.actions) is tuple and j.actions == tiger.actions_j
 
     def test_negative_probability(self, tiger_j):
         obs = np.array(tiger_j.obs_fn)
         obs[0, 0, 0] = -0.1
         obs[0, 0, 1] = 1.1
         with pytest.raises(DomainValidationError):
-            validate_model(dataclasses.replace(tiger_j, obs_fn=obs))
+            dataclasses.replace(tiger_j, obs_fn=obs)
 
     def test_duplicate_labels(self, tiger_j):
         with pytest.raises(DomainValidationError, match="duplicate"):
-            validate_model(dataclasses.replace(tiger_j, states=("x", "x")))
+            dataclasses.replace(tiger_j, states=("x", "x"))
 
     def test_reserved_chars_in_labels(self, tiger_j):
         with pytest.raises(DomainValidationError):
-            validate_model(dataclasses.replace(tiger_j, states=("a|b", "c")))
+            dataclasses.replace(tiger_j, states=("a|b", "c"))
 
     def test_shape_mismatch(self, tiger_j):
         with pytest.raises(DomainValidationError, match="reward"):
-            validate_model(dataclasses.replace(tiger_j, reward=np.zeros((2, 2))))
+            dataclasses.replace(tiger_j, reward=np.zeros((2, 2)))
 
     def test_bad_horizon(self, tiger_j):
         with pytest.raises(DomainValidationError, match="horizon"):
-            validate_model(dataclasses.replace(tiger_j, horizon=0))
+            dataclasses.replace(tiger_j, horizon=0)
 
     def test_non_finite_reward(self, tiger_j):
         r = np.array(tiger_j.reward)
         r[0, 0] = np.nan
         with pytest.raises(DomainValidationError):
-            validate_model(dataclasses.replace(tiger_j, reward=r))
+            dataclasses.replace(tiger_j, reward=r)
 
 
 class TestTreeSizeRule:
@@ -478,12 +510,11 @@ class TestNonFinite:
     def test_level0_transition(self, tiger_j, form):
         table = _nan_at(tiger_j.transition, (0, 1))
         with pytest.raises(DomainValidationError, match=r"transition: non-finite"):
-            validate_model(dataclasses.replace(tiger_j, transition=table))
+            dataclasses.replace(tiger_j, transition=table)
 
     def test_initial_belief(self, tiger_j):
-        broken = dataclasses.replace(tiger_j, initial_belief=np.array([np.nan, np.nan]))
         with pytest.raises(DomainValidationError, match="initial_belief: non-finite"):
-            validate_model(broken)
+            dataclasses.replace(tiger_j, initial_belief=np.array([np.nan, np.nan]))
 
 
 def _rows_of(dense: np.ndarray) -> JointTransition:

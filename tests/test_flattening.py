@@ -27,7 +27,6 @@ from ididiv import (
     select_topk,
     solve_exact,
     solve_idid,
-    validate_model,
 )
 from ididiv.domains import domain_to_obj
 from ididiv.flattening import FannedRows, FlatModel
@@ -520,7 +519,6 @@ class TestSparsePath:
     def test_sparse_matches_dense(self, tiger2, cand2):
         sp = flatten(tiger2, cand2)
         dense = _dense_reference((tiger2, cand2, sp))
-        validate_model(dense)
         pd = solve_exact(dense)
         ps = solve_idid(sp)
         assert ps.value == pytest.approx(pd.value, abs=1e-12)

@@ -12,6 +12,7 @@ from ididiv import (
     canonical_encode,
     cli,
     constant_tree,
+    evaluate_policy,
     generate_known_models,
     make_candidate_set,
     project_level0,
@@ -22,7 +23,6 @@ from ididiv import (
     solve_idid,
     flatten,
     simulate,
-    validate_model,
 )
 from ididiv.trees import _csv_line, all_trees, frame, node_table
 
@@ -213,6 +213,43 @@ class TestRunExperiment:
             assert (tree_j.depth, tree_j.observations) == (tiger2.horizon, tiger2.observations_j)
             assert tree_j not in cand2.trees
             assert trace.steps[0].action_j == tree_j.action
+
+    @pytest.mark.parametrize(
+        "name, expand, seed",
+        [("uav", True, 0), ("uav", True, 1), ("uav", True, 2),
+         ("tiger", False, 0), ("tiger", False, 1)],
+    )
+    def test_out_of_set_mean_reward_is_the_exact_value(self, name, expand, seed, monkeypatch):
+        # A round's expected reward is the subject policy's exact value
+        # against that round's peer tree alone, the domain flattened against
+        # a one-tree set.  Over 2000 rounds the realized mean lies within
+        # five standard errors of the mean of those values.  Tiger is here
+        # because only its peer observations depend on the peer's action.
+        domain = builtin_domain(name, 3)
+        level0 = project_level0(domain, "j")
+        known_seed, select_seed = np.random.SeedSequence(seed).spawn(2)
+        known = generate_known_models(level0, 3, seed=known_seed)
+        if expand:
+            cands = select_topk(known, level0, SelectionConfig(seed=select_seed, k_max=6))
+        else:
+            cands = make_candidate_set(known, len(level0.observations))
+        draw, rows = simulate._draw_novel_tree, []
+
+        def recorded(*args):
+            rows.append(draw(*args))
+            return rows[-1]
+
+        monkeypatch.setattr(simulate, "_draw_novel_tree", recorded)
+        stats = run_experiment(domain, cands, "random-generated", rounds=2000, seed=seed)
+        policy = solve_idid(flatten(domain, cands)).tree
+        n_oj = len(level0.observations)
+        exact = {}
+        for row in set(rows):
+            peer = make_candidate_set([PolicyTree(row, level0.observations)], n_oj)
+            exact[row] = evaluate_policy(flatten(domain, peer).model, policy)
+        assert len(rows) == 2000 and stats.reward_variance_i > 0
+        expected = np.mean([exact[row] for row in rows])
+        assert abs(stats.mean_reward_i - expected) <= 5 * np.sqrt(stats.reward_variance_i / 2000)
 
     def test_policy_value_reported(self, tiger2, cand2):
         stats = run_experiment(tiger2, cand2, "from-set", rounds=2, seed=0)
@@ -545,7 +582,7 @@ def test_counts_refuse_non_integers_by_name(name, tiger_j, tiger2, cand2):
     call(np.int64(2))
 
 
-@pytest.mark.parametrize("name", ["builtin_domain", "replace", "validate_model", "n_observations"])
+@pytest.mark.parametrize("name", ["builtin_domain", "replace", "level0_replace", "n_observations"])
 def test_horizons_and_observation_counts_are_counts(name, tiger2):
     # A horizon of 2.5 used to build and plan 3 decisions, and True 1; a
     # horizon or observation count is an integer of at least 1, a numpy one
@@ -560,7 +597,7 @@ def test_horizons_and_observation_counts_are_counts(name, tiger2):
         call = {
             "builtin_domain": lambda h: builtin_domain("tiger", h),
             "replace": lambda h: dataclasses.replace(tiger2, horizon=h),
-            "validate_model": lambda h: validate_model(dataclasses.replace(j, horizon=h)),
+            "level0_replace": lambda h: dataclasses.replace(j, horizon=h),
         }[name]
     for bad in (2.5, True, "3", 0):
         if type(bad) is int:
