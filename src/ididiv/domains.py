@@ -11,9 +11,9 @@ between a chaser (i) and a fugitive (j) heading for a safe-house corner.
 A domain's joint transition has one type:
 ``JointTransition``, the [S, Ai, Aj, S'] table as CSR arrays, 0.62 MB for
 the uav chase instead of a 79 MB dense array.  A domain file lists its
-entries.  A ``PosgDomain`` or a ``SingleAgentModel`` runs its check when it
-is built, so every domain and model that exists has passed it.  Label lists
-are stored as tuples of strings.
+entries.  A ``JointTransition``, a ``PosgDomain`` and a ``SingleAgentModel``
+each run their check when built, so every table, domain and model that
+exists has passed it.  Label lists are stored as tuples of strings.
 
 The uav chase's ``obs_fn_i``, ``obs_fn_j``, ``reward_i`` and ``reward_j``
 depend on the state only, so each is a read-only ``np.broadcast_to`` view of
@@ -95,9 +95,9 @@ class JointTransition:
     are contiguous.  ``from_entries`` stores only nonzero probabilities,
     columns ascending within a row; ``nnz`` counts every stored entry.
     Construction freezes the caller's arrays in place rather than copying
-    them, and does not check them; a ``PosgDomain`` checks its table when it
-    is built, and refuses a row whose columns do not strictly ascend.  Two
-    tables are equal when their shapes and stored entries are.
+    them, then checks them: a row that is not a distribution or whose
+    columns do not strictly ascend raises DomainValidationError naming it.
+    Two tables are equal when their shapes and stored entries are.
 
     ``flattening.FannedRows``, the simulator and the level-0 projection (via
     ``_coords``) read the stored arrays.  One index form reads dense values,
@@ -121,6 +121,7 @@ class JointTransition:
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "data", _freeze(self.data))
         object.__setattr__(self, "shape", tuple(int(n) for n in self.shape))
+        _check_csr("transition", self)
 
     def __reduce__(self):
         # Rebuild through __init__, so the arrays come back read-only.
@@ -135,7 +136,7 @@ class JointTransition:
         that is not an integer inside ``shape`` and a repeated (s, ai, aj, s')
         raise DomainValidationError naming the entry, and a bool or string
         in any entry one naming the value: numbers are read as written.
-        A ``PosgDomain`` checks the values of p when it is built.
+        The table built then checks its rows, as any ``JointTransition`` does.
         """
         S, Ai, Aj, S2 = shape = tuple(int(n) for n in shape)
         try:
@@ -388,19 +389,19 @@ def _check_labels(path: str, labels: Sequence[str]) -> tuple[str, ...]:
     return tup
 
 
-def _check_rows(path: str, arr: np.ndarray) -> None:
+def _check_rows(path: str, arr: np.ndarray, tol: float = _TOL) -> None:
     """Last axis must be a probability distribution on every row."""
     if not np.all(np.isfinite(arr)):
         raise DomainValidationError("%s: non-finite probability" % path)
     if np.any(arr < 0.0):
         raise DomainValidationError("%s: negative probability" % path)
     sums = arr.sum(axis=-1)
-    bad = np.abs(sums - 1.0) > _TOL
+    bad = np.abs(sums - 1.0) > tol
     if np.any(bad):
         idx = tuple(int(k) for k in np.argwhere(bad)[0])
         raise DomainValidationError(
             "%s: row %r sums to %.17g, expected 1 within %g"
-            % (path, idx, float(sums[bad][0]), _TOL)
+            % (path, idx, float(sums[bad][0]), tol)
         )
 
 
@@ -412,8 +413,8 @@ def _check_shape(path: str, arr: np.ndarray, shape: tuple[int, ...]) -> None:
 
 
 def _check_csr(path: str, T: JointTransition) -> None:
-    """CSR structure and row distributions of a joint table whose shape has
-    been checked."""
+    """CSR structure and row distributions of a joint table, against its own
+    ``shape``; a ``PosgDomain`` checks that shape against its labels."""
     S, Ai, Aj, S2 = T.shape
     R = Ai * Aj * S
     ptr, idx, dat = T.indptr, T.indices, T.data
@@ -500,9 +501,7 @@ def _validate_domain(d: PosgDomain) -> None:
     horizon = _count("horizon", d.horizon, error=DomainValidationError)
     _check_tree_size(horizon, "i", Oi)
     _check_tree_size(horizon, "j", Oj)
-    T = d.transition
-    _check_shape("transition", T, (S, Ai, Aj, S))
-    _check_csr("transition", T)
+    _check_shape("transition", d.transition, (S, Ai, Aj, S))
     _check_shape("obs_fn_i", d.obs_fn_i, (S, Ai, Aj, Oi))
     _check_rows("obs_fn_i", d.obs_fn_i)
     _check_shape("obs_fn_j", d.obs_fn_j, (S, Aj, Oj))
@@ -704,7 +703,8 @@ def _uav_transition(ci: np.ndarray, cj: np.ndarray, tgt: np.ndarray) -> JointTra
             probs.append(np.bincount(inverse, weights=np.concatenate(weights)))
     indptr = np.zeros(A * A * S + 1, dtype=np.int64)
     np.cumsum(np.concatenate(counts), out=indptr[1:])
-    return JointTransition(indptr, np.concatenate(cols), np.concatenate(probs), (S, A, A, S))
+    cols, probs = np.concatenate(cols), np.concatenate(probs)  # frees the pieces before the check
+    return JointTransition(indptr, cols, probs, (S, A, A, S))
 
 
 def _build_uav(horizon: int) -> PosgDomain:
@@ -723,8 +723,6 @@ def _build_uav(horizon: int) -> PosgDomain:
     S = _DONE + 1
     ci, cj = np.divmod(np.arange(_CAP), _CELLS)
     tgt = _move_targets()
-    # Built in a helper, so its temporaries are freed before the domain
-    # validates the table.
     T = _uav_transition(ci, cj, tgt)
 
     # Observations and rewards depend on the state only, so each table is

@@ -39,9 +39,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domains import (
+    _TOL,
     DomainValidationError,
     JointTransition,
     PosgDomain,
+    _check_rows,
     _check_shape,
     _freeze,
 )
@@ -165,11 +167,17 @@ class FlatModel:
             )
         for a, op in enumerate(self.transition):
             _check_shape("transition[%d]" % a, op, (n, n))
-        keys, vals = self.initial_belief
-        keys = np.asarray(keys, dtype=np.int64)
+        given, vals = self.initial_belief
+        keys, vals = np.asarray(given, dtype=np.int64), _freeze(vals)
+        ascend = keys.ndim == 1 and np.all(np.diff(keys, prepend=-1, append=n) > 0)
+        if not ascend or np.any(keys != given):
+            raise DomainValidationError(
+                "initial_belief: keys must strictly ascend in range(%d)" % n)
+        _check_shape("initial_belief", vals, keys.shape)
+        _check_rows("initial_belief", vals, 3 * _TOL)  # flatten multiplies two sums within _TOL
         for arr in (self.parent_peer, keys):
             arr.setflags(write=False)
-        object.__setattr__(self, "initial_belief", (keys, _freeze(vals)))
+        object.__setattr__(self, "initial_belief", (keys, vals))
 
     def reward_at(self, keys: np.ndarray, a: int) -> np.ndarray:
         """The reward of action a at each augmented state in ``keys``."""

@@ -135,9 +135,9 @@ def evaluate_policy(model, tree: PolicyTree) -> float:
     The tree must have the model's horizon as depth and branch on the
     model's observation alphabet.  For another belief, evaluate
     ``dataclasses.replace(model, initial_belief=...)`` with a belief in the
-    model's own form: a dense vector for a SingleAgentModel, which the replace
-    checks is a distribution over its states, or an ascending (keys, vals)
-    pair of augmented indices and probabilities for a FlatModel.
+    model's own form, which the replace checks: a dense distribution over
+    the states of a SingleAgentModel, or for a FlatModel a (keys, vals) pair
+    of strictly ascending augmented indices and probabilities summing to 1.
     """
     validate_tree(tree, model.observations, depth=model.horizon, actions=model.actions)
     kids = node_table(len(model.observations), model.horizon).children

@@ -513,6 +513,8 @@ class TestParsing:
              "obs_i: 5 is not a list$"),
             (["--domain", "{}", "solve"], lambda: _tiger2_obj(strat=[0.5, 0.5]),
              "unknown domain file keys: strat"),
+            (["--domain", "{}", "solve"], lambda: _tiger2_edit("transition", (27, 4), 0.4),
+             r"transition\[:, 2, 0\]: row 1 sums to 0\.90000000000000002$"),
             (["features", "--trees", "{}"], lambda: _candidates_obj(prior=["0.5", "0.5"]),
              "prior: '0.5' is not a number"),
             (["features", "--trees", "{}"], lambda: _candidates_obj(prior=[True, False]),
@@ -555,7 +557,7 @@ class TestParsing:
             "horizon-string", "horizon-bool", "name-number", "name-empty",
             "reward-string", "start-bools", "probability-bool", "states-string",
             "states-object", "observations-string", "states-numbers", "obs-number",
-            "domain-unknown-key",
+            "domain-unknown-key", "transition-row-sum",
             "prior-strings", "prior-bools", "trace-strings", "trace-bool", "trace-float-size",
             "trace-object", "measure-number", "candidates-unknown-key",
             "tree-depth-20000", "tree-depth-1e9",

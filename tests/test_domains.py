@@ -353,10 +353,10 @@ class TestValidation:
             _with_entries(uav, edit)
 
     def test_constructor_refuses_a_bad_row(self):
+        # Refused where the table is built, before any domain holds it.
         entries = [[0, 0, 0, 0, 0.5], [0, 0, 0, 1, 0.4], [1, 0, 0, 1, 1.0]]
-        T = JointTransition.from_entries(entries, (2, 1, 1, 2))
         with pytest.raises(DomainValidationError, match=r"transition\[:, 0, 0\]: row 0 sums"):
-            _one_pair(T)
+            JointTransition.from_entries(entries, (2, 1, 1, 2))
 
     @pytest.mark.parametrize("field", ["actions", "observations"])
     def test_level0_view_over_other_labels(self, field):
@@ -602,7 +602,8 @@ class TestSparseRows:
             # Listen/Listen's row for state 0 as two 0.5 entries at column 0:
             # it sums to 1, but a [:, ai, aj, :] read keeps one entry and its
             # domain file would repeat an (s, ai, aj, s').
-            ((2, 2), 0, [0, 0], [0.5, 0.5], r"transition\[:, 2, 2\]: row 0 repeats .* column 0"),
+            ((2, 2), 0, [0, 0], [0.5, 0.5],
+             r"transition\[:, 2, 2\]: row 0 repeats or reorders column 0$"),
             ((0, 1), 1, [1, 0], [0.5, 0.5], r"transition\[:, 0, 1\]: row 1 .*reorders column 0"),
         ],
         ids=["repeated", "reordered"],
@@ -615,9 +616,8 @@ class TestSparseRows:
         indptr[r + 1 :] += len(cols) - (hi - lo)
         indices = np.concatenate([T.indices[:lo], cols, T.indices[hi:]]).astype(np.int32)
         data = np.concatenate([T.data[:lo], probs, T.data[hi:]])
-        broken = JointTransition(indptr, indices, data, T.shape)
         with pytest.raises(DomainValidationError, match=message):
-            dataclasses.replace(tiger2, transition=broken)
+            JointTransition(indptr, indices, data, T.shape)
 
     def test_shape_and_type(self, tiger_j):
         with pytest.raises(DomainValidationError, match=r"transition: shape"):
@@ -786,8 +786,10 @@ class TestJointTransition:
         )
         assert again == tiger.transition and again is not tiger.transition
         assert tiger.transition != uav.transition
+        # Mass moved between the two entries of one row: still a valid table.
         entries = domain_to_obj(tiger)["transition"]
-        entries[0][4] = 0.25
+        assert entries[0][:3] == entries[1][:3]
+        entries[0][4], entries[1][4] = 0.25, 0.75
         assert tiger.transition != JointTransition.from_entries(entries, tiger.transition.shape)
 
     def test_pickle_keeps_it_read_only(self, uav):
@@ -795,6 +797,19 @@ class TestJointTransition:
         assert back == uav.transition
         for arr in (back.indptr, back.indices, back.data):
             assert not arr.flags.writeable
+
+    def test_each_table_is_checked_once(self, monkeypatch):
+        # Checked when the table is built, not again by each domain that
+        # holds it: a domain's replace keeps its table and checks none.
+        calls = []
+        check = domains._check_csr
+        monkeypatch.setattr(domains, "_check_csr", lambda *a: calls.append(a) or check(*a))
+        uav = domains.BUILTIN_DOMAINS["uav"](3)
+        assert len(calls) == 1
+        assert dataclasses.replace(uav, horizon=2).transition is uav.transition
+        assert len(calls) == 1
+        assert pickle.loads(pickle.dumps(uav)).transition == uav.transition
+        assert len(calls) == 2
 
     def test_flat_shape_rejected(self, tiger):
         for table in (np.ones((2, 2)), _dense(tiger.transition)):

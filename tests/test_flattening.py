@@ -137,6 +137,35 @@ class TestStructure:
             for o in range(n_oi):
                 assert np.all(model.obs_at(roots, a, o) == 1.0 / n_oi)
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda k, v: (k, 1.4 * v), r"row \(\) sums to 1\.39"),
+            (lambda k, v: (k[::-1], v), r"keys must strictly ascend in range\(18\)"),
+            (lambda k, v: (np.r_[k[:-1], k[-2]], v), r"keys must strictly ascend"),
+            (lambda k, v: (k - k[0] - 1, v), r"keys must strictly ascend"),
+            (lambda k, v: (k + 18 - k[-1], v), r"keys must strictly ascend"),
+            (lambda k, v: (k + 0.5, v), r"keys must strictly ascend"),
+            (lambda k, v: (k, v[:-1]), r"shape \(5,\), expected \(6,\)"),
+        ],
+        ids=["scaled", "descending", "repeated", "negative", "outside", "fraction", "short"],
+    )
+    def test_initial_belief_is_a_distribution(self, flat2, edit, message):
+        # Scaled by 1.4, the belief solved to -2.8 where its own gives -2.0.
+        model = flat2.model
+        assert solve_exact(model).value == -2.0
+        with pytest.raises(DomainValidationError, match="initial_belief: " + message):
+            dataclasses.replace(model, initial_belief=edit(*model.initial_belief))
+
+    def test_initial_belief_near_tolerance(self, tiger2):
+        # A start and a prior each 9.8e-13 above 1 pass their own checks;
+        # their product, 1.96e-12 above 1, is still a belief flatten builds.
+        up = np.full(2, 0.5 + 4.9e-13)
+        domain = dataclasses.replace(tiger2, start=up)
+        cands = make_candidate_set(_peer_trees_t2()[:2], 2, prior=up)
+        vals = flatten(domain, cands).model.initial_belief[1]
+        assert abs(vals.sum() - 1.0) > 1e-12
+
     def test_candidate_depth_enforced(self, tiger2):
         shallow = make_candidate_set(
             [constant_tree("Listen", ("GrowlLeft", "GrowlRight"), 1)], 2
@@ -556,9 +585,9 @@ class TestSparsePath:
             assert op.nnz == blk.nnz == expect
             assert np.count_nonzero(blk.data == 0.0) > 0
 
-    # The tables flatten reads are checked when the domain is built, so a
-    # bad one is refused by dataclasses.replace under the domain table's
-    # own name, not the augmented transition's.
+    # The tables flatten reads are checked when they are built, so a bad
+    # one is refused under its own name, not the augmented transition's:
+    # obs_fn_j by dataclasses.replace, the joint table by from_entries.
     def test_bad_peer_sensing_is_named(self, tiger2):
         obs_j = np.array(tiger2.obs_fn_j)
         obs_j[0, 2] = [0.9, 0.0575]
@@ -569,9 +598,9 @@ class TestSparsePath:
         entries = domain_to_obj(tiger2)["transition"]
         assert entries[27] == [1, 2, 0, 1, 0.5]
         entries[27][4] = 0.4
-        T = JointTransition.from_entries(entries, tiger2.transition.shape)
-        with pytest.raises(DomainValidationError, match=r"transition\[:, 2, 0\]: row 1"):
-            dataclasses.replace(tiger2, transition=T)
+        message = r"transition\[:, 2, 0\]: row 1 sums to 0\.90000000000000002$"
+        with pytest.raises(DomainValidationError, match=message):
+            JointTransition.from_entries(entries, tiger2.transition.shape)
 
     @pytest.mark.parametrize("aj", [2, 1])
     def test_bad_subject_sensing_is_named(self, tiger2, cand2, aj):

@@ -6,7 +6,9 @@ import pytest
 
 from ididiv import (
     DomainValidationError,
+    JointTransition,
     PolicyTree,
+    PosgDomain,
     SelectionConfig,
     builtin_domain,
     canonical_encode,
@@ -99,6 +101,33 @@ def _subject_tree(tiger2, cand2):
     return solve_idid(flatten(tiger2, cand2)).tree
 
 
+def _echo() -> PosgDomain:
+    """Two states that never change, in which the peer hears its own last
+    action: z0 after b0 and z1 after b1, whatever the subject plays.  The
+    subject has one observation and earns 1 at each step the peer plays b1."""
+    pairs = [(ai, aj) for ai in range(2) for aj in range(2)]
+    obs_j = np.zeros((2, 2, 2))
+    obs_j[:, [0, 1], [0, 1]] = 1.0
+    reward_i = np.zeros((2, 2, 2))
+    reward_i[:, :, 1] = 1.0
+    return PosgDomain(
+        name="echo",
+        states=("s0", "s1"),
+        actions_i=("a0", "a1"),
+        actions_j=("b0", "b1"),
+        observations_i=("o",),
+        observations_j=("z0", "z1"),
+        transition=JointTransition.from_entries(
+            [(s, ai, aj, s, 1.0) for ai, aj in pairs for s in range(2)], (2, 2, 2, 2)
+        ),
+        obs_fn_i=np.ones((2, 2, 2, 1)),
+        obs_fn_j=obs_j,
+        reward_i=reward_i,
+        reward_j=np.zeros((2, 2, 2)),
+        horizon=2,
+    )
+
+
 class TestRunEpisode:
     def test_step_structure(self, tiger2, cand2):
         ti = _subject_tree(tiger2, cand2)
@@ -177,6 +206,21 @@ class TestRunEpisode:
             assert s1.action_j == dict(tj.children)[s0.obs_j].action == "OpenRight"
             seen.update((s0.obs_i, s0.obs_j))
         assert {"GrowlRight", "GrowlRightSilence"} <= seen
+
+    def test_peer_hears_its_own_action(self):
+        # The peer plays b1, hears z1 and so plays b1 again: the subject
+        # earns 2.  Heard after the subject's a0, the observation would be
+        # z0 and turn the peer to b0.  The exact value of the subject's tree
+        # against the one-tree candidate set must agree.
+        echo = _echo()
+        ti = PolicyTree(("a0", "a0"), ("o",))
+        tj = PolicyTree(("b1", "b0", "b1"), ("z0", "z1"))
+        for seed in range(4):
+            ep = run_episode(echo, ti, tj, np.random.default_rng(seed))
+            assert [(st.action_j, st.obs_j) for st in ep.steps] == [("b1", "z1")] * 2
+            assert ep.total_reward_i == 2.0
+        flat = flatten(echo, make_candidate_set([tj], 2)).model
+        assert evaluate_policy(flat, ti) == 2.0
 
 
 class TestRunExperiment:
